@@ -4,8 +4,11 @@
 Prices one device (500 samples, 1.3 TFLOPs, symmetric 10 KB/s link,
 5 local epochs, 13 TFLOPs of server compute) across every cut of VGG19
 and prints the four epoch terms plus model movement. This is the
-single-user view of the objective the allocator minimizes.
+single-user view of the objective the allocator minimizes: one call to
+the latency kernel prices every cut at once.
 """
+
+import numpy as np
 
 import esfl
 
@@ -24,18 +27,20 @@ header = f"{'cut':>4} {'t_up+t_down':>12} {'t_c x eps':>10} {'t_b+t_B x eps':>14
          f"{'t_C x eps':>10} {'total':>12}"
 print(header)
 print("-" * len(header))
-best_l, best_total = None, float("inf")
-for l in range(1, arch.num_layers + 1):
-    bd = esfl.round_time(user, arch, l, server_share)
-    epoch = bd.epochs[0]
-    model_t = bd.t_up + bd.t_down
-    comm_t = 5 * (epoch.t_b + epoch.t_B)
-    comp_t = 5 * epoch.t_c
-    srv_t = 5 * epoch.t_C
-    if bd.total < best_total:
-        best_l, best_total = l, bd.total
+# cuts=None prices every cut: each term is a (users, cuts) array
+terms = esfl.round_terms(esfl.UserBatch.of([user]), arch, None, server_share)
+columns = zip(
+    (terms.t_up + terms.t_down)[0],
+    5 * terms.t_c[0],
+    5 * (terms.t_b + terms.t_B)[0],
+    5 * terms.t_C[0],
+    terms.total[0],
+)
+for l, (model_t, comp_t, comm_t, srv_t, total) in enumerate(columns, start=1):
     print(f"{l:>4} {model_t:>12.1f} {comp_t:>10.2f} {comm_t:>14.1f} "
-          f"{srv_t:>10.2f} {bd.total:>12.1f}")
+          f"{srv_t:>10.2f} {total:>12.1f}")
+best_l = int(np.argmin(terms.total[0])) + 1
+best_total = terms.total[0, best_l - 1]
 
 print(f"\nfastest cut for this device: layer {best_l} "
       f"({best_total:.1f} s) — matches best_cut: "

@@ -52,17 +52,16 @@ from .split_training import (
     split_update,
 )
 from .timing import (
-    EpochBreakdown,
-    RoundBreakdown,
+    RoundTerms,
     default_fixed_cut,
-    epoch_time,
     esfl_round_time,
+    feasibility_mask,
     fl_round_time,
-    round_time,
+    round_terms,
     sfl_round_time,
     sl_round_time,
 )
-from .users import UserProfile
+from .users import UserBatch, UserProfile
 from .workload import (
     CutWorkload,
     LayerProfile,
@@ -72,7 +71,6 @@ from .workload import (
     load_architecture,
     load_builtin,
     serialize_architecture,
-    total_compute,
 )
 
 __version__ = "0.1.0"

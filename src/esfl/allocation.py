@@ -35,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, InfeasibleUserError
-from .users import UserProfile
+from .timing import feasibility_mask, round_terms
+from .users import UserBatch, UserProfile, Users
 from .workload import ModelArchitecture
 
 _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
@@ -84,70 +85,39 @@ class AlternateResult:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized per-user time evaluation
+# Per-user objective terms, all priced by ``timing.round_terms``
 
-def _user_arrays(users: Sequence[UserProfile]):
-    n = np.array([u.n_samples for u in users], dtype=float)
-    c = np.array([u.compute_flops for u in users], dtype=float)
-    bu = np.array([u.rates.up for u in users], dtype=float)
-    bd = np.array([u.rates.down for u in users], dtype=float)
-    eps = np.array([u.epochs for u in users], dtype=float)
-    return n, c, bu, bd, eps
+def _feasible(batch: UserBatch, arch: ModelArchitecture, batch_size: int) -> np.ndarray:
+    """The (S, L) feasibility mask; a user with no feasible cut is an error."""
+    mask = feasibility_mask(batch, arch, batch_size)
+    if not mask.any(axis=1).all():
+        bad = batch.user_ids[~mask.any(axis=1)].tolist()
+        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
+    return mask
 
 
-def feasibility_mask(
-    users: Sequence[UserProfile],
+def _cut_pass(
+    batch: UserBatch,
     arch: ModelArchitecture,
-    batch: int = 1,
-) -> np.ndarray:
-    """Boolean (S, L) mask of cuts satisfying storage and memory limits."""
-    model_b = arch.model_bytes_by_cut
-    mem_b = model_b + batch * arch.cum_act_bytes_by_cut
-    s = np.array([u.storage_bytes for u in users], dtype=float)
-    m = np.array([u.memory_bytes for u in users], dtype=float)
-    return (model_b[None, :] <= s[:, None]) & (mem_b[None, :] <= m[:, None])
-
-
-def _guarded_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = numerator / denominator
-    return np.where(numerator == 0.0, 0.0, out)
-
-
-def _time_matrix(
-    users: Sequence[UserProfile],
-    arch: ModelArchitecture,
-    server_compute: np.ndarray,
+    server_compute: np.ndarray | float,
     cfg: OptimizerConfig,
-) -> np.ndarray:
-    """(S, L) matrix of per-user objective times; infeasible cuts are +inf."""
-    n, c, bu, bd, eps = _user_arrays(users)
-    w_c = arch.user_flops_by_cut[None, :]
-    act = arch.act_bytes_by_cut[None, :]
-    model = arch.model_bytes_by_cut[None, :]
-    share = arch.total_compute_per_sample - arch.user_flops_by_cut  # (L,)
+    mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's fastest feasible 1-based cut and its objective time.
 
-    n_ = n[:, None]
-    # rates may legitimately be zero (dead link): such cuts price to +inf
-    # unless they move no bytes; zero server work always costs nothing
-    epoch = (
-        w_c * n_ / c[:, None]
-        + _guarded_div(act * n_, bu[:, None])
-        + _guarded_div(share[None, :] * n_, server_compute[:, None])
-        + _guarded_div(act * n_, bd[:, None])
-    )
-    if cfg.epoch_objective:
-        times = epoch
-    else:
-        times = (
-            _guarded_div(model, bu[:, None])
-            + _guarded_div(model, bd[:, None])
-            + eps[:, None] * epoch
-            + cfg.t_agg
+    Ties break toward the smaller index.
+    """
+    terms = round_terms(batch, arch, None, server_compute, cfg.t_agg)
+    times = np.where(mask, terms.epoch if cfg.epoch_objective else terms.total, np.inf)
+    choice = np.argmin(times, axis=1)
+    best = times[np.arange(len(batch)), choice]
+    if not np.isfinite(best).all():
+        bad = batch.user_ids[~np.isfinite(best)].tolist()
+        raise AllocationError(
+            f"users {bad}: every feasible cut prices to infinity "
+            f"(dead link with unavoidable traffic?)"
         )
-    mask = feasibility_mask(users, arch, cfg.batch_size)
-    return np.where(mask, times, np.inf)
+    return choice + 1, best
 
 
 def feasible_cuts(
@@ -156,13 +126,8 @@ def feasible_cuts(
     batch: int = 1,
 ) -> list[int]:
     """All cut indices the user can hold, 1-based; empty set is an error."""
-    mask = feasibility_mask([user], arch, batch)[0]
-    cuts = [int(i) + 1 for i in np.nonzero(mask)[0]]
-    if not cuts:
-        raise InfeasibleUserError(
-            f"user {user.user_id}: no cut satisfies storage/memory limits"
-        )
-    return cuts
+    mask = _feasible(UserBatch.of([user]), arch, batch)[0]
+    return (np.flatnonzero(mask) + 1).tolist()
 
 
 def best_cut(
@@ -177,46 +142,29 @@ def best_cut(
     scan to cuts with no server-side work.
     """
     cfg = cfg or OptimizerConfig()
-    times = _time_matrix([user], arch, np.array([server_flops], dtype=float), cfg)[0]
-    if not np.isfinite(times).any():
-        if feasibility_mask([user], arch, cfg.batch_size)[0].any():
-            raise AllocationError(
-                f"user {user.user_id}: no feasible cut is affordable with "
-                f"server compute {server_flops}"
-            )
-        raise InfeasibleUserError(
-            f"user {user.user_id}: no cut satisfies storage/memory limits"
-        )
-    return int(np.argmin(times)) + 1
+    batch = UserBatch.of([user])
+    mask = _feasible(batch, arch, cfg.batch_size)
+    cuts, _ = _cut_pass(batch, arch, server_flops, cfg, mask)
+    return int(cuts[0])
 
 
 def server_demand_terms(
-    users: Sequence[UserProfile],
+    users: Users,
     cuts: Sequence[int],
     arch: ModelArchitecture,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constants (a, b) with per-user time a_i / C_i + b_i for fixed cuts."""
-    cfg = cfg or OptimizerConfig()
-    n, c, bu, bd, eps = _user_arrays(users)
-    idx = np.asarray(cuts, dtype=int) - 1
-    if idx.min() < 0 or idx.max() >= arch.num_layers:
-        raise ValueError("cut index out of range")
-    w_c = arch.user_flops_by_cut[idx]
-    act = arch.act_bytes_by_cut[idx]
-    model = arch.model_bytes_by_cut[idx]
-    share = arch.total_compute_per_sample - w_c
+    """Constants (a, b) with per-user time a_i / C_i + b_i for fixed cuts.
 
-    epoch_fixed = (w_c * n / c + _guarded_div(act * n, bu)
-                   + _guarded_div(act * n, bd))
+    ``a`` is the objective's server time at unit compute and ``b`` the
+    objective with the server time left out (infinite server compute).
+    """
+    cfg = cfg or OptimizerConfig()
+    batch = UserBatch.of(users)
+    free = round_terms(batch, arch, cuts, math.inf, cfg.t_agg)
     if cfg.epoch_objective:
-        a = share * n
-        b = epoch_fixed
-    else:
-        a = eps * share * n
-        b = (_guarded_div(model, bu) + _guarded_div(model, bd)
-             + eps * epoch_fixed + cfg.t_agg)
-    return a, b
+        return free.server_work, free.epoch
+    return batch.epochs * free.server_work, free.total
 
 
 def equalize_min_max(
@@ -286,7 +234,7 @@ def equalize_min_max(
 
 
 def allocate_server_compute(
-    users: Sequence[UserProfile],
+    users: Users,
     cuts: Sequence[int],
     c_total: float,
     arch: ModelArchitecture,
@@ -302,7 +250,7 @@ def allocate_server_compute(
 
 
 def alternate(
-    users: Sequence[UserProfile],
+    users: Users,
     arch: ModelArchitecture,
     c_total: float,
     cfg: OptimizerConfig | None = None,
@@ -315,41 +263,27 @@ def alternate(
     iteration cap was hit first.
     """
     cfg = cfg or OptimizerConfig()
-    if not users:
+    batch = UserBatch.of(users)
+    if not len(batch):
         raise ValueError("at least one user is required")
     if c_total <= 0:
         raise ValueError("compute budget must be strictly positive")
-    if not feasibility_mask(users, arch, cfg.batch_size).any(axis=1).all():
-        bad = [
-            u.user_id
-            for u, ok in zip(users, feasibility_mask(users, arch, cfg.batch_size).any(axis=1))
-            if not ok
-        ]
-        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
+    mask = _feasible(batch, arch, cfg.batch_size)
 
-    S = len(users)
-    compute = np.full(S, c_total / S)
+    compute = np.full(len(batch), c_total / len(batch))
     prev = compute.copy()
     trace: list[IterationRecord] = []
     best: Allocation | None = None
     converged = False
 
     for it in range(1, cfg.max_iters + 1):
-        times = _time_matrix(users, arch, compute, cfg)
-        choice = np.argmin(times, axis=1)
-        best_times = times[np.arange(S), choice]
-        if not np.isfinite(best_times).all():
-            bad = [users[i].user_id for i in np.nonzero(~np.isfinite(best_times))[0]]
-            raise AllocationError(
-                f"users {bad}: every feasible cut prices to infinity "
-                f"(dead link with unavoidable traffic?)"
-            )
-        cuts = tuple(int(i) + 1 for i in choice)
+        choice, best_times = _cut_pass(batch, arch, compute, cfg, mask)
+        cuts = tuple(choice.tolist())
         # the incoming allocation achieves this much, so the level can't
         # need to exceed it; passing it keeps the trace non-increasing
         reachable = float(best_times.max())
         compute, objective = allocate_server_compute(
-            users, cuts, c_total, arch, cfg, upper_hint=reachable
+            batch, cuts, c_total, arch, cfg, upper_hint=reachable
         )
         trace.append(IterationRecord(it, objective, cuts, tuple(compute)))
         if best is None or objective < best.objective:
@@ -396,9 +330,10 @@ def brute_force_joint(
             f"(limits {max_users} x {max_layers})"
         )
     per_user = [feasible_cuts(u, arch, cfg.batch_size) for u in users]
+    batch = UserBatch.of(users)
     best: Allocation | None = None
     for cuts in itertools.product(*per_user):
-        compute, objective = allocate_server_compute(users, cuts, c_total, arch, cfg)
+        compute, objective = allocate_server_compute(batch, cuts, c_total, arch, cfg)
         if best is None or objective < best.objective:
             best = Allocation(tuple(cuts), tuple(compute), objective)
     assert best is not None

@@ -30,8 +30,8 @@ from .simulation import (
     preset_scenarios,
     run_simulation,
 )
-from .timing import round_time
-from .users import UserProfile
+from .timing import round_terms
+from .users import UserBatch, UserProfile
 from .workload import ModelArchitecture, builtin_profiles, load_architecture, load_builtin
 
 OUT_DIR_ENV = "ESFL_OUT_DIR"
@@ -137,17 +137,20 @@ def _scenario_from_args(args) -> ScenarioSpec:
     return replace(base, **overrides) if overrides else base
 
 
-def _options_from_args(args) -> SimOptions:
-    opt = OptimizerConfig(
+def _optimizer_from_args(args) -> OptimizerConfig:
+    return OptimizerConfig(
         max_iters=args.max_iters,
-        epoch_objective=getattr(args, "epoch_objective", False),
-    )
-    return SimOptions(
+        epoch_objective=args.epoch_objective,
         t_agg=args.t_agg,
+    )
+
+
+def _options_from_args(args) -> SimOptions:
+    return SimOptions(
         kb_bytes=float(args.kb),
         sticky_resources=getattr(args, "sticky_resources", False),
         fixed_cut=getattr(args, "fixed_cut", None),
-        optimizer=opt,
+        optimizer=_optimizer_from_args(args),
     )
 
 
@@ -275,13 +278,10 @@ def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
 def cmd_optimize(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     users = _users_from_doc(args.users, float(args.kb))
-    cfg = OptimizerConfig(
-        max_iters=args.max_iters,
-        epoch_objective=args.epoch_objective,
-        t_agg=args.t_agg,
-    )
+    batch = UserBatch.of(users)
+    cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
-    result = alternate(users, arch, c_total, cfg)
+    result = alternate(batch, arch, c_total, cfg)
     alloc = result.allocation
 
     payload = {
@@ -307,10 +307,9 @@ def cmd_optimize(args) -> int:
         ],
     }
 
-    rows = []
-    for u, l, c in zip(users, alloc.cuts, alloc.server_compute):
-        total = round_time(u, arch, l, c, args.t_agg).total
-        rows.append([str(u.user_id), str(l), f"{c / 1e12:.4f}", f"{total:.3f}"])
+    totals = round_terms(batch, arch, alloc.cuts, alloc.server_compute, args.t_agg).total
+    rows = [[str(u.user_id), str(l), f"{c / 1e12:.4f}", f"{total:.3f}"]
+            for u, l, c, total in zip(users, alloc.cuts, alloc.server_compute, totals)]
     table = (
         f"arch {arch.name}  users {len(users)}  server {args.server_tflops} TFLOPs\n"
         f"objective {alloc.objective:.3f} s in {result.iterations} iterations"
@@ -350,7 +349,8 @@ def cmd_converge(args) -> int:
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
     scales = tuple(int(s) for s in args.scales.split(",") if s.strip())
-    options = SimOptions(t_agg=args.t_agg, kb_bytes=float(args.kb))
+    options = SimOptions(kb_bytes=float(args.kb),
+                         optimizer=OptimizerConfig(t_agg=args.t_agg))
 
     cells = convergence_study(
         arch,

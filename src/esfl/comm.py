@@ -89,11 +89,3 @@ def link_rates(
         return LinkRates(up=up / 8.0, down=down / 8.0)
     raise ConfigError(f"unknown link mode {mode!r}; use 'direct' or 'shannon'")
 
-
-def validate_bandwidth_budget(channels: list[ChannelParams], total_hz: float) -> None:
-    """Check sum of per-user bandwidth against the system budget."""
-    used = sum(ch.bandwidth_hz for ch in channels)
-    if used > total_hz:
-        raise ConfigError(
-            f"allocated bandwidth {used} Hz exceeds the budget {total_hz} Hz"
-        )

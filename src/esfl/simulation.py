@@ -19,11 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import Allocation, AlternateResult, OptimizerConfig, alternate
+from .allocation import Allocation, OptimizerConfig, alternate
 from .comm import LinkRates
 from .errors import ConfigError
-from .timing import default_fixed_cut, round_time
-from .users import UserProfile
+from .timing import (
+    default_fixed_cut,
+    esfl_round_time,
+    fl_round_time,
+    sfl_round_time,
+    sl_round_time,
+)
+from .users import UserBatch, UserProfile
 from .workload import ModelArchitecture
 
 ALGORITHMS = ("esfl", "sfl", "fl", "sl")
@@ -93,16 +99,15 @@ def preset_scenarios() -> dict[str, ScenarioSpec]:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Knobs shared by all algorithms within a run."""
+    """Knobs shared by all algorithms within a run.
 
-    t_agg: float = 0.0
+    ``optimizer.t_agg`` is the aggregation time every algorithm's round pays.
+    """
+
     kb_bytes: float = 1024.0
     sticky_resources: bool = False   # draw resources once per user, not per round
     fixed_cut: int | None = None     # SFL/SL cut; default: first universally feasible
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    def resolved_optimizer(self) -> OptimizerConfig:
-        return replace(self.optimizer, t_agg=self.t_agg)
 
 
 @dataclass(frozen=True)
@@ -241,23 +246,6 @@ def sample_round_users(
     ]
 
 
-def _esfl_record(
-    users: Sequence[UserProfile],
-    arch: ModelArchitecture,
-    c_total: float,
-    options: SimOptions,
-) -> tuple[float, float, AlternateResult]:
-    result = alternate(users, arch, c_total, options.resolved_optimizer())
-    alloc = result.allocation
-    breakdowns = [
-        round_time(u, arch, l, c, options.t_agg)
-        for u, l, c in zip(users, alloc.cuts, alloc.server_compute)
-    ]
-    totals = [bd.total for bd in breakdowns]
-    straggler = int(np.argmax(totals))
-    return totals[straggler], breakdowns[straggler].communication, result
-
-
 def run_round(
     users: Sequence[UserProfile],
     algorithms: Sequence[str],
@@ -268,58 +256,34 @@ def run_round(
 ) -> RoundRecord:
     """Price one round for the requested algorithms on a shared user draw.
 
-    The recorded communication time follows the straggler for the
-    synchronous algorithms (model up/down plus activation traffic; model
-    up/down only for FL, which moves no activations) and the per-user sum
-    for sequential SL.
+    Times and communication times are as the policies in :mod:`esfl.timing`
+    define them.
     """
     options = options or SimOptions()
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
     c_total = spec.server_tflops * TFLOPS
-    fixed = options.fixed_cut or default_fixed_cut(
-        users, arch, options.optimizer.batch_size
-    )
+    cfg = options.optimizer
+    batch = UserBatch.of(users)
+    fixed = options.fixed_cut or default_fixed_cut(batch, arch, cfg.batch_size)
+    result = alternate(batch, arch, c_total, cfg) if "esfl" in algorithms else None
 
-    times: dict[str, float] = {}
-    comms: dict[str, float] = {}
-    alloc = iters = converged = None
-    for algo in algorithms:
-        if algo == "esfl":
-            total, comm, result = _esfl_record(users, arch, c_total, options)
-            alloc = result.allocation
-            iters = result.iterations
-            converged = result.converged
-        elif algo == "fl":
-            bds = [round_time(u, arch, arch.num_layers, 0.0, options.t_agg)
-                   for u in users]
-            totals = [bd.total for bd in bds]
-            straggler = int(np.argmax(totals))
-            total = totals[straggler]
-            comm = bds[straggler].t_up + bds[straggler].t_down
-        elif algo == "sfl":
-            share = c_total / len(users)
-            bds = [round_time(u, arch, fixed, share, options.t_agg) for u in users]
-            totals = [bd.total for bd in bds]
-            straggler = int(np.argmax(totals))
-            total = totals[straggler]
-            comm = bds[straggler].communication
-        else:  # sl
-            bds = [round_time(u, arch, fixed, c_total, 0.0) for u in users]
-            total = sum(bd.total for bd in bds) + options.t_agg
-            comm = sum(bd.communication for bd in bds)
-        times[algo] = total
-        comms[algo] = comm
-
+    policies = {
+        "esfl": lambda: esfl_round_time(result.allocation, batch, arch, cfg.t_agg),
+        "fl": lambda: fl_round_time(batch, arch, cfg.t_agg),
+        "sfl": lambda: sfl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
+        "sl": lambda: sl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
+    }
+    priced = {algo: policies[algo]() for algo in algorithms}
     return RoundRecord(
         index=index,
         user_ids=tuple(u.user_id for u in users),
-        times=times,
-        comm_times=comms,
-        esfl_allocation=alloc,
-        esfl_iterations=iters,
-        esfl_converged=converged,
+        times={algo: time for algo, (time, _) in priced.items()},
+        comm_times={algo: comm for algo, (_, comm) in priced.items()},
+        esfl_allocation=result.allocation if result else None,
+        esfl_iterations=result.iterations if result else None,
+        esfl_converged=result.converged if result else None,
     )
 
 
@@ -435,7 +399,7 @@ def convergence_study(
                 users = sample_round_users(sized, rng, population_data,
                                            None, options.kb_bytes)
                 result = alternate(users, arch, sized.server_tflops * TFLOPS,
-                                   options.resolved_optimizer())
+                                   options.optimizer)
                 its.append(result.iterations)
             cells.append(ConvergenceCell(spec.name, scale, tuple(its)))
     return cells

@@ -1,22 +1,17 @@
-"""Per-epoch and per-round latency for split training and its baselines.
+"""Per-user round latency for split training and its baselines.
 
 One split-training epoch for a user is strictly sequential: device forward
-compute, activation upload, server compute (forward remainder plus the full
-backward pass share), activation-gradient download. A round wraps the
-epochs with device-model upload/download and a fixed aggregation term.
+compute ``t_c``, activation upload ``t_b``, server compute ``t_C`` (forward
+remainder plus the full backward pass share), activation-gradient download
+``t_B``. A round wraps the epochs with device-model upload/download and a
+fixed aggregation term::
 
-Round-time policies:
+    total = t_up + t_down + epochs * (t_c + t_b + t_C + t_B) + t_agg
 
-* ``esfl_round_time`` - per-user cuts and server compute from an
-  allocation; the round ends when the slowest user (straggler) finishes.
-* ``fl_round_time``   - every user trains the full model locally (cut at
-  the last layer, no server compute).
-* ``sfl_round_time``  - one shared cut layer, server compute split
-  equally; straggler paced, like ESFL.
-* ``sl_round_time``   - users train sequentially through the server one
-  at a time with the full server compute, so the round is a sum.
-
-All functions are pure; inputs are immutable profiles.
+:func:`round_terms` is the one implementation of that formula; the
+planner's passes, the reports and the four round policies below (ESFL,
+FL, SFL, SL) derive from it. Each policy returns ``(round time,
+communication time)``, the latter for the user that set the round time.
 """
 
 from __future__ import annotations
@@ -24,180 +19,203 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .comm import LinkRates
+import numpy as np
+
 from .errors import AllocationError, InfeasibleLinkError, InfeasibleUserError
-from .users import UserProfile
-from .workload import CutWorkload, ModelArchitecture, cut_workload
+from .users import UserBatch, Users
+from .workload import ModelArchitecture
 
 if TYPE_CHECKING:  # pragma: no cover
     from .allocation import Allocation
 
 
-@dataclass(frozen=True)
-class EpochBreakdown:
-    """The four sequential parts of one split-training epoch, in seconds."""
-
-    t_c: float  # device compute
-    t_b: float  # activation upload
-    t_C: float  # server compute
-    t_B: float  # activation-gradient download
-
-    @property
-    def total(self) -> float:
-        return self.t_c + self.t_b + self.t_C + self.t_B
+def _guarded_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = numerator / denominator
+    return np.where(numerator == 0.0, 0.0, out)
 
 
 @dataclass(frozen=True)
-class RoundBreakdown:
-    """One user's full round: model movement, epochs, aggregation."""
+class RoundTerms:
+    """Per-user latency terms in seconds, shape (S,) or (S, L).
 
-    t_up: float                            # device-side model upload
-    t_down: float                          # device-side model download
-    epochs: tuple[EpochBreakdown, ...]     # identical within a round
+    Holds the inputs broadcast against each other and computes a term only
+    when it is read, so the (S, L) cut pass never holds every term matrix at
+    once. The four epoch terms are per epoch. Moving bytes over a zero-rate
+    link, or server work without server compute, costs +inf.
+    """
+
+    n_samples: np.ndarray
+    compute_flops: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    epochs: np.ndarray
+    user_flops: np.ndarray      # per sample, at the cut
+    server_flops: np.ndarray    # per sample, at the cut
+    act_bytes: np.ndarray       # per sample and direction, at the cut
+    model_bytes: np.ndarray     # device-side model at the cut
+    server_compute: np.ndarray
     t_agg: float
 
     @property
-    def total(self) -> float:
-        return self.t_up + self.t_down + sum(e.total for e in self.epochs) + self.t_agg
+    def t_up(self) -> np.ndarray:
+        return _guarded_div(self.model_bytes, self.up)
 
     @property
-    def communication(self) -> float:
+    def t_down(self) -> np.ndarray:
+        return _guarded_div(self.model_bytes, self.down)
+
+    @property
+    def t_c(self) -> np.ndarray:
+        return self.user_flops * self.n_samples / self.compute_flops
+
+    @property
+    def t_b(self) -> np.ndarray:
+        return _guarded_div(self.act_bytes * self.n_samples, self.up)
+
+    @property
+    def server_work(self) -> np.ndarray:
+        """Server FLOPs per epoch: ``t_C`` at unit server compute."""
+        return self.server_flops * self.n_samples
+
+    @property
+    def t_C(self) -> np.ndarray:
+        return _guarded_div(self.server_work, self.server_compute)
+
+    @property
+    def t_B(self) -> np.ndarray:
+        return _guarded_div(self.act_bytes * self.n_samples, self.down)
+
+    @property
+    def epoch(self) -> np.ndarray:
+        return self.t_c + self.t_b + self.t_C + self.t_B
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.t_up + self.t_down + self.epochs * self.epoch + self.t_agg
+
+    @property
+    def communication(self) -> np.ndarray:
         """Model movement plus activation traffic across all epochs."""
-        return self.t_up + self.t_down + sum(e.t_b + e.t_B for e in self.epochs)
+        return self.t_up + self.t_down + self.epochs * (self.t_b + self.t_B)
 
 
-def epoch_time(
-    n_samples: float,
-    compute_flops: float,
-    rates: LinkRates,
-    cw: CutWorkload,
-    total_flops: float,
-    server_flops: float,
-) -> EpochBreakdown:
-    """One epoch under a given cut and server-compute assignment.
-
-    ``total_flops`` is the whole network's training compute per sample;
-    the server processes ``total_flops - cw.user_compute`` per sample.
-    """
-    if compute_flops <= 0:
-        raise AllocationError("device compute must be strictly positive")
-    server_share = total_flops - cw.user_compute
-    if server_share < 0:
-        raise AllocationError("cut workload exceeds the network's total compute")
-
-    t_c = cw.user_compute * n_samples / compute_flops
-    traffic = cw.act_bytes * n_samples
-    if traffic > 0 and (rates.up == 0 or rates.down == 0):
-        raise InfeasibleLinkError("activation traffic scheduled over a zero-rate link")
-    t_b = traffic / rates.up if traffic > 0 else 0.0
-    t_B = traffic / rates.down if traffic > 0 else 0.0
-    if server_share == 0:
-        t_C = 0.0
-    else:
-        if server_flops <= 0:
-            raise AllocationError(
-                "server compute must be positive when the cut leaves server work"
-            )
-        t_C = server_share * n_samples / server_flops
-    return EpochBreakdown(t_c=t_c, t_b=t_b, t_C=t_C, t_B=t_B)
-
-
-def round_time(
-    user: UserProfile,
+def round_terms(
+    batch: UserBatch,
     arch: ModelArchitecture,
-    l: int,
-    server_flops: float,
+    cuts: Sequence[int] | np.ndarray | None,
+    server_compute: np.ndarray | float,
     t_agg: float = 0.0,
-) -> RoundBreakdown:
-    """One user's round with cut ``l`` and the given server compute."""
-    cw = cut_workload(arch, l)
-    if cw.model_bytes > user.storage_bytes:
-        raise InfeasibleUserError(
-            f"user {user.user_id}: cut {l} model exceeds storage"
-        )
-    if cw.model_bytes > 0 and (user.rates.up == 0 or user.rates.down == 0):
-        raise InfeasibleLinkError("model transfer scheduled over a zero-rate link")
-    t_up = cw.model_bytes / user.rates.up if cw.model_bytes > 0 else 0.0
-    t_down = cw.model_bytes / user.rates.down if cw.model_bytes > 0 else 0.0
-    epoch = epoch_time(
-        user.n_samples,
-        user.compute_flops,
-        user.rates,
-        cw,
-        arch.total_compute_per_sample,
-        server_flops,
-    )
-    return RoundBreakdown(
-        t_up=t_up,
-        t_down=t_down,
-        epochs=(epoch,) * user.epochs,
-        t_agg=t_agg,
-    )
+) -> RoundTerms:
+    """Every user's latency terms at one cut each, or at every cut.
+
+    ``cuts`` holds one 1-based cut per user, or one cut for all users, and
+    gives (S,) terms; ``None`` gives (S, L) terms whose column ``l - 1``
+    prices cut ``l``. ``server_compute`` is each user's server FLOPs/s,
+    (S,) or a scalar.
+
+    Explicit cuts must be runnable: a model beyond the user's storage,
+    traffic over a zero-rate link, or server work without server compute
+    raises. ``cuts=None`` raises nothing and leaves storage/memory limits to
+    :func:`feasibility_mask`.
+    """
+    user_flops = arch.user_flops_by_cut
+    act = arch.act_bytes_by_cut
+    model = arch.model_bytes_by_cut
+    server_compute = np.asarray(server_compute, dtype=float)
+    user = (batch.n_samples, batch.compute_flops, batch.up, batch.down, batch.epochs)
+    if cuts is None:
+        user = tuple(x[:, None] for x in user)
+        if server_compute.ndim:
+            server_compute = server_compute[:, None]
+    else:
+        idx = np.asarray(cuts, dtype=int) - 1
+        if (idx.shape not in ((), (len(batch),))
+                or idx.min() < 0 or idx.max() >= arch.num_layers):
+            raise ValueError(f"need one cut in 1..{arch.num_layers}, or one per user")
+        user_flops, act, model = user_flops[idx], act[idx], model[idx]
+    terms = RoundTerms(*user, user_flops, arch.total_compute_per_sample - user_flops,
+                       act, model, server_compute, t_agg)
+    if cuts is not None:
+        moves_bytes = (model > 0) | (act * batch.n_samples > 0)
+        for bad, error, what in (
+            (model > batch.storage_bytes, InfeasibleUserError, "cut model exceeds storage"),
+            (((batch.up == 0) | (batch.down == 0)) & moves_bytes,
+             InfeasibleLinkError, "traffic scheduled over a zero-rate link"),
+            ((terms.server_work > 0) & (server_compute <= 0), AllocationError,
+             "server work left without server compute"),
+        ):
+            if bad.any():
+                raise error(f"users {batch.user_ids[bad].tolist()}: {what}")
+    return terms
+
+
+def feasibility_mask(users: Users, arch: ModelArchitecture, batch: int = 1) -> np.ndarray:
+    """Boolean (S, L) mask of cuts satisfying storage and memory limits."""
+    users = UserBatch.of(users)
+    model_b = arch.model_bytes_by_cut
+    mem_b = model_b + batch * arch.cum_act_bytes_by_cut
+    return ((model_b[None, :] <= users.storage_bytes[:, None])
+            & (mem_b[None, :] <= users.memory_bytes[:, None]))
+
+
+def default_fixed_cut(users: Users, arch: ModelArchitecture, batch: int = 1) -> int:
+    """Smallest cut index whose storage/memory needs every user can meet."""
+    shared = feasibility_mask(users, arch, batch).all(axis=0)
+    if not shared.any():
+        raise InfeasibleUserError("no cut layer is feasible for every user")
+    return int(np.argmax(shared)) + 1
+
+
+def _straggler(terms: RoundTerms, communication: np.ndarray) -> tuple[float, float]:
+    """The slowest user's total and communication; ties go to the lower index."""
+    totals = terms.total
+    k = int(np.argmax(totals))
+    return float(totals[k]), float(communication[k])
 
 
 def esfl_round_time(
-    alloc: "Allocation",
-    users: Sequence[UserProfile],
-    arch: ModelArchitecture,
-    t_agg: float = 0.0,
-) -> float:
-    """Synchronous round time under a per-user allocation (straggler max)."""
-    if len(alloc.cuts) != len(users):
-        raise AllocationError("allocation does not cover every user")
-    totals = [
-        round_time(u, arch, l, c, t_agg).total
-        for u, l, c in zip(users, alloc.cuts, alloc.server_compute)
-    ]
-    return max(totals)
+    alloc: "Allocation", users: Users, arch: ModelArchitecture, t_agg: float = 0.0
+) -> tuple[float, float]:
+    """Per-user cuts and server compute; the slowest user ends the round."""
+    terms = round_terms(UserBatch.of(users), arch, alloc.cuts, alloc.server_compute, t_agg)
+    return _straggler(terms, terms.communication)
 
 
 def fl_round_time(
-    users: Sequence[UserProfile],
-    arch: ModelArchitecture,
-    t_agg: float = 0.0,
-) -> float:
-    """Fully local training: cut at the last layer, no server compute."""
-    L = arch.num_layers
-    return max(round_time(u, arch, L, 0.0, t_agg).total for u in users)
+    users: Users, arch: ModelArchitecture, t_agg: float = 0.0
+) -> tuple[float, float]:
+    """Fully local training at the last layer; only the model moves."""
+    terms = round_terms(UserBatch.of(users), arch, arch.num_layers, 0.0, t_agg)
+    return _straggler(terms, terms.t_up + terms.t_down)
 
 
 def sfl_round_time(
-    users: Sequence[UserProfile],
+    users: Users,
     arch: ModelArchitecture,
     fixed_l: int,
     server_total_flops: float,
     t_agg: float = 0.0,
-) -> float:
-    """Shared cut layer with the server budget split equally."""
-    share = server_total_flops / len(users)
-    return max(round_time(u, arch, fixed_l, share, t_agg).total for u in users)
+) -> tuple[float, float]:
+    """Shared cut layer with the server budget split equally; straggler paced."""
+    terms = round_terms(UserBatch.of(users), arch, fixed_l,
+                        server_total_flops / len(users), t_agg)
+    return _straggler(terms, terms.communication)
 
 
 def sl_round_time(
-    users: Sequence[UserProfile],
+    users: Users,
     arch: ModelArchitecture,
     fixed_l: int,
     server_total_flops: float,
     t_agg: float = 0.0,
-) -> float:
-    """Sequential relay: each user in turn gets the whole server."""
-    per_user = [
-        round_time(u, arch, fixed_l, server_total_flops, 0.0).total for u in users
-    ]
-    return sum(per_user) + t_agg
+) -> tuple[float, float]:
+    """Sequential relay: each user in turn gets the whole server.
 
-
-def default_fixed_cut(
-    users: Sequence[UserProfile],
-    arch: ModelArchitecture,
-    batch: int = 1,
-) -> int:
-    """Smallest cut index whose storage/memory needs every user can meet."""
-    for l in range(1, arch.num_layers + 1):
-        cw = cut_workload(arch, l, batch)
-        if all(
-            cw.model_bytes <= u.storage_bytes and cw.mem_bytes <= u.memory_bytes
-            for u in users
-        ):
-            return l
-    raise InfeasibleUserError("no cut layer is feasible for every user")
+    The round and its communication are sums over users; the aggregation
+    runs once, after the last user.
+    """
+    terms = round_terms(UserBatch.of(users), arch, fixed_l, server_total_flops)
+    # summed in user order, as the relay runs
+    return sum(terms.total.tolist()) + t_agg, sum(terms.communication.tolist())

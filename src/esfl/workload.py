@@ -144,11 +144,6 @@ def cut_workload(arch: ModelArchitecture, l: int, batch: int = 1) -> CutWorkload
     )
 
 
-def total_compute(arch: ModelArchitecture) -> float:
-    """Training FLOPs per sample for the full network (cut at L)."""
-    return arch.total_compute_per_sample
-
-
 # ---------------------------------------------------------------------------
 # Profile documents: columnar text with a header row. '#' starts a comment.
 # Blank numeric fields are permitted only on the final layer (zero-size head).

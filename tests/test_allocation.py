@@ -8,6 +8,7 @@ from esfl import (
     InfeasibleUserError,
     LinkRates,
     OptimizerConfig,
+    UserBatch,
     UserProfile,
     allocate_server_compute,
     alternate,
@@ -18,6 +19,7 @@ from esfl import (
     feasible_cuts,
     load_architecture,
     load_builtin,
+    round_terms,
     server_demand_terms,
     sfl_round_time,
 )
@@ -108,10 +110,7 @@ class TestBestCut:
         # cuts 1 and 2 price identically; cut 3 loses on activation traffic
         arch = load_architecture(_doc(["A,0.1,10,0.05", "B,0,0,0.05", "C,0.1,0.1,0.2"]))
         u = _user()
-        times = [None] * 3
-        from esfl.allocation import _time_matrix
-
-        times = _time_matrix([u], arch, np.array([1e12]), OptimizerConfig())[0]
+        times = round_terms(UserBatch.of([u]), arch, None, np.array([1e12])).total[0]
         assert times[0] == times[1] < times[2]
         assert best_cut(u, arch, server_flops=1e12) == 1
 
@@ -174,15 +173,14 @@ class TestAllocateServerCompute:
         assert c[1] == pytest.approx(130e12, rel=1e-6)
 
     def test_demand_terms_match_round_structure(self, vgg19):
-        from esfl import round_time
-
         u = _user()
         cfg = OptimizerConfig(t_agg=0.5)
         a, b = server_demand_terms([u], [4], vgg19, cfg)
         srv = 2e12
         reconstructed = b[0] + a[0] / srv
         assert reconstructed == pytest.approx(
-            round_time(u, vgg19, 4, srv, t_agg=0.5).total, rel=1e-12
+            round_terms(UserBatch.of([u]), vgg19, [4], srv, t_agg=0.5).total[0],
+            rel=1e-12,
         )
 
     def test_epoch_objective_drops_model_transfer(self, vgg19):
@@ -263,7 +261,7 @@ class TestAlternate:
         for fixed_l in (1, 2, 3):
             assert res.allocation.objective <= sfl_round_time(
                 users, vgg19, fixed_l, 130e12
-            ) * (1 + 1e-12)
+            )[0] * (1 + 1e-12)
 
     def test_dead_link_user_fails_cleanly(self, vgg19):
         from esfl import AllocationError
@@ -283,7 +281,7 @@ class TestAlternate:
             for fixed_l in (1, 5, 12, 16, 20):
                 assert res.allocation.objective <= sfl_round_time(
                     users, vgg19, fixed_l, 130e12
-                ) * (1 + 1e-12)
+                )[0] * (1 + 1e-12)
 
 
 class TestBruteForce:

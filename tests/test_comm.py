@@ -8,7 +8,6 @@ from esfl import (
     link_rates,
     shannon_rate,
 )
-from esfl.comm import validate_bandwidth_budget
 
 
 class TestShannonRate:
@@ -94,9 +93,3 @@ class TestChannelValidation:
             ChannelParams(0.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
         with pytest.raises(ConfigError):
             ChannelParams(1e6, 1.0, 1.0, -0.1, 1.0, 1e-9)
-
-    def test_bandwidth_budget(self):
-        chans = [ChannelParams(4e5, 1.0, 1.0, 1.0, 1.0, 1e-9) for _ in range(2)]
-        validate_bandwidth_budget(chans, 1e6)
-        with pytest.raises(ConfigError):
-            validate_bandwidth_budget(chans, 7e5)

@@ -3,6 +3,7 @@ import pytest
 
 from esfl import (
     ConfigError,
+    OptimizerConfig,
     ScenarioSpec,
     SimOptions,
     convergence_study,
@@ -173,6 +174,18 @@ class TestRunSimulation:
             if key in seen:
                 assert rec.times["fl"] == seen[key]
             seen[key] = rec.times["fl"]
+
+    def test_optimizer_aggregation_time_prices_every_algorithm(self, vgg19):
+        # the synchronous rounds each end with one aggregation; the
+        # sequential relay aggregates once after its last user
+        spec = _small(preset_scenarios()["SH"], rounds=3)
+        algos = ("esfl", "fl", "sfl", "sl")
+        base = run_simulation(spec, algos, vgg19)
+        agg = run_simulation(spec, algos, vgg19,
+                             SimOptions(optimizer=OptimizerConfig(t_agg=3.0)))
+        for r0, r1 in zip(base.records, agg.records):
+            for algo in algos:
+                assert r1.times[algo] == pytest.approx(r0.times[algo] + 3.0, rel=1e-9)
 
     def test_convergence_summary_present(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=3)

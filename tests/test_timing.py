@@ -1,18 +1,26 @@
+import io
+
+import numpy as np
 import pytest
 
 from esfl import (
     Allocation,
     AllocationError,
     InfeasibleLinkError,
+    InfeasibleUserError,
     LinkRates,
+    OptimizerConfig,
+    UserBatch,
     UserProfile,
     cut_workload,
     default_fixed_cut,
-    epoch_time,
     esfl_round_time,
+    feasibility_mask,
     fl_round_time,
+    load_architecture,
     load_builtin,
-    round_time,
+    round_terms,
+    server_demand_terms,
     sfl_round_time,
     sl_round_time,
 )
@@ -31,6 +39,19 @@ def _user(uid=0, n=500.0, tflops=2.0, kbps=25.0, epochs=5, **kw):
     )
 
 
+def _raw_user(n, flops, rates, epochs=1):
+    return UserProfile(user_id=0, n_samples=n, compute_flops=flops,
+                       rates=rates, epochs=epochs)
+
+
+def _terms(users, arch, cuts, server, t_agg=0.0):
+    return round_terms(UserBatch.of(users), arch, cuts, server, t_agg)
+
+
+def _doc(rows):
+    return io.StringIO("layer,params,fwd_flops,activation\n" + "\n".join(rows) + "\n")
+
+
 @pytest.fixture(scope="module")
 def vgg19():
     return load_builtin("vgg19")
@@ -39,111 +60,108 @@ def vgg19():
 class TestEpochTime:
     def test_device_compute_arithmetic(self, vgg19):
         cw = cut_workload(vgg19, 5)
-        bd = epoch_time(500, 2e12, LinkRates(1e6, 1e6), cw,
-                        total_flops=vgg19.total_compute_per_sample,
-                        server_flops=1e12)
-        assert bd.t_c == pytest.approx(cw.user_compute * 500 / 2e12, rel=1e-12)
+        u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
+        terms = _terms([u], vgg19, [5], 1e12)
+        assert terms.t_c[0] == pytest.approx(cw.user_compute * 500 / 2e12, rel=1e-12)
 
-    def test_quarter_second_example(self, vgg19):
-        # n=500 samples of 1e9 FLOPs each on a 2 TFLOPs device
-        cw = cut_workload(vgg19, 5)
-        scaled = type(cw)(cut=5, user_compute=1e9, act_bytes=0.0,
-                          model_bytes=0.0, mem_bytes=0.0)
-        bd = epoch_time(500, 2e12, LinkRates(1e6, 1e6), scaled,
-                        total_flops=vgg19.total_compute_per_sample,
-                        server_flops=1e12)
-        assert bd.t_c == pytest.approx(0.25, rel=1e-12)
+    def test_quarter_second_example(self):
+        # n=500 samples of 1e9 FLOPs each on a 2 TFLOPs device: cut 1 of a
+        # profile whose first layer trains at 500 MFLOPs x (1 + kappa=1)
+        arch = load_architecture(_doc(["A,0,500,0", "B,0,100,0"]), bwd_multiplier=1.0)
+        assert cut_workload(arch, 1).user_compute == 1e9
+        u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
+        assert _terms([u], arch, [1], 1e12).t_c[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_cut_at_last_layer_has_no_server_time(self, vgg19):
         L = vgg19.num_layers
-        cw = cut_workload(vgg19, L)
-        bd = epoch_time(500, 1e12, LinkRates(1e4, 1e4), cw,
-                        vgg19.total_compute_per_sample, 0.0)
-        assert bd.t_C == 0.0
+        terms = _terms([_raw_user(500, 1e12, LinkRates(1e4, 1e4))], vgg19, [L], 0.0)
+        assert terms.t_C[0] == 0.0
         # the final layer emits no activation in this profile
-        assert bd.t_b == 0.0 and bd.t_B == 0.0
+        assert terms.t_b[0] == 0.0 and terms.t_B[0] == 0.0
 
     def test_doubling_server_compute_halves_server_time(self, vgg19):
-        cw = cut_workload(vgg19, 3)
-        a = epoch_time(500, 1e12, LinkRates(1e4, 1e4), cw,
-                       vgg19.total_compute_per_sample, 1e12)
-        b = epoch_time(500, 1e12, LinkRates(1e4, 1e4), cw,
-                       vgg19.total_compute_per_sample, 2e12)
-        assert b.t_C == pytest.approx(a.t_C / 2, rel=1e-12)
-        assert (b.t_c, b.t_b, b.t_B) == (a.t_c, a.t_b, a.t_B)
+        u = _raw_user(500, 1e12, LinkRates(1e4, 1e4))
+        a = _terms([u], vgg19, [3], 1e12)
+        b = _terms([u], vgg19, [3], 2e12)
+        assert b.t_C[0] == pytest.approx(a.t_C[0] / 2, rel=1e-12)
+        assert (b.t_c[0], b.t_b[0], b.t_B[0]) == (a.t_c[0], a.t_b[0], a.t_B[0])
 
     def test_zero_server_compute_with_server_work(self, vgg19):
-        cw = cut_workload(vgg19, 3)
+        u = _raw_user(500, 1e12, LinkRates(1e4, 1e4))
         with pytest.raises(AllocationError):
-            epoch_time(500, 1e12, LinkRates(1e4, 1e4), cw,
-                       vgg19.total_compute_per_sample, 0.0)
+            _terms([u], vgg19, [3], 0.0)
+        with pytest.raises(AllocationError):
+            sfl_round_time([u], vgg19, 3, 0.0)
+        # the every-cut form prices the same cut to +inf instead of raising
+        assert _terms([u], vgg19, None, 0.0).total[0, 2] == np.inf
 
     def test_zero_rate_with_traffic(self, vgg19):
-        cw = cut_workload(vgg19, 3)
+        u = _raw_user(500, 1e12, LinkRates(0.0, 1e4))
         with pytest.raises(InfeasibleLinkError):
-            epoch_time(500, 1e12, LinkRates(0.0, 1e4), cw,
-                       vgg19.total_compute_per_sample, 1e12)
+            _terms([u], vgg19, [3], 1e12)
+        with pytest.raises(InfeasibleLinkError):
+            sl_round_time([u], vgg19, 3, 1e12)
+        assert _terms([u], vgg19, None, 1e12).t_b[0, 2] == np.inf
 
     def test_total_reconstructs_from_parts(self, vgg19):
-        cw = cut_workload(vgg19, 7)
-        bd = epoch_time(500, 1e12, LinkRates(1e4, 2e4), cw,
-                        vgg19.total_compute_per_sample, 1e12)
-        assert bd.total == bd.t_c + bd.t_b + bd.t_C + bd.t_B
+        terms = _terms([_raw_user(500, 1e12, LinkRates(1e4, 2e4))], vgg19, [7], 1e12)
+        parts = terms.t_c[0] + terms.t_b[0] + terms.t_C[0] + terms.t_B[0]
+        assert terms.epoch[0] == parts
 
 
 class TestRoundTime:
     def test_zero_epochs_degenerate(self, vgg19):
-        u = _user(epochs=0)
-        bd = round_time(u, vgg19, 3, 1e12, t_agg=1.5)
-        assert bd.total == bd.t_up + bd.t_down + 1.5
-        assert bd.epochs == ()
+        terms = _terms([_user(epochs=0)], vgg19, [3], 1e12, t_agg=1.5)
+        assert terms.epochs[0] == 0
+        assert terms.total[0] == terms.t_up[0] + terms.t_down[0] + 1.5
 
     def test_symmetric_rates_symmetric_model_transfer(self, vgg19):
-        bd = round_time(_user(), vgg19, 4, 1e12)
-        assert bd.t_up == bd.t_down
+        terms = _terms([_user()], vgg19, [4], 1e12)
+        assert terms.t_up[0] == terms.t_down[0]
 
     def test_full_model_upload_at_25_kbps(self, vgg19):
         # model bytes / rate, derived from the profile's parameter column
-        bd = round_time(_user(kbps=25.0), vgg19, vgg19.num_layers, 0.0)
+        terms = _terms([_user(kbps=25.0)], vgg19, [vgg19.num_layers], 0.0)
         expected = VGG19_PARAM_TOTAL * 4e6 / (25 * 1024.0)
-        assert bd.t_up == pytest.approx(expected, rel=1e-12)
-        assert bd.t_up == pytest.approx(22445.359375, rel=1e-9)
+        assert terms.t_up[0] == pytest.approx(expected, rel=1e-12)
+        assert terms.t_up[0] == pytest.approx(22445.359375, rel=1e-9)
 
     def test_round_total_reconstructs(self, vgg19):
-        bd = round_time(_user(), vgg19, 6, 2e12, t_agg=0.25)
-        parts = bd.t_up + bd.t_down + sum(e.total for e in bd.epochs) + bd.t_agg
-        assert bd.total == parts
+        terms = _terms([_user()], vgg19, [6], 2e12, t_agg=0.25)
+        t_up, t_down, epoch = terms.t_up[0], terms.t_down[0], terms.epoch[0]
+        assert terms.total[0] == t_up + t_down + 5 * epoch + 0.25
+        # up to five epochs the closed form equals summing one epoch per epoch
+        assert terms.total[0] == t_up + t_down + sum([epoch] * 5) + 0.25
 
     def test_scale_covariance_in_samples(self, vgg19):
-        u1 = _user(n=200.0)
-        u2 = _user(n=600.0)
-        b1 = round_time(u1, vgg19, 5, 1e12)
-        b2 = round_time(u2, vgg19, 5, 1e12)
-        for e1, e2 in zip(b1.epochs, b2.epochs):
-            assert e2.t_c == pytest.approx(3 * e1.t_c, rel=1e-12)
-            assert e2.t_b == pytest.approx(3 * e1.t_b, rel=1e-12)
-            assert e2.t_C == pytest.approx(3 * e1.t_C, rel=1e-12)
-            assert e2.t_B == pytest.approx(3 * e1.t_B, rel=1e-12)
+        users = [_user(uid=0, n=200.0), _user(uid=1, n=600.0)]
+        terms = _terms(users, vgg19, [5, 5], 1e12)
+        for part in ("t_c", "t_b", "t_C", "t_B"):
+            small, large = getattr(terms, part)
+            assert large == pytest.approx(3 * small, rel=1e-12)
 
 
 class TestRoundPolicies:
     def test_esfl_single_user(self, vgg19):
         u = _user()
         alloc = Allocation(cuts=(5,), server_compute=(1e12,), objective=0.0)
-        assert esfl_round_time(alloc, [u], vgg19) == round_time(u, vgg19, 5, 1e12).total
+        t, _ = esfl_round_time(alloc, [u], vgg19)
+        assert t == _terms([u], vgg19, [5], 1e12).total[0]
 
     def test_esfl_identical_users_equal_totals(self, vgg19):
         users = [_user(uid=i) for i in range(2)]
         alloc = Allocation(cuts=(5, 5), server_compute=(1e12, 1e12), objective=0.0)
-        t = esfl_round_time(alloc, users, vgg19)
-        assert t == round_time(users[0], vgg19, 5, 1e12).total
+        t, comm = esfl_round_time(alloc, users, vgg19)
+        single = _terms(users[:1], vgg19, [5], 1e12)
+        assert (t, comm) == (single.total[0], single.communication[0])
 
     def test_esfl_max_dominates_each_user(self, vgg19):
         users = [_user(uid=0, kbps=10), _user(uid=1, kbps=100, tflops=4.0)]
         alloc = Allocation(cuts=(3, 8), server_compute=(5e11, 5e11), objective=0.0)
-        t = esfl_round_time(alloc, users, vgg19)
-        for u, l, c in zip(users, alloc.cuts, alloc.server_compute):
-            assert t >= round_time(u, vgg19, l, c).total
+        t, comm = esfl_round_time(alloc, users, vgg19)
+        totals = _terms(users, vgg19, alloc.cuts, np.array(alloc.server_compute)).total
+        assert np.all(t >= totals)
+        assert comm <= t
 
     def test_fl_single_user_formula(self, vgg19):
         u = _user(epochs=1)
@@ -152,7 +170,9 @@ class TestRoundPolicies:
         d = vgg19.total_compute_per_sample
         expected = (model_bytes / u.rates.up + model_bytes / u.rates.down
                     + d * u.n_samples / u.compute_flops + 0.75)
-        assert fl_round_time([u], vgg19, t_agg=0.75) == pytest.approx(expected, rel=1e-12)
+        t, comm = fl_round_time([u], vgg19, t_agg=0.75)
+        assert t == pytest.approx(expected, rel=1e-12)
+        assert comm == pytest.approx(2 * model_bytes / u.rates.up, rel=1e-12)
 
     def test_fl_equals_esfl_with_cuts_forced_to_last_layer(self, vgg19):
         users = [_user(uid=i, kbps=10 + 5 * i) for i in range(3)]
@@ -163,13 +183,12 @@ class TestRoundPolicies:
     def test_fl_monotone_in_device_compute(self, vgg19):
         slow = [_user(tflops=1.0)]
         fast = [_user(tflops=4.0)]
-        assert fl_round_time(fast, vgg19) <= fl_round_time(slow, vgg19)
+        assert fl_round_time(fast, vgg19)[0] <= fl_round_time(slow, vgg19)[0]
 
     def test_sfl_single_user_equals_esfl_with_full_budget(self, vgg19):
         u = _user()
-        t_sfl = sfl_round_time([u], vgg19, 4, 130e12)
         alloc = Allocation(cuts=(4,), server_compute=(130e12,), objective=0.0)
-        assert t_sfl == esfl_round_time(alloc, [u], vgg19)
+        assert sfl_round_time([u], vgg19, 4, 130e12) == esfl_round_time(alloc, [u], vgg19)
 
     def test_sfl_at_last_layer_equals_fl(self, vgg19):
         users = [_user(uid=i, tflops=1.0 + i) for i in range(3)]
@@ -182,9 +201,31 @@ class TestRoundPolicies:
 
     def test_sl_identical_users_sum(self, vgg19):
         users = [_user(uid=i) for i in range(10)]
-        single = round_time(users[0], vgg19, 4, 130e12, 0.0).total
-        t = sl_round_time(users, vgg19, 4, 130e12, t_agg=2.0)
-        assert t == pytest.approx(10 * single + 2.0, rel=1e-12)
+        single = _terms(users[:1], vgg19, [4], 130e12)
+        t, comm = sl_round_time(users, vgg19, 4, 130e12, t_agg=2.0)
+        assert t == pytest.approx(10 * single.total[0] + 2.0, rel=1e-12)
+        assert comm == pytest.approx(10 * single.communication[0], rel=1e-12)
+
+
+class TestRoundTermsInput:
+    def test_cut_count_and_range_checked(self, vgg19):
+        batch = UserBatch.of([_user(uid=0), _user(uid=1)])
+        for cuts in ([3], [3, 4, 5], [0, 3], [3, vgg19.num_layers + 1]):
+            with pytest.raises(ValueError):
+                round_terms(batch, vgg19, cuts, 1e12)
+
+    def test_shared_cut_prices_like_one_cut_per_user(self, vgg19):
+        batch = UserBatch.of([_user(uid=0, n=200.0), _user(uid=1, kbps=10)])
+        shared = round_terms(batch, vgg19, 4, 1e12)
+        per_user = round_terms(batch, vgg19, [4, 4], 1e12)
+        assert np.array_equal(shared.total, per_user.total)
+        assert np.array_equal(shared.communication, per_user.communication)
+
+    def test_cut_beyond_storage_rejected(self, vgg19):
+        u = _user(storage_bytes=cut_workload(vgg19, 3).model_bytes)
+        _terms([u], vgg19, [3], 1e12)
+        with pytest.raises(InfeasibleUserError):
+            _terms([u], vgg19, [4], 1e12)
 
 
 class TestDefaultFixedCut:
@@ -201,3 +242,80 @@ class TestDefaultFixedCut:
         # a budget exactly equal to the layer-1 requirement still admits it
         u = _user(memory_bytes=cut_workload(vgg19, 1, batch=32).mem_bytes)
         assert default_fixed_cut([u], vgg19, batch=32) == 1
+
+
+class TestKernelConsistency:
+    """Every derived quantity agrees with ``round_terms`` on random instances."""
+
+    @staticmethod
+    def _instance(rng, slack=(1.0, 1.5)):
+        n_layers = int(rng.integers(2, 7))
+        rows = [
+            f"L{j},{rng.uniform(0, 2)},{rng.uniform(0, 50)},{rng.uniform(0, 0.5)}"
+            for j in range(n_layers)
+        ]
+        rows[-1] = f"L{n_layers - 1},{rng.uniform(0, 2)},{rng.uniform(0, 50)},0"
+        arch = load_architecture(_doc(rows), bwd_multiplier=float(rng.uniform(0, 3)))
+        model = arch.model_bytes_by_cut
+        mem = model + arch.cum_act_bytes_by_cut
+        users = []
+        for i in range(int(rng.integers(1, 7))):
+            # limits around a random cut's needs: with slack >= 1 every user
+            # holds at least the first cut, and some fewer than all L
+            storage = model[int(rng.integers(0, n_layers))] * rng.uniform(*slack)
+            memory = mem[int(rng.integers(0, n_layers))] * rng.uniform(*slack)
+            users.append(UserProfile(
+                user_id=10 + i,
+                n_samples=float(rng.choice([0.0, 50.0, 200.0, 800.0])),
+                compute_flops=float(rng.uniform(0.1, 5.0)) * 1e12,
+                rates=LinkRates(*(float(r) for r in rng.uniform(1e3, 1e6, size=2))),
+                epochs=int(rng.integers(0, 9)),
+                storage_bytes=float(storage) if rng.random() < 0.5 else np.inf,
+                memory_bytes=float(memory) if rng.random() < 0.5 else np.inf,
+            ))
+        return arch, UserBatch.of(users)
+
+    def test_per_user_cuts_match_every_cut_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        for _ in range(30):
+            arch, batch = self._instance(rng)
+            mask = feasibility_mask(batch, arch)
+            cuts = np.array([rng.choice(np.flatnonzero(row)) + 1 for row in mask])
+            compute = rng.uniform(1e11, 1e13, size=len(batch))
+            t_agg = float(rng.uniform(0, 3))
+            matrix = round_terms(batch, arch, None, compute, t_agg)
+            per_user = round_terms(batch, arch, cuts, compute, t_agg)
+            rows = np.arange(len(batch))
+            for part in ("t_up", "t_down", "t_c", "t_b", "t_C", "t_B",
+                         "epoch", "total", "communication"):
+                at_cut = getattr(matrix, part)[rows, cuts - 1]
+                assert np.array_equal(at_cut, getattr(per_user, part)), part
+
+    def test_demand_terms_rebuild_the_objective(self):
+        rng = np.random.default_rng(103)
+        for _ in range(30):
+            arch, batch = self._instance(rng)
+            mask = feasibility_mask(batch, arch)
+            cuts = [int(rng.choice(np.flatnonzero(row))) + 1 for row in mask]
+            compute = rng.uniform(1e11, 1e13, size=len(batch))
+            cfg = OptimizerConfig(t_agg=float(rng.uniform(0, 3)))
+            terms = round_terms(batch, arch, cuts, compute, cfg.t_agg)
+            for epoch_objective, expected in ((False, terms.total), (True, terms.epoch)):
+                cfg_ = OptimizerConfig(t_agg=cfg.t_agg, epoch_objective=epoch_objective)
+                a, b = server_demand_terms(batch, cuts, arch, cfg_)
+                np.testing.assert_allclose(b + a / compute, expected, rtol=1e-12, atol=0)
+
+    def test_default_fixed_cut_is_first_all_feasible_column(self):
+        rng = np.random.default_rng(107)
+        outcomes = set()
+        for _ in range(40):
+            # slack below 1 leaves some users without even the first cut
+            arch, batch = self._instance(rng, slack=(0.5, 1.5))
+            shared = feasibility_mask(batch, arch).all(axis=0)
+            outcomes.add(bool(shared.any()))
+            if shared.any():
+                assert default_fixed_cut(batch, arch) == np.flatnonzero(shared)[0] + 1
+            else:
+                with pytest.raises(InfeasibleUserError):
+                    default_fixed_cut(batch, arch)
+        assert outcomes == {True, False}

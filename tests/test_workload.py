@@ -11,7 +11,6 @@ from esfl import (
     load_architecture,
     load_builtin,
     serialize_architecture,
-    total_compute,
 )
 
 # Raw VGG19 table columns, used as an independent oracle for prefix sums.
@@ -102,7 +101,7 @@ class TestCutWorkload:
     def test_cut_at_last_layer_leaves_no_server_share(self):
         arch = load_builtin("vgg19")
         cw = cut_workload(arch, arch.num_layers)
-        assert total_compute(arch) - cw.user_compute == 0.0
+        assert arch.total_compute_per_sample - cw.user_compute == 0.0
 
     def test_cut_out_of_range(self):
         arch = load_builtin("vgg19")
@@ -128,16 +127,19 @@ class TestTotalCompute:
     def test_definition_matches_full_cut(self):
         for name in builtin_profiles():
             arch = load_builtin(name)
-            assert total_compute(arch) == cut_workload(arch, arch.num_layers).user_compute
+            full = cut_workload(arch, arch.num_layers)
+            assert arch.total_compute_per_sample == full.user_compute
 
     def test_vgg19_is_three_times_forward_sum(self):
         arch = load_builtin("vgg19")
-        assert total_compute(arch) == pytest.approx(3 * sum(VGG19_FWD) * 1e6, rel=1e-12)
+        assert arch.total_compute_per_sample == pytest.approx(
+            3 * sum(VGG19_FWD) * 1e6, rel=1e-12
+        )
 
     def test_two_layer_toy(self):
         arch = load_architecture(_toy_doc(["A,0,10,0", "B,0,20,0"]),
                                  bwd_multiplier=1.0)
-        assert total_compute(arch) == pytest.approx(60e6, rel=1e-12)
+        assert arch.total_compute_per_sample == pytest.approx(60e6, rel=1e-12)
 
 
 class TestInvariants:
@@ -160,7 +162,7 @@ class TestInvariants:
         # final rounding of the subtraction, i.e. one ulp of the total
         for name in builtin_profiles():
             arch = load_builtin(name)
-            D = total_compute(arch)
+            D = arch.total_compute_per_sample
             for u in arch.user_flops_by_cut:
                 assert abs(u + (D - u) - D) <= math.ulp(D)
 
