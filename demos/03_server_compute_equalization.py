@@ -5,7 +5,8 @@ With cuts fixed, each user's round time is a_i / C_i + b_i. The optimal
 min-max division funds every user exactly to a common finishing level K
 (users whose cut leaves the server no work get nothing). This script
 shows the equal-split times, the equalized times, and the level found by
-bisection, then verifies the greedy water-filling intuition numerically.
+the Newton resource pass, then verifies the greedy water-filling intuition
+numerically.
 """
 
 import numpy as np
@@ -55,4 +56,4 @@ for _ in range(quanta):
     greedy[i] += c_total / quanta
     times[i] = b[i] + a[i] / greedy[i]
 print(f"greedy water-filling level ({quanta} quanta): {times.max():.2f} s "
-      f"(bisection: {level:.2f} s)")
+      f"(Newton: {level:.2f} s)")

@@ -5,8 +5,9 @@ The alternating planner is run on freshly drawn user sets of 100 to 800
 users for each resource-limitation scenario, three repetitions per cell,
 and the iteration counts to the stalled compute vector are tabulated.
 The count barely moves with scale: the cut pass is a per-user argmin and
-the resource pass a single bisection, so the coupling resolves in a
-handful of sweeps even at 800 users.
+the resource pass a single Newton solve, so the coupling resolves in a
+handful of sweeps even at 800 users. The repetitions of a cell are
+planned together, as one batch of rounds.
 """
 
 import esfl

@@ -5,12 +5,14 @@ from .allocation import (
     Allocation,
     AlternateResult,
     OptimizerConfig,
+    RowPlan,
     allocate_server_compute,
     alternate,
     best_cut,
     brute_force_joint,
     equalize_min_max,
     feasible_cuts,
+    plan_rows,
     server_demand_terms,
 )
 from .comm import ChannelParams, LinkRates, link_rates, shannon_rate
@@ -31,9 +33,11 @@ from .simulation import (
     SimulationReport,
     convergence_study,
     preset_scenarios,
+    price_rounds,
     run_round,
     run_simulation,
     sample_round_users,
+    sample_rounds,
 )
 from .split_training import (
     DenseNet,

@@ -59,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _resolve_out_dir(arg: str | None) -> Path:
     if arg:
         return Path(arg)
@@ -101,6 +112,13 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(headers), sep] + [line(r) for r in rows]) + "\n"
 
 
+def _read_json(path: str):
+    """Parse a JSON input file, refusing the NaN and Infinity literals."""
+    def refuse(name):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -109,7 +127,7 @@ def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 def _scenario_from_args(args) -> ScenarioSpec:
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        doc = _read_json(args.config)
         _strict_keys(doc, _SCENARIO_KEYS, args.config)
         for key in ("comm_options", "comp_options", "data_options"):
             if key in doc:
@@ -227,7 +245,7 @@ def cmd_simulate(args) -> int:
 # optimize
 
 def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)
     _strict_keys(doc, {"users"}, path)
     users_doc = doc.get("users")
     if not users_doc:
@@ -268,7 +286,7 @@ def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
                 memory_bytes=float(entry["memory_mb"]) * 2**20
                 if "memory_mb" in entry else math.inf,
             ))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"{path} user {i}: missing or invalid field ({exc})"
             ) from None
@@ -500,10 +518,10 @@ def _add_common(p: argparse.ArgumentParser, with_arch: bool = True) -> None:
                        help="built-in profile name or path to a profile document")
     p.add_argument("--out", default=None,
                    help=f"output directory (default ${OUT_DIR_ENV} or ./esfl_out)")
-    p.add_argument("--kappa", type=float, default=2.0,
+    p.add_argument("--kappa", type=_finite_float, default=2.0,
                    help="backward/forward compute ratio")
-    p.add_argument("--bytes-per-element", type=float, default=4.0)
-    p.add_argument("--t-agg", type=float, default=0.0,
+    p.add_argument("--bytes-per-element", type=_finite_float, default=4.0)
+    p.add_argument("--t-agg", type=_finite_float, default=0.0,
                    help="server aggregation time per round, seconds")
     p.add_argument("--kb", type=int, choices=(1024, 1000), default=1024,
                    help="bytes per tabulated KB")
@@ -522,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--selected", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--server-tflops", type=float, default=None)
+    p.add_argument("--server-tflops", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sticky-resources", action="store_true")
     p.add_argument("--fixed-cut", type=int, default=None,
@@ -534,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="one-shot allocation for explicit users")
     p.add_argument("--users", required=True, help="JSON user list")
-    p.add_argument("--server-tflops", type=float, default=130.0)
+    p.add_argument("--server-tflops", type=_finite_float, default=130.0)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     p.add_argument("--oracle", action="store_true",
@@ -558,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", default=None, help="comma list, one per user")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--rho0", type=float, default=0.01)
+    p.add_argument("--eta", type=_finite_float, default=0.5)
+    p.add_argument("--rho0", type=_finite_float, default=0.01)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-equivalence", action="store_true")

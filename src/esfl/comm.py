@@ -9,7 +9,7 @@ functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -28,6 +28,9 @@ class ChannelParams:
     noise_density_w_per_hz: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         for field in ("bandwidth_hz", "uplink_power_w", "downlink_power_w",
                       "noise_density_w_per_hz"):
             if getattr(self, field) <= 0:
@@ -44,6 +47,8 @@ class LinkRates:
     down: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.up) and math.isfinite(self.down)):
+            raise ConfigError("link rates must be finite")
         if self.up < 0 or self.down < 0:
             raise ConfigError("link rates must be >= 0")
 

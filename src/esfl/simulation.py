@@ -8,18 +8,26 @@ resources, plans ESFL with the alternating optimizer, prices the baselines
 on the same users (paired comparison), and records totals, communication
 components, and the ESFL cut choices.
 
+Rounds do not depend on each other once their users are drawn, so a run
+draws every round first, in the order the rounds would draw one by one,
+and then plans and prices all of them as one (rounds, S) batch through
+:func:`esfl.allocation.plan_rows` and the row-aware policies of
+:mod:`esfl.timing`. A single round (:func:`run_round`) is the same code
+on a one-row batch.
+
 Every random draw flows from the scenario seed through one generator, so a
 (scenario, seed) pair reproduces bit-identical reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import Allocation, OptimizerConfig, alternate
+from .allocation import Allocation, OptimizerConfig, plan_rows
 from .comm import LinkRates
 from .errors import ConfigError
 from .timing import (
@@ -55,6 +63,13 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not (self.comm_options and self.comp_options and self.data_options):
             raise ConfigError("option lists must be nonempty")
+        options = self.comm_options + self.comp_options + self.data_options
+        if not all(math.isfinite(x) for x in options + (self.server_tflops,)):
+            raise ConfigError("options and server_tflops must be finite")
+        if min(self.comm_options) < 0 or min(self.data_options) < 0:
+            raise ConfigError("link rates and sample counts must be >= 0")
+        if min(self.comp_options) <= 0:
+            raise ConfigError("device compute options must be positive")
         if self.selected_per_round > self.population:
             raise ConfigError("selected_per_round cannot exceed the population")
         if self.selected_per_round < 1 or self.rounds < 1:
@@ -108,6 +123,10 @@ class SimOptions:
     sticky_resources: bool = False   # draw resources once per user, not per round
     fixed_cut: int | None = None     # SFL/SL cut; default: first universally feasible
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.kb_bytes) and self.kb_bytes > 0):
+            raise ConfigError("kb_bytes must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -215,6 +234,23 @@ def sample_population_resources(
     return comm, comp
 
 
+def _draw_round(
+    spec: ScenarioSpec,
+    rng: np.random.Generator,
+    sticky: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round's draw: sorted user indices, their rates (KB/s) and compute (TFLOPs)."""
+    selected = np.sort(rng.choice(spec.population, size=spec.selected_per_round,
+                                  replace=False))
+    if sticky is not None:
+        return selected, sticky[0][selected], sticky[1][selected]
+    comm_kb = rng.choice(np.asarray(spec.comm_options, dtype=float),
+                         size=spec.selected_per_round)
+    comp_tf = rng.choice(np.asarray(spec.comp_options, dtype=float),
+                         size=spec.selected_per_round)
+    return selected, comm_kb, comp_tf
+
+
 def sample_round_users(
     spec: ScenarioSpec,
     rng: np.random.Generator,
@@ -223,16 +259,7 @@ def sample_round_users(
     kb_bytes: float = 1024.0,
 ) -> list[UserProfile]:
     """Select users uniformly without replacement and draw their resources."""
-    selected = np.sort(rng.choice(spec.population, size=spec.selected_per_round,
-                                  replace=False))
-    if sticky is not None:
-        comm_kb = sticky[0][selected]
-        comp_tf = sticky[1][selected]
-    else:
-        comm_kb = rng.choice(np.asarray(spec.comm_options, dtype=float),
-                             size=spec.selected_per_round)
-        comp_tf = rng.choice(np.asarray(spec.comp_options, dtype=float),
-                             size=spec.selected_per_round)
+    selected, comm_kb, comp_tf = _draw_round(spec, rng, sticky)
     return [
         UserProfile(
             user_id=int(uid),
@@ -246,6 +273,82 @@ def sample_round_users(
     ]
 
 
+def sample_rounds(
+    spec: ScenarioSpec,
+    rng: np.random.Generator,
+    population_data: np.ndarray,
+    rounds: int,
+    sticky: tuple[np.ndarray, np.ndarray] | None = None,
+    kb_bytes: float = 1024.0,
+) -> UserBatch:
+    """``rounds`` consecutive draws of :func:`sample_round_users` as one (R, S) batch.
+
+    The draws consume ``rng`` in the same order, and row r holds the same
+    values as the batch of the r-th ``sample_round_users`` call.
+    """
+    draws = [_draw_round(spec, rng, sticky) for _ in range(rounds)]
+    selected, comm_kb, comp_tf = (np.stack(x) for x in zip(*draws))
+    rates = comm_kb * kb_bytes
+    return UserBatch(
+        user_ids=selected,
+        n_samples=population_data[selected],
+        compute_flops=comp_tf * TFLOPS,
+        up=rates,
+        down=rates,
+        epochs=np.full(selected.shape, float(spec.epochs)),
+        storage_bytes=np.full(selected.shape, np.inf),
+        memory_bytes=np.full(selected.shape, np.inf),
+    )
+
+
+def price_rounds(
+    batch: UserBatch,
+    algorithms: Sequence[str],
+    arch: ModelArchitecture,
+    spec: ScenarioSpec,
+    options: SimOptions | None = None,
+    first_index: int = 0,
+) -> list[RoundRecord]:
+    """Records of the rounds of an (R, S) batch, all planned and priced at once.
+
+    ESFL is planned by :func:`esfl.allocation.plan_rows`; the requested
+    algorithms are priced on the same users (paired comparison). Times and
+    communication times are as the policies in :mod:`esfl.timing` define
+    them.
+    """
+    options = options or SimOptions()
+    unknown = set(algorithms) - set(ALGORITHMS)
+    if unknown:
+        raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+    c_total = spec.server_tflops * TFLOPS
+    cfg = options.optimizer
+    fixed = options.fixed_cut or default_fixed_cut(batch, arch, cfg.batch_size)
+    fixed = np.broadcast_to(np.asarray(fixed)[..., None], batch.shape)
+    plan = plan_rows(batch, arch, c_total, cfg) if "esfl" in algorithms else None
+
+    policies = {
+        "esfl": lambda: esfl_round_time(plan, batch, arch, cfg.t_agg),
+        "fl": lambda: fl_round_time(batch, arch, cfg.t_agg),
+        "sfl": lambda: sfl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
+        "sl": lambda: sl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
+    }
+    priced = {algo: policies[algo]() for algo in algorithms}
+    times = {algo: time.tolist() for algo, (time, _) in priced.items()}
+    comms = {algo: comm.tolist() for algo, (_, comm) in priced.items()}
+    return [
+        RoundRecord(
+            index=first_index + r,
+            user_ids=tuple(user_ids),
+            times={algo: times[algo][r] for algo in algorithms},
+            comm_times={algo: comms[algo][r] for algo in algorithms},
+            esfl_allocation=plan.allocation(r) if plan else None,
+            esfl_iterations=int(plan.iterations[r]) if plan else None,
+            esfl_converged=bool(plan.converged[r]) if plan else None,
+        )
+        for r, user_ids in enumerate(batch.user_ids.tolist())
+    ]
+
+
 def run_round(
     users: Sequence[UserProfile],
     algorithms: Sequence[str],
@@ -256,35 +359,10 @@ def run_round(
 ) -> RoundRecord:
     """Price one round for the requested algorithms on a shared user draw.
 
-    Times and communication times are as the policies in :mod:`esfl.timing`
-    define them.
+    This is :func:`price_rounds` on a one-round batch.
     """
-    options = options or SimOptions()
-    unknown = set(algorithms) - set(ALGORITHMS)
-    if unknown:
-        raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
-    c_total = spec.server_tflops * TFLOPS
-    cfg = options.optimizer
-    batch = UserBatch.of(users)
-    fixed = options.fixed_cut or default_fixed_cut(batch, arch, cfg.batch_size)
-    result = alternate(batch, arch, c_total, cfg) if "esfl" in algorithms else None
-
-    policies = {
-        "esfl": lambda: esfl_round_time(result.allocation, batch, arch, cfg.t_agg),
-        "fl": lambda: fl_round_time(batch, arch, cfg.t_agg),
-        "sfl": lambda: sfl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
-        "sl": lambda: sl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
-    }
-    priced = {algo: policies[algo]() for algo in algorithms}
-    return RoundRecord(
-        index=index,
-        user_ids=tuple(u.user_id for u in users),
-        times={algo: time for algo, (time, _) in priced.items()},
-        comm_times={algo: comm for algo, (_, comm) in priced.items()},
-        esfl_allocation=result.allocation if result else None,
-        esfl_iterations=result.iterations if result else None,
-        esfl_converged=result.converged if result else None,
-    )
+    batch = UserBatch.of(users).rows(None)
+    return price_rounds(batch, algorithms, arch, spec, options, first_index=index)[0]
 
 
 def run_simulation(
@@ -293,7 +371,12 @@ def run_simulation(
     arch: ModelArchitecture,
     options: SimOptions | None = None,
 ) -> SimulationReport:
-    """Run all rounds of a scenario and aggregate the records."""
+    """Run all rounds of a scenario and aggregate the records.
+
+    Every round is drawn up front from one generator, in the order the
+    rounds would draw one by one; all rounds are then planned and priced as
+    one (rounds, S) batch.
+    """
     options = options or SimOptions()
     algorithms = tuple(algorithms)
     rng = np.random.default_rng(spec.seed)
@@ -301,14 +384,9 @@ def run_simulation(
     sticky = (
         sample_population_resources(spec, rng) if options.sticky_resources else None
     )
-
-    records = []
-    for r in range(spec.rounds):
-        users = sample_round_users(spec, rng, population_data, sticky,
-                                   options.kb_bytes)
-        records.append(
-            run_round(users, algorithms, arch, spec, options, index=r)
-        )
+    batch = sample_rounds(spec, rng, population_data, spec.rounds, sticky,
+                          options.kb_bytes)
+    records = price_rounds(batch, algorithms, arch, spec, options)
 
     mean_time = {
         a: float(np.mean([rec.times[a] for rec in records])) for a in algorithms
@@ -382,7 +460,7 @@ def convergence_study(
     """Iterations to the optimizer's fixed point across user scales.
 
     For each (scenario, scale) cell the optimizer runs on ``scale`` freshly
-    drawn users, ``repetitions`` times.
+    drawn users, ``repetitions`` times, all repetitions planned as one batch.
     """
     options = options or SimOptions()
     if scenarios is None:
@@ -394,12 +472,10 @@ def convergence_study(
             rng = np.random.default_rng([seed, s_idx, scale])
             sized = replace(spec, population=scale, selected_per_round=scale)
             population_data = sample_population_data(sized, rng)
-            its = []
-            for _ in range(repetitions):
-                users = sample_round_users(sized, rng, population_data,
-                                           None, options.kb_bytes)
-                result = alternate(users, arch, sized.server_tflops * TFLOPS,
-                                   options.optimizer)
-                its.append(result.iterations)
-            cells.append(ConvergenceCell(spec.name, scale, tuple(its)))
+            batch = sample_rounds(sized, rng, population_data, repetitions,
+                                  None, options.kb_bytes)
+            plan = plan_rows(batch, arch, sized.server_tflops * TFLOPS,
+                             options.optimizer)
+            cells.append(ConvergenceCell(spec.name, scale,
+                                         tuple(plan.iterations.tolist())))
     return cells

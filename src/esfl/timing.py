@@ -12,6 +12,9 @@ fixed aggregation term::
 planner's passes, the reports and the four round policies below (ESFL,
 FL, SFL, SL) derive from it. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
+
+Every function here also takes an (R, S) batch of R independent rounds
+and then returns one value per round.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .users import UserBatch, Users
 from .workload import ModelArchitecture
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .allocation import Allocation
+    from .allocation import Allocation, RowPlan
 
 
 def _guarded_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -38,7 +41,7 @@ def _guarded_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundTerms:
-    """Per-user latency terms in seconds, shape (S,) or (S, L).
+    """Per-user latency terms in seconds, shape (..., S) or (..., S, L).
 
     Holds the inputs broadcast against each other and computes a term only
     when it is read, so the (S, L) cut pass never holds every term matrix at
@@ -96,6 +99,12 @@ class RoundTerms:
         return self.t_up + self.t_down + self.epochs * self.epoch + self.t_agg
 
     @property
+    def fixed(self) -> np.ndarray:
+        """The total without server time: ``total`` at infinite server compute."""
+        return (self.t_up + self.t_down
+                + self.epochs * (self.t_c + self.t_b + self.t_B) + self.t_agg)
+
+    @property
     def communication(self) -> np.ndarray:
         """Model movement plus activation traffic across all epochs."""
         return self.t_up + self.t_down + self.epochs * (self.t_b + self.t_B)
@@ -111,9 +120,10 @@ def round_terms(
     """Every user's latency terms at one cut each, or at every cut.
 
     ``cuts`` holds one 1-based cut per user, or one cut for all users, and
-    gives (S,) terms; ``None`` gives (S, L) terms whose column ``l - 1``
-    prices cut ``l``. ``server_compute`` is each user's server FLOPs/s,
-    (S,) or a scalar.
+    gives terms shaped like the batch, (S,) or (R, S); ``None`` gives
+    (..., S, L) terms whose last-axis index ``l - 1`` prices cut ``l``.
+    ``server_compute`` is each user's server FLOPs/s, shaped like the
+    batch, or a scalar.
 
     Explicit cuts must be runnable: a model beyond the user's storage,
     traffic over a zero-rate link, or server work without server compute
@@ -126,12 +136,12 @@ def round_terms(
     server_compute = np.asarray(server_compute, dtype=float)
     user = (batch.n_samples, batch.compute_flops, batch.up, batch.down, batch.epochs)
     if cuts is None:
-        user = tuple(x[:, None] for x in user)
+        user = tuple(x[..., None] for x in user)
         if server_compute.ndim:
-            server_compute = server_compute[:, None]
+            server_compute = server_compute[..., None]
     else:
         idx = np.asarray(cuts, dtype=int) - 1
-        if (idx.shape not in ((), (len(batch),))
+        if (idx.shape not in ((), batch.shape)
                 or idx.min() < 0 or idx.max() >= arch.num_layers):
             raise ValueError(f"need one cut in 1..{arch.num_layers}, or one per user")
         user_flops, act, model = user_flops[idx], act[idx], model[idx]
@@ -147,37 +157,70 @@ def round_terms(
              "server work left without server compute"),
         ):
             if bad.any():
+                bad = np.broadcast_to(bad, batch.shape)
                 raise error(f"users {batch.user_ids[bad].tolist()}: {what}")
     return terms
 
 
+# Users whose totals lie this close (relative) to the round time share it.
+# It is the planner's default level tolerance: the min-max resource pass
+# ends every funded user at one level, up to that resolution.
+TIE_RTOL = 1e-9
+
+
+PerRound = float | np.ndarray   # a Python float for one round, else (R,)
+
+
+def _per_row(x: np.ndarray) -> PerRound:
+    """A Python scalar for one round, else the per-round array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def feasibility_mask(users: Users, arch: ModelArchitecture, batch: int = 1) -> np.ndarray:
-    """Boolean (S, L) mask of cuts satisfying storage and memory limits."""
+    """Boolean (..., S, L) mask of cuts satisfying storage and memory limits."""
     users = UserBatch.of(users)
     model_b = arch.model_bytes_by_cut
     mem_b = model_b + batch * arch.cum_act_bytes_by_cut
-    return ((model_b[None, :] <= users.storage_bytes[:, None])
-            & (mem_b[None, :] <= users.memory_bytes[:, None]))
+    return ((model_b <= users.storage_bytes[..., None])
+            & (mem_b <= users.memory_bytes[..., None]))
 
 
-def default_fixed_cut(users: Users, arch: ModelArchitecture, batch: int = 1) -> int:
-    """Smallest cut index whose storage/memory needs every user can meet."""
-    shared = feasibility_mask(users, arch, batch).all(axis=0)
-    if not shared.any():
+def default_fixed_cut(
+    users: Users, arch: ModelArchitecture, batch: int = 1
+) -> int | np.ndarray:
+    """Smallest cut index whose storage/memory needs every user can meet.
+
+    One cut for a (S,) batch, one per round for an (R, S) batch.
+    """
+    shared = feasibility_mask(users, arch, batch).all(axis=-2)
+    if not shared.any(axis=-1).all():
         raise InfeasibleUserError("no cut layer is feasible for every user")
-    return int(np.argmax(shared)) + 1
+    return _per_row(np.argmax(shared, axis=-1) + 1)
 
 
-def _straggler(terms: RoundTerms, communication: np.ndarray) -> tuple[float, float]:
-    """The slowest user's total and communication; ties go to the lower index."""
+def _straggler(
+    terms: RoundTerms, communication: np.ndarray
+) -> tuple[PerRound, PerRound]:
+    """The round time and the communication of the user that set it.
+
+    The round time is the largest total. Users within ``TIE_RTOL`` of it
+    tie, as every funded user does under min-max equalization; of those, the
+    one with the largest server-independent time ``fixed`` set the level, and
+    remaining ties go to the lower index. So the attributed user does not
+    change with the last digits of the server compute.
+    """
     totals = terms.total
-    k = int(np.argmax(totals))
-    return float(totals[k]), float(communication[k])
+    time = totals.max(axis=-1)
+    tied = totals >= (time * (1.0 - TIE_RTOL))[..., None]
+    k = np.argmax(np.where(tied, terms.fixed, -np.inf), axis=-1)
+    comm = np.take_along_axis(communication, k[..., None], axis=-1)[..., 0]
+    return _per_row(time), _per_row(comm)
 
 
 def esfl_round_time(
-    alloc: "Allocation", users: Users, arch: ModelArchitecture, t_agg: float = 0.0
-) -> tuple[float, float]:
+    alloc: "Allocation | RowPlan", users: Users, arch: ModelArchitecture,
+    t_agg: float = 0.0,
+) -> tuple[PerRound, PerRound]:
     """Per-user cuts and server compute; the slowest user ends the round."""
     terms = round_terms(UserBatch.of(users), arch, alloc.cuts, alloc.server_compute, t_agg)
     return _straggler(terms, terms.communication)
@@ -185,7 +228,7 @@ def esfl_round_time(
 
 def fl_round_time(
     users: Users, arch: ModelArchitecture, t_agg: float = 0.0
-) -> tuple[float, float]:
+) -> tuple[PerRound, PerRound]:
     """Fully local training at the last layer; only the model moves."""
     terms = round_terms(UserBatch.of(users), arch, arch.num_layers, 0.0, t_agg)
     return _straggler(terms, terms.t_up + terms.t_down)
@@ -194,10 +237,10 @@ def fl_round_time(
 def sfl_round_time(
     users: Users,
     arch: ModelArchitecture,
-    fixed_l: int,
+    fixed_l: int | np.ndarray,
     server_total_flops: float,
     t_agg: float = 0.0,
-) -> tuple[float, float]:
+) -> tuple[PerRound, PerRound]:
     """Shared cut layer with the server budget split equally; straggler paced."""
     terms = round_terms(UserBatch.of(users), arch, fixed_l,
                         server_total_flops / len(users), t_agg)
@@ -207,15 +250,17 @@ def sfl_round_time(
 def sl_round_time(
     users: Users,
     arch: ModelArchitecture,
-    fixed_l: int,
+    fixed_l: int | np.ndarray,
     server_total_flops: float,
     t_agg: float = 0.0,
-) -> tuple[float, float]:
+) -> tuple[PerRound, PerRound]:
     """Sequential relay: each user in turn gets the whole server.
 
     The round and its communication are sums over users; the aggregation
     runs once, after the last user.
     """
     terms = round_terms(UserBatch.of(users), arch, fixed_l, server_total_flops)
-    # summed in user order, as the relay runs
-    return sum(terms.total.tolist()) + t_agg, sum(terms.communication.tolist())
+    # summed in user order, as the relay runs: cumsum adds strictly left to right
+    time = np.cumsum(terms.total, axis=-1)[..., -1] + t_agg
+    comm = np.cumsum(terms.communication, axis=-1)[..., -1]
+    return _per_row(time), _per_row(comm)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,11 @@ class UserProfile:
     memory_bytes: float = math.inf
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, and only the limits may be +inf
+        if not (math.isfinite(self.n_samples) and math.isfinite(self.compute_flops)):
+            raise ConfigError("n_samples and compute_flops must be finite")
+        if math.isnan(self.storage_bytes) or math.isnan(self.memory_bytes):
+            raise ConfigError("storage and memory limits must not be NaN")
         if self.n_samples < 0:
             raise ConfigError("n_samples must be >= 0")
         if self.compute_flops <= 0:
@@ -37,10 +42,11 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class UserBatch:
-    """Struct-of-arrays view of a user list: one (S,) array per attribute.
+    """Struct-of-arrays view of a user list: one (..., S) array per attribute.
 
     Built once per planner or round call, so the latency kernel and the
-    feasibility mask read arrays instead of re-walking Python objects.
+    feasibility mask read arrays instead of re-walking Python objects. A
+    batch of shape (R, S) holds R independent rounds of S users each.
     """
 
     user_ids: np.ndarray
@@ -62,8 +68,20 @@ class UserBatch:
         columns = np.array(rows, dtype=float).reshape(-1, 7).T.copy()
         return cls(np.array([u.user_id for u in users], dtype=int), *columns)
 
+    def rows(self, index) -> UserBatch:
+        """The batch with every attribute indexed by ``index`` on its row axes.
+
+        ``rows(None)`` adds a leading row axis to a one-round batch.
+        """
+        return UserBatch(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.user_ids.shape
+
     def __len__(self) -> int:
-        return len(self.user_ids)
+        """Users per round, S."""
+        return self.user_ids.shape[-1]
 
 
 Users = Sequence[UserProfile] | UserBatch  # what the batch-aware functions accept

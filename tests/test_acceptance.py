@@ -172,7 +172,7 @@ def _greedy_grid_level(a, b, c_total, quanta=2000):
 
 
 def test_criterion_3_resource_subproblem_exactness():
-    """Bisection allocation against a quantum grid-search oracle."""
+    """The Newton resource pass against a quantum grid-search oracle."""
     with criterion(3, "resource subproblem vs grid oracle", limit_s=30):
         rng = np.random.default_rng(1003)
         for k in range(50):

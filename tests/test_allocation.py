@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from esfl import (
     InfeasibleUserError,
@@ -19,10 +21,15 @@ from esfl import (
     feasible_cuts,
     load_architecture,
     load_builtin,
+    plan_rows,
+    preset_scenarios,
     round_terms,
+    sample_rounds,
     server_demand_terms,
     sfl_round_time,
 )
+from esfl import allocation
+from esfl.simulation import sample_population_data
 
 
 def _doc(rows):
@@ -164,6 +171,72 @@ class TestEqualize:
             assert np.max(np.abs(times - k)) <= 1e-6 * k
 
 
+    def test_rows_solve_like_each_row_alone(self):
+        rng = np.random.default_rng(19)
+        a = rng.uniform(0.5, 5.0, size=(6, 5)) * (rng.random((6, 5)) < 0.8)
+        a[2] = 0.0  # a row with no funded user
+        b = rng.uniform(0.0, 2.0, size=(6, 5))
+        hint = rng.uniform(1.0, 20.0, size=6)
+        c, k = equalize_min_max(a, b, 3.0, upper_hint=hint)
+        assert c.shape == (6, 5) and k.shape == (6,)
+        for r in range(6):
+            c_r, k_r = equalize_min_max(a[r], b[r], 3.0, upper_hint=hint[r])
+            np.testing.assert_allclose(c[r], c_r, rtol=1e-12, atol=0)
+            assert k[r] == pytest.approx(k_r, rel=1e-12)
+        assert np.all(c[2] == 0.0) and k[2] == b[2].max()
+
+
+_SERVER_WORK = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+class TestResourcePassProperties:
+    """The Newton resource pass on random instances (seeded, bounded)."""
+
+    @seed(20240)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(_SERVER_WORK, st.floats(0.0, 1e3), st.floats(0.01, 1.0)),
+                 min_size=1, max_size=8),
+        st.floats(1e-2, 1e2),
+    )
+    def test_budget_hint_and_common_level(self, users, c_total):
+        a, b, weight = (np.array(x) for x in zip(*users))
+        active = a > 0
+        # any split of the budget among the funded users is feasible, so its
+        # objective is an attainable upper hint
+        split = np.where(active, c_total * weight / weight[active].sum(), 0.0) \
+            if active.any() else np.zeros_like(a)
+        with np.errstate(divide="ignore"):
+            hint = float(np.max(np.where(active, b + a / np.where(active, split, 1.0), b)))
+        tol = 1e-9
+        compute, level, steps = allocation._equalize(a, b, c_total, tol, 200, hint)
+        assert np.all(compute >= 0) and np.all(compute[~active] == 0)
+        assert compute.sum() <= c_total * (1 + 1e-12)
+        assert level <= hint
+        assert steps <= 200
+        if active.any():
+            assert compute.sum() >= c_total * (1 - 1e-6)  # budget spent
+            times = b[active] + a[active] / compute[active]
+            top = max(times.max(), b[~active].max(initial=0.0))
+            assert np.all(times >= times.max() * (1 - 1e-12))  # one common level
+            # the level is the achieved max, at most a solver resolution above
+            # a tight hint
+            slack = tol * (times.max() - b[active].max()) + 1e-12 * top
+            assert top - slack <= level <= top * (1 + 1e-12)
+        else:
+            assert level == b.max()
+
+    def test_newton_steps_on_the_presets(self, vgg19):
+        # bisection needs about 31 demand evaluations per resource pass
+        worst = 0
+        for spec in preset_scenarios().values():
+            rng = np.random.default_rng(spec.seed)
+            batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 100)
+            plan = plan_rows(batch, vgg19, spec.server_tflops * 1e12)
+            worst = max(worst, int(plan.resource_steps.max()))
+        assert 1 <= worst <= 10
+
+
 class TestAllocateServerCompute:
     def test_users_cut_at_last_layer_get_nothing(self, vgg19):
         users = [_user(uid=0), _user(uid=1)]
@@ -282,6 +355,42 @@ class TestAlternate:
                 assert res.allocation.objective <= sfl_round_time(
                     users, vgg19, fixed_l, 130e12
                 )[0] * (1 + 1e-12)
+
+
+class TestPlanRows:
+    def _batch(self, rounds=12, spec_name="LH"):
+        spec = preset_scenarios()[spec_name]
+        rng = np.random.default_rng(5)
+        return sample_rounds(spec, rng, sample_population_data(spec, rng), rounds)
+
+    @pytest.mark.parametrize("cfg", [
+        OptimizerConfig(),
+        OptimizerConfig(max_iters=2),
+        OptimizerConfig(epoch_objective=True, t_agg=2.5),
+    ])
+    def test_rows_plan_like_alternate_on_each_row(self, vgg19, cfg):
+        # rows stall at different passes and are frozen while others go on
+        batch = self._batch()
+        plan = plan_rows(batch, vgg19, 130e12, cfg)
+        if cfg == OptimizerConfig():
+            assert len(set(plan.iterations.tolist())) > 1
+        for r in range(batch.shape[0]):
+            alone = alternate(batch.rows(r), vgg19, 130e12, cfg)
+            assert plan.result(r) == alone
+            assert len(alone.trace) == alone.iterations <= cfg.max_iters
+
+    def test_chunking_does_not_change_the_plan(self, vgg19, monkeypatch):
+        batch = self._batch()
+        whole = plan_rows(batch, vgg19, 130e12)
+        # one row per chunk, then chunks that split the rows unevenly
+        for elements in (1, 5 * len(batch) * vgg19.num_layers):
+            monkeypatch.setattr(allocation, "MAX_CHUNK_ELEMENTS", elements)
+            chunked = plan_rows(batch, vgg19, 130e12)
+            for field in ("cuts", "server_compute", "objective", "iterations",
+                          "converged", "resource_steps"):
+                assert np.array_equal(getattr(whole, field), getattr(chunked, field))
+            assert [chunked.trace(r) for r in range(12)] == \
+                [whole.trace(r) for r in range(12)]
 
 
 class TestBruteForce:

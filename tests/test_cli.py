@@ -106,6 +106,21 @@ class TestSimulate:
         assert _run("simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "o")) == 1
 
+    def test_non_finite_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        for value in ("NaN", "Infinity", "1e400"):
+            cfg.write_text('{"name": "x", "comm_options": [10.0], '
+                           '"comp_options": [1.3], "data_options": [500.0], '
+                           f'"server_tflops": {value}}}')
+            assert _run("simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")) == 1
+            err = capsys.readouterr().err
+            assert "input error" in err
+            # the literals are refused by the parser, before any spec is built
+            assert ("non-finite number" in err) == (value != "1e400")
+        assert _run("simulate", "--t-agg", "nan", "--out", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("ESFL_OUT_DIR", str(target))
@@ -162,6 +177,19 @@ class TestOptimize:
         bad.write_text(json.dumps({"users": [{"n_samples": 1, "kbps": 1}]}))
         assert _run("optimize", "--users", str(bad),
                     "--out", str(tmp_path / "o")) == 1
+
+    def test_non_finite_user_field_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for field, value in (("kbps", "NaN"), ("tflops", "-Infinity"),
+                             ("kbps", "1e400"), ("n_samples", "NaN")):
+            user = {"n_samples": "500", "tflops": "1.3", "kbps": "10", field: value}
+            bad.write_text('{"users": [{%s}]}'
+                           % ", ".join(f'"{k}": {v}' for k, v in user.items()))
+            assert _run("optimize", "--users", str(bad),
+                        "--out", str(tmp_path / "o")) == 1
+            err = capsys.readouterr().err
+            assert "input error" in err
+            assert ("non-finite number" in err) == (value != "1e400")
 
     def test_channel_mode_users(self, tmp_path):
         doc = tmp_path / "chan.json"

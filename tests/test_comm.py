@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ class TestLinkRates:
         with pytest.raises(ConfigError):
             LinkRates(-1.0, 1.0)
 
+    def test_non_finite_rates_rejected(self):
+        for up in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                LinkRates(up, 1.0)
+
 
 class TestChannelValidation:
     def test_strictly_positive_fields(self):
@@ -93,3 +100,11 @@ class TestChannelValidation:
             ChannelParams(0.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
         with pytest.raises(ConfigError):
             ChannelParams(1e6, 1.0, 1.0, -0.1, 1.0, 1e-9)
+
+    def test_non_finite_fields_rejected(self):
+        for k in range(6):
+            for value in (math.nan, math.inf):
+                args = [1e6, 1.0, 1.0, 1.0, 1.0, 1e-9]
+                args[k] = value
+                with pytest.raises(ConfigError):
+                    ChannelParams(*args)

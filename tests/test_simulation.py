@@ -13,7 +13,7 @@ from esfl import (
     run_simulation,
     sample_round_users,
 )
-from esfl.simulation import sample_population_data
+from esfl.simulation import sample_population_data, sample_population_resources
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,15 @@ class TestPresets:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             ScenarioSpec("x", (), (1.0,), (1.0,))
+        for bad in ({"comm_options": (float("nan"),)}, {"comp_options": (0.0,)},
+                    {"data_options": (float("inf"),)}, {"server_tflops": float("inf")},
+                    {"comm_options": (-1.0,)}):
+            kw = {"comm_options": (1.0,), "comp_options": (1.0,),
+                  "data_options": (1.0,), **bad}
+            with pytest.raises(ConfigError):
+                ScenarioSpec("x", **kw)
+        with pytest.raises(ConfigError):
+            SimOptions(kb_bytes=float("nan"))
         with pytest.raises(ConfigError):
             ScenarioSpec("x", (1.0,), (1.0,), (1.0,), population=5,
                          selected_per_round=6)
@@ -192,6 +201,42 @@ class TestRunSimulation:
         report = run_simulation(spec, ("esfl",), vgg19)
         assert report.convergence["all_converged"] is True
         assert report.convergence["max_iterations"] >= 1
+
+
+class TestRowsMatchRoundByRound:
+    """Planning every round at once equals planning each round alone."""
+
+    @staticmethod
+    def _assert_close(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(np.abs(x), np.abs(y)))
+
+    @pytest.mark.parametrize("name", sorted(preset_scenarios()))
+    @pytest.mark.parametrize("options", [
+        SimOptions(),
+        SimOptions(optimizer=OptimizerConfig(epoch_objective=True, t_agg=2.5)),
+        SimOptions(sticky_resources=True, fixed_cut=4),
+    ], ids=["default", "epoch-objective-t-agg", "sticky-fixed-cut"])
+    def test_records_match(self, vgg19, name, options):
+        spec = _small(preset_scenarios()[name], rounds=8, seed=3)
+        algos = ("esfl", "sfl", "fl", "sl")
+        report = run_simulation(spec, algos, vgg19, options)
+        rng = np.random.default_rng(spec.seed)
+        data = sample_population_data(spec, rng)
+        sticky = (sample_population_resources(spec, rng)
+                  if options.sticky_resources else None)
+        for r, rec in enumerate(report.records):
+            users = sample_round_users(spec, rng, data, sticky, options.kb_bytes)
+            alone = run_round(users, algos, vgg19, spec, options, index=r)
+            assert rec.index == alone.index and rec.user_ids == alone.user_ids
+            assert rec.esfl_allocation.cuts == alone.esfl_allocation.cuts
+            assert rec.esfl_iterations == alone.esfl_iterations
+            assert rec.esfl_converged == alone.esfl_converged
+            self._assert_close(rec.esfl_allocation.server_compute,
+                               alone.esfl_allocation.server_compute)
+            for algo in algos:
+                self._assert_close(rec.times[algo], alone.times[algo])
+                self._assert_close(rec.comm_times[algo], alone.comm_times[algo])
 
 
 class TestConvergenceStudy:

@@ -18,12 +18,16 @@ from esfl import (
     feasibility_mask,
     fl_round_time,
     load_architecture,
+    alternate,
     load_builtin,
+    preset_scenarios,
     round_terms,
+    sample_rounds,
     server_demand_terms,
     sfl_round_time,
     sl_round_time,
 )
+from esfl.simulation import sample_population_data
 
 VGG19_PARAM_TOTAL = 143.6503  # column sum of the profile, 1e6 elements
 
@@ -207,6 +211,61 @@ class TestRoundPolicies:
         assert comm == pytest.approx(10 * single.communication[0], rel=1e-12)
 
 
+class TestStragglerAttribution:
+    def test_tie_goes_to_the_largest_server_independent_time(self, vgg19):
+        # user 0 waits longer on its slow link; server shares are picked so
+        # both users finish at one level, as the min-max resource pass does
+        users = [_user(uid=0, kbps=10), _user(uid=1, kbps=25)]
+        batch = UserBatch.of(users)
+        cuts = (5, 3)
+        fixed = round_terms(batch, vgg19, cuts, np.inf).fixed
+        work = 5 * round_terms(batch, vgg19, cuts, 1.0).server_work
+        assert fixed[0] > fixed[1]
+        compute = work / (fixed.max() + 100.0 - fixed)
+        terms = round_terms(batch, vgg19, cuts, compute)
+        assert abs(terms.total[0] - terms.total[1]) <= 1e-12 * terms.total.max()
+        for order in ((0, 1), (1, 0)):  # the answer follows the user, not the index
+            picked = [users[k] for k in order]
+            alloc = Allocation(tuple(cuts[k] for k in order),
+                               tuple(compute[k] for k in order), 0.0)
+            t, comm = esfl_round_time(alloc, picked, vgg19)
+            assert t == terms.total.max()
+            assert comm == terms.communication[0]
+
+    def test_esfl_attribution_is_stable_under_compute_rounding(self, vgg19):
+        # every funded user ends at one level, so argmax(totals) alone would
+        # pick whichever user the last digits of the compute favour
+        moved = 0
+        for spec in preset_scenarios().values():
+            rng = np.random.default_rng(spec.seed)
+            batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 8)
+            for r in range(8):
+                users = batch.rows(r)
+                alloc = alternate(users, vgg19, spec.server_tflops * 1e12).allocation
+                terms = round_terms(users, vgg19, alloc.cuts, alloc.server_compute)
+                _, comm = esfl_round_time(alloc, users, vgg19)
+                for scale in (1 - 1e-10, 1 + 1e-10):
+                    scaled = Allocation(alloc.cuts,
+                                        tuple(np.array(alloc.server_compute) * scale), 0.0)
+                    shifted = round_terms(users, vgg19, alloc.cuts, scaled.server_compute)
+                    moved += int(np.argmax(shifted.total) != np.argmax(terms.total))
+                    assert esfl_round_time(scaled, users, vgg19)[1] == comm
+        assert moved > 0  # the plain argmax does move on these rounds
+
+    def test_rows_price_like_each_row(self, vgg19):
+        spec = preset_scenarios()["LH"]
+        rng = np.random.default_rng(2)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 5)
+        cuts = np.broadcast_to(np.array([[4], [1], [7], [4], [20]]), batch.shape)
+        for policy in (lambda b, c: fl_round_time(b, vgg19, 1.5),
+                       lambda b, c: sfl_round_time(b, vgg19, c, 130e12, 1.5),
+                       lambda b, c: sl_round_time(b, vgg19, c, 130e12, 1.5)):
+            times, comms = policy(batch, cuts)
+            assert times.shape == comms.shape == (5,)
+            for r in range(5):
+                assert (times[r], comms[r]) == policy(batch.rows(r), cuts[r])
+
+
 class TestRoundTermsInput:
     def test_cut_count_and_range_checked(self, vgg19):
         batch = UserBatch.of([_user(uid=0), _user(uid=1)])
@@ -220,6 +279,15 @@ class TestRoundTermsInput:
         per_user = round_terms(batch, vgg19, [4, 4], 1e12)
         assert np.array_equal(shared.total, per_user.total)
         assert np.array_equal(shared.communication, per_user.communication)
+
+    def test_non_finite_user_fields_rejected(self):
+        from esfl import ConfigError
+
+        for bad in ({"n": np.nan}, {"n": np.inf}, {"tflops": np.nan},
+                    {"storage_bytes": np.nan}, {"memory_bytes": np.nan}):
+            with pytest.raises(ConfigError):
+                _user(**bad)
+        _user(storage_bytes=np.inf, memory_bytes=np.inf)  # unlimited is fine
 
     def test_cut_beyond_storage_rejected(self, vgg19):
         u = _user(storage_bytes=cut_workload(vgg19, 3).model_bytes)
