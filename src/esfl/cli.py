@@ -2,8 +2,11 @@
 
 Reports are written once, atomically, at the end of a run: a JSON document
 with the resolved configuration and results, plus an aligned text table.
-Identical configuration and seed produce byte-identical files. Exit codes:
-0 success, 1 input/configuration error, 2 runtime error.
+The JSON document is exactly the bytes of ``json.dumps(payload,
+sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
+at the speed of the stdlib's C encoder. Identical configuration and seed
+produce byte-identical files. Exit codes: 0 success, 1 input/configuration
+error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +75,34 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """A comma list of integers given with ``flag``."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of integers, "
+                          f"not {text!r}") from None
+
+
 def _resolve_out_dir(arg: str | None) -> Path:
     if arg:
         return Path(arg)
@@ -96,10 +129,75 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _not_serializable(obj):
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _holds_container(values) -> bool:
+    return any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values)))
+
+
+def dumps_report(payload) -> str:
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, at C speed.
+
+    The stdlib uses its C encoder only when ``indent`` is None. Here a list
+    or dict that holds no container is one call of that encoder, built once
+    per depth with an item separator that carries the newline and the
+    indentation of the depth, and so is a list of such nonempty lists (a
+    matrix); only other containers of containers are walked in Python.
+    Scalars, keys and empty containers are all encoded by the stdlib, so
+    float ``repr``, ``NaN``/``Infinity``, escaping and key order are as
+    ``json`` writes them. The keys of a dict that holds a container must be
+    strings.
+    """
+    if c_make_encoder is None:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    encoders = {}
+
+    def flat(obj, depth):
+        if depth not in encoders:
+            encoders[depth] = c_make_encoder(
+                None, _not_serializable, encode_basestring_ascii, None,
+                ": ", ",\n" + "  " * depth, True, False, True)
+        return "".join(encoders[depth](obj, 0))
+
+    def encode(obj, depth):
+        is_dict = isinstance(obj, dict)
+        if not (is_dict or isinstance(obj, (list, tuple))):
+            return flat(obj, depth)
+        if not obj:
+            return "{}" if is_dict else "[]"
+        inner = depth + 1
+        pad = "\n" + "  " * inner
+        if not _holds_container(obj.values() if is_dict else obj):
+            body = flat(obj, inner)[1:-1]
+        elif is_dict:
+            bad = [k for k in obj if not isinstance(k, str)]
+            if bad:
+                raise TypeError(f"report keys must be strings, got {bad[0]!r}")
+            body = ("," + pad).join(
+                f"{encode_basestring_ascii(k)}: {encode(obj[k], inner)}"
+                for k in sorted(obj))
+        elif (set(map(type, obj)) <= {list, tuple} and all(obj)
+              and not _holds_container(chain.from_iterable(obj))):
+            # One call encodes every row with the separator of the row items.
+            # No encoded scalar holds a newline or ends in "]", so the text
+            # between two rows is found and re-indented by a plain replace.
+            pad2 = pad + "  "
+            rows = flat(obj, inner + 1)[2:-2].replace(
+                "]," + pad2 + "[", pad + "]," + pad + "[" + pad2)
+            body = "[" + pad2 + rows + pad + "]"
+        else:
+            body = ("," + pad).join(encode(v, inner) for v in obj)
+        open_, close = "{}" if is_dict else "[]"
+        return f"{open_}{pad}{body}\n{'  ' * depth}{close}"
+
+    return encode(payload, 0)
+
+
 def _emit(out_dir: Path, stem: str, payload: dict, table: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / f"{stem}.json",
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(out_dir / f"{stem}.json", dumps_report(payload) + "\n")
     _write_atomic(out_dir / f"{stem}.txt", table)
 
 
@@ -366,7 +464,7 @@ def cmd_converge(args) -> int:
     unknown = [n for n in names if n not in presets]
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
-    scales = tuple(int(s) for s in args.scales.split(",") if s.strip())
+    scales = tuple(_int_list(args.scales, "--scales"))
     options = SimOptions(kb_bytes=float(args.kb),
                          optimizer=OptimizerConfig(t_agg=args.t_agg))
 
@@ -448,7 +546,7 @@ def cmd_train_toy(args) -> int:
     )
     depth = net.num_layers
     if args.cuts:
-        cuts = [int(c) for c in args.cuts.split(",")]
+        cuts = _int_list(args.cuts, "--cuts")
         if len(cuts) != n_users:
             raise ConfigError("--cuts must list one cut per user")
         if any(not 1 <= c <= depth - 1 for c in cuts):
@@ -540,20 +638,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--selected", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--server-tflops", type=_finite_float, default=None)
+    p.add_argument("--server-tflops", type=_positive_float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sticky-resources", action="store_true")
     p.add_argument("--fixed-cut", type=int, default=None,
                    help="cut layer for SFL/SL (default: first universally feasible)")
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--max-iters", type=_positive_int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="one-shot allocation for explicit users")
     p.add_argument("--users", required=True, help="JSON user list")
-    p.add_argument("--server-tflops", type=_finite_float, default=130.0)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--server-tflops", type=_positive_float, default=130.0)
+    p.add_argument("--max-iters", type=_positive_int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive oracle (tiny instances only)")
@@ -563,22 +661,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="optimizer iteration counts by user scale")
     p.add_argument("--scenarios", default="BP,PR,RP,BR")
     p.add_argument("--scales", default="100,200,400,800")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("train-toy", help="toy split training on Gaussian blobs")
-    p.add_argument("--users", type=int, default=2)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--users", type=_positive_int, default=2)
+    p.add_argument("--samples", type=_positive_int, default=64)
+    p.add_argument("--classes", type=_positive_int, default=2)
+    p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--cuts", default=None, help="comma list, one per user")
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=_positive_int, default=50)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--eta", type=_finite_float, default=0.5)
     p.add_argument("--rho0", type=_finite_float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-equivalence", action="store_true")
     p.add_argument("--out", default=None)

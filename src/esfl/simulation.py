@@ -400,7 +400,8 @@ def run_simulation(
 
     dist = None
     if "esfl" in algorithms:
-        dist = _cut_distribution(records, arch.num_layers)
+        cuts = np.array([rec.esfl_allocation.cuts for rec in records])
+        dist = _cut_distribution(batch.user_ids, cuts, arch.num_layers)
     convergence = {}
     if "esfl" in algorithms:
         its = [rec.esfl_iterations for rec in records]
@@ -423,19 +424,23 @@ def run_simulation(
     )
 
 
-def _cut_distribution(records: Sequence[RoundRecord], n_layers: int) -> CutLayerDistribution:
-    counts: dict[int, np.ndarray] = {}
-    for rec in records:
-        if rec.esfl_allocation is None:
-            continue
-        for uid, cut in zip(rec.user_ids, rec.esfl_allocation.cuts):
-            row = counts.setdefault(uid, np.zeros(n_layers))
-            row[cut - 1] += 1
-    user_ids = tuple(sorted(counts))
-    matrix = np.array([counts[uid] / counts[uid].sum() for uid in user_ids])
-    pooled_counts = np.sum([counts[uid] for uid in user_ids], axis=0)
-    pooled = pooled_counts / pooled_counts.sum()
-    return CutLayerDistribution(user_ids=user_ids, matrix=matrix, pooled=pooled)
+def _cut_distribution(
+    user_ids: np.ndarray, cuts: np.ndarray, n_layers: int
+) -> CutLayerDistribution:
+    """Cut frequencies from the (R, S) user ids and the 1-based cuts they chose.
+
+    The counts are small integers, so every row sum and the pooled sums are
+    exact, and the frequencies do not depend on the order rounds are added in.
+    """
+    ids, inverse = np.unique(user_ids, return_inverse=True)
+    counts = np.zeros((ids.size, n_layers))
+    np.add.at(counts, (inverse.ravel(), np.ravel(cuts) - 1), 1.0)
+    pooled = counts.sum(axis=0)
+    return CutLayerDistribution(
+        user_ids=tuple(ids.tolist()),
+        matrix=counts / counts.sum(axis=1, keepdims=True),
+        pooled=pooled / pooled.sum(),
+    )
 
 
 @dataclass(frozen=True)

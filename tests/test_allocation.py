@@ -237,6 +237,50 @@ class TestResourcePassProperties:
         assert 1 <= worst <= 10
 
 
+_LAYER = st.tuples(st.floats(0.005, 0.5), st.floats(1.0, 40.0), st.floats(0.001, 0.08))
+# samples, device FLOP/s, up and down rates (B/s), and storage as a share of
+# the way from the first cut's model bytes to the whole model's (>= 1: unlimited)
+_JOINT_USER = st.tuples(st.sampled_from([200.0, 400.0, 600.0, 800.0]),
+                        st.floats(1e9, 2e10), st.floats(1e5, 2e6), st.floats(1e5, 2e6),
+                        st.floats(0.0, 1.5))
+
+
+class TestAlternateProperties:
+    """The alternation on tiny random instances (seeded, bounded)."""
+
+    @seed(20246)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_LAYER, min_size=2, max_size=5),
+        st.lists(_JOINT_USER, min_size=1, max_size=3),
+        st.floats(1e9, 2e11),
+        st.booleans(),
+        st.sampled_from([0.0, 2.5]),
+    )
+    def test_admissible_never_beats_the_oracle_and_descends(
+            self, layers, users, c_total, epoch_objective, t_agg):
+        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                       for j, (p, f, a) in enumerate(layers)]))
+        first, whole = arch.model_bytes_by_cut[0], arch.model_bytes_by_cut[-1]
+        users = [
+            UserProfile(i, n, flops, LinkRates(up, down), epochs=5,
+                        storage_bytes=first + share * (whole - first) if share < 1 else math.inf)
+            for i, (n, flops, up, down, share) in enumerate(users)
+        ]
+        cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        result = alternate(users, arch, c_total, cfg)
+        alloc = result.allocation
+        for user, cut in zip(users, alloc.cuts):
+            assert cut in feasible_cuts(user, arch)
+        assert min(alloc.server_compute) >= 0
+        assert sum(alloc.server_compute) <= c_total * (1 + 1e-12)
+        exact = brute_force_joint(users, arch, c_total, cfg)
+        assert alloc.objective / exact.objective >= 1 - 1e-9
+        objectives = [rec.objective for rec in result.trace]
+        assert all(later <= earlier * (1 + 1e-12)
+                   for earlier, later in zip(objectives, objectives[1:]))
+
+
 class TestAllocateServerCompute:
     def test_users_cut_at_last_layer_get_nothing(self, vgg19):
         users = [_user(uid=0), _user(uid=1)]

@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
-from esfl.cli import main
+from esfl import cli
+from esfl.cli import dumps_report, main
 
 
 def _run(*argv):
@@ -121,6 +125,12 @@ class TestSimulate:
         assert _run("simulate", "--t-agg", "nan", "--out", str(tmp_path / "o")) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+        for flag in ("--max-iters", "--server-tflops"):
+            assert _run("simulate", flag, "0", "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("ESFL_OUT_DIR", str(target))
@@ -160,6 +170,13 @@ class TestOptimize:
         report = json.loads((out / "allocation.json").read_text())
         assert report["oracle"]["gap_ratio"] >= 1.0 - 1e-9
         assert "gap ratio" in capsys.readouterr().out
+
+    def test_out_of_range_count_is_input_error(self, tmp_path, users_file, capsys):
+        for flag in ("--max-iters", "--server-tflops"):
+            assert _run("optimize", "--users", str(users_file), flag, "0",
+                        "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_oracle_refused_for_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
@@ -244,6 +261,13 @@ class TestConverge:
         report = json.loads((out / "convergence.json").read_text())
         assert [c["scale"] for c in report["cells"]] == [100, 200, 400, 800]
 
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+        assert _run("converge", "--reps", "0", "--out", str(tmp_path / "o")) == 1
+        assert "argument --reps" in capsys.readouterr().err
+        assert _run("converge", "--scales", "100,x", "--out", str(tmp_path / "o")) == 1
+        assert "input error: --scales" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainToy:
     def test_equivalence_check_reports_zero_deviation(self, tmp_path, capsys):
@@ -277,3 +301,75 @@ class TestTrainToy:
     def test_out_of_range_cut_is_input_error(self, tmp_path):
         assert _run("train-toy", "--users", "2", "--cuts", "1,9",
                     "--out", str(tmp_path / "o")) == 1
+        assert _run("train-toy", "--users", "2", "--cuts", "1,x",
+                    "--out", str(tmp_path / "o")) == 1
+
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+        for flag in ("--users", "--samples", "--classes", "--dim", "--rounds",
+                     "--batch-size"):
+            assert _run("train-toy", flag, "0", "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestReportBytes:
+    """Every report is exactly ``json.dumps(..., sort_keys=True, indent=2)``."""
+
+    @pytest.mark.parametrize("argv, stem", [
+        (["simulate"], "report"),
+        (["simulate", "--population", "1000", "--selected", "1000",
+          "--rounds", "2"], "report"),
+        (["simulate", "--algos", "sfl,fl"], "report"),
+        (["optimize", "--users", "USERS"], "allocation"),
+        (["converge", "--scales", "5,10", "--reps", "2"], "convergence"),
+        (["train-toy", "--rounds", "5", "--check-equivalence"], "train_toy"),
+    ])
+    def test_report_is_the_stdlib_encoding(self, tmp_path, users_file, argv, stem):
+        argv = [str(users_file) if a == "USERS" else a for a in argv]
+        assert _run(*argv, "--out", str(tmp_path)) == 0
+        data = (tmp_path / f"{stem}.json").read_bytes()
+        expected = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
+        assert data == expected.encode("ascii")
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+                     math.nan, math.inf, -math.inf]),
+)
+# quotes, backslashes, control characters, non-ASCII and a surrogate pair
+_STRINGS = st.text(st.sampled_from('ab"\\\n\t\x00\x7f[],: \u00e9\u2603\U0001f600'),
+                   max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                     _FLOATS, _STRINGS)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=5),
+        st.lists(st.lists(_SCALARS, min_size=1, max_size=4), max_size=4),  # matrices
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumpsReport:
+    @seed(20245)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_TREES)
+    @example([[1.0, -0.0], [], [math.nan]])
+    @example({"a": [["x]", "[y"], ["]\n["]], "b": ({}, [[]], (True, None))})
+    def test_equals_the_stdlib(self, tree):
+        assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_stdlib_fallback_without_the_c_encoder(self, monkeypatch):
+        tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}]}
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_refuses_non_string_keys_and_unknown_objects(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            dumps_report({"a": {1: [2]}})
+        with pytest.raises(TypeError):
+            dumps_report({"a": [1, object()]})

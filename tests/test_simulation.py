@@ -13,7 +13,12 @@ from esfl import (
     run_simulation,
     sample_round_users,
 )
-from esfl.simulation import sample_population_data, sample_population_resources
+from esfl.simulation import (
+    CutLayerDistribution,
+    _cut_distribution,
+    sample_population_data,
+    sample_population_resources,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +206,53 @@ class TestRunSimulation:
         report = run_simulation(spec, ("esfl",), vgg19)
         assert report.convergence["all_converged"] is True
         assert report.convergence["max_iterations"] >= 1
+
+
+def _loop_cut_distribution(user_ids, cuts, n_layers) -> CutLayerDistribution:
+    """Reference: one count row per user, filled round by round."""
+    counts = {}
+    for row_ids, row_cuts in zip(np.asarray(user_ids).tolist(), np.asarray(cuts).tolist()):
+        for uid, cut in zip(row_ids, row_cuts):
+            counts.setdefault(uid, np.zeros(n_layers))[cut - 1] += 1
+    ids = tuple(sorted(counts))
+    pooled = np.sum([counts[uid] for uid in ids], axis=0)
+    return CutLayerDistribution(
+        user_ids=ids,
+        matrix=np.array([counts[uid] / counts[uid].sum() for uid in ids]),
+        pooled=pooled / pooled.sum(),
+    )
+
+
+def _assert_same_distribution(got, want):
+    assert got.user_ids == want.user_ids
+    assert all(type(uid) is int for uid in got.user_ids)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.pooled, want.pooled)
+    assert got.entropy_variance() == want.entropy_variance()
+
+
+class TestCutDistribution:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_loop_on_random_records(self, seed):
+        rng = np.random.default_rng(seed)
+        rounds, selected, n_layers = int(rng.integers(1, 9)), int(rng.integers(1, 7)), 20
+        population = selected + int(rng.integers(0, 3 * selected))
+        user_ids = np.stack([np.sort(rng.choice(population, selected, replace=False))
+                             for _ in range(rounds)])
+        cuts = rng.integers(1, n_layers + 1, size=user_ids.shape)
+        got = _cut_distribution(user_ids, cuts, n_layers)
+        _assert_same_distribution(got, _loop_cut_distribution(user_ids, cuts, n_layers))
+        seen = np.unique(user_ids, return_counts=True)[1]
+        if seed == 0:  # the draw holds users seen in one round and in several
+            assert (seen == 1).any() and (seen > 1).any()
+
+    def test_matches_the_loop_on_a_simulation(self, vgg19):
+        spec = _small(preset_scenarios()["LH"], population=30, rounds=20)
+        report = run_simulation(spec, ("esfl",), vgg19)
+        user_ids = [rec.user_ids for rec in report.records]
+        cuts = [rec.esfl_allocation.cuts for rec in report.records]
+        _assert_same_distribution(report.cut_distribution,
+                                  _loop_cut_distribution(user_ids, cuts, vgg19.num_layers))
 
 
 class TestRowsMatchRoundByRound:
