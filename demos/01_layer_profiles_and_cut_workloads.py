@@ -18,18 +18,20 @@ print(f"total training compute per sample: "
       f"{arch.total_compute_per_sample / 1e6:.1f} MFLOPs\n")
 
 D = arch.total_compute_per_sample
+# each *_by_cut array holds one entry per cut; entry l-1 describes cut l
+mem_bytes = arch.model_bytes_by_cut + 32 * arch.cum_act_bytes_by_cut
 header = f"{'cut':>4} {'layer':>8} {'device MFLOPs':>14} {'server MFLOPs':>14} " \
          f"{'act KB/sample':>14} {'model MB':>10} {'mem MB (b=32)':>14}"
 print(header)
 print("-" * len(header))
 for l in range(1, arch.num_layers + 1):
-    cw = esfl.cut_workload(arch, l, batch=32)
+    user_flops = arch.user_flops_by_cut[l - 1]
     print(f"{l:>4} {arch.layers[l - 1].name:>8} "
-          f"{cw.user_compute / 1e6:>14.1f} "
-          f"{(D - cw.user_compute) / 1e6:>14.1f} "
-          f"{cw.act_bytes / 1024:>14.1f} "
-          f"{cw.model_bytes / 2**20:>10.2f} "
-          f"{cw.mem_bytes / 2**20:>14.2f}")
+          f"{user_flops / 1e6:>14.1f} "
+          f"{(D - user_flops) / 1e6:>14.1f} "
+          f"{arch.act_bytes_by_cut[l - 1] / 1024:>14.1f} "
+          f"{arch.model_bytes_by_cut[l - 1] / 2**20:>10.2f} "
+          f"{mem_bytes[l - 1] / 2**20:>14.2f}")
 
 print("\nobservations:")
 print(" - device compute and model size grow monotonically with the cut;")

@@ -42,9 +42,7 @@ for l, (model_t, comp_t, comm_t, srv_t, total) in enumerate(columns, start=1):
 best_l = int(np.argmin(terms.total[0])) + 1
 best_total = terms.total[0, best_l - 1]
 
-print(f"\nfastest cut for this device: layer {best_l} "
-      f"({best_total:.1f} s) — matches best_cut: "
-      f"{esfl.best_cut(user, arch, server_share)}")
+print(f"\nfastest cut for this device: layer {best_l} ({best_total:.1f} s)")
 
 print("\nnote the regime: at KB/s-scale rates the communication columns")
 print("dwarf both compute columns, so the cut decision is driven almost")

@@ -31,7 +31,7 @@ c_total = 4e12
 
 a, b = esfl.server_demand_terms(users, cuts, arch)
 equal = np.full(len(users), c_total / len(users))
-compute, level = esfl.allocate_server_compute(users, cuts, c_total, arch)
+compute, level = esfl.equalize_min_max(a, b, c_total)
 
 print(f"budget {c_total / 1e12:.1f} TFLOPs across {len(users)} users, fixed cuts {cuts}\n")
 print(f"{'user':>4} {'b_i (s)':>10} {'equal-split time':>17} {'equalized time':>15} "

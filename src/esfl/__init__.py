@@ -6,12 +6,9 @@ from .allocation import (
     AlternateResult,
     OptimizerConfig,
     RowPlan,
-    allocate_server_compute,
     alternate,
-    best_cut,
     brute_force_joint,
     equalize_min_max,
-    feasible_cuts,
     plan_rows,
     server_demand_terms,
 )
@@ -34,9 +31,7 @@ from .simulation import (
     convergence_study,
     preset_scenarios,
     price_rounds,
-    run_round,
     run_simulation,
-    sample_round_users,
     sample_rounds,
 )
 from .split_training import (
@@ -51,7 +46,6 @@ from .split_training import (
     loss_value,
     make_blobs,
     monolithic_update,
-    predict,
     split_net,
     split_update,
 )
@@ -67,14 +61,11 @@ from .timing import (
 )
 from .users import UserBatch, UserProfile
 from .workload import (
-    CutWorkload,
     LayerProfile,
     ModelArchitecture,
     builtin_profiles,
-    cut_workload,
     load_architecture,
     load_builtin,
-    serialize_architecture,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import AllocationError, InfeasibleUserError
 from .timing import feasibility_mask, round_terms
-from .users import UserBatch, UserProfile, Users
+from .users import UserBatch, Users
 from .workload import ModelArchitecture
 
 _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
@@ -50,6 +50,10 @@ _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
 # Rows are planned in chunks whose (rows, S, L) cut-pass arrays hold at most
 # this many elements (2 MB of float64 each), which bounds the working set.
 MAX_CHUNK_ELEMENTS = 1 << 18
+
+# Largest instance brute_force_joint enumerates: at most 6**3 cut tuples.
+ORACLE_MAX_USERS = 3
+ORACLE_MAX_LAYERS = 6
 
 
 @dataclass(frozen=True)
@@ -131,34 +135,6 @@ def _cut_pass(
             f"(dead link with unavoidable traffic?)"
         )
     return choice + 1, best
-
-
-def feasible_cuts(
-    user: UserProfile,
-    arch: ModelArchitecture,
-    batch: int = 1,
-) -> list[int]:
-    """All cut indices the user can hold, 1-based; empty set is an error."""
-    mask = _feasible(UserBatch.of([user]), arch, batch)[0]
-    return (np.flatnonzero(mask) + 1).tolist()
-
-
-def best_cut(
-    user: UserProfile,
-    arch: ModelArchitecture,
-    server_flops: float,
-    cfg: OptimizerConfig | None = None,
-) -> int:
-    """Exhaustive scan for the user's fastest feasible cut given its server share.
-
-    Ties break toward the smaller index. A zero server share restricts the
-    scan to cuts with no server-side work.
-    """
-    cfg = cfg or OptimizerConfig()
-    batch = UserBatch.of([user])
-    mask = _feasible(batch, arch, cfg.batch_size)
-    cuts, _ = _cut_pass(batch, arch, server_flops, cfg, mask)
-    return int(cuts[0])
 
 
 def server_demand_terms(
@@ -299,22 +275,6 @@ def equalize_min_max(
     return compute, (float(objective) if objective.ndim == 0 else objective)
 
 
-def allocate_server_compute(
-    users: Users,
-    cuts: Sequence[int] | np.ndarray,
-    c_total: float,
-    arch: ModelArchitecture,
-    cfg: OptimizerConfig | None = None,
-    upper_hint: np.ndarray | float | None = None,
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Optimal server-compute division for fixed cuts; returns (C, objective)."""
-    cfg = cfg or OptimizerConfig()
-    a, b = server_demand_terms(users, cuts, arch, cfg)
-    return equalize_min_max(
-        a, b, c_total, cfg.bisection_tolerance, cfg.bisection_max_steps, upper_hint
-    )
-
-
 class _Pass(NamedTuple):
     """One pass over the rows still live: their indices and outcomes."""
 
@@ -453,32 +413,33 @@ def alternate(
 
 
 def brute_force_joint(
-    users: Sequence[UserProfile],
+    users: Users,
     arch: ModelArchitecture,
     c_total: float,
     cfg: OptimizerConfig | None = None,
-    *,
-    max_users: int = 3,
-    max_layers: int = 6,
 ) -> Allocation:
     """Exact joint optimum by enumerating every cut tuple.
 
     Only for oracle-sized instances: the resource subproblem is convex and
     solved exactly per tuple, so exhaustiveness over cuts gives the global
-    optimum. Larger instances are refused.
+    optimum. Instances beyond ``ORACLE_MAX_USERS`` users or
+    ``ORACLE_MAX_LAYERS`` layers are refused.
     """
     cfg = cfg or OptimizerConfig()
-    if len(users) > max_users or arch.num_layers > max_layers:
+    if len(users) > ORACLE_MAX_USERS or arch.num_layers > ORACLE_MAX_LAYERS:
         raise ValueError(
             f"instance too large for enumeration: "
             f"{len(users)} users x {arch.num_layers} layers "
-            f"(limits {max_users} x {max_layers})"
+            f"(limits {ORACLE_MAX_USERS} x {ORACLE_MAX_LAYERS})"
         )
-    per_user = [feasible_cuts(u, arch, cfg.batch_size) for u in users]
     batch = UserBatch.of(users)
+    mask = _feasible(batch, arch, cfg.batch_size)
+    per_user = [(np.flatnonzero(row) + 1).tolist() for row in mask]
     best: Allocation | None = None
     for cuts in itertools.product(*per_user):
-        compute, objective = allocate_server_compute(batch, cuts, c_total, arch, cfg)
+        a, b = server_demand_terms(batch, cuts, arch, cfg)
+        compute, objective = equalize_min_max(
+            a, b, c_total, cfg.bisection_tolerance, cfg.bisection_max_steps)
         if best is None or objective < best.objective:
             best = Allocation(tuple(cuts), tuple(compute), objective)
     assert best is not None

@@ -94,10 +94,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _comma_list(text: str, flag: str) -> list[str]:
+    """The nonempty comma list of items given with ``flag``."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"{flag} selects nothing: {text!r}")
+    return names
+
+
 def _int_list(text: str, flag: str) -> list[int]:
-    """A comma list of integers given with ``flag``."""
+    """The nonempty comma list of integers given with ``flag``."""
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        return [int(s) for s in _comma_list(text, flag)]
     except ValueError:
         raise ConfigError(f"{flag} must be a comma list of integers, "
                           f"not {text!r}") from None
@@ -285,7 +293,7 @@ def _unit_config(args) -> dict:
 def cmd_simulate(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     spec = _scenario_from_args(args)
-    algorithms = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    algorithms = tuple(_comma_list(args.algos, "--algos"))
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -435,7 +443,7 @@ def cmd_optimize(args) -> int:
 
     if args.oracle:
         try:
-            exact = brute_force_joint(users, arch, c_total, cfg)
+            exact = brute_force_joint(batch, arch, c_total, cfg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         gap = alloc.objective / exact.objective if exact.objective > 0 else 1.0
@@ -460,7 +468,7 @@ def cmd_optimize(args) -> int:
 def cmd_converge(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     presets = preset_scenarios()
-    names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+    names = _comma_list(args.scenarios, "--scenarios")
     unknown = [n for n in names if n not in presets]
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
@@ -673,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--cuts", default=None, help="comma list, one per user")
     p.add_argument("--rounds", type=_positive_int, default=50)
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--epochs", type=_positive_int, default=1)
     p.add_argument("--eta", type=_finite_float, default=0.5)
     p.add_argument("--rho0", type=_finite_float, default=0.01)
     p.add_argument("--batch-size", type=_positive_int, default=None)

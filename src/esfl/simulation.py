@@ -12,8 +12,7 @@ Rounds do not depend on each other once their users are drawn, so a run
 draws every round first, in the order the rounds would draw one by one,
 and then plans and prices all of them as one (rounds, S) batch through
 :func:`esfl.allocation.plan_rows` and the row-aware policies of
-:mod:`esfl.timing`. A single round (:func:`run_round`) is the same code
-on a one-row batch.
+:mod:`esfl.timing`.
 
 Every random draw flows from the scenario seed through one generator, so a
 (scenario, seed) pair reproduces bit-identical reports.
@@ -28,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import Allocation, OptimizerConfig, plan_rows
-from .comm import LinkRates
 from .errors import ConfigError
 from .timing import (
     default_fixed_cut,
@@ -37,7 +35,7 @@ from .timing import (
     sfl_round_time,
     sl_round_time,
 )
-from .users import UserBatch, UserProfile
+from .users import UserBatch
 from .workload import ModelArchitecture
 
 ALGORITHMS = ("esfl", "sfl", "fl", "sl")
@@ -234,45 +232,6 @@ def sample_population_resources(
     return comm, comp
 
 
-def _draw_round(
-    spec: ScenarioSpec,
-    rng: np.random.Generator,
-    sticky: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One round's draw: sorted user indices, their rates (KB/s) and compute (TFLOPs)."""
-    selected = np.sort(rng.choice(spec.population, size=spec.selected_per_round,
-                                  replace=False))
-    if sticky is not None:
-        return selected, sticky[0][selected], sticky[1][selected]
-    comm_kb = rng.choice(np.asarray(spec.comm_options, dtype=float),
-                         size=spec.selected_per_round)
-    comp_tf = rng.choice(np.asarray(spec.comp_options, dtype=float),
-                         size=spec.selected_per_round)
-    return selected, comm_kb, comp_tf
-
-
-def sample_round_users(
-    spec: ScenarioSpec,
-    rng: np.random.Generator,
-    population_data: np.ndarray,
-    sticky: tuple[np.ndarray, np.ndarray] | None = None,
-    kb_bytes: float = 1024.0,
-) -> list[UserProfile]:
-    """Select users uniformly without replacement and draw their resources."""
-    selected, comm_kb, comp_tf = _draw_round(spec, rng, sticky)
-    return [
-        UserProfile(
-            user_id=int(uid),
-            n_samples=float(population_data[uid]),
-            compute_flops=float(comp_tf[k]) * TFLOPS,
-            rates=LinkRates(up=float(comm_kb[k]) * kb_bytes,
-                            down=float(comm_kb[k]) * kb_bytes),
-            epochs=spec.epochs,
-        )
-        for k, uid in enumerate(selected)
-    ]
-
-
 def sample_rounds(
     spec: ScenarioSpec,
     rng: np.random.Generator,
@@ -281,13 +240,27 @@ def sample_rounds(
     sticky: tuple[np.ndarray, np.ndarray] | None = None,
     kb_bytes: float = 1024.0,
 ) -> UserBatch:
-    """``rounds`` consecutive draws of :func:`sample_round_users` as one (R, S) batch.
+    """``rounds`` rounds of selected users and their resources, as one (R, S) batch.
 
-    The draws consume ``rng`` in the same order, and row r holds the same
-    values as the batch of the r-th ``sample_round_users`` call.
+    Each round selects users uniformly without replacement (ids sorted) and
+    then draws their link rates (KB/s) and compute (TFLOPs), unless
+    ``sticky`` fixes both per user. Rounds consume ``rng`` one after
+    another, so R calls with ``rounds=1`` draw the same rows as one call
+    with ``rounds=R``.
     """
-    draws = [_draw_round(spec, rng, sticky) for _ in range(rounds)]
-    selected, comm_kb, comp_tf = (np.stack(x) for x in zip(*draws))
+    size = spec.selected_per_round
+    comm_options = np.asarray(spec.comm_options, dtype=float)
+    comp_options = np.asarray(spec.comp_options, dtype=float)
+    selected = np.empty((rounds, size), dtype=int)
+    comm_kb = np.empty((rounds, size))
+    comp_tf = np.empty((rounds, size))
+    for r in range(rounds):
+        selected[r] = np.sort(rng.choice(spec.population, size=size, replace=False))
+        if sticky is None:
+            comm_kb[r] = rng.choice(comm_options, size=size)
+            comp_tf[r] = rng.choice(comp_options, size=size)
+    if sticky is not None:
+        comm_kb, comp_tf = sticky[0][selected], sticky[1][selected]
     rates = comm_kb * kb_bytes
     return UserBatch(
         user_ids=selected,
@@ -347,22 +320,6 @@ def price_rounds(
         )
         for r, user_ids in enumerate(batch.user_ids.tolist())
     ]
-
-
-def run_round(
-    users: Sequence[UserProfile],
-    algorithms: Sequence[str],
-    arch: ModelArchitecture,
-    spec: ScenarioSpec,
-    options: SimOptions | None = None,
-    index: int = 0,
-) -> RoundRecord:
-    """Price one round for the requested algorithms on a shared user draw.
-
-    This is :func:`price_rounds` on a one-round batch.
-    """
-    batch = UserBatch.of(users).rows(None)
-    return price_rounds(batch, algorithms, arch, spec, options, first_index=index)[0]
 
 
 def run_simulation(

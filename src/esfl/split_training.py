@@ -15,7 +15,7 @@ local models), which for eta=1 is plain sample-weighted averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class DenseNet:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 @dataclass(frozen=True)
@@ -145,11 +142,6 @@ def _check_loss_head(net: DenseNet) -> None:
     # not squash them; checked where the loss is actually evaluated
     if net.loss == "softmax_ce" and net.activations[-1] != "identity":
         raise ValueError("softmax_ce expects identity on the output layer")
-
-
-def predict(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    out, _ = _forward_segment(net, x)
-    return out
 
 
 def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
@@ -265,10 +257,9 @@ class ToyUser:
     cut: int
     epochs: int = 1
 
-
-def default_rho_schedule(rho0: float) -> Callable[[int], float]:
-    """Step size decaying with the round index r (0-based)."""
-    return lambda r: rho0 / (1.0 + r / 100.0)
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 def _batches(x, y, batch_size):
@@ -285,22 +276,21 @@ def esfl_train(
     rounds: int,
     eta: float = 0.5,
     rho0: float = 0.01,
-    rho_schedule: Callable[[int], float] | None = None,
     batch_size: int | None = None,
 ):
     """Rounds of distribute -> per-user split epochs -> aggregate.
 
     Every user trains a split copy of the current global network on its own
     data, the two sides are re-joined, and the sample-weighted models are
-    folded into the global one. Returns the final network and the global
-    training loss after each round.
+    folded into the global one. The step size decays as ``rho0 / (1 + r/100)``
+    with the 0-based round index r. Returns the final network and the
+    global training loss after each round.
     """
-    schedule = rho_schedule or default_rho_schedule(rho0)
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     trace = []
     for r in range(rounds):
-        rho = schedule(r)
+        rho = rho0 / (1.0 + r / 100.0)
         locals_ = []
         for user in users:
             state = split_net(net, user.cut, rho)

@@ -116,34 +116,6 @@ class ModelArchitecture:
         return float(self.user_flops_by_cut[-1])
 
 
-@dataclass(frozen=True)
-class CutWorkload:
-    """Device-side workload quantities implied by one cut choice."""
-
-    cut: int
-    user_compute: float  # FLOPs per sample on the device
-    act_bytes: float     # bytes per sample uploaded, and again downloaded
-    model_bytes: float   # device-side model size in bytes
-    mem_bytes: float     # device training memory requirement in bytes
-
-
-def cut_workload(arch: ModelArchitecture, l: int, batch: int = 1) -> CutWorkload:
-    """Workload quantities for cutting ``arch`` after layer ``l`` (1-based)."""
-    if not 1 <= l <= arch.num_layers:
-        raise ValueError(f"cut {l} out of range 1..{arch.num_layers}")
-    if batch < 0:
-        raise ValueError("batch must be >= 0")
-    i = l - 1
-    model_bytes = float(arch.model_bytes_by_cut[i])
-    return CutWorkload(
-        cut=l,
-        user_compute=float(arch.user_flops_by_cut[i]),
-        act_bytes=float(arch.act_bytes_by_cut[i]),
-        model_bytes=model_bytes,
-        mem_bytes=model_bytes + batch * float(arch.cum_act_bytes_by_cut[i]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Profile documents: columnar text with a header row. '#' starts a comment.
 # Blank numeric fields are permitted only on the final layer (zero-size head).
@@ -225,17 +197,6 @@ def _parse_rows(fp) -> list[tuple[int, str, list[str]]]:
     if not header_seen:
         raise ProfileError("profile document has no header row")
     return rows
-
-
-def serialize_architecture(arch: ModelArchitecture) -> str:
-    """Render a profile back to document text; reloading reproduces values."""
-    out = [",".join(_COLUMNS)]
-    for layer in arch.layers:
-        out.append(
-            f"{layer.name},{layer.param_count!r},{layer.fwd_flops!r},"
-            f"{layer.activation_count!r}"
-        )
-    return "\n".join(out) + "\n"
 
 
 def builtin_profiles() -> tuple[str, ...]:

@@ -19,13 +19,12 @@ import esfl
 from esfl import (
     LinkRates,
     SimOptions,
-    UserBatch,
     UserProfile,
-    allocate_server_compute,
     alternate,
     brute_force_joint,
     concatenate,
     convergence_study,
+    equalize_min_max,
     feasibility_mask,
     init_dense_net,
     load_architecture,
@@ -36,6 +35,7 @@ from esfl import (
     preset_scenarios,
     round_terms,
     run_simulation,
+    sample_rounds,
     server_demand_terms,
     split_net,
     split_update,
@@ -194,9 +194,9 @@ def test_criterion_3_resource_subproblem_exactness():
             # cuts below layer 19 keep a positive server share for everyone
             cuts = [int(rng.integers(1, 19)) for _ in range(5)]
 
-            compute, level = allocate_server_compute(users, cuts, c_total, VGG19)
             a, b = server_demand_terms(users, cuts, VGG19)
             assert np.all(a > 0)
+            compute, level = equalize_min_max(a, b, c_total)
 
             oracle = _greedy_grid_level(a.copy(), b.copy(), c_total)
             assert abs(level - oracle) <= 0.005 * oracle
@@ -271,9 +271,9 @@ def test_criterion_5_monotone_descent():
         for name, spec in preset_scenarios().items():
             srng = np.random.default_rng(spec.seed)
             data = esfl.simulation.sample_population_data(spec, srng)
-            for _ in range(5):
-                users = esfl.sample_round_users(spec, srng, data)
-                result = alternate(users, VGG19, spec.server_tflops * 1e12)
+            batch = sample_rounds(spec, srng, data, 5)
+            for r in range(5):
+                result = alternate(batch.rows(r), VGG19, spec.server_tflops * 1e12)
                 _assert_monotone(result.trace, f"({name})")
 
 
@@ -320,14 +320,10 @@ def _round_lower_bounds(spec, options):
     cfg = options.optimizer
     rng = np.random.default_rng(spec.seed)
     data = esfl.simulation.sample_population_data(spec, rng)
-    bounds = []
-    for _ in range(spec.rounds):
-        batch = UserBatch.of(esfl.sample_round_users(spec, rng, data, None,
-                                                     options.kb_bytes))
-        totals = round_terms(batch, VGG19, None, math.inf, cfg.t_agg).total
-        mask = feasibility_mask(batch, VGG19, cfg.batch_size)
-        bounds.append(float(np.where(mask, totals, np.inf).min(axis=1).max()))
-    return np.array(bounds)
+    batch = sample_rounds(spec, rng, data, spec.rounds, None, options.kb_bytes)
+    totals = round_terms(batch, VGG19, None, math.inf, cfg.t_agg).total
+    mask = feasibility_mask(batch, VGG19, cfg.batch_size)
+    return np.where(mask, totals, np.inf).min(axis=-1).max(axis=-1)
 
 
 def _lh_sh_ratio(reports, algo):

@@ -12,13 +12,10 @@ from esfl import (
     OptimizerConfig,
     UserBatch,
     UserProfile,
-    allocate_server_compute,
     alternate,
-    best_cut,
     brute_force_joint,
-    cut_workload,
     equalize_min_max,
-    feasible_cuts,
+    feasibility_mask,
     load_architecture,
     load_builtin,
     plan_rows,
@@ -47,6 +44,20 @@ def _user(uid=0, n=500.0, tflops=1.3, kbps=10.0, epochs=5, **kw):
     )
 
 
+def _feasible_cuts(user, arch):
+    """The user's feasible 1-based cuts, from the planner's feasibility mask."""
+    return (np.flatnonzero(feasibility_mask([user], arch)[0]) + 1).tolist()
+
+
+def _best_cut(user, arch, server_flops, cfg=None):
+    """One cut pass on a single user at the given server share."""
+    cfg = cfg or OptimizerConfig()
+    batch = UserBatch.of([user])
+    mask = feasibility_mask(batch, arch, cfg.batch_size)
+    cuts, _ = allocation._cut_pass(batch, arch, server_flops, cfg, mask)
+    return int(cuts[0])
+
+
 @pytest.fixture(scope="module")
 def vgg19():
     return load_builtin("vgg19")
@@ -68,16 +79,17 @@ def _random_users(rng, count, comm=(5, 10, 20, 35), comp=(0.65, 1.3, 2.6, 4.55),
 class TestFeasibleCuts:
     def test_unconstrained_user_gets_all_layers(self, vgg19):
         u = _user()
-        assert feasible_cuts(u, vgg19) == list(range(1, 21))
+        assert _feasible_cuts(u, vgg19) == list(range(1, 21))
 
     def test_storage_below_first_layer_is_infeasible(self, vgg19):
-        u = _user(storage_bytes=cut_workload(vgg19, 1).model_bytes / 2)
+        u = _user(storage_bytes=vgg19.model_bytes_by_cut[0] / 2)
+        assert _feasible_cuts(u, vgg19) == []
         with pytest.raises(InfeasibleUserError):
-            feasible_cuts(u, vgg19)
+            plan_rows(UserBatch.of([u]).rows(None), vgg19, 130e12)
 
     def test_boundary_storage_is_inclusive(self, vgg19):
-        u = _user(storage_bytes=cut_workload(vgg19, 3).model_bytes)
-        assert feasible_cuts(u, vgg19) == [1, 2, 3]
+        u = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
+        assert _feasible_cuts(u, vgg19) == [1, 2, 3]
 
 
 class TestBestCut:
@@ -88,11 +100,11 @@ class TestBestCut:
             "A,0.001,10,0.05", "B,0.001,10,0.05", "C,0.001,10,0.05",
         ]))
         u = _user(tflops=1e6, kbps=10.0)
-        assert best_cut(u, arch, server_flops=1e9) == 3
+        assert _best_cut(u, arch, server_flops=1e9) == 3
 
     def test_rich_server_and_links_prefer_first_layer(self, vgg19):
         u = _user(tflops=1.3, kbps=1e12)
-        assert best_cut(u, vgg19, server_flops=1e30) == 1
+        assert _best_cut(u, vgg19, server_flops=1e30) == 1
 
     def test_vgg19_scan_matches_direct_evaluation(self, vgg19):
         # independent oracle: evaluate the round time of all 20 cuts with a
@@ -102,15 +114,17 @@ class TestBestCut:
         d = vgg19.total_compute_per_sample
         best_val, best_l = math.inf, None
         for l in range(1, 21):
-            cw = cut_workload(vgg19, l)
-            epoch = (cw.user_compute * 500 / u.compute_flops
-                     + cw.act_bytes * 500 / u.rates.up
-                     + ((d - cw.user_compute) * 500 / c_srv if d > cw.user_compute else 0.0)
-                     + cw.act_bytes * 500 / u.rates.down)
-            total = cw.model_bytes / u.rates.up + cw.model_bytes / u.rates.down + 5 * epoch
+            user_flops = vgg19.user_flops_by_cut[l - 1]
+            act_bytes = vgg19.act_bytes_by_cut[l - 1]
+            model_bytes = vgg19.model_bytes_by_cut[l - 1]
+            epoch = (user_flops * 500 / u.compute_flops
+                     + act_bytes * 500 / u.rates.up
+                     + ((d - user_flops) * 500 / c_srv if d > user_flops else 0.0)
+                     + act_bytes * 500 / u.rates.down)
+            total = model_bytes / u.rates.up + model_bytes / u.rates.down + 5 * epoch
             if total < best_val:
                 best_val, best_l = total, l
-        assert best_cut(u, vgg19, c_srv) == best_l
+        assert _best_cut(u, vgg19, c_srv) == best_l
 
     def test_tie_breaks_to_smaller_index(self):
         # layer B adds nothing (no params, no compute, same activation), so
@@ -119,11 +133,11 @@ class TestBestCut:
         u = _user()
         times = round_terms(UserBatch.of([u]), arch, None, np.array([1e12])).total[0]
         assert times[0] == times[1] < times[2]
-        assert best_cut(u, arch, server_flops=1e12) == 1
+        assert _best_cut(u, arch, server_flops=1e12) == 1
 
     def test_zero_server_compute_forces_local(self, vgg19):
         u = _user()
-        assert best_cut(u, vgg19, server_flops=0.0) == vgg19.num_layers
+        assert _best_cut(u, vgg19, server_flops=0.0) == vgg19.num_layers
 
 
 class TestEqualize:
@@ -271,7 +285,7 @@ class TestAlternateProperties:
         result = alternate(users, arch, c_total, cfg)
         alloc = result.allocation
         for user, cut in zip(users, alloc.cuts):
-            assert cut in feasible_cuts(user, arch)
+            assert cut in _feasible_cuts(user, arch)
         assert min(alloc.server_compute) >= 0
         assert sum(alloc.server_compute) <= c_total * (1 + 1e-12)
         exact = brute_force_joint(users, arch, c_total, cfg)
@@ -285,7 +299,7 @@ class TestAllocateServerCompute:
     def test_users_cut_at_last_layer_get_nothing(self, vgg19):
         users = [_user(uid=0), _user(uid=1)]
         L = vgg19.num_layers
-        c, k = allocate_server_compute(users, [L, 5], 130e12, vgg19)
+        c, k = equalize_min_max(*server_demand_terms(users, [L, 5], vgg19), 130e12)
         assert c[0] == 0.0
         assert c[1] == pytest.approx(130e12, rel=1e-6)
 
@@ -301,15 +315,13 @@ class TestAllocateServerCompute:
         )
 
     def test_epoch_objective_drops_model_transfer(self, vgg19):
-        from esfl import cut_workload as cwf
-
         u = _user()
         a_full, b_full = server_demand_terms([u], [4], vgg19, OptimizerConfig())
         a_ep, b_ep = server_demand_terms(
             [u], [4], vgg19, OptimizerConfig(epoch_objective=True)
         )
         assert a_full[0] == pytest.approx(u.epochs * a_ep[0], rel=1e-12)
-        model_term = 2 * cwf(vgg19, 4).model_bytes / u.rates.up
+        model_term = 2 * vgg19.model_bytes_by_cut[3] / u.rates.up
         assert b_full[0] == pytest.approx(u.epochs * b_ep[0] + model_term, rel=1e-12)
 
 
@@ -318,7 +330,7 @@ class TestAlternate:
         res = alternate([_user()], vgg19, 130e12)
         assert res.converged
         assert res.iterations <= 2
-        assert res.allocation.cuts[0] == best_cut(_user(), vgg19, 130e12)
+        assert res.allocation.cuts[0] == _best_cut(_user(), vgg19, 130e12)
 
     def test_identical_users_stay_symmetric(self, vgg19):
         users = [_user(uid=i) for i in range(4)]
@@ -368,8 +380,8 @@ class TestAlternate:
         # stay inside each feasible set and still beat any shared fixed cut
         # the constrained users could all take
         users = [
-            _user(uid=0, storage_bytes=cut_workload(vgg19, 3).model_bytes),
-            _user(uid=1, kbps=25, storage_bytes=cut_workload(vgg19, 8).model_bytes),
+            _user(uid=0, storage_bytes=vgg19.model_bytes_by_cut[2]),
+            _user(uid=1, kbps=25, storage_bytes=vgg19.model_bytes_by_cut[7]),
             _user(uid=2, tflops=3.25),
         ]
         res = alternate(users, vgg19, 130e12)

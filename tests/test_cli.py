@@ -129,6 +129,8 @@ class TestSimulate:
         for flag in ("--max-iters", "--server-tflops"):
             assert _run("simulate", flag, "0", "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
+        assert "input error: --algos selects nothing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
@@ -266,6 +268,9 @@ class TestConverge:
         assert "argument --reps" in capsys.readouterr().err
         assert _run("converge", "--scales", "100,x", "--out", str(tmp_path / "o")) == 1
         assert "input error: --scales" in capsys.readouterr().err
+        for flag in ("--scenarios", "--scales"):
+            assert _run("converge", flag, ",", "--out", str(tmp_path / "o")) == 1
+            assert f"input error: {flag} selects nothing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -306,9 +311,11 @@ class TestTrainToy:
 
     def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
         for flag in ("--users", "--samples", "--classes", "--dim", "--rounds",
-                     "--batch-size"):
+                     "--epochs", "--batch-size"):
             assert _run("train-toy", flag, "0", "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        assert _run("train-toy", "--epochs", "-1", "--out", str(tmp_path / "o")) == 1
+        assert "argument --epochs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -9,9 +9,9 @@ from esfl import (
     convergence_study,
     load_builtin,
     preset_scenarios,
-    run_round,
+    price_rounds,
     run_simulation,
-    sample_round_users,
+    sample_rounds,
 )
 from esfl.simulation import (
     CutLayerDistribution,
@@ -81,8 +81,7 @@ class TestSampling:
         for _ in range(2):
             rng = np.random.default_rng(spec.seed)
             data = sample_population_data(spec, rng)
-            users = sample_round_users(spec, rng, data)
-            ids = tuple(u.user_id for u in users)
+            ids = tuple(sample_rounds(spec, rng, data, 1).user_ids[0].tolist())
             if _ == 0:
                 first = ids
         assert ids == first
@@ -90,14 +89,15 @@ class TestSampling:
     def test_full_population_selection(self):
         spec = _small(preset_scenarios()["BP"], selected_per_round=100)
         rng = np.random.default_rng(0)
-        users = sample_round_users(spec, rng, sample_population_data(spec, rng))
-        assert sorted(u.user_id for u in users) == list(range(100))
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
+        assert sorted(batch.user_ids[0].tolist()) == list(range(100))
 
     def test_single_option_lists_make_identical_users(self):
         spec = ScenarioSpec("uniform", (10.0,), (1.3,), (500.0,))
         rng = np.random.default_rng(1)
-        users = sample_round_users(spec, rng, sample_population_data(spec, rng))
-        assert len({(u.n_samples, u.compute_flops, u.rates.up) for u in users}) == 1
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
+        users = zip(batch.n_samples[0], batch.compute_flops[0], batch.up[0])
+        assert len(set(users)) == 1
 
 
 class TestRunRound:
@@ -117,17 +117,17 @@ class TestRunRound:
     def test_requested_algorithms_only(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=1)
         rng = np.random.default_rng(0)
-        users = sample_round_users(spec, rng, sample_population_data(spec, rng))
-        rec = run_round(users, ("fl",), vgg19, spec)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
+        rec, = price_rounds(batch, ("fl",), vgg19, spec)
         assert set(rec.times) == {"fl"}
         assert rec.esfl_allocation is None
 
     def test_unknown_algorithm_rejected(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=1)
         rng = np.random.default_rng(0)
-        users = sample_round_users(spec, rng, sample_population_data(spec, rng))
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
         with pytest.raises(ConfigError):
-            run_round(users, ("esfl", "gossip"), vgg19, spec)
+            price_rounds(batch, ("esfl", "gossip"), vgg19, spec)
 
     def test_identical_users_zero_variance_across_rounds(self, vgg19):
         spec = ScenarioSpec("uniform", (10.0,), (1.3,), (500.0,), rounds=4)
@@ -278,8 +278,8 @@ class TestRowsMatchRoundByRound:
         sticky = (sample_population_resources(spec, rng)
                   if options.sticky_resources else None)
         for r, rec in enumerate(report.records):
-            users = sample_round_users(spec, rng, data, sticky, options.kb_bytes)
-            alone = run_round(users, algos, vgg19, spec, options, index=r)
+            one = sample_rounds(spec, rng, data, 1, sticky, options.kb_bytes)
+            alone, = price_rounds(one, algos, vgg19, spec, options, first_index=r)
             assert rec.index == alone.index and rec.user_ids == alone.user_ids
             assert rec.esfl_allocation.cuts == alone.esfl_allocation.cuts
             assert rec.esfl_iterations == alone.esfl_iterations

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from esfl import (
     DenseNet,
@@ -15,6 +17,7 @@ from esfl import (
     split_net,
     split_update,
 )
+from esfl.split_training import ACTIVATIONS, LOSSES
 
 
 def _max_rel_dev(a: DenseNet, b: DenseNet) -> float:
@@ -89,6 +92,43 @@ class TestSplitUpdate:
         y = np.array([[0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             split_update(split_net(net, 1, 0.1), (x, y))
+
+
+@st.composite
+def _split_cases(draw):
+    """A random net shape, activations, loss, cut, batch size and step size.
+
+    softmax_ce reads logits, so its head is the identity.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+    depth = len(sizes) - 1
+    loss = draw(st.sampled_from(LOSSES))
+    names = st.sampled_from(sorted(ACTIVATIONS))
+    hidden = draw(st.lists(names, min_size=depth - 1, max_size=depth - 1))
+    head = "identity" if loss == "softmax_ce" else draw(names)
+    return {
+        "sizes": sizes, "activations": hidden + [head], "loss": loss,
+        "cut": draw(st.integers(1, depth - 1)), "batch": draw(st.integers(1, 8)),
+        "rho": draw(st.floats(1e-3, 0.5)), "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestSplitEquivalenceProperty:
+    @seed(20247)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_split_cases())
+    def test_split_step_matches_monolithic(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sizes, batch = case["sizes"], case["batch"]
+        net = init_dense_net(sizes, case["activations"], case["loss"], rng)
+        x = rng.normal(size=(batch, sizes[0]))
+        if case["loss"] == "mse":
+            y = rng.normal(size=(batch, sizes[-1]))
+        else:
+            y = np.eye(sizes[-1])[rng.integers(sizes[-1], size=batch)]
+        mono = monolithic_update(net, (x, y), case["rho"])
+        split = split_update(split_net(net, case["cut"], case["rho"]), (x, y))
+        assert _max_rel_dev(mono, concatenate(split)) <= 1e-9
 
 
 class TestMonolithicUpdate:
@@ -250,6 +290,13 @@ class TestEsflTrain:
             finals.append(final)
         assert _max_rel_dev(finals[0], finals[1]) <= 1e-9
         assert _max_rel_dev(finals[0], finals[2]) <= 1e-9
+
+
+    def test_non_positive_epochs_rejected(self):
+        x, y = make_blobs(8, rng=np.random.default_rng(17))
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match="epochs"):
+                ToyUser(x=x, y=y, cut=1, epochs=epochs)
 
 
 class TestMakeBlobs:

@@ -12,7 +12,6 @@ from esfl import (
     OptimizerConfig,
     UserBatch,
     UserProfile,
-    cut_workload,
     default_fixed_cut,
     esfl_round_time,
     feasibility_mask,
@@ -63,16 +62,16 @@ def vgg19():
 
 class TestEpochTime:
     def test_device_compute_arithmetic(self, vgg19):
-        cw = cut_workload(vgg19, 5)
         u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
         terms = _terms([u], vgg19, [5], 1e12)
-        assert terms.t_c[0] == pytest.approx(cw.user_compute * 500 / 2e12, rel=1e-12)
+        assert terms.t_c[0] == pytest.approx(vgg19.user_flops_by_cut[4] * 500 / 2e12,
+                                             rel=1e-12)
 
     def test_quarter_second_example(self):
         # n=500 samples of 1e9 FLOPs each on a 2 TFLOPs device: cut 1 of a
         # profile whose first layer trains at 500 MFLOPs x (1 + kappa=1)
         arch = load_architecture(_doc(["A,0,500,0", "B,0,100,0"]), bwd_multiplier=1.0)
-        assert cut_workload(arch, 1).user_compute == 1e9
+        assert arch.user_flops_by_cut[0] == 1e9
         u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
         assert _terms([u], arch, [1], 1e12).t_c[0] == pytest.approx(0.25, rel=1e-12)
 
@@ -170,7 +169,7 @@ class TestRoundPolicies:
     def test_fl_single_user_formula(self, vgg19):
         u = _user(epochs=1)
         L = vgg19.num_layers
-        model_bytes = cut_workload(vgg19, L).model_bytes
+        model_bytes = vgg19.model_bytes_by_cut[L - 1]
         d = vgg19.total_compute_per_sample
         expected = (model_bytes / u.rates.up + model_bytes / u.rates.down
                     + d * u.n_samples / u.compute_flops + 0.75)
@@ -290,7 +289,7 @@ class TestRoundTermsInput:
         _user(storage_bytes=np.inf, memory_bytes=np.inf)  # unlimited is fine
 
     def test_cut_beyond_storage_rejected(self, vgg19):
-        u = _user(storage_bytes=cut_workload(vgg19, 3).model_bytes)
+        u = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
         _terms([u], vgg19, [3], 1e12)
         with pytest.raises(InfeasibleUserError):
             _terms([u], vgg19, [4], 1e12)
@@ -303,12 +302,13 @@ class TestDefaultFixedCut:
     def test_storage_constrained(self, vgg19):
         # too small for every cut except none -> error raised at zero cuts;
         # allow exactly the third prefix -> first feasible is still layer 1
-        small = _user(storage_bytes=cut_workload(vgg19, 3).model_bytes)
+        small = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
         assert default_fixed_cut([small], vgg19) == 1
 
     def test_memory_boundary_is_inclusive(self, vgg19):
         # a budget exactly equal to the layer-1 requirement still admits it
-        u = _user(memory_bytes=cut_workload(vgg19, 1, batch=32).mem_bytes)
+        u = _user(memory_bytes=vgg19.model_bytes_by_cut[0]
+                  + 32 * vgg19.cum_act_bytes_by_cut[0])
         assert default_fixed_cut([u], vgg19, batch=32) == 1
 
 

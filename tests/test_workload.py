@@ -7,10 +7,8 @@ import pytest
 from esfl import (
     ProfileError,
     builtin_profiles,
-    cut_workload,
     load_architecture,
     load_builtin,
-    serialize_architecture,
 )
 
 # Raw VGG19 table columns, used as an independent oracle for prefix sums.
@@ -74,61 +72,45 @@ class TestLoading:
         arch = load_architecture(_toy_doc(["L1,1,1,1", "Head,,,"]))
         assert arch.layers[-1].activation_count == 0.0
 
-    def test_round_trip_is_value_exact(self):
-        for name in builtin_profiles():
-            arch = load_builtin(name)
-            again = load_architecture(io.StringIO(serialize_architecture(arch)),
-                                      name=name)
-            for a, b in zip(arch.layers, again.layers):
-                assert a == b
-
 
 class TestCutWorkload:
+    """The per-cut arrays of ``ModelArchitecture``; entry l-1 describes cut l."""
+
     def test_prefix_sum_at_cut_two_without_backward(self):
         arch = load_builtin("vgg19", bwd_multiplier=0.0)
-        cw = cut_workload(arch, 2)
-        assert cw.user_compute == pytest.approx((1.796 + 37.749) * 1e6, rel=1e-12)
+        assert arch.user_flops_by_cut[1] == pytest.approx((1.796 + 37.749) * 1e6,
+                                                          rel=1e-12)
 
     def test_single_layer_cut_without_backward(self):
         arch = load_builtin("vgg19", bwd_multiplier=0.0)
-        assert cut_workload(arch, 1).user_compute == pytest.approx(1.796e6, rel=1e-12)
+        assert arch.user_flops_by_cut[0] == pytest.approx(1.796e6, rel=1e-12)
 
     def test_backward_multiplier_scales_compute(self):
         arch = load_builtin("vgg19")  # default kappa = 2
-        cw = cut_workload(arch, 2)
-        assert cw.user_compute == pytest.approx(3 * (1.796 + 37.749) * 1e6, rel=1e-12)
+        assert arch.user_flops_by_cut[1] == pytest.approx(3 * (1.796 + 37.749) * 1e6,
+                                                          rel=1e-12)
 
     def test_cut_at_last_layer_leaves_no_server_share(self):
         arch = load_builtin("vgg19")
-        cw = cut_workload(arch, arch.num_layers)
-        assert arch.total_compute_per_sample - cw.user_compute == 0.0
-
-    def test_cut_out_of_range(self):
-        arch = load_builtin("vgg19")
-        with pytest.raises(ValueError):
-            cut_workload(arch, 0)
-        with pytest.raises(ValueError):
-            cut_workload(arch, arch.num_layers + 1)
+        assert arch.total_compute_per_sample - arch.user_flops_by_cut[-1] == 0.0
 
     def test_activation_and_model_bytes(self):
         arch = load_builtin("vgg19")
-        cw = cut_workload(arch, 1)
-        assert cw.act_bytes == pytest.approx(0.0655 * 4e6, rel=1e-12)
-        assert cw.model_bytes == pytest.approx(0.0017 * 4e6, rel=1e-12)
+        assert arch.act_bytes_by_cut[0] == pytest.approx(0.0655 * 4e6, rel=1e-12)
+        assert arch.model_bytes_by_cut[0] == pytest.approx(0.0017 * 4e6, rel=1e-12)
 
     def test_memory_is_model_plus_batched_activations(self):
         arch = load_builtin("vgg19")
-        cw = cut_workload(arch, 2, batch=32)
+        mem = arch.model_bytes_by_cut[1] + 32 * arch.cum_act_bytes_by_cut[1]
         expected = (0.0017 + 0.0369) * 4e6 + 32 * (0.0655 + 0.0328) * 4e6
-        assert cw.mem_bytes == pytest.approx(expected, rel=1e-12)
+        assert mem == pytest.approx(expected, rel=1e-12)
 
 
 class TestTotalCompute:
     def test_definition_matches_full_cut(self):
         for name in builtin_profiles():
             arch = load_builtin(name)
-            full = cut_workload(arch, arch.num_layers)
-            assert arch.total_compute_per_sample == full.user_compute
+            assert arch.total_compute_per_sample == arch.user_flops_by_cut[-1]
 
     def test_vgg19_is_three_times_forward_sum(self):
         arch = load_builtin("vgg19")
