@@ -71,8 +71,8 @@ class OptimizerConfig:
             raise ValueError("iteration limits must be >= 1")
         if self.stall_tolerance <= 0 or self.bisection_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if not math.isfinite(self.t_agg):
-            raise ValueError("t_agg must be finite")
+        if not math.isfinite(self.t_agg) or self.t_agg < 0:
+            raise ValueError("t_agg must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -83,15 +83,32 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float of at least zero."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0, such as a seed."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _comma_list(text: str, flag: str) -> list[str]:
@@ -240,7 +257,7 @@ def _scenario_from_args(args) -> ScenarioSpec:
                 doc[key] = tuple(doc[key])
         try:
             base = ScenarioSpec(**doc)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
     else:
         presets = preset_scenarios()
@@ -369,6 +386,11 @@ def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
             )
         if has_pair and not ("kbps_up" in entry and "kbps_down" in entry):
             raise ConfigError(f"{path} user {i}: kbps_up and kbps_down go together")
+        epochs = entry.get("epochs", 5)
+        if type(epochs) is not int or epochs < 1:
+            raise ConfigError(
+                f"{path} user {i}: epochs must be an integer >= 1, not {epochs!r}"
+            )
         try:
             if "channel" in entry:
                 _strict_keys(entry["channel"], _CHANNEL_KEYS,
@@ -386,7 +408,7 @@ def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
                 n_samples=float(entry["n_samples"]),
                 compute_flops=float(entry["tflops"]) * 1e12,
                 rates=LinkRates(up=up, down=down),
-                epochs=int(entry.get("epochs", 5)),
+                epochs=epochs,
                 storage_bytes=float(entry["storage_mb"]) * 2**20
                 if "storage_mb" in entry else math.inf,
                 memory_bytes=float(entry["memory_mb"]) * 2**20
@@ -473,6 +495,8 @@ def cmd_converge(args) -> int:
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
     scales = tuple(_int_list(args.scales, "--scales"))
+    if min(scales) < 1:
+        raise ConfigError(f"--scales must be positive, not {args.scales!r}")
     options = SimOptions(kb_bytes=float(args.kb),
                          optimizer=OptimizerConfig(t_agg=args.t_agg))
 
@@ -627,7 +651,7 @@ def _add_common(p: argparse.ArgumentParser, with_arch: bool = True) -> None:
     p.add_argument("--kappa", type=_finite_float, default=2.0,
                    help="backward/forward compute ratio")
     p.add_argument("--bytes-per-element", type=_finite_float, default=4.0)
-    p.add_argument("--t-agg", type=_finite_float, default=0.0,
+    p.add_argument("--t-agg", type=_non_negative_float, default=0.0,
                    help="server aggregation time per round, seconds")
     p.add_argument("--kb", type=int, choices=(1024, 1000), default=1024,
                    help="bytes per tabulated KB")
@@ -645,9 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--selected", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_positive_int, default=None)
     p.add_argument("--server-tflops", type=_positive_float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--sticky-resources", action="store_true")
     p.add_argument("--fixed-cut", type=int, default=None,
                    help="cut layer for SFL/SL (default: first universally feasible)")
@@ -670,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", default="BP,PR,RP,BR")
     p.add_argument("--scales", default="100,200,400,800")
     p.add_argument("--reps", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
 
@@ -685,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_finite_float, default=0.5)
     p.add_argument("--rho0", type=_finite_float, default=0.01)
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--check-equivalence", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train_toy)

@@ -21,6 +21,7 @@ Every random draw flows from the scenario seed through one generator, so a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -59,6 +60,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population", "selected_per_round", "rounds", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if not (self.comm_options and self.comp_options and self.data_options):
             raise ConfigError("option lists must be nonempty")
         options = self.comm_options + self.comp_options + self.data_options
@@ -72,8 +77,10 @@ class ScenarioSpec:
             raise ConfigError("selected_per_round cannot exceed the population")
         if self.selected_per_round < 1 or self.rounds < 1:
             raise ConfigError("selected_per_round and rounds must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.server_tflops <= 0:
             raise ConfigError("server_tflops must be positive")
 

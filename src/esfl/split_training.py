@@ -6,7 +6,15 @@ activation forward and its gradient backward, and stepping both sides with
 SGD must reproduce monolithic training exactly. The device and server
 paths share the same layer primitives in the same order, so the
 equivalence holds to floating-point roundoff, and tests can use tight
-tolerances. Summation order is fixed; nothing here is parallel.
+tolerances. Summation order is fixed.
+
+Every primitive is rank-generic: a network's arrays may carry leading
+group axes, ``weights[j]`` of shape ``(..., in_j, out_j)`` against a batch
+``x`` of shape ``(..., n, in_0)``, and ``np.matmul`` steps each group member
+as its own network. :func:`esfl_train` uses this to train the users that
+share a cut, a sample count and an epoch count as one stacked split update,
+as the clients of a split federated round train in parallel; each member's
+arithmetic is exactly that of a lone user.
 
 Federated aggregation is damped: W <- W - eta * (W - weighted mean of
 local models), which for eta=1 is plain sample-weighted averaging.
@@ -30,7 +38,10 @@ LOSSES = ("mse", "softmax_ce")
 
 @dataclass(frozen=True)
 class DenseNet:
-    """A fully-connected network; weights[j] has shape (in_j, out_j)."""
+    """A fully-connected network; weights[j] has shape (..., in_j, out_j).
+
+    Leading axes, if any, index the members of a stacked group.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -41,7 +52,7 @@ class DenseNet:
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ValueError("weights, biases, activations must have equal length")
         for j in range(1, len(self.weights)):
-            if self.weights[j - 1].shape[1] != self.weights[j].shape[0]:
+            if self.weights[j - 1].shape[-1] != self.weights[j].shape[-2]:
                 raise ValueError(f"layer {j} and {j + 1} dimensions do not compose")
         for act in self.activations:
             if act not in ACTIVATIONS:
@@ -94,7 +105,7 @@ def _forward_segment(net: DenseNet, x: np.ndarray):
     caches = []
     a = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         caches.append((a, z))
         a = ACTIVATIONS[act][0](z)
     return a, caches
@@ -108,24 +119,29 @@ def _backward_segment(net: DenseNet, caches, d_out: np.ndarray):
     for j in range(net.num_layers - 1, -1, -1):
         a_in, z = caches[j]
         dz = da * ACTIVATIONS[net.activations[j]][1](z)
-        dws[j] = a_in.T @ dz
-        dbs[j] = dz.sum(axis=0)
-        da = dz @ net.weights[j].T
+        dws[j] = a_in.swapaxes(-1, -2) @ dz
+        dbs[j] = dz.sum(axis=-2)
+        da = dz @ net.weights[j].swapaxes(-1, -2)
     return dws, dbs, da
 
 
 def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
-    """Loss value and its gradient w.r.t. the network output."""
-    batch = out.shape[0]
+    """Loss value per group member and its gradient w.r.t. the output."""
+    batch = out.shape[-2]
     if loss == "mse":
         diff = out - y
-        return float(np.sum(diff * diff) / batch), 2.0 * diff / batch
+        return np.sum(diff * diff, axis=(-2, -1)) / batch, 2.0 * diff / batch
     # softmax cross-entropy over logits, y one-hot
-    shifted = out - out.max(axis=1, keepdims=True)
+    shifted = out - out.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    value = float(-np.sum(y * np.log(np.clip(probs, 1e-300, None))) / batch)
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    value = -np.sum(y * np.log(np.clip(probs, 1e-300, None)), axis=(-2, -1)) / batch
     return value, (probs - y) / batch
+
+
+def _check_finite(value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError("non-finite loss")
 
 
 def _step(net: DenseNet, dws, dbs, rho: float) -> DenseNet:
@@ -148,7 +164,7 @@ def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
     _check_loss_head(net)
     out, _ = _forward_segment(net, x)
     value, _ = _loss_and_grad(out, y, net.loss)
-    return value
+    return float(value)
 
 
 def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
@@ -156,8 +172,7 @@ def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
     _check_loss_head(net)
     out, caches = _forward_segment(net, x)
     value, d_out = _loss_and_grad(out, y, net.loss)
-    if not np.isfinite(value):
-        raise FloatingPointError("non-finite loss")
+    _check_finite(value)
     dws, dbs, _ = _backward_segment(net, caches, d_out)
     return value, dws, dbs
 
@@ -195,9 +210,11 @@ def concatenate(state: SplitState) -> DenseNet:
 
 def split_update(state: SplitState, batch) -> SplitState:
     """One split SGD step: device forward, server forward/backward/step,
-    activation gradient back to the device, device backward/step."""
+    activation gradient back to the device, device backward/step.
+
+    With stacked sides and a stacked batch, every member steps at once."""
     x, y = batch
-    if x.shape[1] != state.user_side.weights[0].shape[0]:
+    if x.shape[-1] != state.user_side.weights[0].shape[-2]:
         raise ValueError("batch feature dimension does not match the input layer")
     _check_loss_head(state.server_side)
     rho = state.learning_rate
@@ -205,8 +222,7 @@ def split_update(state: SplitState, batch) -> SplitState:
     act_cut, user_caches = _forward_segment(state.user_side, x)
     out, server_caches = _forward_segment(state.server_side, act_cut)
     value, d_out = _loss_and_grad(out, y, state.server_side.loss)
-    if not np.isfinite(value):
-        raise FloatingPointError("non-finite loss")
+    _check_finite(value)
     s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out)
     new_server = _step(state.server_side, s_dws, s_dbs, rho)
     # d_act is the loss gradient at the cut activation, returned to the device
@@ -263,11 +279,36 @@ class ToyUser:
 
 
 def _batches(x, y, batch_size):
-    if batch_size is None or batch_size >= len(x):
+    """Minibatches along the sample axis, the second to last."""
+    n = x.shape[-2]
+    if batch_size is None or batch_size >= n:
         yield x, y
         return
-    for start in range(0, len(x), batch_size):
-        yield x[start:start + batch_size], y[start:start + batch_size]
+    for start in range(0, n, batch_size):
+        rows = slice(start, start + batch_size)
+        yield x[..., rows, :], y[..., rows, :]
+
+
+def _cut_groups(users: Sequence[ToyUser]) -> list[list[int]]:
+    """Indices of the users that train as one stack, in first-appearance
+    order: those with the same cut, epoch count and data shapes."""
+    groups: dict[tuple, list[int]] = {}
+    for i, u in enumerate(users):
+        groups.setdefault((u.cut, u.epochs, u.x.shape, u.y.shape), []).append(i)
+    return list(groups.values())
+
+
+def _stacked(net: DenseNet, size: int) -> DenseNet:
+    """``size`` copies of ``net`` stacked along a new leading axis."""
+    def stack(arrays):
+        return tuple(np.repeat(a[None], size, axis=0) for a in arrays)
+    return DenseNet(stack(net.weights), stack(net.biases), net.activations, net.loss)
+
+
+def _member(net: DenseNet, g: int) -> DenseNet:
+    """Member ``g`` of a stacked network."""
+    return DenseNet(tuple(w[g] for w in net.weights),
+                    tuple(b[g] for b in net.biases), net.activations, net.loss)
 
 
 def esfl_train(
@@ -282,22 +323,31 @@ def esfl_train(
 
     Every user trains a split copy of the current global network on its own
     data, the two sides are re-joined, and the sample-weighted models are
-    folded into the global one. The step size decays as ``rho0 / (1 + r/100)``
-    with the 0-based round index r. Returns the final network and the
-    global training loss after each round.
+    folded into the global one, in user order. Users that share a cut, an
+    epoch count and data shapes train as one stacked split update. The step
+    size decays as ``rho0 / (1 + r/100)`` with the 0-based round index r.
+    Returns the final network and the global training loss after each round.
     """
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
+    groups = [
+        (users[members[0]], members,
+         np.stack([users[i].x for i in members]),
+         np.stack([users[i].y for i in members]))
+        for members in _cut_groups(users)
+    ]
     trace = []
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
-        locals_ = []
-        for user in users:
-            state = split_net(net, user.cut, rho)
-            for _ in range(user.epochs):
-                for xb, yb in _batches(user.x, user.y, batch_size):
+        locals_ = [None] * len(users)
+        for lead, members, x, y in groups:
+            state = split_net(_stacked(net, len(members)), lead.cut, rho)
+            for _ in range(lead.epochs):
+                for xb, yb in _batches(x, y, batch_size):
                     state = split_update(state, (xb, yb))
-            locals_.append((concatenate(state), float(len(user.x))))
+            trained = concatenate(state)
+            for g, i in enumerate(members):
+                locals_[i] = (_member(trained, g), float(len(users[i].x)))
         net = federated_aggregate(net, locals_, eta)
         trace.append(loss_value(net, pooled_x, pooled_y))
     return net, trace

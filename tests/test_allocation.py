@@ -449,6 +449,13 @@ class TestPlanRows:
                 [whole.trace(r) for r in range(12)]
 
 
+class TestOptimizerConfig:
+    def test_rejects_bad_aggregation_time(self):
+        for t_agg in (-1e-9, -5000.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_agg"):
+                OptimizerConfig(t_agg=t_agg)
+
+
 class TestBruteForce:
     def _toy_arch(self):
         return load_architecture(_doc([

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import esfl
 from esfl import cli
 from esfl.cli import dumps_report, main
 
@@ -123,11 +128,23 @@ class TestSimulate:
             # the literals are refused by the parser, before any spec is built
             assert ("non-finite number" in err) == (value != "1e400")
         assert _run("simulate", "--t-agg", "nan", "--out", str(tmp_path / "o")) == 1
+        for key, value, why in (("seed", -3, ">= 0"), ("epochs", 0, ">= 1"),
+                                ("epochs", 2.7, "an integer"),
+                                ("population", 10.5, "an integer")):
+            cfg.write_text(json.dumps({"name": "x", "comm_options": [10.0],
+                                       "comp_options": [1.3],
+                                       "data_options": [500.0], key: value}))
+            assert _run("simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")) == 1
+            assert f"input error: {cfg}: {key} must be {why}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
-        for flag in ("--max-iters", "--server-tflops"):
-            assert _run("simulate", flag, "0", "--out", str(tmp_path / "o")) == 1
+        for flag, value in (("--max-iters", "0"), ("--server-tflops", "0"),
+                            ("--epochs", "0"), ("--seed", "-1"),
+                            ("--t-agg", "-5000")):
+            assert _run("simulate", f"{flag}={value}",
+                        "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
         assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
         assert "input error: --algos selects nothing" in capsys.readouterr().err
@@ -178,6 +195,15 @@ class TestOptimize:
             assert _run("optimize", "--users", str(users_file), flag, "0",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        for epochs in (0, 2.7, True, "3"):
+            bad.write_text(json.dumps({"users": [
+                {"n_samples": 500, "tflops": 1.3, "kbps": 10},
+                {"n_samples": 500, "tflops": 1.3, "kbps": 10, "epochs": epochs},
+            ]}))
+            assert _run("optimize", "--users", str(bad),
+                        "--out", str(tmp_path / "o")) == 1
+            assert "user 1: epochs must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_oracle_refused_for_large_arch(self, tmp_path, users_file):
@@ -271,6 +297,14 @@ class TestConverge:
         for flag in ("--scenarios", "--scales"):
             assert _run("converge", flag, ",", "--out", str(tmp_path / "o")) == 1
             assert f"input error: {flag} selects nothing" in capsys.readouterr().err
+        for scales in ("-5", "0", "5,-5"):
+            assert _run("converge", f"--scales={scales}",
+                        "--out", str(tmp_path / "o")) == 1
+            assert "input error: --scales must be positive" in capsys.readouterr().err
+        for flag, value in (("--seed", "-1"), ("--t-agg", "-1")):
+            assert _run("converge", f"{flag}={value}",
+                        "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -314,9 +348,41 @@ class TestTrainToy:
                      "--epochs", "--batch-size"):
             assert _run("train-toy", flag, "0", "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
-        assert _run("train-toy", "--epochs", "-1", "--out", str(tmp_path / "o")) == 1
-        assert "argument --epochs" in capsys.readouterr().err
+        for flag in ("--epochs", "--seed"):
+            assert _run("train-toy", flag, "-1", "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m esfl`` runs the command line from an uninstalled checkout."""
+
+    def _python_m_esfl(self, tmp_path, *argv):
+        src = str(Path(esfl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run([sys.executable, "-m", "esfl", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_help(self, tmp_path):
+        proc = self._python_m_esfl(tmp_path, "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: esfl ")
+        assert "train-toy" in proc.stdout
+
+    def test_tiny_train_toy(self, tmp_path):
+        proc = self._python_m_esfl(tmp_path, "train-toy", "--users", "3",
+                                   "--samples", "8", "--rounds", "2", "--out", "toy")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "toy" / "train_toy.json").read_text())
+        assert len(report["loss_trace"]) == 2
+        assert proc.stdout == (tmp_path / "toy" / "train_toy.txt").read_text()
+
+    def test_input_error_exit_code(self, tmp_path):
+        proc = self._python_m_esfl(tmp_path, "train-toy", "--seed", "-1")
+        assert proc.returncode == 1
+        assert "argument --seed" in proc.stderr
 
 
 class TestReportBytes:

@@ -63,7 +63,8 @@ class TestPresets:
             ScenarioSpec("x", (), (1.0,), (1.0,))
         for bad in ({"comm_options": (float("nan"),)}, {"comp_options": (0.0,)},
                     {"data_options": (float("inf"),)}, {"server_tflops": float("inf")},
-                    {"comm_options": (-1.0,)}):
+                    {"comm_options": (-1.0,)}, {"epochs": 0}, {"seed": -1},
+                    {"epochs": 2.7}, {"rounds": 1.5}, {"seed": True}):
             kw = {"comm_options": (1.0,), "comp_options": (1.0,),
                   "data_options": (1.0,), **bad}
             with pytest.raises(ConfigError):

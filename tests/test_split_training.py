@@ -299,6 +299,107 @@ class TestEsflTrain:
                 ToyUser(x=x, y=y, cut=1, epochs=epochs)
 
 
+def _per_user_train(net, users, rounds, eta, rho0, batch_size):
+    """The plain reference for esfl_train: every user steps alone, in order."""
+    pooled_x = np.concatenate([u.x for u in users])
+    pooled_y = np.concatenate([u.y for u in users])
+    trace = []
+    for r in range(rounds):
+        rho = rho0 / (1.0 + r / 100.0)
+        locals_ = []
+        for u in users:
+            step = len(u.x) if batch_size is None else batch_size
+            state = split_net(net, u.cut, rho)
+            for _ in range(u.epochs):
+                for start in range(0, len(u.x), step):
+                    batch = (u.x[start:start + step], u.y[start:start + step])
+                    state = split_update(state, batch)
+            locals_.append((concatenate(state), float(len(u.x))))
+        net = federated_aggregate(net, locals_, eta)
+        trace.append(loss_value(net, pooled_x, pooled_y))
+    return net, trace
+
+
+@st.composite
+def _training_cases(draw):
+    """A random net, and users whose cuts, sample counts and epoch counts
+    collide often enough to form ragged stacked groups."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5))
+    depth = len(sizes) - 1
+    loss = draw(st.sampled_from(LOSSES))
+    names = st.sampled_from(sorted(ACTIVATIONS))
+    hidden = draw(st.lists(names, min_size=depth - 1, max_size=depth - 1))
+    head = "identity" if loss == "softmax_ce" else draw(names)
+    user = st.tuples(st.integers(1, depth - 1), st.sampled_from([3, 7, 12]),
+                     st.integers(1, 3))
+    return {
+        "sizes": sizes, "activations": hidden + [head], "loss": loss,
+        "users": draw(st.lists(user, min_size=1, max_size=7)),
+        "batch_size": draw(st.none() | st.integers(1, 8)),
+        "rounds": draw(st.integers(1, 3)), "eta": draw(st.floats(0.1, 1.0)),
+        "rho0": draw(st.floats(1e-3, 0.3)), "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _toy_users(rng, sizes, loss, specs):
+    users = []
+    for cut, n, epochs in specs:
+        x = rng.normal(size=(n, sizes[0]))
+        if loss == "mse":
+            y = rng.normal(size=(n, sizes[-1]))
+        else:
+            y = np.eye(sizes[-1])[rng.integers(sizes[-1], size=n)]
+        users.append(ToyUser(x=x, y=y, cut=cut, epochs=epochs))
+    return users
+
+
+class TestStackedTraining:
+    """esfl_train steps users that share a cut, a sample count and an epoch
+    count as one stack; each must train exactly as it would alone."""
+
+    @seed(20248)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_training_cases())
+    def test_matches_the_per_user_loop(self, case):
+        rng = np.random.default_rng(case["seed"])
+        net = init_dense_net(case["sizes"], case["activations"], case["loss"], rng)
+        users = _toy_users(rng, case["sizes"], case["loss"], case["users"])
+        kwargs = {k: case[k] for k in ("rounds", "eta", "rho0", "batch_size")}
+        final, trace = esfl_train(net, users, **kwargs)
+        ref_final, ref_trace = _per_user_train(net, users, **kwargs)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=0)
+        assert _max_rel_dev(final, ref_final) <= 1e-12
+
+    def test_non_finite_loss_in_any_member_raises(self):
+        rng = np.random.default_rng(18)
+        net = init_dense_net([2, 3, 2], ["identity", "identity"], "mse", rng)
+        for bad in range(3):
+            users = []
+            for i in range(3):
+                x = rng.normal(size=(4, 2))
+                if i == bad:
+                    x[2, 0] = np.inf
+                users.append(ToyUser(x=x, y=rng.normal(size=(4, 2)), cut=1))
+            with np.errstate(invalid="ignore", over="ignore"), \
+                    pytest.raises(FloatingPointError):
+                esfl_train(net, users, rounds=1, batch_size=2)
+
+    def test_feature_dimension_mismatch_raises(self):
+        rng = np.random.default_rng(19)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        y = rng.normal(size=(4, 2))
+        # two users on 3 features form one stack against a 2-feature input layer
+        users = [ToyUser(x=rng.normal(size=(4, 3)), y=y, cut=1) for _ in range(2)]
+        with pytest.raises(ValueError, match="feature dimension"):
+            esfl_train(net, users, rounds=1)
+        stacked = split_net(DenseNet(
+            tuple(np.stack([w, w]) for w in net.weights),
+            tuple(np.stack([b, b]) for b in net.biases),
+            net.activations, net.loss), 1, 0.1)
+        with pytest.raises(ValueError, match="feature dimension"):
+            split_update(stacked, (np.zeros((2, 4, 3)), np.zeros((2, 4, 2))))
+
+
 class TestMakeBlobs:
     def test_shapes_and_one_hot(self):
         x, y = make_blobs(30, n_classes=3, dim=4, rng=np.random.default_rng(14))
