@@ -7,6 +7,13 @@ sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
 at the speed of the stdlib's C encoder. Identical configuration and seed
 produce byte-identical files. Exit codes: 0 success, 1 input/configuration
 error, 2 runtime error.
+
+``optimize`` reads its users.json straight into one
+:class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
+set, and every field is gathered into one column that
+:func:`~esfl.users.batch_from_columns` checks with array masks. An input
+error names the file, the first bad user by index and its field. Text
+tables are sized once per column and rendered by one ``%`` format.
 """
 
 from __future__ import annotations
@@ -17,15 +24,15 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import split_training as toy
 from .allocation import OptimizerConfig, alternate, brute_force_joint
-from .comm import ChannelParams, LinkRates, link_rates
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
     ALGORITHMS,
@@ -36,7 +43,14 @@ from .simulation import (
     run_simulation,
 )
 from .timing import round_terms
-from .users import UserBatch, UserProfile
+from .users import (
+    CHANNEL_FIELDS,
+    USER_FIELDS,
+    UserBatch,
+    batch_from_columns,
+    channel_problem,
+    entry_problem,
+)
 from .workload import ModelArchitecture, builtin_profiles, load_architecture, load_builtin
 
 OUT_DIR_ENV = "ESFL_OUT_DIR"
@@ -44,14 +58,6 @@ OUT_DIR_ENV = "ESFL_OUT_DIR"
 _SCENARIO_KEYS = {
     "name", "comm_options", "comp_options", "data_options", "population",
     "selected_per_round", "rounds", "epochs", "server_tflops", "seed",
-}
-_USER_KEYS = {
-    "n_samples", "tflops", "kbps", "kbps_up", "kbps_down", "channel",
-    "epochs", "storage_mb", "memory_mb",
-}
-_CHANNEL_KEYS = {
-    "bandwidth_hz", "uplink_power_w", "downlink_power_w", "uplink_gain",
-    "downlink_gain", "noise_density_w_per_hz",
 }
 
 
@@ -227,12 +233,14 @@ def _emit(out_dir: Path, stem: str, payload: dict, table: str) -> None:
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    def line(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-    sep = "  ".join("-" * w for w in widths)
-    return "\n".join([line(headers), sep] + [line(r) for r in rows]) + "\n"
+    """Headers, a rule and rows of string cells, right-aligned in columns
+    two spaces apart. Each column is sized once, and all rows are rendered
+    by one ``%`` format."""
+    columns = list(zip(*rows)) or [()] * len(headers)
+    widths = [max(map(len, (h, *column))) for h, column in zip(headers, columns)]
+    line = "  ".join(f"%{w}s" for w in widths) + "\n"
+    rule = "  ".join("-" * w for w in widths) + "\n"
+    return line % tuple(headers) + rule + (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _read_json(path: str):
@@ -251,9 +259,14 @@ def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
 def _scenario_from_args(args) -> ScenarioSpec:
     if args.config:
         doc = _read_json(args.config)
+        if type(doc) is not dict:
+            raise ConfigError(f"{args.config}: expected an object, "
+                              f"not {type(doc).__name__}")
         _strict_keys(doc, _SCENARIO_KEYS, args.config)
         for key in ("comm_options", "comp_options", "data_options"):
             if key in doc:
+                if type(doc[key]) is not list:
+                    raise ConfigError(f"{args.config}: {key} must be a list")
                 doc[key] = tuple(doc[key])
         try:
             base = ScenarioSpec(**doc)
@@ -367,64 +380,85 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # optimize
 
-def _users_from_doc(path: str, kb_bytes: float) -> list[UserProfile]:
+def _key_sets(objects: list[dict]) -> tuple[dict[tuple, int], np.ndarray]:
+    """Each distinct key tuple of ``objects`` with the index of its first
+    object, and each object's key code: its tuple's place in that dict.
+
+    Tuples, in document order, because comparing equal tuples of interned
+    keys is far cheaper than comparing equal frozensets.
+    """
+    keys = list(map(tuple, objects))
+    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    code = {k: c for c, k in enumerate(firsts)}
+    return firsts, np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+
+
+def _column(objects: list[dict], firsts: dict, codes: np.ndarray, key: str):
+    """The indices of the objects that have ``key``, and their values."""
+    has = np.isin(codes, [c for c, keys in enumerate(firsts) if key in keys])
+    return np.flatnonzero(has), list(map(itemgetter(key), compress(objects, has.tolist())))
+
+
+def _misshapen(objects: list, problem_of, name: str):
+    """Where the first misshapen item of ``objects`` is, and what is wrong.
+
+    An item is misshapen when it is not a JSON object or ``problem_of``
+    refuses its keys, which it sees once per distinct key set. Returns
+    (index, problem), or (length, None) when all are well shaped, and the
+    ``_key_sets`` of the items before that index.
+    """
+    stop, problem = len(objects), None
+    if not set(map(type, objects)) <= {dict}:
+        stop = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
+        problem = f"{name}must be an object, not {type(objects[stop]).__name__}"
+    firsts, codes = _key_sets(objects[:stop])
+    for keys, i in firsts.items():
+        what = problem_of(frozenset(keys))
+        if what and i < stop:
+            stop, problem = i, what
+    return stop, problem, firsts, codes[:stop]
+
+
+def _users_from_doc(path: str, kb_bytes: float) -> UserBatch:
+    """The users of a users.json document, as one checked batch.
+
+    Keys are checked once per distinct key set, and values once per field,
+    by :func:`batch_from_columns`. The first misshapen user ends the
+    columns, so that a bad value of an earlier user is the one named.
+    """
     doc = _read_json(path)
+    if type(doc) is not dict:
+        raise ConfigError(f"{path}: expected an object with a 'users' list, "
+                          f"not {type(doc).__name__}")
     _strict_keys(doc, {"users"}, path)
-    users_doc = doc.get("users")
-    if not users_doc:
+    entries = doc.get("users")
+    if type(entries) is not list or not entries:
         raise ConfigError(f"{path}: 'users' must be a nonempty list")
-    users = []
-    for i, entry in enumerate(users_doc):
-        _strict_keys(entry, _USER_KEYS, f"{path} user {i}")
-        has_kbps = "kbps" in entry
-        has_pair = "kbps_up" in entry or "kbps_down" in entry
-        has_chan = "channel" in entry
-        if sum([has_kbps, has_pair, has_chan]) != 1:
-            raise ConfigError(
-                f"{path} user {i}: give exactly one of kbps, "
-                f"kbps_up/kbps_down, or channel"
-            )
-        if has_pair and not ("kbps_up" in entry and "kbps_down" in entry):
-            raise ConfigError(f"{path} user {i}: kbps_up and kbps_down go together")
-        epochs = entry.get("epochs", 5)
-        if type(epochs) is not int or epochs < 1:
-            raise ConfigError(
-                f"{path} user {i}: epochs must be an integer >= 1, not {epochs!r}"
-            )
-        try:
-            if "channel" in entry:
-                _strict_keys(entry["channel"], _CHANNEL_KEYS,
-                             f"{path} user {i} channel")
-                ch = ChannelParams(**entry["channel"])
-                rates = link_rates("shannon", channel=ch)
-                up, down = rates.up, rates.down
-            elif "kbps" in entry:
-                up = down = entry["kbps"] * kb_bytes
-            else:
-                up = entry["kbps_up"] * kb_bytes
-                down = entry["kbps_down"] * kb_bytes
-            users.append(UserProfile(
-                user_id=i,
-                n_samples=float(entry["n_samples"]),
-                compute_flops=float(entry["tflops"]) * 1e12,
-                rates=LinkRates(up=up, down=down),
-                epochs=epochs,
-                storage_bytes=float(entry["storage_mb"]) * 2**20
-                if "storage_mb" in entry else math.inf,
-                memory_bytes=float(entry["memory_mb"]) * 2**20
-                if "memory_mb" in entry else math.inf,
-            ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"{path} user {i}: missing or invalid field ({exc})"
-            ) from None
-    return users
+
+    stop, problem, firsts, codes = _misshapen(entries, entry_problem, "")
+    entries = entries[:stop]
+    ch_users, blocks = _column(entries, firsts, codes, "channel")
+    ch_stop, ch_problem, _, _ = _misshapen(blocks, channel_problem, "channel ")
+    if ch_problem:
+        stop, problem = int(ch_users[ch_stop]), ch_problem
+        entries, codes = entries[:stop], codes[:stop]
+        ch_users, blocks = ch_users[:ch_stop], blocks[:ch_stop]
+    columns = {field: _column(entries, firsts, codes, field)
+               for field in USER_FIELDS - {"channel"}}
+    columns.update((f"channel.{key}", (ch_users, list(map(itemgetter(key), blocks))))
+                   for key in CHANNEL_FIELDS)
+    try:
+        batch = batch_from_columns(stop, columns, kb_bytes)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} {exc}") from None
+    if problem:
+        raise ConfigError(f"{path} user {stop}: {problem}")
+    return batch
 
 
 def cmd_optimize(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
-    users = _users_from_doc(args.users, float(args.kb))
-    batch = UserBatch.of(users)
+    batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
     result = alternate(batch, arch, c_total, cfg)
@@ -436,7 +470,7 @@ def cmd_optimize(args) -> int:
         "architecture": arch.name,
         "server_tflops": args.server_tflops,
         "epoch_objective": args.epoch_objective,
-        "users_file_users": len(users),
+        "users_file_users": len(batch),
         "objective_s": alloc.objective,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -454,10 +488,11 @@ def cmd_optimize(args) -> int:
     }
 
     totals = round_terms(batch, arch, alloc.cuts, alloc.server_compute, args.t_agg).total
-    rows = [[str(u.user_id), str(l), f"{c / 1e12:.4f}", f"{total:.3f}"]
-            for u, l, c, total in zip(users, alloc.cuts, alloc.server_compute, totals)]
+    rows = list(zip(map(str, batch.user_ids.tolist()), map(str, alloc.cuts),
+                    map("{:.4f}".format, (np.array(alloc.server_compute) / 1e12).tolist()),
+                    map("{:.3f}".format, totals.tolist())))
     table = (
-        f"arch {arch.name}  users {len(users)}  server {args.server_tflops} TFLOPs\n"
+        f"arch {arch.name}  users {len(batch)}  server {args.server_tflops} TFLOPs\n"
         f"objective {alloc.objective:.3f} s in {result.iterations} iterations"
         f"{'' if result.converged else ' (iteration cap hit)'}\n\n"
         + format_table(["user", "cut", "server TFLOPs", "round (s)"], rows)

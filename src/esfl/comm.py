@@ -3,13 +3,15 @@
 Experiments normally tabulate symmetric rates in KB/s ("direct" mode); the
 capacity model ("shannon" mode) derives rates from bandwidth, transmit
 power, channel gain, and noise density, for sensitivity studies. All
-functions are pure.
+functions are pure; :func:`shannon_rates` prices many users at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -60,8 +62,24 @@ def shannon_rate(bandwidth_hz: float, power_w: float, gain: float,
         raise ValueError("bandwidth and noise density must be strictly positive")
     if power_w < 0 or gain < 0:
         raise ValueError("power and gain must be >= 0")
-    snr = power_w * gain / (bandwidth_hz * noise_density_w_per_hz)
-    return bandwidth_hz * math.log2(1.0 + snr)
+    args = (bandwidth_hz, power_w, gain, noise_density_w_per_hz)
+    return float(shannon_rates(*(np.array([a], dtype=float) for a in args))[0])
+
+
+def shannon_rates(bandwidth_hz: np.ndarray, power_w: np.ndarray, gain: np.ndarray,
+                  noise_density_w_per_hz: np.ndarray) -> np.ndarray:
+    """:func:`shannon_rate` of each user, from float arrays, unchecked.
+
+    The log is ``math.log2`` per user: ``np.log2`` differs from it in the
+    last bit on some inputs, and a user's rate must not depend on how many
+    users are priced with it. The inputs must lie in :func:`shannon_rate`'s
+    ranges; an SNR that overflows or divides by zero gives an infinite or
+    NaN rate.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        snr = power_w * gain / (bandwidth_hz * noise_density_w_per_hz)
+        log = np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
+        return bandwidth_hz * log
 
 
 def link_rates(

@@ -1,17 +1,21 @@
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import esfl
-from esfl import cli
-from esfl.cli import dumps_report, main
+from esfl import ChannelParams, UserBatch, UserProfile, cli, link_rates
+from esfl.cli import dumps_report, format_table, main
 
 
 def _run(*argv):
@@ -137,6 +141,17 @@ class TestSimulate:
             assert _run("simulate", "--config", str(cfg),
                         "--out", str(tmp_path / "o")) == 1
             assert f"input error: {cfg}: {key} must be {why}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_wrong_config_shapes_are_input_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        for doc, what in (([{"a": 1}], "expected an object, not list"),
+                          ({"name": "x", "comm_options": 5, "comp_options": [1.3],
+                            "data_options": [500.0]}, "comm_options must be a list")):
+            cfg.write_text(json.dumps(doc))
+            assert _run("simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")) == 1
+            assert f"input error: {cfg}: {what}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
@@ -269,6 +284,299 @@ class TestOptimize:
         ]}))
         assert _run("optimize", "--users", str(doc),
                     "--out", str(tmp_path / "o")) == 1
+
+
+def _per_user_batch(doc: dict, kb_bytes: float) -> UserBatch:
+    """A valid users.json document read one user at a time, through
+    ``UserProfile`` and ``link_rates``: the reference for the columnar path."""
+    users = []
+    for i, entry in enumerate(doc["users"]):
+        if "channel" in entry:
+            rates = link_rates("shannon", channel=ChannelParams(**entry["channel"]))
+        elif "kbps" in entry:
+            rates = link_rates("direct", direct_kbps=entry["kbps"], kb_bytes=kb_bytes)
+        else:
+            rates = link_rates("direct", direct_kbps=(entry["kbps_up"], entry["kbps_down"]),
+                               kb_bytes=kb_bytes)
+        users.append(UserProfile(
+            user_id=i,
+            n_samples=float(entry["n_samples"]),
+            compute_flops=float(entry["tflops"]) * 1e12,
+            rates=rates,
+            epochs=entry.get("epochs", 5),
+            storage_bytes=float(entry["storage_mb"]) * 2**20
+            if "storage_mb" in entry else math.inf,
+            memory_bytes=float(entry["memory_mb"]) * 2**20
+            if "memory_mb" in entry else math.inf,
+        ))
+    return UserBatch.of(users)
+
+
+def _assert_batches_equal(got: UserBatch, want: UserBatch) -> None:
+    for f in dataclasses.fields(UserBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+def _number(low, high, int_high):
+    """A JSON float in [low, high] or a JSON int in [ceil(low), int_high]."""
+    return st.one_of(st.floats(low, high), st.integers(math.ceil(low), int_high))
+
+
+_GOOD_CHANNEL = {"bandwidth_hz": 1e6, "uplink_power_w": 1e-3, "downlink_power_w": 1e-2,
+                 "uplink_gain": 0.5, "downlink_gain": 1.0, "noise_density_w_per_hz": 1e-9}
+_CHANNELS = st.fixed_dictionaries({
+    "bandwidth_hz": _number(1e3, 1e7, 10**7),
+    "uplink_power_w": _number(1e-4, 10.0, 10),
+    "downlink_power_w": _number(1e-4, 10.0, 10),
+    "uplink_gain": _number(0.0, 2.0, 2),
+    "downlink_gain": _number(0.0, 2.0, 2),
+    "noise_density_w_per_hz": _number(1e-12, 1e-6, 10),
+})
+_KBPS = _number(0.0, 1e5, 10**5)
+_LIMIT_MB = _number(0.0, 1e5, 10**6)
+
+
+@st.composite
+def _users(draw):
+    """One valid users.json entry, its keys in a random order."""
+    user = {"n_samples": draw(_number(0.0, 1e6, 10**6)),
+            "tflops": draw(_number(1e-3, 1e3, 1000))}
+    kind = draw(st.sampled_from(("kbps", "pair", "channel")))
+    if kind == "kbps":
+        user["kbps"] = draw(_KBPS)
+    elif kind == "pair":
+        user["kbps_up"], user["kbps_down"] = draw(_KBPS), draw(_KBPS)
+    else:
+        user["channel"] = draw(_CHANNELS)
+    if draw(st.booleans()):
+        user["epochs"] = draw(st.integers(1, 20))
+    for key in ("storage_mb", "memory_mb"):
+        if draw(st.booleans()):
+            user[key] = draw(_LIMIT_MB)
+    return dict(draw(st.permutations(list(user.items()))))
+
+
+def _with_link(user: dict, **link) -> dict:
+    """``user`` with its link keys replaced by ``link``."""
+    kept = {k: v for k, v in user.items()
+            if k not in ("kbps", "kbps_up", "kbps_down", "channel")}
+    return {**kept, **link}
+
+
+# Values each field must refuse. 10**400 is a JSON int beyond the float
+# range; 1e306 KB/s overflows once scaled to bytes/s.
+_BAD_VALUES = {
+    "n_samples": [-1, -1e-300, "500", True, None, [500], 10**400],
+    "tflops": [0, -1.3, 1e300, "1.3", True, False, 10**400],
+    "kbps": [-10, 1e306, "10", True, 10**400],
+    "kbps_up": [-1, True, "5", 1e307],
+    "kbps_down": [-0.5, False, {}],
+    "epochs": [0, -2, 2.7, True, "3", None, 10**400],
+    "storage_mb": [-1, "600", True, None, -10**400],
+    "memory_mb": [-1e-3, "4096", False],
+    "channel.bandwidth_hz": [0, -1e6, True, "1e6", 10**400],
+    "channel.uplink_power_w": [0, -1, "1"],
+    "channel.downlink_power_w": [0.0, None],
+    "channel.uplink_gain": [-0.1, True],
+    "channel.downlink_gain": [-1, "1"],
+    "channel.noise_density_w_per_hz": [0, -1e-9, False, 10**400],
+}
+
+
+def _plant_value(user: dict, field: str, value) -> dict:
+    """``user`` with ``field`` set to ``value``, on a link of the field's kind."""
+    if field.startswith("channel."):
+        return _with_link(user, channel={**_GOOD_CHANNEL, field[8:]: value})
+    if field == "kbps":
+        return _with_link(user, kbps=value)
+    if field in ("kbps_up", "kbps_down"):
+        return _with_link(user, **{"kbps_up": 10, "kbps_down": 10, field: value})
+    return {**user, field: value}
+
+
+_MISSHAPEN = {   # what is wrong -> the entry made so from a valid one
+    "must be an object, not int": lambda u: 5,
+    "must be an object, not list": lambda u: [u],
+    "unknown keys ['color']": lambda u: {**u, "color": "red"},
+    "missing ['tflops']": lambda u: {k: v for k, v in u.items() if k != "tflops"},
+    "give exactly one of": lambda u: _with_link(u, kbps=1, channel=_GOOD_CHANNEL),
+    "kbps_up and kbps_down go together": lambda u: _with_link(u, kbps_up=1),
+    "channel must be an object, not int": lambda u: _with_link(u, channel=5),
+    "unknown keys in channel": lambda u: _with_link(u, channel={**_GOOD_CHANNEL, "x": 1}),
+    "channel lacks ['uplink_gain']": lambda u: _with_link(u, channel={
+        k: v for k, v in _GOOD_CHANNEL.items() if k != "uplink_gain"}),
+    # B*N0 underflows to 0, so the SNR divides by zero
+    "channel must be priced to finite link rates": lambda u: _with_link(u, channel={
+        **_GOOD_CHANNEL, "bandwidth_hz": 1e-200, "noise_density_w_per_hz": 1e-200}),
+}
+_PLANTS = ([("value", (f, v)) for f, values in _BAD_VALUES.items() for v in values]
+           + [("shape", what) for what in _MISSHAPEN])
+
+
+@pytest.fixture(scope="module")
+def users_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("users")
+
+
+class TestUsersColumns:
+    """users.json is read column by column into one batch, with the checks
+    and results of the per-user ``UserProfile`` path."""
+
+    @seed(20249)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(users=st.lists(_users(), min_size=1, max_size=12),
+           kb=st.sampled_from((1024, 1000)))
+    def test_batch_equals_the_per_user_path(self, users_dir, users, kb):
+        path = users_dir / "users.json"
+        path.write_text(json.dumps({"users": users}))
+        batch = cli._users_from_doc(str(path), float(kb))
+        _assert_batches_equal(batch, _per_user_batch(json.loads(path.read_text()), kb))
+
+    @seed(20250)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_first_bad_user_is_named(self, users_dir, data):
+        users = data.draw(st.lists(_users(), min_size=1, max_size=8))
+        plants = data.draw(st.lists(
+            st.tuples(st.integers(0, len(users) - 1), st.sampled_from(_PLANTS)),
+            min_size=1, max_size=3, unique_by=lambda p: p[0]))
+        for i, (kind, plant) in plants:
+            if kind == "value":
+                users[i] = _plant_value(users[i], *plant)
+            else:
+                users[i] = _MISSHAPEN[plant](users[i])
+        path = users_dir / "bad.json"
+        path.write_text(json.dumps({"users": users}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["optimize", "--users", str(path),
+                         "--out", str(users_dir / "o")]) == 1
+        i, (kind, plant) = min(plants)
+        named = f"{plant[0]} must be" if kind == "value" else plant
+        assert f"input error: {path} user {i}: {named}" in err.getvalue()
+        assert not (users_dir / "o").exists()
+
+    def test_bad_values_name_the_user_and_field(self, tmp_path, capsys):
+        path = tmp_path / "users.json"
+        ok = {"n_samples": 500, "tflops": 1.3, "kbps": 10}
+        for field, value, what in (
+            ("tflops", 0, "> 0, not 0"),
+            ("tflops", 1e300, "finite in FLOP/s, not 1e+300"),
+            ("tflops", True, "a number, not True"),
+            ("kbps", -10, ">= 0, not -10"),
+            ("kbps", True, "a number, not True"),
+            ("storage_mb", -1, ">= 0, not -1"),
+            ("storage_mb", "600", "a number, not '600'"),
+            ("n_samples", "500", "a number, not '500'"),
+            ("channel.bandwidth_hz", 0, "> 0, not 0"),
+        ):
+            path.write_text(json.dumps({"users": [ok, _plant_value(ok, field, value)]}))
+            assert _run("optimize", "--users", str(path),
+                        "--out", str(tmp_path / "o")) == 1
+            err = capsys.readouterr().err
+            assert f"input error: {path} user 1: {field} must be {what}\n" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_channel_ints_are_read_as_floats(self, tmp_path):
+        # Every number is read as a float first, so a power * gain product of
+        # two JSON ints beyond 2**53 rounds like the float product.
+        p = g = 2**30 + 1
+        channel = {**_GOOD_CHANNEL, "uplink_power_w": p, "uplink_gain": g}
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps({"users": [
+            {"n_samples": 1, "tflops": 1, "channel": channel}]}))
+        up = cli._users_from_doc(str(path), 1024.0).up[0]
+        b, n0 = channel["bandwidth_hz"], channel["noise_density_w_per_hz"]
+        assert float(p) * float(g) != p * g
+        assert up == b * math.log2(1.0 + float(p) * float(g) / (b * n0)) / 8.0
+
+    def test_wrong_document_shapes_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "users.json"
+        for doc, what in (
+            ({"users": [5]}, " user 0: must be an object, not int"),
+            ([{"n_samples": 500, "tflops": 1.3, "kbps": 10}],
+             ": expected an object with a 'users' list, not list"),
+            ({"users": {"n_samples": 500}}, ": 'users' must be a nonempty list"),
+            ({"users": []}, ": 'users' must be a nonempty list"),
+            ("users", ": expected an object with a 'users' list, not str"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert _run("optimize", "--users", str(path),
+                        "--out", str(tmp_path / "o")) == 1
+            assert f"input error: {path}{what}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def _rjust_table(headers, rows):
+    """The per-cell ``rjust`` table that format_table replaced."""
+    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+              for i, h in enumerate(headers)]
+
+    def line(cells):
+        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+    sep = "  ".join("-" * w for w in widths)
+    return "\n".join([line(headers), sep] + [line(r) for r in rows]) + "\n"
+
+
+_CELLS = st.text(st.sampled_from("ab %s%%-.07\t\u00e9"), max_size=7)
+
+
+class TestFormatTable:
+    @seed(20251)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 5).flatmap(lambda k: st.tuples(
+        st.lists(_CELLS, min_size=k, max_size=k),
+        st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=8))))
+    @example((["user", "cut"], []))
+    @example(([], [[], []]))
+    def test_equals_the_rjust_table(self, table):
+        headers, rows = table
+        assert format_table(headers, rows) == _rjust_table(headers, rows)
+
+
+def _bench_style_users(n: int, seed: int) -> dict:
+    """A seeded users.json document of ``n`` users in the benchmark's style:
+    the three link kinds and storage/memory limits on about 30% of users,
+    each limit large enough to keep a feasible vgg19 cut."""
+    rng = np.random.default_rng(seed)
+    users = []
+    for kind in rng.integers(0, 3, n).tolist():
+        user = {"n_samples": float(rng.choice([200.0, 400.0, 600.0, 800.0])),
+                "tflops": float(rng.choice([0.65, 1.3, 2.6, 4.55, 6.5]))}
+        if kind == 0:
+            user["kbps"] = float(rng.choice([5.0, 10.0, 20.0, 35.0, 50.0, 100.0]))
+        elif kind == 1:
+            user["kbps_up"] = float(rng.choice([5.0, 10.0, 20.0, 35.0]))
+            user["kbps_down"] = float(rng.choice([25.0, 50.0, 100.0, 125.0]))
+        else:
+            user["channel"] = {**_GOOD_CHANNEL,
+                               "bandwidth_hz": float(rng.choice([1e5, 2e5, 5e5, 1e6])),
+                               "uplink_gain": float(rng.choice([0.1, 0.5, 1.0]))}
+        if rng.random() < 0.3:
+            user["storage_mb"] = float(rng.choice([16.0, 64.0, 256.0, 1024.0]))
+        if rng.random() < 0.3:
+            user["memory_mb"] = float(rng.choice([16.0, 64.0, 512.0, 2048.0]))
+        users.append(user)
+    return {"users": users}
+
+
+class TestOptimizeBytes:
+    @pytest.mark.parametrize("extra", [[], ["--epoch-objective", "--t-agg", "1.5"]])
+    def test_same_bytes_as_the_per_user_path(self, tmp_path, monkeypatch, capsys, extra):
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps(_bench_style_users(10_000, seed=11)))
+        argv = ["optimize", "--users", str(path), "--arch", "vgg19", *extra]
+        assert main(argv + ["--out", str(tmp_path / "columns")]) == 0
+        columns_out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_users_from_doc", lambda p, kb: _per_user_batch(
+            json.loads(Path(p).read_text()), kb))
+        monkeypatch.setattr(cli, "format_table", _rjust_table)
+        assert main(argv + ["--out", str(tmp_path / "per_user")]) == 0
+        assert capsys.readouterr().out == columns_out
+        for name in ("allocation.json", "allocation.txt"):
+            assert ((tmp_path / "columns" / name).read_bytes()
+                    == (tmp_path / "per_user" / name).read_bytes())
 
 
 class TestConverge:

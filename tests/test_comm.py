@@ -10,6 +10,7 @@ from esfl import (
     link_rates,
     shannon_rate,
 )
+from esfl.comm import shannon_rates
 
 
 class TestShannonRate:
@@ -48,6 +49,30 @@ class TestShannonRate:
             g = float(rng.uniform(0.0, 2.0))
             assert shannon_rate(b, p * 1.5, g, n0) >= shannon_rate(b, p, g, n0)
             assert shannon_rate(b, p, g + 0.5, n0) >= shannon_rate(b, p, g, n0)
+
+    def test_batch_form_equals_the_formula_in_python_floats(self):
+        # np.log2 differs from math.log2 in the last bit on about 0.1% of
+        # inputs; 10**4 random channels catch a switch to it.
+        rng = np.random.default_rng(11)
+        n = 10_000
+        b = rng.uniform(1e3, 1e7, n)
+        p = rng.uniform(1e-4, 10.0, n)
+        g = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 2.0, n))
+        n0 = 10.0 ** rng.uniform(-12, -6, n)
+        want = [bi * math.log2(1.0 + pi * gi / (bi * ni))
+                for bi, pi, gi, ni in zip(b.tolist(), p.tolist(), g.tolist(), n0.tolist())]
+        assert shannon_rates(b, p, g, n0).tolist() == want
+        assert [shannon_rate(*args) for args in zip(b[:100], p, g, n0)] == want[:100]
+        assert shannon_rates(*(np.zeros(0),) * 4).shape == (0,)
+
+    def test_snr_overflow_gives_inf_or_nan(self):
+        # B*N0 underflows to zero, so the SNR divides by zero
+        rates = shannon_rates(np.array([1e-200, 1e-200]), np.array([1.0, 1.0]),
+                              np.array([1.0, 0.0]), np.array([1e-200, 1e-200]))
+        assert rates[0] == math.inf and math.isnan(rates[1])
+        assert shannon_rate(1e-200, 1.0, 1.0, 1e-200) == math.inf
+        with pytest.raises(ConfigError, match="finite"):
+            link_rates("shannon", channel=ChannelParams(1e-200, 1.0, 1.0, 1.0, 1.0, 1e-200))
 
 
 class TestLinkRates:
