@@ -6,7 +6,8 @@ server's compute budget among users). The two are solved alternately:
 
 1. Cut pass: with server compute fixed, each user's best cut is an
    independent exhaustive scan over its feasible layers, so one pass costs
-   O(S*L) instead of the O(L^S) joint enumeration.
+   O(S*L) instead of the O(L^S) joint enumeration. Only the server time
+   changes between passes, so everything else is priced once per plan.
 2. Resource pass: with cuts fixed, each user's time is ``a_i/C_i + b_i``
    with constants ``a_i`` (server FLOPs owed to user i) and ``b_i``
    (everything compute-allocation-independent). Minimizing the maximum
@@ -41,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AllocationError, InfeasibleUserError
-from .timing import feasibility_mask, round_terms
+from .timing import ServerFreeTerms, feasibility_mask, round_terms
 from .users import UserBatch, Users
 from .workload import ModelArchitecture
 
@@ -112,29 +113,45 @@ def _feasible(batch: UserBatch, arch: ModelArchitecture, batch_size: int) -> np.
     return mask
 
 
-def _cut_pass(
-    batch: UserBatch,
-    arch: ModelArchitecture,
-    server_compute: np.ndarray | float,
-    cfg: OptimizerConfig,
-    mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's fastest feasible 1-based cut and its objective time.
+class _CutPass(NamedTuple):
+    """Cut passes over one set of rows, whose server-independent terms are
+    priced once; each pass adds only the server time, in one reused buffer."""
 
-    One ``argmin`` over the cut axis of the (..., S, L) times; ties break
-    toward the smaller index.
-    """
-    terms = round_terms(batch, arch, None, server_compute, cfg.t_agg)
-    times = np.where(mask, terms.epoch if cfg.epoch_objective else terms.total, np.inf)
-    choice = np.argmin(times, axis=-1)
-    best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
-    if not np.isfinite(best).all():
-        bad = batch.user_ids[~np.isfinite(best)].tolist()
-        raise AllocationError(
-            f"users {bad}: every feasible cut prices to infinity "
-            f"(dead link with unavoidable traffic?)"
-        )
-    return choice + 1, best
+    batch: UserBatch
+    terms: ServerFreeTerms      # (..., S, L)
+    buffer: np.ndarray          # (..., S, L); later passes use its leading rows
+
+    @classmethod
+    def of(cls, batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
+           mask: np.ndarray) -> _CutPass:
+        terms = round_terms(batch, arch, None, math.inf, cfg.t_agg)
+        return cls(batch, terms.server_free(cfg.epoch_objective, mask),
+                   np.empty(mask.shape))
+
+    def keep_rows(self, keep: np.ndarray) -> _CutPass:
+        """The pass over the rows the mask ``keep`` selects. It reuses this
+        pass's arrays in place (see :meth:`ServerFreeTerms.keep_rows`), so
+        only the result may be used afterwards."""
+        return _CutPass(self.batch.rows(keep), self.terms.keep_rows(keep), self.buffer)
+
+    def __call__(self, server_compute: np.ndarray | float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's fastest feasible 1-based cut and its objective time.
+
+        One ``argmin`` over the cut axis of the (..., S, L) times; ties break
+        toward the smaller index.
+        """
+        times = self.terms.price(server_compute,
+                                 out=self.buffer[:len(self.terms.blocked)])
+        choice = np.argmin(times, axis=-1)
+        best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
+        if not np.isfinite(best).all():
+            bad = self.batch.user_ids[~np.isfinite(best)].tolist()
+            raise AllocationError(
+                f"users {bad}: every feasible cut prices to infinity "
+                f"(dead link with unavoidable traffic?)"
+            )
+        return choice + 1, best
 
 
 def server_demand_terms(
@@ -344,7 +361,8 @@ def plan_rows(
     allocation it saw and its full iteration trace. Rows are planned in
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
-    planned beside it.
+    planned beside it. Users with fewer than one epoch cannot be planned
+    and raise ``ValueError``.
     """
     cfg = cfg or OptimizerConfig()
     if len(batch.shape) != 2:
@@ -354,6 +372,10 @@ def plan_rows(
         raise ValueError("at least one user is required")
     if c_total <= 0:
         raise ValueError("compute budget must be strictly positive")
+    idle = batch.epochs < 1
+    if idle.any():
+        raise ValueError(f"users {sorted(set(batch.user_ids[idle].tolist()))}: "
+                         f"planning needs epochs >= 1")
     mask = _feasible(batch, arch, cfg.batch_size)
 
     best_cuts = np.zeros(batch.shape, dtype=int)
@@ -366,12 +388,13 @@ def plan_rows(
 
     chunk = max(1, MAX_CHUNK_ELEMENTS // (n_users * arch.num_layers))
     for start in range(0, n_rows, chunk):
-        live = np.arange(start, min(start + chunk, n_rows))
+        rows = slice(start, min(start + chunk, n_rows))
+        live = np.arange(rows.start, rows.stop)
+        cut_pass = _CutPass.of(batch.rows(rows), arch, cfg, mask[rows])
         compute = np.full((live.size, n_users), c_total / n_users)
         for it in range(1, cfg.max_iters + 1):
-            rows = batch.rows(live)
-            cuts, best_times = _cut_pass(rows, arch, compute, cfg, mask[live])
-            a, b = server_demand_terms(rows, cuts, arch, cfg)
+            cuts, best_times = cut_pass(compute)
+            a, b = server_demand_terms(cut_pass.batch, cuts, arch, cfg)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; passing it keeps each trace non-increasing
             new, objective, steps = _equalize(
@@ -386,11 +409,13 @@ def plan_rows(
             best_compute[improved] = new[better]
             iterations[live] = it
             resource_steps[live] = np.maximum(resource_steps[live], steps)
-            stalled = _stalled(new, compute, cfg.stall_tolerance)
-            converged[live[stalled]] = True
-            live, compute = live[~stalled], new[~stalled]
+            going = ~_stalled(new, compute, cfg.stall_tolerance)
+            converged[live[~going]] = True
+            live, compute = live[going], new[going]
             if not live.size:
                 break
+            if not going.all():
+                cut_pass = cut_pass.keep_rows(going)
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
                    resource_steps, tuple(passes))

@@ -44,6 +44,11 @@ ALGORITHMS = ("esfl", "sfl", "fl", "sl")
 TFLOPS = 1e12
 
 
+def _is_number(x) -> bool:
+    """A real number, but not a bool (which JSON and Python would take as one)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Resource options and run shape for one simulated deployment."""
@@ -60,14 +65,27 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, not {self.name!r}")
         for name in ("population", "selected_per_round", "rounds", "epochs", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+        for name in ("comm_options", "comp_options", "data_options"):
+            for x in getattr(self, name):
+                if not _is_number(x):
+                    raise ConfigError(f"{name} must hold numbers, not {x!r}")
+        if not _is_number(self.server_tflops):
+            raise ConfigError(
+                f"server_tflops must be a number, not {self.server_tflops!r}")
         if not (self.comm_options and self.comp_options and self.data_options):
             raise ConfigError("option lists must be nonempty")
         options = self.comm_options + self.comp_options + self.data_options
-        if not all(math.isfinite(x) for x in options + (self.server_tflops,)):
+        try:
+            finite = all(math.isfinite(x) for x in options + (self.server_tflops,))
+        except OverflowError:   # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigError("options and server_tflops must be finite")
         if min(self.comm_options) < 0 or min(self.data_options) < 0:
             raise ConfigError("link rates and sample counts must be >= 0")

@@ -10,7 +10,9 @@ fixed aggregation term::
 
 :func:`round_terms` is the one implementation of that formula; the
 planner's passes, the reports and the four round policies below (ESFL,
-FL, SFL, SL) derive from it. Each policy returns ``(round time,
+FL, SFL, SL) derive from it. The planner's cut passes reprice it at each
+new server compute through :class:`ServerFreeTerms`, which sums the same
+way. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
 
 Every function here also takes an (R, S) batch of R independent rounds
@@ -20,7 +22,7 @@ and then returns one value per round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,11 +34,47 @@ if TYPE_CHECKING:  # pragma: no cover
     from .allocation import Allocation, RowPlan
 
 
-def _guarded_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise."""
+def _guarded_div(
+    numerator: np.ndarray,
+    denominator: np.ndarray,
+    out: np.ndarray | None = None,
+    zero: np.ndarray | None = None,
+) -> np.ndarray:
+    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise.
+
+    Writes into ``out`` when given; ``zero`` may pass ``numerator == 0``
+    when the caller already holds it.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = numerator / denominator
-    return np.where(numerator == 0.0, 0.0, out)
+        out = np.divide(numerator, denominator, out=out)
+    np.copyto(out, 0.0, where=numerator == 0.0 if zero is None else zero)
+    return out
+
+
+def _epoch_time(device: np.ndarray, server: np.ndarray, download: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One epoch, ``t_c + t_b + t_C + t_B`` given ``device = t_c + t_b``.
+
+    The one spelling of the epoch sum; with ``out`` (which may be
+    ``server``) it is summed in place, in the same order.
+    """
+    out = np.add(device, server, out=out)
+    out += download
+    return out
+
+
+def _round_time(move: np.ndarray, epochs: np.ndarray, epoch: np.ndarray,
+                t_agg: float, out: np.ndarray | None = None) -> np.ndarray:
+    """A round, ``t_up + t_down + epochs * epoch + t_agg`` given
+    ``move = t_up + t_down``.
+
+    The one spelling of the round sum; with ``out`` (which may be
+    ``epoch``) it is summed in place, in the same order.
+    """
+    out = np.multiply(epochs, epoch, out=out)
+    out = np.add(move, out, out=out)
+    out += t_agg
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,22 +130,93 @@ class RoundTerms:
 
     @property
     def epoch(self) -> np.ndarray:
-        return self.t_c + self.t_b + self.t_C + self.t_B
+        return _epoch_time(self.t_c + self.t_b, self.t_C, self.t_B)
 
     @property
     def total(self) -> np.ndarray:
-        return self.t_up + self.t_down + self.epochs * self.epoch + self.t_agg
+        return _round_time(self.t_up + self.t_down, self.epochs, self.epoch, self.t_agg)
 
     @property
     def fixed(self) -> np.ndarray:
         """The total without server time: ``total`` at infinite server compute."""
-        return (self.t_up + self.t_down
-                + self.epochs * (self.t_c + self.t_b + self.t_B) + self.t_agg)
+        return _round_time(self.t_up + self.t_down, self.epochs,
+                           self.t_c + self.t_b + self.t_B, self.t_agg)
 
     @property
     def communication(self) -> np.ndarray:
         """Model movement plus activation traffic across all epochs."""
         return self.t_up + self.t_down + self.epochs * (self.t_b + self.t_B)
+
+    def server_free(self, epoch_only: bool, feasible: np.ndarray) -> ServerFreeTerms:
+        """The server-independent terms, priced now, of ``epoch`` (with
+        ``epoch_only``) or ``total`` at the cuts ``feasible`` allows; see
+        :class:`ServerFreeTerms`."""
+        return ServerFreeTerms(
+            self.t_c + self.t_b, self.t_B,
+            None if epoch_only else self.t_up + self.t_down,
+            self.server_flops, self.n_samples, self.server_work == 0.0,
+            self.epochs, self.t_agg, ~feasible,
+        )
+
+
+def _keep_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the rows ``keep`` selects to the front of ``a``; a view of them."""
+    n = np.count_nonzero(keep)
+    a[:n] = a[keep]
+    return a[:n]
+
+
+class ServerFreeTerms(NamedTuple):
+    """``RoundTerms.epoch`` or ``total`` split at the server time ``t_C``.
+
+    The planner's cut passes price every cut at a new server compute each
+    time, and nothing else changes between them; so these terms are priced
+    once and :meth:`price` adds only ``t_C``. Every sum keeps the order of
+    ``RoundTerms``, so a price equals the uncached objective bit for bit;
+    a cut beyond the user's storage or memory prices to +inf.
+    """
+
+    device: np.ndarray          # t_c + t_b
+    download: np.ndarray        # t_B
+    move: np.ndarray | None     # t_up + t_down; None prices one epoch
+    # server_work = server_flops * n_samples is rebuilt in each pass's buffer:
+    # one multiply costs less than holding one more (..., S, L) array
+    server_flops: np.ndarray    # (L,) per sample
+    n_samples: np.ndarray       # (..., S, 1)
+    no_work: np.ndarray         # server_work == 0: no server time at any compute
+    epochs: np.ndarray
+    t_agg: float
+    blocked: np.ndarray         # cuts beyond storage or memory
+
+    def keep_rows(self, keep: np.ndarray) -> ServerFreeTerms:
+        """The terms of the rows that the mask ``keep`` selects on the
+        leading axis, moved to the front of these terms' own arrays.
+
+        Those arrays are overwritten, so only the result may be used
+        afterwards; shrinking in place holds one row copy at a time
+        instead of a second set of terms.
+        """
+        # n_samples and epochs may view the caller's batch, so they are copied
+        return ServerFreeTerms(
+            _keep_rows(self.device, keep), _keep_rows(self.download, keep),
+            None if self.move is None else _keep_rows(self.move, keep),
+            self.server_flops, self.n_samples[keep], _keep_rows(self.no_work, keep),
+            self.epochs[keep], self.t_agg, _keep_rows(self.blocked, keep),
+        )
+
+    def price(self, server_compute: np.ndarray | float, out: np.ndarray) -> np.ndarray:
+        """The objective at ``server_compute`` (shaped like the batch, or a
+        scalar), written into ``out``; the cached terms are only read."""
+        compute = np.asarray(server_compute, dtype=float)
+        if compute.ndim:
+            compute = compute[..., None]
+        work = np.multiply(self.server_flops, self.n_samples, out=out)
+        t_C = _guarded_div(work, compute, out=out, zero=self.no_work)
+        times = _epoch_time(self.device, t_C, self.download, out=out)
+        if self.move is not None:
+            times = _round_time(self.move, self.epochs, times, self.t_agg, out=out)
+        np.copyto(times, np.inf, where=self.blocked)
+        return times
 
 
 def round_terms(

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from esfl import (
+    AllocationError,
     InfeasibleUserError,
     LinkRates,
     OptimizerConfig,
@@ -54,7 +55,7 @@ def _best_cut(user, arch, server_flops, cfg=None):
     cfg = cfg or OptimizerConfig()
     batch = UserBatch.of([user])
     mask = feasibility_mask(batch, arch, cfg.batch_size)
-    cuts, _ = allocation._cut_pass(batch, arch, server_flops, cfg, mask)
+    cuts, _ = allocation._CutPass.of(batch, arch, cfg, mask)(server_flops)
     return int(cuts[0])
 
 
@@ -295,6 +296,85 @@ class TestAlternateProperties:
                    for earlier, later in zip(objectives, objectives[1:]))
 
 
+# a dead (zero-rate) link one time in twenty
+_RATE = st.tuples(st.sampled_from(range(20)), st.floats(1e5, 2e6)).map(
+    lambda pick: 0.0 if pick[0] == 0 else pick[1])
+# no server compute one time in ten, unlimited one time in ten
+_SERVER = st.tuples(st.sampled_from(range(10)), st.floats(1e9, 2e11)).map(
+    lambda pick: {0: 0.0, 1: math.inf}.get(pick[0], pick[1]))
+# samples, device FLOP/s, up and down rates (B/s), epochs, storage and memory
+# as shares of the way from the first cut's needs to the last's (>= 1:
+# unlimited), and the server compute of two passes
+_CUT_USER = st.tuples(st.sampled_from([0.0, 200.0, 800.0]), st.floats(1e9, 2e10),
+                      _RATE, _RATE, st.integers(1, 5), st.floats(0.0, 1.5),
+                      st.floats(0.0, 1.5), _SERVER, _SERVER)
+
+
+class TestCachedCutPass:
+    """The cut pass prices the server-independent terms once per plan; every
+    pass must equal the masked argmin over the uncached ``round_terms``."""
+
+    @seed(20247)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_LAYER, min_size=2, max_size=5),
+        st.integers(1, 3).flatmap(lambda s: st.lists(
+            st.lists(_CUT_USER, min_size=s, max_size=s), min_size=1, max_size=3)),
+        st.booleans(),
+        st.sampled_from([0.0, 2.5]),
+        st.data(),
+    )
+    def test_equals_the_uncached_argmin(self, layers, rows, epoch_objective, t_agg,
+                                        data):
+        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                       for j, (p, f, a) in enumerate(layers)]))
+        n, flops, up, down, epochs, storage, memory, c1, c2 = (
+            np.array(x, dtype=float) for x in zip(*(zip(*row) for row in rows)))
+        model = arch.model_bytes_by_cut
+        needs = model + arch.cum_act_bytes_by_cut
+
+        def limit(share, need):
+            return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
+
+        ids = np.broadcast_to(np.arange(n.shape[1]), n.shape)
+        batch = UserBatch(ids, n, flops, up, down, epochs,
+                          limit(storage, model), limit(memory, needs))
+        cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        mask = feasibility_mask(batch, arch, cfg.batch_size)
+        cut_pass = allocation._CutPass.of(batch, arch, cfg, mask)
+
+        def reference(compute):
+            terms = round_terms(batch, arch, None, compute, t_agg)
+            times = np.where(mask, terms.epoch if epoch_objective else terms.total,
+                             np.inf)
+            return np.argmin(times, axis=-1) + 1, times.min(axis=-1)
+
+        def check(cut_pass, compute, keep):
+            cuts, best = (x[keep] for x in reference(compute))
+            if not np.isfinite(best).all():
+                with pytest.raises(AllocationError, match="prices to infinity"):
+                    cut_pass(compute[keep])
+                return
+            got_cuts, got = cut_pass(compute[keep])
+            assert np.array_equal(got_cuts, cuts)
+            assert np.array_equal(got, best)
+
+        # one cache serves pass after pass, and shrinks in place with the
+        # live rows
+        every = np.ones(len(rows), dtype=bool)
+        for compute in (c1, c2, c1):
+            check(cut_pass, compute, every)
+        finite = np.isfinite(reference(c2)[1]).all(axis=-1)
+        shrunk = cut_pass.keep_rows(finite)
+        for compute in (c2, c1):
+            check(shrunk, compute, finite)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                           max_size=len(rows))))
+        shrunk = allocation._CutPass.of(batch, arch, cfg, mask).keep_rows(keep)
+        for compute in (c1, c2):
+            check(shrunk, compute, keep)
+
+
 class TestAllocateServerCompute:
     def test_users_cut_at_last_layer_get_nothing(self, vgg19):
         users = [_user(uid=0), _user(uid=1)]
@@ -392,9 +472,14 @@ class TestAlternate:
                 users, vgg19, fixed_l, 130e12
             )[0] * (1 + 1e-12)
 
-    def test_dead_link_user_fails_cleanly(self, vgg19):
-        from esfl import AllocationError
+    def test_zero_epoch_users_refused_up_front(self, vgg19):
+        users = [_user(uid=0), _user(uid=4, epochs=0), _user(uid=7, epochs=0)]
+        with pytest.raises(ValueError, match=r"users \[4, 7\]: planning needs epochs >= 1"):
+            alternate(users, vgg19, 130e12)
+        with pytest.raises(ValueError, match=r"users \[4, 7\]"):
+            plan_rows(UserBatch.of(users).rows([[0, 1, 2], [2, 1, 0]]), vgg19, 130e12)
 
+    def test_dead_link_user_fails_cleanly(self, vgg19):
         dead = UserProfile(user_id=0, n_samples=500.0, compute_flops=1e12,
                            rates=LinkRates(0.0, 0.0), epochs=5)
         with pytest.raises(AllocationError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -152,6 +153,26 @@ class TestSimulate:
             assert _run("simulate", "--config", str(cfg),
                         "--out", str(tmp_path / "o")) == 1
             assert f"input error: {cfg}: {what}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("name", 5, "name must be a string, not 5"),
+        ("server_tflops", True, "server_tflops must be a number, not True"),
+        ("server_tflops", "130", "server_tflops must be a number, not '130'"),
+        ("comm_options", [True], "comm_options must hold numbers, not True"),
+        ("comp_options", [1.3, "2.6"], "comp_options must hold numbers, not '2.6'"),
+        ("data_options", [None], "data_options must hold numbers, not None"),
+        ("comm_options", [10**400], "options and server_tflops must be finite"),
+    ])
+    def test_mistyped_config_values_are_input_errors(self, tmp_path, capsys,
+                                                     key, value, what):
+        cfg = tmp_path / "scenario.json"
+        doc = {"name": "x", "comm_options": [10.0], "comp_options": [1.3],
+               "data_options": [500.0], key: value}
+        cfg.write_text(json.dumps(doc))
+        assert _run("simulate", "--config", str(cfg), "--rounds", "1",
+                    "--out", str(tmp_path / "o")) == 1
+        assert f"input error: {cfg}: {what}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
@@ -754,3 +775,33 @@ class TestDumpsReport:
             dumps_report({"a": {1: [2]}})
         with pytest.raises(TypeError):
             dumps_report({"a": [1, object()]})
+
+
+class TestReportDigests:
+    """Seeded reports keep their exact bytes: a change that is meant to leave
+    every result alone (a faster planner, a leaner writer) must keep these
+    sha256 digests of the ``.json`` and ``.txt`` reports."""
+
+    @pytest.mark.parametrize("argv, stem, json_sha, txt_sha", [
+        (["simulate", "--scenario", "LH", "--rounds", "20", "--seed", "3"], "report",
+         "bdca813acc5d4ce108dca7e6e6f3bb2193fac9765a9eb0640c68a09888f69c33",
+         "68e23bea32b57689a7d0a29656615f8d136568ff2a4936aea14f3b575911b5b9"),
+        (["converge", "--scales", "10,20", "--reps", "2"], "convergence",
+         "fc0e6f358e4c6647974bd226d0ebd72b974905e09dea141f8a196a1f67a078c2",
+         "e1602a72459a1851eb2847c432be6a396376708a73a028a623fb5547dce5ee27"),
+        (["optimize", "--users", "USERS", "--arch", "vgg19"], "allocation",
+         "525ff8c0f66a72a69b415e426988c8bc9940f80256c4a321c49e901b7533b4da",
+         "27432bd66659f3ca3d450bc2fc9f9ce5bd69e1dece24d247bc503581e53cb7e6"),
+        (["optimize", "--users", "USERS", "--arch", "vgg19",
+          "--epoch-objective", "--t-agg", "1.5"], "allocation",
+         "793e68c5d1ac6e0c28698bb2e3a70e800d1f13f49e16a6834b626a7391a608f0",
+         "85a79751ba92db62d9c7ea39ad7d21804e5a935ec1f18208b51442af3a464e4a"),
+    ])
+    def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps(_bench_style_users(300, seed=5)))
+        argv = [str(users) if a == "USERS" else a for a in argv]
+        assert _run(*argv, "--out", str(tmp_path / "out")) == 0
+        digests = [hashlib.sha256((tmp_path / "out" / f"{stem}.{ext}").read_bytes())
+                   .hexdigest() for ext in ("json", "txt")]
+        assert digests == [json_sha, txt_sha]
