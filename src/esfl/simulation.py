@@ -43,6 +43,9 @@ ALGORITHMS = ("esfl", "sfl", "fl", "sl")
 
 TFLOPS = 1e12
 
+# The largest count numpy can index or size an array by.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 def _is_number(x) -> bool:
     """A real number, but not a bool (which JSON and Python would take as one)."""
@@ -71,6 +74,8 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+            if name != "seed" and value > _MAX_COUNT:   # numpy seeds take any size
+                raise ConfigError(f"{name} must be at most {_MAX_COUNT}, not {value}")
         for name in ("comm_options", "comp_options", "data_options"):
             for x in getattr(self, name):
                 if not _is_number(x):
@@ -236,11 +241,22 @@ class SimulationReport:
         if self.cut_distribution is not None:
             out["cut_distribution"] = {
                 "user_ids": list(self.cut_distribution.user_ids),
-                "per_user": self.cut_distribution.matrix.tolist(),
+                "per_user": _shared_rows(self.cut_distribution.matrix),
                 "pooled": self.cut_distribution.pooled.tolist(),
                 "entropy_variance_bits": self.cut_distribution.entropy_variance(),
             }
         return out
+
+
+def _shared_rows(matrix: np.ndarray) -> list[list]:
+    """``matrix.tolist()``, with each set of bit-identical rows as one list
+    object, which the report writer encodes once. Rows are keyed by their
+    bytes, so ``0.0`` and ``-0.0`` stay apart."""
+    matrix = np.ascontiguousarray(matrix)
+    keys = matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = matrix[first].tolist()
+    return list(map(rows.__getitem__, inverse.tolist()))
 
 
 def sample_population_data(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
@@ -282,8 +298,10 @@ def sample_rounds(
     for r in range(rounds):
         selected[r] = np.sort(rng.choice(spec.population, size=size, replace=False))
         if sticky is None:
-            comm_kb[r] = rng.choice(comm_options, size=size)
-            comp_tf[r] = rng.choice(comp_options, size=size)
+            # The stream of ``rng.choice(options, size=size)``, without its
+            # argument handling.
+            comm_kb[r] = comm_options[rng.integers(0, len(comm_options), size=size)]
+            comp_tf[r] = comp_options[rng.integers(0, len(comp_options), size=size)]
     if sticky is not None:
         comm_kb, comp_tf = sticky[0][selected], sticky[1][selected]
     rates = comm_kb * kb_bytes

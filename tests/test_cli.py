@@ -163,6 +163,8 @@ class TestSimulate:
         ("comp_options", [1.3, "2.6"], "comp_options must hold numbers, not '2.6'"),
         ("data_options", [None], "data_options must hold numbers, not None"),
         ("comm_options", [10**400], "options and server_tflops must be finite"),
+        ("population", 10**30, f"population must be at most {2**63 - 1}, not {10**30}"),
+        ("rounds", 10**30, f"rounds must be at most {2**63 - 1}, not {10**30}"),
     ])
     def test_mistyped_config_values_are_input_errors(self, tmp_path, capsys,
                                                      key, value, what):
@@ -185,6 +187,19 @@ class TestSimulate:
         assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
         assert "input error: --algos selects nothing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_shared_parser_keeps_no_state_between_calls(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        args = parser.parse_args(["simulate", "--seed", "5", "--sticky-resources"])
+        assert (args.seed, args.sticky_resources) == (5, True)
+        with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+            parser.parse_args(["simulate", "--seed", "-1"])
+        assert parser.parse_args(["optimize", "--users", "u.json"]).users == "u.json"
+        args = parser.parse_args(["simulate"])
+        assert (args.seed, args.sticky_resources, args.func) == (None, False,
+                                                                 cli.cmd_simulate)
+        assert not hasattr(args, "users")
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
@@ -756,6 +771,33 @@ _TREES = st.recursive(
 )
 
 
+_LEAVES = st.one_of(
+    st.lists(_SCALARS, min_size=1, max_size=4),
+    st.lists(_SCALARS, min_size=1, max_size=4).map(tuple),
+    st.dictionaries(_STRINGS, _SCALARS, min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    """Trees in which the same container objects recur: at several depths,
+    and as the repeated rows of matrices."""
+    leaves = draw(st.lists(_LEAVES, min_size=1, max_size=4))
+    one_of_them = st.sampled_from(leaves)
+    tree = st.recursive(
+        st.one_of(one_of_them, _SCALARS),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(_STRINGS, inner, max_size=4)),
+        max_leaves=12,
+    )
+    rows = [leaf for leaf in leaves if not isinstance(leaf, dict)] or [[0.0]]
+    matrix = st.lists(st.one_of(st.sampled_from(rows),
+                                st.lists(_SCALARS, min_size=1, max_size=3)),
+                      min_size=1, max_size=6)
+    return {"tree": draw(tree), "matrix": draw(matrix),
+            "deep": [[draw(tree)], {"m": draw(matrix)}], "leaves": leaves}
+
+
 class TestDumpsReport:
     @seed(20245)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -764,6 +806,31 @@ class TestDumpsReport:
     @example({"a": [["x]", "[y"], ["]\n["]], "b": ({}, [[]], (True, None))})
     def test_equals_the_stdlib(self, tree):
         assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @seed(20246)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_shared_trees())
+    def test_shared_containers_equal_the_stdlib(self, tree):
+        assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_shared_containers_at_every_depth(self):
+        row, entry = [1.5, -0.0, "a\nb"], {"k": [], "x": math.nan}
+        tree = {"a": row, "b": [row, [row, entry]], "c": [[entry], {"d": row}],
+                "m": [row, [0.0, 0.0], row, (row[0],), row], "n": [[row, row, row]],
+                "e": entry}
+        assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_per_user_rows_differing_in_the_sign_of_zero_stay_distinct(self):
+        spec = dataclasses.replace(esfl.preset_scenarios()["BP"], rounds=1)
+        report = esfl.run_simulation(spec, ("esfl",), esfl.load_builtin("vgg19"))
+        matrix = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        report = dataclasses.replace(report, cut_distribution=dataclasses.replace(
+            report.cut_distribution, user_ids=(0, 1, 2, 3), matrix=matrix))
+        rows = report.to_dict()["cut_distribution"]["per_user"]
+        assert rows == matrix.tolist()
+        assert rows[0] is rows[2] and rows[1] is rows[3] and rows[0] is not rows[1]
+        assert [math.copysign(1.0, r[0]) for r in rows] == [1.0, -1.0, 1.0, -1.0]
+        assert dumps_report(rows) == json.dumps(matrix.tolist(), indent=2)
 
     def test_stdlib_fallback_without_the_c_encoder(self, monkeypatch):
         tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}]}
@@ -796,6 +863,11 @@ class TestReportDigests:
           "--epoch-objective", "--t-agg", "1.5"], "allocation",
          "793e68c5d1ac6e0c28698bb2e3a70e800d1f13f49e16a6834b626a7391a608f0",
          "85a79751ba92db62d9c7ea39ad7d21804e5a935ec1f18208b51442af3a464e4a"),
+        # 873 per-user cut rows, 3 distinct
+        (["simulate", "--population", "2000", "--selected", "500", "--rounds", "2",
+          "--seed", "4"], "report",
+         "95c0e70de3f4068eb483172363a690247f7db6cd5f8c9be223f6ee3d3bc7f7d8",
+         "2ae7d6b820d70c9c5fc7b2b35c6d01e1cac2760a98bc707145b36d9d45c8806a"),
     ])
     def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):
         users = tmp_path / "users.json"

@@ -100,6 +100,44 @@ class TestSampling:
         users = zip(batch.n_samples[0], batch.compute_flops[0], batch.up[0])
         assert len(set(users)) == 1
 
+    @pytest.mark.parametrize("sticky", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounds_equal_the_choice_draws(self, seed, sticky):
+        spec = ScenarioSpec("draws", tuple(10.0 * (1 + k) for k in range(1 + seed)),
+                            tuple(1.3 * (1 + k) for k in range(4 - seed)),
+                            (200.0, 500.0), population=12 + 7 * seed,
+                            selected_per_round=1 + 3 * seed)
+        rng = np.random.default_rng(seed)
+        data = sample_population_data(spec, rng)
+        resources = sample_population_resources(spec, rng) if sticky else None
+        state = rng.bit_generator.state
+        got = sample_rounds(spec, rng, data, 5, resources, kb_bytes=1000.0)
+        rng.bit_generator.state = state
+        want = _choice_sample_rounds(spec, rng, data, 5, resources)
+        np.testing.assert_array_equal(got.user_ids, want[0])
+        np.testing.assert_array_equal(got.up, want[1] * 1000.0)
+        np.testing.assert_array_equal(got.down, want[1] * 1000.0)
+        np.testing.assert_array_equal(got.compute_flops, want[2] * 1e12)
+        np.testing.assert_array_equal(got.n_samples, data[want[0]])
+
+
+def _choice_sample_rounds(spec, rng, data, rounds, sticky):
+    """Reference draws of ``sample_rounds``: selected ids, rates (KB/s) and
+    compute (TFLOPs), each round drawn by ``Generator.choice``."""
+    ids, comm, comp = [], [], []
+    for _ in range(rounds):
+        ids.append(np.sort(rng.choice(spec.population, size=spec.selected_per_round,
+                                      replace=False)))
+        if sticky is None:
+            comm.append(rng.choice(np.array(spec.comm_options),
+                                   size=spec.selected_per_round))
+            comp.append(rng.choice(np.array(spec.comp_options),
+                                   size=spec.selected_per_round))
+    ids = np.array(ids)
+    if sticky is not None:
+        return ids, sticky[0][ids], sticky[1][ids]
+    return ids, np.array(comm), np.array(comp)
+
 
 class TestRunRound:
     def test_esfl_never_slower_than_sfl(self, vgg19):
