@@ -95,6 +95,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _step_fraction(text: str) -> float:
+    """argparse type: a finite float in (0, 1], such as a damping factor."""
+    value = _finite_float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1]")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type: a finite float of at least zero."""
     value = _finite_float(text)
@@ -778,8 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", default=None, help="comma list, one per user")
     p.add_argument("--rounds", type=_positive_int, default=50)
     p.add_argument("--epochs", type=_positive_int, default=1)
-    p.add_argument("--eta", type=_finite_float, default=0.5)
-    p.add_argument("--rho0", type=_finite_float, default=0.01)
+    p.add_argument("--eta", type=_step_fraction, default=0.5,
+                   help="aggregation damping, in (0, 1]")
+    p.add_argument("--rho0", type=_positive_float, default=0.01,
+                   help="initial SGD step size, > 0")
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--check-equivalence", action="store_true")

@@ -46,6 +46,11 @@ TFLOPS = 1e12
 # The largest count numpy can index or size an array by.
 _MAX_COUNT = int(np.iinfo(np.intp).max)
 
+# The largest population: the simulator draws per-user arrays of this many
+# entries (80 MB each in float64), so a larger one is refused before any
+# allocation.
+MAX_POPULATION = 10**7
+
 
 def _is_number(x) -> bool:
     """A real number, but not a bool (which JSON and Python would take as one)."""
@@ -76,6 +81,9 @@ class ScenarioSpec:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
             if name != "seed" and value > _MAX_COUNT:   # numpy seeds take any size
                 raise ConfigError(f"{name} must be at most {_MAX_COUNT}, not {value}")
+        if self.population > MAX_POPULATION:
+            raise ConfigError(
+                f"population must be at most {MAX_POPULATION}, not {self.population}")
         for name in ("comm_options", "comp_options", "data_options"):
             for x in getattr(self, name):
                 if not _is_number(x):

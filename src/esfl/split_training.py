@@ -16,8 +16,15 @@ share a cut, a sample count and an epoch count as one stacked split update,
 as the clients of a split federated round train in parallel; each member's
 arithmetic is exactly that of a lone user.
 
+Backpropagation reads each layer's derivative from the forward pass's
+cached output (tanh' = 1 - a**2, identity passes the gradient through) and
+computes a segment's input gradient only for the server side, whose
+gradient at the cut goes back to the device.
+
 Federated aggregation is damped: W <- W - eta * (W - weighted mean of
-local models), which for eta=1 is plain sample-weighted averaging.
+local models), which for eta=1 is plain sample-weighted averaging. The
+local models arrive as one stacked network, one member per user, and are
+averaged with one weighted sum over the member axis.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
+# name -> (activation, derivative from the cached preactivation z and
+# output a); None marks the identity, whose derivative is 1
 ACTIVATIONS = {
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(z.dtype)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z: z, None),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: z > 0),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a ** 2),
 }
 
 LOSSES = ("mse", "softmax_ce")
@@ -101,27 +110,33 @@ def init_dense_net(
 # Shared layer primitives; both the monolithic and the split path use these.
 
 def _forward_segment(net: DenseNet, x: np.ndarray):
-    """Returns (output, caches); caches[j] = (input, preactivation)."""
+    """Returns (output, caches); caches[j] = (input, preactivation, output)."""
     caches = []
-    a = x
+    a_in = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w + b[..., None, :]
-        caches.append((a, z))
+        z = a_in @ w + b[..., None, :]
         a = ACTIVATIONS[act][0](z)
-    return a, caches
+        caches.append((a_in, z, a))
+        a_in = a
+    return a_in, caches
 
 
-def _backward_segment(net: DenseNet, caches, d_out: np.ndarray):
-    """Chain rule down through a segment; returns (dWs, dbs, d_input)."""
+def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
+                      input_grad: bool = False):
+    """Chain rule down through a segment; returns (dWs, dbs, d_input).
+
+    d_input is the gradient at the segment's input when ``input_grad`` is
+    set, else None."""
     dws = [None] * net.num_layers
     dbs = [None] * net.num_layers
     da = d_out
     for j in range(net.num_layers - 1, -1, -1):
-        a_in, z = caches[j]
-        dz = da * ACTIVATIONS[net.activations[j]][1](z)
+        a_in, z, a = caches[j]
+        derivative = ACTIVATIONS[net.activations[j]][1]
+        dz = da if derivative is None else da * derivative(z, a)
         dws[j] = a_in.swapaxes(-1, -2) @ dz
         dbs[j] = dz.sum(axis=-2)
-        da = dz @ net.weights[j].swapaxes(-1, -2)
+        da = dz @ net.weights[j].swapaxes(-1, -2) if j or input_grad else None
     return dws, dbs, da
 
 
@@ -130,17 +145,17 @@ def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
     batch = out.shape[-2]
     if loss == "mse":
         diff = out - y
-        return np.sum(diff * diff, axis=(-2, -1)) / batch, 2.0 * diff / batch
+        return (diff * diff).sum(axis=(-2, -1)) / batch, 2.0 * diff / batch
     # softmax cross-entropy over logits, y one-hot
     shifted = out - out.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=-1, keepdims=True)
-    value = -np.sum(y * np.log(np.clip(probs, 1e-300, None)), axis=(-2, -1)) / batch
+    value = -(y * np.log(np.maximum(probs, 1e-300))).sum(axis=(-2, -1)) / batch
     return value, (probs - y) / batch
 
 
 def _check_finite(value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise FloatingPointError("non-finite loss")
 
 
@@ -223,7 +238,8 @@ def split_update(state: SplitState, batch) -> SplitState:
     out, server_caches = _forward_segment(state.server_side, act_cut)
     value, d_out = _loss_and_grad(out, y, state.server_side.loss)
     _check_finite(value)
-    s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out)
+    s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out,
+                                            input_grad=True)
     new_server = _step(state.server_side, s_dws, s_dbs, rho)
     # d_act is the loss gradient at the cut activation, returned to the device
     u_dws, u_dbs, _ = _backward_segment(state.user_side, user_caches, d_act)
@@ -233,32 +249,37 @@ def split_update(state: SplitState, batch) -> SplitState:
 
 def federated_aggregate(
     global_net: DenseNet,
-    local_nets: Sequence[tuple[DenseNet, float]],
+    members: DenseNet,
+    counts: Sequence[float],
     eta: float,
 ) -> DenseNet:
-    """Damped FedAvg: W <- W - eta * (W - sum n_i W_i / N)."""
-    if not local_nets:
+    """Damped FedAvg: W <- W - eta * (W - sum n_i W_i / N).
+
+    ``members`` stacks the local models along a leading axis, one member per
+    entry of ``counts``, their sample counts n_i; N is the plain sum of them.
+    """
+    if not len(counts):
         raise ValueError("need at least one local model")
-    total = float(sum(n for _, n in local_nets))
+    total = float(sum(counts))
     if total <= 0:
         raise ValueError("sample counts must be positive")
-    for net, _ in local_nets:
-        if (
-            net.activations != global_net.activations
-            or any(w.shape != gw.shape for w, gw in zip(net.weights, global_net.weights))
-        ):
-            raise ValueError("local model structure does not match the global model")
-    mean_w = [
-        sum((n / total) * net.weights[j] for net, n in local_nets)
-        for j in range(global_net.num_layers)
-    ]
-    mean_b = [
-        sum((n / total) * net.biases[j] for net, n in local_nets)
-        for j in range(global_net.num_layers)
-    ]
+    lead = (len(counts),)
+    if members.activations != global_net.activations or any(
+        m.shape != lead + g.shape
+        for m, g in zip(members.weights + members.biases,
+                        global_net.weights + global_net.biases)
+    ):
+        raise ValueError("local model structure does not match the global model")
+    share = np.asarray(counts, dtype=float) / total
+
+    def mean(stacked: np.ndarray) -> np.ndarray:
+        return (stacked * share.reshape(lead + (1,) * (stacked.ndim - 1))).sum(axis=0)
+
     return DenseNet(
-        tuple(w - eta * (w - m) for w, m in zip(global_net.weights, mean_w)),
-        tuple(b - eta * (b - m) for b, m in zip(global_net.biases, mean_b)),
+        tuple(w - eta * (w - mean(m))
+              for w, m in zip(global_net.weights, members.weights)),
+        tuple(b - eta * (b - mean(m))
+              for b, m in zip(global_net.biases, members.biases)),
         global_net.activations,
         global_net.loss,
     )
@@ -305,10 +326,13 @@ def _stacked(net: DenseNet, size: int) -> DenseNet:
     return DenseNet(stack(net.weights), stack(net.biases), net.activations, net.loss)
 
 
-def _member(net: DenseNet, g: int) -> DenseNet:
-    """Member ``g`` of a stacked network."""
-    return DenseNet(tuple(w[g] for w in net.weights),
-                    tuple(b[g] for b in net.biases), net.activations, net.loss)
+def _joined(nets: Sequence[DenseNet], order: np.ndarray) -> DenseNet:
+    """Stacked ``nets`` laid end to end along the member axis, members then
+    taken in ``order``."""
+    def join(layers):
+        return tuple(np.concatenate(stacks)[order] for stacks in zip(*layers))
+    return DenseNet(join(n.weights for n in nets), join(n.biases for n in nets),
+                    nets[0].activations, nets[0].loss)
 
 
 def esfl_train(
@@ -325,30 +349,38 @@ def esfl_train(
     data, the two sides are re-joined, and the sample-weighted models are
     folded into the global one, in user order. Users that share a cut, an
     epoch count and data shapes train as one stacked split update. The step
-    size decays as ``rho0 / (1 + r/100)`` with the 0-based round index r.
-    Returns the final network and the global training loss after each round.
+    size decays as ``rho0 / (1 + r/100)`` with the 0-based round index r;
+    ``rho0`` must be positive and ``eta`` lie in (0, 1], so that every round
+    trains. Returns the final network and the global training loss after
+    each round.
     """
+    if not rho0 > 0:
+        raise ValueError(f"rho0 must be positive, not {rho0!r}")
+    if not 0 < eta <= 1:
+        raise ValueError(f"eta must lie in (0, 1], not {eta!r}")
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
+    counts = [float(len(u.x)) for u in users]
+    cut_groups = _cut_groups(users)
+    # stacked position -> user order, for the group stacks laid end to end
+    order = np.argsort([i for members in cut_groups for i in members])
     groups = [
-        (users[members[0]], members,
+        (users[members[0]], len(members),
          np.stack([users[i].x for i in members]),
          np.stack([users[i].y for i in members]))
-        for members in _cut_groups(users)
+        for members in cut_groups
     ]
     trace = []
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
-        locals_ = [None] * len(users)
-        for lead, members, x, y in groups:
-            state = split_net(_stacked(net, len(members)), lead.cut, rho)
+        trained = []
+        for lead, size, x, y in groups:
+            state = split_net(_stacked(net, size), lead.cut, rho)
             for _ in range(lead.epochs):
                 for xb, yb in _batches(x, y, batch_size):
                     state = split_update(state, (xb, yb))
-            trained = concatenate(state)
-            for g, i in enumerate(members):
-                locals_[i] = (_member(trained, g), float(len(users[i].x)))
-        net = federated_aggregate(net, locals_, eta)
+            trained.append(concatenate(state))
+        net = federated_aggregate(net, _joined(trained, order), counts, eta)
         trace.append(loss_value(net, pooled_x, pooled_y))
     return net, trace
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import esfl
 from esfl import ChannelParams, UserBatch, UserProfile, cli, link_rates
 from esfl.cli import dumps_report, format_table, main
+from esfl.simulation import MAX_POPULATION
 
 
 def _run(*argv):
@@ -165,6 +166,8 @@ class TestSimulate:
         ("comm_options", [10**400], "options and server_tflops must be finite"),
         ("population", 10**30, f"population must be at most {2**63 - 1}, not {10**30}"),
         ("rounds", 10**30, f"rounds must be at most {2**63 - 1}, not {10**30}"),
+        ("population", 2**63 - 1,
+         f"population must be at most {MAX_POPULATION}, not {2**63 - 1}"),
     ])
     def test_mistyped_config_values_are_input_errors(self, tmp_path, capsys,
                                                      key, value, what):
@@ -184,6 +187,12 @@ class TestSimulate:
             assert _run("simulate", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        # refused before any per-user array is drawn
+        for population in (2**63 - 1, MAX_POPULATION + 1):
+            assert _run("simulate", "--population", str(population), "--selected", "5",
+                        "--rounds", "1", "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: population must be at most {MAX_POPULATION}, "
+                    f"not {population}\n") in capsys.readouterr().err
         assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
         assert "input error: --algos selects nothing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -645,6 +654,10 @@ class TestConverge:
             assert _run("converge", f"--scales={scales}",
                         "--out", str(tmp_path / "o")) == 1
             assert "input error: --scales must be positive" in capsys.readouterr().err
+        assert _run("converge", f"--scales={MAX_POPULATION + 1}",
+                    "--out", str(tmp_path / "o")) == 1
+        assert (f"input error: population must be at most {MAX_POPULATION}"
+                in capsys.readouterr().err)
         for flag, value in (("--seed", "-1"), ("--t-agg", "-1")):
             assert _run("converge", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
@@ -661,14 +674,6 @@ class TestTrainToy:
         report = json.loads((out / "train_toy.json").read_text())
         assert report["split_vs_monolithic_max_rel_dev"] <= 1e-9
         assert "split vs monolithic" in capsys.readouterr().out
-
-    def test_zero_rate_run_stays_at_initialization(self, tmp_path):
-        out = tmp_path / "toy"
-        rc = _run("train-toy", "--rounds", "5", "--rho0", "0", "--eta", "1",
-                  "--out", str(out))
-        assert rc == 0
-        report = json.loads((out / "train_toy.json").read_text())
-        assert report["deviation_from_init"] == 0.0
 
     def test_seeded_rerun_byte_identical(self, tmp_path):
         args = ("train-toy", "--rounds", "6", "--seed", "21")
@@ -694,6 +699,12 @@ class TestTrainToy:
             assert f"argument {flag}" in capsys.readouterr().err
         for flag in ("--epochs", "--seed"):
             assert _run("train-toy", flag, "-1", "--out", str(tmp_path / "o")) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
+        # step sizes that train nothing, or train uphill
+        for flag, value in (("--rho0", "0"), ("--rho0", "-0.5"), ("--eta", "0"),
+                            ("--eta", "-0.5"), ("--eta", "1.5")):
+            assert _run("train-toy", "--rounds", "2", f"{flag}={value}",
+                        "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -868,6 +879,16 @@ class TestReportDigests:
           "--seed", "4"], "report",
          "95c0e70de3f4068eb483172363a690247f7db6cd5f8c9be223f6ee3d3bc7f7d8",
          "2ae7d6b820d70c9c5fc7b2b35c6d01e1cac2760a98bc707145b36d9d45c8806a"),
+        # the toy-train benchmark op, and the README command
+        (["train-toy", "--users", "8", "--samples", "256", "--classes", "4",
+          "--dim", "8", "--batch-size", "16", "--rounds", "25", "--epochs", "1",
+          "--check-equivalence", "--seed", "3"], "train_toy",
+         "23f7dd0af7d59ef9aca75a81a9a65e050be050802f994c3e1da6ccaabc1d80f5",
+         "5edd3dc45935aa08326526659cc0dc084a1674dda34024d7224c1aed0d7e1335"),
+        (["train-toy", "--users", "2", "--rounds", "50", "--check-equivalence"],
+         "train_toy",
+         "c6cd77aecf32c2ed4057693ccbe9bc469780d1a945a385eaf2b25a69fd36b415",
+         "bac0f594f134e60d834cb666f28274c52ba0ed16ba3c5f5b48e87b13fd80f25b"),
     ])
     def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):
         users = tmp_path / "users.json"

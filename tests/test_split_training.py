@@ -46,6 +46,29 @@ def _random_case(rng, max_depth=4):
     return net, x, y
 
 
+def _stack(nets):
+    """The networks ``nets`` as one network with a leading member axis."""
+    def stack(layers):
+        return tuple(np.stack(arrays) for arrays in zip(*layers))
+    return DenseNet(stack(n.weights for n in nets), stack(n.biases for n in nets),
+                    nets[0].activations, nets[0].loss)
+
+
+def _list_aggregate(global_net, local_nets, eta):
+    """The plain reference for federated_aggregate: one (net, count) pair per
+    local model, folded into the weighted mean in order."""
+    total = float(sum(n for _, n in local_nets))
+    mean_w = [sum((n / total) * net.weights[j] for net, n in local_nets)
+              for j in range(global_net.num_layers)]
+    mean_b = [sum((n / total) * net.biases[j] for net, n in local_nets)
+              for j in range(global_net.num_layers)]
+    return DenseNet(
+        tuple(w - eta * (w - m) for w, m in zip(global_net.weights, mean_w)),
+        tuple(b - eta * (b - m) for b, m in zip(global_net.biases, mean_b)),
+        global_net.activations, global_net.loss,
+    )
+
+
 class TestSplitUpdate:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(0)
@@ -131,6 +154,139 @@ class TestSplitEquivalenceProperty:
         assert _max_rel_dev(mono, concatenate(split)) <= 1e-9
 
 
+# The backward pass as first written: every derivative recomputed from the
+# preactivation, identity layers multiplied by ones, every input gradient
+# formed, and the softmax-CE floor taken by np.clip. The library must match
+# it bit for bit.
+_REF_ACTIVATIONS = {
+    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(z.dtype)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+}
+
+
+def _ref_forward(net, x):
+    caches = []
+    a = x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = a @ w + b[..., None, :]
+        caches.append((a, z))
+        a = _REF_ACTIVATIONS[act][0](z)
+    return a, caches
+
+
+def _ref_backward(net, caches, d_out):
+    dws = [None] * net.num_layers
+    dbs = [None] * net.num_layers
+    da = d_out
+    for j in range(net.num_layers - 1, -1, -1):
+        a_in, z = caches[j]
+        dz = da * _REF_ACTIVATIONS[net.activations[j]][1](z)
+        dws[j] = a_in.swapaxes(-1, -2) @ dz
+        dbs[j] = dz.sum(axis=-2)
+        da = dz @ net.weights[j].swapaxes(-1, -2)
+    return dws, dbs, da
+
+
+def _ref_loss_and_grad(out, y, loss):
+    batch = out.shape[-2]
+    if loss == "mse":
+        diff = out - y
+        return np.sum(diff * diff, axis=(-2, -1)) / batch, 2.0 * diff / batch
+    shifted = out - out.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    value = -np.sum(y * np.log(np.clip(probs, 1e-300, None)), axis=(-2, -1)) / batch
+    return value, (probs - y) / batch
+
+
+def _ref_loss_and_grads(net, x, y):
+    out, caches = _ref_forward(net, x)
+    value, d_out = _ref_loss_and_grad(out, y, net.loss)
+    dws, dbs, _ = _ref_backward(net, caches, d_out)
+    return value, dws, dbs
+
+
+def _ref_step(net, dws, dbs, rho):
+    return DenseNet(tuple(w - rho * dw for w, dw in zip(net.weights, dws)),
+                    tuple(b - rho * db for b, db in zip(net.biases, dbs)),
+                    net.activations, net.loss)
+
+
+def _ref_split_update(state, x, y):
+    rho = state.learning_rate
+    act_cut, user_caches = _ref_forward(state.user_side, x)
+    out, server_caches = _ref_forward(state.server_side, act_cut)
+    _, d_out = _ref_loss_and_grad(out, y, state.server_side.loss)
+    s_dws, s_dbs, d_act = _ref_backward(state.server_side, server_caches, d_out)
+    u_dws, u_dbs, _ = _ref_backward(state.user_side, user_caches, d_act)
+    return (_ref_step(state.user_side, u_dws, u_dbs, rho),
+            _ref_step(state.server_side, s_dws, s_dbs, rho))
+
+
+def _bit_equal(a: DenseNet, b: DenseNet) -> bool:
+    return all(np.array_equal(p, q)
+               for p, q in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+@st.composite
+def _exact_cases(draw):
+    """A split case, the number of stacked members (None: one plain net) and
+    the members' sample counts and damping for one aggregation."""
+    case = draw(_split_cases())
+    members = draw(st.none() | st.integers(1, 3))
+    case["members"] = members
+    case["counts"] = draw(st.lists(st.integers(1, 50), min_size=members or 1,
+                                   max_size=members or 1))
+    case["eta"] = draw(st.floats(0.0, 1.0))
+    return case
+
+
+class TestExactBackprop:
+    """Backprop from the forward caches, with input gradients only where read,
+    gives every loss and parameter bit for bit as the reference above, and
+    the stacked aggregation matches the list loop."""
+
+    @seed(20249)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_exact_cases())
+    def test_matches_the_reference_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sizes, batch, rho = case["sizes"], case["batch"], case["rho"]
+        lead = () if case["members"] is None else (case["members"],)
+        nets = [init_dense_net(sizes, case["activations"], case["loss"], rng)
+                for _ in range(case["members"] or 1)]
+        net = nets[0] if case["members"] is None else _stack(nets)
+        x = rng.normal(size=lead + (batch, sizes[0]))
+        if case["loss"] == "mse":
+            y = rng.normal(size=lead + (batch, sizes[-1]))
+        else:
+            y = np.eye(sizes[-1])[rng.integers(sizes[-1], size=lead + (batch,))]
+
+        value, dws, dbs = loss_and_grads(net, x, y)
+        ref_value, ref_dws, ref_dbs = _ref_loss_and_grads(net, x, y)
+        assert np.array_equal(value, ref_value)
+        assert all(np.array_equal(g, r) for g, r in zip(dws + dbs, ref_dws + ref_dbs))
+        x0, y0 = (x[0], y[0]) if lead else (x, y)
+        ref_loss = _ref_loss_and_grads(nets[0], x0, y0)[0]
+        assert loss_value(nets[0], x0, y0) == float(ref_loss)
+
+        assert _bit_equal(monolithic_update(net, (x, y), rho),
+                          _ref_step(net, ref_dws, ref_dbs, rho))
+        for cut in range(1, net.num_layers):
+            state = split_net(net, cut, rho)
+            user, server = _ref_split_update(state, x, y)
+            stepped = split_update(state, (x, y))
+            assert _bit_equal(stepped.user_side, user)
+            assert _bit_equal(stepped.server_side, server)
+
+        global_net = init_dense_net(sizes, case["activations"], case["loss"], rng)
+        counts = [float(n) for n in case["counts"]]
+        out = federated_aggregate(global_net, _stack(nets), counts, case["eta"])
+        ref = _list_aggregate(global_net, list(zip(nets, counts)), case["eta"])
+        assert _max_rel_dev(out, ref) <= 1e-12
+
+
 class TestMonolithicUpdate:
     def test_zero_learning_rate_identity(self):
         rng = np.random.default_rng(6)
@@ -190,19 +346,19 @@ class TestFederatedAggregate:
 
     def test_full_step_is_weighted_mean(self):
         g, l1, l2 = self._nets()
-        out = federated_aggregate(g, [(l1, 1.0), (l2, 3.0)], eta=1.0)
+        out = federated_aggregate(g, _stack([l1, l2]), [1.0, 3.0], eta=1.0)
         for j in range(g.num_layers):
             expected = 0.25 * l1.weights[j] + 0.75 * l2.weights[j]
             assert np.allclose(out.weights[j], expected, rtol=1e-12, atol=0)
 
     def test_zero_step_keeps_global(self):
         g, l1, l2 = self._nets()
-        out = federated_aggregate(g, [(l1, 1.0), (l2, 1.0)], eta=0.0)
+        out = federated_aggregate(g, _stack([l1, l2]), [1.0, 1.0], eta=0.0)
         assert _max_rel_dev(out, g) == 0.0
 
     def test_half_step_single_local_is_midpoint(self):
         g, l1, _ = self._nets()
-        out = federated_aggregate(g, [(l1, 5.0)], eta=0.5)
+        out = federated_aggregate(g, _stack([l1]), [5.0], eta=0.5)
         for j in range(g.num_layers):
             midpoint = 0.5 * (g.weights[j] + l1.weights[j])
             assert np.allclose(out.weights[j], midpoint, rtol=1e-12, atol=0)
@@ -210,8 +366,17 @@ class TestFederatedAggregate:
     def test_structural_mismatch_rejected(self):
         g, _, _ = self._nets()
         other = init_dense_net([2, 4, 2], rng=np.random.default_rng(9))
-        with pytest.raises(ValueError):
-            federated_aggregate(g, [(other, 1.0)], eta=1.0)
+        with pytest.raises(ValueError, match="structure"):
+            federated_aggregate(g, _stack([other]), [1.0], eta=1.0)
+
+    def test_counts_must_name_each_member_and_be_positive(self):
+        g, l1, l2 = self._nets()
+        with pytest.raises(ValueError, match="structure"):
+            federated_aggregate(g, _stack([l1, l2]), [1.0], eta=1.0)
+        with pytest.raises(ValueError, match="at least one"):
+            federated_aggregate(g, _stack([l1]), [], eta=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            federated_aggregate(g, _stack([l1, l2]), [1.0, -1.0], eta=1.0)
 
     def test_affine_in_each_local_model(self):
         g, l1, l2 = self._nets()
@@ -223,9 +388,9 @@ class TestFederatedAggregate:
                   for a, b in zip(l1.biases, l2.biases)),
             g.activations, g.loss,
         )
-        via_blend = federated_aggregate(g, [(blended, 2.0)], eta=eta)
-        out1 = federated_aggregate(g, [(l1, 2.0)], eta=eta)
-        out2 = federated_aggregate(g, [(l2, 2.0)], eta=eta)
+        via_blend = federated_aggregate(g, _stack([blended]), [2.0], eta=eta)
+        out1 = federated_aggregate(g, _stack([l1]), [2.0], eta=eta)
+        out2 = federated_aggregate(g, _stack([l2]), [2.0], eta=eta)
         for j in range(g.num_layers):
             expected = alpha * out1.weights[j] + (1 - alpha) * out2.weights[j]
             assert np.allclose(via_blend.weights[j], expected, rtol=1e-12, atol=1e-15)
@@ -292,6 +457,18 @@ class TestEsflTrain:
         assert _max_rel_dev(finals[0], finals[2]) <= 1e-9
 
 
+    def test_step_sizes_that_train_nothing_rejected(self):
+        rng = np.random.default_rng(20)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
+        users = [ToyUser(x=x, y=y, cut=1)]
+        for rho0 in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="rho0"):
+                esfl_train(net, users, rounds=1, rho0=rho0)
+        for eta in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="eta"):
+                esfl_train(net, users, rounds=1, eta=eta)
+
     def test_non_positive_epochs_rejected(self):
         x, y = make_blobs(8, rng=np.random.default_rng(17))
         for epochs in (0, -1):
@@ -315,7 +492,7 @@ def _per_user_train(net, users, rounds, eta, rho0, batch_size):
                     batch = (u.x[start:start + step], u.y[start:start + step])
                     state = split_update(state, batch)
             locals_.append((concatenate(state), float(len(u.x))))
-        net = federated_aggregate(net, locals_, eta)
+        net = _list_aggregate(net, locals_, eta)
         trace.append(loss_value(net, pooled_x, pooled_y))
     return net, trace
 
