@@ -675,6 +675,16 @@ class TestTrainToy:
         assert report["split_vs_monolithic_max_rel_dev"] <= 1e-9
         assert "split vs monolithic" in capsys.readouterr().out
 
+    def test_zero_rate_run_stays_at_initialization(self, tmp_path, capsys):
+        # a zero step size trains nothing, so the run is refused before any
+        # training and no report is written
+        out = tmp_path / "toy"
+        rc = _run("train-toy", "--rounds", "5", "--rho0", "0", "--eta", "1",
+                  "--out", str(out))
+        assert rc == 1
+        assert "argument --rho0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeded_rerun_byte_identical(self, tmp_path):
         args = ("train-toy", "--rounds", "6", "--seed", "21")
         assert _run(*args, "--out", str(tmp_path / "a")) == 0
