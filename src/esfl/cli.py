@@ -646,9 +646,20 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
     return worst
 
 
+# The most data values train-toy draws: every user holds --samples blob
+# points of --dim features and a one-hot row of --classes, so a larger run
+# is refused before any blob is drawn.
+MAX_TOY_VALUES = 10**7
+
+
 def cmd_train_toy(args) -> int:
-    rng = np.random.default_rng(args.seed)
     n_users = args.users
+    values = n_users * args.samples * (args.dim + args.classes)
+    if values > MAX_TOY_VALUES:
+        raise ConfigError(
+            f"--users × --samples × (--dim + --classes) must be at most "
+            f"{MAX_TOY_VALUES}, not {values}")
+    rng = np.random.default_rng(args.seed)
     sizes = [args.dim, 16, 16, args.classes]
     net = toy.init_dense_net(
         sizes, activations=["tanh", "tanh", "identity"], loss="softmax_ce", rng=rng

@@ -51,6 +51,11 @@ _MAX_COUNT = int(np.iinfo(np.intp).max)
 # allocation.
 MAX_POPULATION = 10**7
 
+# The most users a run draws and plans over all its rounds: each round is a
+# row of the (rounds, S) batch, so a larger one is refused before any row is
+# drawn.
+MAX_USER_ROUNDS = 10**7
+
 
 def _is_number(x) -> bool:
     """A real number, but not a bool (which JSON and Python would take as one)."""
@@ -84,6 +89,11 @@ class ScenarioSpec:
         if self.population > MAX_POPULATION:
             raise ConfigError(
                 f"population must be at most {MAX_POPULATION}, not {self.population}")
+        # Python ints: a product of numpy ints could wrap below the bound
+        if int(self.rounds) * int(self.selected_per_round) > MAX_USER_ROUNDS:
+            raise ConfigError(
+                f"rounds × selected_per_round must be at most {MAX_USER_ROUNDS}, "
+                f"not {self.rounds} × {self.selected_per_round}")
         for name in ("comm_options", "comp_options", "data_options"):
             for x in getattr(self, name):
                 if not _is_number(x):
@@ -474,6 +484,8 @@ def convergence_study(
 
     For each (scenario, scale) cell the optimizer runs on ``scale`` freshly
     drawn users, ``repetitions`` times, all repetitions planned as one batch.
+    Each repetition is one round of the sized scenario, so ``repetitions ×
+    scale`` may not exceed ``MAX_USER_ROUNDS``.
     """
     options = options or SimOptions()
     if scenarios is None:
@@ -483,7 +495,8 @@ def convergence_study(
     for s_idx, spec in enumerate(scenarios):
         for scale in scales:
             rng = np.random.default_rng([seed, s_idx, scale])
-            sized = replace(spec, population=scale, selected_per_round=scale)
+            sized = replace(spec, population=scale, selected_per_round=scale,
+                            rounds=repetitions)
             population_data = sample_population_data(sized, rng)
             batch = sample_rounds(sized, rng, population_data, repetitions,
                                   None, options.kb_bytes)

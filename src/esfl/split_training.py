@@ -14,7 +14,13 @@ group axes, ``weights[j]`` of shape ``(..., in_j, out_j)`` against a batch
 as its own network. :func:`esfl_train` uses this to train the users that
 share a cut, a sample count and an epoch count as one stacked split update,
 as the clients of a split federated round train in parallel; each member's
-arithmetic is exactly that of a lone user.
+arithmetic is exactly that of a lone user. The trainer owns its local
+models: one flat float64 buffer holds a row of parameters per user (w0, b0,
+w1, b1, ...), each group's split sides are views into its rows, built and
+validated once per run, and every minibatch writes its gradients into a
+buffer of the same layout and steps the group with one in-place
+subtraction. :func:`split_update` runs the same gradient pass and returns a
+new state, leaving its input alone.
 
 Backpropagation reads each layer's derivative from the forward pass's
 cached output (tanh' = 1 - a**2, identity passes the gradient through) and
@@ -122,20 +128,21 @@ def _forward_segment(net: DenseNet, x: np.ndarray):
 
 
 def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
-                      input_grad: bool = False):
+                      grads: DenseNet | None = None, input_grad: bool = False):
     """Chain rule down through a segment; returns (dWs, dbs, d_input).
 
-    d_input is the gradient at the segment's input when ``input_grad`` is
-    set, else None."""
-    dws = [None] * net.num_layers
-    dbs = [None] * net.num_layers
+    The gradients are written into the arrays of ``grads`` when it is given,
+    else into new ones. d_input is the gradient at the segment's input when
+    ``input_grad`` is set, else None."""
+    dws = list(grads.weights) if grads is not None else [None] * net.num_layers
+    dbs = list(grads.biases) if grads is not None else [None] * net.num_layers
     da = d_out
     for j in range(net.num_layers - 1, -1, -1):
         a_in, z, a = caches[j]
         derivative = ACTIVATIONS[net.activations[j]][1]
         dz = da if derivative is None else da * derivative(z, a)
-        dws[j] = a_in.swapaxes(-1, -2) @ dz
-        dbs[j] = dz.sum(axis=-2)
+        dws[j] = np.matmul(a_in.swapaxes(-1, -2), dz, out=dws[j])
+        dbs[j] = dz.sum(axis=-2, out=dbs[j])
         da = dz @ net.weights[j].swapaxes(-1, -2) if j or input_grad else None
     return dws, dbs, da
 
@@ -223,28 +230,42 @@ def concatenate(state: SplitState) -> DenseNet:
     )
 
 
+def _check_split_batch(state: SplitState, x: np.ndarray) -> None:
+    if x.shape[-1] != state.user_side.weights[0].shape[-2]:
+        raise ValueError("batch feature dimension does not match the input layer")
+    _check_loss_head(state.server_side)
+
+
+def _split_pass(state: SplitState, x: np.ndarray, y: np.ndarray,
+                grads: SplitState | None = None):
+    """The gradients of one split step: device forward, server forward,
+    loss, server backward, which forms the gradient at the cut, and device
+    backward. Returns ((device dWs, dbs), (server dWs, dbs)), written into
+    the sides of ``grads`` when it is given."""
+    user_grads, server_grads = ((grads.user_side, grads.server_side)
+                                if grads is not None else (None, None))
+    act_cut, user_caches = _forward_segment(state.user_side, x)
+    out, server_caches = _forward_segment(state.server_side, act_cut)
+    value, d_out = _loss_and_grad(out, y, state.server_side.loss)
+    _check_finite(value)
+    s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out,
+                                            server_grads, input_grad=True)
+    # d_act is the loss gradient at the cut activation, returned to the device
+    u_dws, u_dbs, _ = _backward_segment(state.user_side, user_caches, d_act, user_grads)
+    return (u_dws, u_dbs), (s_dws, s_dbs)
+
+
 def split_update(state: SplitState, batch) -> SplitState:
     """One split SGD step: device forward, server forward/backward/step,
     activation gradient back to the device, device backward/step.
 
     With stacked sides and a stacked batch, every member steps at once."""
     x, y = batch
-    if x.shape[-1] != state.user_side.weights[0].shape[-2]:
-        raise ValueError("batch feature dimension does not match the input layer")
-    _check_loss_head(state.server_side)
+    _check_split_batch(state, x)
     rho = state.learning_rate
-
-    act_cut, user_caches = _forward_segment(state.user_side, x)
-    out, server_caches = _forward_segment(state.server_side, act_cut)
-    value, d_out = _loss_and_grad(out, y, state.server_side.loss)
-    _check_finite(value)
-    s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out,
-                                            input_grad=True)
-    new_server = _step(state.server_side, s_dws, s_dbs, rho)
-    # d_act is the loss gradient at the cut activation, returned to the device
-    u_dws, u_dbs, _ = _backward_segment(state.user_side, user_caches, d_act)
-    new_user = _step(state.user_side, u_dws, u_dbs, rho)
-    return SplitState(new_user, new_server, state.cut, rho)
+    (u_dws, u_dbs), (s_dws, s_dbs) = _split_pass(state, x, y)
+    return SplitState(_step(state.user_side, u_dws, u_dbs, rho),
+                      _step(state.server_side, s_dws, s_dbs, rho), state.cut, rho)
 
 
 def federated_aggregate(
@@ -319,20 +340,18 @@ def _cut_groups(users: Sequence[ToyUser]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _stacked(net: DenseNet, size: int) -> DenseNet:
-    """``size`` copies of ``net`` stacked along a new leading axis."""
-    def stack(arrays):
-        return tuple(np.repeat(a[None], size, axis=0) for a in arrays)
-    return DenseNet(stack(net.weights), stack(net.biases), net.activations, net.loss)
+def _flat_views(flat: np.ndarray, net: DenseNet) -> DenseNet:
+    """A network shaped like ``net`` whose arrays are views into ``flat``.
 
-
-def _joined(nets: Sequence[DenseNet], order: np.ndarray) -> DenseNet:
-    """Stacked ``nets`` laid end to end along the member axis, members then
-    taken in ``order``."""
-    def join(layers):
-        return tuple(np.concatenate(stacks)[order] for stacks in zip(*layers))
-    return DenseNet(join(n.weights for n in nets), join(n.biases for n in nets),
-                    nets[0].activations, nets[0].loss)
+    The last axis of ``flat`` holds one member's parameters, layer by layer:
+    w0, b0, w1, b1, ...; leading axes index the members."""
+    lead = flat.shape[:-1]
+    weights, biases, start = [], [], 0
+    for w, b in zip(net.weights, net.biases):
+        for views, a in ((weights, w), (biases, b)):
+            views.append(flat[..., start:start + a.size].reshape(lead + a.shape))
+            start += a.size
+    return DenseNet(tuple(weights), tuple(biases), net.activations, net.loss)
 
 
 def esfl_train(
@@ -353,6 +372,11 @@ def esfl_train(
     ``rho0`` must be positive and ``eta`` lie in (0, 1], so that every round
     trains. Returns the final network and the global training loss after
     each round.
+
+    The local models live in one flat buffer, a row per user, each group's
+    rows together; the group's split sides are views into its rows, built
+    once, and each minibatch steps them in place with one subtraction. The
+    caller's ``net`` and the users' arrays are only read.
     """
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, not {rho0!r}")
@@ -362,25 +386,33 @@ def esfl_train(
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]
     cut_groups = _cut_groups(users)
-    # stacked position -> user order, for the group stacks laid end to end
+    # stacked position -> user order, for the group rows laid end to end
     order = np.argsort([i for members in cut_groups for i in members])
-    groups = [
-        (users[members[0]], len(members),
-         np.stack([users[i].x for i in members]),
-         np.stack([users[i].y for i in members]))
-        for members in cut_groups
-    ]
+    size = sum(a.size for a in net.weights + net.biases)
+    local = np.empty((len(users), size))
+    groups, start = [], 0
+    for members in cut_groups:
+        lead = users[members[0]]
+        params = local[start:start + len(members)]
+        grads = np.empty_like(params)
+        sides = split_net(_flat_views(params, net), lead.cut, rho0)
+        x = np.stack([users[i].x for i in members])
+        _check_split_batch(sides, x)
+        groups.append((params, grads, sides,
+                       split_net(_flat_views(grads, net), lead.cut, rho0),
+                       lead.epochs, x, np.stack([users[i].y for i in members])))
+        start += len(members)
     trace = []
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
-        trained = []
-        for lead, size, x, y in groups:
-            state = split_net(_stacked(net, size), lead.cut, rho)
-            for _ in range(lead.epochs):
+        local[...] = np.concatenate(
+            [a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
+        for params, grads, sides, grad_sides, epochs, x, y in groups:
+            for _ in range(epochs):
                 for xb, yb in _batches(x, y, batch_size):
-                    state = split_update(state, (xb, yb))
-            trained.append(concatenate(state))
-        net = federated_aggregate(net, _joined(trained, order), counts, eta)
+                    _split_pass(sides, xb, yb, grad_sides)
+                    params -= rho * grads
+        net = federated_aggregate(net, _flat_views(local[order], net), counts, eta)
         trace.append(loss_value(net, pooled_x, pooled_y))
     return net, trace
 

@@ -17,11 +17,20 @@ from hypothesis import strategies as st
 import esfl
 from esfl import ChannelParams, UserBatch, UserProfile, cli, link_rates
 from esfl.cli import dumps_report, format_table, main
-from esfl.simulation import MAX_POPULATION
+from esfl.simulation import MAX_POPULATION, MAX_USER_ROUNDS
 
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _forbid(monkeypatch, module, *names):
+    """Make each named function of ``module`` fail if called, so that a
+    refused run is shown to stop before it draws or allocates anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called after the input should have been refused")
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture()
@@ -180,13 +189,20 @@ class TestSimulate:
         assert f"input error: {cfg}: {what}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys, monkeypatch):
         for flag, value in (("--max-iters", "0"), ("--server-tflops", "0"),
                             ("--epochs", "0"), ("--seed", "-1"),
                             ("--t-agg", "-5000")):
             assert _run("simulate", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        # refused before any round is drawn
+        _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
+        for rounds in (2**62, MAX_USER_ROUNDS // 10 + 1):
+            assert _run("simulate", "--rounds", str(rounds), "--selected", "10",
+                        "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: rounds × selected_per_round must be at most "
+                    f"{MAX_USER_ROUNDS}, not {rounds} × 10\n") in capsys.readouterr().err
         # refused before any per-user array is drawn
         for population in (2**63 - 1, MAX_POPULATION + 1):
             assert _run("simulate", "--population", str(population), "--selected", "5",
@@ -642,7 +658,7 @@ class TestConverge:
         report = json.loads((out / "convergence.json").read_text())
         assert [c["scale"] for c in report["cells"]] == [100, 200, 400, 800]
 
-    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys, monkeypatch):
         assert _run("converge", "--reps", "0", "--out", str(tmp_path / "o")) == 1
         assert "argument --reps" in capsys.readouterr().err
         assert _run("converge", "--scales", "100,x", "--out", str(tmp_path / "o")) == 1
@@ -658,6 +674,14 @@ class TestConverge:
                     "--out", str(tmp_path / "o")) == 1
         assert (f"input error: population must be at most {MAX_POPULATION}"
                 in capsys.readouterr().err)
+        # each repetition is one round of `scale` users; refused before any draw
+        _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
+        for reps, scale in ((2**62, 10), (MAX_USER_ROUNDS // 10 + 1, 10)):
+            assert _run("converge", "--scenarios", "BP", "--scales", str(scale),
+                        "--reps", str(reps), "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: rounds × selected_per_round must be at most "
+                    f"{MAX_USER_ROUNDS}, not {reps} × {scale}\n"
+                    in capsys.readouterr().err)
         for flag, value in (("--seed", "-1"), ("--t-agg", "-1")):
             assert _run("converge", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
@@ -702,7 +726,7 @@ class TestTrainToy:
         assert _run("train-toy", "--users", "2", "--cuts", "1,x",
                     "--out", str(tmp_path / "o")) == 1
 
-    def test_out_of_range_count_is_input_error(self, tmp_path, capsys):
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys, monkeypatch):
         for flag in ("--users", "--samples", "--classes", "--dim", "--rounds",
                      "--epochs", "--batch-size"):
             assert _run("train-toy", flag, "0", "--out", str(tmp_path / "o")) == 1
@@ -716,6 +740,16 @@ class TestTrainToy:
             assert _run("train-toy", "--rounds", "2", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        # data sizes refused before the network or any blob is drawn:
+        # 2 × 2**62 × (2 + 2) values, and 1 × 909091 × (9 + 2) = the cap + 1
+        _forbid(monkeypatch, cli.toy, "init_dense_net", "make_blobs", "esfl_train")
+        for users, samples, dim, values in (("2", str(2**62), "2", 2**65),
+                                            ("1", "909091", "9", cli.MAX_TOY_VALUES + 1)):
+            assert _run("train-toy", "--users", users, "--samples", samples,
+                        "--dim", dim, "--rounds", "1", "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: --users × --samples × (--dim + --classes) must be "
+                    f"at most {cli.MAX_TOY_VALUES}, not {values}\n"
+                    in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
 
@@ -899,6 +933,12 @@ class TestReportDigests:
          "train_toy",
          "c6cd77aecf32c2ed4057693ccbe9bc469780d1a945a385eaf2b25a69fd36b415",
          "bac0f594f134e60d834cb666f28274c52ba0ed16ba3c5f5b48e87b13fd80f25b"),
+        # several epochs, a batch size that does not divide the samples, and
+        # cut groups whose members are not adjacent in user order
+        (["train-toy", "--users", "5", "--samples", "37", "--epochs", "3",
+          "--batch-size", "7", "--cuts", "1,2,2,1,2", "--rounds", "10"], "train_toy",
+         "2c6a8ebec8d5872330449b041e33a28bb81f27c63c0e1e22976ffcab74684966",
+         "83378701dd530992cd76b105b4aabddcacb03f962d6f9949f3d7e5823ef89147"),
     ])
     def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):
         users = tmp_path / "users.json"

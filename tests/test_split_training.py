@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from esfl import (
     DenseNet,
+    SplitState,
     ToyUser,
     concatenate,
     esfl_train,
@@ -575,6 +576,119 @@ class TestStackedTraining:
             net.activations, net.loss), 1, 0.1)
         with pytest.raises(ValueError, match="feature dimension"):
             split_update(stacked, (np.zeros((2, 4, 3)), np.zeros((2, 4, 2))))
+
+
+def _ref_stacked(net, size):
+    """``size`` copies of ``net`` stacked along a new leading axis."""
+    def stack(arrays):
+        return tuple(np.repeat(a[None], size, axis=0) for a in arrays)
+    return DenseNet(stack(net.weights), stack(net.biases), net.activations, net.loss)
+
+
+def _ref_joined(nets, order):
+    """Stacked ``nets`` laid end to end along the member axis, members then
+    taken in ``order``."""
+    def join(layers):
+        return tuple(np.concatenate(stacks)[order] for stacks in zip(*layers))
+    return DenseNet(join(n.weights for n in nets), join(n.biases for n in nets),
+                    nets[0].activations, nets[0].loss)
+
+
+def _ref_stacked_update(state, x, y):
+    """The functional split step: the reference step above, refusing a
+    non-finite loss in any member as split_update does."""
+    out, _ = _ref_forward(state.server_side, _ref_forward(state.user_side, x)[0])
+    if not np.isfinite(_ref_loss_and_grad(out, y, state.server_side.loss)[0]).all():
+        raise FloatingPointError("non-finite loss")
+    user, server = _ref_split_update(state, x, y)
+    return SplitState(user, server, state.cut, state.learning_rate)
+
+
+def _functional_stacked_train(net, users, rounds, eta, rho0, batch_size):
+    """esfl_train as the functional stacked trainer: each cut group steps a
+    stacked copy of the global net, every minibatch building new sides with
+    the reference split step, and the groups are joined in user order."""
+    pooled_x = np.concatenate([u.x for u in users])
+    pooled_y = np.concatenate([u.y for u in users])
+    counts = [float(len(u.x)) for u in users]
+    groups = {}
+    for i, u in enumerate(users):
+        groups.setdefault((u.cut, u.epochs, u.x.shape, u.y.shape), []).append(i)
+    order = np.argsort([i for members in groups.values() for i in members])
+    trace = []
+    for r in range(rounds):
+        rho = rho0 / (1.0 + r / 100.0)
+        trained = []
+        for members in groups.values():
+            lead = users[members[0]]
+            x = np.stack([users[i].x for i in members])
+            y = np.stack([users[i].y for i in members])
+            step = x.shape[-2] if batch_size is None else batch_size
+            state = split_net(_ref_stacked(net, len(members)), lead.cut, rho)
+            for _ in range(lead.epochs):
+                for start in range(0, x.shape[-2], step):
+                    rows = slice(start, start + step)
+                    state = _ref_stacked_update(state, x[:, rows], y[:, rows])
+            trained.append(concatenate(state))
+        net = federated_aggregate(net, _ref_joined(trained, order), counts, eta)
+        trace.append(loss_value(net, pooled_x, pooled_y))
+    return net, trace
+
+
+def _arrays(net: DenseNet):
+    return [a.copy() for a in net.weights + net.biases]
+
+
+class TestInPlaceTraining:
+    """esfl_train steps each cut group's parameters in place, in one flat
+    buffer; every loss and parameter must equal the functional stacked
+    trainer's bit for bit, and no input may change."""
+
+    @seed(20250)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_training_cases())
+    def test_matches_the_functional_trainer_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        net = init_dense_net(case["sizes"], case["activations"], case["loss"], rng)
+        users = _toy_users(rng, case["sizes"], case["loss"], case["users"])
+        before = _arrays(net)
+        data = [(u.x.copy(), u.y.copy()) for u in users]
+        kwargs = {k: case[k] for k in ("rounds", "eta", "rho0", "batch_size")}
+        # large steps on identity layers diverge: then both must refuse the
+        # same run, or agree on every overflowed value
+        with np.errstate(all="ignore"):
+            try:
+                ref_final, ref_trace = _functional_stacked_train(net, users, **kwargs)
+            except FloatingPointError:
+                with pytest.raises(FloatingPointError):
+                    esfl_train(net, users, **kwargs)
+            else:
+                final, trace = esfl_train(net, users, **kwargs)
+                assert np.array_equal(trace, ref_trace, equal_nan=True)
+                assert all(np.array_equal(p, q, equal_nan=True) for p, q in
+                           zip(final.weights + final.biases,
+                               ref_final.weights + ref_final.biases))
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(net), before))
+        assert all(np.array_equal(u.x, x) and np.array_equal(u.y, y)
+                   for u, (x, y) in zip(users, data))
+
+    @seed(20251)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_exact_cases())
+    def test_split_update_leaves_its_state_unchanged(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sizes, batch = case["sizes"], case["batch"]
+        lead = () if case["members"] is None else (case["members"],)
+        nets = [init_dense_net(sizes, case["activations"], case["loss"], rng)
+                for _ in range(case["members"] or 1)]
+        net = nets[0] if case["members"] is None else _stack(nets)
+        x = rng.normal(size=lead + (batch, sizes[0]))
+        y = rng.normal(size=lead + (batch, sizes[-1]))
+        state = split_net(net, case["cut"], case["rho"])
+        before = _arrays(net)
+        split_update(state, (x, y))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_arrays(concatenate(state)), before))
 
 
 class TestMakeBlobs:
