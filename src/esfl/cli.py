@@ -139,6 +139,16 @@ def _comma_list(text: str, flag: str) -> list[str]:
     return names
 
 
+def _name_list(text: str, flag: str) -> list[str]:
+    """The nonempty comma list of distinct names given with ``flag``: a
+    repeated name would label two report rows alike."""
+    names = _comma_list(text, flag)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"{flag} repeats {', '.join(repeated)}: {text!r}")
+    return names
+
+
 def _int_list(text: str, flag: str) -> list[int]:
     """The nonempty comma list of integers given with ``flag``."""
     try:
@@ -277,6 +287,38 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
     return line % tuple(headers) + rule + (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
+def _widest(fmt: str, values: np.ndarray) -> int:
+    """The length of the longest ``fmt % v`` over ``values``, for an integer
+    or fixed-point ``fmt`` such as ``%d`` or ``%.4f``.
+
+    The text only lengthens as ``|v|`` grows on either side of zero, so the
+    longest is that of the largest or the smallest finite value, of a
+    negative zero (``-0.0000``) or of a non-finite value.
+    """
+    finite = np.isfinite(values)
+    candidates = np.unique(values[~finite]).tolist()
+    if finite.any():
+        finite = values[finite]
+        candidates += [finite.max(), finite.min()]
+        if np.signbit(finite).any():
+            candidates.append(-0.0)
+    return max((len(fmt % v) for v in candidates), default=0)
+
+
+def format_numeric_table(headers: list[str], columns: list[np.ndarray],
+                         formats: list[str]) -> str:
+    """``format_table`` of the rows whose cells are ``fmt % value``, one
+    integer or fixed-point ``fmt`` per column, rendered by one ``%`` format
+    of the values: no cell is a string of its own."""
+    widths = [max(len(h), _widest(fmt, column))
+              for h, column, fmt in zip(headers, columns, formats)]
+    line = "  ".join(f"%{w}s" for w in widths) + "\n"
+    rule = "  ".join("-" * w for w in widths) + "\n"
+    row = "  ".join(f"%{w}{fmt[1:]}" for w, fmt in zip(widths, formats)) + "\n"
+    values = chain.from_iterable(zip(*(column.tolist() for column in columns)))
+    return line % tuple(headers) + rule + (row * len(columns[0])) % tuple(values)
+
+
 def _read_json(path: str):
     """Parse a JSON input file, refusing the NaN and Infinity literals."""
     def refuse(name):
@@ -357,7 +399,7 @@ def _unit_config(args) -> dict:
 def cmd_simulate(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     spec = _scenario_from_args(args)
-    algorithms = tuple(_comma_list(args.algos, "--algos"))
+    algorithms = tuple(_name_list(args.algos, "--algos"))
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -404,7 +446,7 @@ def cmd_simulate(args) -> int:
         table += format_table(["layer", "probability"], dist_rows)
         table += (
             f"\nper-user cut entropy variance: "
-            f"{dist.entropy_variance():.6f} bits^2\n"
+            f"{payload['cut_distribution']['entropy_variance_bits']:.6f} bits^2\n"
         )
     _emit(_resolve_out_dir(args.out), "report", payload, table)
     print(table, end="")
@@ -530,14 +572,15 @@ def cmd_optimize(args) -> int:
     }
 
     totals = round_terms(batch, arch, alloc.cuts, alloc.server_compute, args.t_agg).total
-    rows = list(zip(map(str, batch.user_ids.tolist()), map(str, alloc.cuts),
-                    map("{:.4f}".format, (np.array(alloc.server_compute) / 1e12).tolist()),
-                    map("{:.3f}".format, totals.tolist())))
     table = (
         f"arch {arch.name}  users {len(batch)}  server {args.server_tflops} TFLOPs\n"
         f"objective {alloc.objective:.3f} s in {result.iterations} iterations"
         f"{'' if result.converged else ' (iteration cap hit)'}\n\n"
-        + format_table(["user", "cut", "server TFLOPs", "round (s)"], rows)
+        + format_numeric_table(
+            ["user", "cut", "server TFLOPs", "round (s)"],
+            [batch.user_ids, np.asarray(alloc.cuts),
+             np.asarray(alloc.server_compute) / 1e12, totals],
+            ["%d", "%d", "%.4f", "%.3f"])
     )
 
     if args.oracle:
@@ -567,7 +610,7 @@ def cmd_optimize(args) -> int:
 def cmd_converge(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     presets = preset_scenarios()
-    names = _comma_list(args.scenarios, "--scenarios")
+    names = _name_list(args.scenarios, "--scenarios")
     unknown = [n for n in names if n not in presets]
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
@@ -651,6 +694,14 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
 # is refused before any blob is drawn.
 MAX_TOY_VALUES = 10**7
 
+# The most parameter values train-toy holds. The network has
+# 16 × (--dim + 1) + 17 × (--classes + 16) parameters. The trainer keeps one
+# copy per user in each of the local models, their gradients and the
+# aggregation's reordered stack, beside four of the global size (the initial
+# and current networks and the aggregation's temporaries), so a larger run
+# is refused before the network is built.
+MAX_TOY_PARAMETERS = 10**7
+
 
 def cmd_train_toy(args) -> int:
     n_users = args.users
@@ -659,8 +710,13 @@ def cmd_train_toy(args) -> int:
         raise ConfigError(
             f"--users × --samples × (--dim + --classes) must be at most "
             f"{MAX_TOY_VALUES}, not {values}")
-    rng = np.random.default_rng(args.seed)
     sizes = [args.dim, 16, 16, args.classes]
+    parameters = (3 * n_users + 4) * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    if parameters > MAX_TOY_PARAMETERS:
+        raise ConfigError(
+            f"(3 × --users + 4) × (16 × (--dim + 1) + 17 × (--classes + 16)) "
+            f"must be at most {MAX_TOY_PARAMETERS}, not {parameters}")
+    rng = np.random.default_rng(args.seed)
     net = toy.init_dense_net(
         sizes, activations=["tanh", "tanh", "identity"], loss="softmax_ce", rng=rng
     )

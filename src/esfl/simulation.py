@@ -15,7 +15,13 @@ and then plans and prices all of them as one (rounds, S) batch through
 :mod:`esfl.timing`.
 
 Every random draw flows from the scenario seed through one generator, so a
-(scenario, seed) pair reproduces bit-identical reports.
+(scenario, seed) pair reproduces bit-identical reports. The rounds are the
+draws of ``Generator.choice`` round by round, and leave the generator in
+the same state; where ``choice`` runs Floyd's algorithm (every population
+up to 10,000, and larger ones selecting at most ``population // 50``) its
+bounded-integer stream is replicated, drawing many rounds per call. This
+was verified on numpy 2.4.6; the sampler property test guards other numpy
+versions.
 """
 
 from __future__ import annotations
@@ -306,22 +312,25 @@ def sample_rounds(
     ``sticky`` fixes both per user. Rounds consume ``rng`` one after
     another, so R calls with ``rounds=1`` draw the same rows as one call
     with ``rounds=R``.
+
+    The rows and the generator's final state are those of drawing each
+    round as ``rng.choice(population, S, replace=False)``, sorted, then
+    ``rng.choice(options, S)`` for rates and for compute. Where ``choice``
+    uses Floyd's algorithm (every population up to 10,000, and larger ones
+    selecting at most ``population // 50``), :func:`_floyd_rounds` draws
+    many rounds per call; otherwise (``choice``'s tail shuffle) rounds are
+    drawn one by one. This reproduces numpy's ``Generator`` as
+    verified on numpy 2.4.6; the sampler property test guards other numpy
+    versions.
     """
     size = spec.selected_per_round
-    comm_options = np.asarray(spec.comm_options, dtype=float)
-    comp_options = np.asarray(spec.comp_options, dtype=float)
-    selected = np.empty((rounds, size), dtype=int)
-    comm_kb = np.empty((rounds, size))
-    comp_tf = np.empty((rounds, size))
-    for r in range(rounds):
-        selected[r] = np.sort(rng.choice(spec.population, size=size, replace=False))
-        if sticky is None:
-            # The stream of ``rng.choice(options, size=size)``, without its
-            # argument handling.
-            comm_kb[r] = comm_options[rng.integers(0, len(comm_options), size=size)]
-            comp_tf[r] = comp_options[rng.integers(0, len(comp_options), size=size)]
-    if sticky is not None:
-        comm_kb, comp_tf = sticky[0][selected], sticky[1][selected]
+    options = None if sticky is not None else (
+        np.asarray(spec.comm_options, dtype=float), np.asarray(spec.comp_options, dtype=float))
+    if spec.population > 10000 and size > spec.population // 50:
+        selected, drawn = _choice_rounds(rng, spec.population, size, rounds, options)
+    else:
+        selected, drawn = _floyd_rounds(rng, spec.population, size, rounds, options)
+    comm_kb, comp_tf = drawn if sticky is None else (sticky[0][selected], sticky[1][selected])
     rates = comm_kb * kb_bytes
     return UserBatch(
         user_ids=selected,
@@ -333,6 +342,92 @@ def sample_rounds(
         storage_bytes=np.full(selected.shape, np.inf),
         memory_bytes=np.full(selected.shape, np.inf),
     )
+
+
+# The most bounded integers one ``Generator.integers`` call of
+# :func:`_floyd_rounds` draws: rounds are drawn in chunks of whole rounds
+# (at least one) of about this many draws, which bounds the temporaries.
+_DRAW_CHUNK = 2**18
+
+
+def _choice_rounds(rng, population, size, rounds, options):
+    """Sorted (R, S) selections and, unless ``options`` is None, the
+    (2, R, S) values drawn from its (rate, compute) option arrays, round by
+    round."""
+    selected = np.empty((rounds, size), dtype=int)
+    drawn = None if options is None else np.empty((2, rounds, size))
+    for r in range(rounds):
+        selected[r] = np.sort(rng.choice(population, size=size, replace=False))
+        if options is not None:
+            # The stream of ``rng.choice(values, size=size)``, without its
+            # argument handling.
+            for out, values in zip(drawn, options):
+                out[r] = values[rng.integers(0, len(values), size=size)]
+    return selected, drawn
+
+
+def _floyd_rounds(rng, population, size, rounds, options):
+    """What :func:`_choice_rounds` returns, where ``choice`` runs Floyd's
+    algorithm, with one bounded-integer call per chunk of rounds.
+
+    Each round of ``choice`` draws, in order: for Floyd's step s the
+    integer t in ``0..j`` with ``j = population - size + s``; for its
+    shuffle of the S picks one integer in ``0..i`` for i = S-1 down to 1;
+    then one option index per user for rates and one for compute. The
+    shuffle's values only reorder a selection that is sorted anyway, so
+    they are drawn and dropped.
+    """
+    low = population - size
+    bounds = [np.arange(low, population), np.arange(size - 1, 0, -1)]
+    if options is not None:
+        bounds += [np.full(size, len(values) - 1) for values in options]
+    bounds = np.concatenate(bounds)
+    per_chunk = max(1, _DRAW_CHUNK // bounds.size)
+    selected = np.empty((rounds, size), dtype=int)
+    drawn = None if options is None else np.empty((2, rounds, size))
+    for start in range(0, rounds, per_chunk):
+        stop = min(start + per_chunk, rounds)
+        draws = rng.integers(0, np.tile(bounds, stop - start),
+                             endpoint=True).reshape(stop - start, -1)
+        if low:
+            selected[start:stop] = np.sort(_floyd_picks(draws[:, :size], low), axis=1)
+        else:   # the whole population
+            selected[start:stop] = np.arange(size)
+        if options is not None:
+            for k, (out, values) in enumerate(zip(drawn, options)):
+                first = (2 + k) * size - 1
+                out[start:stop] = values[draws[:, first:first + size]]
+    return selected, drawn
+
+
+def _floyd_picks(t: np.ndarray, low: int) -> np.ndarray:
+    """The values Floyd's algorithm takes, per row, from its (R, S) draws.
+
+    Step s draws t_s in ``0..j_s`` (``j_s = low + s``) and takes j_s if t_s
+    is already taken, else t_s. Every earlier draw is taken by the time of
+    its own step (by it or by an earlier step), so t_s is taken exactly when
+    it repeats an earlier draw of its row or equals j_k for an earlier step
+    k that took j_k: an OR along the pointers s -> k = t_s - low, which only
+    point back, resolved by pointer jumping in O(log S) passes.
+    """
+    rows, size = t.shape
+    steps = np.arange(size)
+    n = t.size
+    firsts = np.arange(0, n, size)[:, None]           # flat index of each row's step 0
+    k = t - low
+    took_j = np.zeros(n + 1, dtype=bool)               # the last entry is no step
+    # Sorting value * S + step groups equal draws, earliest step first (no
+    # int64 overflow: values stay below 10**7 and S below 10**7).
+    ranked, order = np.divmod(np.sort(t * size + steps, axis=1), size)
+    took_j[(order + firsts)[:, 1:][ranked[:, 1:] == ranked[:, :-1]]] = True
+    back = np.append(np.where((k >= 0) & (k < steps), k + firsts, n).ravel(), n)
+    live = np.flatnonzero(back < n)
+    while live.size:
+        to = back[live]
+        took_j[live] |= took_j[to]
+        back[live] = back[to]
+        live = live[back[live] < n]
+    return np.where(took_j[:n].reshape(rows, size), low + steps, t)
 
 
 def price_rounds(

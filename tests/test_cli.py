@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import esfl
 from esfl import ChannelParams, UserBatch, UserProfile, cli, link_rates
-from esfl.cli import dumps_report, format_table, main
+from esfl.cli import dumps_report, format_numeric_table, format_table, main
 from esfl.simulation import MAX_POPULATION, MAX_USER_ROUNDS
 
 
@@ -211,6 +211,11 @@ class TestSimulate:
                     f"not {population}\n") in capsys.readouterr().err
         assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
         assert "input error: --algos selects nothing" in capsys.readouterr().err
+        # a repeated name would print two rows under one label
+        assert _run("simulate", "--algos", "esfl,fl,esfl", "--rounds", "1",
+                    "--out", str(tmp_path / "o")) == 1
+        assert ("input error: --algos repeats esfl: 'esfl,fl,esfl'\n"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_shared_parser_keeps_no_state_between_calls(self):
@@ -596,6 +601,36 @@ class TestFormatTable:
         assert format_table(headers, rows) == _rjust_table(headers, rows)
 
 
+def _per_cell_table(headers, columns, formats):
+    """The per-cell table that format_numeric_table replaced: each value
+    formatted to a string of its own, set in columns by ``_rjust_table``."""
+    rows = [[format(v, fmt[1:]) for fmt, v in zip(formats, row)]
+            for row in zip(*(column.tolist() for column in columns))]
+    return _rjust_table(headers, rows)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                    st.sampled_from([0.0, -0.0, 9.99995, -9.99995, 99.9996, -4e-5, 1e-300]))
+
+
+class TestFormatNumericTable:
+    @seed(20261)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n),
+        st.lists(_FLOATS, min_size=n, max_size=n),
+        st.lists(_FLOATS, min_size=n, max_size=n))))
+    @example(([], [], []))
+    @example(([7, -12345], [0.0, -0.0], [float("nan"), -float("inf")]))
+    def test_equals_the_per_cell_table(self, table):
+        columns = [np.array(table[0], dtype=np.int64), np.array(table[1]),
+                   np.array(table[2])]
+        # one-letter headers, so that the values alone size the columns
+        headers, formats = ["u", "s", "r"], ["%d", "%.4f", "%.3f"]
+        assert (format_numeric_table(headers, columns, formats)
+                == _per_cell_table(headers, columns, formats))
+
+
 def _bench_style_users(n: int, seed: int) -> dict:
     """A seeded users.json document of ``n`` users in the benchmark's style:
     the three link kinds and storage/memory limits on about 30% of users,
@@ -632,7 +667,7 @@ class TestOptimizeBytes:
         columns_out = capsys.readouterr().out
         monkeypatch.setattr(cli, "_users_from_doc", lambda p, kb: _per_user_batch(
             json.loads(Path(p).read_text()), kb))
-        monkeypatch.setattr(cli, "format_table", _rjust_table)
+        monkeypatch.setattr(cli, "format_numeric_table", _per_cell_table)
         assert main(argv + ["--out", str(tmp_path / "per_user")]) == 0
         assert capsys.readouterr().out == columns_out
         for name in ("allocation.json", "allocation.txt"):
@@ -666,6 +701,11 @@ class TestConverge:
         for flag in ("--scenarios", "--scales"):
             assert _run("converge", flag, ",", "--out", str(tmp_path / "o")) == 1
             assert f"input error: {flag} selects nothing" in capsys.readouterr().err
+        # a repeated scenario would be drawn from another stream under its label
+        assert _run("converge", "--scenarios", "BP,PR,BP,PR", "--scales", "5",
+                    "--out", str(tmp_path / "o")) == 1
+        assert ("input error: --scenarios repeats BP, PR: 'BP,PR,BP,PR'\n"
+                in capsys.readouterr().err)
         for scales in ("-5", "0", "5,-5"):
             assert _run("converge", f"--scales={scales}",
                         "--out", str(tmp_path / "o")) == 1
@@ -750,6 +790,15 @@ class TestTrainToy:
             assert (f"input error: --users × --samples × (--dim + --classes) must be "
                     f"at most {cli.MAX_TOY_VALUES}, not {values}\n"
                     in capsys.readouterr().err)
+        # networks refused before they are built: (3 + 4) × (16 × 89267 + 17 × 18)
+        # parameters is the first --dim past the cap for one user and two classes
+        for users, dim, parameters in (("1", "89266", 10_000_046),
+                                       ("10000", "2", 30_004 * 354)):
+            assert _run("train-toy", "--users", users, "--samples", "1", "--dim", dim,
+                        "--rounds", "1", "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: (3 × --users + 4) × (16 × (--dim + 1) + 17 × "
+                    f"(--classes + 16)) must be at most {cli.MAX_TOY_PARAMETERS}, "
+                    f"not {parameters}\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from esfl import (
     ConfigError,
@@ -13,6 +17,7 @@ from esfl import (
     run_simulation,
     sample_rounds,
 )
+from esfl import simulation
 from esfl.simulation import (
     CutLayerDistribution,
     _cut_distribution,
@@ -117,6 +122,53 @@ class TestSampling:
         np.testing.assert_array_equal(got.user_ids, want[0])
         np.testing.assert_array_equal(got.up, want[1] * 1000.0)
         np.testing.assert_array_equal(got.down, want[1] * 1000.0)
+        np.testing.assert_array_equal(got.compute_flops, want[2] * 1e12)
+        np.testing.assert_array_equal(got.n_samples, data[want[0]])
+
+
+@st.composite
+def _sampling_cases(draw):
+    """A scenario, a seed, a round count and a chunk size for sample_rounds.
+
+    Populations lie on both sides of 10,000, above which ``choice`` shuffles
+    the tail of the population instead of running Floyd's algorithm when it
+    selects more than ``population // 50``; selections reach the whole
+    population, and chunks as small as one round split the draws."""
+    population = draw(st.one_of(st.integers(1, 60), st.integers(61, 10_000),
+                                st.integers(10_001, 30_000)))
+    if population > 10_000:
+        cutoff = population // 50
+        selected = draw(st.one_of(st.integers(1, cutoff),
+                                  st.integers(cutoff + 1, cutoff + 100)))
+    else:
+        selected = draw(st.one_of(st.integers(1, min(population, 300)),
+                                  st.integers(max(1, population - 5), population)))
+    comm, comp = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spec = ScenarioSpec("draws", tuple(10.0 * (1 + k) for k in range(comm)),
+                        tuple(1.3 * (1 + k) for k in range(comp)), (200.0, 500.0),
+                        population=population, selected_per_round=selected)
+    return (spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)),
+            draw(st.booleans()), draw(st.sampled_from([1, 50, 500, 2**18])))
+
+
+class TestSamplingProperty:
+    @seed(20262)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_sampling_cases())
+    def test_rounds_and_stream_equal_the_choice_draws(self, case):
+        spec, rng_seed, rounds, sticky, chunk = case
+        rng = np.random.default_rng(rng_seed)
+        data = sample_population_data(spec, rng)
+        resources = sample_population_resources(spec, rng) if sticky else None
+        state = rng.bit_generator.state
+        with mock.patch.object(simulation, "_DRAW_CHUNK", chunk):
+            got = sample_rounds(spec, rng, data, rounds, resources, kb_bytes=1000.0)
+        after = rng.bit_generator.state
+        rng.bit_generator.state = state
+        want = _choice_sample_rounds(spec, rng, data, rounds, resources)
+        assert rng.bit_generator.state == after
+        np.testing.assert_array_equal(got.user_ids, want[0])
+        np.testing.assert_array_equal(got.up, want[1] * 1000.0)
         np.testing.assert_array_equal(got.compute_flops, want[2] * 1e12)
         np.testing.assert_array_equal(got.n_samples, data[want[0]])
 
