@@ -443,12 +443,18 @@ def price_rounds(
     ESFL is planned by :func:`esfl.allocation.plan_rows`; the requested
     algorithms are priced on the same users (paired comparison). Times and
     communication times are as the policies in :mod:`esfl.timing` define
-    them.
+    them. ``algorithms`` names at least one of :data:`ALGORITHMS`, each
+    once: a repeated name would label two report rows alike.
     """
     options = options or SimOptions()
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+    if not algorithms:
+        raise ConfigError("no algorithms to price")
+    repeated = sorted({a for i, a in enumerate(algorithms) if a in algorithms[:i]})
+    if repeated:
+        raise ConfigError(f"algorithms repeat {', '.join(repeated)}")
     c_total = spec.server_tflops * TFLOPS
     cfg = options.optimizer
     fixed = options.fixed_cut or default_fixed_cut(batch, arch, cfg.batch_size)

@@ -12,20 +12,24 @@ Every primitive is rank-generic: a network's arrays may carry leading
 group axes, ``weights[j]`` of shape ``(..., in_j, out_j)`` against a batch
 ``x`` of shape ``(..., n, in_0)``, and ``np.matmul`` steps each group member
 as its own network. :func:`esfl_train` uses this to train the users that
-share a cut, a sample count and an epoch count as one stacked split update,
-as the clients of a split federated round train in parallel; each member's
-arithmetic is exactly that of a lone user. The trainer owns its local
+share a sample count and an epoch count as one stack, as the clients of a
+split federated round train in parallel; each member's arithmetic is
+exactly that of a lone user. The cut moves layers between the device and
+the server but does not change that arithmetic, so a stack mixes cuts and
+runs one full-network gradient pass per minibatch; the tests pin it bit
+for bit to a per-cut stacked split update. The trainer owns its local
 models: one flat float64 buffer holds a row of parameters per user (w0, b0,
-w1, b1, ...), each group's split sides are views into its rows, built and
+w1, b1, ...), each stack's network is a view into its rows, built and
 validated once per run, and every minibatch writes its gradients into a
-buffer of the same layout and steps the group with one in-place
-subtraction. :func:`split_update` runs the same gradient pass and returns a
-new state, leaving its input alone.
+buffer of the same layout and steps the stack with one in-place
+subtraction. :func:`split_update` runs the split gradient pass and returns
+a new state, leaving its input alone.
 
 Backpropagation reads each layer's derivative from the forward pass's
 cached output (tanh' = 1 - a**2, identity passes the gradient through) and
-computes a segment's input gradient only for the server side, whose
-gradient at the cut goes back to the device.
+computes an input gradient at every layer but the network's first: on the
+split path the server side also forms the gradient at its input, the cut,
+which goes back to the device.
 
 Federated aggregation is damped: W <- W - eta * (W - weighted mean of
 local models), which for eta=1 is plain sample-weighted averaging. The
@@ -209,10 +213,14 @@ def monolithic_update(net: DenseNet, batch, rho: float) -> DenseNet:
 # ---------------------------------------------------------------------------
 # Split execution
 
-def split_net(net: DenseNet, cut: int, learning_rate: float) -> SplitState:
-    """Split after layer ``cut`` (1-based); both sides must be nonempty."""
+def _check_cut(net: DenseNet, cut: int) -> None:
     if not 1 <= cut <= net.num_layers - 1:
         raise ValueError(f"cut {cut} out of range 1..{net.num_layers - 1}")
+
+
+def split_net(net: DenseNet, cut: int, learning_rate: float) -> SplitState:
+    """Split after layer ``cut`` (1-based); both sides must be nonempty."""
+    _check_cut(net, cut)
     user = DenseNet(net.weights[:cut], net.biases[:cut],
                     net.activations[:cut], net.loss)
     server = DenseNet(net.weights[cut:], net.biases[cut:],
@@ -230,28 +238,26 @@ def concatenate(state: SplitState) -> DenseNet:
     )
 
 
-def _check_split_batch(state: SplitState, x: np.ndarray) -> None:
-    if x.shape[-1] != state.user_side.weights[0].shape[-2]:
+def _check_batch(x: np.ndarray, first: DenseNet, last: DenseNet) -> None:
+    """Refuses a batch whose features do not fit the input layer, held by
+    ``first``, or a loss the output layer, held by ``last``, cannot feed."""
+    if x.shape[-1] != first.weights[0].shape[-2]:
         raise ValueError("batch feature dimension does not match the input layer")
-    _check_loss_head(state.server_side)
+    _check_loss_head(last)
 
 
-def _split_pass(state: SplitState, x: np.ndarray, y: np.ndarray,
-                grads: SplitState | None = None):
+def _split_pass(state: SplitState, x: np.ndarray, y: np.ndarray):
     """The gradients of one split step: device forward, server forward,
     loss, server backward, which forms the gradient at the cut, and device
-    backward. Returns ((device dWs, dbs), (server dWs, dbs)), written into
-    the sides of ``grads`` when it is given."""
-    user_grads, server_grads = ((grads.user_side, grads.server_side)
-                                if grads is not None else (None, None))
+    backward. Returns ((device dWs, dbs), (server dWs, dbs))."""
     act_cut, user_caches = _forward_segment(state.user_side, x)
     out, server_caches = _forward_segment(state.server_side, act_cut)
     value, d_out = _loss_and_grad(out, y, state.server_side.loss)
     _check_finite(value)
     s_dws, s_dbs, d_act = _backward_segment(state.server_side, server_caches, d_out,
-                                            server_grads, input_grad=True)
+                                            input_grad=True)
     # d_act is the loss gradient at the cut activation, returned to the device
-    u_dws, u_dbs, _ = _backward_segment(state.user_side, user_caches, d_act, user_grads)
+    u_dws, u_dbs, _ = _backward_segment(state.user_side, user_caches, d_act)
     return (u_dws, u_dbs), (s_dws, s_dbs)
 
 
@@ -261,7 +267,7 @@ def split_update(state: SplitState, batch) -> SplitState:
 
     With stacked sides and a stacked batch, every member steps at once."""
     x, y = batch
-    _check_split_batch(state, x)
+    _check_batch(x, state.user_side, state.server_side)
     rho = state.learning_rate
     (u_dws, u_dbs), (s_dws, s_dbs) = _split_pass(state, x, y)
     return SplitState(_step(state.user_side, u_dws, u_dbs, rho),
@@ -331,12 +337,14 @@ def _batches(x, y, batch_size):
         yield x[..., rows, :], y[..., rows, :]
 
 
-def _cut_groups(users: Sequence[ToyUser]) -> list[list[int]]:
+def _stack_groups(users: Sequence[ToyUser]) -> list[list[int]]:
     """Indices of the users that train as one stack, in first-appearance
-    order: those with the same cut, epoch count and data shapes."""
+    order: those with the same epoch count and data shapes. The cut is not
+    part of the key: it moves layers between the device and the server but
+    leaves every member's arithmetic that of the whole network."""
     groups: dict[tuple, list[int]] = {}
     for i, u in enumerate(users):
-        groups.setdefault((u.cut, u.epochs, u.x.shape, u.y.shape), []).append(i)
+        groups.setdefault((u.epochs, u.x.shape, u.y.shape), []).append(i)
     return list(groups.values())
 
 
@@ -366,51 +374,66 @@ def esfl_train(
 
     Every user trains a split copy of the current global network on its own
     data, the two sides are re-joined, and the sample-weighted models are
-    folded into the global one, in user order. Users that share a cut, an
-    epoch count and data shapes train as one stacked split update. The step
-    size decays as ``rho0 / (1 + r/100)`` with the 0-based round index r;
-    ``rho0`` must be positive and ``eta`` lie in (0, 1], so that every round
-    trains. Returns the final network and the global training loss after
-    each round.
+    folded into the global one, in user order. The step size decays as
+    ``rho0 / (1 + r/100)`` with the 0-based round index r; ``rho0`` must be
+    positive, ``eta`` lie in (0, 1] and ``batch_size`` be None (full batch)
+    or at least 1, so that every round trains. Returns the final network and
+    the global training loss after each round.
 
-    The local models live in one flat buffer, a row per user, each group's
-    rows together; the group's split sides are views into its rows, built
-    once, and each minibatch steps them in place with one subtraction. The
+    A user's cut decides which party computes each layer, not what is
+    computed: the device's layers followed by the server's are the
+    network's layers in order, and both forms take an input gradient at
+    every layer but the first. So users that share an epoch count and data
+    shapes train as one stack, whatever their cuts, with one full-network
+    gradient pass per minibatch; every cut is still checked against the
+    network before training. The per-cut split update is the reference this
+    must match bit for bit.
+
+    The local models live in one flat buffer, a row per user, each stack's
+    rows together; each stack's network is a view into its rows, built
+    once, and each minibatch steps it in place with one subtraction. The
     caller's ``net`` and the users' arrays are only read.
     """
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, not {rho0!r}")
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], not {eta!r}")
+    if batch_size is not None and not batch_size >= 1:
+        raise ValueError(f"batch_size must be None or >= 1, not {batch_size!r}")
+    if not len(users):
+        raise ValueError("users must hold at least one user")
+    for u in users:
+        _check_cut(net, u.cut)
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]
-    cut_groups = _cut_groups(users)
-    # stacked position -> user order, for the group rows laid end to end
-    order = np.argsort([i for members in cut_groups for i in members])
+    stacks = _stack_groups(users)
+    # stacked position -> user order, for the stack rows laid end to end
+    order = np.argsort([i for members in stacks for i in members])
     size = sum(a.size for a in net.weights + net.biases)
     local = np.empty((len(users), size))
     groups, start = [], 0
-    for members in cut_groups:
-        lead = users[members[0]]
+    for members in stacks:
         params = local[start:start + len(members)]
         grads = np.empty_like(params)
-        sides = split_net(_flat_views(params, net), lead.cut, rho0)
         x = np.stack([users[i].x for i in members])
-        _check_split_batch(sides, x)
-        groups.append((params, grads, sides,
-                       split_net(_flat_views(grads, net), lead.cut, rho0),
-                       lead.epochs, x, np.stack([users[i].y for i in members])))
+        _check_batch(x, net, net)
+        groups.append((params, grads, _flat_views(params, net),
+                       _flat_views(grads, net), users[members[0]].epochs,
+                       x, np.stack([users[i].y for i in members])))
         start += len(members)
     trace = []
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         local[...] = np.concatenate(
             [a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
-        for params, grads, sides, grad_sides, epochs, x, y in groups:
+        for params, grads, stack, grad_stack, epochs, x, y in groups:
             for _ in range(epochs):
                 for xb, yb in _batches(x, y, batch_size):
-                    _split_pass(sides, xb, yb, grad_sides)
+                    out, caches = _forward_segment(stack, xb)
+                    value, d_out = _loss_and_grad(out, yb, stack.loss)
+                    _check_finite(value)
+                    _backward_segment(stack, caches, d_out, grad_stack)
                     params -= rho * grads
         net = federated_aggregate(net, _flat_views(local[order], net), counts, eta)
         trace.append(loss_value(net, pooled_x, pooled_y))

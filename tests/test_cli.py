@@ -983,7 +983,8 @@ class TestReportDigests:
          "c6cd77aecf32c2ed4057693ccbe9bc469780d1a945a385eaf2b25a69fd36b415",
          "bac0f594f134e60d834cb666f28274c52ba0ed16ba3c5f5b48e87b13fd80f25b"),
         # several epochs, a batch size that does not divide the samples, and
-        # cut groups whose members are not adjacent in user order
+        # cuts 1,2,2,1,2: one stack mixes both cuts, whose per-cut groups
+        # would not be adjacent in user order
         (["train-toy", "--users", "5", "--samples", "37", "--epochs", "3",
           "--batch-size", "7", "--cuts", "1,2,2,1,2", "--rounds", "10"], "train_toy",
          "2c6a8ebec8d5872330449b041e33a28bb81f27c63c0e1e22976ffcab74684966",

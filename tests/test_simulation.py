@@ -220,6 +220,25 @@ class TestRunRound:
         with pytest.raises(ConfigError):
             price_rounds(batch, ("esfl", "gossip"), vgg19, spec)
 
+    def test_repeated_algorithm_rejected(self, vgg19):
+        # one name twice would give two report rows one label
+        spec = _small(preset_scenarios()["BP"], rounds=2)
+        rng = np.random.default_rng(0)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
+        with pytest.raises(ConfigError, match="repeat esfl"):
+            price_rounds(batch, ["esfl", "fl", "esfl"], vgg19, spec)
+        with pytest.raises(ConfigError, match="repeat esfl"):
+            run_simulation(spec, ["esfl", "fl", "esfl"], vgg19)
+
+    def test_empty_algorithm_list_rejected(self, vgg19):
+        spec = _small(preset_scenarios()["BP"], rounds=2)
+        rng = np.random.default_rng(0)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
+        with pytest.raises(ConfigError, match="no algorithms"):
+            price_rounds(batch, (), vgg19, spec)
+        with pytest.raises(ConfigError, match="no algorithms"):
+            run_simulation(spec, [], vgg19)
+
     def test_identical_users_zero_variance_across_rounds(self, vgg19):
         spec = ScenarioSpec("uniform", (10.0,), (1.3,), (500.0,), rounds=4)
         report = run_simulation(spec, ("esfl", "fl"), vgg19)

@@ -476,6 +476,21 @@ class TestEsflTrain:
             with pytest.raises(ValueError, match="epochs"):
                 ToyUser(x=x, y=y, cut=1, epochs=epochs)
 
+    def test_batch_size_below_one_rejected(self):
+        # a negative size would yield no minibatch and train nothing
+        rng = np.random.default_rng(21)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
+        users = [ToyUser(x=x, y=y, cut=1)]
+        for batch_size in (0, -2, float("nan")):
+            with pytest.raises(ValueError, match="batch_size"):
+                esfl_train(net, users, rounds=1, batch_size=batch_size)
+
+    def test_no_users_rejected(self):
+        net = init_dense_net([2, 3, 2], loss="mse", rng=np.random.default_rng(22))
+        with pytest.raises(ValueError, match="users"):
+            esfl_train(net, [], rounds=1)
+
 
 def _per_user_train(net, users, rounds, eta, rho0, batch_size):
     """The plain reference for esfl_train: every user steps alone, in order."""
@@ -532,8 +547,9 @@ def _toy_users(rng, sizes, loss, specs):
 
 
 class TestStackedTraining:
-    """esfl_train steps users that share a cut, a sample count and an epoch
-    count as one stack; each must train exactly as it would alone."""
+    """esfl_train steps users that share a sample count and an epoch count
+    as one stack, whatever their cuts; each must train exactly as it would
+    alone."""
 
     @seed(20248)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -605,9 +621,9 @@ def _ref_stacked_update(state, x, y):
 
 
 def _functional_stacked_train(net, users, rounds, eta, rho0, batch_size):
-    """esfl_train as the functional stacked trainer: each cut group steps a
-    stacked copy of the global net, every minibatch building new sides with
-    the reference split step, and the groups are joined in user order."""
+    """The per-cut reference for esfl_train: each cut group steps a stacked
+    copy of the global net, every minibatch building new sides with the
+    reference split step, and the groups are joined in user order."""
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]
@@ -640,9 +656,11 @@ def _arrays(net: DenseNet):
 
 
 class TestInPlaceTraining:
-    """esfl_train steps each cut group's parameters in place, in one flat
-    buffer; every loss and parameter must equal the functional stacked
-    trainer's bit for bit, and no input may change."""
+    """esfl_train steps each stack's parameters in place, in one flat buffer,
+    with one full-network gradient pass per minibatch for members of any
+    cut. The cut moves layers between device and server but not the
+    arithmetic: every loss and parameter must equal the per-cut functional
+    split trainer's bit for bit, and no input may change."""
 
     @seed(20250)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -671,6 +689,33 @@ class TestInPlaceTraining:
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(net), before))
         assert all(np.array_equal(u.x, x) and np.array_equal(u.y, y)
                    for u, (x, y) in zip(users, data))
+
+    def test_mixed_cut_stack_matches_the_per_cut_trainer(self):
+        # equal shapes and epochs, so all four users form one stack
+        rng = np.random.default_rng(23)
+        sizes = [3, 5, 4, 3]
+        net = init_dense_net(sizes, ["tanh", "relu", "identity"], "softmax_ce", rng)
+        users = _toy_users(rng, sizes, "softmax_ce",
+                           [(cut, 10, 2) for cut in (1, 2, 1, 2)])
+        kwargs = {"rounds": 4, "eta": 0.7, "rho0": 0.2, "batch_size": 4}
+        final, trace = esfl_train(net, users, **kwargs)
+        ref_final, ref_trace = _functional_stacked_train(net, users, **kwargs)
+        assert np.array_equal(trace, ref_trace)
+        assert all(np.array_equal(p, q) for p, q in
+                   zip(final.weights + final.biases,
+                       ref_final.weights + ref_final.biases))
+
+    def test_cut_out_of_range_in_any_member_rejected(self):
+        rng = np.random.default_rng(24)
+        sizes = [2, 3, 3, 2]
+        net = init_dense_net(sizes, loss="mse", rng=rng)
+        for bad in (0, 3):
+            for where in range(3):
+                cuts = [1, 2, 1]
+                cuts[where] = bad
+                users = _toy_users(rng, sizes, "mse", [(c, 4, 1) for c in cuts])
+                with pytest.raises(ValueError, match=f"cut {bad} out of range 1..2"):
+                    esfl_train(net, users, rounds=1)
 
     @seed(20251)
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
