@@ -13,13 +13,9 @@ import numpy as np
 import esfl
 
 arch = esfl.load_builtin("vgg19")
-user = esfl.UserProfile(
-    user_id=0,
-    n_samples=500,
-    compute_flops=1.3e12,
-    rates=esfl.link_rates("direct", direct_kbps=10),
-    epochs=5,
-)
+rate = 10 * 1024.0  # 10 KB/s, in bytes/s
+user = esfl.UserBatch.checked(n_samples=500, compute_flops=1.3e12, up=rate, down=rate,
+                              epochs=5)
 server_share = 13e12
 
 print("per-cut round time, seconds (5 epochs, 10 KB/s, 1.3 TFLOPs device)")
@@ -28,7 +24,7 @@ header = f"{'cut':>4} {'t_up+t_down':>12} {'t_c x eps':>10} {'t_b+t_B x eps':>14
 print(header)
 print("-" * len(header))
 # cuts=None prices every cut: each term is a (users, cuts) array
-terms = esfl.round_terms(esfl.UserBatch.of([user]), arch, None, server_share)
+terms = esfl.round_terms(user, arch, None, server_share)
 columns = zip(
     (terms.t_up + terms.t_down)[0],
     5 * terms.t_c[0],

@@ -16,16 +16,11 @@ import esfl
 rng = np.random.default_rng(42)
 arch = esfl.load_builtin("vgg19")
 
-users = [
-    esfl.UserProfile(
-        user_id=i,
-        n_samples=float(rng.choice([200, 400, 600, 800])),
-        compute_flops=float(rng.choice([0.65, 1.3, 2.6, 4.55])) * 1e12,
-        rates=esfl.link_rates("direct", direct_kbps=8000.0),
-        epochs=5,
-    )
-    for i in range(6)
-]
+draws = [(float(rng.choice([200, 400, 600, 800])),
+          float(rng.choice([0.65, 1.3, 2.6, 4.55])) * 1e12) for _ in range(6)]
+n_samples, compute_flops = zip(*draws)
+rate = 8000 * 1024.0  # 8000 KB/s, in bytes/s
+users = esfl.UserBatch.checked(n_samples, compute_flops, up=rate, down=rate, epochs=5)
 cuts = [5] * len(users)  # shared cut isolates the compute-division effect
 c_total = 4e12
 

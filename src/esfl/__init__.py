@@ -12,7 +12,6 @@ from .allocation import (
     plan_rows,
     server_demand_terms,
 )
-from .comm import ChannelParams, LinkRates, link_rates, shannon_rate
 from .errors import (
     AllocationError,
     ConfigError,
@@ -59,7 +58,7 @@ from .timing import (
     sfl_round_time,
     sl_round_time,
 )
-from .users import UserBatch, UserProfile
+from .users import UserBatch
 from .workload import (
     LayerProfile,
     ModelArchitecture,

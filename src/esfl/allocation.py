@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import AllocationError, InfeasibleUserError
 from .timing import ServerFreeTerms, feasibility_mask, round_terms
-from .users import UserBatch, Users
+from .users import UserBatch
 from .workload import ModelArchitecture
 
 _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
@@ -65,7 +65,6 @@ class OptimizerConfig:
     bisection_max_steps: int = 200      # resource pass: cap on demand evaluations
     epoch_objective: bool = False       # optimize one epoch instead of the full round
     t_agg: float = 0.0
-    batch_size: int = 1                 # used by the memory feasibility check
 
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.bisection_max_steps < 1:
@@ -104,9 +103,9 @@ class AlternateResult:
 # ---------------------------------------------------------------------------
 # Per-user objective terms, all priced by ``timing.round_terms``
 
-def _feasible(batch: UserBatch, arch: ModelArchitecture, batch_size: int) -> np.ndarray:
+def _feasible(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
     """The (..., S, L) feasibility mask; a user with no feasible cut is an error."""
-    mask = feasibility_mask(batch, arch, batch_size)
+    mask = feasibility_mask(batch, arch)
     if not mask.any(axis=-1).all():
         bad = batch.user_ids[~mask.any(axis=-1)].tolist()
         raise InfeasibleUserError(f"users without any feasible cut: {bad}")
@@ -155,7 +154,7 @@ class _CutPass(NamedTuple):
 
 
 def server_demand_terms(
-    users: Users,
+    batch: UserBatch,
     cuts: Sequence[int] | np.ndarray,
     arch: ModelArchitecture,
     cfg: OptimizerConfig | None = None,
@@ -166,7 +165,6 @@ def server_demand_terms(
     objective with the server time left out (infinite server compute).
     """
     cfg = cfg or OptimizerConfig()
-    batch = UserBatch.of(users)
     free = round_terms(batch, arch, cuts, math.inf, cfg.t_agg)
     if cfg.epoch_objective:
         return free.server_work, free.epoch
@@ -376,7 +374,7 @@ def plan_rows(
     if idle.any():
         raise ValueError(f"users {sorted(set(batch.user_ids[idle].tolist()))}: "
                          f"planning needs epochs >= 1")
-    mask = _feasible(batch, arch, cfg.batch_size)
+    mask = _feasible(batch, arch)
 
     best_cuts = np.zeros(batch.shape, dtype=int)
     best_compute = np.zeros(batch.shape)
@@ -422,7 +420,7 @@ def plan_rows(
 
 
 def alternate(
-    users: Users,
+    batch: UserBatch,
     arch: ModelArchitecture,
     c_total: float,
     cfg: OptimizerConfig | None = None,
@@ -434,11 +432,11 @@ def alternate(
     seen with the full iteration trace. ``converged`` is False when the
     iteration cap was hit first. This is :func:`plan_rows` on one round.
     """
-    return plan_rows(UserBatch.of(users).rows(None), arch, c_total, cfg).result(0)
+    return plan_rows(batch.rows(None), arch, c_total, cfg).result(0)
 
 
 def brute_force_joint(
-    users: Users,
+    batch: UserBatch,
     arch: ModelArchitecture,
     c_total: float,
     cfg: OptimizerConfig | None = None,
@@ -451,14 +449,13 @@ def brute_force_joint(
     ``ORACLE_MAX_LAYERS`` layers are refused.
     """
     cfg = cfg or OptimizerConfig()
-    if len(users) > ORACLE_MAX_USERS or arch.num_layers > ORACLE_MAX_LAYERS:
+    if len(batch) > ORACLE_MAX_USERS or arch.num_layers > ORACLE_MAX_LAYERS:
         raise ValueError(
             f"instance too large for enumeration: "
-            f"{len(users)} users x {arch.num_layers} layers "
+            f"{len(batch)} users x {arch.num_layers} layers "
             f"(limits {ORACLE_MAX_USERS} x {ORACLE_MAX_LAYERS})"
         )
-    batch = UserBatch.of(users)
-    mask = _feasible(batch, arch, cfg.batch_size)
+    mask = _feasible(batch, arch)
     per_user = [(np.flatnonzero(row) + 1).tolist() for row in mask]
     best: Allocation | None = None
     for cuts in itertools.product(*per_user):

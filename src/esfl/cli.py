@@ -15,7 +15,8 @@ error, 2 runtime error. The argument parser is built once per process.
 ``optimize`` reads its users.json straight into one
 :class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
 set, and every field is gathered into one column that
-:func:`~esfl.users.batch_from_columns` checks with array masks. An input
+:func:`~esfl.users.batch_from_columns` checks with array masks, by the
+rules of :meth:`~esfl.users.UserBatch.checked`. An input
 error names the file, the first bad user by index and its field. Text
 tables are sized once per column and rendered by one ``%`` format.
 """

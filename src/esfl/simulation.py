@@ -457,7 +457,7 @@ def price_rounds(
         raise ConfigError(f"algorithms repeat {', '.join(repeated)}")
     c_total = spec.server_tflops * TFLOPS
     cfg = options.optimizer
-    fixed = options.fixed_cut or default_fixed_cut(batch, arch, cfg.batch_size)
+    fixed = options.fixed_cut or default_fixed_cut(batch, arch)
     fixed = np.broadcast_to(np.asarray(fixed)[..., None], batch.shape)
     plan = plan_rows(batch, arch, c_total, cfg) if "esfl" in algorithms else None
 

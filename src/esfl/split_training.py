@@ -213,6 +213,12 @@ def monolithic_update(net: DenseNet, batch, rho: float) -> DenseNet:
 # ---------------------------------------------------------------------------
 # Split execution
 
+def _check_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer >= 1; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 def _check_cut(net: DenseNet, cut: int) -> None:
     if not 1 <= cut <= net.num_layers - 1:
         raise ValueError(f"cut {cut} out of range 1..{net.num_layers - 1}")
@@ -322,8 +328,7 @@ class ToyUser:
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_count("epochs", self.epochs)
 
 
 def _batches(x, y, batch_size):
@@ -375,10 +380,11 @@ def esfl_train(
     Every user trains a split copy of the current global network on its own
     data, the two sides are re-joined, and the sample-weighted models are
     folded into the global one, in user order. The step size decays as
-    ``rho0 / (1 + r/100)`` with the 0-based round index r; ``rho0`` must be
-    positive, ``eta`` lie in (0, 1] and ``batch_size`` be None (full batch)
-    or at least 1, so that every round trains. Returns the final network and
-    the global training loss after each round.
+    ``rho0 / (1 + r/100)`` with the 0-based round index r; ``rounds`` must
+    be an integer >= 1, ``rho0`` positive, ``eta`` in (0, 1] and
+    ``batch_size`` None (full batch) or an integer >= 1, so that every round
+    trains. Returns the final network and the global training loss after
+    each round.
 
     A user's cut decides which party computes each layer, not what is
     computed: the device's layers followed by the server's are the
@@ -398,8 +404,9 @@ def esfl_train(
         raise ValueError(f"rho0 must be positive, not {rho0!r}")
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], not {eta!r}")
-    if batch_size is not None and not batch_size >= 1:
-        raise ValueError(f"batch_size must be None or >= 1, not {batch_size!r}")
+    _check_count("rounds", rounds)
+    if batch_size is not None:
+        _check_count("batch_size", batch_size)
     if not len(users):
         raise ValueError("users must hold at least one user")
     for u in users:

@@ -15,8 +15,9 @@ new server compute through :class:`ServerFreeTerms`, which sums the same
 way. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
 
-Every function here also takes an (R, S) batch of R independent rounds
-and then returns one value per round.
+Every function here takes its users as one :class:`~esfl.users.UserBatch`;
+given an (R, S) batch of R independent rounds, it returns one value per
+round.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AllocationError, InfeasibleLinkError, InfeasibleUserError
-from .users import UserBatch, Users
+from .users import UserBatch
 from .workload import ModelArchitecture
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -285,23 +286,24 @@ def _per_row(x: np.ndarray) -> PerRound:
     return x.item() if np.ndim(x) == 0 else x
 
 
-def feasibility_mask(users: Users, arch: ModelArchitecture, batch: int = 1) -> np.ndarray:
-    """Boolean (..., S, L) mask of cuts satisfying storage and memory limits."""
-    users = UserBatch.of(users)
+def feasibility_mask(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
+    """Boolean (..., S, L) mask of cuts satisfying storage and memory limits.
+
+    A cut needs the device model in storage, and the device model plus one
+    sample's activations up to the cut in memory.
+    """
     model_b = arch.model_bytes_by_cut
-    mem_b = model_b + batch * arch.cum_act_bytes_by_cut
-    return ((model_b <= users.storage_bytes[..., None])
-            & (mem_b <= users.memory_bytes[..., None]))
+    mem_b = model_b + arch.cum_act_bytes_by_cut
+    return ((model_b <= batch.storage_bytes[..., None])
+            & (mem_b <= batch.memory_bytes[..., None]))
 
 
-def default_fixed_cut(
-    users: Users, arch: ModelArchitecture, batch: int = 1
-) -> int | np.ndarray:
+def default_fixed_cut(batch: UserBatch, arch: ModelArchitecture) -> int | np.ndarray:
     """Smallest cut index whose storage/memory needs every user can meet.
 
     One cut for a (S,) batch, one per round for an (R, S) batch.
     """
-    shared = feasibility_mask(users, arch, batch).all(axis=-2)
+    shared = feasibility_mask(batch, arch).all(axis=-2)
     if not shared.any(axis=-1).all():
         raise InfeasibleUserError("no cut layer is feasible for every user")
     return _per_row(np.argmax(shared, axis=-1) + 1)
@@ -327,37 +329,36 @@ def _straggler(
 
 
 def esfl_round_time(
-    alloc: "Allocation | RowPlan", users: Users, arch: ModelArchitecture,
+    alloc: "Allocation | RowPlan", batch: UserBatch, arch: ModelArchitecture,
     t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Per-user cuts and server compute; the slowest user ends the round."""
-    terms = round_terms(UserBatch.of(users), arch, alloc.cuts, alloc.server_compute, t_agg)
+    terms = round_terms(batch, arch, alloc.cuts, alloc.server_compute, t_agg)
     return _straggler(terms, terms.communication)
 
 
 def fl_round_time(
-    users: Users, arch: ModelArchitecture, t_agg: float = 0.0
+    batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0
 ) -> tuple[PerRound, PerRound]:
     """Fully local training at the last layer; only the model moves."""
-    terms = round_terms(UserBatch.of(users), arch, arch.num_layers, 0.0, t_agg)
+    terms = round_terms(batch, arch, arch.num_layers, 0.0, t_agg)
     return _straggler(terms, terms.t_up + terms.t_down)
 
 
 def sfl_round_time(
-    users: Users,
+    batch: UserBatch,
     arch: ModelArchitecture,
     fixed_l: int | np.ndarray,
     server_total_flops: float,
     t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Shared cut layer with the server budget split equally; straggler paced."""
-    terms = round_terms(UserBatch.of(users), arch, fixed_l,
-                        server_total_flops / len(users), t_agg)
+    terms = round_terms(batch, arch, fixed_l, server_total_flops / len(batch), t_agg)
     return _straggler(terms, terms.communication)
 
 
 def sl_round_time(
-    users: Users,
+    batch: UserBatch,
     arch: ModelArchitecture,
     fixed_l: int | np.ndarray,
     server_total_flops: float,
@@ -368,7 +369,7 @@ def sl_round_time(
     The round and its communication are sums over users; the aggregation
     runs once, after the last user.
     """
-    terms = round_terms(UserBatch.of(users), arch, fixed_l, server_total_flops)
+    terms = round_terms(batch, arch, fixed_l, server_total_flops)
     # summed in user order, as the relay runs: cumsum adds strictly left to right
     time = np.cumsum(terms.total, axis=-1)[..., -1] + t_agg
     comm = np.cumsum(terms.communication, axis=-1)[..., -1]

@@ -1,79 +1,116 @@
-"""User device profiles: data volume, local resources, and link rates.
+"""User devices, as one struct-of-arrays :class:`UserBatch`.
 
-Besides the one-user :class:`UserProfile`, this module owns the users.json
+A user is a few numbers: data volume, device compute, up/down link rates,
+local epochs, and storage/memory limits. :meth:`UserBatch.checked` builds a
+round of users from arrays and checks every value against one table of
+rules in library units (``_RULES``). The module also owns the users.json
 schema of ``esfl optimize``: :func:`entry_problem` and
 :func:`channel_problem` check the keys of a user and of its channel block,
-and :func:`batch_from_columns` checks every value, one array per field,
-and builds the :class:`UserBatch`.
+and :func:`batch_from_columns` checks every value, one array per field, by
+the rules of the batch field it fills, and builds the :class:`UserBatch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .comm import ChannelParams, LinkRates, shannon_rates
 from .errors import ConfigError
 
+Rule = tuple[Callable[[np.ndarray], np.ndarray], str]   # (failing mask, what)
 
-@dataclass(frozen=True)
-class UserProfile:
-    """One end device participating in a training round."""
+_FINITE: Rule = (lambda v: ~np.isfinite(v), "finite")
+_AT_LEAST_0: Rule = (lambda v: v < 0, ">= 0")
+_ABOVE_0: Rule = (lambda v: v <= 0, "> 0")
+_NOT_NAN: Rule = (np.isnan, "a number")
+_RATE: Rule = (_FINITE[0], "finite in bytes/s")
 
-    user_id: int
-    n_samples: float            # local training samples used per epoch
-    compute_flops: float        # local compute c_i, FLOPs/s
-    rates: LinkRates
-    epochs: int = 5             # local epochs per round
-    storage_bytes: float = math.inf
-    memory_bytes: float = math.inf
+# The value rules of each UserBatch field, in library units and in field
+# order; a value must pass every rule of its field.
+_RULES: dict[str, tuple[Rule, ...]] = {
+    "n_samples": (_FINITE, _AT_LEAST_0),
+    "compute_flops": ((_FINITE[0], "finite in FLOP/s"), _ABOVE_0),
+    "up": (_RATE, _AT_LEAST_0),
+    "down": (_RATE, _AT_LEAST_0),
+    "epochs": ((lambda v: (v < 1) | (np.floor(v) != v), "an integer >= 1"), _FINITE),
+    "storage_bytes": (_NOT_NAN, _AT_LEAST_0),
+    "memory_bytes": (_NOT_NAN, _AT_LEAST_0),
+}
 
-    def __post_init__(self) -> None:
-        # NaN fails every comparison below, and only the limits may be +inf
-        if not (math.isfinite(self.n_samples) and math.isfinite(self.compute_flops)):
-            raise ConfigError("n_samples and compute_flops must be finite")
-        if math.isnan(self.storage_bytes) or math.isnan(self.memory_bytes):
-            raise ConfigError("storage and memory limits must not be NaN")
-        if self.n_samples < 0:
-            raise ConfigError("n_samples must be >= 0")
-        if self.compute_flops <= 0:
-            raise ConfigError("compute_flops must be strictly positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.storage_bytes < 0 or self.memory_bytes < 0:
-            raise ConfigError("storage and memory limits must be >= 0")
+
+class _FirstBad:
+    """The first failure over a run of column checks: the lowest user index,
+    and of the checks failing there, the earliest. A user is named by its
+    index, or by its entry in ``names`` when given."""
+
+    def __init__(self, names: np.ndarray | None = None) -> None:
+        self.names = names
+        self.user: int | None = None
+        self.message = ""
+
+    def check(self, field: str, users: np.ndarray, bad: np.ndarray, what: str,
+              raw: list | None = None) -> None:
+        if bad.any():
+            k = int(bad.argmax())
+            i = int(users[k])
+            if self.user is None or i < self.user:
+                self.user = i
+                name = i if self.names is None else self.names[i]
+                self.message = f"user {name}: {field} must be {what}"
+                if raw is not None:
+                    self.message += f", not {raw[k]!r}"
+
+    def raise_any(self) -> None:
+        if self.user is not None:
+            raise ConfigError(self.message)
 
 
 @dataclass(frozen=True)
 class UserBatch:
-    """Struct-of-arrays view of a user list: one (..., S) array per attribute.
+    """Struct-of-arrays users: one (..., S) array per attribute.
 
-    Built once per planner or round call, so the latency kernel and the
-    feasibility mask read arrays instead of re-walking Python objects. A
-    batch of shape (R, S) holds R independent rounds of S users each.
+    The latency kernel and the feasibility mask read these arrays. A batch
+    of shape (R, S) holds R independent rounds of S users each. The
+    constructor checks nothing; :meth:`checked` builds a checked round.
     """
 
     user_ids: np.ndarray
-    n_samples: np.ndarray
-    compute_flops: np.ndarray
+    n_samples: np.ndarray          # local training samples used per epoch
+    compute_flops: np.ndarray      # device compute, FLOP/s
     up: np.ndarray                 # link rates, bytes/s
     down: np.ndarray
-    epochs: np.ndarray             # float, so it multiplies without casts
-    storage_bytes: np.ndarray
+    epochs: np.ndarray             # per round; float, so it multiplies without casts
+    storage_bytes: np.ndarray      # +inf: unlimited
     memory_bytes: np.ndarray
 
     @classmethod
-    def of(cls, users: Users) -> UserBatch:
-        """The batch for ``users``; a batch passes through unchanged."""
-        if isinstance(users, UserBatch):
-            return users
-        rows = [(u.n_samples, u.compute_flops, u.rates.up, u.rates.down, u.epochs,
-                 u.storage_bytes, u.memory_bytes) for u in users]
-        columns = np.array(rows, dtype=float).reshape(-1, 7).T.copy()
-        return cls(np.array([u.user_id for u in users], dtype=int), *columns)
+    def checked(cls, n_samples, compute_flops, up, down, epochs=5,
+                storage_bytes=math.inf, memory_bytes=math.inf,
+                user_ids=None) -> UserBatch:
+        """One round of users, each argument an (S,) array or a scalar for
+        every user, checked against ``_RULES``.
+
+        ``user_ids`` defaults to 0..S-1. Raises :class:`ConfigError` naming
+        the first bad user, by its id, and its field.
+        """
+        *columns, ids = np.broadcast_arrays(
+            *(np.array(v, dtype=float, ndmin=1) for v in (
+                n_samples, compute_flops, up, down, epochs, storage_bytes, memory_bytes)),
+            np.array(-1 if user_ids is None else user_ids, dtype=int, ndmin=1))
+        if ids.ndim != 1:
+            raise ValueError("a checked batch holds one round: arrays of shape (S,)")
+        ids = np.arange(len(ids)) if user_ids is None else ids.copy()
+        columns = np.array(columns)
+        first = _FirstBad(ids)
+        users = np.arange(len(ids))
+        for (field, rules), values in zip(_RULES.items(), columns):
+            for bad_of, what in rules:
+                first.check(field, users, bad_of(values), what)
+        first.raise_any()
+        return cls(ids, *columns)
 
     def rows(self, index) -> UserBatch:
         """The batch with every attribute indexed by ``index`` on its row axes.
@@ -87,11 +124,24 @@ class UserBatch:
         return self.user_ids.shape
 
     def __len__(self) -> int:
-        """Users per round, S."""
+        """The number of users per round, S."""
         return self.user_ids.shape[-1]
 
 
-Users = Sequence[UserProfile] | UserBatch  # what the batch-aware functions accept
+def shannon_rates(bandwidth_hz: np.ndarray, power_w: np.ndarray, gain: np.ndarray,
+                  noise_density_w_per_hz: np.ndarray) -> np.ndarray:
+    """Each user's channel capacity in bits/s, ``B * log2(1 + P*g / (B*N0))``,
+    from float arrays, unchecked.
+
+    The log is ``math.log2`` per user: ``np.log2`` differs from it in the
+    last bit on some inputs, and a user's rate must not depend on how many
+    users are priced with it. An SNR that overflows or divides by zero
+    gives an infinite or NaN rate.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        snr = power_w * gain / (bandwidth_hz * noise_density_w_per_hz)
+        log = np.fromiter(map(math.log2, (1.0 + snr).tolist()), float, snr.size)
+        return bandwidth_hz * log
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +151,8 @@ USER_FIELDS = frozenset({
     "n_samples", "tflops", "kbps", "kbps_up", "kbps_down", "channel",
     "epochs", "storage_mb", "memory_mb",
 })
-CHANNEL_FIELDS = tuple(f.name for f in fields(ChannelParams))
+CHANNEL_FIELDS = ("bandwidth_hz", "uplink_power_w", "downlink_power_w",
+                  "uplink_gain", "downlink_gain", "noise_density_w_per_hz")
 _RATE_PAIR = frozenset({"kbps_up", "kbps_down"})
 _REQUIRED = frozenset({"n_samples", "tflops"})
 
@@ -134,36 +185,10 @@ def channel_problem(keys: frozenset) -> str | None:
 
 
 Column = tuple[np.ndarray, list]    # ascending user indices, raw JSON values
-Rule = tuple[Callable[[np.ndarray], np.ndarray], str]   # (failing mask, what)
-Kind = tuple[frozenset, str]                            # (JSON types, what)
+Kind = tuple[frozenset, str]        # (JSON types, what)
 
 _NUMBER: Kind = (frozenset({int, float}), "a number")   # bool is not a number
 _COUNT: Kind = (frozenset({int}), "an integer >= 1")
-_FINITE: Rule = (lambda v: ~np.isfinite(v), "finite")
-_AT_LEAST_0: Rule = (lambda v: v < 0, ">= 0")
-_ABOVE_0: Rule = (lambda v: v <= 0, "> 0")
-_NOT_NAN: Rule = (np.isnan, "a number")
-_AT_LEAST_1: Rule = (lambda v: v < 1, "an integer >= 1")
-
-
-class _FirstBad:
-    """The first failure over a run of column checks: the lowest user index,
-    and of the checks failing there, the earliest."""
-
-    def __init__(self) -> None:
-        self.user: int | None = None
-        self.message = ""
-
-    def check(self, field: str, users: np.ndarray, bad: np.ndarray, what: str,
-              raw: list | None = None) -> None:
-        if bad.any():
-            k = int(bad.argmax())
-            i = int(users[k])
-            if self.user is None or i < self.user:
-                self.user = i
-                self.message = f"user {i}: {field} must be {what}"
-                if raw is not None:
-                    self.message += f", not {raw[k]!r}"
 
 
 def _float(value) -> float:
@@ -180,17 +205,18 @@ def batch_from_columns(count: int, columns: Mapping[str, Column],
     ``columns`` maps each field, or ``channel.<key>`` for a key of the
     channel blocks, to the users that give it and their raw JSON values.
     The keys must have passed :func:`entry_problem` and
-    :func:`channel_problem`. Each field is read as one float array and
-    checked with array masks, with exactly the checks of
-    :class:`UserProfile`, :class:`LinkRates` and :class:`ChannelParams`;
-    numbers must be JSON ints or floats (not bools) and ``epochs`` a JSON
-    int. Channel rates are priced by :func:`shannon_rates`, so every array
-    equals the one :meth:`UserBatch.of` builds from per-user profiles.
-    Raises :class:`ConfigError` naming the first bad user and its field.
+    :func:`channel_problem`. Each field is read as one float array, scaled
+    to library units and checked with array masks by the ``_RULES`` of the
+    batch field it fills (``tflops`` those of ``compute_flops``, ``kbps``
+    those of ``up`` and ``down``, ...); numbers must be JSON ints or floats
+    (not bools) and ``epochs`` a JSON int. Channel rates are priced by
+    :func:`shannon_rates`. Raises :class:`ConfigError` naming the first bad
+    user, its JSON field and raw value. The batch is built unchecked: these
+    reads already apply every rule of :meth:`UserBatch.checked`.
     """
     first = _FirstBad()
 
-    def read(field: str, scale: float, *rules: Rule,
+    def read(field: str, scale: float, rules: tuple[Rule, ...],
              kind: Kind = _NUMBER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(users, scaled values, mask of the users whose value passes)."""
         users, raw = columns.get(field, (np.zeros(0, dtype=int), []))
@@ -218,22 +244,20 @@ def batch_from_columns(count: int, columns: Mapping[str, Column],
             out[users] = values
         return out
 
-    rate: Rule = (_FINITE[0], "finite in bytes/s")
     with np.errstate(over="ignore", invalid="ignore"):
-        n_users, n_samples, _ = read("n_samples", 1.0, _FINITE, _AT_LEAST_0)
-        c_users, compute, _ = read("tflops", 1e12, (_FINITE[0], "finite in FLOP/s"),
-                                   _ABOVE_0)
-        sym, sym_rate, _ = read("kbps", kb_bytes, rate, _AT_LEAST_0)
-        up_users, up_rate, _ = read("kbps_up", kb_bytes, rate, _AT_LEAST_0)
-        down_users, down_rate, _ = read("kbps_down", kb_bytes, rate, _AT_LEAST_0)
-        e_users, epochs, _ = read("epochs", 1.0, _AT_LEAST_1, _FINITE, kind=_COUNT)
-        s_users, storage, _ = read("storage_mb", 2**20, _NOT_NAN, _AT_LEAST_0)
-        m_users, memory, _ = read("memory_mb", 2**20, _NOT_NAN, _AT_LEAST_0)
+        n_users, n_samples, _ = read("n_samples", 1.0, _RULES["n_samples"])
+        c_users, compute, _ = read("tflops", 1e12, _RULES["compute_flops"])
+        sym, sym_rate, _ = read("kbps", kb_bytes, _RULES["up"])
+        up_users, up_rate, _ = read("kbps_up", kb_bytes, _RULES["up"])
+        down_users, down_rate, _ = read("kbps_down", kb_bytes, _RULES["down"])
+        e_users, epochs, _ = read("epochs", 1.0, _RULES["epochs"], kind=_COUNT)
+        s_users, storage, _ = read("storage_mb", 2**20, _RULES["storage_bytes"])
+        m_users, memory, _ = read("memory_mb", 2**20, _RULES["memory_bytes"])
 
         # Price only the channels whose every value passed, so a bad value
         # is named as itself and never reaches the capacity formula.
-        chan = [read(f"channel.{key}", 1.0, _FINITE,
-                     _AT_LEAST_0 if key.endswith("_gain") else _ABOVE_0)
+        chan = [read(f"channel.{key}", 1.0,
+                     (_FINITE, _AT_LEAST_0 if key.endswith("_gain") else _ABOVE_0))
                 for key in CHANNEL_FIELDS]
         ch_users = chan[0][0]
         priced = np.logical_and.reduce([ok for _, _, ok in chan])
@@ -245,8 +269,7 @@ def batch_from_columns(count: int, columns: Mapping[str, Column],
         first.check("channel", ch_users,
                     priced & ~(np.isfinite(ch_up) & np.isfinite(ch_down)),
                     "priced to finite link rates")
-    if first.user is not None:
-        raise ConfigError(first.message)
+    first.raise_any()
 
     return UserBatch(
         np.arange(count),

@@ -17,9 +17,8 @@ import numpy as np
 
 import esfl
 from esfl import (
-    LinkRates,
     SimOptions,
-    UserProfile,
+    UserBatch,
     alternate,
     brute_force_joint,
     concatenate,
@@ -178,18 +177,18 @@ def test_criterion_3_resource_subproblem_exactness():
         for k in range(50):
             balanced = k % 2 == 0
             users = []
-            for i in range(5):
+            for _ in range(5):
                 if balanced:
                     kbps = float(rng.uniform(5e4, 5e5))
                 else:
                     kbps = float(rng.choice([10, 15, 20, 25]))
-                users.append(UserProfile(
-                    i,
+                users.append((
                     float(rng.choice([200, 400, 600, 800])),
                     float(rng.choice([0.65, 1.3, 2.6, 4.55])) * 1e12,
-                    LinkRates(kbps * 1024.0, kbps * 1024.0),
-                    epochs=5,
+                    kbps * 1024.0,
+                    kbps * 1024.0,
                 ))
+            users = UserBatch.checked(*zip(*users))
             c_total = (float(rng.uniform(1, 6)) * 1e12 if balanced else 130e12)
             # cuts below layer 19 keep a positive server share for everyone
             cuts = [int(rng.integers(1, 19)) for _ in range(5)]
@@ -218,17 +217,15 @@ def _random_joint_instance(rng):
     S = int(rng.integers(1, 4))
     rate0 = float(rng.uniform(1e5, 4e5))
     comp0 = float(rng.uniform(1e9, 4e9))
-    users = [
-        UserProfile(
-            i,
+    users = UserBatch.checked(*zip(*[
+        (
             float(rng.choice([200, 400, 600, 800])),
             comp0 * float(rng.uniform(1, 5)),
-            LinkRates(rate0 * float(rng.uniform(1, 5)),
-                      rate0 * float(rng.uniform(1, 5))),
-            epochs=5,
+            rate0 * float(rng.uniform(1, 5)),
+            rate0 * float(rng.uniform(1, 5)),
         )
-        for i in range(S)
-    ]
+        for _ in range(S)
+    ]))
     c_total = float(rng.uniform(5, 40)) * comp0
     return users, arch, c_total
 
@@ -322,7 +319,7 @@ def _round_lower_bounds(spec, options):
     data = esfl.simulation.sample_population_data(spec, rng)
     batch = sample_rounds(spec, rng, data, spec.rounds, None, options.kb_bytes)
     totals = round_terms(batch, VGG19, None, math.inf, cfg.t_agg).total
-    mask = feasibility_mask(batch, VGG19, cfg.batch_size)
+    mask = feasibility_mask(batch, VGG19)
     return np.where(mask, totals, np.inf).min(axis=-1).max(axis=-1)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from esfl import (
     AllocationError,
     InfeasibleUserError,
-    LinkRates,
     OptimizerConfig,
     UserBatch,
-    UserProfile,
     alternate,
     brute_force_joint,
     equalize_min_max,
@@ -34,27 +33,23 @@ def _doc(rows):
     return io.StringIO("layer,params,fwd_flops,activation\n" + "\n".join(rows) + "\n")
 
 
-def _user(uid=0, n=500.0, tflops=1.3, kbps=10.0, epochs=5, **kw):
-    return UserProfile(
-        user_id=uid,
-        n_samples=n,
-        compute_flops=tflops * 1e12,
-        rates=LinkRates(up=kbps * 1024.0, down=kbps * 1024.0),
-        epochs=epochs,
-        **kw,
-    )
+def _users(n=500.0, tflops=1.3, kbps=10.0, epochs=5, uid=None, **limits):
+    """A checked batch; each argument holds one value for every user, or
+    one per user."""
+    rate = np.multiply(kbps, 1024.0)
+    return UserBatch.checked(n, np.multiply(tflops, 1e12), rate, rate, epochs,
+                             user_ids=uid, **limits)
 
 
-def _feasible_cuts(user, arch):
-    """The user's feasible 1-based cuts, from the planner's feasibility mask."""
-    return (np.flatnonzero(feasibility_mask([user], arch)[0]) + 1).tolist()
+def _feasible_cuts(batch, arch):
+    """The first user's feasible 1-based cuts, from the planner's feasibility mask."""
+    return (np.flatnonzero(feasibility_mask(batch, arch)[0]) + 1).tolist()
 
 
-def _best_cut(user, arch, server_flops, cfg=None):
+def _best_cut(batch, arch, server_flops, cfg=None):
     """One cut pass on a single user at the given server share."""
     cfg = cfg or OptimizerConfig()
-    batch = UserBatch.of([user])
-    mask = feasibility_mask(batch, arch, cfg.batch_size)
+    mask = feasibility_mask(batch, arch)
     cuts, _ = allocation._CutPass.of(batch, arch, cfg, mask)(server_flops)
     return int(cuts[0])
 
@@ -66,30 +61,25 @@ def vgg19():
 
 def _random_users(rng, count, comm=(5, 10, 20, 35), comp=(0.65, 1.3, 2.6, 4.55),
                   data=(200, 400, 600, 800)):
-    return [
-        _user(
-            uid=i,
-            n=float(rng.choice(data)),
-            tflops=float(rng.choice(comp)),
-            kbps=float(rng.choice(comm)),
-        )
-        for i in range(count)
-    ]
+    draws = [(float(rng.choice(data)), float(rng.choice(comp)), float(rng.choice(comm)))
+             for _ in range(count)]
+    n, tflops, kbps = zip(*draws)
+    return _users(n, tflops, kbps)
 
 
 class TestFeasibleCuts:
     def test_unconstrained_user_gets_all_layers(self, vgg19):
-        u = _user()
+        u = _users()
         assert _feasible_cuts(u, vgg19) == list(range(1, 21))
 
     def test_storage_below_first_layer_is_infeasible(self, vgg19):
-        u = _user(storage_bytes=vgg19.model_bytes_by_cut[0] / 2)
+        u = _users(storage_bytes=vgg19.model_bytes_by_cut[0] / 2)
         assert _feasible_cuts(u, vgg19) == []
         with pytest.raises(InfeasibleUserError):
-            plan_rows(UserBatch.of([u]).rows(None), vgg19, 130e12)
+            plan_rows(u.rows(None), vgg19, 130e12)
 
     def test_boundary_storage_is_inclusive(self, vgg19):
-        u = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
+        u = _users(storage_bytes=vgg19.model_bytes_by_cut[2])
         assert _feasible_cuts(u, vgg19) == [1, 2, 3]
 
 
@@ -100,17 +90,17 @@ class TestBestCut:
         arch = load_architecture(_doc([
             "A,0.001,10,0.05", "B,0.001,10,0.05", "C,0.001,10,0.05",
         ]))
-        u = _user(tflops=1e6, kbps=10.0)
+        u = _users(tflops=1e6, kbps=10.0)
         assert _best_cut(u, arch, server_flops=1e9) == 3
 
     def test_rich_server_and_links_prefer_first_layer(self, vgg19):
-        u = _user(tflops=1.3, kbps=1e12)
+        u = _users(tflops=1.3, kbps=1e12)
         assert _best_cut(u, vgg19, server_flops=1e30) == 1
 
     def test_vgg19_scan_matches_direct_evaluation(self, vgg19):
         # independent oracle: evaluate the round time of all 20 cuts with a
         # hand-written formula and take the argmin
-        u = _user(n=500, tflops=1.3, kbps=10.0, epochs=5)
+        u = _users(n=500, tflops=1.3, kbps=10.0, epochs=5)
         c_srv = 13e12
         d = vgg19.total_compute_per_sample
         best_val, best_l = math.inf, None
@@ -118,11 +108,11 @@ class TestBestCut:
             user_flops = vgg19.user_flops_by_cut[l - 1]
             act_bytes = vgg19.act_bytes_by_cut[l - 1]
             model_bytes = vgg19.model_bytes_by_cut[l - 1]
-            epoch = (user_flops * 500 / u.compute_flops
-                     + act_bytes * 500 / u.rates.up
+            epoch = (user_flops * 500 / u.compute_flops[0]
+                     + act_bytes * 500 / u.up[0]
                      + ((d - user_flops) * 500 / c_srv if d > user_flops else 0.0)
-                     + act_bytes * 500 / u.rates.down)
-            total = model_bytes / u.rates.up + model_bytes / u.rates.down + 5 * epoch
+                     + act_bytes * 500 / u.down[0])
+            total = model_bytes / u.up[0] + model_bytes / u.down[0] + 5 * epoch
             if total < best_val:
                 best_val, best_l = total, l
         assert _best_cut(u, vgg19, c_srv) == best_l
@@ -131,13 +121,13 @@ class TestBestCut:
         # layer B adds nothing (no params, no compute, same activation), so
         # cuts 1 and 2 price identically; cut 3 loses on activation traffic
         arch = load_architecture(_doc(["A,0.1,10,0.05", "B,0,0,0.05", "C,0.1,0.1,0.2"]))
-        u = _user()
-        times = round_terms(UserBatch.of([u]), arch, None, np.array([1e12])).total[0]
+        u = _users()
+        times = round_terms(u, arch, None, np.array([1e12])).total[0]
         assert times[0] == times[1] < times[2]
         assert _best_cut(u, arch, server_flops=1e12) == 1
 
     def test_zero_server_compute_forces_local(self, vgg19):
-        u = _user()
+        u = _users()
         assert _best_cut(u, vgg19, server_flops=0.0) == vgg19.num_layers
 
 
@@ -277,16 +267,15 @@ class TestAlternateProperties:
         arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
                                        for j, (p, f, a) in enumerate(layers)]))
         first, whole = arch.model_bytes_by_cut[0], arch.model_bytes_by_cut[-1]
-        users = [
-            UserProfile(i, n, flops, LinkRates(up, down), epochs=5,
-                        storage_bytes=first + share * (whole - first) if share < 1 else math.inf)
-            for i, (n, flops, up, down, share) in enumerate(users)
-        ]
+        n, flops, up, down, share = (np.array(x) for x in zip(*users))
+        users = UserBatch.checked(
+            n, flops, up, down,
+            storage_bytes=np.where(share < 1, first + share * (whole - first), math.inf))
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
         result = alternate(users, arch, c_total, cfg)
         alloc = result.allocation
-        for user, cut in zip(users, alloc.cuts):
-            assert cut in _feasible_cuts(user, arch)
+        mask = feasibility_mask(users, arch)
+        assert mask[np.arange(len(users)), np.array(alloc.cuts) - 1].all()
         assert min(alloc.server_compute) >= 0
         assert sum(alloc.server_compute) <= c_total * (1 + 1e-12)
         exact = brute_force_joint(users, arch, c_total, cfg)
@@ -340,7 +329,7 @@ class TestCachedCutPass:
         batch = UserBatch(ids, n, flops, up, down, epochs,
                           limit(storage, model), limit(memory, needs))
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
-        mask = feasibility_mask(batch, arch, cfg.batch_size)
+        mask = feasibility_mask(batch, arch)
         cut_pass = allocation._CutPass.of(batch, arch, cfg, mask)
 
         def reference(compute):
@@ -377,43 +366,43 @@ class TestCachedCutPass:
 
 class TestAllocateServerCompute:
     def test_users_cut_at_last_layer_get_nothing(self, vgg19):
-        users = [_user(uid=0), _user(uid=1)]
+        users = _users(uid=range(2))
         L = vgg19.num_layers
         c, k = equalize_min_max(*server_demand_terms(users, [L, 5], vgg19), 130e12)
         assert c[0] == 0.0
         assert c[1] == pytest.approx(130e12, rel=1e-6)
 
     def test_demand_terms_match_round_structure(self, vgg19):
-        u = _user()
+        u = _users()
         cfg = OptimizerConfig(t_agg=0.5)
-        a, b = server_demand_terms([u], [4], vgg19, cfg)
+        a, b = server_demand_terms(u, [4], vgg19, cfg)
         srv = 2e12
         reconstructed = b[0] + a[0] / srv
         assert reconstructed == pytest.approx(
-            round_terms(UserBatch.of([u]), vgg19, [4], srv, t_agg=0.5).total[0],
+            round_terms(u, vgg19, [4], srv, t_agg=0.5).total[0],
             rel=1e-12,
         )
 
     def test_epoch_objective_drops_model_transfer(self, vgg19):
-        u = _user()
-        a_full, b_full = server_demand_terms([u], [4], vgg19, OptimizerConfig())
+        u = _users()
+        a_full, b_full = server_demand_terms(u, [4], vgg19, OptimizerConfig())
         a_ep, b_ep = server_demand_terms(
-            [u], [4], vgg19, OptimizerConfig(epoch_objective=True)
+            u, [4], vgg19, OptimizerConfig(epoch_objective=True)
         )
-        assert a_full[0] == pytest.approx(u.epochs * a_ep[0], rel=1e-12)
-        model_term = 2 * vgg19.model_bytes_by_cut[3] / u.rates.up
-        assert b_full[0] == pytest.approx(u.epochs * b_ep[0] + model_term, rel=1e-12)
+        assert a_full[0] == pytest.approx(u.epochs[0] * a_ep[0], rel=1e-12)
+        model_term = 2 * vgg19.model_bytes_by_cut[3] / u.up[0]
+        assert b_full[0] == pytest.approx(u.epochs[0] * b_ep[0] + model_term, rel=1e-12)
 
 
 class TestAlternate:
     def test_single_user_fixed_point(self, vgg19):
-        res = alternate([_user()], vgg19, 130e12)
+        res = alternate(_users(), vgg19, 130e12)
         assert res.converged
         assert res.iterations <= 2
-        assert res.allocation.cuts[0] == _best_cut(_user(), vgg19, 130e12)
+        assert res.allocation.cuts[0] == _best_cut(_users(), vgg19, 130e12)
 
     def test_identical_users_stay_symmetric(self, vgg19):
-        users = [_user(uid=i) for i in range(4)]
+        users = _users(uid=range(4))
         res = alternate(users, vgg19, 130e12)
         assert len(set(res.allocation.cuts)) == 1
         c = res.allocation.server_compute
@@ -451,19 +440,16 @@ class TestAlternate:
         assert not res.converged
 
     def test_infeasible_user_rejected(self, vgg19):
-        bad = _user(storage_bytes=1.0)
-        with pytest.raises(InfeasibleUserError):
-            alternate([bad, _user(uid=1)], vgg19, 130e12)
+        with pytest.raises(InfeasibleUserError, match=r"\[0\]"):
+            alternate(_users(storage_bytes=[1.0, math.inf]), vgg19, 130e12)
 
     def test_binding_storage_limits_respected(self, vgg19):
         # one user can hold three layers, another eight; the optimum must
         # stay inside each feasible set and still beat any shared fixed cut
         # the constrained users could all take
-        users = [
-            _user(uid=0, storage_bytes=vgg19.model_bytes_by_cut[2]),
-            _user(uid=1, kbps=25, storage_bytes=vgg19.model_bytes_by_cut[7]),
-            _user(uid=2, tflops=3.25),
-        ]
+        users = _users(kbps=[10.0, 25.0, 10.0], tflops=[1.3, 1.3, 3.25],
+                       storage_bytes=[vgg19.model_bytes_by_cut[2],
+                                      vgg19.model_bytes_by_cut[7], math.inf])
         res = alternate(users, vgg19, 130e12)
         assert res.allocation.cuts[0] <= 3
         assert res.allocation.cuts[1] <= 8
@@ -473,17 +459,17 @@ class TestAlternate:
             )[0] * (1 + 1e-12)
 
     def test_zero_epoch_users_refused_up_front(self, vgg19):
-        users = [_user(uid=0), _user(uid=4, epochs=0), _user(uid=7, epochs=0)]
+        # epochs 0 lies below the checked range, so the batch is built as is
+        users = dataclasses.replace(_users(uid=[0, 4, 7]), epochs=np.array([5.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=r"users \[4, 7\]: planning needs epochs >= 1"):
             alternate(users, vgg19, 130e12)
         with pytest.raises(ValueError, match=r"users \[4, 7\]"):
-            plan_rows(UserBatch.of(users).rows([[0, 1, 2], [2, 1, 0]]), vgg19, 130e12)
+            plan_rows(users.rows([[0, 1, 2], [2, 1, 0]]), vgg19, 130e12)
 
     def test_dead_link_user_fails_cleanly(self, vgg19):
-        dead = UserProfile(user_id=0, n_samples=500.0, compute_flops=1e12,
-                           rates=LinkRates(0.0, 0.0), epochs=5)
+        users = UserBatch.checked(500.0, [1e12, 1.3e12], [0.0, 10240.0], [0.0, 10240.0])
         with pytest.raises(AllocationError):
-            alternate([dead, _user(uid=1)], vgg19, 130e12)
+            alternate(users, vgg19, 130e12)
 
     def test_dominates_every_fixed_equal_split_policy(self, vgg19):
         # construction guarantee: the first cut pass already minimizes over
@@ -549,23 +535,23 @@ class TestBruteForce:
 
     def test_refuses_large_instances(self, vgg19):
         with pytest.raises(ValueError):
-            brute_force_joint([_user()], vgg19, 130e12)
+            brute_force_joint(_users(), vgg19, 130e12)
         arch = self._toy_arch()
-        users = [_user(uid=i) for i in range(4)]
+        users = _users(uid=range(4))
         with pytest.raises(ValueError):
             brute_force_joint(users, arch, 1e12)
 
     def test_single_user_matches_alternate(self):
         arch = self._toy_arch()
-        u = _user(n=100, tflops=0.002, kbps=200)
-        bf = brute_force_joint([u], arch, 5e9)
-        alt = alternate([u], arch, 5e9)
+        u = _users(n=100, tflops=0.002, kbps=200)
+        bf = brute_force_joint(u, arch, 5e9)
+        alt = alternate(u, arch, 5e9)
         assert bf.cuts == alt.allocation.cuts
         assert alt.allocation.objective == pytest.approx(bf.objective, rel=1e-9)
 
     def test_identical_pair_symmetric_optimum(self):
         arch = load_architecture(_doc(["A,0.02,8,0.04", "B,0.03,12,0.02", "C,0.05,9,0.0"]))
-        users = [_user(uid=i, n=100, tflops=0.002, kbps=200) for i in range(2)]
+        users = _users(n=[100, 100], tflops=0.002, kbps=200)
         bf = brute_force_joint(users, arch, 5e9)
         assert bf.cuts[0] == bf.cuts[1]
         assert bf.server_compute[0] == pytest.approx(bf.server_compute[1], rel=1e-9)
@@ -574,12 +560,9 @@ class TestBruteForce:
         arch = self._toy_arch()
         rng = np.random.default_rng(41)
         for _ in range(10):
-            users = [
-                _user(uid=i, n=float(rng.integers(50, 300)),
-                      tflops=float(rng.uniform(0.001, 0.01)),
-                      kbps=float(rng.uniform(50, 500)))
-                for i in range(2)
-            ]
+            draws = [(float(rng.integers(50, 300)), float(rng.uniform(0.001, 0.01)),
+                      float(rng.uniform(50, 500))) for _ in range(2)]
+            users = _users(*zip(*draws))
             bf = brute_force_joint(users, arch, 5e9)
             alt = alternate(users, arch, 5e9)
             assert alt.allocation.objective >= bf.objective * (1 - 1e-9)

@@ -15,7 +15,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import esfl
-from esfl import ChannelParams, UserBatch, UserProfile, cli, link_rates
+from esfl import ConfigError, UserBatch, cli
 from esfl.cli import dumps_report, format_numeric_table, format_table, main
 from esfl.simulation import MAX_POPULATION, MAX_USER_ROUNDS
 
@@ -352,30 +352,34 @@ class TestOptimize:
                     "--out", str(tmp_path / "o")) == 1
 
 
-def _per_user_batch(doc: dict, kb_bytes: float) -> UserBatch:
-    """A valid users.json document read one user at a time, through
-    ``UserProfile`` and ``link_rates``: the reference for the columnar path."""
-    users = []
-    for i, entry in enumerate(doc["users"]):
+def _per_user_columns(doc: dict, kb_bytes: float) -> list[tuple[float, ...]]:
+    """The seven value columns (``UserBatch`` order, library units) of a
+    valid users.json document, read one user at a time in Python floats:
+    the reference for the columnar path."""
+    rows = []
+    for entry in doc["users"]:
         if "channel" in entry:
-            rates = link_rates("shannon", channel=ChannelParams(**entry["channel"]))
+            ch = {key: float(value) for key, value in entry["channel"].items()}
+            b, n0 = ch["bandwidth_hz"], ch["noise_density_w_per_hz"]
+            up, down = (b * math.log2(1.0 + ch[f"{link}_power_w"] * ch[f"{link}_gain"]
+                                      / (b * n0)) / 8.0
+                        for link in ("uplink", "downlink"))
         elif "kbps" in entry:
-            rates = link_rates("direct", direct_kbps=entry["kbps"], kb_bytes=kb_bytes)
+            up = down = float(entry["kbps"]) * kb_bytes
         else:
-            rates = link_rates("direct", direct_kbps=(entry["kbps_up"], entry["kbps_down"]),
-                               kb_bytes=kb_bytes)
-        users.append(UserProfile(
-            user_id=i,
-            n_samples=float(entry["n_samples"]),
-            compute_flops=float(entry["tflops"]) * 1e12,
-            rates=rates,
-            epochs=entry.get("epochs", 5),
-            storage_bytes=float(entry["storage_mb"]) * 2**20
-            if "storage_mb" in entry else math.inf,
-            memory_bytes=float(entry["memory_mb"]) * 2**20
-            if "memory_mb" in entry else math.inf,
-        ))
-    return UserBatch.of(users)
+            up = float(entry["kbps_up"]) * kb_bytes
+            down = float(entry["kbps_down"]) * kb_bytes
+        rows.append((float(entry["n_samples"]), float(entry["tflops"]) * 1e12, up, down,
+                     float(entry.get("epochs", 5)),
+                     float(entry.get("storage_mb", math.inf)) * 2**20,
+                     float(entry.get("memory_mb", math.inf)) * 2**20))
+    return list(zip(*rows))
+
+
+def _per_user_batch(doc: dict, kb_bytes: float) -> UserBatch:
+    """The reference columns as a batch, built unchecked."""
+    return UserBatch(np.arange(len(doc["users"])),
+                     *(np.array(column) for column in _per_user_columns(doc, kb_bytes)))
 
 
 def _assert_batches_equal(got: UserBatch, want: UserBatch) -> None:
@@ -450,6 +454,27 @@ _BAD_VALUES = {
 }
 
 
+# users.json field -> the UserBatch fields it fills and its scale to them
+_BATCH_FIELDS = {
+    "n_samples": (("n_samples",), 1.0),
+    "tflops": (("compute_flops",), 1e12),
+    "kbps": (("up", "down"), 1024.0),
+    "kbps_up": (("up",), 1024.0),
+    "kbps_down": (("down",), 1024.0),
+    "epochs": (("epochs",), 1.0),
+    "storage_mb": (("storage_bytes",), 2.0**20),
+    "memory_mb": (("memory_bytes",), 2.0**20),
+}
+
+
+def _library_value(value, scale: float) -> float:
+    """A JSON number in library units, as the users.json reader scales it."""
+    try:
+        return float(value) * scale
+    except OverflowError:   # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def _plant_value(user: dict, field: str, value) -> dict:
     """``user`` with ``field`` set to ``value``, on a link of the field's kind."""
     if field.startswith("channel."):
@@ -486,8 +511,8 @@ def users_dir(tmp_path_factory):
 
 
 class TestUsersColumns:
-    """users.json is read column by column into one batch, with the checks
-    and results of the per-user ``UserProfile`` path."""
+    """users.json is read column by column into one batch, with the results
+    of a per-user reader and the checks of ``UserBatch.checked``."""
 
     @seed(20249)
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -497,7 +522,30 @@ class TestUsersColumns:
         path = users_dir / "users.json"
         path.write_text(json.dumps({"users": users}))
         batch = cli._users_from_doc(str(path), float(kb))
-        _assert_batches_equal(batch, _per_user_batch(json.loads(path.read_text()), kb))
+        doc = json.loads(path.read_text())
+        _assert_batches_equal(batch, _per_user_batch(doc, kb))
+        # every valid document passes the checks, with the same arrays
+        _assert_batches_equal(UserBatch.checked(*_per_user_columns(doc, kb)), batch)
+
+    def test_checked_refuses_each_bad_number(self):
+        # every bad JSON number of a batch field, in library units; values
+        # of the wrong JSON type have no library form, and channel blocks
+        # fill no batch field of their own
+        good = {"n_samples": 500.0, "compute_flops": 1.3e12, "up": 10240.0,
+                "down": 10240.0, "epochs": 5.0, "storage_bytes": math.inf,
+                "memory_bytes": math.inf}
+        refused = 0
+        for field, (targets, scale) in _BATCH_FIELDS.items():
+            for value in _BAD_VALUES[field]:
+                if type(value) not in (int, float):
+                    continue
+                columns = {key: [v, v, v] for key, v in good.items()}
+                for target in targets:
+                    columns[target][1] = _library_value(value, scale)
+                with pytest.raises(ConfigError, match=f"^user 8: {targets[0]} must be "):
+                    UserBatch.checked(**columns, user_ids=[7, 8, 9])
+                refused += 1
+        assert refused == 20
 
     @seed(20250)
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,42 +1,65 @@
+"""Link rates: tabulated KB/s or channel capacity, as users.json prices them."""
+
 import math
 
 import numpy as np
 import pytest
 
-from esfl import (
-    ChannelParams,
-    ConfigError,
-    LinkRates,
-    link_rates,
-    shannon_rate,
-)
-from esfl.comm import shannon_rates
+from esfl import ConfigError, UserBatch
+from esfl.users import CHANNEL_FIELDS, batch_from_columns, entry_problem, shannon_rates
+
+_CHANNEL = (1e6, 1.0, 1.0, 1.0, 1.0, 1e-9)   # in CHANNEL_FIELDS order
+
+
+def _rate(bandwidth_hz, power_w, gain, noise_density_w_per_hz):
+    """One user's capacity in bits/s."""
+    args = (bandwidth_hz, power_w, gain, noise_density_w_per_hz)
+    return float(shannon_rates(*(np.array([a], dtype=float) for a in args))[0])
+
+
+def _read(*entries, kb_bytes=1024.0):
+    """Well-keyed users.json entries, read by ``batch_from_columns``."""
+    columns: dict[str, tuple[list, list]] = {}
+    for i, entry in enumerate(entries):
+        fields = {**{k: v for k, v in entry.items() if k != "channel"},
+                  **{f"channel.{k}": v for k, v in entry.get("channel", {}).items()}}
+        for field, value in fields.items():
+            users, raw = columns.setdefault(field, ([], []))
+            users.append(i)
+            raw.append(value)
+    return batch_from_columns(len(entries), {
+        field: (np.array(users), raw) for field, (users, raw) in columns.items()
+    }, kb_bytes)
+
+
+def _channel_user(*channel):
+    return {"n_samples": 1, "tflops": 1, "channel": dict(zip(CHANNEL_FIELDS, channel))}
 
 
 class TestShannonRate:
     def test_zero_gain_gives_zero_rate(self):
-        assert shannon_rate(1e6, 1.0, 0.0, 1e-9) == 0.0
+        assert _rate(1e6, 1.0, 0.0, 1e-9) == 0.0
 
     def test_unit_snr(self):
         # P*g/(B*N0) = 1 -> rate = B * log2(2) = B
-        assert shannon_rate(1e6, 1e-3, 1.0, 1e-9) == pytest.approx(1e6, rel=1e-12)
+        assert _rate(1e6, 1e-3, 1.0, 1e-9) == pytest.approx(1e6, rel=1e-12)
 
     def test_snr_three(self):
         # P*g/N0 = 3e6 with B = 1e6 -> log2(4) = 2 -> 2e6 bits/s
-        assert shannon_rate(1e6, 3e-3, 1.0, 1e-9) == pytest.approx(2e6, rel=1e-12)
+        assert _rate(1e6, 3e-3, 1.0, 1e-9) == pytest.approx(2e6, rel=1e-12)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            shannon_rate(0.0, 1.0, 1.0, 1e-9)
-        with pytest.raises(ValueError):
-            shannon_rate(1e6, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            shannon_rate(1e6, -1.0, 1.0, 1e-9)
+        # the channel rules refuse what the capacity formula cannot price
+        for k, value in ((0, 0.0), (5, 0.0), (1, -1.0)):
+            channel = list(_CHANNEL)
+            channel[k] = value
+            with pytest.raises(ConfigError, match=f"user 0: channel.{CHANNEL_FIELDS[k]}"):
+                _read(_channel_user(*channel))
 
     def test_concave_increasing_in_bandwidth(self):
         # three-point finite differences at fixed P*g/N0 > 0
         snr_scale = 5e6
-        rates = [shannon_rate(b, snr_scale, 1.0, 1.0) for b in (1e6, 2e6, 3e6)]
+        rates = [_rate(b, snr_scale, 1.0, 1.0) for b in (1e6, 2e6, 3e6)]
         assert rates[0] < rates[1] < rates[2]
         assert rates[1] - rates[0] > rates[2] - rates[1]
 
@@ -47,8 +70,8 @@ class TestShannonRate:
             n0 = float(rng.uniform(1e-10, 1e-8))
             p = float(rng.uniform(0.1, 10.0))
             g = float(rng.uniform(0.0, 2.0))
-            assert shannon_rate(b, p * 1.5, g, n0) >= shannon_rate(b, p, g, n0)
-            assert shannon_rate(b, p, g + 0.5, n0) >= shannon_rate(b, p, g, n0)
+            assert _rate(b, p * 1.5, g, n0) >= _rate(b, p, g, n0)
+            assert _rate(b, p, g + 0.5, n0) >= _rate(b, p, g, n0)
 
     def test_batch_form_equals_the_formula_in_python_floats(self):
         # np.log2 differs from math.log2 in the last bit on about 0.1% of
@@ -62,7 +85,7 @@ class TestShannonRate:
         want = [bi * math.log2(1.0 + pi * gi / (bi * ni))
                 for bi, pi, gi, ni in zip(b.tolist(), p.tolist(), g.tolist(), n0.tolist())]
         assert shannon_rates(b, p, g, n0).tolist() == want
-        assert [shannon_rate(*args) for args in zip(b[:100], p, g, n0)] == want[:100]
+        assert [_rate(*args) for args in zip(b[:100], p, g, n0)] == want[:100]
         assert shannon_rates(*(np.zeros(0),) * 4).shape == (0,)
 
     def test_snr_overflow_gives_inf_or_nan(self):
@@ -70,66 +93,63 @@ class TestShannonRate:
         rates = shannon_rates(np.array([1e-200, 1e-200]), np.array([1.0, 1.0]),
                               np.array([1.0, 0.0]), np.array([1e-200, 1e-200]))
         assert rates[0] == math.inf and math.isnan(rates[1])
-        assert shannon_rate(1e-200, 1.0, 1.0, 1e-200) == math.inf
-        with pytest.raises(ConfigError, match="finite"):
-            link_rates("shannon", channel=ChannelParams(1e-200, 1.0, 1.0, 1.0, 1.0, 1e-200))
+        with pytest.raises(ConfigError, match="channel must be priced to finite"):
+            _read(_channel_user(1e-200, 1.0, 1.0, 1.0, 1.0, 1e-200))
 
 
 class TestLinkRates:
     def test_direct_single_rate_is_symmetric(self):
-        rates = link_rates("direct", direct_kbps=10)
-        assert rates == LinkRates(up=10240.0, down=10240.0)
+        batch = _read({"n_samples": 1, "tflops": 1, "kbps": 10})
+        assert (batch.up[0], batch.down[0]) == (10240.0, 10240.0)
 
     def test_direct_asymmetric_pair(self):
-        rates = link_rates("direct", direct_kbps=(10, 50))
-        assert rates.up == 10 * 1024.0
-        assert rates.down == 50 * 1024.0
+        batch = _read({"n_samples": 1, "tflops": 1, "kbps_up": 10, "kbps_down": 50})
+        assert batch.up[0] == 10 * 1024.0
+        assert batch.down[0] == 50 * 1024.0
 
     def test_kb_convention_override(self):
-        rates = link_rates("direct", direct_kbps=10, kb_bytes=1000.0)
-        assert rates.up == 10000.0
+        batch = _read({"n_samples": 1, "tflops": 1, "kbps": 10}, kb_bytes=1000.0)
+        assert batch.up[0] == 10000.0
 
     def test_shannon_zero_gain_gives_zero_rates(self):
-        ch = ChannelParams(1e6, 1.0, 1.0, 0.0, 0.0, 1e-9)
-        assert link_rates("shannon", channel=ch) == LinkRates(0.0, 0.0)
+        batch = _read(_channel_user(1e6, 1.0, 1.0, 0.0, 0.0, 1e-9))
+        assert (batch.up[0], batch.down[0]) == (0.0, 0.0)
 
     def test_shannon_converts_bits_to_bytes(self):
-        ch = ChannelParams(1e6, 1e-3, 1e-3, 1.0, 1.0, 1e-9)
-        rates = link_rates("shannon", channel=ch)
-        assert rates.up == pytest.approx(1e6 / 8.0, rel=1e-12)
+        batch = _read(_channel_user(1e6, 1e-3, 1e-3, 1.0, 1.0, 1e-9))
+        assert batch.up[0] == pytest.approx(1e6 / 8.0, rel=1e-12)
 
     def test_mode_payload_mismatch(self):
-        ch = ChannelParams(1e6, 1.0, 1.0, 1.0, 1.0, 1e-9)
-        with pytest.raises(ConfigError):
-            link_rates("direct", channel=ch)
-        with pytest.raises(ConfigError):
-            link_rates("shannon", direct_kbps=10)
-        with pytest.raises(ConfigError):
-            link_rates("direct", direct_kbps=10, channel=ch)
-        with pytest.raises(ConfigError):
-            link_rates("fancy", direct_kbps=10)
+        # a user gives exactly one kind of link
+        one_of = "give exactly one of kbps, kbps_up/kbps_down, or channel"
+        base = {"n_samples", "tflops"}
+        for link in ({"kbps", "channel"}, {"kbps", "kbps_up", "kbps_down"}, set()):
+            assert entry_problem(frozenset(base | link)) == one_of
+        for link in ({"kbps"}, {"kbps_up", "kbps_down"}, {"channel"}):
+            assert entry_problem(frozenset(base | link)) is None
 
     def test_negative_rates_rejected(self):
-        with pytest.raises(ConfigError):
-            LinkRates(-1.0, 1.0)
+        with pytest.raises(ConfigError, match="user 0: up must be >= 0"):
+            UserBatch.checked(1.0, 1e12, -1.0, 1.0)
 
     def test_non_finite_rates_rejected(self):
         for up in (math.nan, math.inf):
-            with pytest.raises(ConfigError):
-                LinkRates(up, 1.0)
+            with pytest.raises(ConfigError, match="user 0: up must be finite"):
+                UserBatch.checked(1.0, 1e12, up, 1.0)
 
 
 class TestChannelValidation:
     def test_strictly_positive_fields(self):
-        with pytest.raises(ConfigError):
-            ChannelParams(0.0, 1.0, 1.0, 1.0, 1.0, 1e-9)
-        with pytest.raises(ConfigError):
-            ChannelParams(1e6, 1.0, 1.0, -0.1, 1.0, 1e-9)
+        for k, value in ((0, 0.0), (3, -0.1)):
+            channel = list(_CHANNEL)
+            channel[k] = value
+            with pytest.raises(ConfigError):
+                _read(_channel_user(*channel))
 
     def test_non_finite_fields_rejected(self):
         for k in range(6):
             for value in (math.nan, math.inf):
-                args = [1e6, 1.0, 1.0, 1.0, 1.0, 1e-9]
-                args[k] = value
-                with pytest.raises(ConfigError):
-                    ChannelParams(*args)
+                channel = list(_CHANNEL)
+                channel[k] = value
+                with pytest.raises(ConfigError, match=f"{CHANNEL_FIELDS[k]} must be finite"):
+                    _read(_channel_user(*channel))

@@ -486,6 +486,34 @@ class TestEsflTrain:
             with pytest.raises(ValueError, match="batch_size"):
                 esfl_train(net, users, rounds=1, batch_size=batch_size)
 
+    def test_fractional_epochs_rejected(self):
+        x, y = make_blobs(8, rng=np.random.default_rng(18))
+        for epochs in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+                ToyUser(x=x, y=y, cut=1, epochs=epochs)
+        assert ToyUser(x=x, y=y, cut=1, epochs=np.int64(2)).epochs == 2
+
+    def test_fractional_batch_size_rejected(self):
+        rng = np.random.default_rng(23)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
+        users = [ToyUser(x=x, y=y, cut=1)]
+        for batch_size in (2.5, 4.0):
+            with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+                esfl_train(net, users, rounds=1, batch_size=batch_size)
+
+    def test_rounds_must_be_a_positive_integer(self):
+        # a negative count used to return the network untouched, with an
+        # empty trace
+        rng = np.random.default_rng(24)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
+        users = [ToyUser(x=x, y=y, cut=1)]
+        for rounds in (-3, 0, 2.5, None):
+            with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
+                esfl_train(net, users, rounds=rounds)
+        assert len(esfl_train(net, users, rounds=np.int64(2))[1]) == 2
+
     def test_no_users_rejected(self):
         net = init_dense_net([2, 3, 2], loss="mse", rng=np.random.default_rng(22))
         with pytest.raises(ValueError, match="users"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from esfl import (
     Allocation,
     AllocationError,
+    ConfigError,
     InfeasibleLinkError,
     InfeasibleUserError,
-    LinkRates,
     OptimizerConfig,
     UserBatch,
-    UserProfile,
     default_fixed_cut,
     esfl_round_time,
     feasibility_mask,
@@ -31,24 +31,16 @@ from esfl.simulation import sample_population_data
 VGG19_PARAM_TOTAL = 143.6503  # column sum of the profile, 1e6 elements
 
 
-def _user(uid=0, n=500.0, tflops=2.0, kbps=25.0, epochs=5, **kw):
-    return UserProfile(
-        user_id=uid,
-        n_samples=n,
-        compute_flops=tflops * 1e12,
-        rates=LinkRates(up=kbps * 1024.0, down=kbps * 1024.0),
-        epochs=epochs,
-        **kw,
-    )
+def _users(n=500.0, tflops=2.0, kbps=25.0, epochs=5, uid=None, **limits):
+    """A checked batch; each argument holds one value for every user, or
+    one per user."""
+    rate = np.multiply(kbps, 1024.0)
+    return UserBatch.checked(n, np.multiply(tflops, 1e12), rate, rate, epochs,
+                             user_ids=uid, **limits)
 
 
-def _raw_user(n, flops, rates, epochs=1):
-    return UserProfile(user_id=0, n_samples=n, compute_flops=flops,
-                       rates=rates, epochs=epochs)
-
-
-def _terms(users, arch, cuts, server, t_agg=0.0):
-    return round_terms(UserBatch.of(users), arch, cuts, server, t_agg)
+def _raw_user(n, flops, up, down, epochs=1):
+    return UserBatch.checked(n, flops, up, down, epochs)
 
 
 def _doc(rows):
@@ -62,8 +54,8 @@ def vgg19():
 
 class TestEpochTime:
     def test_device_compute_arithmetic(self, vgg19):
-        u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
-        terms = _terms([u], vgg19, [5], 1e12)
+        u = _raw_user(500, 2e12, 1e6, 1e6)
+        terms = round_terms(u, vgg19, [5], 1e12)
         assert terms.t_c[0] == pytest.approx(vgg19.user_flops_by_cut[4] * 500 / 2e12,
                                              rel=1e-12)
 
@@ -72,73 +64,74 @@ class TestEpochTime:
         # profile whose first layer trains at 500 MFLOPs x (1 + kappa=1)
         arch = load_architecture(_doc(["A,0,500,0", "B,0,100,0"]), bwd_multiplier=1.0)
         assert arch.user_flops_by_cut[0] == 1e9
-        u = _raw_user(500, 2e12, LinkRates(1e6, 1e6))
-        assert _terms([u], arch, [1], 1e12).t_c[0] == pytest.approx(0.25, rel=1e-12)
+        u = _raw_user(500, 2e12, 1e6, 1e6)
+        assert round_terms(u, arch, [1], 1e12).t_c[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_cut_at_last_layer_has_no_server_time(self, vgg19):
         L = vgg19.num_layers
-        terms = _terms([_raw_user(500, 1e12, LinkRates(1e4, 1e4))], vgg19, [L], 0.0)
+        terms = round_terms(_raw_user(500, 1e12, 1e4, 1e4), vgg19, [L], 0.0)
         assert terms.t_C[0] == 0.0
         # the final layer emits no activation in this profile
         assert terms.t_b[0] == 0.0 and terms.t_B[0] == 0.0
 
     def test_doubling_server_compute_halves_server_time(self, vgg19):
-        u = _raw_user(500, 1e12, LinkRates(1e4, 1e4))
-        a = _terms([u], vgg19, [3], 1e12)
-        b = _terms([u], vgg19, [3], 2e12)
+        u = _raw_user(500, 1e12, 1e4, 1e4)
+        a = round_terms(u, vgg19, [3], 1e12)
+        b = round_terms(u, vgg19, [3], 2e12)
         assert b.t_C[0] == pytest.approx(a.t_C[0] / 2, rel=1e-12)
         assert (b.t_c[0], b.t_b[0], b.t_B[0]) == (a.t_c[0], a.t_b[0], a.t_B[0])
 
     def test_zero_server_compute_with_server_work(self, vgg19):
-        u = _raw_user(500, 1e12, LinkRates(1e4, 1e4))
+        u = _raw_user(500, 1e12, 1e4, 1e4)
         with pytest.raises(AllocationError):
-            _terms([u], vgg19, [3], 0.0)
+            round_terms(u, vgg19, [3], 0.0)
         with pytest.raises(AllocationError):
-            sfl_round_time([u], vgg19, 3, 0.0)
+            sfl_round_time(u, vgg19, 3, 0.0)
         # the every-cut form prices the same cut to +inf instead of raising
-        assert _terms([u], vgg19, None, 0.0).total[0, 2] == np.inf
+        assert round_terms(u, vgg19, None, 0.0).total[0, 2] == np.inf
 
     def test_zero_rate_with_traffic(self, vgg19):
-        u = _raw_user(500, 1e12, LinkRates(0.0, 1e4))
+        u = _raw_user(500, 1e12, 0.0, 1e4)
         with pytest.raises(InfeasibleLinkError):
-            _terms([u], vgg19, [3], 1e12)
+            round_terms(u, vgg19, [3], 1e12)
         with pytest.raises(InfeasibleLinkError):
-            sl_round_time([u], vgg19, 3, 1e12)
-        assert _terms([u], vgg19, None, 1e12).t_b[0, 2] == np.inf
+            sl_round_time(u, vgg19, 3, 1e12)
+        assert round_terms(u, vgg19, None, 1e12).t_b[0, 2] == np.inf
 
     def test_total_reconstructs_from_parts(self, vgg19):
-        terms = _terms([_raw_user(500, 1e12, LinkRates(1e4, 2e4))], vgg19, [7], 1e12)
+        terms = round_terms(_raw_user(500, 1e12, 1e4, 2e4), vgg19, [7], 1e12)
         parts = terms.t_c[0] + terms.t_b[0] + terms.t_C[0] + terms.t_B[0]
         assert terms.epoch[0] == parts
 
 
 class TestRoundTime:
     def test_zero_epochs_degenerate(self, vgg19):
-        terms = _terms([_user(epochs=0)], vgg19, [3], 1e12, t_agg=1.5)
+        # below the checked range: planning refuses it, pricing does not
+        zero = dataclasses.replace(_users(), epochs=np.zeros(1))
+        terms = round_terms(zero, vgg19, [3], 1e12, t_agg=1.5)
         assert terms.epochs[0] == 0
         assert terms.total[0] == terms.t_up[0] + terms.t_down[0] + 1.5
 
     def test_symmetric_rates_symmetric_model_transfer(self, vgg19):
-        terms = _terms([_user()], vgg19, [4], 1e12)
+        terms = round_terms(_users(), vgg19, [4], 1e12)
         assert terms.t_up[0] == terms.t_down[0]
 
     def test_full_model_upload_at_25_kbps(self, vgg19):
         # model bytes / rate, derived from the profile's parameter column
-        terms = _terms([_user(kbps=25.0)], vgg19, [vgg19.num_layers], 0.0)
+        terms = round_terms(_users(kbps=25.0), vgg19, [vgg19.num_layers], 0.0)
         expected = VGG19_PARAM_TOTAL * 4e6 / (25 * 1024.0)
         assert terms.t_up[0] == pytest.approx(expected, rel=1e-12)
         assert terms.t_up[0] == pytest.approx(22445.359375, rel=1e-9)
 
     def test_round_total_reconstructs(self, vgg19):
-        terms = _terms([_user()], vgg19, [6], 2e12, t_agg=0.25)
+        terms = round_terms(_users(), vgg19, [6], 2e12, t_agg=0.25)
         t_up, t_down, epoch = terms.t_up[0], terms.t_down[0], terms.epoch[0]
         assert terms.total[0] == t_up + t_down + 5 * epoch + 0.25
         # up to five epochs the closed form equals summing one epoch per epoch
         assert terms.total[0] == t_up + t_down + sum([epoch] * 5) + 0.25
 
     def test_scale_covariance_in_samples(self, vgg19):
-        users = [_user(uid=0, n=200.0), _user(uid=1, n=600.0)]
-        terms = _terms(users, vgg19, [5, 5], 1e12)
+        terms = round_terms(_users(n=[200.0, 600.0]), vgg19, [5, 5], 1e12)
         for part in ("t_c", "t_b", "t_C", "t_B"):
             small, large = getattr(terms, part)
             assert large == pytest.approx(3 * small, rel=1e-12)
@@ -146,65 +139,65 @@ class TestRoundTime:
 
 class TestRoundPolicies:
     def test_esfl_single_user(self, vgg19):
-        u = _user()
+        u = _users()
         alloc = Allocation(cuts=(5,), server_compute=(1e12,), objective=0.0)
-        t, _ = esfl_round_time(alloc, [u], vgg19)
-        assert t == _terms([u], vgg19, [5], 1e12).total[0]
+        t, _ = esfl_round_time(alloc, u, vgg19)
+        assert t == round_terms(u, vgg19, [5], 1e12).total[0]
 
     def test_esfl_identical_users_equal_totals(self, vgg19):
-        users = [_user(uid=i) for i in range(2)]
+        users = _users(uid=range(2))
         alloc = Allocation(cuts=(5, 5), server_compute=(1e12, 1e12), objective=0.0)
         t, comm = esfl_round_time(alloc, users, vgg19)
-        single = _terms(users[:1], vgg19, [5], 1e12)
+        single = round_terms(users.rows(slice(1)), vgg19, [5], 1e12)
         assert (t, comm) == (single.total[0], single.communication[0])
 
     def test_esfl_max_dominates_each_user(self, vgg19):
-        users = [_user(uid=0, kbps=10), _user(uid=1, kbps=100, tflops=4.0)]
+        users = _users(kbps=[10, 100], tflops=[2.0, 4.0])
         alloc = Allocation(cuts=(3, 8), server_compute=(5e11, 5e11), objective=0.0)
         t, comm = esfl_round_time(alloc, users, vgg19)
-        totals = _terms(users, vgg19, alloc.cuts, np.array(alloc.server_compute)).total
+        totals = round_terms(users, vgg19, alloc.cuts, np.array(alloc.server_compute)).total
         assert np.all(t >= totals)
         assert comm <= t
 
     def test_fl_single_user_formula(self, vgg19):
-        u = _user(epochs=1)
+        u = _users(epochs=1)
         L = vgg19.num_layers
         model_bytes = vgg19.model_bytes_by_cut[L - 1]
         d = vgg19.total_compute_per_sample
-        expected = (model_bytes / u.rates.up + model_bytes / u.rates.down
-                    + d * u.n_samples / u.compute_flops + 0.75)
-        t, comm = fl_round_time([u], vgg19, t_agg=0.75)
+        expected = (model_bytes / u.up[0] + model_bytes / u.down[0]
+                    + d * u.n_samples[0] / u.compute_flops[0] + 0.75)
+        t, comm = fl_round_time(u, vgg19, t_agg=0.75)
         assert t == pytest.approx(expected, rel=1e-12)
-        assert comm == pytest.approx(2 * model_bytes / u.rates.up, rel=1e-12)
+        assert comm == pytest.approx(2 * model_bytes / u.up[0], rel=1e-12)
 
     def test_fl_equals_esfl_with_cuts_forced_to_last_layer(self, vgg19):
-        users = [_user(uid=i, kbps=10 + 5 * i) for i in range(3)]
+        users = _users(kbps=[10, 15, 20])
         L = vgg19.num_layers
         alloc = Allocation(cuts=(L,) * 3, server_compute=(0.0,) * 3, objective=0.0)
         assert esfl_round_time(alloc, users, vgg19) == fl_round_time(users, vgg19)
 
     def test_fl_monotone_in_device_compute(self, vgg19):
-        slow = [_user(tflops=1.0)]
-        fast = [_user(tflops=4.0)]
+        slow = _users(tflops=1.0)
+        fast = _users(tflops=4.0)
         assert fl_round_time(fast, vgg19)[0] <= fl_round_time(slow, vgg19)[0]
 
     def test_sfl_single_user_equals_esfl_with_full_budget(self, vgg19):
-        u = _user()
+        u = _users()
         alloc = Allocation(cuts=(4,), server_compute=(130e12,), objective=0.0)
-        assert sfl_round_time([u], vgg19, 4, 130e12) == esfl_round_time(alloc, [u], vgg19)
+        assert sfl_round_time(u, vgg19, 4, 130e12) == esfl_round_time(alloc, u, vgg19)
 
     def test_sfl_at_last_layer_equals_fl(self, vgg19):
-        users = [_user(uid=i, tflops=1.0 + i) for i in range(3)]
+        users = _users(tflops=[1.0, 2.0, 3.0])
         L = vgg19.num_layers
         assert sfl_round_time(users, vgg19, L, 130e12) == fl_round_time(users, vgg19)
 
     def test_sl_single_user_equals_sfl(self, vgg19):
-        u = _user()
-        assert sl_round_time([u], vgg19, 4, 130e12) == sfl_round_time([u], vgg19, 4, 130e12)
+        u = _users()
+        assert sl_round_time(u, vgg19, 4, 130e12) == sfl_round_time(u, vgg19, 4, 130e12)
 
     def test_sl_identical_users_sum(self, vgg19):
-        users = [_user(uid=i) for i in range(10)]
-        single = _terms(users[:1], vgg19, [4], 130e12)
+        users = _users(uid=range(10))
+        single = round_terms(users.rows(slice(1)), vgg19, [4], 130e12)
         t, comm = sl_round_time(users, vgg19, 4, 130e12, t_agg=2.0)
         assert t == pytest.approx(10 * single.total[0] + 2.0, rel=1e-12)
         assert comm == pytest.approx(10 * single.communication[0], rel=1e-12)
@@ -214,8 +207,7 @@ class TestStragglerAttribution:
     def test_tie_goes_to_the_largest_server_independent_time(self, vgg19):
         # user 0 waits longer on its slow link; server shares are picked so
         # both users finish at one level, as the min-max resource pass does
-        users = [_user(uid=0, kbps=10), _user(uid=1, kbps=25)]
-        batch = UserBatch.of(users)
+        batch = _users(kbps=[10, 25])
         cuts = (5, 3)
         fixed = round_terms(batch, vgg19, cuts, np.inf).fixed
         work = 5 * round_terms(batch, vgg19, cuts, 1.0).server_work
@@ -224,7 +216,7 @@ class TestStragglerAttribution:
         terms = round_terms(batch, vgg19, cuts, compute)
         assert abs(terms.total[0] - terms.total[1]) <= 1e-12 * terms.total.max()
         for order in ((0, 1), (1, 0)):  # the answer follows the user, not the index
-            picked = [users[k] for k in order]
+            picked = batch.rows(list(order))
             alloc = Allocation(tuple(cuts[k] for k in order),
                                tuple(compute[k] for k in order), 0.0)
             t, comm = esfl_round_time(alloc, picked, vgg19)
@@ -267,49 +259,49 @@ class TestStragglerAttribution:
 
 class TestRoundTermsInput:
     def test_cut_count_and_range_checked(self, vgg19):
-        batch = UserBatch.of([_user(uid=0), _user(uid=1)])
+        batch = _users(uid=range(2))
         for cuts in ([3], [3, 4, 5], [0, 3], [3, vgg19.num_layers + 1]):
             with pytest.raises(ValueError):
                 round_terms(batch, vgg19, cuts, 1e12)
 
     def test_shared_cut_prices_like_one_cut_per_user(self, vgg19):
-        batch = UserBatch.of([_user(uid=0, n=200.0), _user(uid=1, kbps=10)])
+        batch = _users(n=[200.0, 500.0], kbps=[25.0, 10.0])
         shared = round_terms(batch, vgg19, 4, 1e12)
         per_user = round_terms(batch, vgg19, [4, 4], 1e12)
         assert np.array_equal(shared.total, per_user.total)
         assert np.array_equal(shared.communication, per_user.communication)
 
     def test_non_finite_user_fields_rejected(self):
-        from esfl import ConfigError
-
         for bad in ({"n": np.nan}, {"n": np.inf}, {"tflops": np.nan},
                     {"storage_bytes": np.nan}, {"memory_bytes": np.nan}):
             with pytest.raises(ConfigError):
-                _user(**bad)
-        _user(storage_bytes=np.inf, memory_bytes=np.inf)  # unlimited is fine
+                _users(**bad)
+        _users(storage_bytes=np.inf, memory_bytes=np.inf)  # unlimited is fine
 
     def test_cut_beyond_storage_rejected(self, vgg19):
-        u = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
-        _terms([u], vgg19, [3], 1e12)
+        u = _users(storage_bytes=vgg19.model_bytes_by_cut[2])
+        round_terms(u, vgg19, [3], 1e12)
         with pytest.raises(InfeasibleUserError):
-            _terms([u], vgg19, [4], 1e12)
+            round_terms(u, vgg19, [4], 1e12)
 
 
 class TestDefaultFixedCut:
     def test_unconstrained_users_get_first_layer(self, vgg19):
-        assert default_fixed_cut([_user()], vgg19) == 1
+        assert default_fixed_cut(_users(), vgg19) == 1
 
     def test_storage_constrained(self, vgg19):
         # too small for every cut except none -> error raised at zero cuts;
         # allow exactly the third prefix -> first feasible is still layer 1
-        small = _user(storage_bytes=vgg19.model_bytes_by_cut[2])
-        assert default_fixed_cut([small], vgg19) == 1
+        small = _users(storage_bytes=vgg19.model_bytes_by_cut[2])
+        assert default_fixed_cut(small, vgg19) == 1
 
     def test_memory_boundary_is_inclusive(self, vgg19):
-        # a budget exactly equal to the layer-1 requirement still admits it
-        u = _user(memory_bytes=vgg19.model_bytes_by_cut[0]
-                  + 32 * vgg19.cum_act_bytes_by_cut[0])
-        assert default_fixed_cut([u], vgg19, batch=32) == 1
+        # a budget exactly equal to the layer-1 requirement still admits it,
+        # and one just below it admits no cut
+        need = vgg19.model_bytes_by_cut[0] + vgg19.cum_act_bytes_by_cut[0]
+        assert default_fixed_cut(_users(memory_bytes=need), vgg19) == 1
+        with pytest.raises(InfeasibleUserError):
+            default_fixed_cut(_users(memory_bytes=np.nextafter(need, 0)), vgg19)
 
 
 class TestKernelConsistency:
@@ -327,21 +319,22 @@ class TestKernelConsistency:
         model = arch.model_bytes_by_cut
         mem = model + arch.cum_act_bytes_by_cut
         users = []
-        for i in range(int(rng.integers(1, 7))):
+        for _ in range(int(rng.integers(1, 7))):
             # limits around a random cut's needs: with slack >= 1 every user
             # holds at least the first cut, and some fewer than all L
             storage = model[int(rng.integers(0, n_layers))] * rng.uniform(*slack)
             memory = mem[int(rng.integers(0, n_layers))] * rng.uniform(*slack)
-            users.append(UserProfile(
-                user_id=10 + i,
-                n_samples=float(rng.choice([0.0, 50.0, 200.0, 800.0])),
-                compute_flops=float(rng.uniform(0.1, 5.0)) * 1e12,
-                rates=LinkRates(*(float(r) for r in rng.uniform(1e3, 1e6, size=2))),
-                epochs=int(rng.integers(0, 9)),
-                storage_bytes=float(storage) if rng.random() < 0.5 else np.inf,
-                memory_bytes=float(memory) if rng.random() < 0.5 else np.inf,
+            users.append((
+                float(rng.choice([0.0, 50.0, 200.0, 800.0])),
+                float(rng.uniform(0.1, 5.0)) * 1e12,
+                *(float(r) for r in rng.uniform(1e3, 1e6, size=2)),
+                int(rng.integers(0, 9)),
+                float(storage) if rng.random() < 0.5 else np.inf,
+                float(memory) if rng.random() < 0.5 else np.inf,
             ))
-        return arch, UserBatch.of(users)
+        # epochs 0 lies below the checked range, so the batch is built as is
+        columns = np.array(users, dtype=float).T
+        return arch, UserBatch(10 + np.arange(len(users)), *columns)
 
     def test_per_user_cuts_match_every_cut_matrix_bit_for_bit(self):
         rng = np.random.default_rng(101)
