@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllocationError, InfeasibleUserError
+from .errors import AllocationError, ConfigError, InfeasibleUserError
 from .timing import ServerFreeTerms, feasibility_mask, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
@@ -90,6 +90,7 @@ class IterationRecord:
     objective: float
     cuts: tuple[int, ...]
     server_compute: tuple[float, ...]
+    demand_evaluations: int     # of this pass's resource pass
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,21 @@ class _CutPass(NamedTuple):
                                  out=self.buffer[:len(self.terms.blocked)])
         choice = np.argmin(times, axis=-1)
         best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
-        if not np.isfinite(best).all():
-            bad = self.batch.user_ids[~np.isfinite(best)].tolist()
+        dead = ~np.isfinite(best)
+        if dead.any():
+            # priced again without server time: a finite cut there, with some
+            # server compute, means only the server time overflowed, so the
+            # budget is at fault, not a link
+            free = self.terms.price(math.inf, out=times).min(axis=-1)
+            overflow = dead & np.isfinite(free) & (np.asarray(server_compute) > 0)
+            if overflow.any():
+                raise ConfigError(
+                    f"users {self.batch.user_ids[overflow].tolist()}: the server "
+                    f"time of every feasible cut overflows to infinity; the "
+                    f"server compute budget is too small")
             raise AllocationError(
-                f"users {bad}: every feasible cut prices to infinity "
-                f"(dead link with unavoidable traffic?)"
+                f"users {self.batch.user_ids[dead].tolist()}: every feasible cut "
+                f"prices to infinity (dead link with unavoidable traffic?)"
             )
         return choice + 1, best
 
@@ -298,6 +309,7 @@ class _Pass(NamedTuple):
     objective: np.ndarray     # (n,)
     cuts: np.ndarray          # (n, S)
     server_compute: np.ndarray  # (n, S)
+    steps: np.ndarray         # (n,) demand evaluations of the resource pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +331,7 @@ class RowPlan:
             if k < len(p.rows) and p.rows[k] == row:
                 records.append(IterationRecord(
                     p.iteration, float(p.objective[k]), tuple(p.cuts[k].tolist()),
-                    tuple(p.server_compute[k].tolist()),
+                    tuple(p.server_compute[k].tolist()), int(p.steps[k]),
                 ))
         return tuple(records)
 
@@ -360,7 +372,9 @@ def plan_rows(
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
     planned beside it. Users with fewer than one epoch cannot be planned
-    and raise ``ValueError``.
+    and raise ``ValueError``. A budget that is not finite, or so small that
+    a user's every feasible cut needs infinite server time, raises
+    ``ConfigError``.
     """
     cfg = cfg or OptimizerConfig()
     if len(batch.shape) != 2:
@@ -370,6 +384,9 @@ def plan_rows(
         raise ValueError("at least one user is required")
     if c_total <= 0:
         raise ValueError("compute budget must be strictly positive")
+    if not math.isfinite(c_total):
+        raise ConfigError(f"the server compute budget must be finite, "
+                          f"not {c_total} FLOP/s")
     idle = batch.epochs < 1
     if idle.any():
         raise ValueError(f"users {sorted(set(batch.user_ids[idle].tolist()))}: "
@@ -399,7 +416,7 @@ def plan_rows(
                 a, b, c_total, cfg.bisection_tolerance, cfg.bisection_max_steps,
                 upper_hint=best_times.max(axis=-1),
             )
-            passes.append(_Pass(it, live, objective, cuts, new))
+            passes.append(_Pass(it, live, objective, cuts, new, steps))
             better = (objective < best_objective[live]) | (it == 1)
             improved = live[better]
             best_objective[improved] = objective[better]

@@ -5,12 +5,14 @@ with the resolved configuration and results, plus an aligned text table.
 The JSON document is exactly the bytes of ``json.dumps(payload,
 sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
 at the speed of the stdlib's C encoder. A list or dict of scalars that
-recurs in a report is encoded once: ``optimize`` passes trace entries that
-repeat the allocation, and ``simulate`` per-user cut rows that repeat, as
-one shared list each (a 1.5 MB sim-large report is written in ~13 ms, a
-1.7 MB plan-large one in ~42 ms). Identical configuration and seed
-produce byte-identical files. Exit codes: 0 success, 1 input/configuration
-error, 2 runtime error. The argument parser is built once per process.
+recurs in a report is encoded once: ``simulate`` passes per-user cut rows
+that repeat as one shared list each (a 1.5 MB sim-large report is written
+in ~13 ms). ``optimize`` holds one per-user list each for the cuts and the
+server compute; its trace has one fixed-size summary per planner pass
+(see :func:`_trace_entries`), so a 10⁴-user report is ~0.26 MB. Identical
+configuration and seed produce byte-identical files. Exit codes: 0
+success, 1 input/configuration error, 2 runtime error. The argument
+parser is built once per process.
 
 ``optimize`` reads its users.json straight into one
 :class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
@@ -34,12 +36,11 @@ from itertools import chain, compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from struct import pack
 
 import numpy as np
 
 from . import split_training as toy
-from .allocation import OptimizerConfig, alternate, brute_force_joint
+from .allocation import IterationRecord, OptimizerConfig, alternate, brute_force_joint
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
     ALGORITHMS,
@@ -49,7 +50,7 @@ from .simulation import (
     preset_scenarios,
     run_simulation,
 )
-from .timing import round_terms
+from .timing import round_terms, straggler
 from .users import (
     CHANNEL_FIELDS,
     USER_FIELDS,
@@ -207,8 +208,8 @@ def dumps_report(payload) -> str:
     strings.
 
     A container that holds no container is encoded once per call, however
-    often the same object recurs (the report builders pass equal lists as
-    one object); a recurrence at another depth is re-indented by one
+    often the same object recurs (``simulate`` passes equal per-user cut
+    rows as one object); a recurrence at another depth is re-indented by one
     replace, since only the structure writes newlines. A matrix whose rows
     repeat encodes each distinct row once.
     """
@@ -533,22 +534,58 @@ def _users_from_doc(path: str, kb_bytes: float) -> UserBatch:
     return batch
 
 
+def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
+                   trace: tuple[IterationRecord, ...]) -> list[dict]:
+    """One fixed-size summary per pass of the planner's ``trace``.
+
+    Each entry holds the pass's objective, how many users changed cut since
+    the previous pass (None on the first), the demand evaluations of its
+    resource pass, and the bottleneck: the user that set the objective (the
+    round total, or one epoch's time with ``epoch_objective``), attributed
+    by :func:`~esfl.timing.straggler`, with its cut and the five per-round
+    terms that, with ``t_agg``, sum to its round total.
+    """
+    entries, previous = [], None
+    for rec in trace:
+        # fromiter with a dtype and a count reads the tuples about twice as fast
+        cuts = np.fromiter(rec.cuts, int, len(rec.cuts))
+        compute = np.fromiter(rec.server_compute, float, len(rec.cuts))
+        terms = round_terms(batch, arch, cuts, compute, cfg.t_agg)
+        if cfg.epoch_objective:
+            _, k = straggler(terms.epoch, terms.t_c + terms.t_b + terms.t_B)
+        else:
+            _, k = straggler(terms.total, terms.fixed)
+        epochs = batch.epochs[k]
+        entries.append({
+            "iteration": rec.iteration,
+            "objective_s": rec.objective,
+            "cuts_changed": (None if previous is None
+                             else int(np.count_nonzero(cuts != previous))),
+            "demand_evaluations": rec.demand_evaluations,
+            "bottleneck": {
+                "user": int(batch.user_ids[k]),
+                "cut": int(cuts[k]),
+                "model_movement_s": float(terms.t_up[k] + terms.t_down[k]),
+                "device_compute_s": float(epochs * terms.t_c[k]),
+                "upload_s": float(epochs * terms.t_b[k]),
+                "server_compute_s": float(epochs * terms.t_C[k]),
+                "download_s": float(epochs * terms.t_B[k]),
+            },
+        })
+        previous = cuts
+    return entries
+
+
 def cmd_optimize(args) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
-    result = alternate(batch, arch, c_total, cfg)
+    try:
+        result = alternate(batch, arch, c_total, cfg)
+    except ConfigError as exc:   # the planner refuses only a budget it cannot use
+        raise ConfigError(f"--server-tflops {args.server_tflops}: {exc}") from None
     alloc = result.allocation
-    # The last trace entries repeat the allocation. Values with the same
-    # machine bits (int64 cuts, float64 compute) become one list, which the
-    # report writer encodes once; 0.0 and -0.0 stay apart.
-    lists = {}
-
-    def shared(values, typecode):
-        key = typecode, pack(f"{len(values)}{typecode}", *values)
-        return lists.setdefault(key, list(values))
-
     payload = {
         "command": "optimize",
         "units": _unit_config(args),
@@ -559,17 +596,9 @@ def cmd_optimize(args) -> int:
         "objective_s": alloc.objective,
         "iterations": result.iterations,
         "converged": result.converged,
-        "cuts": shared(alloc.cuts, "q"),
-        "server_compute_flops": shared(alloc.server_compute, "d"),
-        "trace": [
-            {
-                "iteration": rec.iteration,
-                "objective_s": rec.objective,
-                "cuts": shared(rec.cuts, "q"),
-                "server_compute_flops": shared(rec.server_compute, "d"),
-            }
-            for rec in result.trace
-        ],
+        "cuts": list(alloc.cuts),
+        "server_compute_flops": list(alloc.server_compute),
+        "trace": _trace_entries(batch, arch, cfg, result.trace),
     }
 
     totals = round_terms(batch, arch, alloc.cuts, alloc.server_compute, args.t_agg).total

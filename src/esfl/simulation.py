@@ -18,8 +18,9 @@ Every random draw flows from the scenario seed through one generator, so a
 (scenario, seed) pair reproduces bit-identical reports. The rounds are the
 draws of ``Generator.choice`` round by round, and leave the generator in
 the same state; where ``choice`` runs Floyd's algorithm (every population
-up to 10,000, and larger ones selecting at most ``population // 50``) its
-bounded-integer stream is replicated, drawing many rounds per call. This
+up to 10,000, and larger ones selecting at most ``population // 50``) on
+rounds of fewer than 300 users, its bounded-integer stream is replicated,
+drawing many rounds per call. This
 was verified on numpy 2.4.6; the sampler property test guards other numpy
 versions.
 """
@@ -130,6 +131,9 @@ class ScenarioSpec:
             raise ConfigError("seed must be >= 0")
         if self.server_tflops <= 0:
             raise ConfigError("server_tflops must be positive")
+        if not math.isfinite(self.server_tflops * TFLOPS):
+            raise ConfigError(f"server_tflops must be finite in FLOP/s, not "
+                              f"{self.server_tflops} × 10¹²")
 
 
 def preset_scenarios() -> dict[str, ScenarioSpec]:
@@ -317,16 +321,17 @@ def sample_rounds(
     round as ``rng.choice(population, S, replace=False)``, sorted, then
     ``rng.choice(options, S)`` for rates and for compute. Where ``choice``
     uses Floyd's algorithm (every population up to 10,000, and larger ones
-    selecting at most ``population // 50``), :func:`_floyd_rounds` draws
-    many rounds per call; otherwise (``choice``'s tail shuffle) rounds are
-    drawn one by one. This reproduces numpy's ``Generator`` as
-    verified on numpy 2.4.6; the sampler property test guards other numpy
-    versions.
+    selecting at most ``population // 50``) and a round selects fewer than
+    ``_CHOICE_MIN_SELECTED`` users, :func:`_floyd_rounds` draws many rounds
+    per call; otherwise rounds are drawn one by one. This reproduces numpy's
+    ``Generator`` as verified on numpy 2.4.6; the sampler property test
+    guards other numpy versions.
     """
     size = spec.selected_per_round
     options = None if sticky is not None else (
         np.asarray(spec.comm_options, dtype=float), np.asarray(spec.comp_options, dtype=float))
-    if spec.population > 10000 and size > spec.population // 50:
+    if (size >= _CHOICE_MIN_SELECTED
+            or spec.population > 10000 and size > spec.population // 50):
         selected, drawn = _choice_rounds(rng, spec.population, size, rounds, options)
     else:
         selected, drawn = _floyd_rounds(rng, spec.population, size, rounds, options)
@@ -343,6 +348,13 @@ def sample_rounds(
         memory_bytes=np.full(selected.shape, np.inf),
     )
 
+
+# Rounds of at least this many selected users are drawn round by round by
+# :func:`_choice_rounds`: numpy's bounded-integer call with an array of
+# bounds costs more per value than ``choice``'s own Floyd loop, which
+# outweighs the per-round call overhead from about 300 users per round on,
+# at 5 to 100 rounds (measured on numpy 2.4.6).
+_CHOICE_MIN_SELECTED = 300
 
 # The most bounded integers one ``Generator.integers`` call of
 # :func:`_floyd_rounds` draws: rounds are drawn in chunks of whole rounds

@@ -41,12 +41,13 @@ def _guarded_div(
     out: np.ndarray | None = None,
     zero: np.ndarray | None = None,
 ) -> np.ndarray:
-    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise.
+    """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise,
+    also where the quotient overflows.
 
     Writes into ``out`` when given; ``zero`` may pass ``numerator == 0``
     when the caller already holds it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.divide(numerator, denominator, out=out)
     np.copyto(out, 0.0, where=numerator == 0.0 if zero is None else zero)
     return out
@@ -309,21 +310,27 @@ def default_fixed_cut(batch: UserBatch, arch: ModelArchitecture) -> int | np.nda
     return _per_row(np.argmax(shared, axis=-1) + 1)
 
 
+def straggler(times: np.ndarray, server_free: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The largest of each row of (..., S) ``times`` and the user that set it.
+
+    Users within ``TIE_RTOL`` of the largest time tie, as every funded user
+    does under min-max equalization; of those, the one with the largest
+    ``server_free`` time (its time at infinite server compute) set the
+    level, and remaining ties go to the lower index. So the attributed user
+    does not change with the last digits of the server compute.
+    """
+    time = times.max(axis=-1)
+    tied = times >= (time * (1.0 - TIE_RTOL))[..., None]
+    return time, np.argmax(np.where(tied, server_free, -np.inf), axis=-1)
+
+
 def _straggler(
     terms: RoundTerms, communication: np.ndarray
 ) -> tuple[PerRound, PerRound]:
-    """The round time and the communication of the user that set it.
-
-    The round time is the largest total. Users within ``TIE_RTOL`` of it
-    tie, as every funded user does under min-max equalization; of those, the
-    one with the largest server-independent time ``fixed`` set the level, and
-    remaining ties go to the lower index. So the attributed user does not
-    change with the last digits of the server compute.
-    """
-    totals = terms.total
-    time = totals.max(axis=-1)
-    tied = totals >= (time * (1.0 - TIE_RTOL))[..., None]
-    k = np.argmax(np.where(tied, terms.fixed, -np.inf), axis=-1)
+    """The round time, the largest total, and the communication of the
+    user that set it, as :func:`straggler` attributes it."""
+    time, k = straggler(terms.total, terms.fixed)
     comm = np.take_along_axis(communication, k[..., None], axis=-1)[..., 0]
     return _per_row(time), _per_row(comm)
 

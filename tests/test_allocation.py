@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from esfl import (
     AllocationError,
+    ConfigError,
     InfeasibleUserError,
     OptimizerConfig,
     UserBatch,
@@ -470,6 +471,16 @@ class TestAlternate:
         users = UserBatch.checked(500.0, [1e12, 1.3e12], [0.0, 10240.0], [0.0, 10240.0])
         with pytest.raises(AllocationError):
             alternate(users, vgg19, 130e12)
+
+    def test_unusable_budget_is_a_config_error(self, vgg19):
+        users = _users(uid=range(2),
+                       storage_bytes=[vgg19.model_bytes_by_cut[0], math.inf])
+        for c_total in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="must be finite"):
+                plan_rows(users.rows(None), vgg19, c_total)
+        # user 0 cannot train all-local, and every server cut's time overflows
+        with pytest.raises(ConfigError, match=r"users \[0\]: .*budget is too small"):
+            alternate(users, vgg19, 1e-308)
 
     def test_dominates_every_fixed_equal_split_policy(self, vgg19):
         # construction guarantee: the first cut pass already minimizes over

@@ -287,6 +287,24 @@ class TestOptimize:
             assert "user 1: epochs must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, budget, named", [
+        ("optimize", "1e297", "--server-tflops"),    # overflows to infinite FLOP/s
+        # so small that a user who cannot train all-local needs infinite time
+        ("optimize", "1e-320", "--server-tflops"),
+        ("simulate", "1e297", "server_tflops"),
+    ])
+    def test_unusable_server_budget_is_input_error(self, tmp_path, capsys,
+                                                   command, budget, named):
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps(_bench_style_users(300, seed=5)))
+        argv = ["--users", str(users)] if command == "optimize" else []
+        with np.errstate(all="raise"):
+            assert _run(command, *argv, "--server-tflops", budget,
+                        "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_refused_for_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
                     "--oracle", "--out", str(tmp_path / "o")) == 1
@@ -723,6 +741,77 @@ class TestOptimizeBytes:
                     == (tmp_path / "per_user" / name).read_bytes())
 
 
+class TestOptimizeTrace:
+    """Each ``optimize`` trace entry summarizes one planner pass at a fixed
+    size; the per-user lists are only the allocation's."""
+
+    @pytest.fixture()
+    def users(self, tmp_path):
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps(_bench_style_users(300, seed=5)))
+        return path
+
+    @pytest.mark.parametrize("extra", [[], ["--epoch-objective", "--t-agg", "1.5"]])
+    def test_entries_summarize_each_pass(self, tmp_path, users, extra):
+        assert _run("optimize", "--users", str(users), "--arch", "vgg19", *extra,
+                    "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "allocation.json").read_text())
+        arch = esfl.load_builtin("vgg19")
+        batch = cli._users_from_doc(str(users), 1024.0)
+        epoch_objective = bool(extra)
+        t_agg = 1.5 if extra else 0.0
+        cfg = esfl.OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        trace = esfl.alternate(batch, arch, 130e12, cfg).trace
+        entries = report["trace"]
+        n_users = len(batch)
+
+        assert len(entries) == len(trace) == report["iterations"]
+        assert [e["iteration"] for e in entries] == list(range(1, len(entries) + 1))
+        objectives = [e["objective_s"] for e in entries]
+        assert objectives == sorted(objectives, reverse=True)
+        assert entries[0]["cuts_changed"] is None
+        for entry, before, rec in zip(entries[1:], trace, trace[1:]):
+            changed = entry["cuts_changed"]
+            assert type(changed) is int and 0 <= changed <= n_users
+            assert changed == sum(a != b for a, b in zip(before.cuts, rec.cuts))
+        steps = [e["demand_evaluations"] for e in entries]
+        assert all(type(k) is int and k >= 0 for k in steps)
+        plan = esfl.plan_rows(batch.rows(None), arch, 130e12, cfg)
+        assert max(steps) == plan.resource_steps[0]
+
+        for entry, rec in zip(entries, trace):
+            neck = entry["bottleneck"]
+            user = neck["user"]     # users.json ids are the users' indices
+            terms = esfl.round_terms(batch, arch, rec.cuts, rec.server_compute, t_agg)
+            times = terms.epoch if epoch_objective else terms.total
+            assert neck["cut"] == rec.cuts[user]
+            assert times[user] >= times.max() * (1 - esfl.timing.TIE_RTOL)
+            parts = sum(neck[f"{name}_s"] for name in (
+                "model_movement", "device_compute", "upload", "server_compute",
+                "download"))
+            total = terms.total[user]
+            assert parts + t_agg == pytest.approx(total, rel=1e-12)
+            if not epoch_objective:
+                assert total == pytest.approx(entry["objective_s"], rel=1e-6)
+
+    def test_only_the_allocation_is_per_user(self, tmp_path, users):
+        assert _run("optimize", "--users", str(users), "--arch", "vgg19",
+                    "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "allocation.json").read_text())
+
+        def per_user_lists(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield from per_user_lists(value, f"{path}.{key}")
+            elif isinstance(node, list):
+                if len(node) == 300:
+                    yield path
+                for i, value in enumerate(node):
+                    yield from per_user_lists(value, f"{path}[{i}]")
+
+        assert sorted(per_user_lists(report, "")) == [".cuts", ".server_compute_flops"]
+
+
 class TestConverge:
     def test_row_per_cell(self, tmp_path):
         out = tmp_path / "conv"
@@ -1009,11 +1098,11 @@ class TestReportDigests:
          "fc0e6f358e4c6647974bd226d0ebd72b974905e09dea141f8a196a1f67a078c2",
          "e1602a72459a1851eb2847c432be6a396376708a73a028a623fb5547dce5ee27"),
         (["optimize", "--users", "USERS", "--arch", "vgg19"], "allocation",
-         "525ff8c0f66a72a69b415e426988c8bc9940f80256c4a321c49e901b7533b4da",
+         "09a4e2ec2191889d1d67e520a89a4f45d1fe0d65bac1d16adc714fb7f2b10892",
          "27432bd66659f3ca3d450bc2fc9f9ce5bd69e1dece24d247bc503581e53cb7e6"),
         (["optimize", "--users", "USERS", "--arch", "vgg19",
           "--epoch-objective", "--t-agg", "1.5"], "allocation",
-         "793e68c5d1ac6e0c28698bb2e3a70e800d1f13f49e16a6834b626a7391a608f0",
+         "51ca3f55f654686bb9e3aabcce3b2b26756f79d3a890fe754ae7c54ce97f18d7",
          "85a79751ba92db62d9c7ea39ad7d21804e5a935ec1f18208b51442af3a464e4a"),
         # 873 per-user cut rows, 3 distinct
         (["simulate", "--population", "2000", "--selected", "500", "--rounds", "2",

@@ -68,6 +68,7 @@ class TestPresets:
             ScenarioSpec("x", (), (1.0,), (1.0,))
         for bad in ({"comm_options": (float("nan"),)}, {"comp_options": (0.0,)},
                     {"data_options": (float("inf"),)}, {"server_tflops": float("inf")},
+                    {"server_tflops": 1e297},
                     {"comm_options": (-1.0,)}, {"epochs": 0}, {"seed": -1},
                     {"epochs": 2.7}, {"rounds": 1.5}, {"seed": True}):
             kw = {"comm_options": (1.0,), "comp_options": (1.0,),
@@ -128,12 +129,15 @@ class TestSampling:
 
 @st.composite
 def _sampling_cases(draw):
-    """A scenario, a seed, a round count and a chunk size for sample_rounds.
+    """A scenario, a seed, a round count, a chunk size and the selection
+    from which rounds are drawn one by one, for sample_rounds.
 
     Populations lie on both sides of 10,000, above which ``choice`` shuffles
     the tail of the population instead of running Floyd's algorithm when it
     selects more than ``population // 50``; selections reach the whole
-    population, and chunks as small as one round split the draws."""
+    population, chunks as small as one round split the draws, and the
+    selection that switches to round-by-round draws ranges from every round
+    to none, so both paths meet every shape."""
     population = draw(st.one_of(st.integers(1, 60), st.integers(61, 10_000),
                                 st.integers(10_001, 30_000)))
     if population > 10_000:
@@ -148,7 +152,8 @@ def _sampling_cases(draw):
                         tuple(1.3 * (1 + k) for k in range(comp)), (200.0, 500.0),
                         population=population, selected_per_round=selected)
     return (spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)),
-            draw(st.booleans()), draw(st.sampled_from([1, 50, 500, 2**18])))
+            draw(st.booleans()), draw(st.sampled_from([1, 50, 500, 2**18])),
+            draw(st.sampled_from([1, 100, simulation._CHOICE_MIN_SELECTED, 10**9])))
 
 
 class TestSamplingProperty:
@@ -156,12 +161,13 @@ class TestSamplingProperty:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(_sampling_cases())
     def test_rounds_and_stream_equal_the_choice_draws(self, case):
-        spec, rng_seed, rounds, sticky, chunk = case
+        spec, rng_seed, rounds, sticky, chunk, choice_from = case
         rng = np.random.default_rng(rng_seed)
         data = sample_population_data(spec, rng)
         resources = sample_population_resources(spec, rng) if sticky else None
         state = rng.bit_generator.state
-        with mock.patch.object(simulation, "_DRAW_CHUNK", chunk):
+        with mock.patch.object(simulation, "_DRAW_CHUNK", chunk), \
+                mock.patch.object(simulation, "_CHOICE_MIN_SELECTED", choice_from):
             got = sample_rounds(spec, rng, data, rounds, resources, kb_bytes=1000.0)
         after = rng.bit_generator.state
         rng.bit_generator.state = state
