@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllocationError, ConfigError, InfeasibleUserError
+from .errors import AllocationError, ConfigError, InfeasibleUserError, id_list
 from .timing import ServerFreeTerms, feasibility_mask, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
@@ -108,7 +108,7 @@ def _feasible(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
     """The (..., S, L) feasibility mask; a user with no feasible cut is an error."""
     mask = feasibility_mask(batch, arch)
     if not mask.any(axis=-1).all():
-        bad = batch.user_ids[~mask.any(axis=-1)].tolist()
+        bad = id_list(batch.user_ids[~mask.any(axis=-1)])
         raise InfeasibleUserError(f"users without any feasible cut: {bad}")
     return mask
 
@@ -154,11 +154,11 @@ class _CutPass(NamedTuple):
             overflow = dead & np.isfinite(free) & (np.asarray(server_compute) > 0)
             if overflow.any():
                 raise ConfigError(
-                    f"users {self.batch.user_ids[overflow].tolist()}: the server "
+                    f"users {id_list(self.batch.user_ids[overflow])}: the server "
                     f"time of every feasible cut overflows to infinity; the "
                     f"server compute budget is too small")
             raise AllocationError(
-                f"users {self.batch.user_ids[dead].tolist()}: every feasible cut "
+                f"users {id_list(self.batch.user_ids[dead])}: every feasible cut "
                 f"prices to infinity (dead link with unavoidable traffic?)"
             )
         return choice + 1, best
@@ -220,22 +220,30 @@ def _equalize(
             break
         x = point[live]
         denom = x[:, None] + gap[live]
-        share = a[live] / denom
-        excess = share.sum(axis=1) - c_total      # > 0 on the infeasible side
-        slope = (share / denom).sum(axis=1)       # minus the demand's derivative
-        steps[live] += 1
-        d_hi[live] = np.where(excess <= 0, np.minimum(d_hi[live], x), d_hi[live])
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            # a budget near the float maximum can overflow the demand or its
+            # slope at points far below the root
+            share = a[live] / denom
+            excess = share.sum(axis=1) - c_total      # > 0 on the infeasible side
+            slope = (share / denom).sum(axis=1)       # minus the demand's derivative
             # the demand is convex, so its tangent's root, taken from either
             # side, is a lower bound on the root
             newton = x + excess / slope
-        lo = np.fmax(d_lo[live], newton)
-        hi = d_hi[live]
-        d_lo[live] = lo
+            overflow = ~np.isfinite(excess + slope)
         # aim a hair past the root so the next point can close the bracket;
         # an aim below the bracket (a tangent from the feasible side, or a
         # slope lost to underflow) falls back to bisection
         aim = newton * (1.0 + 0.5 * tol)
+        if overflow.any():
+            # an overflowed demand or slope gives no tangent: the point is
+            # itself a lower bound when infeasible, and its step bisects
+            newton = np.where(overflow, np.where(excess > 0, x, np.nan), newton)
+            aim = np.where(overflow, np.nan, aim)
+        steps[live] += 1
+        d_hi[live] = np.where(excess <= 0, np.minimum(d_hi[live], x), d_hi[live])
+        lo = np.fmax(d_lo[live], newton)
+        hi = d_hi[live]
+        d_lo[live] = lo
         point[live] = np.where((lo < aim) & (aim < hi), aim, 0.5 * (lo + hi))
         live = live[hi - lo > tol * hi]
 
@@ -389,7 +397,7 @@ def plan_rows(
                           f"not {c_total} FLOP/s")
     idle = batch.epochs < 1
     if idle.any():
-        raise ValueError(f"users {sorted(set(batch.user_ids[idle].tolist()))}: "
+        raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
                          f"planning needs epochs >= 1")
     mask = _feasible(batch, arch)
 

@@ -7,12 +7,16 @@ sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
 at the speed of the stdlib's C encoder. A list or dict of scalars that
 recurs in a report is encoded once: ``simulate`` passes per-user cut rows
 that repeat as one shared list each (a 1.5 MB sim-large report is written
-in ~13 ms). ``optimize`` holds one per-user list each for the cuts and the
-server compute; its trace has one fixed-size summary per planner pass
-(see :func:`_trace_entries`), so a 10⁴-user report is ~0.26 MB. Identical
-configuration and seed produce byte-identical files. Exit codes: 0
-success, 1 input/configuration error, 2 runtime error. The argument
-parser is built once per process.
+in ~13 ms). A list of records that share one key set, such as
+``simulate``'s per-round records, is encoded column by column, one
+encoder call per field: a report of 100 rounds of 10 users is written in
+about 4.1 ms, against 7.0 ms item by item. ``optimize`` holds one
+per-user list each for the cuts and the server compute; its trace has one
+fixed-size summary per planner pass (see :func:`_trace_entries`), so a
+10⁴-user report is ~0.26 MB. Identical configuration and seed produce
+byte-identical files. The output directory is checked before any work.
+Exit codes: 0 success, 1 input/configuration error, 2 runtime error. The
+argument parser is built once per process.
 
 ``optimize`` reads its users.json straight into one
 :class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
@@ -161,9 +165,22 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _resolve_out_dir(arg: str | None) -> Path:
+    """The report directory: ``--out``, else ``$ESFL_OUT_DIR``, else
+    ``./esfl_out``. It is checked before any work: a path that is, or lies
+    under, anything but a directory is an input error that names where the
+    path came from."""
     if arg:
-        return Path(arg)
-    return Path(os.environ.get(OUT_DIR_ENV, "esfl_out"))
+        source, path = "--out", Path(arg)
+    elif OUT_DIR_ENV in os.environ:
+        source, path = OUT_DIR_ENV, Path(os.environ[OUT_DIR_ENV])
+    else:
+        source, path = "the default output directory", Path("esfl_out")
+    for part in (path, *path.parents):
+        if part.is_dir():
+            break
+        if os.path.lexists(part):
+            raise ConfigError(f"{source} {str(path)!r}: {str(part)!r} is not a directory")
+    return path
 
 
 def _load_arch(spec: str, kappa: float, bytes_per_element: float) -> ModelArchitecture:
@@ -200,18 +217,24 @@ def dumps_report(payload) -> str:
     The stdlib uses its C encoder only when ``indent`` is None. Here a list
     or dict that holds no container is one call of that encoder, built once
     per depth with an item separator that carries the newline and the
-    indentation of the depth, and so is a list of such nonempty lists (a
-    matrix); only other containers of containers are walked in Python.
-    Scalars, keys and empty containers are all encoded by the stdlib, so
-    float ``repr``, ``NaN``/``Infinity``, escaping and key order are as
-    ``json`` writes them. The keys of a dict that holds a container must be
-    strings.
+    indentation of the depth. A list of alike items is encoded column by
+    column (see ``columns`` below): a list of nonempty lists of scalars (a
+    matrix) is one call, and so is each field of a list of records, dicts
+    that share one key set, such as ``simulate``'s per-round records. Only
+    other containers of containers are walked in Python. Scalars, keys and
+    empty containers are all encoded by the stdlib, so float ``repr``,
+    ``NaN``/``Infinity``, escaping and key order are as ``json`` writes
+    them. The keys of a dict that holds a container must be strings.
 
     A container that holds no container is encoded once per call, however
     often the same object recurs (``simulate`` passes equal per-user cut
     rows as one object); a recurrence at another depth is re-indented by one
-    replace, since only the structure writes newlines. A matrix whose rows
-    repeat encodes each distinct row once.
+    replace, since only the structure writes newlines. A column encodes
+    each distinct object once.
+
+    On a preset ``simulate`` report, 100 records of 10 users each, the
+    columns take the report from 7.0 to 4.1 ms (2-core shared host,
+    Python 3.11).
     """
     if c_make_encoder is None:
         return json.dumps(payload, sort_keys=True, indent=2)
@@ -224,6 +247,52 @@ def dumps_report(payload) -> str:
                 None, _not_serializable, encode_basestring_ascii, None,
                 ": ", ",\n" + "  " * depth, True, False, True)
         return "".join(encoders[depth](obj, 0))
+
+    def columns(values, depth):
+        """The text of each of ``values`` as written at ``depth``, or None
+        unless they are alike: all scalars, all nonempty lists of scalars,
+        or all dicts with one nonempty set of string keys whose values are
+        alike key by key.
+
+        Scalars are one encoder call split at its ``",\\n"`` separators, and
+        rows one call split at the row boundaries ``"],\\n<pad>["``: no
+        encoded scalar holds a newline or ends in ``"]"``. Records are one
+        ``%`` format each of a template from the sorted keys, filled with
+        the texts of each key's column.
+        """
+        types = set(map(type, values))
+        if not any(issubclass(t, (list, tuple, dict)) for t in types):
+            return flat(values, 0)[1:-1].split(",\n")
+        unique = dict(zip(map(id, values), values))
+        distinct = list(unique.values())
+        pad = "\n" + "  " * (depth + 1)
+        end = "\n" + "  " * depth
+        if types <= {list, tuple}:
+            if not all(distinct) or _holds_container(chain.from_iterable(distinct)):
+                return None
+            texts = [f"[{pad}{items}{end}]" for items in
+                     flat(distinct, depth + 1)[2:-2].split("]," + pad + "[")]
+        elif types == {dict}:
+            keys = distinct[0].keys()
+            if (not keys or not all(isinstance(k, str) for k in keys)
+                    or any(d.keys() != keys for d in distinct)):
+                return None
+            keys = sorted(keys)
+            fields = []
+            for key in keys:
+                field = columns(list(map(itemgetter(key), distinct)), depth + 1)
+                if field is None:
+                    return None
+                fields.append(field)
+            template = "{" + pad + ("," + pad).join(
+                encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                for k in keys) + end + "}"
+            texts = list(map(template.__mod__, zip(*fields)))
+        else:
+            return None
+        if len(distinct) < len(values):
+            texts = list(map(dict(zip(unique, texts)).__getitem__, map(id, values)))
+        return texts
 
     def encode(obj, depth):
         hit = leaves.get(id(obj))
@@ -247,20 +316,8 @@ def dumps_report(payload) -> str:
             body = ("," + pad).join(
                 f"{encode_basestring_ascii(k)}: {encode(obj[k], inner)}"
                 for k in sorted(obj))
-        elif (set(map(type, obj)) <= {list, tuple} and all(obj)
-              and not _holds_container(chain.from_iterable(
-                  (rows := dict(zip(map(id, obj), obj))).values()))):
-            if len(rows) < len(obj):
-                texts = {key: encode(row, inner) for key, row in rows.items()}
-                body = ("," + pad).join(map(texts.__getitem__, map(id, obj)))
-            else:
-                # One call encodes every row with the separator of the row
-                # items. No encoded scalar holds a newline or ends in "]", so
-                # the text between two rows is found and re-indented by a
-                # plain replace.
-                pad2 = pad + "  "
-                body = "[" + pad2 + flat(obj, inner + 1)[2:-2].replace(
-                    "]," + pad2 + "[", pad + "]," + pad + "[" + pad2) + pad + "]"
+        elif (texts := columns(obj, inner)) is not None:
+            body = ("," + pad).join(texts)
         else:
             body = ("," + pad).join(encode(v, inner) for v in obj)
         open_, close = "{}" if is_dict else "[]"
@@ -398,7 +455,7 @@ def _unit_config(args) -> dict:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     spec = _scenario_from_args(args)
     algorithms = tuple(_name_list(args.algos, "--algos"))
@@ -450,7 +507,7 @@ def cmd_simulate(args) -> int:
             f"\nper-user cut entropy variance: "
             f"{payload['cut_distribution']['entropy_variance_bits']:.6f} bits^2\n"
         )
-    _emit(_resolve_out_dir(args.out), "report", payload, table)
+    _emit(out_dir, "report", payload, table)
     print(table, end="")
     return 0
 
@@ -576,7 +633,7 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
     return entries
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
@@ -629,7 +686,7 @@ def cmd_optimize(args) -> int:
             f"gap ratio {gap:.6f}\n"
         )
 
-    _emit(_resolve_out_dir(args.out), "allocation", payload, table)
+    _emit(out_dir, "allocation", payload, table)
     print(table, end="")
     return 0
 
@@ -637,7 +694,7 @@ def cmd_optimize(args) -> int:
 # ---------------------------------------------------------------------------
 # converge
 
-def cmd_converge(args) -> int:
+def cmd_converge(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     presets = preset_scenarios()
     names = _name_list(args.scenarios, "--scenarios")
@@ -684,7 +741,7 @@ def cmd_converge(args) -> int:
         f"arch {arch.name}  seed {args.seed}  reps {args.reps}\n\n"
         + format_table(["scenario", "users", "iterations", "max"], rows)
     )
-    _emit(_resolve_out_dir(args.out), "convergence", payload, table)
+    _emit(out_dir, "convergence", payload, table)
     print(table, end="")
     return 0
 
@@ -733,7 +790,7 @@ MAX_TOY_VALUES = 10**7
 MAX_TOY_PARAMETERS = 10**7
 
 
-def cmd_train_toy(args) -> int:
+def cmd_train_toy(args, out_dir: Path) -> int:
     n_users = args.users
     values = n_users * args.samples * (args.dim + args.classes)
     if values > MAX_TOY_VALUES:
@@ -809,7 +866,7 @@ def cmd_train_toy(args) -> int:
             f"split vs monolithic max relative parameter deviation: {dev:.3e}"
         )
     table = "\n".join(lines) + "\n"
-    _emit(_resolve_out_dir(args.out), "train_toy", payload, table)
+    _emit(out_dir, "train_toy", payload, table)
     print(table, end="")
     return 0
 
@@ -903,7 +960,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_out_dir(args.out))
     except (ConfigError, ProfileError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"esfl: input error: {exc}", file=sys.stderr)
         return 1

@@ -23,3 +23,11 @@ class InfeasibleLinkError(EsflError):
 
 class InfeasibleUserError(EsflError):
     """A user has no cut layer satisfying its storage/memory limits."""
+
+
+def id_list(ids, shown: int = 8) -> str:
+    """The user ids ``ids`` as an error message names them: the first
+    ``shown`` in order, then how many more there are, so that the message
+    stays short however many users it is about."""
+    head = "[" + ", ".join(map(str, ids[:shown])) + "]"
+    return head if len(ids) <= shown else f"{head} and {len(ids) - shown} more"

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllocationError, InfeasibleLinkError, InfeasibleUserError
+from .errors import AllocationError, InfeasibleLinkError, InfeasibleUserError, id_list
 from .users import UserBatch
 from .workload import ModelArchitecture
 
@@ -269,7 +269,7 @@ def round_terms(
         ):
             if bad.any():
                 bad = np.broadcast_to(bad, batch.shape)
-                raise error(f"users {batch.user_ids[bad].tolist()}: {what}")
+                raise error(f"users {id_list(batch.user_ids[bad])}: {what}")
     return terms
 
 

@@ -176,6 +176,27 @@ class TestEqualize:
             times = b + a / c
             assert np.max(np.abs(times - k)) <= 1e-6 * k
 
+    @seed(20247)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_budget_near_the_float_maximum_solves_like_the_unscaled_one(self, data):
+        # Scaling a and the budget by one power of two k leaves the level
+        # alone and scales the compute by k. With the budget in
+        # [2**1022, 2**1023) the demand's slope overflows at the starting
+        # point of most draws, and the demand itself of some; the sums of a
+        # and a * gap stay finite, since sum(a) <= C and every gap <= 1.
+        m = data.draw(st.integers(2, 40))
+        a = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                        min_size=m, max_size=m)))
+        b = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                        min_size=m, max_size=m)))
+        c_total = max(a.sum(), 1.0) * data.draw(st.floats(1.0, 100.0))
+        k = 2.0 ** (1023 - math.frexp(c_total)[1])
+        c, level = equalize_min_max(a, b, c_total)
+        with np.errstate(all="raise"):
+            c_k, level_k = equalize_min_max(a * k, b, c_total * k)
+        assert level_k == pytest.approx(level, rel=1e-9)
+        np.testing.assert_allclose(c_k / k, c, rtol=0, atol=1e-6 * c.max(initial=0.0))
 
     def test_rows_solve_like_each_row_alone(self):
         rng = np.random.default_rng(19)

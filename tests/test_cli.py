@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -238,6 +239,45 @@ class TestSimulate:
         assert (target / "report.json").exists()
 
 
+class TestOutDir:
+    """An output path that is, or lies under, a file is refused before any
+    work: no users are drawn or read, nothing is planned or trained."""
+
+    @pytest.fixture()
+    def refuse_work(self, monkeypatch):
+        _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
+        _forbid(monkeypatch, cli, "run_simulation", "convergence_study",
+                "_users_from_doc", "alternate")
+        _forbid(monkeypatch, cli.toy, "init_dense_net", "make_blobs", "esfl_train")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "BP", "--rounds", "2"],
+        ["optimize", "--users", "users.json"],
+        ["converge", "--scales", "5", "--reps", "1"],
+        ["train-toy", "--rounds", "2"],
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_a_file_is_refused_before_any_work(self, tmp_path, capsys, refuse_work,
+                                               argv, under):
+        existing = tmp_path / "taken"
+        existing.write_text("not a directory")
+        out = existing / "sub" if under else existing
+        assert _run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"esfl: input error: --out {str(out)!r}: "
+                       f"{str(existing)!r} is not a directory\n")
+        assert existing.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_the_environment_variable_is_named(self, tmp_path, capsys, refuse_work,
+                                               monkeypatch):
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        monkeypatch.setenv("ESFL_OUT_DIR", str(existing))
+        assert _run("simulate", "--rounds", "2") == 1
+        assert f"input error: ESFL_OUT_DIR {str(existing)!r}: " in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_two_user_allocation(self, tmp_path, users_file):
         out = tmp_path / "opt"
@@ -304,6 +344,25 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "input error" in err and named in err
         assert not (tmp_path / "o").exists()
+
+    def test_budget_near_the_float_maximum_plans_without_overflow(self, tmp_path):
+        # 1e296 TFLOP/s is 1e308 FLOP/s: finite, so admitted
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps(_bench_style_users(300, seed=5)))
+        with np.errstate(all="raise"):
+            assert _run("optimize", "--users", str(users), "--server-tflops", "1e296",
+                        "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "allocation.json").read_text())
+        assert math.isfinite(report["objective_s"]) and report["converged"]
+
+    def test_an_error_about_many_users_names_a_few(self, tmp_path, capsys):
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps(_bench_style_users(10_000, seed=7)))
+        assert _run("optimize", "--users", str(users), "--server-tflops", "1e-320",
+                    "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 1024
+        assert re.search(r": users \[(\d+, ){7}\d+\] and \d+ more: the server time", err)
 
     def test_oracle_refused_for_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
@@ -1039,6 +1098,100 @@ def _shared_trees(draw):
             "deep": [[draw(tree)], {"m": draw(matrix)}], "leaves": leaves}
 
 
+# scalars that could be mistaken for the structure a column is split at or
+# formatted by: "%" and "%s", brackets, separators, quotes, escapes
+_COLUMN_STRINGS = st.text(st.sampled_from('%s[],:"\\\n\t\x00é\U0001f600 '), max_size=6)
+_COLUMN_SCALARS = st.one_of(
+    _SCALARS, _COLUMN_STRINGS,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, True, False, None,
+                     2**70, -2**70, "%", "%s", "%%", "]", "[", "],\n  [", "%(a)s"]),
+)
+_COLUMN_KEYS = st.text(st.sampled_from('ab%s"\\\né[]'), max_size=4)
+# a record schema: each key's column holds scalars, rows of scalars or records
+_SCHEMAS = st.recursive(
+    st.sampled_from(["scalar", "row"]),
+    lambda inner: st.dictionaries(_COLUMN_KEYS, inner, min_size=1, max_size=4),
+    max_leaves=8,
+).filter(lambda schema: isinstance(schema, dict))
+_NEAR_MISSES = ["extra key", "missing key", "empty row", "container in row",
+                "other nested keys", "non-string key", "repeated record"]
+
+
+def _follow(draw, schema):
+    """A value that follows ``schema``."""
+    if schema == "scalar":
+        return draw(_COLUMN_SCALARS)
+    if schema == "row":
+        row = draw(st.lists(_COLUMN_SCALARS, min_size=1, max_size=4))
+        return tuple(row) if draw(st.booleans()) else row
+    return {key: _follow(draw, sub) for key, sub in schema.items()}
+
+
+def _columns_of(schema, path=()):
+    """(path, kind) of every column of ``schema``, nested records included."""
+    for key, sub in schema.items():
+        yield path + (key,), sub if isinstance(sub, str) else "record"
+        if isinstance(sub, dict):
+            yield from _columns_of(sub, path + (key,))
+
+
+@st.composite
+def _record_lists(draw):
+    """2-8 records that follow one schema, at one of several depths, and at
+    times one near miss that the column path must refuse: a record with an
+    extra or missing key, an empty row, a row holding a container, a nested
+    record with another key set, a non-string key, or a repeated record."""
+    schema = draw(_SCHEMAS)
+    records = [_follow(draw, schema) for _ in range(draw(st.integers(2, 8)))]
+    miss = draw(st.sampled_from([None, None, None, *_NEAR_MISSES]))
+    victim = draw(st.integers(0, len(records) - 1))
+    paths = {kind: [p for p, k in _columns_of(schema) if k == kind]
+             for kind in ("row", "record")}
+
+    def at(path):
+        node = records[victim]
+        for key in path:
+            node = node[key]
+        return node
+
+    def replace_row(row):
+        path = draw(st.sampled_from(paths["row"]))
+        at(path[:-1])[path[-1]] = row
+
+    if miss == "extra key":
+        records[victim][draw(_COLUMN_KEYS.filter(lambda k: k not in schema))] = 0.5
+    elif miss == "missing key":
+        del records[victim][draw(st.sampled_from(sorted(schema)))]
+    elif miss == "empty row" and paths["row"]:
+        replace_row([])
+    elif miss == "container in row" and paths["row"]:
+        replace_row([1.5, draw(st.sampled_from([[], [2], {}, {"k": 3}]))])
+    elif miss == "other nested keys" and paths["record"]:
+        nested = at(draw(st.sampled_from(paths["record"])))
+        nested[draw(_COLUMN_KEYS.filter(lambda k: k not in nested))] = None
+    elif miss == "non-string key":
+        records[victim][7] = [1]
+    elif miss == "repeated record":
+        records[(victim + 1) % len(records)] = records[victim]
+    wrap = draw(st.sampled_from([
+        lambda r: r, lambda r: {"records": r}, lambda r: [[r]],
+        lambda r: {"a": [r, 1.5], "b": {"c": r}},
+    ]))
+    return wrap(records)
+
+
+def _stdlib_or_type_error(tree):
+    """``dumps_report(tree)`` equals the stdlib's encoding, and raises
+    TypeError where the stdlib does (a non-string key among string keys)."""
+    try:
+        expected = json.dumps(tree, sort_keys=True, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps_report(tree)
+    else:
+        assert dumps_report(tree) == expected
+
+
 class TestDumpsReport:
     @seed(20245)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1083,6 +1236,22 @@ class TestDumpsReport:
             dumps_report({"a": {1: [2]}})
         with pytest.raises(TypeError):
             dumps_report({"a": [1, object()]})
+        # and in lists of records, whether or not their columns are alike
+        with pytest.raises(TypeError, match="keys must be strings"):
+            dumps_report([{"a": [1]}, {1: [2]}])
+        for unknown in ({"a": object()}, {"a": [object()]}, {"a": {"b": object()}}):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                dumps_report([{"a": unknown["a"]}, {"a": unknown["a"]}, unknown])
+
+    @seed(20248)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_record_lists())
+    @example([{"%s": 1, "a%": [2.5, "%s"], "r": {"%(x)s": None}},
+              {"%s": 2, "a%": (math.nan,), "r": {"%(x)s": "]"}}])
+    @example([{"a": [1.0]}, {"a": []}])
+    @example([{"a": {"b": [1]}}, {"a": {"c": [1]}}])
+    def test_record_lists_equal_the_stdlib(self, tree):
+        _stdlib_or_type_error(tree)
 
 
 class TestReportDigests:
