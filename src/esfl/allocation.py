@@ -41,7 +41,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllocationError, ConfigError, InfeasibleUserError, id_list
+from .errors import (COUNT, FINITE, POSITIVE, AllocationError, ConfigError,
+                     InfeasibleUserError, at_least, check, id_list)
 from .timing import ServerFreeTerms, feasibility_mask, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
@@ -57,22 +58,20 @@ ORACLE_MAX_USERS = 3
 ORACLE_MAX_LAYERS = 6
 
 
+STALL_TOLERANCE = 1e-6       # relative inf-norm change in C treated as stalled
+BISECTION_TOLERANCE = 1e-9   # resource pass: relative accuracy of the level
+BISECTION_MAX_STEPS = 200    # resource pass: cap on demand evaluations
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 50
-    stall_tolerance: float = 1e-6       # relative inf-norm change in C treated as stalled
-    bisection_tolerance: float = 1e-9   # resource pass: relative accuracy of the level
-    bisection_max_steps: int = 200      # resource pass: cap on demand evaluations
     epoch_objective: bool = False       # optimize one epoch instead of the full round
-    t_agg: float = 0.0
+    t_agg: float = 0.0                  # aggregation seconds per round
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.bisection_max_steps < 1:
-            raise ValueError("iteration limits must be >= 1")
-        if self.stall_tolerance <= 0 or self.bisection_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if not math.isfinite(self.t_agg) or self.t_agg < 0:
-            raise ValueError("t_agg must be finite and >= 0")
+        check("max_iters", self.max_iters, COUNT)
+        check("t_agg", self.t_agg, FINITE, at_least(0))
 
 
 @dataclass(frozen=True)
@@ -153,10 +152,9 @@ class _CutPass(NamedTuple):
             free = self.terms.price(math.inf, out=times).min(axis=-1)
             overflow = dead & np.isfinite(free) & (np.asarray(server_compute) > 0)
             if overflow.any():
-                raise ConfigError(
-                    f"users {id_list(self.batch.user_ids[overflow])}: the server "
-                    f"time of every feasible cut overflows to infinity; the "
-                    f"server compute budget is too small")
+                problem = (f"is too small: users {id_list(self.batch.user_ids[overflow])}: "
+                           f"the server time of every feasible cut overflows to infinity")
+                raise ConfigError(f"c_total {problem}", "c_total", problem)
             raise AllocationError(
                 f"users {id_list(self.batch.user_ids[dead])}: every feasible cut "
                 f"prices to infinity (dead link with unavoidable traffic?)"
@@ -208,10 +206,18 @@ def _equalize(
     # keeps full precision even when d is tiny next to the pole. Start at the
     # larger of two lower bounds on the root: each user's demand alone, and
     # Cauchy-Schwarz, sum a_i/(d + gap_i) >= A^2 / (A d + sum a_i gap_i)
-    a_sum = a.sum(axis=1)
-    mean_gap = (a * np.where(active, gap, 0.0)).sum(axis=1) / np.where(funded, a_sum, 1.0)
-    d_lo = np.maximum(np.max(a / c_total - gap, axis=1), a_sum / c_total - mean_gap)
-    d_hi = a_sum / c_total  # demand(d_hi) <= c_total by construction
+    weights = np.where(active, gap, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_sum = a.sum(axis=1)
+        mean_gap = (a * weights).sum(axis=1) / np.where(funded, a_sum, 1.0)
+        d_hi = a_sum / c_total  # demand(d_hi) <= c_total by construction
+        huge = ~(np.isfinite(a_sum) & np.isfinite(mean_gap))
+        if huge.any():
+            # server work near the float maximum: the same sums, of a / c_total
+            scaled = a[huge] / c_total
+            d_hi[huge] = scaled.sum(axis=1)
+            mean_gap[huge] = (scaled * weights[huge]).sum(axis=1) / d_hi[huge]
+    d_lo = np.maximum(np.max(a / c_total - gap, axis=1), d_hi - mean_gap)
     point = d_lo.copy()
     steps = np.zeros(len(a), dtype=int)
     live = np.flatnonzero(funded & (d_hi - d_lo > tol * d_hi))
@@ -264,8 +270,8 @@ def equalize_min_max(
     a: np.ndarray,
     b: np.ndarray,
     c_total: float,
-    tol: float = 1e-9,
-    max_steps: int = 200,
+    tol: float = BISECTION_TOLERANCE,
+    max_steps: int = BISECTION_MAX_STEPS,
     upper_hint: np.ndarray | float | None = None,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize max_i (a_i/C_i + b_i) subject to sum C_i <= C_total, C_i >= 0.
@@ -299,8 +305,7 @@ def equalize_min_max(
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim < 1:
         raise ValueError("a and b must be arrays of equal shape (..., S)")
-    if c_total <= 0:
-        raise ValueError("compute budget must be strictly positive")
+    check("c_total", c_total, POSITIVE)
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("demand terms must be >= 0")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -380,9 +385,9 @@ def plan_rows(
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
     planned beside it. Users with fewer than one epoch cannot be planned
-    and raise ``ValueError``. A budget that is not finite, or so small that
-    a user's every feasible cut needs infinite server time, raises
-    ``ConfigError``.
+    and raise ``ValueError``. A budget ``c_total`` that is not finite and
+    positive, or so small that a user's every feasible cut needs infinite
+    server time, raises a ``ConfigError`` naming ``c_total``.
     """
     cfg = cfg or OptimizerConfig()
     if len(batch.shape) != 2:
@@ -390,11 +395,7 @@ def plan_rows(
     n_rows, n_users = batch.shape
     if not n_users:
         raise ValueError("at least one user is required")
-    if c_total <= 0:
-        raise ValueError("compute budget must be strictly positive")
-    if not math.isfinite(c_total):
-        raise ConfigError(f"the server compute budget must be finite, "
-                          f"not {c_total} FLOP/s")
+    check("c_total", c_total, (FINITE[0], "be finite in FLOP/s"), POSITIVE)
     idle = batch.epochs < 1
     if idle.any():
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
@@ -421,7 +422,7 @@ def plan_rows(
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; passing it keeps each trace non-increasing
             new, objective, steps = _equalize(
-                a, b, c_total, cfg.bisection_tolerance, cfg.bisection_max_steps,
+                a, b, c_total, BISECTION_TOLERANCE, BISECTION_MAX_STEPS,
                 upper_hint=best_times.max(axis=-1),
             )
             passes.append(_Pass(it, live, objective, cuts, new, steps))
@@ -432,7 +433,7 @@ def plan_rows(
             best_compute[improved] = new[better]
             iterations[live] = it
             resource_steps[live] = np.maximum(resource_steps[live], steps)
-            going = ~_stalled(new, compute, cfg.stall_tolerance)
+            going = ~_stalled(new, compute, STALL_TOLERANCE)
             converged[live[~going]] = True
             live, compute = live[going], new[going]
             if not live.size:
@@ -475,18 +476,15 @@ def brute_force_joint(
     """
     cfg = cfg or OptimizerConfig()
     if len(batch) > ORACLE_MAX_USERS or arch.num_layers > ORACLE_MAX_LAYERS:
-        raise ValueError(
-            f"instance too large for enumeration: "
-            f"{len(batch)} users x {arch.num_layers} layers "
-            f"(limits {ORACLE_MAX_USERS} x {ORACLE_MAX_LAYERS})"
-        )
+        raise ConfigError(f"instance too large for enumeration: {len(batch)} users x "
+                          f"{arch.num_layers} layers (limits {ORACLE_MAX_USERS} x "
+                          f"{ORACLE_MAX_LAYERS})")
     mask = _feasible(batch, arch)
     per_user = [(np.flatnonzero(row) + 1).tolist() for row in mask]
     best: Allocation | None = None
     for cuts in itertools.product(*per_user):
         a, b = server_demand_terms(batch, cuts, arch, cfg)
-        compute, objective = equalize_min_max(
-            a, b, c_total, cfg.bisection_tolerance, cfg.bisection_max_steps)
+        compute, objective = equalize_min_max(a, b, c_total)
         if best is None or objective < best.objective:
             best = Allocation(tuple(cuts), tuple(compute), objective)
     assert best is not None

@@ -18,6 +18,12 @@ byte-identical files. The output directory is checked before any work.
 Exit codes: 0 success, 1 input/configuration error, 2 runtime error. The
 argument parser is built once per process.
 
+The parser only turns text into numbers (``int`` or a finite float): the
+library entry that takes a value owns its bound, and an error about a value
+that a flag set names the flag (see ``_FLAGS``), as in ``argument
+--max-iters: must be an integer >= 1, not 0``. Only the bounds of the
+``train-toy`` sizes and seed, which no library entry takes, live here.
+
 ``optimize`` reads its users.json straight into one
 :class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
 set, and every field is gathered into one column that
@@ -34,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from itertools import chain, compress
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -47,7 +53,6 @@ from . import split_training as toy
 from .allocation import IterationRecord, OptimizerConfig, alternate, brute_force_joint
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
-    ALGORITHMS,
     ScenarioSpec,
     SimOptions,
     convergence_study,
@@ -66,11 +71,6 @@ from .users import (
 from .workload import ModelArchitecture, builtin_profiles, load_architecture, load_builtin
 
 OUT_DIR_ENV = "ESFL_OUT_DIR"
-
-_SCENARIO_KEYS = {
-    "name", "comm_options", "comp_options", "data_options", "population",
-    "selected_per_round", "rounds", "epochs", "server_tflops", "seed",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,48 +93,37 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float above zero."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= ``low``, for the ``train-toy`` sizes and seed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return value
+    return parse
 
 
-def _step_fraction(text: str) -> float:
-    """argparse type: a finite float in (0, 1], such as a damping factor."""
-    value = _finite_float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1]")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse type: a finite float of at least zero."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+# The flag that sets each library parameter an input error can name.
+_FLAGS = {
+    "algorithms": "--algos", "batch_size": "--batch-size", "bwd_multiplier": "--kappa",
+    "bytes_per_element": "--bytes-per-element", "c_total": "--server-tflops",
+    "cut": "--cuts", "epochs": "--epochs", "eta": "--eta", "fixed_cut": "--fixed-cut",
+    "max_iters": "--max-iters", "population": "--population", "repetitions": "--reps",
+    "rho0": "--rho0", "rounds": "--rounds", "scales": "--scales", "seed": "--seed",
+    "selected_per_round": "--selected", "server_tflops": "--server-tflops", "t_agg": "--t-agg"}
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    return _int_at_least(text, 1, "positive")
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer of at least 0, such as a seed."""
-    return _int_at_least(text, 0, "non-negative")
+def _given(args, field: str | None):
+    """The value the flag of library parameter ``field`` was given, or None."""
+    flag = _FLAGS.get(field)
+    return getattr(args, flag[2:].replace("-", "_"), None) if flag else None
 
 
 def _comma_list(text: str, flag: str) -> list[str]:
@@ -145,20 +134,11 @@ def _comma_list(text: str, flag: str) -> list[str]:
     return names
 
 
-def _name_list(text: str, flag: str) -> list[str]:
-    """The nonempty comma list of distinct names given with ``flag``: a
-    repeated name would label two report rows alike."""
-    names = _comma_list(text, flag)
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ConfigError(f"{flag} repeats {', '.join(repeated)}: {text!r}")
-    return names
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     """The nonempty comma list of integers given with ``flag``."""
+    items = _comma_list(text, flag)
     try:
-        return [int(s) for s in _comma_list(text, flag)]
+        return [int(s) for s in items]
     except ValueError:
         raise ConfigError(f"{flag} must be a comma list of integers, "
                           f"not {text!r}") from None
@@ -397,7 +377,7 @@ def _scenario_from_args(args) -> ScenarioSpec:
         if type(doc) is not dict:
             raise ConfigError(f"{args.config}: expected an object, "
                               f"not {type(doc).__name__}")
-        _strict_keys(doc, _SCENARIO_KEYS, args.config)
+        _strict_keys(doc, {f.name for f in fields(ScenarioSpec)}, args.config)
         for key in ("comm_options", "comp_options", "data_options"):
             if key in doc:
                 if type(doc[key]) is not list:
@@ -414,15 +394,9 @@ def _scenario_from_args(args) -> ScenarioSpec:
                 f"unknown scenario {args.scenario!r}; presets: {', '.join(presets)}"
             )
         base = presets[args.scenario]
-    overrides = {}
-    for field, attr in (
-        ("rounds", "rounds"), ("population", "population"),
-        ("selected_per_round", "selected"), ("epochs", "epochs"),
-        ("server_tflops", "server_tflops"), ("seed", "seed"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[field] = value
+    overrides = {field: value for field in ("rounds", "population", "selected_per_round",
+                                            "epochs", "server_tflops", "seed")
+                 if (value := _given(args, field)) is not None}
     return replace(base, **overrides) if overrides else base
 
 
@@ -458,12 +432,7 @@ def _unit_config(args) -> dict:
 def cmd_simulate(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     spec = _scenario_from_args(args)
-    algorithms = tuple(_name_list(args.algos, "--algos"))
-    unknown = set(algorithms) - set(ALGORITHMS)
-    if unknown:
-        raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
-    if args.fixed_cut is not None and not 1 <= args.fixed_cut <= arch.num_layers:
-        raise ConfigError(f"--fixed-cut must lie in 1..{arch.num_layers}")
+    algorithms = tuple(_comma_list(args.algos, "--algos"))
     options = _options_from_args(args)
 
     report = run_simulation(spec, algorithms, arch, options)
@@ -638,10 +607,7 @@ def cmd_optimize(args, out_dir: Path) -> int:
     batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
-    try:
-        result = alternate(batch, arch, c_total, cfg)
-    except ConfigError as exc:   # the planner refuses only a budget it cannot use
-        raise ConfigError(f"--server-tflops {args.server_tflops}: {exc}") from None
+    result = alternate(batch, arch, c_total, cfg)
     alloc = result.allocation
     payload = {
         "command": "optimize",
@@ -671,10 +637,7 @@ def cmd_optimize(args, out_dir: Path) -> int:
     )
 
     if args.oracle:
-        try:
-            exact = brute_force_joint(batch, arch, c_total, cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        exact = brute_force_joint(batch, arch, c_total, cfg)
         gap = alloc.objective / exact.objective if exact.objective > 0 else 1.0
         payload["oracle"] = {
             "objective_s": exact.objective,
@@ -697,13 +660,14 @@ def cmd_optimize(args, out_dir: Path) -> int:
 def cmd_converge(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     presets = preset_scenarios()
-    names = _name_list(args.scenarios, "--scenarios")
+    names = _comma_list(args.scenarios, "--scenarios")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:   # a repeated name would label two report rows alike
+        raise ConfigError(f"--scenarios repeats {', '.join(repeated)}: {args.scenarios!r}")
     unknown = [n for n in names if n not in presets]
     if unknown:
         raise ConfigError(f"unknown scenarios: {unknown}")
     scales = tuple(_int_list(args.scales, "--scales"))
-    if min(scales) < 1:
-        raise ConfigError(f"--scales must be positive, not {args.scales!r}")
     options = SimOptions(kb_bytes=float(args.kb),
                          optimizer=OptimizerConfig(t_agg=args.t_agg))
 
@@ -812,8 +776,6 @@ def cmd_train_toy(args, out_dir: Path) -> int:
         cuts = _int_list(args.cuts, "--cuts")
         if len(cuts) != n_users:
             raise ConfigError("--cuts must list one cut per user")
-        if any(not 1 <= c <= depth - 1 for c in cuts):
-            raise ConfigError(f"cuts must lie in 1..{depth - 1}")
     else:
         cuts = [1 + (i % (depth - 1)) for i in range(n_users)]
 
@@ -882,7 +844,7 @@ def _add_common(p: argparse.ArgumentParser, with_arch: bool = True) -> None:
     p.add_argument("--kappa", type=_finite_float, default=2.0,
                    help="backward/forward compute ratio")
     p.add_argument("--bytes-per-element", type=_finite_float, default=4.0)
-    p.add_argument("--t-agg", type=_non_negative_float, default=0.0,
+    p.add_argument("--t-agg", type=_finite_float, default=0.0,
                    help="server aggregation time per round, seconds")
     p.add_argument("--kb", type=int, choices=(1024, 1000), default=1024,
                    help="bytes per tabulated KB")
@@ -903,21 +865,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--selected", type=int, default=None)
-    p.add_argument("--epochs", type=_positive_int, default=None)
-    p.add_argument("--server-tflops", type=_positive_float, default=None)
-    p.add_argument("--seed", type=_non_negative_int, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--server-tflops", type=_finite_float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sticky-resources", action="store_true")
     p.add_argument("--fixed-cut", type=int, default=None,
                    help="cut layer for SFL/SL (default: first universally feasible)")
-    p.add_argument("--max-iters", type=_positive_int, default=50)
+    p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="one-shot allocation for explicit users")
     p.add_argument("--users", required=True, help="JSON user list")
-    p.add_argument("--server-tflops", type=_positive_float, default=130.0)
-    p.add_argument("--max-iters", type=_positive_int, default=50)
+    p.add_argument("--server-tflops", type=_finite_float, default=130.0)
+    p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive oracle (tiny instances only)")
@@ -927,8 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="optimizer iteration counts by user scale")
     p.add_argument("--scenarios", default="BP,PR,RP,BR")
     p.add_argument("--scales", default="100,200,400,800")
-    p.add_argument("--reps", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
 
@@ -938,13 +900,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=_positive_int, default=2)
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--cuts", default=None, help="comma list, one per user")
-    p.add_argument("--rounds", type=_positive_int, default=50)
-    p.add_argument("--epochs", type=_positive_int, default=1)
-    p.add_argument("--eta", type=_step_fraction, default=0.5,
+    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--eta", type=_finite_float, default=0.5,
                    help="aggregation damping, in (0, 1]")
-    p.add_argument("--rho0", type=_positive_float, default=0.01,
+    p.add_argument("--rho0", type=_finite_float, default=0.01,
                    help="initial SGD step size, > 0")
-    p.add_argument("--batch-size", type=_positive_int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--check-equivalence", action="store_true")
     p.add_argument("--out", default=None)
@@ -962,7 +924,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args, _resolve_out_dir(args.out))
     except (ConfigError, ProfileError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"esfl: input error: {exc}", file=sys.stderr)
+        field = getattr(exc, "field", None)   # named by its flag, as argparse names it
+        message = exc if _given(args, field) is None else (
+            f"argument {_FLAGS[field]}: {exc.problem}")
+        print(f"esfl: input error: {message}", file=sys.stderr)
         return 1
     except EsflError as exc:
         print(f"esfl: {exc}", file=sys.stderr)

@@ -28,14 +28,14 @@ versions.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .allocation import Allocation, OptimizerConfig, plan_rows
-from .errors import ConfigError
+from .errors import (COUNT, FINITE, INTEGER, NUMBER, POSITIVE, ConfigError, Rule,
+                     at_least, at_most, between, check)
 from .timing import (
     default_fixed_cut,
     esfl_round_time,
@@ -64,9 +64,28 @@ MAX_POPULATION = 10**7
 MAX_USER_ROUNDS = 10**7
 
 
-def _is_number(x) -> bool:
-    """A real number, but not a bool (which JSON and Python would take as one)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+# The bounds of each ScenarioSpec field, in field order: an option list
+# must hold at least one option, every option must pass its list's rules,
+# and a selection larger than the population, or more user-rounds than
+# MAX_USER_ROUNDS, is refused after them.
+_NONEMPTY: Rule = (lambda v: not v, "hold at least one number")
+_SPEC_RULES: dict[str, tuple[Rule, ...]] = {
+    "name": ((lambda v: not isinstance(v, str), "be a string"),),
+    "comm_options": (_NONEMPTY,), "comp_options": (_NONEMPTY,), "data_options": (_NONEMPTY,),
+    "population": (INTEGER, at_least(1), at_most(MAX_POPULATION)),
+    "selected_per_round": (INTEGER, at_least(1)),
+    "rounds": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
+    "epochs": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
+    "server_tflops": (NUMBER, FINITE, POSITIVE,
+                      (lambda v: not math.isfinite(v * TFLOPS), "be finite in FLOP/s")),
+    "seed": (INTEGER, at_least(0)),   # numpy seeds take any size
+}
+_OPTION_RULES = ((NUMBER[0], "hold numbers"), (FINITE[0], "hold finite numbers"))
+_ITEM_RULES: dict[str, tuple[Rule, ...]] = {
+    "comm_options": (*_OPTION_RULES, (lambda v: v < 0, "hold numbers >= 0")),
+    "comp_options": (*_OPTION_RULES, (lambda v: v <= 0, "hold numbers > 0")),
+    "data_options": (*_OPTION_RULES, (lambda v: v < 0, "hold numbers >= 0")),
+}
 
 
 @dataclass(frozen=True)
@@ -85,55 +104,17 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ConfigError(f"name must be a string, not {self.name!r}")
-        for name in ("population", "selected_per_round", "rounds", "epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-            if name != "seed" and value > _MAX_COUNT:   # numpy seeds take any size
-                raise ConfigError(f"{name} must be at most {_MAX_COUNT}, not {value}")
-        if self.population > MAX_POPULATION:
-            raise ConfigError(
-                f"population must be at most {MAX_POPULATION}, not {self.population}")
+        for name, rules in _SPEC_RULES.items():
+            check(name, getattr(self, name), *rules)
+            if name in _ITEM_RULES:
+                check(name, getattr(self, name), *_ITEM_RULES[name], each=True)
+        check("selected_per_round", self.selected_per_round, (
+            lambda v: v > self.population, f"be at most the population, {self.population}"))
         # Python ints: a product of numpy ints could wrap below the bound
         if int(self.rounds) * int(self.selected_per_round) > MAX_USER_ROUNDS:
             raise ConfigError(
                 f"rounds × selected_per_round must be at most {MAX_USER_ROUNDS}, "
                 f"not {self.rounds} × {self.selected_per_round}")
-        for name in ("comm_options", "comp_options", "data_options"):
-            for x in getattr(self, name):
-                if not _is_number(x):
-                    raise ConfigError(f"{name} must hold numbers, not {x!r}")
-        if not _is_number(self.server_tflops):
-            raise ConfigError(
-                f"server_tflops must be a number, not {self.server_tflops!r}")
-        if not (self.comm_options and self.comp_options and self.data_options):
-            raise ConfigError("option lists must be nonempty")
-        options = self.comm_options + self.comp_options + self.data_options
-        try:
-            finite = all(math.isfinite(x) for x in options + (self.server_tflops,))
-        except OverflowError:   # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError("options and server_tflops must be finite")
-        if min(self.comm_options) < 0 or min(self.data_options) < 0:
-            raise ConfigError("link rates and sample counts must be >= 0")
-        if min(self.comp_options) <= 0:
-            raise ConfigError("device compute options must be positive")
-        if self.selected_per_round > self.population:
-            raise ConfigError("selected_per_round cannot exceed the population")
-        if self.selected_per_round < 1 or self.rounds < 1:
-            raise ConfigError("selected_per_round and rounds must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.server_tflops <= 0:
-            raise ConfigError("server_tflops must be positive")
-        if not math.isfinite(self.server_tflops * TFLOPS):
-            raise ConfigError(f"server_tflops must be finite in FLOP/s, not "
-                              f"{self.server_tflops} × 10¹²")
 
 
 def preset_scenarios() -> dict[str, ScenarioSpec]:
@@ -181,8 +162,7 @@ class SimOptions:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kb_bytes) and self.kb_bytes > 0):
-            raise ConfigError("kb_bytes must be finite and positive")
+        check("kb_bytes", self.kb_bytes, FINITE, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -442,6 +422,19 @@ def _floyd_picks(t: np.ndarray, low: int) -> np.ndarray:
     return np.where(took_j[:n].reshape(rows, size), low + steps, t)
 
 
+def _check_pricing(algorithms: Sequence[str], arch: ModelArchitecture,
+                   options: SimOptions) -> None:
+    """Refuse an algorithm list that is empty, names an unknown algorithm
+    or repeats one (a repeated name would label two report rows alike), and
+    a fixed cut outside 1..L."""
+    check("algorithms", algorithms, (lambda v: not v, "name at least one algorithm"))
+    check("algorithms", algorithms, (lambda a: a not in ALGORITHMS,
+                                     f"name only {', '.join(ALGORITHMS)}"),
+          (lambda a: algorithms.count(a) > 1, "name each algorithm once"), each=True)
+    if options.fixed_cut is not None:
+        check("fixed_cut", options.fixed_cut, between(1, arch.num_layers))
+
+
 def price_rounds(
     batch: UserBatch,
     algorithms: Sequence[str],
@@ -455,21 +448,14 @@ def price_rounds(
     ESFL is planned by :func:`esfl.allocation.plan_rows`; the requested
     algorithms are priced on the same users (paired comparison). Times and
     communication times are as the policies in :mod:`esfl.timing` define
-    them. ``algorithms`` names at least one of :data:`ALGORITHMS`, each
-    once: a repeated name would label two report rows alike.
+    them. ``algorithms`` and ``options.fixed_cut`` are bounded as
+    :func:`run_simulation` bounds them.
     """
     options = options or SimOptions()
-    unknown = set(algorithms) - set(ALGORITHMS)
-    if unknown:
-        raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
-    if not algorithms:
-        raise ConfigError("no algorithms to price")
-    repeated = sorted({a for i, a in enumerate(algorithms) if a in algorithms[:i]})
-    if repeated:
-        raise ConfigError(f"algorithms repeat {', '.join(repeated)}")
+    _check_pricing(algorithms, arch, options)
     c_total = spec.server_tflops * TFLOPS
     cfg = options.optimizer
-    fixed = options.fixed_cut or default_fixed_cut(batch, arch)
+    fixed = default_fixed_cut(batch, arch) if options.fixed_cut is None else options.fixed_cut
     fixed = np.broadcast_to(np.asarray(fixed)[..., None], batch.shape)
     plan = plan_rows(batch, arch, c_total, cfg) if "esfl" in algorithms else None
 
@@ -506,10 +492,13 @@ def run_simulation(
 
     Every round is drawn up front from one generator, in the order the
     rounds would draw one by one; all rounds are then planned and priced as
-    one (rounds, S) batch.
+    one (rounds, S) batch. ``algorithms`` names one or more of
+    :data:`ALGORITHMS`, each once, and ``options.fixed_cut``, when given,
+    is a layer in 1..L; both are checked before any round is drawn.
     """
     options = options or SimOptions()
     algorithms = tuple(algorithms)
+    _check_pricing(algorithms, arch, options)
     rng = np.random.default_rng(spec.seed)
     population_data = sample_population_data(spec, rng)
     sticky = (
@@ -597,24 +586,27 @@ def convergence_study(
 
     For each (scenario, scale) cell the optimizer runs on ``scale`` freshly
     drawn users, ``repetitions`` times, all repetitions planned as one batch.
-    Each repetition is one round of the sized scenario, so ``repetitions ×
-    scale`` may not exceed ``MAX_USER_ROUNDS``.
+    ``repetitions`` and every scale are integers >= 1, and ``seed`` one
+    >= 0. Each repetition is one round of the sized scenario, so
+    ``repetitions × scale`` may not exceed ``MAX_USER_ROUNDS``. Every cell's
+    scenario is checked before any cell is drawn.
     """
     options = options or SimOptions()
+    check("repetitions", repetitions, COUNT)
+    check("scales", scales, (COUNT[0], "hold integers >= 1"), each=True)
+    check("seed", seed, INTEGER, at_least(0))
     if scenarios is None:
         presets = preset_scenarios()
         scenarios = [presets[k] for k in ("BP", "PR", "RP", "BR")]
+    sized = [(s_idx, scale, replace(spec, population=scale, selected_per_round=scale,
+                                    rounds=repetitions))
+             for s_idx, spec in enumerate(scenarios) for scale in scales]
     cells = []
-    for s_idx, spec in enumerate(scenarios):
-        for scale in scales:
-            rng = np.random.default_rng([seed, s_idx, scale])
-            sized = replace(spec, population=scale, selected_per_round=scale,
-                            rounds=repetitions)
-            population_data = sample_population_data(sized, rng)
-            batch = sample_rounds(sized, rng, population_data, repetitions,
-                                  None, options.kb_bytes)
-            plan = plan_rows(batch, arch, sized.server_tflops * TFLOPS,
-                             options.optimizer)
-            cells.append(ConvergenceCell(spec.name, scale,
-                                         tuple(plan.iterations.tolist())))
+    for s_idx, scale, spec in sized:
+        rng = np.random.default_rng([seed, s_idx, scale])
+        population_data = sample_population_data(spec, rng)
+        batch = sample_rounds(spec, rng, population_data, repetitions,
+                              None, options.kb_bytes)
+        plan = plan_rows(batch, arch, spec.server_tflops * TFLOPS, options.optimizer)
+        cells.append(ConvergenceCell(spec.name, scale, tuple(plan.iterations.tolist())))
     return cells

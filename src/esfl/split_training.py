@@ -44,6 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import COUNT, FINITE, NUMBER, POSITIVE, between, check
+
 # name -> (activation, derivative from the cached preactivation z and
 # output a); None marks the identity, whose derivative is 1
 ACTIVATIONS = {
@@ -213,15 +215,8 @@ def monolithic_update(net: DenseNet, batch, rho: float) -> DenseNet:
 # ---------------------------------------------------------------------------
 # Split execution
 
-def _check_count(name: str, value) -> None:
-    """Refuse ``value`` unless it is an integer >= 1; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-
-
 def _check_cut(net: DenseNet, cut: int) -> None:
-    if not 1 <= cut <= net.num_layers - 1:
-        raise ValueError(f"cut {cut} out of range 1..{net.num_layers - 1}")
+    check("cut", cut, between(1, net.num_layers - 1))
 
 
 def split_net(net: DenseNet, cut: int, learning_rate: float) -> SplitState:
@@ -328,7 +323,7 @@ class ToyUser:
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        _check_count("epochs", self.epochs)
+        check("epochs", self.epochs, COUNT)
 
 
 def _batches(x, y, batch_size):
@@ -381,10 +376,11 @@ def esfl_train(
     data, the two sides are re-joined, and the sample-weighted models are
     folded into the global one, in user order. The step size decays as
     ``rho0 / (1 + r/100)`` with the 0-based round index r; ``rounds`` must
-    be an integer >= 1, ``rho0`` positive, ``eta`` in (0, 1] and
-    ``batch_size`` None (full batch) or an integer >= 1, so that every round
-    trains. Returns the final network and the global training loss after
-    each round.
+    be an integer >= 1, ``rho0`` finite and positive, ``eta`` in (0, 1],
+    ``batch_size`` None (full batch) or an integer >= 1 and every cut in
+    1..L-1, so that every round trains; a bad value raises a
+    ``ConfigError`` naming its parameter. Returns the final network and the
+    global training loss after each round.
 
     A user's cut decides which party computes each layer, not what is
     computed: the device's layers followed by the server's are the
@@ -400,13 +396,11 @@ def esfl_train(
     once, and each minibatch steps it in place with one subtraction. The
     caller's ``net`` and the users' arrays are only read.
     """
-    if not rho0 > 0:
-        raise ValueError(f"rho0 must be positive, not {rho0!r}")
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], not {eta!r}")
-    _check_count("rounds", rounds)
+    check("rho0", rho0, FINITE, POSITIVE)
+    check("eta", eta, NUMBER, (lambda v: not 0 < v <= 1, "lie in (0, 1]"))
+    check("rounds", rounds, COUNT)
     if batch_size is not None:
-        _check_count("batch_size", batch_size)
+        check("batch_size", batch_size, COUNT)
     if not len(users):
         raise ValueError("users must hold at least one user")
     for u in users:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import FINITE, POSITIVE, ProfileError, at_least, check
 
 ELEMENT_SCALE = 1e6  # profile columns are tabulated in units of 1e6
 
@@ -69,10 +69,8 @@ class ModelArchitecture:
             raise ProfileError(
                 f"architecture {self.name!r}: needs at least 2 layers to admit a cut"
             )
-        if self.bytes_per_element <= 0:
-            raise ProfileError("bytes_per_element must be positive")
-        if self.bwd_multiplier < 0:
-            raise ProfileError("bwd_multiplier must be >= 0")
+        check("bytes_per_element", self.bytes_per_element, FINITE, POSITIVE)
+        check("bwd_multiplier", self.bwd_multiplier, FINITE, at_least(0))
         for pos, layer in enumerate(self.layers, start=1):
             if layer.index != pos:
                 raise ProfileError(

@@ -173,8 +173,8 @@ class TestSimulate:
         ("comm_options", [True], "comm_options must hold numbers, not True"),
         ("comp_options", [1.3, "2.6"], "comp_options must hold numbers, not '2.6'"),
         ("data_options", [None], "data_options must hold numbers, not None"),
-        ("comm_options", [10**400], "options and server_tflops must be finite"),
-        ("population", 10**30, f"population must be at most {2**63 - 1}, not {10**30}"),
+        ("comm_options", [10**400], f"comm_options must hold finite numbers, not {10**400}"),
+        ("population", 10**30, f"population must be at most {MAX_POPULATION}, not {10**30}"),
         ("rounds", 10**30, f"rounds must be at most {2**63 - 1}, not {10**30}"),
         ("population", 2**63 - 1,
          f"population must be at most {MAX_POPULATION}, not {2**63 - 1}"),
@@ -208,15 +208,15 @@ class TestSimulate:
         for population in (2**63 - 1, MAX_POPULATION + 1):
             assert _run("simulate", "--population", str(population), "--selected", "5",
                         "--rounds", "1", "--out", str(tmp_path / "o")) == 1
-            assert (f"input error: population must be at most {MAX_POPULATION}, "
-                    f"not {population}\n") in capsys.readouterr().err
+            assert (f"input error: argument --population: must be at most "
+                    f"{MAX_POPULATION}, not {population}\n") in capsys.readouterr().err
         assert _run("simulate", "--algos", ",", "--out", str(tmp_path / "o")) == 1
         assert "input error: --algos selects nothing" in capsys.readouterr().err
         # a repeated name would print two rows under one label
         assert _run("simulate", "--algos", "esfl,fl,esfl", "--rounds", "1",
                     "--out", str(tmp_path / "o")) == 1
-        assert ("input error: --algos repeats esfl: 'esfl,fl,esfl'\n"
-                in capsys.readouterr().err)
+        assert ("input error: argument --algos: must name each algorithm once, "
+                "not 'esfl'\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_shared_parser_keeps_no_state_between_calls(self):
@@ -225,7 +225,7 @@ class TestSimulate:
         args = parser.parse_args(["simulate", "--seed", "5", "--sticky-resources"])
         assert (args.seed, args.sticky_resources) == (5, True)
         with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
-            parser.parse_args(["simulate", "--seed", "-1"])
+            parser.parse_args(["simulate", "--seed", "x"])
         assert parser.parse_args(["optimize", "--users", "u.json"]).users == "u.json"
         args = parser.parse_args(["simulate"])
         assert (args.seed, args.sticky_resources, args.func) == (None, False,
@@ -331,7 +331,7 @@ class TestOptimize:
         ("optimize", "1e297", "--server-tflops"),    # overflows to infinite FLOP/s
         # so small that a user who cannot train all-local needs infinite time
         ("optimize", "1e-320", "--server-tflops"),
-        ("simulate", "1e297", "server_tflops"),
+        ("simulate", "1e297", "--server-tflops"),
     ])
     def test_unusable_server_budget_is_input_error(self, tmp_path, capsys,
                                                    command, budget, named):
@@ -902,10 +902,11 @@ class TestConverge:
                     "--out", str(tmp_path / "o")) == 1
         assert ("input error: --scenarios repeats BP, PR: 'BP,PR,BP,PR'\n"
                 in capsys.readouterr().err)
-        for scales in ("-5", "0", "5,-5"):
+        for scales, bad in (("-5", -5), ("0", 0), ("5,-5", -5)):
             assert _run("converge", f"--scales={scales}",
                         "--out", str(tmp_path / "o")) == 1
-            assert "input error: --scales must be positive" in capsys.readouterr().err
+            assert (f"input error: argument --scales: must hold integers >= 1, not {bad}\n"
+                    in capsys.readouterr().err)
         assert _run("converge", f"--scales={MAX_POPULATION + 1}",
                     "--out", str(tmp_path / "o")) == 1
         assert (f"input error: population must be at most {MAX_POPULATION}"
@@ -996,6 +997,109 @@ class TestTrainToy:
                     f"(--classes + 16)) must be at most {cli.MAX_TOY_PARAMETERS}, "
                     f"not {parameters}\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+
+# Every numeric flag of the four commands, with draws below its lower bound
+# and, where it has one, above its upper bound: (command, flag, below, above).
+_INT_BELOW_1 = st.integers(max_value=0)
+_INT_BELOW_0 = st.integers(max_value=-1)
+_NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+_INFINITE_FLOPS = st.floats(min_value=1e297, allow_nan=False, allow_infinity=False)
+_UNITS = [("--kappa", _NEGATIVE, None), ("--bytes-per-element", _NOT_POSITIVE, None),
+          ("--t-agg", _NEGATIVE, None)]
+_NUMERIC_FLAGS = [
+    ("simulate", "--rounds", _INT_BELOW_1, st.integers(min_value=2**63)),
+    ("simulate", "--population", _INT_BELOW_1, st.integers(min_value=MAX_POPULATION + 1)),
+    ("simulate", "--selected", _INT_BELOW_1, st.integers(min_value=101)),   # BP's 100
+    ("simulate", "--epochs", _INT_BELOW_1, st.integers(min_value=2**63)),
+    ("simulate", "--server-tflops", _NOT_POSITIVE, _INFINITE_FLOPS),
+    ("simulate", "--seed", _INT_BELOW_0, None),
+    ("simulate", "--fixed-cut", _INT_BELOW_1, st.integers(min_value=21)),   # vgg19's 20
+    ("simulate", "--max-iters", _INT_BELOW_1, None),
+    *(("simulate", *unit) for unit in _UNITS),
+    ("optimize", "--server-tflops", _NOT_POSITIVE, _INFINITE_FLOPS),
+    ("optimize", "--max-iters", _INT_BELOW_1, None),
+    *(("optimize", *unit) for unit in _UNITS),
+    ("converge", "--reps", _INT_BELOW_1, None),
+    ("converge", "--seed", _INT_BELOW_0, None),
+    *(("converge", *unit) for unit in _UNITS),
+    *(("train-toy", flag, _INT_BELOW_1, None) for flag in (
+        "--users", "--samples", "--classes", "--dim", "--rounds", "--epochs", "--batch-size")),
+    ("train-toy", "--eta", _NOT_POSITIVE, st.floats(min_value=1.0, exclude_min=True,
+                                                    allow_infinity=False)),
+    ("train-toy", "--rho0", _NOT_POSITIVE, None),
+    ("train-toy", "--seed", _INT_BELOW_0, None),
+]
+# The flags whose bound the command line owns: values no library entry takes.
+_CLI_OWNED = {("train-toy", flag) for flag in ("--users", "--samples", "--classes", "--dim",
+                                               "--seed")}
+
+
+@st.composite
+def _out_of_bounds(draw):
+    command, flag, below, above = draw(st.sampled_from(_NUMERIC_FLAGS))
+    side = draw(st.sampled_from(["below", "text"] + ["above"] * (above is not None)))
+    if side == "text":
+        return command, flag, draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]))
+    return command, flag, repr(draw(below if side == "below" else above))
+
+
+@pytest.fixture(scope="module")
+def flag_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags")
+    (path / "users.json").write_text(json.dumps({"users": [
+        {"n_samples": 500, "tflops": 1.3, "kbps": 10}]}))
+    return path
+
+
+class TestFlagBounds:
+    """Each numeric flag parses with ``int`` or a finite float; its bound is
+    checked once, by the library entry that takes its value, unless only the
+    command line takes it."""
+
+    def _subparsers(self):
+        parser = cli.build_parser()
+        return next(a for a in parser._actions if a.choices).choices
+
+    def test_numeric_flags_only_parse(self):
+        typed = set()
+        for command, parser in self._subparsers().items():
+            for action in parser._actions:
+                if action.type is None or action.choices:   # --kb is a choice
+                    continue
+                flag = action.option_strings[0]
+                typed.add((command, flag))
+                if (command, flag) in _CLI_OWNED:
+                    assert action.type in (cli._positive_int, cli._non_negative_int), flag
+                else:
+                    assert action.type in (int, cli._finite_float), (command, flag)
+        # the property below draws every numeric flag
+        assert typed == {(command, flag) for command, flag, _, _ in _NUMERIC_FLAGS}
+
+    @seed(20250)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_out_of_bounds())
+    @example(case=("simulate", "--kappa", "-1"))
+    @example(case=("simulate", "--fixed-cut", "0"))
+    @example(case=("optimize", "--server-tflops", "1e297"))
+    @example(case=("converge", "--reps", "0"))
+    @example(case=("train-toy", "--eta", "1.5"))
+    def test_out_of_bounds_value_names_its_flag(self, flag_dir, case):
+        command, flag, text = case
+        argv = {"optimize": ["--users", str(flag_dir / "users.json")],
+                "converge": ["--scenarios", "BP", "--scales", "5"],
+                "train-toy": ["--rounds", "1"]}.get(command, [])
+        out = flag_dir / "out"
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as monkeypatch, redirect_stderr(err):
+            if command != "train-toy":   # no round is drawn and no user planned
+                _forbid(monkeypatch, esfl.simulation, "sample_population_data",
+                        "sample_rounds")
+                _forbid(monkeypatch, esfl.allocation, "_feasible")
+            assert main([command, *argv, f"{flag}={text}", "--out", str(out)]) == 1
+        assert f"argument {flag}: " in err.getvalue()
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -231,19 +231,33 @@ class TestRunRound:
         spec = _small(preset_scenarios()["BP"], rounds=2)
         rng = np.random.default_rng(0)
         batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
-        with pytest.raises(ConfigError, match="repeat esfl"):
+        with pytest.raises(ConfigError, match="^algorithms must name each algorithm once, not 'esfl'$"):
             price_rounds(batch, ["esfl", "fl", "esfl"], vgg19, spec)
-        with pytest.raises(ConfigError, match="repeat esfl"):
+        with pytest.raises(ConfigError, match="^algorithms must name each algorithm once, not 'esfl'$"):
             run_simulation(spec, ["esfl", "fl", "esfl"], vgg19)
 
     def test_empty_algorithm_list_rejected(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=2)
         rng = np.random.default_rng(0)
         batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
-        with pytest.raises(ConfigError, match="no algorithms"):
+        with pytest.raises(ConfigError, match=r"^algorithms must name at least one algorithm, not \(\)$"):
             price_rounds(batch, (), vgg19, spec)
-        with pytest.raises(ConfigError, match="no algorithms"):
+        with pytest.raises(ConfigError, match=r"^algorithms must name at least one algorithm, not \(\)$"):
             run_simulation(spec, [], vgg19)
+
+    def test_fixed_cut_outside_the_layers_refused_before_any_draw(self, vgg19, monkeypatch):
+        # a fixed cut of 0 was read as "none given" and priced at the default cut
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a round for a run that should have been refused")
+        for name in ("sample_population_data", "sample_rounds"):
+            monkeypatch.setattr(simulation, name, refuse)
+        spec = _small(preset_scenarios()["BP"], rounds=2)
+        for cut in (0, -3, vgg19.num_layers + 1, 2.0, True):
+            with pytest.raises(ConfigError, match=rf"^fixed_cut must be an integer in "
+                                                  rf"1\.\.20, not {cut!r}$"):
+                run_simulation(spec, ("sfl", "sl"), vgg19, SimOptions(fixed_cut=cut))
+        with pytest.raises(ConfigError, match="^algorithms must name only esfl, sfl, fl, sl"):
+            run_simulation(spec, ("esfl", "gossip"), vgg19)
 
     def test_identical_users_zero_variance_across_rounds(self, vgg19):
         spec = ScenarioSpec("uniform", (10.0,), (1.3,), (500.0,), rounds=4)

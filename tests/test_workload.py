@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from esfl import (
+    ConfigError,
     ProfileError,
     builtin_profiles,
     load_architecture,
@@ -71,6 +72,21 @@ class TestLoading:
             load_architecture(_toy_doc(["L1,,1,1", "L2,1,1,1"]))
         arch = load_architecture(_toy_doc(["L1,1,1,1", "Head,,,"]))
         assert arch.layers[-1].activation_count == 0.0
+
+
+class TestUnits:
+    def test_non_finite_units_rejected(self):
+        # a NaN kappa made every compute figure NaN; a NaN or infinite
+        # element size did the same to every byte count
+        for field in ("bwd_multiplier", "bytes_per_element"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=f"^{field} must be a finite number, "
+                                                      f"not {value!r}$"):
+                    load_builtin("vgg19", **{field: value})
+        with pytest.raises(ConfigError, match="^bwd_multiplier must be >= 0, not -1.0$"):
+            load_builtin("vgg19", bwd_multiplier=-1.0)
+        with pytest.raises(ConfigError, match="^bytes_per_element must be > 0, not 0.0$"):
+            load_builtin("vgg19", bytes_per_element=0.0)
 
 
 class TestCutWorkload:
