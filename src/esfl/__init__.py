@@ -3,10 +3,8 @@ allocation, Monte-Carlo round simulation, and a toy split-training engine."""
 
 from .allocation import (
     Allocation,
-    AlternateResult,
     OptimizerConfig,
     RowPlan,
-    alternate,
     brute_force_joint,
     equalize_min_max,
     plan_rows,
@@ -23,7 +21,6 @@ from .errors import (
 from .simulation import (
     ALGORITHMS,
     CutLayerDistribution,
-    RoundRecord,
     ScenarioSpec,
     SimOptions,
     SimulationReport,

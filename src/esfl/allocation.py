@@ -24,7 +24,9 @@ break toward the smaller index, and no randomness is used.
 
 One planner serves every caller: :func:`plan_rows` runs R independent
 rounds, an (R, S) user batch, through both passes at once and freezes each
-round once it stalls; :func:`alternate` is the one-round case.
+round once it stalls; an (S,) batch is one round. Its :class:`RowPlan`
+holds every result as arrays, one row per round, and every pass's outcome
+as the trace.
 
 By default a user's objective is its full round time (model up/down plus
 all local epochs plus aggregation). Setting ``epoch_objective`` restricts
@@ -76,28 +78,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A complete decision: per-user cut, per-user server compute, objective."""
+    """The exact optimum :func:`brute_force_joint` finds: per-user cut,
+    per-user server compute, objective."""
 
     cuts: tuple[int, ...]
     server_compute: tuple[float, ...]
     objective: float
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    objective: float
-    cuts: tuple[int, ...]
-    server_compute: tuple[float, ...]
-    demand_evaluations: int     # of this pass's resource pass
-
-
-@dataclass(frozen=True)
-class AlternateResult:
-    allocation: Allocation
-    trace: tuple[IterationRecord, ...]
-    iterations: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +321,7 @@ class RowPlan:
     iterations: np.ndarray        # (R,) passes run
     converged: np.ndarray         # (R,) stalled before the iteration cap
     resource_steps: np.ndarray    # (R,) most demand evaluations in one resource pass
-    passes: tuple[_Pass, ...]     # every pass, in order; traces are read from them
-
-    def trace(self, row: int) -> tuple[IterationRecord, ...]:
-        records = []
-        for p in self.passes:
-            k = np.searchsorted(p.rows, row)
-            if k < len(p.rows) and p.rows[k] == row:
-                records.append(IterationRecord(
-                    p.iteration, float(p.objective[k]), tuple(p.cuts[k].tolist()),
-                    tuple(p.server_compute[k].tolist()), int(p.steps[k]),
-                ))
-        return tuple(records)
-
-    def allocation(self, row: int) -> Allocation:
-        return Allocation(tuple(self.cuts[row].tolist()),
-                          tuple(self.server_compute[row].tolist()),
-                          float(self.objective[row]))
-
-    def result(self, row: int) -> AlternateResult:
-        return AlternateResult(
-            allocation=self.allocation(row),
-            trace=self.trace(row),
-            iterations=int(self.iterations[row]),
-            converged=bool(self.converged[row]),
-        )
+    passes: tuple[_Pass, ...]     # every pass, in order: the trace
 
 
 def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
@@ -376,12 +338,14 @@ def plan_rows(
     c_total: float,
     cfg: OptimizerConfig | None = None,
 ) -> RowPlan:
-    """Plan every round of an (R, S) batch at once, each by alternation.
+    """Plan every round of an (R, S) batch at once, each by alternation; an
+    (S,) batch is planned as one round, row 0 of the plan.
 
     Each row alternates cut and resource passes from an equal compute split
-    until its compute vector stalls or ``max_iters`` passes ran; a stalled
-    row is frozen while the others go on. Each row keeps the best
-    allocation it saw and its full iteration trace. Rows are planned in
+    until its compute vector stalls or ``max_iters`` passes ran (``converged``
+    is False when the cap came first); a stalled row is frozen while the
+    others go on. Each row keeps the best allocation it saw, and
+    ``passes`` every pass's outcome. Rows are planned in
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
     planned beside it. Users with fewer than one epoch cannot be planned
@@ -390,8 +354,10 @@ def plan_rows(
     server time, raises a ``ConfigError`` naming ``c_total``.
     """
     cfg = cfg or OptimizerConfig()
+    if len(batch.shape) == 1:
+        batch = batch.rows(None)
     if len(batch.shape) != 2:
-        raise ValueError("plan_rows needs an (R, S) batch; see alternate for one round")
+        raise ValueError("plan_rows needs an (R, S) or an (S,) batch")
     n_rows, n_users = batch.shape
     if not n_users:
         raise ValueError("at least one user is required")
@@ -443,22 +409,6 @@ def plan_rows(
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
                    resource_steps, tuple(passes))
-
-
-def alternate(
-    batch: UserBatch,
-    arch: ModelArchitecture,
-    c_total: float,
-    cfg: OptimizerConfig | None = None,
-) -> AlternateResult:
-    """Alternate cut and resource passes from an equal compute split.
-
-    Stops when the compute vector's relative change drops below the stall
-    tolerance or after ``max_iters`` passes; returns the best allocation
-    seen with the full iteration trace. ``converged`` is False when the
-    iteration cap was hit first. This is :func:`plan_rows` on one round.
-    """
-    return plan_rows(batch.rows(None), arch, c_total, cfg).result(0)
 
 
 def brute_force_joint(

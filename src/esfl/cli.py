@@ -10,10 +10,12 @@ that repeat as one shared list each (a 1.5 MB sim-large report is written
 in ~13 ms). A list of records that share one key set, such as
 ``simulate``'s per-round records, is encoded column by column, one
 encoder call per field: a report of 100 rounds of 10 users is written in
-about 4.1 ms, against 7.0 ms item by item. ``optimize`` holds one
-per-user list each for the cuts and the server compute; its trace has one
-fixed-size summary per planner pass (see :func:`_trace_entries`), so a
-10⁴-user report is ~0.26 MB. Identical configuration and seed produce
+about 4.1 ms, against 7.0 ms item by item. ``optimize`` plans its users
+as one round of :func:`~esfl.allocation.plan_rows` and reports row 0 of
+the plan: one per-user list each for the cuts and the server compute, and
+a trace of one fixed-size summary per planner pass, read from the arrays
+of the plan's passes (see :func:`_trace_entries`), so a 10⁴-user report is
+~0.26 MB. Identical configuration and seed produce
 byte-identical files. The output directory is checked before any work.
 Exit codes: 0 success, 1 input/configuration error, 2 runtime error. The
 argument parser is built once per process.
@@ -50,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import split_training as toy
-from .allocation import IterationRecord, OptimizerConfig, alternate, brute_force_joint
+from .allocation import OptimizerConfig, RowPlan, brute_force_joint, plan_rows
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
     ScenarioSpec,
@@ -561,8 +563,8 @@ def _users_from_doc(path: str, kb_bytes: float) -> UserBatch:
 
 
 def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
-                   trace: tuple[IterationRecord, ...]) -> list[dict]:
-    """One fixed-size summary per pass of the planner's ``trace``.
+                   plan: RowPlan) -> list[dict]:
+    """One fixed-size summary per pass of the one-round ``plan`` of ``batch``.
 
     Each entry holds the pass's objective, how many users changed cut since
     the previous pass (None on the first), the demand evaluations of its
@@ -572,22 +574,20 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
     terms that, with ``t_agg``, sum to its round total.
     """
     entries, previous = [], None
-    for rec in trace:
-        # fromiter with a dtype and a count reads the tuples about twice as fast
-        cuts = np.fromiter(rec.cuts, int, len(rec.cuts))
-        compute = np.fromiter(rec.server_compute, float, len(rec.cuts))
-        terms = round_terms(batch, arch, cuts, compute, cfg.t_agg)
+    for p in plan.passes:   # each holds row 0 only
+        cuts = p.cuts[0]
+        terms = round_terms(batch, arch, cuts, p.server_compute[0], cfg.t_agg)
         if cfg.epoch_objective:
             _, k = straggler(terms.epoch, terms.t_c + terms.t_b + terms.t_B)
         else:
             _, k = straggler(terms.total, terms.fixed)
         epochs = batch.epochs[k]
         entries.append({
-            "iteration": rec.iteration,
-            "objective_s": rec.objective,
+            "iteration": p.iteration,
+            "objective_s": float(p.objective[0]),
             "cuts_changed": (None if previous is None
                              else int(np.count_nonzero(cuts != previous))),
-            "demand_evaluations": rec.demand_evaluations,
+            "demand_evaluations": int(p.steps[0]),
             "bottleneck": {
                 "user": int(batch.user_ids[k]),
                 "cut": int(cuts[k]),
@@ -607,8 +607,9 @@ def cmd_optimize(args, out_dir: Path) -> int:
     batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
-    result = alternate(batch, arch, c_total, cfg)
-    alloc = result.allocation
+    plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0
+    cuts, compute, objective = plan.cuts[0], plan.server_compute[0], float(plan.objective[0])
+    iterations, converged = int(plan.iterations[0]), bool(plan.converged[0])
     payload = {
         "command": "optimize",
         "units": _unit_config(args),
@@ -616,29 +617,28 @@ def cmd_optimize(args, out_dir: Path) -> int:
         "server_tflops": args.server_tflops,
         "epoch_objective": args.epoch_objective,
         "users_file_users": len(batch),
-        "objective_s": alloc.objective,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "cuts": list(alloc.cuts),
-        "server_compute_flops": list(alloc.server_compute),
-        "trace": _trace_entries(batch, arch, cfg, result.trace),
+        "objective_s": objective,
+        "iterations": iterations,
+        "converged": converged,
+        "cuts": cuts.tolist(),
+        "server_compute_flops": compute.tolist(),
+        "trace": _trace_entries(batch, arch, cfg, plan),
     }
 
-    totals = round_terms(batch, arch, alloc.cuts, alloc.server_compute, args.t_agg).total
+    totals = round_terms(batch, arch, cuts, compute, args.t_agg).total
     table = (
         f"arch {arch.name}  users {len(batch)}  server {args.server_tflops} TFLOPs\n"
-        f"objective {alloc.objective:.3f} s in {result.iterations} iterations"
-        f"{'' if result.converged else ' (iteration cap hit)'}\n\n"
+        f"objective {objective:.3f} s in {iterations} iterations"
+        f"{'' if converged else ' (iteration cap hit)'}\n\n"
         + format_numeric_table(
             ["user", "cut", "server TFLOPs", "round (s)"],
-            [batch.user_ids, np.asarray(alloc.cuts),
-             np.asarray(alloc.server_compute) / 1e12, totals],
+            [batch.user_ids, cuts, compute / 1e12, totals],
             ["%d", "%d", "%.4f", "%.3f"])
     )
 
     if args.oracle:
         exact = brute_force_joint(batch, arch, c_total, cfg)
-        gap = alloc.objective / exact.objective if exact.objective > 0 else 1.0
+        gap = objective / exact.objective if exact.objective > 0 else 1.0
         payload["oracle"] = {
             "objective_s": exact.objective,
             "cuts": list(exact.cuts),
@@ -778,6 +778,8 @@ def cmd_train_toy(args, out_dir: Path) -> int:
             raise ConfigError("--cuts must list one cut per user")
     else:
         cuts = [1 + (i % (depth - 1)) for i in range(n_users)]
+    toy.check_training(depth, cuts, [args.epochs] * n_users, args.rounds, args.eta,
+                       args.rho0, args.batch_size)
 
     users = []
     for i in range(n_users):

@@ -4,15 +4,16 @@ A scenario fixes the option lists that heterogeneous users draw from
 (link rate in KB/s, device compute in TFLOPs, local sample count) plus the
 population size, per-round selection count, epochs, and the server budget.
 Each simulated round selects users uniformly at random, draws their
-resources, plans ESFL with the alternating optimizer, prices the baselines
-on the same users (paired comparison), and records totals, communication
-components, and the ESFL cut choices.
+resources, plans ESFL with the alternating optimizer, and prices the
+baselines on the same users (paired comparison).
 
 Rounds do not depend on each other once their users are drawn, so a run
 draws every round first, in the order the rounds would draw one by one,
 and then plans and prices all of them as one (rounds, S) batch through
 :func:`esfl.allocation.plan_rows` and the row-aware policies of
-:mod:`esfl.timing`.
+:mod:`esfl.timing`. The results stay arrays with one row per round, from
+the planner to the report: each round's JSON record is built once, when
+the report is written.
 
 Every random draw flows from the scenario seed through one generator, so a
 (scenario, seed) pair reproduces bit-identical reports. The rounds are the
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import Allocation, OptimizerConfig, plan_rows
+from .allocation import OptimizerConfig, RowPlan, plan_rows
 from .errors import (COUNT, FINITE, INTEGER, NUMBER, POSITIVE, ConfigError, Rule,
                      at_least, at_most, between, check)
 from .timing import (
@@ -117,13 +118,7 @@ class ScenarioSpec:
                 f"not {self.rounds} × {self.selected_per_round}")
 
 
-def preset_scenarios() -> dict[str, ScenarioSpec]:
-    """The eight stock scenarios.
-
-    BP/PR/RP/BR vary how rich communication and compute are (identical
-    data volumes); SH/SL/LS/LH keep option means fixed and vary how spread
-    out the options are, with heterogeneous data volumes.
-    """
+def _presets() -> dict[str, ScenarioSpec]:
     poor_comm = (10.0, 15.0, 20.0, 25.0)
     rich_comm = (50.0, 75.0, 100.0, 125.0)
     poor_comp = (1.3, 1.95, 2.6, 3.25)
@@ -133,20 +128,29 @@ def preset_scenarios() -> dict[str, ScenarioSpec]:
     het_data = (200.0, 400.0, 600.0, 800.0)
     iid_data = (500.0,)
 
-    def spec(name, comm, comp, data):
-        return ScenarioSpec(name=name, comm_options=comm, comp_options=comp,
-                            data_options=data)
+    return {name: ScenarioSpec(name, comm, comp, data) for name, comm, comp, data in (
+        ("BP", poor_comm, poor_comp, iid_data),
+        ("PR", poor_comm, rich_comp, iid_data),
+        ("RP", rich_comm, poor_comp, iid_data),
+        ("BR", rich_comm, rich_comp, iid_data),
+        ("SH", poor_comm, poor_comp, het_data),
+        ("SL", poor_comm, wide_comp, het_data),
+        ("LS", wide_comm, poor_comp, het_data),
+        ("LH", wide_comm, wide_comp, het_data),
+    )}
 
-    return {
-        "BP": spec("BP", poor_comm, poor_comp, iid_data),
-        "PR": spec("PR", poor_comm, rich_comp, iid_data),
-        "RP": spec("RP", rich_comm, poor_comp, iid_data),
-        "BR": spec("BR", rich_comm, rich_comp, iid_data),
-        "SH": spec("SH", poor_comm, poor_comp, het_data),
-        "SL": spec("SL", poor_comm, wide_comp, het_data),
-        "LS": spec("LS", wide_comm, poor_comp, het_data),
-        "LH": spec("LH", wide_comm, wide_comp, het_data),
-    }
+
+_PRESETS = _presets()   # built and checked once; the specs are frozen
+
+
+def preset_scenarios() -> dict[str, ScenarioSpec]:
+    """The eight stock scenarios, in a new dict on every call.
+
+    BP/PR/RP/BR vary how rich communication and compute are (identical
+    data volumes); SH/SL/LS/LH keep option means fixed and vary how spread
+    out the options are, with heterogeneous data volumes.
+    """
+    return dict(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -163,17 +167,6 @@ class SimOptions:
 
     def __post_init__(self) -> None:
         check("kb_bytes", self.kb_bytes, FINITE, POSITIVE)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    user_ids: tuple[int, ...]
-    times: dict[str, float]
-    comm_times: dict[str, float]
-    esfl_allocation: Allocation | None
-    esfl_iterations: int | None
-    esfl_converged: bool | None
 
 
 @dataclass(frozen=True)
@@ -198,10 +191,15 @@ class CutLayerDistribution:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """A run's rounds as arrays, one row per round, and their aggregates."""
+
     scenario: ScenarioSpec
     arch_name: str
     algorithms: tuple[str, ...]
-    records: tuple[RoundRecord, ...]
+    user_ids: np.ndarray                # (R, S) each round's users
+    times: dict[str, np.ndarray]        # algorithm -> (R,) round times
+    comm_times: dict[str, np.ndarray]   # algorithm -> (R,) communication times
+    esfl_plan: RowPlan | None           # ESFL's plan without its passes, if priced
     mean_round_time: dict[str, float]
     total_time: dict[str, float]
     mean_comm_time: dict[str, float]
@@ -229,22 +227,7 @@ class SimulationReport:
             "total_time_s": self.total_time,
             "mean_communication_time_s": self.mean_comm_time,
             "convergence": self.convergence,
-            "records": [
-                {
-                    "round": r.index,
-                    "user_ids": list(r.user_ids),
-                    "times_s": r.times,
-                    "communication_times_s": r.comm_times,
-                    "esfl_cuts": list(r.esfl_allocation.cuts) if r.esfl_allocation else None,
-                    "esfl_server_compute": (
-                        list(r.esfl_allocation.server_compute)
-                        if r.esfl_allocation
-                        else None
-                    ),
-                    "esfl_iterations": r.esfl_iterations,
-                }
-                for r in self.records
-            ],
+            "records": self._records(),
         }
         if self.cut_distribution is not None:
             out["cut_distribution"] = {
@@ -254,6 +237,20 @@ class SimulationReport:
                 "entropy_variance_bits": self.cut_distribution.entropy_variance(),
             }
         return out
+
+    def _records(self) -> list[dict]:
+        times = {a: t.tolist() for a, t in self.times.items()}
+        comms = {a: c.tolist() for a, c in self.comm_times.items()}
+        plan = self.esfl_plan
+        esfl = [[None] * len(self.user_ids)] * 3 if plan is None else [
+            plan.cuts.tolist(), plan.server_compute.tolist(), plan.iterations.tolist()]
+        return [{"round": r, "user_ids": user_ids,
+                 "times_s": {a: times[a][r] for a in self.algorithms},
+                 "communication_times_s": {a: comms[a][r] for a in self.algorithms},
+                 "esfl_cuts": cuts, "esfl_server_compute": compute,
+                 "esfl_iterations": iterations}
+                for r, (user_ids, cuts, compute, iterations)
+                in enumerate(zip(self.user_ids.tolist(), *esfl))]
 
 
 def _shared_rows(matrix: np.ndarray) -> list[list]:
@@ -441,14 +438,14 @@ def price_rounds(
     arch: ModelArchitecture,
     spec: ScenarioSpec,
     options: SimOptions | None = None,
-    first_index: int = 0,
-) -> list[RoundRecord]:
-    """Records of the rounds of an (R, S) batch, all planned and priced at once.
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], RowPlan | None]:
+    """The rounds of an (R, S) batch, all planned and priced at once.
 
-    ESFL is planned by :func:`esfl.allocation.plan_rows`; the requested
-    algorithms are priced on the same users (paired comparison). Times and
-    communication times are as the policies in :mod:`esfl.timing` define
-    them. ``algorithms`` and ``options.fixed_cut`` are bounded as
+    Returns each algorithm's (R,) round times and (R,) communication times,
+    as the policies in :mod:`esfl.timing` define them, and ESFL's plan from
+    :func:`esfl.allocation.plan_rows` (None without ``"esfl"``). Every
+    algorithm is priced on the same users (paired comparison).
+    ``algorithms`` and ``options.fixed_cut`` are bounded as
     :func:`run_simulation` bounds them.
     """
     options = options or SimOptions()
@@ -466,20 +463,8 @@ def price_rounds(
         "sl": lambda: sl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
     }
     priced = {algo: policies[algo]() for algo in algorithms}
-    times = {algo: time.tolist() for algo, (time, _) in priced.items()}
-    comms = {algo: comm.tolist() for algo, (_, comm) in priced.items()}
-    return [
-        RoundRecord(
-            index=first_index + r,
-            user_ids=tuple(user_ids),
-            times={algo: times[algo][r] for algo in algorithms},
-            comm_times={algo: comms[algo][r] for algo in algorithms},
-            esfl_allocation=plan.allocation(r) if plan else None,
-            esfl_iterations=int(plan.iterations[r]) if plan else None,
-            esfl_converged=bool(plan.converged[r]) if plan else None,
-        )
-        for r, user_ids in enumerate(batch.user_ids.tolist())
-    ]
+    return ({algo: time for algo, (time, _) in priced.items()},
+            {algo: comm for algo, (_, comm) in priced.items()}, plan)
 
 
 def run_simulation(
@@ -488,7 +473,7 @@ def run_simulation(
     arch: ModelArchitecture,
     options: SimOptions | None = None,
 ) -> SimulationReport:
-    """Run all rounds of a scenario and aggregate the records.
+    """Run all rounds of a scenario and aggregate them.
 
     Every round is drawn up front from one generator, in the order the
     rounds would draw one by one; all rounds are then planned and priced as
@@ -506,41 +491,25 @@ def run_simulation(
     )
     batch = sample_rounds(spec, rng, population_data, spec.rounds, sticky,
                           options.kb_bytes)
-    records = price_rounds(batch, algorithms, arch, spec, options)
+    times, comms, plan = price_rounds(batch, algorithms, arch, spec, options)
 
-    mean_time = {
-        a: float(np.mean([rec.times[a] for rec in records])) for a in algorithms
-    }
-    total_time = {
-        a: float(np.sum([rec.times[a] for rec in records])) for a in algorithms
-    }
-    mean_comm = {
-        a: float(np.mean([rec.comm_times[a] for rec in records])) for a in algorithms
-    }
-
-    dist = None
-    if "esfl" in algorithms:
-        cuts = np.array([rec.esfl_allocation.cuts for rec in records])
-        dist = _cut_distribution(batch.user_ids, cuts, arch.num_layers)
-    convergence = {}
-    if "esfl" in algorithms:
-        its = [rec.esfl_iterations for rec in records]
+    dist, convergence = None, {}
+    if plan is not None:
+        dist = _cut_distribution(batch.user_ids, plan.cuts, arch.num_layers)
         convergence = {
-            "mean_iterations": float(np.mean(its)),
-            "max_iterations": float(np.max(its)),
-            "all_converged": bool(all(rec.esfl_converged for rec in records)),
+            "mean_iterations": float(np.mean(plan.iterations)),
+            "max_iterations": float(np.max(plan.iterations)),
+            "all_converged": bool(plan.converged.all()),
         }
+        plan = replace(plan, passes=())
 
     return SimulationReport(
-        scenario=spec,
-        arch_name=arch.name,
-        algorithms=algorithms,
-        records=tuple(records),
-        mean_round_time=mean_time,
-        total_time=total_time,
-        mean_comm_time=mean_comm,
-        cut_distribution=dist,
-        convergence=convergence,
+        scenario=spec, arch_name=arch.name, algorithms=algorithms,
+        user_ids=batch.user_ids, times=times, comm_times=comms, esfl_plan=plan,
+        mean_round_time={a: float(np.mean(times[a])) for a in algorithms},
+        total_time={a: float(np.sum(times[a])) for a in algorithms},
+        mean_comm_time={a: float(np.mean(comms[a])) for a in algorithms},
+        cut_distribution=dist, convergence=convergence,
     )
 
 
@@ -587,13 +556,21 @@ def convergence_study(
     For each (scenario, scale) cell the optimizer runs on ``scale`` freshly
     drawn users, ``repetitions`` times, all repetitions planned as one batch.
     ``repetitions`` and every scale are integers >= 1, and ``seed`` one
-    >= 0. Each repetition is one round of the sized scenario, so
-    ``repetitions × scale`` may not exceed ``MAX_USER_ROUNDS``. Every cell's
-    scenario is checked before any cell is drawn.
+    >= 0. A scale is a population, so it may not exceed ``MAX_POPULATION``,
+    and each repetition is one round of the sized scenario, so
+    ``repetitions × scale`` may not exceed ``MAX_USER_ROUNDS``. These
+    bounds are checked under the names ``repetitions`` and ``scales``, and
+    every cell's scenario before any cell is drawn.
     """
     options = options or SimOptions()
     check("repetitions", repetitions, COUNT)
-    check("scales", scales, (COUNT[0], "hold integers >= 1"), each=True)
+    check("scales", scales, (COUNT[0], "hold integers >= 1"),
+          (at_most(MAX_POPULATION)[0], f"hold integers at most {MAX_POPULATION}"), each=True)
+    top = max(scales, default=1)
+    check("repetitions", repetitions, (
+        lambda r: r * top > MAX_USER_ROUNDS,
+        f"be at most {MAX_USER_ROUNDS // top} at scale {top} "
+        f"(at most {MAX_USER_ROUNDS} users in all)"))
     check("seed", seed, INTEGER, at_least(0))
     if scenarios is None:
         presets = preset_scenarios()

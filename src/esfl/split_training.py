@@ -215,13 +215,13 @@ def monolithic_update(net: DenseNet, batch, rho: float) -> DenseNet:
 # ---------------------------------------------------------------------------
 # Split execution
 
-def _check_cut(net: DenseNet, cut: int) -> None:
-    check("cut", cut, between(1, net.num_layers - 1))
+def _check_cut(num_layers: int, cut: int) -> None:
+    check("cut", cut, between(1, num_layers - 1))
 
 
 def split_net(net: DenseNet, cut: int, learning_rate: float) -> SplitState:
     """Split after layer ``cut`` (1-based); both sides must be nonempty."""
-    _check_cut(net, cut)
+    _check_cut(net.num_layers, cut)
     user = DenseNet(net.weights[:cut], net.biases[:cut],
                     net.activations[:cut], net.loss)
     server = DenseNet(net.weights[cut:], net.biases[cut:],
@@ -315,15 +315,13 @@ def federated_aggregate(
 
 @dataclass(frozen=True)
 class ToyUser:
-    """A client in the toy trainer: its data, cut choice, and epoch count."""
+    """A client in the toy trainer: its data, cut choice, and epoch count,
+    which :func:`esfl_train` checks (see :func:`check_training`)."""
 
     x: np.ndarray
     y: np.ndarray
     cut: int
     epochs: int = 1
-
-    def __post_init__(self) -> None:
-        check("epochs", self.epochs, COUNT)
 
 
 def _batches(x, y, batch_size):
@@ -362,6 +360,31 @@ def _flat_views(flat: np.ndarray, net: DenseNet) -> DenseNet:
     return DenseNet(tuple(weights), tuple(biases), net.activations, net.loss)
 
 
+def check_training(num_layers: int, cuts: Sequence[int], epochs: Sequence[int],
+                   rounds: int, eta: float = 0.5, rho0: float = 0.01,
+                   batch_size: int | None = None) -> None:
+    """Refuse the arguments of :func:`esfl_train` that lie outside their
+    bounds, before any data is drawn: ``cuts`` and ``epochs`` hold each
+    user's cut and epoch count, for a network of ``num_layers`` layers.
+
+    ``rounds`` and every epoch count must be integers >= 1, ``rho0`` finite
+    and positive, ``eta`` in (0, 1], ``batch_size`` None (full batch) or an
+    integer >= 1 and every cut in 1..L-1, so that every round trains; a bad
+    value raises a ``ConfigError`` naming its parameter, and no users a
+    ``ValueError``.
+    """
+    check("rho0", rho0, FINITE, POSITIVE)
+    check("eta", eta, NUMBER, (lambda v: not 0 < v <= 1, "lie in (0, 1]"))
+    check("rounds", rounds, COUNT)
+    if batch_size is not None:
+        check("batch_size", batch_size, COUNT)
+    if not len(cuts):
+        raise ValueError("users must hold at least one user")
+    check("epochs", epochs, COUNT, each=True)
+    for cut in cuts:
+        _check_cut(num_layers, cut)
+
+
 def esfl_train(
     net: DenseNet,
     users: Sequence[ToyUser],
@@ -375,12 +398,9 @@ def esfl_train(
     Every user trains a split copy of the current global network on its own
     data, the two sides are re-joined, and the sample-weighted models are
     folded into the global one, in user order. The step size decays as
-    ``rho0 / (1 + r/100)`` with the 0-based round index r; ``rounds`` must
-    be an integer >= 1, ``rho0`` finite and positive, ``eta`` in (0, 1],
-    ``batch_size`` None (full batch) or an integer >= 1 and every cut in
-    1..L-1, so that every round trains; a bad value raises a
-    ``ConfigError`` naming its parameter. Returns the final network and the
-    global training loss after each round.
+    ``rho0 / (1 + r/100)`` with the 0-based round index r. The arguments
+    are checked first, by :func:`check_training`. Returns the final network
+    and the global training loss after each round.
 
     A user's cut decides which party computes each layer, not what is
     computed: the device's layers followed by the server's are the
@@ -396,15 +416,8 @@ def esfl_train(
     once, and each minibatch steps it in place with one subtraction. The
     caller's ``net`` and the users' arrays are only read.
     """
-    check("rho0", rho0, FINITE, POSITIVE)
-    check("eta", eta, NUMBER, (lambda v: not 0 < v <= 1, "lie in (0, 1]"))
-    check("rounds", rounds, COUNT)
-    if batch_size is not None:
-        check("batch_size", batch_size, COUNT)
-    if not len(users):
-        raise ValueError("users must hold at least one user")
-    for u in users:
-        _check_cut(net, u.cut)
+    check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
+                   rounds, eta, rho0, batch_size)
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]

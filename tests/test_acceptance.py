@@ -19,7 +19,6 @@ import esfl
 from esfl import (
     SimOptions,
     UserBatch,
-    alternate,
     brute_force_joint,
     concatenate,
     convergence_study,
@@ -31,6 +30,7 @@ from esfl import (
     loss_and_grads,
     loss_value,
     monolithic_update,
+    plan_rows,
     preset_scenarios,
     round_terms,
     run_simulation,
@@ -75,8 +75,9 @@ def _max_rel_param_dev(a: DenseNet, b: DenseNet) -> float:
     return worst
 
 
-def _assert_monotone(trace, where=""):
-    objs = [rec.objective for rec in trace]
+def _assert_monotone(plan, where=""):
+    """The one-round ``plan``'s objective never rises from pass to pass."""
+    objs = [p.objective[0] for p in plan.passes]
     for i, (earlier, later) in enumerate(zip(objs, objs[1:])):
         assert later <= earlier * (1 + 1e-12), (
             f"objective rose at iteration {i + 2} {where}: {earlier} -> {later}"
@@ -245,9 +246,9 @@ def test_criterion_4_joint_oracle_gap():
         for _ in range(40):
             users, arch, c_total = _random_joint_instance(rng)
             exact = brute_force_joint(users, arch, c_total)
-            heur = alternate(users, arch, c_total)
-            _assert_monotone(heur.trace, "(criterion 4 instance)")
-            ratio = heur.allocation.objective / exact.objective
+            heur = plan_rows(users, arch, c_total)
+            _assert_monotone(heur, "(criterion 4 instance)")
+            ratio = float(heur.objective[0]) / exact.objective
             assert ratio >= 1 - 1e-9, "heuristic beat the exhaustive oracle"
             worst = max(worst, ratio)
         assert worst <= 1.05, (
@@ -263,15 +264,15 @@ def test_criterion_5_monotone_descent():
         rng = np.random.default_rng(1005)
         for _ in range(30):
             users, arch, c_total = _random_joint_instance(rng)
-            _assert_monotone(alternate(users, arch, c_total).trace)
+            _assert_monotone(plan_rows(users, arch, c_total))
         # scenario-scale draws from every preset
         for name, spec in preset_scenarios().items():
             srng = np.random.default_rng(spec.seed)
             data = esfl.simulation.sample_population_data(spec, srng)
             batch = sample_rounds(spec, srng, data, 5)
             for r in range(5):
-                result = alternate(batch.rows(r), VGG19, spec.server_tflops * 1e12)
-                _assert_monotone(result.trace, f"({name})")
+                plan = plan_rows(batch.rows(r), VGG19, spec.server_tflops * 1e12)
+                _assert_monotone(plan, f"({name})")
 
 
 def test_criterion_6_convergence_count():
@@ -300,10 +301,9 @@ def test_criterion_7_ordering_reproduction():
             assert means["esfl"] < means["sfl"], name
             assert means["esfl"] < means["fl"], name
             assert means["sl"] == max(means.values()), name
-            for rec in report.records:
-                assert rec.times["esfl"] <= rec.times["sfl"], (
-                    f"{name} round {rec.index}"
-                )
+            for r, (esfl_time, sfl_time) in enumerate(
+                    zip(report.times["esfl"], report.times["sfl"])):
+                assert esfl_time <= sfl_time, f"{name} round {r}"
 
 
 def _round_lower_bounds(spec, options):
@@ -360,8 +360,8 @@ def test_criterion_8_heterogeneity_robustness():
         bound_means = {}
         for name, report in reports.items():
             bounds = _round_lower_bounds(presets[name], default)
-            esfl_times = np.array([rec.times["esfl"] for rec in report.records])
-            sfl_times = np.array([rec.times["sfl"] for rec in report.records])
+            esfl_times = report.times["esfl"]
+            sfl_times = report.times["sfl"]
             gap = np.abs(esfl_times - bounds) / bounds
             assert gap.max() <= 1e-5, (
                 f"{name} round {int(gap.argmax())}: ESFL {esfl_times[gap.argmax()]}"

@@ -13,7 +13,6 @@ from esfl import (
     InfeasibleUserError,
     OptimizerConfig,
     UserBatch,
-    alternate,
     brute_force_joint,
     equalize_min_max,
     feasibility_mask,
@@ -45,6 +44,27 @@ def _users(n=500.0, tflops=1.3, kbps=10.0, epochs=5, uid=None, **limits):
 def _feasible_cuts(batch, arch):
     """The first user's feasible 1-based cuts, from the planner's feasibility mask."""
     return (np.flatnonzero(feasibility_mask(batch, arch)[0]) + 1).tolist()
+
+
+_PLAN_FIELDS = ("cuts", "server_compute", "objective", "iterations", "converged",
+                "resource_steps")
+
+
+def _row_trace(plan, r):
+    """Row r's passes, in order: (iteration, objective, cuts, server compute,
+    demand evaluations) each, as Python values."""
+    trace = []
+    for p in plan.passes:
+        k = np.searchsorted(p.rows, r)
+        if k < len(p.rows) and p.rows[k] == r:
+            trace.append((p.iteration, p.objective[k].item(), p.cuts[k].tolist(),
+                          p.server_compute[k].tolist(), p.steps[k].item()))
+    return trace
+
+
+def _row(plan, r):
+    """Row r of a plan, its results and its trace, as Python values."""
+    return {f: getattr(plan, f)[r].tolist() for f in _PLAN_FIELDS}, _row_trace(plan, r)
 
 
 def _best_cut(batch, arch, server_flops, cfg=None):
@@ -295,15 +315,15 @@ class TestAlternateProperties:
             n, flops, up, down,
             storage_bytes=np.where(share < 1, first + share * (whole - first), math.inf))
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
-        result = alternate(users, arch, c_total, cfg)
-        alloc = result.allocation
+        plan = plan_rows(users, arch, c_total, cfg)
+        cuts, compute = plan.cuts[0], plan.server_compute[0]
         mask = feasibility_mask(users, arch)
-        assert mask[np.arange(len(users)), np.array(alloc.cuts) - 1].all()
-        assert min(alloc.server_compute) >= 0
-        assert sum(alloc.server_compute) <= c_total * (1 + 1e-12)
+        assert mask[np.arange(len(users)), cuts - 1].all()
+        assert min(compute) >= 0
+        assert sum(compute.tolist()) <= c_total * (1 + 1e-12)
         exact = brute_force_joint(users, arch, c_total, cfg)
-        assert alloc.objective / exact.objective >= 1 - 1e-9
-        objectives = [rec.objective for rec in result.trace]
+        assert plan.objective[0] / exact.objective >= 1 - 1e-9
+        objectives = [p.objective[0] for p in plan.passes]
         assert all(later <= earlier * (1 + 1e-12)
                    for earlier, later in zip(objectives, objectives[1:]))
 
@@ -419,52 +439,52 @@ class TestAllocateServerCompute:
 
 class TestAlternate:
     def test_single_user_fixed_point(self, vgg19):
-        res = alternate(_users(), vgg19, 130e12)
-        assert res.converged
-        assert res.iterations <= 2
-        assert res.allocation.cuts[0] == _best_cut(_users(), vgg19, 130e12)
+        plan = plan_rows(_users(), vgg19, 130e12)
+        assert plan.converged[0]
+        assert plan.iterations[0] <= 2
+        assert plan.cuts[0, 0] == _best_cut(_users(), vgg19, 130e12)
 
     def test_identical_users_stay_symmetric(self, vgg19):
         users = _users(uid=range(4))
-        res = alternate(users, vgg19, 130e12)
-        assert len(set(res.allocation.cuts)) == 1
-        c = res.allocation.server_compute
+        plan = plan_rows(users, vgg19, 130e12)
+        assert len(set(plan.cuts[0].tolist())) == 1
+        c = plan.server_compute[0]
         assert max(c) - min(c) <= 1e-9 * max(max(c), 1.0)
 
     def test_deterministic(self, vgg19):
         rng = np.random.default_rng(3)
         users = _random_users(rng, 10)
-        r1 = alternate(users, vgg19, 130e12)
-        r2 = alternate(users, vgg19, 130e12)
-        assert r1 == r2
+        r1 = plan_rows(users, vgg19, 130e12)
+        r2 = plan_rows(users, vgg19, 130e12)
+        assert _row(r1, 0) == _row(r2, 0)
 
     def test_monotone_objective_trace(self, vgg19):
         rng = np.random.default_rng(23)
         for _ in range(10):
             users = _random_users(rng, 10)
-            res = alternate(users, vgg19, 130e12)
-            objs = [rec.objective for rec in res.trace]
+            plan = plan_rows(users, vgg19, 130e12)
+            objs = [p.objective[0] for p in plan.passes]
             for earlier, later in zip(objs, objs[1:]):
                 assert later <= earlier * (1 + 1e-12)
 
     def test_budget_saturation(self, vgg19):
         rng = np.random.default_rng(29)
         users = _random_users(rng, 10)
-        res = alternate(users, vgg19, 130e12)
-        total = sum(res.allocation.server_compute)
-        if any(c > 0 for c in res.allocation.server_compute):
+        compute = plan_rows(users, vgg19, 130e12).server_compute[0].tolist()
+        total = sum(compute)
+        if any(c > 0 for c in compute):
             assert abs(total - 130e12) <= 1e-6 * 130e12
 
     def test_iteration_cap_sets_warning_flag(self, vgg19):
         rng = np.random.default_rng(31)
         users = _random_users(rng, 10)
-        res = alternate(users, vgg19, 130e12, OptimizerConfig(max_iters=1))
-        assert res.iterations == 1
-        assert not res.converged
+        plan = plan_rows(users, vgg19, 130e12, OptimizerConfig(max_iters=1))
+        assert plan.iterations[0] == 1
+        assert not plan.converged[0]
 
     def test_infeasible_user_rejected(self, vgg19):
         with pytest.raises(InfeasibleUserError, match=r"\[0\]"):
-            alternate(_users(storage_bytes=[1.0, math.inf]), vgg19, 130e12)
+            plan_rows(_users(storage_bytes=[1.0, math.inf]), vgg19, 130e12)
 
     def test_binding_storage_limits_respected(self, vgg19):
         # one user can hold three layers, another eight; the optimum must
@@ -473,11 +493,11 @@ class TestAlternate:
         users = _users(kbps=[10.0, 25.0, 10.0], tflops=[1.3, 1.3, 3.25],
                        storage_bytes=[vgg19.model_bytes_by_cut[2],
                                       vgg19.model_bytes_by_cut[7], math.inf])
-        res = alternate(users, vgg19, 130e12)
-        assert res.allocation.cuts[0] <= 3
-        assert res.allocation.cuts[1] <= 8
+        plan = plan_rows(users, vgg19, 130e12)
+        assert plan.cuts[0, 0] <= 3
+        assert plan.cuts[0, 1] <= 8
         for fixed_l in (1, 2, 3):
-            assert res.allocation.objective <= sfl_round_time(
+            assert plan.objective[0] <= sfl_round_time(
                 users, vgg19, fixed_l, 130e12
             )[0] * (1 + 1e-12)
 
@@ -485,14 +505,14 @@ class TestAlternate:
         # epochs 0 lies below the checked range, so the batch is built as is
         users = dataclasses.replace(_users(uid=[0, 4, 7]), epochs=np.array([5.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=r"users \[4, 7\]: planning needs epochs >= 1"):
-            alternate(users, vgg19, 130e12)
+            plan_rows(users, vgg19, 130e12)
         with pytest.raises(ValueError, match=r"users \[4, 7\]"):
             plan_rows(users.rows([[0, 1, 2], [2, 1, 0]]), vgg19, 130e12)
 
     def test_dead_link_user_fails_cleanly(self, vgg19):
         users = UserBatch.checked(500.0, [1e12, 1.3e12], [0.0, 10240.0], [0.0, 10240.0])
         with pytest.raises(AllocationError):
-            alternate(users, vgg19, 130e12)
+            plan_rows(users, vgg19, 130e12)
 
     def test_unusable_budget_is_a_config_error(self, vgg19):
         users = _users(uid=range(2),
@@ -503,7 +523,7 @@ class TestAlternate:
         # user 0 cannot train all-local, and every server cut's time overflows
         with pytest.raises(ConfigError, match=r"^c_total is too small: users \[0\]: the server "
                                               r"time of every feasible cut overflows"):
-            alternate(users, vgg19, 1e-308)
+            plan_rows(users, vgg19, 1e-308)
 
     def test_dominates_every_fixed_equal_split_policy(self, vgg19):
         # construction guarantee: the first cut pass already minimizes over
@@ -511,9 +531,9 @@ class TestAlternate:
         rng = np.random.default_rng(37)
         for _ in range(5):
             users = _random_users(rng, 8)
-            res = alternate(users, vgg19, 130e12)
+            plan = plan_rows(users, vgg19, 130e12)
             for fixed_l in (1, 5, 12, 16, 20):
-                assert res.allocation.objective <= sfl_round_time(
+                assert plan.objective[0] <= sfl_round_time(
                     users, vgg19, fixed_l, 130e12
                 )[0] * (1 + 1e-12)
 
@@ -536,9 +556,9 @@ class TestPlanRows:
         if cfg == OptimizerConfig():
             assert len(set(plan.iterations.tolist())) > 1
         for r in range(batch.shape[0]):
-            alone = alternate(batch.rows(r), vgg19, 130e12, cfg)
-            assert plan.result(r) == alone
-            assert len(alone.trace) == alone.iterations <= cfg.max_iters
+            alone = plan_rows(batch.rows(r), vgg19, 130e12, cfg)
+            assert _row(plan, r) == _row(alone, 0)
+            assert len(alone.passes) == alone.iterations[0] <= cfg.max_iters
 
     def test_chunking_does_not_change_the_plan(self, vgg19, monkeypatch):
         batch = self._batch()
@@ -547,11 +567,10 @@ class TestPlanRows:
         for elements in (1, 5 * len(batch) * vgg19.num_layers):
             monkeypatch.setattr(allocation, "MAX_CHUNK_ELEMENTS", elements)
             chunked = plan_rows(batch, vgg19, 130e12)
-            for field in ("cuts", "server_compute", "objective", "iterations",
-                          "converged", "resource_steps"):
+            for field in _PLAN_FIELDS:
                 assert np.array_equal(getattr(whole, field), getattr(chunked, field))
-            assert [chunked.trace(r) for r in range(12)] == \
-                [whole.trace(r) for r in range(12)]
+            assert [_row_trace(chunked, r) for r in range(12)] == \
+                [_row_trace(whole, r) for r in range(12)]
 
 
 class TestOptimizerConfig:
@@ -579,9 +598,9 @@ class TestBruteForce:
         arch = self._toy_arch()
         u = _users(n=100, tflops=0.002, kbps=200)
         bf = brute_force_joint(u, arch, 5e9)
-        alt = alternate(u, arch, 5e9)
-        assert bf.cuts == alt.allocation.cuts
-        assert alt.allocation.objective == pytest.approx(bf.objective, rel=1e-9)
+        plan = plan_rows(u, arch, 5e9)
+        assert bf.cuts == tuple(plan.cuts[0].tolist())
+        assert plan.objective[0] == pytest.approx(bf.objective, rel=1e-9)
 
     def test_identical_pair_symmetric_optimum(self):
         arch = load_architecture(_doc(["A,0.02,8,0.04", "B,0.03,12,0.02", "C,0.05,9,0.0"]))
@@ -598,5 +617,5 @@ class TestBruteForce:
                       float(rng.uniform(50, 500))) for _ in range(2)]
             users = _users(*zip(*draws))
             bf = brute_force_joint(users, arch, 5e9)
-            alt = alternate(users, arch, 5e9)
-            assert alt.allocation.objective >= bf.objective * (1 - 1e-9)
+            plan = plan_rows(users, arch, 5e9)
+            assert plan.objective[0] >= bf.objective * (1 - 1e-9)

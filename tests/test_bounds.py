@@ -25,6 +25,7 @@ from esfl import (
     sample_rounds,
 )
 from esfl.errors import FINITE, INTEGER, NUMBER, check
+from esfl.simulation import MAX_POPULATION
 
 VGG19 = load_builtin("vgg19")
 BP = preset_scenarios()["BP"]
@@ -76,7 +77,7 @@ def _plan(c_total):
     ("rho0", lambda: esfl_train(NET, USERS, rounds=1, rho0=math.inf)),
     ("batch_size", lambda: esfl_train(NET, USERS, rounds=1, batch_size=0)),
     ("cut", lambda: esfl_train(NET, [ToyUser(x=X, y=Y, cut=2)], rounds=1)),
-    ("epochs", lambda: ToyUser(x=X, y=Y, cut=1, epochs=0)),
+    ("epochs", lambda: esfl_train(NET, [ToyUser(x=X, y=Y, cut=1, epochs=0)], rounds=1)),
     ("bwd_multiplier", lambda: load_builtin("vgg19", bwd_multiplier=-1.0)),
     ("bytes_per_element", lambda: load_builtin("vgg19", bytes_per_element=math.nan)),
 ])
@@ -87,6 +88,15 @@ def test_entry_names_the_field(field, call):
     assert info.value.field == field
     assert str(info.value) == f"{field} {info.value.problem}"
     assert info.value.problem.startswith("must ")
+
+
+@pytest.mark.parametrize("field, call", [
+    ("scales", lambda: convergence_study(VGG19, scales=(5, MAX_POPULATION + 1))),
+    ("repetitions", lambda: convergence_study(VGG19, scales=(5, 10), repetitions=10**6 + 1)),
+])
+def test_study_caps_name_the_study_field(field, call):
+    # checked under the study's names, not the sized scenario's
+    test_entry_names_the_field(field, call)
 
 
 def test_check_shows_the_first_refused_item():

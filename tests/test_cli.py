@@ -247,7 +247,7 @@ class TestOutDir:
     def refuse_work(self, monkeypatch):
         _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
         _forbid(monkeypatch, cli, "run_simulation", "convergence_study",
-                "_users_from_doc", "alternate")
+                "_users_from_doc", "plan_rows")
         _forbid(monkeypatch, cli.toy, "init_dense_net", "make_blobs", "esfl_train")
 
     @pytest.mark.parametrize("argv", [
@@ -820,7 +820,8 @@ class TestOptimizeTrace:
         epoch_objective = bool(extra)
         t_agg = 1.5 if extra else 0.0
         cfg = esfl.OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
-        trace = esfl.alternate(batch, arch, 130e12, cfg).trace
+        plan = esfl.plan_rows(batch, arch, 130e12, cfg)
+        trace = plan.passes     # one row: each pass holds row 0
         entries = report["trace"]
         n_users = len(batch)
 
@@ -832,18 +833,18 @@ class TestOptimizeTrace:
         for entry, before, rec in zip(entries[1:], trace, trace[1:]):
             changed = entry["cuts_changed"]
             assert type(changed) is int and 0 <= changed <= n_users
-            assert changed == sum(a != b for a, b in zip(before.cuts, rec.cuts))
+            assert changed == np.count_nonzero(before.cuts[0] != rec.cuts[0])
         steps = [e["demand_evaluations"] for e in entries]
         assert all(type(k) is int and k >= 0 for k in steps)
-        plan = esfl.plan_rows(batch.rows(None), arch, 130e12, cfg)
         assert max(steps) == plan.resource_steps[0]
 
         for entry, rec in zip(entries, trace):
             neck = entry["bottleneck"]
             user = neck["user"]     # users.json ids are the users' indices
-            terms = esfl.round_terms(batch, arch, rec.cuts, rec.server_compute, t_agg)
+            cuts = rec.cuts[0]
+            terms = esfl.round_terms(batch, arch, cuts, rec.server_compute[0], t_agg)
             times = terms.epoch if epoch_objective else terms.total
-            assert neck["cut"] == rec.cuts[user]
+            assert neck["cut"] == cuts[user]
             assert times[user] >= times.max() * (1 - esfl.timing.TIE_RTOL)
             parts = sum(neck[f"{name}_s"] for name in (
                 "model_movement", "device_compute", "upload", "server_compute",
@@ -909,20 +910,36 @@ class TestConverge:
                     in capsys.readouterr().err)
         assert _run("converge", f"--scales={MAX_POPULATION + 1}",
                     "--out", str(tmp_path / "o")) == 1
-        assert (f"input error: population must be at most {MAX_POPULATION}"
-                in capsys.readouterr().err)
+        assert (f"input error: argument --scales: must hold integers at most "
+                f"{MAX_POPULATION}, not {MAX_POPULATION + 1}\n" in capsys.readouterr().err)
         # each repetition is one round of `scale` users; refused before any draw
         _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
         for reps, scale in ((2**62, 10), (MAX_USER_ROUNDS // 10 + 1, 10)):
             assert _run("converge", "--scenarios", "BP", "--scales", str(scale),
                         "--reps", str(reps), "--out", str(tmp_path / "o")) == 1
-            assert (f"input error: rounds × selected_per_round must be at most "
-                    f"{MAX_USER_ROUNDS}, not {reps} × {scale}\n"
+            assert (f"input error: argument --reps: must be at most "
+                    f"{MAX_USER_ROUNDS // scale} at scale {scale} (at most "
+                    f"{MAX_USER_ROUNDS} users in all), not {reps}\n"
                     in capsys.readouterr().err)
         for flag, value in (("--seed", "-1"), ("--t-agg", "-1")):
             assert _run("converge", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--scales", "10000001"], "--scales"),
+        (["--scenarios", "BP", "--scales", "1", "--reps", "9223372036854775808"], "--reps"),
+        (["--scenarios", "BP", "--scales", "5000", "--reps", "5000"], "--reps"),
+    ])
+    def test_sizes_beyond_the_caps_name_their_flag(self, tmp_path, capsys, monkeypatch,
+                                                   argv, flag):
+        # the study checks its own scales and repetitions, before it sizes a
+        # scenario whose fields (population, rounds) have no converge flag
+        _forbid(monkeypatch, esfl.simulation, "sample_population_data", "sample_rounds")
+        assert _run("converge", *argv, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"esfl: input error: argument {flag}: must ")
         assert not (tmp_path / "o").exists()
 
 
@@ -962,6 +979,19 @@ class TestTrainToy:
                     "--out", str(tmp_path / "o")) == 1
         assert _run("train-toy", "--users", "2", "--cuts", "1,x",
                     "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rounds", "0"), ("--epochs", "0"), ("--eta", "1.5"), ("--rho0", "0"),
+        ("--batch-size", "0"), ("--cuts", "1,3"),
+    ])
+    def test_training_values_refused_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                      flag, value):
+        # the trainer's own check runs before any blob is drawn
+        _forbid(monkeypatch, cli.toy, "make_blobs", "esfl_train")
+        assert _run("train-toy", "--users", "2", "--samples", "900000", "--dim", "3",
+                    flag, value, "--out", str(tmp_path / "o")) == 1
+        assert f"input error: argument {flag}: must " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_out_of_range_count_is_input_error(self, tmp_path, capsys, monkeypatch):
         for flag in ("--users", "--samples", "--classes", "--dim", "--rounds",
@@ -1399,6 +1429,15 @@ class TestReportDigests:
           "--batch-size", "7", "--cuts", "1,2,2,1,2", "--rounds", "10"], "train_toy",
          "2c6a8ebec8d5872330449b041e33a28bb81f27c63c0e1e22976ffcab74684966",
          "83378701dd530992cd76b105b4aabddcacb03f962d6f9949f3d7e5823ef89147"),
+        # no ESFL: null ESFL fields, no cut distribution, empty convergence
+        (["simulate", "--scenario", "SH", "--algos", "sfl,fl,sl", "--fixed-cut", "5",
+          "--rounds", "10"], "report",
+         "732cad9d5c81e411e46e7a0a3cf931c288e2dfb97df667ed20647da5d6a49915",
+         "379ea150d00200e329fe25457e8d1cafce90f435b31401e8c22a1f96333ea4df"),
+        (["simulate", "--scenario", "RP", "--sticky-resources", "--epoch-objective",
+          "--t-agg", "2.5", "--rounds", "10"], "report",
+         "a3b2dd8d066e63aef05efe7d7a09829e022baa4f398b0a745c1af28d2f3b52bd",
+         "fa06964dc545916c2a2fcb0de204ae5db9f1c98e38316bd78c58ebae9da379b4"),
     ])
     def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):
         users = tmp_path / "users.json"

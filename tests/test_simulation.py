@@ -40,6 +40,16 @@ class TestPresets:
     def test_all_eight_present(self):
         assert set(preset_scenarios()) == {"BP", "PR", "RP", "BR", "SH", "SL", "LS", "LH"}
 
+    def test_edits_to_the_dict_stay_with_the_caller(self):
+        # the specs are built once, so each call must hand out its own dict
+        first = preset_scenarios()
+        bp = first["BP"]
+        first["BP"] = None
+        del first["LH"]
+        again = preset_scenarios()
+        assert again is not first and len(again) == 8
+        assert again["BP"] is bp
+
     def test_bp_options(self):
         bp = preset_scenarios()["BP"]
         assert bp.comm_options == (10.0, 15.0, 20.0, 25.0)
@@ -201,23 +211,22 @@ class TestRunRound:
     def test_esfl_never_slower_than_sfl(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=5)
         report = run_simulation(spec, ("esfl", "sfl"), vgg19)
-        for rec in report.records:
-            assert rec.times["esfl"] <= rec.times["sfl"]
+        assert np.all(report.times["esfl"] <= report.times["sfl"])
 
     def test_esfl_never_slower_than_fl(self, vgg19):
         # full-local is one of the cut choices ESFL may take per user
         spec = _small(preset_scenarios()["RP"], rounds=5)
         report = run_simulation(spec, ("esfl", "fl"), vgg19)
-        for rec in report.records:
-            assert rec.times["esfl"] <= rec.times["fl"]
+        assert np.all(report.times["esfl"] <= report.times["fl"])
 
     def test_requested_algorithms_only(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=1)
         rng = np.random.default_rng(0)
         batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 1)
-        rec, = price_rounds(batch, ("fl",), vgg19, spec)
-        assert set(rec.times) == {"fl"}
-        assert rec.esfl_allocation is None
+        times, comms, plan = price_rounds(batch, ("fl",), vgg19, spec)
+        assert set(times) == set(comms) == {"fl"}
+        assert times["fl"].shape == comms["fl"].shape == (1,)
+        assert plan is None
 
     def test_unknown_algorithm_rejected(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=1)
@@ -263,15 +272,14 @@ class TestRunRound:
         spec = ScenarioSpec("uniform", (10.0,), (1.3,), (500.0,), rounds=4)
         report = run_simulation(spec, ("esfl", "fl"), vgg19)
         for algo in ("esfl", "fl"):
-            vals = {rec.times[algo] for rec in report.records}
+            vals = set(report.times[algo].tolist())
             assert len(vals) == 1
 
     def test_communication_bounded_by_total(self, vgg19):
         spec = _small(preset_scenarios()["SH"], rounds=5)
         report = run_simulation(spec, ("esfl", "sfl", "fl", "sl"), vgg19)
-        for rec in report.records:
-            for algo, total in rec.times.items():
-                assert rec.comm_times[algo] <= total
+        for algo, total in report.times.items():
+            assert np.all(report.comm_times[algo] <= total)
 
 
 class TestRunSimulation:
@@ -279,14 +287,14 @@ class TestRunSimulation:
         spec = _small(preset_scenarios()["BP"], rounds=1)
         report = run_simulation(spec, ("esfl", "fl"), vgg19)
         for algo in ("esfl", "fl"):
-            assert report.total_time[algo] == report.records[0].times[algo]
-            assert report.mean_round_time[algo] == report.records[0].times[algo]
+            assert report.total_time[algo] == report.times[algo][0]
+            assert report.mean_round_time[algo] == report.times[algo][0]
 
     def test_totals_sum_the_records(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=6)
         report = run_simulation(spec, ("sfl",), vgg19)
         assert report.total_time["sfl"] == pytest.approx(
-            sum(rec.times["sfl"] for rec in report.records), rel=1e-12
+            sum(report.times["sfl"].tolist()), rel=1e-12
         )
 
     def test_distribution_rows_normalized(self, vgg19):
@@ -302,7 +310,12 @@ class TestRunSimulation:
         spec = _small(preset_scenarios()["SH"], rounds=5)
         r1 = run_simulation(spec, ("esfl", "sfl"), vgg19)
         r2 = run_simulation(spec, ("esfl", "sfl"), vgg19)
-        assert r1.records == r2.records
+        assert np.array_equal(r1.user_ids, r2.user_ids)
+        for algo in ("esfl", "sfl"):
+            assert np.array_equal(r1.times[algo], r2.times[algo])
+            assert np.array_equal(r1.comm_times[algo], r2.comm_times[algo])
+        for field in ("cuts", "server_compute", "iterations", "converged"):
+            assert np.array_equal(getattr(r1.esfl_plan, field), getattr(r2.esfl_plan, field))
         assert r1.to_dict() == r2.to_dict()
 
     def test_sticky_resources_mode(self, vgg19):
@@ -313,11 +326,11 @@ class TestRunSimulation:
         # a user selected in two rounds keeps its resources, so repeated
         # (user set -> fl time) pairs agree
         seen = {}
-        for rec in report.records:
-            key = rec.user_ids
+        for user_ids, time in zip(report.user_ids.tolist(), report.times["fl"].tolist()):
+            key = tuple(user_ids)
             if key in seen:
-                assert rec.times["fl"] == seen[key]
-            seen[key] = rec.times["fl"]
+                assert time == seen[key]
+            seen[key] = time
 
     def test_optimizer_aggregation_time_prices_every_algorithm(self, vgg19):
         # the synchronous rounds each end with one aggregation; the
@@ -327,15 +340,15 @@ class TestRunSimulation:
         base = run_simulation(spec, algos, vgg19)
         agg = run_simulation(spec, algos, vgg19,
                              SimOptions(optimizer=OptimizerConfig(t_agg=3.0)))
-        for r0, r1 in zip(base.records, agg.records):
-            for algo in algos:
-                assert r1.times[algo] == pytest.approx(r0.times[algo] + 3.0, rel=1e-9)
+        for algo in algos:
+            assert agg.times[algo] == pytest.approx(base.times[algo] + 3.0, rel=1e-9)
 
     def test_convergence_summary_present(self, vgg19):
         spec = _small(preset_scenarios()["BP"], rounds=3)
         report = run_simulation(spec, ("esfl",), vgg19)
         assert report.convergence["all_converged"] is True
         assert report.convergence["max_iterations"] >= 1
+        assert report.esfl_plan.passes == ()   # a report keeps no pass trace
 
 
 def _loop_cut_distribution(user_ids, cuts, n_layers) -> CutLayerDistribution:
@@ -379,10 +392,8 @@ class TestCutDistribution:
     def test_matches_the_loop_on_a_simulation(self, vgg19):
         spec = _small(preset_scenarios()["LH"], population=30, rounds=20)
         report = run_simulation(spec, ("esfl",), vgg19)
-        user_ids = [rec.user_ids for rec in report.records]
-        cuts = [rec.esfl_allocation.cuts for rec in report.records]
-        _assert_same_distribution(report.cut_distribution,
-                                  _loop_cut_distribution(user_ids, cuts, vgg19.num_layers))
+        _assert_same_distribution(report.cut_distribution, _loop_cut_distribution(
+            report.user_ids, report.esfl_plan.cuts, vgg19.num_layers))
 
 
 class TestRowsMatchRoundByRound:
@@ -407,18 +418,19 @@ class TestRowsMatchRoundByRound:
         data = sample_population_data(spec, rng)
         sticky = (sample_population_resources(spec, rng)
                   if options.sticky_resources else None)
-        for r, rec in enumerate(report.records):
+        plan = report.esfl_plan
+        assert len(report.user_ids) == spec.rounds
+        for r in range(spec.rounds):
             one = sample_rounds(spec, rng, data, 1, sticky, options.kb_bytes)
-            alone, = price_rounds(one, algos, vgg19, spec, options, first_index=r)
-            assert rec.index == alone.index and rec.user_ids == alone.user_ids
-            assert rec.esfl_allocation.cuts == alone.esfl_allocation.cuts
-            assert rec.esfl_iterations == alone.esfl_iterations
-            assert rec.esfl_converged == alone.esfl_converged
-            self._assert_close(rec.esfl_allocation.server_compute,
-                               alone.esfl_allocation.server_compute)
+            times, comms, alone = price_rounds(one, algos, vgg19, spec, options)
+            assert np.array_equal(report.user_ids[r], one.user_ids[0])
+            assert np.array_equal(plan.cuts[r], alone.cuts[0])
+            assert plan.iterations[r] == alone.iterations[0]
+            assert plan.converged[r] == alone.converged[0]
+            self._assert_close(plan.server_compute[r], alone.server_compute[0])
             for algo in algos:
-                self._assert_close(rec.times[algo], alone.times[algo])
-                self._assert_close(rec.comm_times[algo], alone.comm_times[algo])
+                self._assert_close(report.times[algo][r], times[algo][0])
+                self._assert_close(report.comm_times[algo][r], comms[algo][0])
 
 
 class TestConvergenceStudy:

@@ -471,10 +471,12 @@ class TestEsflTrain:
                 esfl_train(net, users, rounds=1, eta=eta)
 
     def test_non_positive_epochs_rejected(self):
-        x, y = make_blobs(8, rng=np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
         for epochs in (0, -1):
             with pytest.raises(ValueError, match="epochs"):
-                ToyUser(x=x, y=y, cut=1, epochs=epochs)
+                esfl_train(net, [ToyUser(x=x, y=y, cut=1, epochs=epochs)], rounds=1)
 
     def test_batch_size_below_one_rejected(self):
         # a negative size would yield no minibatch and train nothing
@@ -487,11 +489,13 @@ class TestEsflTrain:
                 esfl_train(net, users, rounds=1, batch_size=batch_size)
 
     def test_fractional_epochs_rejected(self):
-        x, y = make_blobs(8, rng=np.random.default_rng(18))
+        rng = np.random.default_rng(18)
+        net = init_dense_net([2, 3, 2], loss="mse", rng=rng)
+        x, y = make_blobs(8, rng=rng)
         for epochs in (1.5, 2.0, True):
             with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
-                ToyUser(x=x, y=y, cut=1, epochs=epochs)
-        assert ToyUser(x=x, y=y, cut=1, epochs=np.int64(2)).epochs == 2
+                esfl_train(net, [ToyUser(x=x, y=y, cut=1, epochs=epochs)], rounds=1)
+        esfl_train(net, [ToyUser(x=x, y=y, cut=1, epochs=np.int64(2))], rounds=1)
 
     def test_fractional_batch_size_rejected(self):
         rng = np.random.default_rng(23)

@@ -17,8 +17,8 @@ from esfl import (
     feasibility_mask,
     fl_round_time,
     load_architecture,
-    alternate,
     load_builtin,
+    plan_rows,
     preset_scenarios,
     round_terms,
     sample_rounds,
@@ -230,14 +230,14 @@ class TestStragglerAttribution:
         for spec in preset_scenarios().values():
             rng = np.random.default_rng(spec.seed)
             batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 8)
+            plan = plan_rows(batch, vgg19, spec.server_tflops * 1e12)
             for r in range(8):
                 users = batch.rows(r)
-                alloc = alternate(users, vgg19, spec.server_tflops * 1e12).allocation
+                alloc = Allocation(plan.cuts[r], plan.server_compute[r], plan.objective[r])
                 terms = round_terms(users, vgg19, alloc.cuts, alloc.server_compute)
                 _, comm = esfl_round_time(alloc, users, vgg19)
                 for scale in (1 - 1e-10, 1 + 1e-10):
-                    scaled = Allocation(alloc.cuts,
-                                        tuple(np.array(alloc.server_compute) * scale), 0.0)
+                    scaled = Allocation(alloc.cuts, alloc.server_compute * scale, 0.0)
                     shifted = round_terms(users, vgg19, alloc.cuts, scaled.server_compute)
                     moved += int(np.argmax(shifted.total) != np.argmax(terms.total))
                     assert esfl_round_time(scaled, users, vgg19)[1] == comm
