@@ -411,6 +411,15 @@ def plan_rows(
                    resource_steps, tuple(passes))
 
 
+def check_oracle_size(users: int, layers: int) -> None:
+    """Refuse an instance of ``users`` users and ``layers`` layers that
+    :func:`brute_force_joint` would not enumerate."""
+    if users > ORACLE_MAX_USERS or layers > ORACLE_MAX_LAYERS:
+        raise ConfigError(f"instance too large for enumeration: {users} users x "
+                          f"{layers} layers (limits {ORACLE_MAX_USERS} x "
+                          f"{ORACLE_MAX_LAYERS})")
+
+
 def brute_force_joint(
     batch: UserBatch,
     arch: ModelArchitecture,
@@ -422,13 +431,10 @@ def brute_force_joint(
     Only for oracle-sized instances: the resource subproblem is convex and
     solved exactly per tuple, so exhaustiveness over cuts gives the global
     optimum. Instances beyond ``ORACLE_MAX_USERS`` users or
-    ``ORACLE_MAX_LAYERS`` layers are refused.
+    ``ORACLE_MAX_LAYERS`` layers are refused by :func:`check_oracle_size`.
     """
     cfg = cfg or OptimizerConfig()
-    if len(batch) > ORACLE_MAX_USERS or arch.num_layers > ORACLE_MAX_LAYERS:
-        raise ConfigError(f"instance too large for enumeration: {len(batch)} users x "
-                          f"{arch.num_layers} layers (limits {ORACLE_MAX_USERS} x "
-                          f"{ORACLE_MAX_LAYERS})")
+    check_oracle_size(len(batch), arch.num_layers)
     mask = _feasible(batch, arch)
     per_user = [(np.flatnonzero(row) + 1).tolist() for row in mask]
     best: Allocation | None = None

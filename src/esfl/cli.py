@@ -4,13 +4,12 @@ Reports are written once, atomically, at the end of a run: a JSON document
 with the resolved configuration and results, plus an aligned text table.
 The JSON document is exactly the bytes of ``json.dumps(payload,
 sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
-at the speed of the stdlib's C encoder. A list or dict of scalars that
-recurs in a report is encoded once: ``simulate`` passes per-user cut rows
-that repeat as one shared list each (a 1.5 MB sim-large report is written
-in ~13 ms). A list of records that share one key set, such as
-``simulate``'s per-round records, is encoded column by column, one
-encoder call per field: a report of 100 rounds of 10 users is written in
-about 4.1 ms, against 7.0 ms item by item. ``optimize`` plans its users
+at the speed of the stdlib's C encoder. A list of records that share one
+key set, such as ``simulate``'s per-round records, is encoded column by
+column, one encoder call per field: a report of 100 rounds of 10 users is
+written in about 4.1 ms, against 7.0 ms item by item. A column encodes
+each distinct object once, and ``simulate`` passes per-user cut rows that
+repeat as one shared list each. ``optimize`` plans its users
 as one round of :func:`~esfl.allocation.plan_rows` and reports row 0 of
 the plan: one per-user list each for the cuts and the server compute, and
 a trace of one fixed-size summary per planner pass, read from the arrays
@@ -26,13 +25,12 @@ that a flag set names the flag (see ``_FLAGS``), as in ``argument
 --max-iters: must be an integer >= 1, not 0``. Only the bounds of the
 ``train-toy`` sizes and seed, which no library entry takes, live here.
 
-``optimize`` reads its users.json straight into one
-:class:`~esfl.users.UserBatch`: the keys are checked once per distinct key
-set, and every field is gathered into one column that
-:func:`~esfl.users.batch_from_columns` checks with array masks, by the
-rules of :meth:`~esfl.users.UserBatch.checked`. An input
-error names the file, the first bad user by index and its field. Text
-tables are sized once per column and rendered by one ``%`` format.
+``optimize`` only reads its users.json file: the users.json schema lives
+in :func:`~esfl.users.read_users`, which checks the parsed document and
+returns one :class:`~esfl.users.UserBatch`. An input error names the file,
+the first bad user by index and its field; a file that cannot be read, or
+is not UTF-8 text, is an input error that names it too. Text tables are
+sized once per column and rendered by one ``%`` format.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from functools import cache
-from itertools import chain, compress
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -52,7 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from . import split_training as toy
-from .allocation import OptimizerConfig, RowPlan, brute_force_joint, plan_rows
+from .allocation import (OptimizerConfig, RowPlan, brute_force_joint, check_oracle_size,
+                         plan_rows)
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
     ScenarioSpec,
@@ -62,14 +61,7 @@ from .simulation import (
     run_simulation,
 )
 from .timing import round_terms, straggler
-from .users import (
-    CHANNEL_FIELDS,
-    USER_FIELDS,
-    UserBatch,
-    batch_from_columns,
-    channel_problem,
-    entry_problem,
-)
+from .users import UserBatch, read_users
 from .workload import ModelArchitecture, builtin_profiles, load_architecture, load_builtin
 
 OUT_DIR_ENV = "ESFL_OUT_DIR"
@@ -208,11 +200,8 @@ def dumps_report(payload) -> str:
     ``NaN``/``Infinity``, escaping and key order are as ``json`` writes
     them. The keys of a dict that holds a container must be strings.
 
-    A container that holds no container is encoded once per call, however
-    often the same object recurs (``simulate`` passes equal per-user cut
-    rows as one object); a recurrence at another depth is re-indented by one
-    replace, since only the structure writes newlines. A column encodes
-    each distinct object once.
+    A column encodes each distinct object once: ``simulate`` passes equal
+    per-user cut rows as one object.
 
     On a preset ``simulate`` report, 100 records of 10 users each, the
     columns take the report from 7.0 to 4.1 ms (2-core shared host,
@@ -221,7 +210,6 @@ def dumps_report(payload) -> str:
     if c_make_encoder is None:
         return json.dumps(payload, sort_keys=True, indent=2)
     encoders = {}
-    leaves = {}   # id -> (object, depth, text); the object pins its id
 
     def flat(obj, depth):
         if depth not in encoders:
@@ -277,10 +265,6 @@ def dumps_report(payload) -> str:
         return texts
 
     def encode(obj, depth):
-        hit = leaves.get(id(obj))
-        if hit is not None:
-            _, at, text = hit
-            return text if at == depth else text.replace("\n" + "  " * at, "\n" + "  " * depth)
         is_dict = isinstance(obj, dict)
         if not (is_dict or isinstance(obj, (list, tuple))):
             return flat(obj, depth)
@@ -288,8 +272,7 @@ def dumps_report(payload) -> str:
             return "{}" if is_dict else "[]"
         inner = depth + 1
         pad = "\n" + "  " * inner
-        is_leaf = not _holds_container(obj.values() if is_dict else obj)
-        if is_leaf:
+        if not _holds_container(obj.values() if is_dict else obj):
             body = flat(obj, inner)[1:-1]
         elif is_dict:
             bad = [k for k in obj if not isinstance(k, str)]
@@ -303,10 +286,7 @@ def dumps_report(payload) -> str:
         else:
             body = ("," + pad).join(encode(v, inner) for v in obj)
         open_, close = "{}" if is_dict else "[]"
-        text = f"{open_}{pad}{body}\n{'  ' * depth}{close}"
-        if is_leaf:
-            leaves[id(obj)] = (obj, depth, text)
-        return text
+        return f"{open_}{pad}{body}\n{'  ' * depth}{close}"
 
     return encode(payload, 0)
 
@@ -361,10 +341,17 @@ def format_numeric_table(headers: list[str], columns: list[np.ndarray],
 
 
 def _read_json(path: str):
-    """Parse a JSON input file, refusing the NaN and Infinity literals."""
+    """Parse a JSON input file, refusing the NaN and Infinity literals. A
+    file that cannot be read or is not UTF-8 text is an input error."""
     def refuse(name):
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
-    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:   # as open() names the file, if it does
+        raise ConfigError(str(exc) if exc.filename else f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return json.loads(text, parse_constant=refuse)
 
 
 def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -486,80 +473,9 @@ def cmd_simulate(args, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # optimize
 
-def _key_sets(objects: list[dict]) -> tuple[dict[tuple, int], np.ndarray]:
-    """Each distinct key tuple of ``objects`` with the index of its first
-    object, and each object's key code: its tuple's place in that dict.
-
-    Tuples, in document order, because comparing equal tuples of interned
-    keys is far cheaper than comparing equal frozensets.
-    """
-    keys = list(map(tuple, objects))
-    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    code = {k: c for c, k in enumerate(firsts)}
-    return firsts, np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
-
-
-def _column(objects: list[dict], firsts: dict, codes: np.ndarray, key: str):
-    """The indices of the objects that have ``key``, and their values."""
-    has = np.isin(codes, [c for c, keys in enumerate(firsts) if key in keys])
-    return np.flatnonzero(has), list(map(itemgetter(key), compress(objects, has.tolist())))
-
-
-def _misshapen(objects: list, problem_of, name: str):
-    """Where the first misshapen item of ``objects`` is, and what is wrong.
-
-    An item is misshapen when it is not a JSON object or ``problem_of``
-    refuses its keys, which it sees once per distinct key set. Returns
-    (index, problem), or (length, None) when all are well shaped, and the
-    ``_key_sets`` of the items before that index.
-    """
-    stop, problem = len(objects), None
-    if not set(map(type, objects)) <= {dict}:
-        stop = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
-        problem = f"{name}must be an object, not {type(objects[stop]).__name__}"
-    firsts, codes = _key_sets(objects[:stop])
-    for keys, i in firsts.items():
-        what = problem_of(frozenset(keys))
-        if what and i < stop:
-            stop, problem = i, what
-    return stop, problem, firsts, codes[:stop]
-
-
 def _users_from_doc(path: str, kb_bytes: float) -> UserBatch:
-    """The users of a users.json document, as one checked batch.
-
-    Keys are checked once per distinct key set, and values once per field,
-    by :func:`batch_from_columns`. The first misshapen user ends the
-    columns, so that a bad value of an earlier user is the one named.
-    """
-    doc = _read_json(path)
-    if type(doc) is not dict:
-        raise ConfigError(f"{path}: expected an object with a 'users' list, "
-                          f"not {type(doc).__name__}")
-    _strict_keys(doc, {"users"}, path)
-    entries = doc.get("users")
-    if type(entries) is not list or not entries:
-        raise ConfigError(f"{path}: 'users' must be a nonempty list")
-
-    stop, problem, firsts, codes = _misshapen(entries, entry_problem, "")
-    entries = entries[:stop]
-    ch_users, blocks = _column(entries, firsts, codes, "channel")
-    ch_stop, ch_problem, _, _ = _misshapen(blocks, channel_problem, "channel ")
-    if ch_problem:
-        stop, problem = int(ch_users[ch_stop]), ch_problem
-        entries, codes = entries[:stop], codes[:stop]
-        ch_users, blocks = ch_users[:ch_stop], blocks[:ch_stop]
-    columns = {field: _column(entries, firsts, codes, field)
-               for field in USER_FIELDS - {"channel"}}
-    columns.update((f"channel.{key}", (ch_users, list(map(itemgetter(key), blocks))))
-                   for key in CHANNEL_FIELDS)
-    try:
-        batch = batch_from_columns(stop, columns, kb_bytes)
-    except ConfigError as exc:
-        raise ConfigError(f"{path} {exc}") from None
-    if problem:
-        raise ConfigError(f"{path} user {stop}: {problem}")
-    return batch
+    """The users of the users.json file at ``path``, as one checked batch."""
+    return read_users(_read_json(path), kb_bytes, path)
 
 
 def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
@@ -605,6 +521,8 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
 def cmd_optimize(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     batch = _users_from_doc(args.users, float(args.kb))
+    if args.oracle:   # before planning every user
+        check_oracle_size(len(batch), arch.num_layers)
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
     plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0

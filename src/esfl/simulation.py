@@ -555,7 +555,8 @@ def convergence_study(
 
     For each (scenario, scale) cell the optimizer runs on ``scale`` freshly
     drawn users, ``repetitions`` times, all repetitions planned as one batch.
-    ``repetitions`` and every scale are integers >= 1, and ``seed`` one
+    ``repetitions`` and every scale are integers >= 1, no scale is given
+    twice (a repeated scale would redraw its cell's stream), and ``seed`` one
     >= 0. A scale is a population, so it may not exceed ``MAX_POPULATION``,
     and each repetition is one round of the sized scenario, so
     ``repetitions × scale`` may not exceed ``MAX_USER_ROUNDS``. These
@@ -565,7 +566,8 @@ def convergence_study(
     options = options or SimOptions()
     check("repetitions", repetitions, COUNT)
     check("scales", scales, (COUNT[0], "hold integers >= 1"),
-          (at_most(MAX_POPULATION)[0], f"hold integers at most {MAX_POPULATION}"), each=True)
+          (at_most(MAX_POPULATION)[0], f"hold integers at most {MAX_POPULATION}"),
+          (lambda s: scales.count(s) > 1, "hold each scale once"), each=True)
     top = max(scales, default=1)
     check("repetitions", repetitions, (
         lambda r: r * top > MAX_USER_ROUNDS,

@@ -4,17 +4,19 @@ A user is a few numbers: data volume, device compute, up/down link rates,
 local epochs, and storage/memory limits. :meth:`UserBatch.checked` builds a
 round of users from arrays and checks every value against one table of
 rules in library units (``_RULES``). The module also owns the users.json
-schema of ``esfl optimize``: :func:`entry_problem` and
-:func:`channel_problem` check the keys of a user and of its channel block,
-and :func:`batch_from_columns` checks every value, one array per field, by
-the rules of the batch field it fills, and builds the :class:`UserBatch`.
+schema of ``esfl optimize``: :func:`read_users` checks a parsed document's
+shape, the keys of every user and channel block, once per distinct key
+set, and every value, one array per field by the rules of the batch field
+it fills, and builds the :class:`UserBatch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping
+from itertools import compress
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -63,9 +65,9 @@ class _FirstBad:
                 if raw is not None:
                     self.message += f", not {raw[k]!r}"
 
-    def raise_any(self) -> None:
+    def raise_any(self, where: str = "") -> None:
         if self.user is not None:
-            raise ConfigError(self.message)
+            raise ConfigError(where + self.message)
 
 
 @dataclass(frozen=True)
@@ -147,19 +149,20 @@ def shannon_rates(bandwidth_hz: np.ndarray, power_w: np.ndarray, gain: np.ndarra
 # ---------------------------------------------------------------------------
 # users.json, column by column
 
-USER_FIELDS = frozenset({
+_Column = tuple[np.ndarray, list]   # ascending user indices, raw JSON values
+_USER_FIELDS = frozenset({
     "n_samples", "tflops", "kbps", "kbps_up", "kbps_down", "channel",
     "epochs", "storage_mb", "memory_mb",
 })
-CHANNEL_FIELDS = ("bandwidth_hz", "uplink_power_w", "downlink_power_w",
-                  "uplink_gain", "downlink_gain", "noise_density_w_per_hz")
+_CHANNEL_FIELDS = ("bandwidth_hz", "uplink_power_w", "downlink_power_w",
+                   "uplink_gain", "downlink_gain", "noise_density_w_per_hz")
 _RATE_PAIR = frozenset({"kbps_up", "kbps_down"})
 _REQUIRED = frozenset({"n_samples", "tflops"})
 
 
-def entry_problem(keys: frozenset) -> str | None:
+def _entry_problem(keys: frozenset) -> str | None:
     """What is wrong with a users.json entry that has these keys, if anything."""
-    unknown = keys - USER_FIELDS
+    unknown = keys - _USER_FIELDS
     if unknown:
         return f"unknown keys {sorted(unknown)}"
     missing = _REQUIRED - keys
@@ -173,18 +176,56 @@ def entry_problem(keys: frozenset) -> str | None:
     return None
 
 
-def channel_problem(keys: frozenset) -> str | None:
+def _channel_problem(keys: frozenset) -> str | None:
     """What is wrong with a channel block that has these keys, if anything."""
-    unknown = keys - set(CHANNEL_FIELDS)
+    unknown = keys - set(_CHANNEL_FIELDS)
     if unknown:
         return f"unknown keys in channel: {sorted(unknown)}"
-    missing = set(CHANNEL_FIELDS) - keys
+    missing = set(_CHANNEL_FIELDS) - keys
     if missing:
         return f"channel lacks {sorted(missing)}"
     return None
 
 
-Column = tuple[np.ndarray, list]    # ascending user indices, raw JSON values
+def _key_sets(objects: list[dict]) -> tuple[dict[tuple, int], np.ndarray]:
+    """Each distinct key tuple of ``objects`` with the index of its first
+    object, and each object's key code: its tuple's place in that dict.
+
+    Tuples, in document order, because comparing equal tuples of interned
+    keys is far cheaper than comparing equal frozensets.
+    """
+    keys = list(map(tuple, objects))
+    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    code = {k: c for c, k in enumerate(firsts)}
+    return firsts, np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+
+
+def _column(objects: list[dict], firsts: dict, codes: np.ndarray, key: str) -> _Column:
+    """The indices of the objects that have ``key``, and their values."""
+    has = np.isin(codes, [c for c, keys in enumerate(firsts) if key in keys])
+    return np.flatnonzero(has), list(map(itemgetter(key), compress(objects, has.tolist())))
+
+
+def _misshapen(objects: list, problem_of, name: str):
+    """Where the first misshapen item of ``objects`` is, and what is wrong.
+
+    An item is misshapen when it is not a JSON object or ``problem_of``
+    refuses its keys, which it sees once per distinct key set. Returns
+    (index, problem), or (length, None) when all are well shaped, and the
+    ``_key_sets`` of the items before that index.
+    """
+    stop, problem = len(objects), None
+    if not set(map(type, objects)) <= {dict}:
+        stop = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
+        problem = f"{name}must be an object, not {type(objects[stop]).__name__}"
+    firsts, codes = _key_sets(objects[:stop])
+    for keys, i in firsts.items():
+        what = problem_of(frozenset(keys))
+        if what and i < stop:
+            stop, problem = i, what
+    return stop, problem, firsts, codes[:stop]
+
+
 Kind = tuple[frozenset, str]        # (JSON types, what)
 
 _NUMBER: Kind = (frozenset({int, float}), "a number")   # bool is not a number
@@ -198,28 +239,50 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def batch_from_columns(count: int, columns: Mapping[str, Column],
-                       kb_bytes: float) -> UserBatch:
-    """The checked batch of the ``count`` users of a users.json document.
+def read_users(doc, kb_bytes: float, where: str) -> UserBatch:
+    """The checked batch of the users of ``doc``, a parsed users.json document.
 
-    ``columns`` maps each field, or ``channel.<key>`` for a key of the
-    channel blocks, to the users that give it and their raw JSON values.
-    The keys must have passed :func:`entry_problem` and
-    :func:`channel_problem`. Each field is read as one float array, scaled
-    to library units and checked with array masks by the ``_RULES`` of the
-    batch field it fills (``tflops`` those of ``compute_flops``, ``kbps``
-    those of ``up`` and ``down``, ...); numbers must be JSON ints or floats
-    (not bools) and ``epochs`` a JSON int. Channel rates are priced by
-    :func:`shannon_rates`. Raises :class:`ConfigError` naming the first bad
-    user, its JSON field and raw value. The batch is built unchecked: these
-    reads already apply every rule of :meth:`UserBatch.checked`.
+    ``doc`` must be an object whose only key, ``users``, holds a nonempty
+    list of user objects. Their keys, and those of their channel blocks, are
+    checked once per distinct key set. Each field is then gathered into one
+    column, read as one float array, scaled to library units (``kb_bytes``
+    per KB) and checked with array masks by the ``_RULES`` of the batch
+    field it fills (``tflops`` those of ``compute_flops``, ``kbps`` those of
+    ``up`` and ``down``, ...); numbers must be JSON ints or floats (not
+    bools) and ``epochs`` a JSON int. Channel rates are priced by
+    :func:`shannon_rates`. The batch is built unchecked: these reads already
+    apply every rule of :meth:`UserBatch.checked`.
+
+    Raises :class:`ConfigError` that starts with ``where`` and names the
+    first bad user by index, its JSON field (``channel.<key>`` for a channel
+    value) and raw value. The first misshapen user ends the columns, so
+    that a bad value of an earlier user is the one named.
     """
+    if type(doc) is not dict:
+        raise ConfigError(f"{where}: expected an object with a 'users' list, "
+                          f"not {type(doc).__name__}")
+    unknown = doc.keys() - {"users"}
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    entries = doc.get("users")
+    if type(entries) is not list or not entries:
+        raise ConfigError(f"{where}: 'users' must be a nonempty list")
+
+    count, problem, firsts, codes = _misshapen(entries, _entry_problem, "")
+    entries = entries[:count]
+    ch_users, blocks = _column(entries, firsts, codes, "channel")
+    ch_stop, ch_problem, _, _ = _misshapen(blocks, _channel_problem, "channel ")
+    if ch_problem:
+        count, problem = int(ch_users[ch_stop]), ch_problem
+        entries, codes = entries[:count], codes[:count]
+        ch_users, blocks = ch_users[:ch_stop], blocks[:ch_stop]
     first = _FirstBad()
 
-    def read(field: str, scale: float, rules: tuple[Rule, ...],
-             kind: Kind = _NUMBER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(users, scaled values, mask of the users whose value passes)."""
-        users, raw = columns.get(field, (np.zeros(0, dtype=int), []))
+    def read(field: str, scale: float, rules: tuple[Rule, ...], kind: Kind = _NUMBER,
+             column: _Column | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(users, scaled values, mask of the users whose value passes) of
+        ``column``, by default the column of ``field``."""
+        users, raw = _column(entries, firsts, codes, field) if column is None else column
         numbers = raw
         types, what = kind
         if not set(map(type, raw)) <= types:
@@ -257,9 +320,9 @@ def batch_from_columns(count: int, columns: Mapping[str, Column],
         # Price only the channels whose every value passed, so a bad value
         # is named as itself and never reaches the capacity formula.
         chan = [read(f"channel.{key}", 1.0,
-                     (_FINITE, _AT_LEAST_0 if key.endswith("_gain") else _ABOVE_0))
-                for key in CHANNEL_FIELDS]
-        ch_users = chan[0][0]
+                     (_FINITE, _AT_LEAST_0 if key.endswith("_gain") else _ABOVE_0),
+                     column=(ch_users, list(map(itemgetter(key), blocks))))
+                for key in _CHANNEL_FIELDS]
         priced = np.logical_and.reduce([ok for _, _, ok in chan])
         b, p_up, p_down, g_up, g_down, n0 = (values[priced] for _, values, _ in chan)
         ch_up = np.full(len(ch_users), math.nan)
@@ -269,7 +332,9 @@ def batch_from_columns(count: int, columns: Mapping[str, Column],
         first.check("channel", ch_users,
                     priced & ~(np.isfinite(ch_up) & np.isfinite(ch_down)),
                     "priced to finite link rates")
-    first.raise_any()
+    first.raise_any(f"{where} ")
+    if problem:
+        raise ConfigError(f"{where} user {count}: {problem}")
 
     return UserBatch(
         np.arange(count),

@@ -128,13 +128,17 @@ def load_architecture(
     bytes_per_element: float = 4.0,
     bwd_multiplier: float = 2.0,
 ) -> ModelArchitecture:
-    """Parse a profile document from a path or open text stream."""
+    """Parse a profile document from a path or open text stream. A file
+    that is not UTF-8 text is a :class:`ProfileError` that names it."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         if name is None:
             name = path.stem
         with open(path, "r", encoding="utf-8") as fp:
-            rows = _parse_rows(fp)
+            try:
+                rows = _parse_rows(fp)
+            except UnicodeDecodeError as exc:
+                raise ProfileError(f"{path}: {exc}") from None
     else:
         rows = _parse_rows(source)
         if name is None:

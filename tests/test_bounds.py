@@ -70,6 +70,8 @@ def _plan(c_total):
     ("algorithms", lambda: run_simulation(BP, ("fl", "fl"), VGG19)),
     ("repetitions", lambda: convergence_study(VGG19, repetitions=0)),
     ("scales", lambda: convergence_study(VGG19, scales=(5, 0))),
+    pytest.param("scales", lambda: convergence_study(VGG19, scales=(10, 20, 10)),
+                 id="scales-repeated"),
     ("seed", lambda: convergence_study(VGG19, seed=-1)),
     ("rounds", lambda: esfl_train(NET, USERS, rounds=0)),
     ("eta", lambda: esfl_train(NET, USERS, rounds=1, eta=1.5)),

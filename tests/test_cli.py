@@ -219,6 +219,24 @@ class TestSimulate:
                 "not 'esfl'\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, name, text", [
+        (["optimize", "--users"], "dir", None),
+        (["optimize", "--users"], "users.json", '{"users": "\u00e9"}'),
+        (["simulate", "--config"], "dir", None),
+        (["simulate", "--arch"], "profile.csv",
+         "layer,params,fwd_flops,activation\n\u00e9,1,1,1\n"),
+    ], ids=["users-dir", "users-latin1", "config-dir", "arch-latin1"])
+    def test_unreadable_input_file_is_input_error(self, tmp_path, capsys, argv, name, text):
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:   # a Latin-1 "\u00e9" is no UTF-8
+            path.write_bytes(text.encode("latin-1"))
+        assert _run(*argv, str(path), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("esfl: input error: ") and str(path) in err
+        assert not (tmp_path / "o").exists()
+
     def test_shared_parser_keeps_no_state_between_calls(self):
         parser = cli.build_parser()
         assert cli.build_parser() is parser
@@ -364,9 +382,14 @@ class TestOptimize:
         assert len(err) < 1024
         assert re.search(r": users \[(\d+, ){7}\d+\] and \d+ more: the server time", err)
 
-    def test_oracle_refused_for_large_arch(self, tmp_path, users_file):
+    def test_oracle_refused_for_large_arch(self, tmp_path, users_file, capsys, monkeypatch):
+        _forbid(monkeypatch, cli, "plan_rows")   # refused before planning every user
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
                     "--oracle", "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "esfl: input error: instance too large for enumeration: 2 users x "
+            "20 layers (limits 3 x 6)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_strict_user_keys(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -931,6 +954,8 @@ class TestConverge:
         (["--scales", "10000001"], "--scales"),
         (["--scenarios", "BP", "--scales", "1", "--reps", "9223372036854775808"], "--reps"),
         (["--scenarios", "BP", "--scales", "5000", "--reps", "5000"], "--reps"),
+        # a repeated scale would redraw its cell's stream and print the row twice
+        (["--scenarios", "BP", "--scales", "10,10", "--reps", "2"], "--scales"),
     ])
     def test_sizes_beyond_the_caps_name_their_flag(self, tmp_path, capsys, monkeypatch,
                                                    argv, flag):

@@ -1,4 +1,5 @@
-"""Link rates: tabulated KB/s or channel capacity, as users.json prices them."""
+"""Link rates: tabulated KB/s or channel capacity, as ``read_users`` prices
+them from a users.json document."""
 
 import math
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from esfl import ConfigError, UserBatch
-from esfl.users import CHANNEL_FIELDS, batch_from_columns, entry_problem, shannon_rates
+from esfl.users import read_users, shannon_rates
 
-_CHANNEL = (1e6, 1.0, 1.0, 1.0, 1.0, 1e-9)   # in CHANNEL_FIELDS order
+_CHANNEL_FIELDS = ("bandwidth_hz", "uplink_power_w", "downlink_power_w",
+                   "uplink_gain", "downlink_gain", "noise_density_w_per_hz")
+_CHANNEL = (1e6, 1.0, 1.0, 1.0, 1.0, 1e-9)   # in _CHANNEL_FIELDS order
 
 
 def _rate(bandwidth_hz, power_w, gain, noise_density_w_per_hz):
@@ -18,22 +21,12 @@ def _rate(bandwidth_hz, power_w, gain, noise_density_w_per_hz):
 
 
 def _read(*entries, kb_bytes=1024.0):
-    """Well-keyed users.json entries, read by ``batch_from_columns``."""
-    columns: dict[str, tuple[list, list]] = {}
-    for i, entry in enumerate(entries):
-        fields = {**{k: v for k, v in entry.items() if k != "channel"},
-                  **{f"channel.{k}": v for k, v in entry.get("channel", {}).items()}}
-        for field, value in fields.items():
-            users, raw = columns.setdefault(field, ([], []))
-            users.append(i)
-            raw.append(value)
-    return batch_from_columns(len(entries), {
-        field: (np.array(users), raw) for field, (users, raw) in columns.items()
-    }, kb_bytes)
+    """The batch of a users.json document of ``entries``."""
+    return read_users({"users": list(entries)}, kb_bytes, "users.json")
 
 
 def _channel_user(*channel):
-    return {"n_samples": 1, "tflops": 1, "channel": dict(zip(CHANNEL_FIELDS, channel))}
+    return {"n_samples": 1, "tflops": 1, "channel": dict(zip(_CHANNEL_FIELDS, channel))}
 
 
 class TestShannonRate:
@@ -53,7 +46,7 @@ class TestShannonRate:
         for k, value in ((0, 0.0), (5, 0.0), (1, -1.0)):
             channel = list(_CHANNEL)
             channel[k] = value
-            with pytest.raises(ConfigError, match=f"user 0: channel.{CHANNEL_FIELDS[k]}"):
+            with pytest.raises(ConfigError, match=f"user 0: channel.{_CHANNEL_FIELDS[k]}"):
                 _read(_channel_user(*channel))
 
     def test_concave_increasing_in_bandwidth(self):
@@ -122,11 +115,13 @@ class TestLinkRates:
     def test_mode_payload_mismatch(self):
         # a user gives exactly one kind of link
         one_of = "give exactly one of kbps, kbps_up/kbps_down, or channel"
-        base = {"n_samples", "tflops"}
-        for link in ({"kbps", "channel"}, {"kbps", "kbps_up", "kbps_down"}, set()):
-            assert entry_problem(frozenset(base | link)) == one_of
-        for link in ({"kbps"}, {"kbps_up", "kbps_down"}, {"channel"}):
-            assert entry_problem(frozenset(base | link)) is None
+        channel = _channel_user(*_CHANNEL)["channel"]
+        for link in ({"kbps": 10, "channel": channel},
+                     {"kbps": 10, "kbps_up": 10, "kbps_down": 10}, {}):
+            with pytest.raises(ConfigError, match=f"^users.json user 0: {one_of}$"):
+                _read({"n_samples": 1, "tflops": 1, **link})
+        for link in ({"kbps": 10}, {"kbps_up": 10, "kbps_down": 10}, {"channel": channel}):
+            _read({"n_samples": 1, "tflops": 1, **link})
 
     def test_negative_rates_rejected(self):
         with pytest.raises(ConfigError, match="user 0: up must be >= 0"):
@@ -151,5 +146,5 @@ class TestChannelValidation:
             for value in (math.nan, math.inf):
                 channel = list(_CHANNEL)
                 channel[k] = value
-                with pytest.raises(ConfigError, match=f"{CHANNEL_FIELDS[k]} must be finite"):
+                with pytest.raises(ConfigError, match=f"{_CHANNEL_FIELDS[k]} must be finite"):
                     _read(_channel_user(*channel))
