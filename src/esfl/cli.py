@@ -342,7 +342,8 @@ def format_numeric_table(headers: list[str], columns: list[np.ndarray],
 
 def _read_json(path: str):
     """Parse a JSON input file, refusing the NaN and Infinity literals. A
-    file that cannot be read or is not UTF-8 text is an input error."""
+    file that cannot be read, is not UTF-8 text or is not JSON is an input
+    error that names it."""
     def refuse(name):
         raise ConfigError(f"{path}: non-finite number {name} is not allowed")
     try:
@@ -351,7 +352,10 @@ def _read_json(path: str):
         raise ConfigError(str(exc) if exc.filename else f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return json.loads(text, parse_constant=refuse)
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -660,7 +664,11 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
 
 # The most data values train-toy draws: every user holds --samples blob
 # points of --dim features and a one-hot row of --classes, so a larger run
-# is refused before any blob is drawn.
+# is refused before any blob is drawn. The cap also bounds the arrays that
+# follow the pooled samples. Among them is the pooled-loss workspace, which
+# the trainer keeps for the whole run: 32 + 3 × --classes values per sample
+# (the two hidden layers' outputs, the logits and the loss's two arrays),
+# at most 17.5 times the data, at --dim 1 and --classes 1.
 MAX_TOY_VALUES = 10**7
 
 # The most parameter values train-toy holds. The network has
@@ -668,7 +676,8 @@ MAX_TOY_VALUES = 10**7
 # copy per user in each of the local models, their gradients and the
 # aggregation's reordered stack, beside four of the global size (the initial
 # and current networks and the aggregation's temporaries), so a larger run
-# is refused before the network is built.
+# is refused before the network is built. The pooled-loss workspace holds
+# no parameters; MAX_TOY_VALUES bounds it.
 MAX_TOY_PARAMETERS = 10**7
 
 
@@ -843,7 +852,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, _resolve_out_dir(args.out))
-    except (ConfigError, ProfileError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ProfileError, FileNotFoundError) as exc:
         field = getattr(exc, "field", None)   # named by its flag, as argparse names it
         message = exc if _given(args, field) is None else (
             f"argument {_FLAGS[field]}: {exc.problem}")

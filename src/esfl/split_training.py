@@ -22,8 +22,12 @@ models: one flat float64 buffer holds a row of parameters per user (w0, b0,
 w1, b1, ...), each stack's network is a view into its rows, built and
 validated once per run, and every minibatch writes its gradients into a
 buffer of the same layout and steps the stack with one in-place
-subtraction. :func:`split_update` runs the split gradient pass and returns
-a new state, leaving its input alone.
+subtraction. Each round's global loss over the pooled data is evaluated in
+the arrays of the first round's evaluation, one per layer (the activation
+written over its preactivation) and the loss's two, so a run allocates them
+once, not once a round; the layer and loss arithmetic is loss_value's.
+:func:`split_update` runs the split gradient pass and returns a new state,
+leaving its input alone.
 
 Backpropagation reads each layer's derivative from the forward pass's
 cached output (tanh' = 1 - a**2, identity passes the gradient through) and
@@ -46,11 +50,12 @@ import numpy as np
 
 from .errors import COUNT, FINITE, NUMBER, POSITIVE, between, check
 
-# name -> (activation, derivative from the cached preactivation z and
-# output a); None marks the identity, whose derivative is 1
+# name -> (activation, written into ``out`` when it is given, and derivative
+# from the cached preactivation z and output a); None marks the identity,
+# whose output is its input and whose derivative is 1
 ACTIVATIONS = {
-    "identity": (lambda z: z, None),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: z > 0),
+    "identity": (lambda z, out=None: z, None),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, a: z > 0),
     "tanh": (np.tanh, lambda z, a: 1.0 - a ** 2),
 }
 
@@ -121,13 +126,18 @@ def init_dense_net(
 # ---------------------------------------------------------------------------
 # Shared layer primitives; both the monolithic and the split path use these.
 
-def _forward_segment(net: DenseNet, x: np.ndarray):
-    """Returns (output, caches); caches[j] = (input, preactivation, output)."""
+def _forward_segment(net: DenseNet, x: np.ndarray, work=None):
+    """Returns (output, caches); caches[j] = (input, preactivation, output).
+
+    Every array is new unless ``work`` holds one array per layer: then each
+    layer is evaluated in its array and its activation overwrites its
+    preactivation, which serves callers that read only the output."""
     caches = []
     a_in = x
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a_in @ w + b[..., None, :]
-        a = ACTIVATIONS[act][0](z)
+    for j, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        z = None if work is None else work[j]
+        z = np.add(np.matmul(a_in, w, out=z), b[..., None, :], out=z)
+        a = ACTIVATIONS[act][0](z, out=None if work is None else z)
         caches.append((a_in, z, a))
         a_in = a
     return a_in, caches
@@ -153,18 +163,36 @@ def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
     return dws, dbs, da
 
 
-def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
-    """Loss value per group member and its gradient w.r.t. the output."""
+def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
+    """Loss value per group member, and the two output-shaped arrays it was
+    computed in: out - y and its squares for mse, the softmax probabilities
+    and the log-likelihood terms for softmax cross-entropy.
+
+    Every array is new unless ``work`` holds such a pair, a former call's on
+    arrays of the same shapes: then each step writes over its array."""
+    first, second = (None, None) if work is None else work
     batch = out.shape[-2]
     if loss == "mse":
-        diff = out - y
-        return (diff * diff).sum(axis=(-2, -1)) / batch, 2.0 * diff / batch
-    # softmax cross-entropy over logits, y one-hot
-    shifted = out - out.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=-1, keepdims=True)
-    value = -(y * np.log(np.maximum(probs, 1e-300))).sum(axis=(-2, -1)) / batch
-    return value, (probs - y) / batch
+        diff = np.subtract(out, y, out=first)
+        squares = np.multiply(diff, diff, out=second)
+        return squares.sum(axis=(-2, -1)) / batch, (diff, squares)
+    # softmax cross-entropy over logits, y one-hot; with work, the shifted
+    # logits, their exponentials and the probabilities share one array
+    shifted = np.subtract(out, out.max(axis=-1, keepdims=True), out=first)
+    expz = np.exp(shifted, out=first)
+    probs = np.divide(expz, expz.sum(axis=-1, keepdims=True), out=first)
+    logs = np.log(np.maximum(probs, 1e-300, out=second), out=second)
+    terms = np.multiply(y, logs, out=second)
+    return -terms.sum(axis=(-2, -1)) / batch, (probs, terms)
+
+
+def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
+    """Loss value per group member and its gradient w.r.t. the output."""
+    value, (first, _) = _loss_terms(out, y, loss)
+    batch = out.shape[-2]
+    if loss == "mse":   # first is out - y
+        return value, 2.0 * first / batch
+    return value, (first - y) / batch   # first holds the probabilities
 
 
 def _check_finite(value) -> None:
@@ -188,11 +216,20 @@ def _check_loss_head(net: DenseNet) -> None:
         raise ValueError("softmax_ce expects identity on the output layer")
 
 
-def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
+def _loss(net: DenseNet, x: np.ndarray, y: np.ndarray, work=None):
+    """The loss per group member, and the arrays it was evaluated in: one
+    per layer (its output) and the loss's two. A later call on arrays of
+    the same shapes and dtypes takes them as ``work`` and evaluates in them,
+    allocating none of them anew."""
     _check_loss_head(net)
-    out, _ = _forward_segment(net, x)
-    value, _ = _loss_and_grad(out, y, net.loss)
-    return float(value)
+    layers, terms = (None, None) if work is None else work
+    out, caches = _forward_segment(net, x, layers)
+    value, terms = _loss_terms(out, y, net.loss, terms)
+    return value, ([a for _, _, a in caches], terms)
+
+
+def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
+    return float(_loss(net, x, y)[0])
 
 
 def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
@@ -414,7 +451,9 @@ def esfl_train(
     The local models live in one flat buffer, a row per user, each stack's
     rows together; each stack's network is a view into its rows, built
     once, and each minibatch steps it in place with one subtraction. The
-    caller's ``net`` and the users' arrays are only read.
+    global loss after each round is :func:`loss_value`'s, evaluated in the
+    arrays of the first round's evaluation, which live until the run ends.
+    The caller's ``net`` and the users' arrays are only read.
     """
     check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
                    rounds, eta, rho0, batch_size)
@@ -436,7 +475,7 @@ def esfl_train(
                        _flat_views(grads, net), users[members[0]].epochs,
                        x, np.stack([users[i].y for i in members])))
         start += len(members)
-    trace = []
+    trace, work = [], None
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         local[...] = np.concatenate(
@@ -450,7 +489,8 @@ def esfl_train(
                     _backward_segment(stack, caches, d_out, grad_stack)
                     params -= rho * grads
         net = federated_aggregate(net, _flat_views(local[order], net), counts, eta)
-        trace.append(loss_value(net, pooled_x, pooled_y))
+        value, work = _loss(net, pooled_x, pooled_y, work)
+        trace.append(float(value))
     return net, trace
 
 

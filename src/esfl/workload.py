@@ -129,20 +129,20 @@ def load_architecture(
     bwd_multiplier: float = 2.0,
 ) -> ModelArchitecture:
     """Parse a profile document from a path or open text stream. A file
-    that is not UTF-8 text is a :class:`ProfileError` that names it."""
+    whose content fails to parse or validate, or is not UTF-8 text, is a
+    :class:`ProfileError` whose message starts with the file's path."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if name is None:
-            name = path.stem
-        with open(path, "r", encoding="utf-8") as fp:
-            try:
-                rows = _parse_rows(fp)
-            except UnicodeDecodeError as exc:
-                raise ProfileError(f"{path}: {exc}") from None
-    else:
-        rows = _parse_rows(source)
-        if name is None:
-            name = "unnamed"
+        try:
+            with open(path, "r", encoding="utf-8") as fp:
+                return load_architecture(
+                    fp, name=path.stem if name is None else name,
+                    bytes_per_element=bytes_per_element, bwd_multiplier=bwd_multiplier)
+        except (ProfileError, UnicodeDecodeError) as exc:
+            raise ProfileError(f"{path}: {exc}") from None
+    rows = _parse_rows(source)
+    if name is None:
+        name = "unnamed"
     if not rows:
         raise ProfileError("profile document lists no layers")
     if len(rows) < 2:

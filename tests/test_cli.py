@@ -46,6 +46,9 @@ def users_file(tmp_path):
     return path
 
 
+_PROFILE_HEADER = "layer,params,fwd_flops,activation\n"
+
+
 class TestSimulate:
     def test_writes_report_and_summary(self, tmp_path):
         out = tmp_path / "run"
@@ -235,6 +238,31 @@ class TestSimulate:
         assert _run(*argv, str(path), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("esfl: input error: ") and str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, name, text, what", [
+        (["optimize", "--users"], "users.json", '{"users": [',
+         "Expecting value: line 1 column 12 (char 11)"),
+        (["simulate", "--config"], "scenario.json", '{"seed": 1,}',
+         "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"),
+        (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,x,1,1\nB,1,1,1\n",
+         "line 2: cannot parse params value 'x'"),
+        (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,,1,1\nB,1,1,1\n",
+         "line 2: empty params is only permitted on the final layer"),
+        (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,1,1\nB,1,1,1\n",
+         "line 2: expected 4 fields, got 3"),
+        (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,-1,1,1\nB,1,1,1\n",
+         "layer 'A': param_count must be finite and >= 0, got -1.0"),
+        (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,1,1,1\n",
+         "profile lists a single layer; no valid cut exists"),
+    ], ids=["users-json", "config-json", "arch-value", "arch-blank", "arch-fields",
+            "arch-negative", "arch-single"])
+    def test_malformed_input_file_is_named_first(self, tmp_path, capsys, argv, name,
+                                                 text, what):
+        path = tmp_path / name
+        path.write_text(text)
+        assert _run(*argv, str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"esfl: input error: {path}: {what}\n"
         assert not (tmp_path / "o").exists()
 
     def test_shared_parser_keeps_no_state_between_calls(self):

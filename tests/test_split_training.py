@@ -18,7 +18,7 @@ from esfl import (
     split_net,
     split_update,
 )
-from esfl.split_training import ACTIVATIONS, LOSSES
+from esfl.split_training import ACTIVATIONS, LOSSES, _loss
 
 
 def _max_rel_dev(a: DenseNet, b: DenseNet) -> float:
@@ -737,6 +737,22 @@ class TestInPlaceTraining:
                    zip(final.weights + final.biases,
                        ref_final.weights + ref_final.biases))
 
+    def test_mse_relu_stack_matches_the_per_cut_trainer(self):
+        # relu hidden and output layers under mse, a ragged last minibatch,
+        # and two stacks, of 9 samples and of 6
+        rng = np.random.default_rng(25)
+        sizes = [3, 4, 5, 2]
+        net = init_dense_net(sizes, ["relu", "relu", "relu"], "mse", rng)
+        users = _toy_users(rng, sizes, "mse",
+                           [(1, 9, 1), (2, 6, 2), (2, 9, 1), (1, 6, 2), (1, 9, 1)])
+        kwargs = {"rounds": 5, "eta": 0.6, "rho0": 0.15, "batch_size": 4}
+        final, trace = esfl_train(net, users, **kwargs)
+        ref_final, ref_trace = _functional_stacked_train(net, users, **kwargs)
+        assert np.array_equal(trace, ref_trace)
+        assert all(np.array_equal(p, q) for p, q in
+                   zip(final.weights + final.biases,
+                       ref_final.weights + ref_final.biases))
+
     def test_cut_out_of_range_in_any_member_rejected(self):
         rng = np.random.default_rng(24)
         sizes = [2, 3, 3, 2]
@@ -766,6 +782,56 @@ class TestInPlaceTraining:
         split_update(state, (x, y))
         assert all(np.array_equal(a, b)
                    for a, b in zip(_arrays(concatenate(state)), before))
+
+
+@st.composite
+def _workspace_cases(draw):
+    """A 2- to 4-layer structure, plain or stacked, its data, and the number
+    of nets of that structure evaluated in turn."""
+    depth = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=depth + 1, max_size=depth + 1))
+    loss = draw(st.sampled_from(LOSSES))
+    names = st.sampled_from(sorted(ACTIVATIONS))
+    hidden = draw(st.lists(names, min_size=depth - 1, max_size=depth - 1))
+    head = "identity" if loss == "softmax_ce" else draw(names)
+    return {
+        "sizes": sizes, "activations": hidden + [head], "loss": loss,
+        "members": draw(st.none() | st.integers(1, 3)),
+        "samples": draw(st.integers(1, 40)), "nets": draw(st.integers(3, 5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestLossWorkspace:
+    """esfl_train evaluates each round's pooled loss in the arrays of the
+    first round's evaluation. Evaluated in a workspace that earlier nets
+    wrote, a net's loss must equal loss_value's bit for bit, and no array
+    may be allocated anew."""
+
+    @seed(20252)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_workspace_cases())
+    def test_reused_workspace_matches_loss_value_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sizes, loss, members = case["sizes"], case["loss"], case["members"]
+        shape = (members or 1, case["samples"])
+        x = rng.normal(size=shape + (sizes[0],))
+        y = (rng.normal(size=shape + (sizes[-1],)) if loss == "mse"
+             else np.eye(sizes[-1])[rng.integers(sizes[-1], size=shape)])
+        if members is None:
+            x, y = x[0], y[0]
+        _, work = _loss(init_dense_net(sizes, case["activations"], loss, rng), x, y)
+        arrays = work[0] + list(work[1])
+        for _ in range(case["nets"]):
+            nets = [init_dense_net(sizes, case["activations"], loss, rng)
+                    for _ in range(members or 1)]
+            value, work = _loss(nets[0] if members is None else _stack(nets), x, y, work)
+            assert all(a is b for a, b in zip(work[0] + list(work[1]), arrays, strict=True))
+            if members is None:
+                assert value == loss_value(nets[0], x, y)
+            else:
+                assert np.array_equal(value, [loss_value(n, x[i], y[i])
+                                              for i, n in enumerate(nets)])
 
 
 class TestMakeBlobs:
