@@ -2,11 +2,10 @@
 allocation, Monte-Carlo round simulation, and a toy split-training engine."""
 
 from .allocation import (
-    Allocation,
     OptimizerConfig,
     RowPlan,
-    brute_force_joint,
     equalize_min_max,
+    exact_level,
     plan_rows,
     server_demand_terms,
 )

@@ -28,6 +28,10 @@ round once it stalls; an (S,) batch is one round. Its :class:`RowPlan`
 holds every result as arrays, one row per round, and every pass's outcome
 as the trace.
 
+The alternation may stop above the joint optimum, which
+:func:`exact_level` finds by bisection on the level (minimax resource
+allocation; Ibaraki & Katoh, 1988), O(S*L) per step.
+
 By default a user's objective is its full round time (model up/down plus
 all local epochs plus aggregation). Setting ``epoch_objective`` restricts
 both passes to a single epoch's time, which drops the cut-dependent model
@@ -36,7 +40,6 @@ transfer term from the cut decision.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -55,14 +58,10 @@ _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
 # this many elements (2 MB of float64 each), which bounds the working set.
 MAX_CHUNK_ELEMENTS = 1 << 18
 
-# Largest instance brute_force_joint enumerates: at most 6**3 cut tuples.
-ORACLE_MAX_USERS = 3
-ORACLE_MAX_LAYERS = 6
-
-
 STALL_TOLERANCE = 1e-6       # relative inf-norm change in C treated as stalled
 BISECTION_TOLERANCE = 1e-9   # resource pass: relative accuracy of the level
 BISECTION_MAX_STEPS = 200    # resource pass: cap on demand evaluations
+EXACT_TOLERANCE = 1e-13      # exact_level: relative accuracy of the level
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,6 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         check("max_iters", self.max_iters, COUNT)
         check("t_agg", self.t_agg, FINITE, at_least(0))
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """The exact optimum :func:`brute_force_joint` finds: per-user cut,
-    per-user server compute, objective."""
-
-    cuts: tuple[int, ...]
-    server_compute: tuple[float, ...]
-    objective: float
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +139,12 @@ class _CutPass(NamedTuple):
 
 def server_demand_terms(
     batch: UserBatch,
-    cuts: Sequence[int] | np.ndarray,
+    cuts: Sequence[int] | np.ndarray | None,
     arch: ModelArchitecture,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constants (a, b) with per-user time a_i / C_i + b_i for fixed cuts.
+    """Constants (a, b) with per-user time a_i / C_i + b_i for fixed cuts;
+    ``cuts=None`` gives (..., S, L) terms, as :func:`round_terms` does.
 
     ``a`` is the objective's server time at unit compute and ``b`` the
     objective with the server time left out (infinite server compute).
@@ -163,7 +153,7 @@ def server_demand_terms(
     free = round_terms(batch, arch, cuts, math.inf, cfg.t_agg)
     if cfg.epoch_objective:
         return free.server_work, free.epoch
-    return batch.epochs * free.server_work, free.total
+    return free.epochs * free.server_work, free.total
 
 
 def _equalize(
@@ -332,6 +322,23 @@ def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
     return rel.max(axis=-1, initial=0.0) < tol
 
 
+def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
+                  ) -> tuple[UserBatch, np.ndarray]:
+    """``batch`` as (R, S) rows and their (R, S, L) feasibility mask, checked."""
+    if len(batch.shape) == 1:
+        batch = batch.rows(None)
+    if len(batch.shape) != 2:
+        raise ValueError("planning needs an (R, S) or an (S,) batch")
+    if not batch.shape[1]:
+        raise ValueError("at least one user is required")
+    check("c_total", c_total, (FINITE[0], "be finite in FLOP/s"), POSITIVE)
+    idle = batch.epochs < 1
+    if idle.any():
+        raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
+                         f"planning needs epochs >= 1")
+    return batch, _feasible(batch, arch)
+
+
 def plan_rows(
     batch: UserBatch,
     arch: ModelArchitecture,
@@ -354,19 +361,8 @@ def plan_rows(
     server time, raises a ``ConfigError`` naming ``c_total``.
     """
     cfg = cfg or OptimizerConfig()
-    if len(batch.shape) == 1:
-        batch = batch.rows(None)
-    if len(batch.shape) != 2:
-        raise ValueError("plan_rows needs an (R, S) or an (S,) batch")
+    batch, mask = _checked_rows(batch, arch, c_total)
     n_rows, n_users = batch.shape
-    if not n_users:
-        raise ValueError("at least one user is required")
-    check("c_total", c_total, (FINITE[0], "be finite in FLOP/s"), POSITIVE)
-    idle = batch.epochs < 1
-    if idle.any():
-        raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
-                         f"planning needs epochs >= 1")
-    mask = _feasible(batch, arch)
 
     best_cuts = np.zeros(batch.shape, dtype=int)
     best_compute = np.zeros(batch.shape)
@@ -411,37 +407,48 @@ def plan_rows(
                    resource_steps, tuple(passes))
 
 
-def check_oracle_size(users: int, layers: int) -> None:
-    """Refuse an instance of ``users`` users and ``layers`` layers that
-    :func:`brute_force_joint` would not enumerate."""
-    if users > ORACLE_MAX_USERS or layers > ORACLE_MAX_LAYERS:
-        raise ConfigError(f"instance too large for enumeration: {users} users x "
-                          f"{layers} layers (limits {ORACLE_MAX_USERS} x "
-                          f"{ORACLE_MAX_LAYERS})")
-
-
-def brute_force_joint(
+def exact_level(
     batch: UserBatch,
     arch: ModelArchitecture,
     c_total: float,
     cfg: OptimizerConfig | None = None,
-) -> Allocation:
-    """Exact joint optimum by enumerating every cut tuple.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's joint optimum, (R,), and its (R, S) 1-based cuts of least
+    server demand (ties to the smaller cut), for an (R, S) or (S,) batch
+    checked as :func:`plan_rows` checks it.
 
-    Only for oracle-sized instances: the resource subproblem is convex and
-    solved exactly per tuple, so exhaustiveness over cuts gives the global
-    optimum. Instances beyond ``ORACLE_MAX_USERS`` users or
-    ``ORACLE_MAX_LAYERS`` layers are refused by :func:`check_oracle_size`.
+    User i finishes by the level K on ``D_i(K) = min_c a_ic/(K - b_ic)``
+    server compute (0 where ``a_ic = 0``), so K is attainable exactly when
+    ``sum_i D_i(K) <= c_total``. Each row bisects K, to ``EXACT_TOLERANCE``
+    relative, up from its slowest user's fastest server-free time and down
+    from the level of an equal split.
     """
     cfg = cfg or OptimizerConfig()
-    check_oracle_size(len(batch), arch.num_layers)
-    mask = _feasible(batch, arch)
-    per_user = [(np.flatnonzero(row) + 1).tolist() for row in mask]
-    best: Allocation | None = None
-    for cuts in itertools.product(*per_user):
-        a, b = server_demand_terms(batch, cuts, arch, cfg)
-        compute, objective = equalize_min_max(a, b, c_total)
-        if best is None or objective < best.objective:
-            best = Allocation(tuple(cuts), tuple(compute), objective)
-    assert best is not None
-    return best
+    batch, mask = _checked_rows(batch, arch, c_total)
+    # the planner's first cut pass: each user at its fastest cut of an equal split
+    _, split_times = _CutPass.of(batch, arch, cfg, mask)(c_total / batch.shape[1])
+    a, b = server_demand_terms(batch, None, arch, cfg)
+    b = np.where(mask, b, np.inf)
+    per_work = np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0)
+    lo, hi = b.min(axis=-1).max(axis=-1), split_times.max(axis=-1)
+    for _ in range(BISECTION_MAX_STEPS):
+        live = hi - lo > EXACT_TOLERANCE * hi
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        best = _reach(mid, b, per_work).max(axis=-1)     # (R, S); NaN needs nothing
+        with np.errstate(divide="ignore", over="ignore"):
+            fits = np.nansum(1.0 / np.maximum(best, 0.0), axis=-1) <= c_total
+        hi = np.where(live & fits, mid, hi)
+        lo = np.where(live & ~fits, mid, lo)
+    reach = _reach(hi, b, per_work)
+    reach[np.isnan(reach)] = np.inf
+    # each user has a cut with b <= hi, since hi >= lo: its reach is >= 0
+    return hi, reach.argmax(axis=-1) + 1
+
+
+def _reach(level: np.ndarray, b: np.ndarray, per_work: np.ndarray) -> np.ndarray:
+    """``(level - b)/a`` at each cut: the inverse of the least server compute that
+    finishes it by its row's level; <= 0 too late, NaN at ``b = level`` if a = 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (level[:, None, None] - b) * per_work

@@ -50,8 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import split_training as toy
-from .allocation import (OptimizerConfig, RowPlan, brute_force_joint, check_oracle_size,
-                         plan_rows)
+from .allocation import OptimizerConfig, RowPlan, exact_level, plan_rows
 from .errors import ConfigError, EsflError, ProfileError
 from .simulation import (
     ScenarioSpec,
@@ -140,15 +139,18 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _resolve_out_dir(arg: str | None) -> Path:
     """The report directory: ``--out``, else ``$ESFL_OUT_DIR``, else
-    ``./esfl_out``. It is checked before any work: a path that is, or lies
-    under, anything but a directory is an input error that names where the
-    path came from."""
-    if arg:
-        source, path = "--out", Path(arg)
+    ``./esfl_out``. It is checked before any work: an empty path, or one
+    that is, or lies under, anything but a directory, is an input error
+    that names where the path came from."""
+    if arg is not None:
+        source, text = "--out", arg
     elif OUT_DIR_ENV in os.environ:
-        source, path = OUT_DIR_ENV, Path(os.environ[OUT_DIR_ENV])
+        source, text = OUT_DIR_ENV, os.environ[OUT_DIR_ENV]
     else:
-        source, path = "the default output directory", Path("esfl_out")
+        source, text = "the default output directory", "esfl_out"
+    if not text:   # Path("") is the working directory
+        raise ConfigError(f"{source} is empty: it must name a directory")
+    path = Path(text)
     for part in (path, *path.parents):
         if part.is_dir():
             break
@@ -525,8 +527,6 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
 def cmd_optimize(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     batch = _users_from_doc(args.users, float(args.kb))
-    if args.oracle:   # before planning every user
-        check_oracle_size(len(batch), arch.num_layers)
     cfg = _optimizer_from_args(args)
     c_total = args.server_tflops * 1e12
     plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0
@@ -559,17 +559,12 @@ def cmd_optimize(args, out_dir: Path) -> int:
     )
 
     if args.oracle:
-        exact = brute_force_joint(batch, arch, c_total, cfg)
-        gap = objective / exact.objective if exact.objective > 0 else 1.0
-        payload["oracle"] = {
-            "objective_s": exact.objective,
-            "cuts": list(exact.cuts),
-            "gap_ratio": gap,
-        }
-        table += (
-            f"\nexhaustive optimum {exact.objective:.3f} s, "
-            f"gap ratio {gap:.6f}\n"
-        )
+        levels, exact_cuts = exact_level(batch, arch, c_total, cfg)
+        exact = float(levels[0])
+        gap = objective / exact if exact > 0 else 1.0
+        payload["oracle"] = {"objective_s": exact, "cuts": exact_cuts[0].tolist(),
+                             "gap_ratio": gap}
+        table += f"\nexact optimum {exact:.3f} s, gap ratio {gap:.6f}\n"
 
     _emit(out_dir, "allocation", payload, table)
     print(table, end="")
@@ -811,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--epoch-objective", action="store_true")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the exhaustive oracle (tiny instances only)")
+                   help="also solve the exact joint optimum and report the gap")
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 

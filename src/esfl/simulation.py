@@ -457,7 +457,8 @@ def price_rounds(
     plan = plan_rows(batch, arch, c_total, cfg) if "esfl" in algorithms else None
 
     policies = {
-        "esfl": lambda: esfl_round_time(plan, batch, arch, cfg.t_agg),
+        "esfl": lambda: esfl_round_time(plan.cuts, plan.server_compute, batch, arch,
+                                        cfg.t_agg),
         "fl": lambda: fl_round_time(batch, arch, cfg.t_agg),
         "sfl": lambda: sfl_round_time(batch, arch, fixed, c_total, cfg.t_agg),
         "sl": lambda: sl_round_time(batch, arch, fixed, c_total, cfg.t_agg),

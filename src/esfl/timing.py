@@ -23,16 +23,13 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AllocationError, InfeasibleLinkError, InfeasibleUserError, id_list
 from .users import UserBatch
 from .workload import ModelArchitecture
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .allocation import Allocation, RowPlan
 
 
 def _guarded_div(
@@ -336,11 +333,11 @@ def _straggler(
 
 
 def esfl_round_time(
-    alloc: "Allocation | RowPlan", batch: UserBatch, arch: ModelArchitecture,
-    t_agg: float = 0.0,
+    cuts: Sequence[int] | np.ndarray, server_compute: np.ndarray | float,
+    batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Per-user cuts and server compute; the slowest user ends the round."""
-    terms = round_terms(batch, arch, alloc.cuts, alloc.server_compute, t_agg)
+    terms = round_terms(batch, arch, cuts, server_compute, t_agg)
     return _straggler(terms, terms.communication)
 
 

@@ -14,15 +14,16 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 import esfl
 from esfl import (
     SimOptions,
     UserBatch,
-    brute_force_joint,
     concatenate,
     convergence_study,
     equalize_min_max,
+    exact_level,
     feasibility_mask,
     init_dense_net,
     load_architecture,
@@ -232,11 +233,11 @@ def _random_joint_instance(rng):
 
 
 def test_criterion_4_joint_oracle_gap():
-    """Alternation against exhaustive enumeration on tiny instances.
+    """Alternation against the exact joint optimum on tiny instances.
 
     Instances mirror the scenario structure (resource options spread by a
     factor of about five within a draw). On such instances the alternation
-    lands within a few percent of the exhaustive optimum; instance families
+    lands within a few percent of the exact optimum; instance families
     with much wider spreads can exhibit larger local-optimum gaps, which is
     expected of a block-coordinate heuristic with no optimality guarantee.
     """
@@ -245,16 +246,30 @@ def test_criterion_4_joint_oracle_gap():
         worst = 1.0
         for _ in range(40):
             users, arch, c_total = _random_joint_instance(rng)
-            exact = brute_force_joint(users, arch, c_total)
+            level, _ = exact_level(users, arch, c_total)
             heur = plan_rows(users, arch, c_total)
             _assert_monotone(heur, "(criterion 4 instance)")
-            ratio = float(heur.objective[0]) / exact.objective
-            assert ratio >= 1 - 1e-9, "heuristic beat the exhaustive oracle"
+            ratio = float(heur.objective[0] / level[0])
+            assert ratio >= 1 - 1e-9, "heuristic beat the exact optimum"
             worst = max(worst, ratio)
         assert worst <= 1.05, (
             f"worst heuristic/oracle ratio {worst:.4f} exceeds 1.05; "
             "investigate the offending instances before accepting"
         )
+
+
+@pytest.mark.xfail(strict=True, reason="the planner's unfunded-user trap: a user "
+                   "left at a cut without server work gets no compute, so every "
+                   "server cut prices to infinity in the next cut pass")
+def test_criterion_4_generator_trap_instance():
+    """Instance 746 of criterion 4's generator under ``default_rng(11)``:
+    the plan stops at cuts (3, 5, 3), 1.3417x the optimum at (5, 3, 5)."""
+    rng = np.random.default_rng(11)
+    for _ in range(747):
+        users, arch, c_total = _random_joint_instance(rng)
+    level, cuts = exact_level(users, arch, c_total)
+    assert cuts[0].tolist() == [5, 3, 5]
+    assert plan_rows(users, arch, c_total).objective[0] <= level[0] * (1 + 1e-9)
 
 
 def test_criterion_5_monotone_descent():

@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from esfl import (
     InfeasibleUserError,
     OptimizerConfig,
     UserBatch,
-    brute_force_joint,
     equalize_min_max,
+    exact_level,
     feasibility_mask,
     load_architecture,
     load_builtin,
@@ -65,6 +67,25 @@ def _row_trace(plan, r):
 def _row(plan, r):
     """Row r of a plan, its results and its trace, as Python values."""
     return {f: getattr(plan, f)[r].tolist() for f in _PLAN_FIELDS}, _row_trace(plan, r)
+
+
+def _enumerated_optimum(batch, arch, c_total, cfg=None):
+    """The joint optimum and its first cut tuple, by enumerating every
+    feasible cut tuple with its exact resource pass: O(L^S), the reference
+    for :func:`exact_level` on tiny instances."""
+    mask = feasibility_mask(batch, arch)
+    best = (math.inf, None)
+    for cuts in itertools.product(*[(np.flatnonzero(row) + 1).tolist() for row in mask]):
+        objective = _attained(batch, arch, c_total, cuts, cfg)
+        if objective < best[0]:
+            best = (objective, cuts)
+    return best
+
+
+def _attained(batch, arch, c_total, cuts, cfg=None):
+    """The least objective the cuts ``cuts`` attain: their exact resource pass."""
+    a, b = server_demand_terms(batch, cuts, arch, cfg)
+    return equalize_min_max(a, b, c_total)[1]
 
 
 def _best_cut(batch, arch, server_flops, cfg=None):
@@ -293,27 +314,36 @@ _JOINT_USER = st.tuples(st.sampled_from([200.0, 400.0, 600.0, 800.0]),
                         st.floats(0.0, 1.5))
 
 
+def _joint_instance(layers, users):
+    """The architecture and users that ``_LAYER`` and ``_JOINT_USER`` draws
+    describe."""
+    arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                   for j, (p, f, a) in enumerate(layers)]))
+    first, whole = arch.model_bytes_by_cut[0], arch.model_bytes_by_cut[-1]
+    n, flops, up, down, share = (np.array(x) for x in zip(*users))
+    return arch, UserBatch.checked(
+        n, flops, up, down,
+        storage_bytes=np.where(share < 1, first + share * (whole - first), math.inf))
+
+
+_JOINT = (
+    st.lists(_LAYER, min_size=2, max_size=5),
+    st.lists(_JOINT_USER, min_size=1, max_size=3),
+    st.floats(1e9, 2e11),
+    st.booleans(),
+    st.sampled_from([0.0, 2.5]),
+)
+
+
 class TestAlternateProperties:
     """The alternation on tiny random instances (seeded, bounded)."""
 
     @seed(20246)
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        st.lists(_LAYER, min_size=2, max_size=5),
-        st.lists(_JOINT_USER, min_size=1, max_size=3),
-        st.floats(1e9, 2e11),
-        st.booleans(),
-        st.sampled_from([0.0, 2.5]),
-    )
+    @given(*_JOINT)
     def test_admissible_never_beats_the_oracle_and_descends(
             self, layers, users, c_total, epoch_objective, t_agg):
-        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
-                                       for j, (p, f, a) in enumerate(layers)]))
-        first, whole = arch.model_bytes_by_cut[0], arch.model_bytes_by_cut[-1]
-        n, flops, up, down, share = (np.array(x) for x in zip(*users))
-        users = UserBatch.checked(
-            n, flops, up, down,
-            storage_bytes=np.where(share < 1, first + share * (whole - first), math.inf))
+        arch, users = _joint_instance(layers, users)
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
         plan = plan_rows(users, arch, c_total, cfg)
         cuts, compute = plan.cuts[0], plan.server_compute[0]
@@ -321,11 +351,76 @@ class TestAlternateProperties:
         assert mask[np.arange(len(users)), cuts - 1].all()
         assert min(compute) >= 0
         assert sum(compute.tolist()) <= c_total * (1 + 1e-12)
-        exact = brute_force_joint(users, arch, c_total, cfg)
-        assert plan.objective[0] / exact.objective >= 1 - 1e-9
+        level, _ = exact_level(users, arch, c_total, cfg)
+        assert plan.objective[0] / level[0] >= 1 - 1e-9
         objectives = [p.objective[0] for p in plan.passes]
         assert all(later <= earlier * (1 + 1e-12)
                    for earlier, later in zip(objectives, objectives[1:]))
+
+
+class TestExactLevel:
+    """The exact joint optimum against enumeration where it can run, and
+    against the planner where it cannot."""
+
+    @seed(20247)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(*_JOINT)
+    def test_matches_the_enumeration(self, layers, users, c_total, epoch_objective,
+                                     t_agg):
+        arch, users = _joint_instance(layers, users)
+        cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        level, cuts = exact_level(users, arch, c_total, cfg)
+        assert level.shape == (1,) and cuts.shape == (1, len(users))
+        optimum, _ = _enumerated_optimum(users, arch, c_total, cfg)
+        assert level[0] == pytest.approx(optimum, rel=1e-9)
+        assert feasibility_mask(users, arch)[np.arange(len(users)), cuts[0] - 1].all()
+        assert _attained(users, arch, c_total, cuts[0], cfg) <= level[0] * (1 + 1e-9)
+
+    def test_plan_never_beats_it_on_the_presets(self, vgg19):
+        for spec in preset_scenarios().values():
+            rng = np.random.default_rng(spec.seed)
+            batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 100)
+            c_total = spec.server_tflops * 1e12
+            level, cuts = exact_level(batch, vgg19, c_total)
+            assert level.shape == (100,) and cuts.shape == batch.shape
+            assert np.all(plan_rows(batch, vgg19, c_total).objective
+                          >= level * (1 - 1e-9)), spec.name
+            for r in range(0, 100, 25):
+                assert (_attained(batch.rows(r), vgg19, c_total, cuts[r])
+                        <= level[r] * (1 + 1e-9))
+
+    def test_a_budget_that_rounds_the_server_time_away(self, vgg19):
+        # every server time is below the rounding of the server-free times,
+        # so the level is the slowest user's fastest server-free time
+        users = _random_users(np.random.default_rng(8), 6)
+        level, cuts = exact_level(users, vgg19, 1e300)
+        free = server_demand_terms(users, None, vgg19)[1]
+        assert level[0] == free.min(axis=-1).max()
+        assert _attained(users, vgg19, 1e300, cuts[0]) <= level[0] * (1 + 1e-9)
+
+    def test_rows_solve_like_each_row(self, vgg19):
+        spec = preset_scenarios()["LH"]
+        rng = np.random.default_rng(3)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 6)
+        level, cuts = exact_level(batch, vgg19, 50e12)
+        for r in range(6):
+            one_level, one_cuts = exact_level(batch.rows(r), vgg19, 50e12)
+            assert (one_level[0], one_cuts[0].tolist()) == (level[r], cuts[r].tolist())
+
+    @pytest.mark.parametrize("users, c_total", [
+        (_users(uid=range(2), storage_bytes=[math.inf, 1.0]), 130e12),  # no feasible cut
+        (dataclasses.replace(_users(uid=range(2)), epochs=np.array([5.0, 0.0])),
+         130e12),                                                        # no epoch
+        (_users(), math.inf),
+        (_users(), 0.0),
+        (_users(uid=range(300), storage_bytes=3e6), 1e-320),   # server time overflows
+        (_users(kbps=0.0), 130e12),                            # dead link
+    ])
+    def test_refuses_as_plan_rows_does(self, vgg19, users, c_total):
+        with pytest.raises(Exception) as planned:
+            plan_rows(users, vgg19, c_total)
+        with pytest.raises(type(planned.value), match=re.escape(str(planned.value))):
+            exact_level(users, vgg19, c_total)
 
 
 # a dead (zero-rate) link one time in twenty
@@ -581,33 +676,39 @@ class TestOptimizerConfig:
 
 
 class TestBruteForce:
+    """:func:`exact_level` against the enumeration and the planner."""
+
     def _toy_arch(self):
         return load_architecture(_doc([
             "A,0.02,8,0.04", "B,0.03,12,0.02", "C,0.05,9,0.015", "D,0.3,4,0.001",
         ]))
 
-    def test_refuses_large_instances(self, vgg19):
-        with pytest.raises(ValueError):
-            brute_force_joint(_users(), vgg19, 130e12)
-        arch = self._toy_arch()
-        users = _users(uid=range(4))
-        with pytest.raises(ValueError):
-            brute_force_joint(users, arch, 1e12)
+    def test_exact_level_has_no_size_cap(self, vgg19):
+        # 4 users x 4 layers, and 20 layers: the enumeration grows as L**S
+        users = _random_users(np.random.default_rng(5), 4)
+        level, cuts = exact_level(users, self._toy_arch(), 1e12)
+        assert level[0] == pytest.approx(
+            _enumerated_optimum(users, self._toy_arch(), 1e12)[0], rel=1e-9)
+        level, cuts = exact_level(_users(), vgg19, 130e12)
+        assert plan_rows(_users(), vgg19, 130e12).objective[0] >= level[0] * (1 - 1e-9)
+        assert _attained(_users(), vgg19, 130e12, cuts[0]) <= level[0] * (1 + 1e-9)
 
     def test_single_user_matches_alternate(self):
         arch = self._toy_arch()
         u = _users(n=100, tflops=0.002, kbps=200)
-        bf = brute_force_joint(u, arch, 5e9)
+        level, cuts = exact_level(u, arch, 5e9)
         plan = plan_rows(u, arch, 5e9)
-        assert bf.cuts == tuple(plan.cuts[0].tolist())
-        assert plan.objective[0] == pytest.approx(bf.objective, rel=1e-9)
+        assert cuts.tolist() == plan.cuts.tolist()
+        assert plan.objective[0] == pytest.approx(level[0], rel=1e-9)
 
     def test_identical_pair_symmetric_optimum(self):
         arch = load_architecture(_doc(["A,0.02,8,0.04", "B,0.03,12,0.02", "C,0.05,9,0.0"]))
         users = _users(n=[100, 100], tflops=0.002, kbps=200)
-        bf = brute_force_joint(users, arch, 5e9)
-        assert bf.cuts[0] == bf.cuts[1]
-        assert bf.server_compute[0] == pytest.approx(bf.server_compute[1], rel=1e-9)
+        _, cuts = exact_level(users, arch, 5e9)
+        assert cuts[0, 0] == cuts[0, 1]
+        a, b = server_demand_terms(users, cuts[0], arch)
+        compute, _ = equalize_min_max(a, b, 5e9)
+        assert compute[0] == pytest.approx(compute[1], rel=1e-9)
 
     def test_oracle_dominates_heuristic(self):
         arch = self._toy_arch()
@@ -616,6 +717,8 @@ class TestBruteForce:
             draws = [(float(rng.integers(50, 300)), float(rng.uniform(0.001, 0.01)),
                       float(rng.uniform(50, 500))) for _ in range(2)]
             users = _users(*zip(*draws))
-            bf = brute_force_joint(users, arch, 5e9)
+            level, _ = exact_level(users, arch, 5e9)
+            assert level[0] == pytest.approx(
+                _enumerated_optimum(users, arch, 5e9)[0], rel=1e-9)
             plan = plan_rows(users, arch, 5e9)
-            assert plan.objective[0] >= bf.objective * (1 - 1e-9)
+            assert plan.objective[0] >= level[0] * (1 - 1e-9)

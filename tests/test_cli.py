@@ -323,6 +323,22 @@ class TestOutDir:
         assert _run("simulate", "--rounds", "2") == 1
         assert f"input error: ESFL_OUT_DIR {str(existing)!r}: " in capsys.readouterr().err
 
+    def test_an_empty_out_is_refused(self, tmp_path, capsys, refuse_work, monkeypatch):
+        monkeypatch.chdir(tmp_path)   # where Path("") would write
+        assert _run("optimize", "--users", "users.json", "--out", "") == 1
+        assert capsys.readouterr().err == (
+            "esfl: input error: --out is empty: it must name a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_environment_variable_is_refused(self, tmp_path, capsys,
+                                                      refuse_work, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ESFL_OUT_DIR", "")
+        assert _run("simulate", "--rounds", "2") == 1
+        assert capsys.readouterr().err == (
+            "esfl: input error: ESFL_OUT_DIR is empty: it must name a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOptimize:
     def test_two_user_allocation(self, tmp_path, users_file):
@@ -355,7 +371,7 @@ class TestOptimize:
         assert rc == 0
         report = json.loads((out / "allocation.json").read_text())
         assert report["oracle"]["gap_ratio"] >= 1.0 - 1e-9
-        assert "gap ratio" in capsys.readouterr().out
+        assert "exact optimum" in capsys.readouterr().out
 
     def test_out_of_range_count_is_input_error(self, tmp_path, users_file, capsys):
         for flag in ("--max-iters", "--server-tflops"):
@@ -410,14 +426,24 @@ class TestOptimize:
         assert len(err) < 1024
         assert re.search(r": users \[(\d+, ){7}\d+\] and \d+ more: the server time", err)
 
-    def test_oracle_refused_for_large_arch(self, tmp_path, users_file, capsys, monkeypatch):
-        _forbid(monkeypatch, cli, "plan_rows")   # refused before planning every user
+    def test_oracle_runs_on_a_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
-                    "--oracle", "--out", str(tmp_path / "o")) == 1
-        assert capsys.readouterr().err == (
-            "esfl: input error: instance too large for enumeration: 2 users x "
-            "20 layers (limits 3 x 6)\n")
-        assert not (tmp_path / "o").exists()
+                    "--oracle", "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "allocation.json").read_text())
+        assert report["oracle"]["gap_ratio"] >= 1.0 - 1e-9
+        assert len(report["oracle"]["cuts"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--epoch-objective", "--t-agg", "1.5"]])
+    @pytest.mark.parametrize("n", [300, 10_000])
+    def test_plan_never_beats_the_oracle_on_many_users(self, tmp_path, n, extra):
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps(_bench_style_users(n, seed=5)))
+        assert _run("optimize", "--users", str(users), "--arch", "vgg19", "--oracle",
+                    *extra, "--out", str(tmp_path / "o")) == 0
+        report = json.loads((tmp_path / "o" / "allocation.json").read_text())
+        assert report["oracle"]["objective_s"] <= report["objective_s"] * (1 + 1e-9)
+        assert report["oracle"]["gap_ratio"] >= 1.0 - 1e-9
+        assert len(report["oracle"]["cuts"]) == n
 
     def test_strict_user_keys(self, tmp_path):
         bad = tmp_path / "bad.json"

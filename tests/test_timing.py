@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from esfl import (
-    Allocation,
     AllocationError,
     ConfigError,
     InfeasibleLinkError,
@@ -140,22 +139,20 @@ class TestRoundTime:
 class TestRoundPolicies:
     def test_esfl_single_user(self, vgg19):
         u = _users()
-        alloc = Allocation(cuts=(5,), server_compute=(1e12,), objective=0.0)
-        t, _ = esfl_round_time(alloc, u, vgg19)
+        t, _ = esfl_round_time((5,), 1e12, u, vgg19)
         assert t == round_terms(u, vgg19, [5], 1e12).total[0]
 
     def test_esfl_identical_users_equal_totals(self, vgg19):
         users = _users(uid=range(2))
-        alloc = Allocation(cuts=(5, 5), server_compute=(1e12, 1e12), objective=0.0)
-        t, comm = esfl_round_time(alloc, users, vgg19)
+        t, comm = esfl_round_time((5, 5), np.array([1e12, 1e12]), users, vgg19)
         single = round_terms(users.rows(slice(1)), vgg19, [5], 1e12)
         assert (t, comm) == (single.total[0], single.communication[0])
 
     def test_esfl_max_dominates_each_user(self, vgg19):
         users = _users(kbps=[10, 100], tflops=[2.0, 4.0])
-        alloc = Allocation(cuts=(3, 8), server_compute=(5e11, 5e11), objective=0.0)
-        t, comm = esfl_round_time(alloc, users, vgg19)
-        totals = round_terms(users, vgg19, alloc.cuts, np.array(alloc.server_compute)).total
+        cuts, compute = (3, 8), np.array([5e11, 5e11])
+        t, comm = esfl_round_time(cuts, compute, users, vgg19)
+        totals = round_terms(users, vgg19, cuts, compute).total
         assert np.all(t >= totals)
         assert comm <= t
 
@@ -173,8 +170,8 @@ class TestRoundPolicies:
     def test_fl_equals_esfl_with_cuts_forced_to_last_layer(self, vgg19):
         users = _users(kbps=[10, 15, 20])
         L = vgg19.num_layers
-        alloc = Allocation(cuts=(L,) * 3, server_compute=(0.0,) * 3, objective=0.0)
-        assert esfl_round_time(alloc, users, vgg19) == fl_round_time(users, vgg19)
+        assert (esfl_round_time((L,) * 3, np.zeros(3), users, vgg19)
+                == fl_round_time(users, vgg19))
 
     def test_fl_monotone_in_device_compute(self, vgg19):
         slow = _users(tflops=1.0)
@@ -183,8 +180,8 @@ class TestRoundPolicies:
 
     def test_sfl_single_user_equals_esfl_with_full_budget(self, vgg19):
         u = _users()
-        alloc = Allocation(cuts=(4,), server_compute=(130e12,), objective=0.0)
-        assert sfl_round_time(u, vgg19, 4, 130e12) == esfl_round_time(alloc, u, vgg19)
+        assert (sfl_round_time(u, vgg19, 4, 130e12)
+                == esfl_round_time((4,), np.array([130e12]), u, vgg19))
 
     def test_sfl_at_last_layer_equals_fl(self, vgg19):
         users = _users(tflops=[1.0, 2.0, 3.0])
@@ -217,9 +214,8 @@ class TestStragglerAttribution:
         assert abs(terms.total[0] - terms.total[1]) <= 1e-12 * terms.total.max()
         for order in ((0, 1), (1, 0)):  # the answer follows the user, not the index
             picked = batch.rows(list(order))
-            alloc = Allocation(tuple(cuts[k] for k in order),
-                               tuple(compute[k] for k in order), 0.0)
-            t, comm = esfl_round_time(alloc, picked, vgg19)
+            t, comm = esfl_round_time([cuts[k] for k in order], compute[list(order)],
+                                      picked, vgg19)
             assert t == terms.total.max()
             assert comm == terms.communication[0]
 
@@ -233,14 +229,13 @@ class TestStragglerAttribution:
             plan = plan_rows(batch, vgg19, spec.server_tflops * 1e12)
             for r in range(8):
                 users = batch.rows(r)
-                alloc = Allocation(plan.cuts[r], plan.server_compute[r], plan.objective[r])
-                terms = round_terms(users, vgg19, alloc.cuts, alloc.server_compute)
-                _, comm = esfl_round_time(alloc, users, vgg19)
+                cuts, compute = plan.cuts[r], plan.server_compute[r]
+                terms = round_terms(users, vgg19, cuts, compute)
+                _, comm = esfl_round_time(cuts, compute, users, vgg19)
                 for scale in (1 - 1e-10, 1 + 1e-10):
-                    scaled = Allocation(alloc.cuts, alloc.server_compute * scale, 0.0)
-                    shifted = round_terms(users, vgg19, alloc.cuts, scaled.server_compute)
+                    shifted = round_terms(users, vgg19, cuts, compute * scale)
                     moved += int(np.argmax(shifted.total) != np.argmax(terms.total))
-                    assert esfl_round_time(scaled, users, vgg19)[1] == comm
+                    assert esfl_round_time(cuts, compute * scale, users, vgg19)[1] == comm
         assert moved > 0  # the plain argmax does move on these rounds
 
     def test_rows_price_like_each_row(self, vgg19):
