@@ -631,11 +631,11 @@ def cmd_converge(args, out_dir: Path) -> int:
 # train-toy
 
 def _max_rel_param_dev(a: toy.DenseNet, b: toy.DenseNet) -> float:
-    dev = 0.0
-    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
-        denom = np.maximum(np.maximum(np.abs(wa), np.abs(wb)), 1e-12)
-        dev = max(dev, float(np.max(np.abs(wa - wb) / denom)))
-    return dev
+    """Largest |a - b| / max(|a|, |b|, 1e-12) over all the parameters."""
+    wa, wb = (np.concatenate([p.ravel() for p in net.weights + net.biases])
+              for net in (a, b))
+    denom = np.maximum(np.maximum(np.abs(wa), np.abs(wb)), 1e-12)
+    return float(np.max(np.abs(wa - wb) / denom))
 
 
 def _equivalence_sweep(seed: int, cases: int = 25) -> float:
@@ -709,7 +709,6 @@ def cmd_train_toy(args, out_dir: Path) -> int:
                               dim=args.dim, rng=rng)
         users.append(toy.ToyUser(x=x, y=y, cut=cuts[i], epochs=args.epochs))
 
-    initial = net
     final, trace = toy.esfl_train(
         net, users, rounds=args.rounds, eta=args.eta, rho0=args.rho0,
         batch_size=args.batch_size,
@@ -728,14 +727,10 @@ def cmd_train_toy(args, out_dir: Path) -> int:
         "eta": args.eta,
         "rho0": args.rho0,
         "batch_size": args.batch_size,
-        "loss_trace": trace,
-        "initial_loss": toy.loss_value(
-            initial,
-            np.concatenate([u.x for u in users]),
-            np.concatenate([u.y for u in users]),
-        ),
-        "final_loss": trace[-1] if trace else None,
-        "deviation_from_init": _max_rel_param_dev(initial, final),
+        "loss_trace": trace[1:],
+        "initial_loss": trace[0],
+        "final_loss": trace[-1],
+        "deviation_from_init": _max_rel_param_dev(net, final),
     }
     lines = [
         f"toy split training: {n_users} users, {args.rounds} rounds, "

@@ -22,12 +22,23 @@ models: one flat float64 buffer holds a row of parameters per user (w0, b0,
 w1, b1, ...), each stack's network is a view into its rows, built and
 validated once per run, and every minibatch writes its gradients into a
 buffer of the same layout and steps the stack with one in-place
-subtraction. Each round's global loss over the pooled data is evaluated in
-the arrays of the first round's evaluation, one per layer (the activation
-written over its preactivation) and the loss's two, so a run allocates them
-once, not once a round; the layer and loss arithmetic is loss_value's.
+subtraction. The global loss over the pooled data, the incoming network's
+before round 0 and each round's after it, is evaluated in the arrays of
+the first evaluation, one per layer (the activation written over its
+preactivation) and the loss's two, so a run allocates them once, not once
+a round; the layer and loss arithmetic is loss_value's.
 :func:`split_update` runs the split gradient pass and returns a new state,
 leaving its input alone.
+
+The softmax takes a max and an exp-sum over the class axis, the last, of
+every sample row. Numpy reduces a short trailing axis one row at a time,
+at 20 to 55 ns a row, so with fewer than 8 classes both reductions run over
+a class-major copy's leading axis instead, a few whole-array passes
+(:func:`_class_reduce`). The results are numpy's row reductions' bit for
+bit: a max is exact in any order, and numpy adds a row of fewer than 8
+values in order, as a leading-axis reduction does. From 8 values on,
+numpy sums a row in pairwise blocks, so wider class axes keep the row
+reduction.
 
 Backpropagation reads each layer's derivative from the forward pass's
 cached output (tanh' = 1 - a**2, identity passes the gradient through) and
@@ -163,6 +174,20 @@ def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
     return dws, dbs, da
 
 
+def _class_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the last axis of ``a``, kept as length 1.
+
+    Numpy reduces a short last axis one row at a time, at 20 to 55 ns a
+    row; below 8 classes, a class-major copy reduced over its leading axis
+    gives the same bits in a few whole-array passes. A max is exact in any
+    order, and numpy adds a row of fewer than 8 values in order, as the
+    leading-axis reduction does. From 8 values on, numpy adds a row in
+    pairwise blocks, so wider axes keep the row reduction."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    return ufunc.reduce(a.T.copy(), axis=0, keepdims=True).T
+
+
 def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
     """Loss value per group member, and the two output-shaped arrays it was
     computed in: out - y and its squares for mse, the softmax probabilities
@@ -178,9 +203,9 @@ def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
         return squares.sum(axis=(-2, -1)) / batch, (diff, squares)
     # softmax cross-entropy over logits, y one-hot; with work, the shifted
     # logits, their exponentials and the probabilities share one array
-    shifted = np.subtract(out, out.max(axis=-1, keepdims=True), out=first)
+    shifted = np.subtract(out, _class_reduce(np.maximum, out), out=first)
     expz = np.exp(shifted, out=first)
-    probs = np.divide(expz, expz.sum(axis=-1, keepdims=True), out=first)
+    probs = np.divide(expz, _class_reduce(np.add, expz), out=first)
     logs = np.log(np.maximum(probs, 1e-300, out=second), out=second)
     terms = np.multiply(y, logs, out=second)
     return -terms.sum(axis=(-2, -1)) / batch, (probs, terms)
@@ -209,10 +234,22 @@ def _step(net: DenseNet, dws, dbs, rho: float) -> DenseNet:
     )
 
 
-def _check_loss_head(net: DenseNet) -> None:
+def _check_batch(x: np.ndarray, y: np.ndarray, first: DenseNet, last: DenseNet,
+                 who: str = "batch") -> None:
+    """Refuses a batch whose features do not fit the input layer, held by
+    ``first``, whose labels are not one row of the output layer's width,
+    held by ``last``, per sample, or a loss the output layer cannot feed.
+    ``who`` names the batch's owner in the message."""
+    if x.shape[-1] != first.weights[0].shape[-2]:
+        raise ValueError(f"{who} feature dimension {x.shape[-1]} does not match "
+                         f"the input layer's {first.weights[0].shape[-2]}")
+    width = last.weights[-1].shape[-1]
+    if y.shape != x.shape[:-1] + (width,):
+        raise ValueError(f"{who} labels of shape {y.shape} do not match samples "
+                         f"of shape {x.shape} and an output layer of width {width}")
     # softmax cross-entropy consumes logits, so the producing layer must
-    # not squash them; checked where the loss is actually evaluated
-    if net.loss == "softmax_ce" and net.activations[-1] != "identity":
+    # not squash them
+    if last.loss == "softmax_ce" and last.activations[-1] != "identity":
         raise ValueError("softmax_ce expects identity on the output layer")
 
 
@@ -220,8 +257,7 @@ def _loss(net: DenseNet, x: np.ndarray, y: np.ndarray, work=None):
     """The loss per group member, and the arrays it was evaluated in: one
     per layer (its output) and the loss's two. A later call on arrays of
     the same shapes and dtypes takes them as ``work`` and evaluates in them,
-    allocating none of them anew."""
-    _check_loss_head(net)
+    allocating none of them anew. The batch is the caller's to check."""
     layers, terms = (None, None) if work is None else work
     out, caches = _forward_segment(net, x, layers)
     value, terms = _loss_terms(out, y, net.loss, terms)
@@ -229,12 +265,13 @@ def _loss(net: DenseNet, x: np.ndarray, y: np.ndarray, work=None):
 
 
 def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
+    _check_batch(x, y, net, net)
     return float(_loss(net, x, y)[0])
 
 
 def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
     """Full-network analytic gradients; used directly by gradient checks."""
-    _check_loss_head(net)
+    _check_batch(x, y, net, net)
     out, caches = _forward_segment(net, x)
     value, d_out = _loss_and_grad(out, y, net.loss)
     _check_finite(value)
@@ -276,14 +313,6 @@ def concatenate(state: SplitState) -> DenseNet:
     )
 
 
-def _check_batch(x: np.ndarray, first: DenseNet, last: DenseNet) -> None:
-    """Refuses a batch whose features do not fit the input layer, held by
-    ``first``, or a loss the output layer, held by ``last``, cannot feed."""
-    if x.shape[-1] != first.weights[0].shape[-2]:
-        raise ValueError("batch feature dimension does not match the input layer")
-    _check_loss_head(last)
-
-
 def _split_pass(state: SplitState, x: np.ndarray, y: np.ndarray):
     """The gradients of one split step: device forward, server forward,
     loss, server backward, which forms the gradient at the cut, and device
@@ -305,7 +334,7 @@ def split_update(state: SplitState, batch) -> SplitState:
 
     With stacked sides and a stacked batch, every member steps at once."""
     x, y = batch
-    _check_batch(x, state.user_side, state.server_side)
+    _check_batch(x, y, state.user_side, state.server_side)
     rho = state.learning_rate
     (u_dws, u_dbs), (s_dws, s_dbs) = _split_pass(state, x, y)
     return SplitState(_step(state.user_side, u_dws, u_dbs, rho),
@@ -353,7 +382,9 @@ def federated_aggregate(
 @dataclass(frozen=True)
 class ToyUser:
     """A client in the toy trainer: its data, cut choice, and epoch count,
-    which :func:`esfl_train` checks (see :func:`check_training`)."""
+    which :func:`esfl_train` checks (see :func:`check_training`): ``x``
+    holds a row of features per sample and ``y`` a row of labels, one per
+    output of the network."""
 
     x: np.ndarray
     y: np.ndarray
@@ -436,8 +467,11 @@ def esfl_train(
     data, the two sides are re-joined, and the sample-weighted models are
     folded into the global one, in user order. The step size decays as
     ``rho0 / (1 + r/100)`` with the 0-based round index r. The arguments
-    are checked first, by :func:`check_training`. Returns the final network
-    and the global training loss after each round.
+    are checked first, by :func:`check_training`, and then every user's
+    data against the network, by the rule :func:`split_update` applies to
+    a batch. Returns the final network and the loss trace: the global
+    training loss of ``net`` before round 0, then after each round, so
+    ``rounds + 1`` values.
 
     A user's cut decides which party computes each layer, not what is
     computed: the device's layers followed by the server's are the
@@ -450,13 +484,15 @@ def esfl_train(
 
     The local models live in one flat buffer, a row per user, each stack's
     rows together; each stack's network is a view into its rows, built
-    once, and each minibatch steps it in place with one subtraction. The
-    global loss after each round is :func:`loss_value`'s, evaluated in the
-    arrays of the first round's evaluation, which live until the run ends.
+    once, and each minibatch steps it in place with one subtraction. Each
+    global loss is :func:`loss_value`'s, evaluated in the arrays of the
+    first evaluation, which live until the run ends.
     The caller's ``net`` and the users' arrays are only read.
     """
     check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
                    rounds, eta, rho0, batch_size)
+    for i, u in enumerate(users):
+        _check_batch(u.x, u.y, net, net, f"users[{i}]")
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]
@@ -469,13 +505,13 @@ def esfl_train(
     for members in stacks:
         params = local[start:start + len(members)]
         grads = np.empty_like(params)
-        x = np.stack([users[i].x for i in members])
-        _check_batch(x, net, net)
         groups.append((params, grads, _flat_views(params, net),
                        _flat_views(grads, net), users[members[0]].epochs,
-                       x, np.stack([users[i].y for i in members])))
+                       np.stack([users[i].x for i in members]),
+                       np.stack([users[i].y for i in members])))
         start += len(members)
-    trace, work = [], None
+    value, work = _loss(net, pooled_x, pooled_y)
+    trace = [float(value)]
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         local[...] = np.concatenate(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -18,7 +20,8 @@ from esfl import (
     split_net,
     split_update,
 )
-from esfl.split_training import ACTIVATIONS, LOSSES, _loss
+from esfl import split_training
+from esfl.split_training import ACTIVATIONS, LOSSES, _loss, _loss_terms
 
 
 def _max_rel_dev(a: DenseNet, b: DenseNet) -> float:
@@ -516,7 +519,8 @@ class TestEsflTrain:
         for rounds in (-3, 0, 2.5, None):
             with pytest.raises(ValueError, match="rounds must be an integer >= 1"):
                 esfl_train(net, users, rounds=rounds)
-        assert len(esfl_train(net, users, rounds=np.int64(2))[1]) == 2
+        # the incoming net's loss, then one per round
+        assert len(esfl_train(net, users, rounds=np.int64(2))[1]) == 3
 
     def test_no_users_rejected(self):
         net = init_dense_net([2, 3, 2], loss="mse", rng=np.random.default_rng(22))
@@ -528,7 +532,7 @@ def _per_user_train(net, users, rounds, eta, rho0, batch_size):
     """The plain reference for esfl_train: every user steps alone, in order."""
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
-    trace = []
+    trace = [loss_value(net, pooled_x, pooled_y)]
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         locals_ = []
@@ -663,7 +667,7 @@ def _functional_stacked_train(net, users, rounds, eta, rho0, batch_size):
     for i, u in enumerate(users):
         groups.setdefault((u.cut, u.epochs, u.x.shape, u.y.shape), []).append(i)
     order = np.argsort([i for members in groups.values() for i in members])
-    trace = []
+    trace = [loss_value(net, pooled_x, pooled_y)]
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         trained = []
@@ -832,6 +836,141 @@ class TestLossWorkspace:
             else:
                 assert np.array_equal(value, [loss_value(n, x[i], y[i])
                                               for i, n in enumerate(nets)])
+
+
+# logit values whose reductions are edge cases: signed zeros, logits whose
+# exponentials underflow or overflow, infinities and NaN
+_SPECIAL_LOGITS = np.array([0.0, -0.0, -800.0, 800.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _logit_cases(draw):
+    """Softmax inputs of 1 to 12 classes, both sides of the 8 at which the
+    class reductions switch: pooled (n, C) or stacked (M, n, C) logits and
+    one-hot labels, drawn from a seed (see _logits)."""
+    lead = draw(st.sampled_from([(), (1,), (3,), (8,)]))
+    shape = lead + (draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    return shape, draw(st.integers(0, 2**32 - 1))
+
+
+def _logits(rng, shape):
+    """Logits whose rows are each of one kind: plain; rounded, so ties and
+    signed zeros; with special values; or one 0 among -37s. exp(-37) lies
+    in (2**-54, 2**-53), so 1 + exp(-37) rounds to 1 but 1 + 2 * exp(-37)
+    does not: that row's exp-sum depends on the order of its additions."""
+    out = rng.normal(scale=10.0, size=shape)
+    kind = rng.integers(4, size=shape[:-1])
+    out[kind == 1] = np.round(out[kind == 1] / 8.0)
+    special = (kind == 2)[..., None] & (rng.random(shape) < 0.5)
+    out[special] = rng.choice(_SPECIAL_LOGITS, size=int(special.sum()))
+    out[kind == 3] = -37.0
+    for row in zip(*np.nonzero(kind == 3)):
+        out[row + (rng.integers(shape[-1]),)] = 0.0
+    return out
+
+
+def _row_loss_terms(out, y):
+    """The softmax cross-entropy of _loss_terms with numpy's own row
+    reductions over the class axis."""
+    shifted = out - out.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    terms = y * np.log(np.maximum(probs, 1e-300))
+    return -terms.sum(axis=(-2, -1)) / out.shape[-2], (probs, terms)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bits, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestClassReductions:
+    """Below 8 classes the softmax's max and exp-sum reduce a class-major
+    copy over its leading axis. That matches numpy's row reductions bit for
+    bit only while numpy adds a short row in order; the order-sensitive
+    rows of _logits make this test fail on a numpy that does not."""
+
+    @seed(20253)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_logit_cases())
+    def test_softmax_terms_match_the_row_reductions_bit_for_bit(self, case):
+        shape, rng_seed = case
+        rng = np.random.default_rng(rng_seed)
+        out = _logits(rng, shape)
+        y = np.eye(shape[-1])[rng.integers(shape[-1], size=shape[:-1])]
+        with np.errstate(all="ignore"):
+            value, (probs, terms) = _loss_terms(out, y, "softmax_ce")
+            ref_value, (ref_probs, ref_terms) = _row_loss_terms(out, y)
+        assert _same_bits(value, ref_value)
+        assert _same_bits(probs, ref_probs)
+        assert _same_bits(terms, ref_terms)
+
+    @pytest.mark.parametrize("classes", range(3, 8))
+    def test_order_sensitive_rows_tell_the_orders_apart(self, classes):
+        # the guard above needs rows whose in-order sum differs from others
+        row = np.exp(np.full(classes, -37.0))
+        row[0] = 1.0
+        assert np.add.reduce(row) == 1.0
+        assert np.add.reduce(row[::-1]) != 1.0
+
+
+class TestLabelShapes:
+    """Labels hold one row per sample of the output layer's width. Any
+    other shape is refused before any arithmetic, naming its owner and
+    both shapes; unchecked, a width of 1 broadcasts into a wrong loss and
+    other shapes fail mid-training."""
+
+    BAD = [(10, 1), (10, 2), (10, 4), (9, 3), (10,), (1, 10, 3)]
+
+    @staticmethod
+    def _net():
+        rng = np.random.default_rng(26)
+        net = init_dense_net([2, 4, 3], ["tanh", "identity"], "softmax_ce", rng)
+        return net, rng.normal(size=(10, 2)), np.eye(3)[rng.integers(3, size=10)]
+
+    @staticmethod
+    def _message(owner, y_shape, x_shape=(10, 2)):
+        return re.escape(f"{owner} labels of shape {y_shape} do not match samples "
+                         f"of shape {x_shape} and an output layer of width 3")
+
+    @pytest.fixture
+    def no_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the labels were checked")
+        monkeypatch.setattr(split_training, "_forward_segment", forbidden)
+
+    @pytest.mark.parametrize("y_shape", BAD)
+    def test_esfl_train_names_the_user(self, y_shape, no_arithmetic):
+        net, x, y = self._net()
+        users = [ToyUser(x=x, y=y, cut=1), ToyUser(x=x, y=np.zeros(y_shape), cut=1)]
+        with pytest.raises(ValueError, match=self._message("users[1]", y_shape)):
+            esfl_train(net, users, rounds=1)
+
+    @pytest.mark.parametrize("y_shape", BAD)
+    def test_single_batch_entries_refuse(self, y_shape, no_arithmetic):
+        net, x, _ = self._net()
+        y = np.zeros(y_shape)
+        for call in (lambda: loss_value(net, x, y),
+                     lambda: loss_and_grads(net, x, y),
+                     lambda: monolithic_update(net, (x, y), 0.1),
+                     lambda: split_update(split_net(net, 1, 0.1), (x, y))):
+            with pytest.raises(ValueError, match=self._message("batch", y_shape)):
+                call()
+
+    def test_stacked_split_update_refuses(self, no_arithmetic):
+        net, x, y = self._net()
+        state = split_net(_stack([net, net]), 1, 0.1)
+        xs = np.stack([x, x])
+        with pytest.raises(ValueError, match=self._message("batch", (10, 3), (2, 10, 2))):
+            split_update(state, (xs, y))
+
+    def test_matching_labels_train(self):
+        net, x, y = self._net()
+        _, trace = esfl_train(net, [ToyUser(x=x, y=y, cut=1)], rounds=2)
+        assert trace[0] == loss_value(net, x, y)
 
 
 class TestMakeBlobs:
