@@ -6,8 +6,11 @@ server's compute budget among users). The two are solved alternately:
 
 1. Cut pass: with server compute fixed, each user's best cut is an
    independent exhaustive scan over its feasible layers, so one pass costs
-   O(S*L) instead of the O(L^S) joint enumeration. Only the server time
-   changes between passes, so everything else is priced once per plan.
+   O(S*L) instead of the O(L^S) joint enumeration. Users of one round
+   whose attributes are bitwise equal (one kind) get the same compute in
+   every pass, so the scan prices one user of each kind and gives its cut
+   to the others. Only the server time changes between passes, so
+   everything else is priced once per plan.
 2. Resource pass: with cuts fixed, each user's time is ``a_i/C_i + b_i``
    with constants ``a_i`` (server FLOPs owed to user i) and ``b_i``
    (everything compute-allocation-independent). Minimizing the maximum
@@ -30,7 +33,8 @@ as the trace.
 
 The alternation may stop above the joint optimum, which
 :func:`exact_level` finds by bisection on the level (minimax resource
-allocation; Ibaraki & Katoh, 1988), O(S*L) per step.
+allocation; Ibaraki & Katoh, 1988), O(S*L) per step, each kind priced
+once.
 
 By default a user's objective is its full round time (model up/down plus
 all local epochs plus aggregation). Setting ``epoch_objective`` restricts
@@ -41,7 +45,7 @@ transfer term from the cut decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,8 +58,8 @@ from .workload import ModelArchitecture
 
 _TINY = 1e-300  # denominator floor: guards 0/0 in relative-change tests
 
-# Rows are planned in chunks whose (rows, S, L) cut-pass arrays hold at most
-# this many elements (2 MB of float64 each), which bounds the working set.
+# Rows are planned in chunks of at most this many (rows x S x L) elements, 2 MB
+# of float64, which bounds the cut pass's (kinds, L) arrays and the working set.
 MAX_CHUNK_ELEMENTS = 1 << 18
 
 STALL_TOLERANCE = 1e-6       # relative inf-norm change in C treated as stalled
@@ -77,15 +81,6 @@ class OptimizerConfig:
 
 # ---------------------------------------------------------------------------
 # Per-user objective terms, all priced by ``timing.round_terms``
-
-def _feasible(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
-    """The (..., S, L) feasibility mask; a user with no feasible cut is an error."""
-    mask = feasibility_mask(batch, arch)
-    if not mask.any(axis=-1).all():
-        bad = id_list(batch.user_ids[~mask.any(axis=-1)])
-        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
-    return mask
-
 
 class _CutPass(NamedTuple):
     """Cut passes over one set of rows, whose server-independent terms are
@@ -135,6 +130,90 @@ class _CutPass(NamedTuple):
                 f"prices to infinity (dead link with unavoidable traffic?)"
             )
         return choice + 1, best
+
+
+# The attributes that price a user: all but its id. Users of one row that are
+# bitwise equal in all seven get the same cuts and compute in every pass: the
+# first pass splits the budget equally, and the resource pass is elementwise
+# in (a, b).
+_PRICED = tuple(f.name for f in fields(UserBatch) if f.name != "user_ids")
+# odd multipliers of the hash that sorts equal users next to each other
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                 0xD6E8FEB86659FD93, 0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63,
+                 0x94D049BB133111EB], dtype=np.uint64).view(np.int64)
+
+
+class _Kinds(NamedTuple):
+    """The users of (R, S) rows grouped into kinds: users of one row whose
+    priced attributes (``_PRICED``) are bitwise equal."""
+
+    row: np.ndarray         # (N,) each kind's row
+    col: np.ndarray         # (N,) the column of one of its users
+    of_user: np.ndarray     # (R, S) each user's kind
+
+    def keep_rows(self, keep: np.ndarray) -> tuple[_Kinds, np.ndarray]:
+        """The kinds of the rows that the mask ``keep`` selects, renumbered,
+        and the mask of the kinds kept."""
+        kept = keep[self.row]
+        row = (np.cumsum(keep) - 1)[self.row[kept]]
+        return _Kinds(row, self.col[kept], (np.cumsum(kept) - 1)[self.of_user[keep]]), kept
+
+
+def _kinds(batch: UserBatch) -> _Kinds:
+    """The kinds of an (R, S) batch's users.
+
+    Users are sorted by a hash of their row and attribute bits, and a kind
+    is a run of sorted users equal in all of them; so ``0.0`` and ``-0.0``
+    stay apart. A hash collision can only split a kind in two, which costs
+    time but no exactness.
+    """
+    n_rows, n_users = batch.shape
+    columns = [np.repeat(np.arange(n_rows, dtype=np.int64), n_users)]
+    columns += [np.asarray(getattr(batch, name), dtype=float).reshape(-1).view(np.int64)
+                for name in _PRICED]
+    key = columns[0].copy()
+    for mix, column in zip(_MIX, columns[1:]):
+        key *= mix                  # wraps around
+        key += key >> 32
+        key += column
+    order = np.argsort(key)
+    new = np.zeros(key.size, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    of_user = np.empty(key.size, dtype=np.intp)
+    of_user[order] = np.cumsum(new) - 1
+    row, col = np.divmod(order[new], n_users)
+    return _Kinds(row, col, of_user.reshape(batch.shape))
+
+
+def _feasible(batch: UserBatch, kinds: _Kinds, arch: ModelArchitecture) -> np.ndarray:
+    """The (N, L) feasibility mask of the kinds of an (R, S) batch; a user with
+    no feasible cut is an error."""
+    mask = feasibility_mask(batch.rows((kinds.row, kinds.col)), arch)
+    stuck = ~mask.any(axis=-1)
+    if stuck.any():
+        bad = id_list(batch.user_ids[stuck[kinds.of_user]])
+        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
+    return mask
+
+
+def _each_user(cut_pass: _CutPass, kinds: _Kinds, compute: np.ndarray, users: UserBatch,
+               arch: ModelArchitecture, cfg: OptimizerConfig
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's cut and time at ``compute``, both shaped like ``users``,
+    from ``cut_pass`` over one user of each kind.
+
+    A pass that fails is run again over every user, so that its error names
+    each user it fails, in order, as a pass over every user does.
+    """
+    try:
+        cuts, best = cut_pass(compute[kinds.row, kinds.col])
+    except (AllocationError, ConfigError):
+        _CutPass.of(users, arch, cfg, feasibility_mask(users, arch))(compute)
+        raise
+    return cuts[kinds.of_user], best[kinds.of_user]
 
 
 def server_demand_terms(
@@ -323,8 +402,9 @@ def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
-                  ) -> tuple[UserBatch, np.ndarray]:
-    """``batch`` as (R, S) rows and their (R, S, L) feasibility mask, checked."""
+                  ) -> tuple[UserBatch, _Kinds, np.ndarray]:
+    """``batch`` as (R, S) rows, checked, with its kinds and their (N, L)
+    feasibility mask."""
     if len(batch.shape) == 1:
         batch = batch.rows(None)
     if len(batch.shape) != 2:
@@ -336,7 +416,8 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
     if idle.any():
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
                          f"planning needs epochs >= 1")
-    return batch, _feasible(batch, arch)
+    kinds = _kinds(batch)
+    return batch, kinds, _feasible(batch, kinds, arch)
 
 
 def plan_rows(
@@ -355,13 +436,25 @@ def plan_rows(
     ``passes`` every pass's outcome. Rows are planned in
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
-    planned beside it. Users with fewer than one epoch cannot be planned
-    and raise ``ValueError``. A budget ``c_total`` that is not finite and
-    positive, or so small that a user's every feasible cut needs infinite
-    server time, raises a ``ConfigError`` naming ``c_total``.
+    planned beside it.
+
+    The cut pass prices one user of each kind of a chunk: users of one row
+    equal bit for bit in all seven priced attributes (``_PRICED``). It
+    gathers the compute at those users and gives each kind's cut and time
+    to every user of the kind. That is exact: such users get the same
+    compute in every pass, since the first splits the budget equally and
+    the resource pass is elementwise in each user's (a, b). The resource
+    pass, its terms and the stall test stay per user, so every sum keeps
+    its order; a batch without repeated users is one kind per user.
+
+    Users with fewer than one epoch cannot be planned and raise
+    ``ValueError``. A budget ``c_total`` that is not finite and positive, or
+    so small that a user's every feasible cut needs infinite server time,
+    raises a ``ConfigError`` naming ``c_total``; an error names every user
+    it is about, whatever their kinds.
     """
     cfg = cfg or OptimizerConfig()
-    batch, mask = _checked_rows(batch, arch, c_total)
+    batch, every_kind, kind_mask = _checked_rows(batch, arch, c_total)
     n_rows, n_users = batch.shape
 
     best_cuts = np.zeros(batch.shape, dtype=int)
@@ -376,11 +469,16 @@ def plan_rows(
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         live = np.arange(rows.start, rows.stop)
-        cut_pass = _CutPass.of(batch.rows(rows), arch, cfg, mask[rows])
+        users = batch.rows(rows)
+        in_chunk = np.zeros(n_rows, dtype=bool)
+        in_chunk[rows] = True
+        kinds, kept = every_kind.keep_rows(in_chunk)
+        cut_pass = _CutPass.of(users.rows((kinds.row, kinds.col)), arch, cfg,
+                               kind_mask[kept])
         compute = np.full((live.size, n_users), c_total / n_users)
         for it in range(1, cfg.max_iters + 1):
-            cuts, best_times = cut_pass(compute)
-            a, b = server_demand_terms(cut_pass.batch, cuts, arch, cfg)
+            cuts, best_times = _each_user(cut_pass, kinds, compute, users, arch, cfg)
+            a, b = server_demand_terms(users, cuts, arch, cfg)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; passing it keeps each trace non-increasing
             new, objective, steps = _equalize(
@@ -401,7 +499,9 @@ def plan_rows(
             if not live.size:
                 break
             if not going.all():
-                cut_pass = cut_pass.keep_rows(going)
+                users = users.rows(going)
+                kinds, kept = kinds.keep_rows(going)
+                cut_pass = cut_pass.keep_rows(kept)
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
                    resource_steps, tuple(passes))
@@ -422,33 +522,42 @@ def exact_level(
     ``sum_i D_i(K) <= c_total``. Each row bisects K, to ``EXACT_TOLERANCE``
     relative, up from its slowest user's fastest server-free time and down
     from the level of an equal split.
+
+    Users are priced once per kind, as :func:`plan_rows` prices them: the
+    split cut pass and each step's reach are (N, L) over the N kinds, and
+    each user's reach is gathered before the row's sum, in user order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, mask = _checked_rows(batch, arch, c_total)
+    batch, kinds, kind_mask = _checked_rows(batch, arch, c_total)
+    users = batch.rows((kinds.row, kinds.col))
     # the planner's first cut pass: each user at its fastest cut of an equal split
-    _, split_times = _CutPass.of(batch, arch, cfg, mask)(c_total / batch.shape[1])
-    a, b = server_demand_terms(batch, None, arch, cfg)
-    b = np.where(mask, b, np.inf)
+    split = np.full(batch.shape, c_total / batch.shape[1])
+    _, split_times = _each_user(_CutPass.of(users, arch, cfg, kind_mask), kinds, split,
+                                batch, arch, cfg)
+    a, b = server_demand_terms(users, None, arch, cfg)      # (N, L), one row per kind
+    b = np.where(kind_mask, b, np.inf)
     per_work = np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0)
-    lo, hi = b.min(axis=-1).max(axis=-1), split_times.max(axis=-1)
+    lo, hi = b.min(axis=-1)[kinds.of_user].max(axis=-1), split_times.max(axis=-1)
     for _ in range(BISECTION_MAX_STEPS):
         live = hi - lo > EXACT_TOLERANCE * hi
         if not live.any():
             break
         mid = 0.5 * (lo + hi)
-        best = _reach(mid, b, per_work).max(axis=-1)     # (R, S); NaN needs nothing
+        # each user's best reach, (R, S); NaN needs nothing
+        best = _reach(mid[kinds.row], b, per_work).max(axis=-1)[kinds.of_user]
         with np.errstate(divide="ignore", over="ignore"):
             fits = np.nansum(1.0 / np.maximum(best, 0.0), axis=-1) <= c_total
         hi = np.where(live & fits, mid, hi)
         lo = np.where(live & ~fits, mid, lo)
-    reach = _reach(hi, b, per_work)
+    reach = _reach(hi[kinds.row], b, per_work)
     reach[np.isnan(reach)] = np.inf
     # each user has a cut with b <= hi, since hi >= lo: its reach is >= 0
-    return hi, reach.argmax(axis=-1) + 1
+    return hi, (reach.argmax(axis=-1) + 1)[kinds.of_user]
 
 
 def _reach(level: np.ndarray, b: np.ndarray, per_work: np.ndarray) -> np.ndarray:
-    """``(level - b)/a`` at each cut: the inverse of the least server compute that
-    finishes it by its row's level; <= 0 too late, NaN at ``b = level`` if a = 0."""
+    """``(level - b)/a`` at each cut of (N, L) terms: the inverse of the least
+    server compute that finishes it by the (N,) ``level``; <= 0 too late, NaN
+    at ``b = level`` if a = 0."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return (level[:, None, None] - b) * per_work
+        return (level[:, None] - b) * per_work

@@ -173,9 +173,12 @@ def _load_arch(spec: str, kappa: float, bytes_per_element: float) -> ModelArchit
                              bwd_multiplier=kappa)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, *texts: str) -> None:
+    """Write ``texts`` one after another to ``path``, through a temporary
+    file, so that no copy of a large report is made to join them."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fp:
+        fp.writelines(texts)
     os.replace(tmp, path)
 
 
@@ -295,7 +298,7 @@ def dumps_report(payload) -> str:
 
 def _emit(out_dir: Path, stem: str, payload: dict, table: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / f"{stem}.json", dumps_report(payload) + "\n")
+    _write_atomic(out_dir / f"{stem}.json", dumps_report(payload), "\n")
     _write_atomic(out_dir / f"{stem}.txt", table)
 
 

@@ -14,7 +14,8 @@ the server, so every latency-relevant quantity is a prefix aggregate:
   activation bytes up to the cut (a standard lower bound, since the memory
   requirement is otherwise unspecified by the profile format).
 
-Profiles are immutable after loading and safe to share across threads.
+Profiles are immutable after loading, their derived arrays included, and
+safe to share across threads; :func:`load_builtin` shares each shipped one.
 """
 
 from __future__ import annotations
@@ -82,36 +83,43 @@ class ModelArchitecture:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    # Derived arrays, indexed by cut position (entry l-1 describes cut l).
+    # Derived arrays, indexed by cut position (entry l-1 describes cut l). They
+    # are read-only: every plan priced with this profile reads them.
 
     @cached_property
     def user_flops_by_cut(self) -> np.ndarray:
         """Device training FLOPs per sample for each cut."""
         fwd = np.array([l.fwd_flops for l in self.layers])
-        return np.cumsum(fwd) * (1.0 + self.bwd_multiplier) * ELEMENT_SCALE
+        return _frozen(np.cumsum(fwd) * (1.0 + self.bwd_multiplier) * ELEMENT_SCALE)
 
     @cached_property
     def act_bytes_by_cut(self) -> np.ndarray:
         """Activation bytes per sample crossing each cut (either direction)."""
         act = np.array([l.activation_count for l in self.layers])
-        return act * self.bytes_per_element * ELEMENT_SCALE
+        return _frozen(act * self.bytes_per_element * ELEMENT_SCALE)
 
     @cached_property
     def model_bytes_by_cut(self) -> np.ndarray:
         """Device-side model bytes for each cut."""
         params = np.array([l.param_count for l in self.layers])
-        return np.cumsum(params) * self.bytes_per_element * ELEMENT_SCALE
+        return _frozen(np.cumsum(params) * self.bytes_per_element * ELEMENT_SCALE)
 
     @cached_property
     def cum_act_bytes_by_cut(self) -> np.ndarray:
         """Cumulative activation bytes for layers up to each cut."""
         act = np.array([l.activation_count for l in self.layers])
-        return np.cumsum(act) * self.bytes_per_element * ELEMENT_SCALE
+        return _frozen(np.cumsum(act) * self.bytes_per_element * ELEMENT_SCALE)
 
     @property
     def total_compute_per_sample(self) -> float:
         """Training FLOPs per sample for the whole network."""
         return float(self.user_flops_by_cut[-1])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +215,31 @@ def builtin_profiles() -> tuple[str, ...]:
     return tuple(sorted(p.name[:-4] for p in files.iterdir() if p.name.endswith(".csv")))
 
 
+# Shipped profiles parsed so far, by name and the repr of each unit convention,
+# which keeps 4 and 4.0, or 0.0 and -0.0, apart
+_BUILTIN: dict[tuple[str, str, str], ModelArchitecture] = {}
+
+
 def load_builtin(
     name: str, *, bytes_per_element: float = 4.0, bwd_multiplier: float = 2.0
 ) -> ModelArchitecture:
-    """Load a shipped profile by name (see :func:`builtin_profiles`)."""
-    ref = resources.files("esfl.profiles").joinpath(f"{name}.csv")
-    if not ref.is_file():
-        raise ProfileError(
-            f"unknown built-in profile {name!r}; available: {', '.join(builtin_profiles())}"
-        )
-    with ref.open("r", encoding="utf-8") as fp:
-        return load_architecture(
-            fp,
-            name=name,
-            bytes_per_element=bytes_per_element,
-            bwd_multiplier=bwd_multiplier,
-        )
+    """Load a shipped profile by name (see :func:`builtin_profiles`).
+
+    Each (name, bytes_per_element, bwd_multiplier) is parsed once per
+    process; later calls return the same profile, which is immutable.
+    """
+    key = (name, repr(bytes_per_element), repr(bwd_multiplier))
+    arch = _BUILTIN.get(key)
+    if arch is None:
+        ref = resources.files("esfl.profiles").joinpath(f"{name}.csv")
+        if not ref.is_file():
+            raise ProfileError(f"unknown built-in profile {name!r}; "
+                               f"available: {', '.join(builtin_profiles())}")
+        with ref.open("r", encoding="utf-8") as fp:
+            arch = _BUILTIN[key] = load_architecture(
+                fp,
+                name=name,
+                bytes_per_element=bytes_per_element,
+                bwd_multiplier=bwd_multiplier,
+            )
+    return arch

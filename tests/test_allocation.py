@@ -28,6 +28,7 @@ from esfl import (
     sfl_round_time,
 )
 from esfl import allocation
+from esfl.errors import EsflError, id_list
 from esfl.simulation import sample_population_data
 
 
@@ -722,3 +723,179 @@ class TestBruteForce:
                 _enumerated_optimum(users, arch, 5e9)[0], rel=1e-9)
             plan = plan_rows(users, arch, 5e9)
             assert plan.objective[0] >= level[0] * (1 - 1e-9)
+
+
+def _each_own_kind(batch):
+    """The grouping of a planner that prices every user apart: one kind per user."""
+    n_rows, n_users = batch.shape
+    row, col = np.divmod(np.arange(n_rows * n_users), n_users)
+    return allocation._Kinds(row, col, np.arange(n_rows * n_users).reshape(batch.shape))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (EsflError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _per_user(fn, *args):
+    """:func:`_outcome` with every user its own kind."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_kinds", _each_own_kind)
+        return _outcome(fn, *args)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _plan_bits(plan):
+    """Every array of a plan and of each of its passes, bit for bit."""
+    return ([_bits(getattr(plan, f)) for f in _PLAN_FIELDS],
+            [[_bits(x) for x in p] for p in plan.passes])
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    elif isinstance(want, allocation.RowPlan):
+        assert isinstance(got, allocation.RowPlan)
+        assert _plan_bits(got) == _plan_bits(want)
+    else:
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+# a kind of user: samples (zero of either sign, which are kinds apart), device
+# FLOP/s, up and down rates (B/s; a dead link one time in ten), epochs, and
+# storage and memory as shares of the way from the first cut's needs to the
+# last's (>= 1: unlimited).
+_KIND = st.tuples(
+    st.sampled_from([0.0, -0.0, 200.0, 800.0]),
+    st.one_of(st.sampled_from([1e9, 2e10]), st.floats(1e9, 2e10)),
+    *[st.tuples(st.integers(0, 9), st.sampled_from([1e5, 2e6])).map(
+        lambda pick: 0.0 if pick[0] == 0 else pick[1])] * 2,
+    st.integers(1, 2), *[st.sampled_from([0.0, 0.4, 1.0])] * 2)
+# one to four kinds: the first, and others that differ from it in one attribute
+_KINDS = st.tuples(_KIND, st.lists(st.tuples(st.integers(0, 6), _KIND), max_size=3)).map(
+    lambda drawn: [drawn[0]] + [drawn[0][:i] + other[i:i + 1] + drawn[0][i + 1:]
+                                for i, other in drawn[1]])
+
+
+class TestKinds:
+    """The planner prices one user of each kind (users of a row with bitwise
+    equal attributes) and gives its cuts and compute to the others; that
+    must be the plan of a planner that prices every user apart."""
+
+    @seed(20248)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_LAYER, min_size=2, max_size=5),
+        _KINDS,
+        st.integers(1, 3), st.integers(1, 6),
+        st.one_of(st.floats(1e9, 2e11), st.just(1e-308)),
+        st.booleans(), st.sampled_from([0.0, 2.5]), st.data(),
+    )
+    def test_equals_pricing_every_user(self, layers, kinds, n_rows, n_users, c_total,
+                                       epoch_objective, t_agg, data):
+        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                       for j, (p, f, a) in enumerate(layers)]))
+        picks = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
+            min_size=n_rows, max_size=n_rows)))
+        n, flops, up, down, epochs, storage, memory = (
+            np.array(x, dtype=float)[picks] for x in zip(*kinds))
+        model = arch.model_bytes_by_cut
+        needs = model + arch.cum_act_bytes_by_cut
+
+        def limit(share, need):
+            return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
+
+        ids = np.broadcast_to(np.arange(n_users), picks.shape)
+        batch = UserBatch(ids, n, flops, up, down, epochs,
+                          limit(storage, model), limit(memory, needs))
+        cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        _same_outcome(_outcome(exact_level, batch, arch, c_total, cfg),
+                      _per_user(exact_level, batch, arch, c_total, cfg))
+        plan = _per_user(plan_rows, batch, arch, c_total, cfg)
+        _same_outcome(_outcome(plan_rows, batch, arch, c_total, cfg), plan)
+        if not isinstance(plan, allocation.RowPlan):
+            return
+        # priced apart, users of one kind still end every pass alike
+        for p in plan.passes:
+            for row, cuts, compute in zip(picks[p.rows], p.cuts, p.server_compute):
+                for k in np.unique(row):
+                    assert len({_bits(c) for c in cuts[row == k]}) == 1
+                    assert len({_bits(c) for c in compute[row == k]}) == 1
+
+    def test_repeated_users_share_every_pass(self, vgg19):
+        spec = preset_scenarios()["BP"]
+        rng = np.random.default_rng(3)
+        batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 4)
+        columns = np.stack([getattr(batch, f.name) for f in dataclasses.fields(UserBatch)[1:]],
+                           axis=-1)
+        plan = plan_rows(batch, vgg19, 130e12)
+        assert _plan_bits(plan) == _plan_bits(_per_user(plan_rows, batch, vgg19, 130e12))
+        kinds = allocation._kinds(batch)
+        assert len(kinds.row) < batch.user_ids.size
+        for p in plan.passes:
+            for r, cuts, compute in zip(p.rows, p.cuts, p.server_compute):
+                for k in np.unique(kinds.of_user[r]):
+                    members = kinds.of_user[r] == k
+                    assert len({c.tobytes() for c in columns[r][members]}) == 1
+                    assert len(set(cuts[members].tolist())) == 1
+                    assert len({c.tobytes() for c in compute[members]}) == 1
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(UserBatch)][1:])
+    def test_users_one_attribute_apart_are_kinds_apart(self, field):
+        # users 0 and 2 are alike; user 1 differs in one attribute, user 3 in
+        # that attribute's sign of zero
+        users = _users(uid=range(4), storage_bytes=1e9, memory_bytes=1e9).rows(
+            [[0, 1, 2, 3], [0, 1, 2, 3]])
+        values = getattr(users, field).copy()
+        values[:, 1] *= 2
+        values[:, 3] = 0.0
+        values[1, 3] = -0.0
+        kinds = allocation._kinds(dataclasses.replace(users, **{field: values}))
+        assert len(kinds.row) == 8 - 2
+        for r in range(2):
+            assert len(set(kinds.of_user[r].tolist())) == 3
+            assert kinds.of_user[r, 0] == kinds.of_user[r, 2]
+            assert np.array_equal(kinds.row[kinds.of_user[r]], [r] * 4)
+        assert kinds.of_user[0, 3] != kinds.of_user[1, 3]
+
+    def test_hash_collisions_cost_no_exactness(self, vgg19, monkeypatch):
+        batch = TestPlanRows()._batch()
+        want = _plan_bits(plan_rows(batch, vgg19, 130e12))
+        level = exact_level(batch, vgg19, 130e12)
+        # every user of a row hashes alike: kinds split, but stay exact
+        monkeypatch.setattr(allocation, "_MIX", np.zeros_like(allocation._MIX))
+        assert _plan_bits(plan_rows(batch, vgg19, 130e12)) == want
+        _same_outcome(exact_level(batch, vgg19, 130e12), level)
+
+    @pytest.mark.parametrize("dead", [[1, 3, 5], list(range(1, 12))])
+    def test_dead_link_names_every_user(self, vgg19, dead):
+        rate = np.where(np.isin(np.arange(12), dead), 0.0, 10240.0)
+        users = UserBatch.checked(500.0, 1e12, rate, rate, user_ids=np.arange(12) * 10)
+        named = id_list(np.array(dead) * 10)
+        for batch in (users, users.rows([[0, 1, 2, 3], [4, 5, 6, 7]])):
+            for fn in (plan_rows, exact_level):
+                got = _outcome(fn, batch, vgg19, 130e12)
+                assert got == _per_user(fn, batch, vgg19, 130e12)
+                assert got[0] is AllocationError
+        assert _outcome(plan_rows, users, vgg19, 130e12)[1] == (
+            f"users {named}: every feasible cut prices to infinity "
+            f"(dead link with unavoidable traffic?)")
+
+    def test_small_budget_names_every_user(self, vgg19):
+        # users 0, 20 and 40 cannot train all-local, and every server cut's
+        # time overflows
+        storage = np.where(np.arange(6) % 2 == 0, vgg19.model_bytes_by_cut[0], math.inf)
+        users = _users(uid=np.arange(6) * 10, storage_bytes=storage)
+        for fn in (plan_rows, exact_level):
+            got = _outcome(fn, users, vgg19, 1e-308)
+            assert got == _per_user(fn, users, vgg19, 1e-308)
+            assert got == (ConfigError, "c_total is too small: users [0, 20, 40]: the server "
+                                        "time of every feasible cut overflows to infinity")

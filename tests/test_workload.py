@@ -11,6 +11,7 @@ from esfl import (
     load_architecture,
     load_builtin,
 )
+from esfl import workload
 
 # Raw VGG19 table columns, used as an independent oracle for prefix sums.
 VGG19_PARAMS = [0.0017, 0.0369, 0.0737, 0.147, 0.295, 0.590, 0.590, 0.590,
@@ -169,3 +170,53 @@ class TestInvariants:
         assert arch.model_bytes_by_cut[-1] == pytest.approx(
             sum(VGG19_PARAMS) * 4e6, rel=1e-12
         )
+
+
+_CUT_ARRAYS = ("user_flops_by_cut", "act_bytes_by_cut", "model_bytes_by_cut",
+               "cum_act_bytes_by_cut")
+
+
+class TestSharedProfiles:
+    """A profile is shared by every plan priced with it, so nothing may
+    change it; each shipped one is parsed once per unit convention."""
+
+    @pytest.mark.parametrize("field", _CUT_ARRAYS)
+    def test_cut_arrays_are_read_only(self, field):
+        toy = load_architecture(_toy_doc(["A,1,1,1", "B,1,1,1"]))
+        for arch in (load_builtin("vgg19"), toy):
+            values = getattr(arch, field)
+            before = values.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                values *= 2.0
+            assert np.array_equal(getattr(arch, field), before)
+
+    def test_builtins_are_parsed_once_per_convention(self, monkeypatch):
+        parsed = []
+
+        def counting(*args, **kwargs):
+            parsed.append(kwargs)
+            return load_architecture(*args, **kwargs)
+
+        monkeypatch.setattr(workload, "_BUILTIN", {})
+        monkeypatch.setattr(workload, "load_architecture", counting)
+        arch = load_builtin("vgg19")
+        assert load_builtin("vgg19") is arch
+        assert load_builtin("vgg19", bytes_per_element=4.0, bwd_multiplier=2.0) is arch
+        assert len(parsed) == 1
+        # any other name or convention is parsed on its own, 0.0 and -0.0 too
+        others = [load_builtin("vgg16"), load_builtin("vgg19", bytes_per_element=2.0),
+                  load_builtin("vgg19", bwd_multiplier=0.0),
+                  load_builtin("vgg19", bwd_multiplier=-0.0)]
+        assert len(parsed) == 5
+        assert len({id(a) for a in [arch, *others]}) == 5
+        assert math.copysign(1.0, others[-1].bwd_multiplier) == -1.0
+        assert load_builtin("vgg19", bwd_multiplier=-0.0) is others[-1]
+        assert len(parsed) == 5
+
+    def test_unknown_builtin_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ProfileError, match="^unknown built-in profile 'resnet50'; "
+                                                   "available: vgg13, vgg16, vgg19$"):
+                load_builtin("resnet50")
