@@ -9,8 +9,9 @@ server's compute budget among users). The two are solved alternately:
    O(S*L) instead of the O(L^S) joint enumeration. Users of one round
    whose attributes are bitwise equal (one kind) get the same compute in
    every pass, so the scan prices one user of each kind and gives its cut
-   to the others. Only the server time changes between passes, so
-   everything else is priced once per plan.
+   to the others; that grouping lives inside the cut pass, which takes and
+   returns per-user arrays. Only the server time changes between passes,
+   so everything else is priced once per plan.
 2. Resource pass: with cuts fixed, each user's time is ``a_i/C_i + b_i``
    with constants ``a_i`` (server FLOPs owed to user i) and ``b_i``
    (everything compute-allocation-independent). Minimizing the maximum
@@ -82,56 +83,6 @@ class OptimizerConfig:
 # ---------------------------------------------------------------------------
 # Per-user objective terms, all priced by ``timing.round_terms``
 
-class _CutPass(NamedTuple):
-    """Cut passes over one set of rows, whose server-independent terms are
-    priced once; each pass adds only the server time, in one reused buffer."""
-
-    batch: UserBatch
-    terms: ServerFreeTerms      # (..., S, L)
-    buffer: np.ndarray          # (..., S, L); later passes use its leading rows
-
-    @classmethod
-    def of(cls, batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
-           mask: np.ndarray) -> _CutPass:
-        terms = round_terms(batch, arch, None, math.inf, cfg.t_agg)
-        return cls(batch, terms.server_free(cfg.epoch_objective, mask),
-                   np.empty(mask.shape))
-
-    def keep_rows(self, keep: np.ndarray) -> _CutPass:
-        """The pass over the rows the mask ``keep`` selects. It reuses this
-        pass's arrays in place (see :meth:`ServerFreeTerms.keep_rows`), so
-        only the result may be used afterwards."""
-        return _CutPass(self.batch.rows(keep), self.terms.keep_rows(keep), self.buffer)
-
-    def __call__(self, server_compute: np.ndarray | float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Each user's fastest feasible 1-based cut and its objective time.
-
-        One ``argmin`` over the cut axis of the (..., S, L) times; ties break
-        toward the smaller index.
-        """
-        times = self.terms.price(server_compute,
-                                 out=self.buffer[:len(self.terms.blocked)])
-        choice = np.argmin(times, axis=-1)
-        best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
-        dead = ~np.isfinite(best)
-        if dead.any():
-            # priced again without server time: a finite cut there, with some
-            # server compute, means only the server time overflowed, so the
-            # budget is at fault, not a link
-            free = self.terms.price(math.inf, out=times).min(axis=-1)
-            overflow = dead & np.isfinite(free) & (np.asarray(server_compute) > 0)
-            if overflow.any():
-                problem = (f"is too small: users {id_list(self.batch.user_ids[overflow])}: "
-                           f"the server time of every feasible cut overflows to infinity")
-                raise ConfigError(f"c_total {problem}", "c_total", problem)
-            raise AllocationError(
-                f"users {id_list(self.batch.user_ids[dead])}: every feasible cut "
-                f"prices to infinity (dead link with unavoidable traffic?)"
-            )
-        return choice + 1, best
-
-
 # The attributes that price a user: all but its id. Users of one row that are
 # bitwise equal in all seven get the same cuts and compute in every pass: the
 # first pass splits the budget equally, and the resource pass is elementwise
@@ -188,32 +139,69 @@ def _kinds(batch: UserBatch) -> _Kinds:
     return _Kinds(row, col, of_user.reshape(batch.shape))
 
 
-def _feasible(batch: UserBatch, kinds: _Kinds, arch: ModelArchitecture) -> np.ndarray:
-    """The (N, L) feasibility mask of the kinds of an (R, S) batch; a user with
-    no feasible cut is an error."""
-    mask = feasibility_mask(batch.rows((kinds.row, kinds.col)), arch)
-    stuck = ~mask.any(axis=-1)
-    if stuck.any():
-        bad = id_list(batch.user_ids[stuck[kinds.of_user]])
-        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
-    return mask
+class _CutPass(NamedTuple):
+    """Cut passes over (R, S) rows of users that price one user of each
+    kind. The server-independent terms of the kinds are priced once; each
+    pass adds only the server time, in one reused buffer, and gives each
+    kind's cut and time to all of its users."""
 
+    user_ids: np.ndarray        # (R, S)
+    kinds: _Kinds
+    terms: ServerFreeTerms      # (N, L), one row per kind
+    buffer: np.ndarray          # (N, L); later passes use its leading rows
 
-def _each_user(cut_pass: _CutPass, kinds: _Kinds, compute: np.ndarray, users: UserBatch,
-               arch: ModelArchitecture, cfg: OptimizerConfig
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's cut and time at ``compute``, both shaped like ``users``,
-    from ``cut_pass`` over one user of each kind.
+    @classmethod
+    def of(cls, batch: UserBatch, kinds: _Kinds, feasible: np.ndarray,
+           arch: ModelArchitecture, cfg: OptimizerConfig, rows: slice = slice(None)
+           ) -> _CutPass:
+        """The passes over the rows ``rows`` of a checked (R, S) batch whose
+        kinds are ``kinds``, with their (N, L) feasibility mask ``feasible``."""
+        keep = np.zeros(batch.shape[0], dtype=bool)
+        keep[rows] = True
+        kinds, kept = kinds.keep_rows(keep)
+        users, feasible = batch.rows(rows), feasible[kept]
+        terms = round_terms(users.rows((kinds.row, kinds.col)), arch, None, math.inf,
+                            cfg.t_agg)
+        return cls(users.user_ids, kinds, terms.server_free(cfg.epoch_objective, feasible),
+                   np.empty(feasible.shape))
 
-    A pass that fails is run again over every user, so that its error names
-    each user it fails, in order, as a pass over every user does.
-    """
-    try:
-        cuts, best = cut_pass(compute[kinds.row, kinds.col])
-    except (AllocationError, ConfigError):
-        _CutPass.of(users, arch, cfg, feasibility_mask(users, arch))(compute)
-        raise
-    return cuts[kinds.of_user], best[kinds.of_user]
+    def keep_rows(self, keep: np.ndarray) -> _CutPass:
+        """The passes over the rows the mask ``keep`` selects. They reuse
+        these passes' arrays in place (see :meth:`ServerFreeTerms.keep_rows`),
+        so only the result may be used afterwards."""
+        kinds, kept = self.kinds.keep_rows(keep)
+        return _CutPass(self.user_ids[keep], kinds, self.terms.keep_rows(kept), self.buffer)
+
+    def __call__(self, server_compute: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's fastest feasible 1-based cut and its objective time at
+        the (R, S) ``server_compute``, both (R, S).
+
+        One ``argmin`` over the cut axis of the kinds' (N, L) times; ties
+        break toward the smaller index. An error names every user of each
+        kind it is about, in row order.
+        """
+        of_user = self.kinds.of_user
+        compute = server_compute[self.kinds.row, self.kinds.col]
+        times = self.terms.price(compute, out=self.buffer[:len(compute)])
+        choice = np.argmin(times, axis=-1)
+        best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
+        dead = ~np.isfinite(best)
+        if dead.any():
+            # priced again without server time: a finite cut there, with some
+            # server compute, means only the server time overflowed, so the
+            # budget is at fault, not a link
+            free = self.terms.price(math.inf, out=times).min(axis=-1)
+            overflow = dead & np.isfinite(free) & (compute > 0)
+            if overflow.any():
+                named = id_list(self.user_ids[overflow[of_user]])
+                problem = (f"is too small: users {named}: "
+                           f"the server time of every feasible cut overflows to infinity")
+                raise ConfigError(f"c_total {problem}", "c_total", problem)
+            raise AllocationError(
+                f"users {id_list(self.user_ids[dead[of_user]])}: every feasible cut "
+                f"prices to infinity (dead link with unavoidable traffic?)"
+            )
+        return (choice + 1)[of_user], best[of_user]
 
 
 def server_demand_terms(
@@ -389,7 +377,6 @@ class RowPlan:
     objective: np.ndarray         # (R,)
     iterations: np.ndarray        # (R,) passes run
     converged: np.ndarray         # (R,) stalled before the iteration cap
-    resource_steps: np.ndarray    # (R,) most demand evaluations in one resource pass
     passes: tuple[_Pass, ...]     # every pass, in order: the trace
 
 
@@ -404,7 +391,7 @@ def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
 def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
                   ) -> tuple[UserBatch, _Kinds, np.ndarray]:
     """``batch`` as (R, S) rows, checked, with its kinds and their (N, L)
-    feasibility mask."""
+    feasibility mask; a user with no feasible cut is an error."""
     if len(batch.shape) == 1:
         batch = batch.rows(None)
     if len(batch.shape) != 2:
@@ -417,7 +404,12 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
                          f"planning needs epochs >= 1")
     kinds = _kinds(batch)
-    return batch, kinds, _feasible(batch, kinds, arch)
+    mask = feasibility_mask(batch.rows((kinds.row, kinds.col)), arch)
+    stuck = ~mask.any(axis=-1)
+    if stuck.any():
+        bad = id_list(batch.user_ids[stuck[kinds.of_user]])
+        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
+    return batch, kinds, mask
 
 
 def plan_rows(
@@ -438,10 +430,11 @@ def plan_rows(
     bounds the working set. A row's plan does not depend on the rows
     planned beside it.
 
-    The cut pass prices one user of each kind of a chunk: users of one row
-    equal bit for bit in all seven priced attributes (``_PRICED``). It
-    gathers the compute at those users and gives each kind's cut and time
-    to every user of the kind. That is exact: such users get the same
+    The cut pass takes and returns per-user arrays, but prices one user of
+    each kind of a chunk: users of one row equal bit for bit in all seven
+    priced attributes (``_PRICED``). It gathers the compute at those users,
+    gives each kind's cut and time to every user of the kind, and drops a
+    frozen row's kinds with the row. That is exact: such users get the same
     compute in every pass, since the first splits the budget equally and
     the resource pass is elementwise in each user's (a, b). The resource
     pass, its terms and the stall test stay per user, so every sum keeps
@@ -450,11 +443,12 @@ def plan_rows(
     Users with fewer than one epoch cannot be planned and raise
     ``ValueError``. A budget ``c_total`` that is not finite and positive, or
     so small that a user's every feasible cut needs infinite server time,
-    raises a ``ConfigError`` naming ``c_total``; an error names every user
-    it is about, whatever their kinds.
+    raises a ``ConfigError`` naming ``c_total``. An error found at one
+    user of a kind names every user of the kind, in row order, as a pass
+    that priced each user would.
     """
     cfg = cfg or OptimizerConfig()
-    batch, every_kind, kind_mask = _checked_rows(batch, arch, c_total)
+    batch, kinds, feasible = _checked_rows(batch, arch, c_total)
     n_rows, n_users = batch.shape
 
     best_cuts = np.zeros(batch.shape, dtype=int)
@@ -462,7 +456,6 @@ def plan_rows(
     best_objective = np.full(n_rows, np.inf)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
-    resource_steps = np.zeros(n_rows, dtype=int)
     passes: list[_Pass] = []
 
     chunk = max(1, MAX_CHUNK_ELEMENTS // (n_users * arch.num_layers))
@@ -470,14 +463,10 @@ def plan_rows(
         rows = slice(start, min(start + chunk, n_rows))
         live = np.arange(rows.start, rows.stop)
         users = batch.rows(rows)
-        in_chunk = np.zeros(n_rows, dtype=bool)
-        in_chunk[rows] = True
-        kinds, kept = every_kind.keep_rows(in_chunk)
-        cut_pass = _CutPass.of(users.rows((kinds.row, kinds.col)), arch, cfg,
-                               kind_mask[kept])
+        cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg, rows)
         compute = np.full((live.size, n_users), c_total / n_users)
         for it in range(1, cfg.max_iters + 1):
-            cuts, best_times = _each_user(cut_pass, kinds, compute, users, arch, cfg)
+            cuts, best_times = cut_pass(compute)
             a, b = server_demand_terms(users, cuts, arch, cfg)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; passing it keeps each trace non-increasing
@@ -492,7 +481,6 @@ def plan_rows(
             best_cuts[improved] = cuts[better]
             best_compute[improved] = new[better]
             iterations[live] = it
-            resource_steps[live] = np.maximum(resource_steps[live], steps)
             going = ~_stalled(new, compute, STALL_TOLERANCE)
             converged[live[~going]] = True
             live, compute = live[going], new[going]
@@ -500,11 +488,10 @@ def plan_rows(
                 break
             if not going.all():
                 users = users.rows(going)
-                kinds, kept = kinds.keep_rows(going)
-                cut_pass = cut_pass.keep_rows(kept)
+                cut_pass = cut_pass.keep_rows(going)
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
-                   resource_steps, tuple(passes))
+                   tuple(passes))
 
 
 def exact_level(
@@ -524,18 +511,18 @@ def exact_level(
     from the level of an equal split.
 
     Users are priced once per kind, as :func:`plan_rows` prices them: the
-    split cut pass and each step's reach are (N, L) over the N kinds, and
-    each user's reach is gathered before the row's sum, in user order.
+    equal split's times come from the planner's cut pass, each step's
+    reach is (N, L) over the N kinds, and each user's reach is gathered
+    before the row's sum, in user order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, kinds, kind_mask = _checked_rows(batch, arch, c_total)
-    users = batch.rows((kinds.row, kinds.col))
+    batch, kinds, feasible = _checked_rows(batch, arch, c_total)
     # the planner's first cut pass: each user at its fastest cut of an equal split
     split = np.full(batch.shape, c_total / batch.shape[1])
-    _, split_times = _each_user(_CutPass.of(users, arch, cfg, kind_mask), kinds, split,
-                                batch, arch, cfg)
+    _, split_times = _CutPass.of(batch, kinds, feasible, arch, cfg)(split)
+    users = batch.rows((kinds.row, kinds.col))
     a, b = server_demand_terms(users, None, arch, cfg)      # (N, L), one row per kind
-    b = np.where(kind_mask, b, np.inf)
+    b = np.where(feasible, b, np.inf)
     per_work = np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0)
     lo, hi = b.min(axis=-1)[kinds.of_user].max(axis=-1), split_times.max(axis=-1)
     for _ in range(BISECTION_MAX_STEPS):

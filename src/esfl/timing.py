@@ -39,13 +39,14 @@ def _guarded_div(
     zero: np.ndarray | None = None,
 ) -> np.ndarray:
     """numerator / denominator with 0/x = 0 even for x = 0; +inf otherwise,
-    also where the quotient overflows.
+    also for x = -0.0 and where the quotient overflows.
 
     Writes into ``out`` when given; ``zero`` may pass ``numerator == 0``
     when the caller already holds it.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.divide(numerator, denominator, out=out)
+        # adding 0.0 turns -0.0 into +0.0 and leaves every other value as it is
+        out = np.divide(numerator, np.add(denominator, 0.0), out=out)
     np.copyto(out, 0.0, where=numerator == 0.0 if zero is None else zero)
     return out
 

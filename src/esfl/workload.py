@@ -24,7 +24,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -209,8 +209,10 @@ def _parse_rows(fp) -> list[tuple[int, str, list[str]]]:
     return rows
 
 
+@cache
 def builtin_profiles() -> tuple[str, ...]:
-    """Names of the profile documents shipped with the package."""
+    """Names of the profile documents shipped with the package, listed once
+    per process: the package data does not change while it runs."""
     files = resources.files("esfl.profiles")
     return tuple(sorted(p.name[:-4] for p in files.iterdir() if p.name.endswith(".csv")))
 

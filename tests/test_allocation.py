@@ -49,8 +49,7 @@ def _feasible_cuts(batch, arch):
     return (np.flatnonzero(feasibility_mask(batch, arch)[0]) + 1).tolist()
 
 
-_PLAN_FIELDS = ("cuts", "server_compute", "objective", "iterations", "converged",
-                "resource_steps")
+_PLAN_FIELDS = ("cuts", "server_compute", "objective", "iterations", "converged")
 
 
 def _row_trace(plan, r):
@@ -89,12 +88,19 @@ def _attained(batch, arch, c_total, cuts, cfg=None):
     return equalize_min_max(a, b, c_total)[1]
 
 
+def _cut_pass(batch, arch, cfg):
+    """The planner's cut pass over an (R, S) batch, every user its own kind."""
+    mask = feasibility_mask(batch, arch)
+    return allocation._CutPass.of(batch, _each_own_kind(batch),
+                                  mask.reshape(-1, mask.shape[-1]), arch, cfg)
+
+
 def _best_cut(batch, arch, server_flops, cfg=None):
     """One cut pass on a single user at the given server share."""
-    cfg = cfg or OptimizerConfig()
-    mask = feasibility_mask(batch, arch)
-    cuts, _ = allocation._CutPass.of(batch, arch, cfg, mask)(server_flops)
-    return int(cuts[0])
+    rows = batch.rows(None)
+    cuts, _ = _cut_pass(rows, arch, cfg or OptimizerConfig())(
+        np.full(rows.shape, float(server_flops)))
+    return int(cuts[0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +309,7 @@ class TestResourcePassProperties:
             rng = np.random.default_rng(spec.seed)
             batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 100)
             plan = plan_rows(batch, vgg19, spec.server_tflops * 1e12)
-            worst = max(worst, int(plan.resource_steps.max()))
+            worst = max(worst, *(int(p.steps.max()) for p in plan.passes))
         assert 1 <= worst <= 10
 
 
@@ -469,7 +475,7 @@ class TestCachedCutPass:
                           limit(storage, model), limit(memory, needs))
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
         mask = feasibility_mask(batch, arch)
-        cut_pass = allocation._CutPass.of(batch, arch, cfg, mask)
+        cut_pass = _cut_pass(batch, arch, cfg)
 
         def reference(compute):
             terms = round_terms(batch, arch, None, compute, t_agg)
@@ -498,7 +504,7 @@ class TestCachedCutPass:
             check(shrunk, compute, finite)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                            max_size=len(rows))))
-        shrunk = allocation._CutPass.of(batch, arch, cfg, mask).keep_rows(keep)
+        shrunk = _cut_pass(batch, arch, cfg).keep_rows(keep)
         for compute in (c1, c2):
             check(shrunk, compute, keep)
 

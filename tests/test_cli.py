@@ -426,6 +426,28 @@ class TestOptimize:
         assert len(err) < 1024
         assert re.search(r": users \[(\d+, ){7}\d+\] and \d+ more: the server time", err)
 
+    def test_a_negative_zero_link_rate_fails_as_zero_does(self, tmp_path, capsys):
+        # -0.0 passes the ">= 0" rule: it must price as a dead link, as 0 does,
+        # and not divide to -inf on the way
+        path = tmp_path / "doc.json"
+
+        def outcome(argv, doc):
+            path.write_text(json.dumps(doc))
+            rc = _run(*argv, str(path), "--out", str(tmp_path / "o"))
+            return rc, capsys.readouterr().err
+
+        for argv, doc in (
+            (["optimize", "--users"],
+             lambda rate: {"users": [{"n_samples": 100, "tflops": 1,
+                                      "kbps_up": rate, "kbps_down": 0}]}),
+            (["simulate", "--rounds", "1", "--config"],
+             lambda rate: {"name": "x", "comm_options": [rate], "comp_options": [1.3],
+                           "data_options": [500.0]}),
+        ):
+            want = outcome(argv, doc(0))
+            assert want[0] == 2 and "every feasible cut prices to infinity" in want[1]
+            assert outcome(argv, doc(-0.0)) == want
+
     def test_oracle_runs_on_a_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
                     "--oracle", "--out", str(tmp_path / "o")) == 0
@@ -913,7 +935,7 @@ class TestOptimizeTrace:
             assert changed == np.count_nonzero(before.cuts[0] != rec.cuts[0])
         steps = [e["demand_evaluations"] for e in entries]
         assert all(type(k) is int and k >= 0 for k in steps)
-        assert max(steps) == plan.resource_steps[0]
+        assert max(steps) == max(p.steps[0] for p in trace)
 
         for entry, rec in zip(entries, trace):
             neck = entry["bottleneck"]
@@ -1205,7 +1227,7 @@ class TestFlagBounds:
             if command != "train-toy":   # no round is drawn and no user planned
                 _forbid(monkeypatch, esfl.simulation, "sample_population_data",
                         "sample_rounds")
-                _forbid(monkeypatch, esfl.allocation, "_feasible")
+                _forbid(monkeypatch, esfl.allocation, "_kinds")
             assert main([command, *argv, f"{flag}={text}", "--out", str(out)]) == 1
         assert f"argument {flag}: " in err.getvalue()
         assert not out.exists()
