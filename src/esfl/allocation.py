@@ -23,8 +23,11 @@ server's compute budget among users). The two are solved alternately:
 
 Each pass is an exact minimization with the other block fixed, so the
 objective is non-increasing across iterations; the loop stops when the
-compute vector stalls. Everything is deterministic: ties in the cut scan
-break toward the smaller index, and no randomness is used.
+compute vector stalls. A cut pass that returns its row's last cuts has
+reached the fixed point: the resource pass is row-independent, so it would
+repeat its last solve bit for bit, and the row keeps that solve instead,
+with no demand evaluated, and stalls. Everything is deterministic: ties in
+the cut scan break toward the smaller index, and no randomness is used.
 
 One planner serves every caller: :func:`plan_rows` runs R independent
 rounds, an (R, S) user batch, through both passes at once and freezes each
@@ -229,12 +232,14 @@ def _equalize(
     c_total: float,
     tol: float,
     max_steps: int,
-    upper_hint: np.ndarray | float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The min-max resource pass on every row of (..., S) terms at once.
 
-    Returns each row's compute vector, objective and number of demand
-    evaluations. See :func:`equalize_min_max` for the method.
+    Returns each row's compute vector, number of demand evaluations and
+    levels: the (3, ...) stack of the funded users' common level (-inf if
+    none), their pole (0 if none) and the largest ``b`` of an idle user
+    (-inf if none), from which :func:`_objective` takes the objective. See
+    :func:`equalize_min_max` for the method.
     """
     lead = a.shape[:-1]
     a = a.reshape(-1, a.shape[-1])
@@ -298,15 +303,26 @@ def _equalize(
 
     compute = np.where(active, a / (d_hi[:, None] + gap), 0.0)
     level = np.where(funded, pole + d_hi, -np.inf)
-    if upper_hint is not None:
-        # an attainable level bounds the root, but its offset above the pole
-        # carries the rounding of K - pole; it caps the level, not the compute
-        hint = np.broadcast_to(np.asarray(upper_hint, dtype=float), lead).reshape(-1)
-        level = np.where(hint > pole, np.minimum(level, hint), level)
     idle = np.max(np.where(active, -np.inf, b), axis=1)
-    objective = np.maximum(level, idle)
-    return (compute.reshape(lead + a.shape[-1:]), objective.reshape(lead),
-            steps.reshape(lead))
+    return (compute.reshape(lead + a.shape[-1:]), steps.reshape(lead),
+            np.stack([level, pole, idle]).reshape((3,) + lead))
+
+
+def _objective(levels: np.ndarray, upper_hint: np.ndarray | float | None = None
+               ) -> np.ndarray:
+    """The objective of a resource pass with the (3, ...) ``levels`` of
+    :func:`_equalize`: the larger of its level, capped by ``upper_hint``, and
+    its idle users' time.
+
+    An attainable level bounds the root, but its offset above the pole
+    carries the rounding of K - pole; so the hint caps the level, not the
+    compute, and only where it lies above the pole.
+    """
+    level, pole, idle = levels
+    if upper_hint is not None:
+        hint = np.broadcast_to(np.asarray(upper_hint, dtype=float), np.shape(level))
+        level = np.where(hint > pole, np.minimum(level, hint), level)
+    return np.maximum(level, idle)
 
 
 def equalize_min_max(
@@ -353,7 +369,8 @@ def equalize_min_max(
         raise ValueError("demand terms must be >= 0")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("demand terms must be finite (dead link with traffic?)")
-    compute, objective, _ = _equalize(a, b, c_total, tol, max_steps, upper_hint)
+    compute, _, levels = _equalize(a, b, c_total, tol, max_steps)
+    objective = _objective(levels, upper_hint)
     return compute, (float(objective) if objective.ndim == 0 else objective)
 
 
@@ -365,7 +382,8 @@ class _Pass(NamedTuple):
     objective: np.ndarray     # (n,)
     cuts: np.ndarray          # (n, S)
     server_compute: np.ndarray  # (n, S)
-    steps: np.ndarray         # (n,) demand evaluations of the resource pass
+    steps: np.ndarray         # (n,) demand evaluations of the resource pass;
+                              # 0 where it reused its row's last solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,7 +442,10 @@ def plan_rows(
     Each row alternates cut and resource passes from an equal compute split
     until its compute vector stalls or ``max_iters`` passes ran (``converged``
     is False when the cap came first); a stalled row is frozen while the
-    others go on. Each row keeps the best allocation it saw, and
+    others go on. A row whose cut pass repeats the cuts of its last pass
+    keeps that pass's compute and levels, with the level re-capped by the
+    new pass's hint and 0 demand evaluations: solving again would give the
+    same bits. Each row keeps the best allocation it saw, and
     ``passes`` every pass's outcome. Rows are planned in
     chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
     bounds the working set. A row's plan does not depend on the rows
@@ -465,15 +486,28 @@ def plan_rows(
         users = batch.rows(rows)
         cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg, rows)
         compute = np.full((live.size, n_users), c_total / n_users)
+        # the cuts and levels of each live row's last solve (no cut is 0)
+        last_cuts = np.zeros(compute.shape, dtype=int)
+        levels = np.empty((3, live.size))
         for it in range(1, cfg.max_iters + 1):
             cuts, best_times = cut_pass(compute)
-            a, b = server_demand_terms(users, cuts, arch, cfg)
+            # a row whose cuts repeat its last solve's would repeat that solve
+            # bit for bit, as the resource pass is row-independent: it keeps
+            # its compute and levels, with no demand evaluated
+            fresh = (cuts != last_cuts).any(axis=-1)
+            new, steps = compute, np.zeros(live.size, dtype=int)
+            if fresh.all():
+                a, b = server_demand_terms(users, cuts, arch, cfg)
+                new, steps, levels = _equalize(a, b, c_total, BISECTION_TOLERANCE,
+                                               BISECTION_MAX_STEPS)
+            elif fresh.any():
+                a, b = server_demand_terms(users.rows(fresh), cuts[fresh], arch, cfg)
+                new = compute.copy()
+                new[fresh], steps[fresh], levels[:, fresh] = _equalize(
+                    a, b, c_total, BISECTION_TOLERANCE, BISECTION_MAX_STEPS)
             # the incoming allocation achieves this much, so the level can't
-            # need to exceed it; passing it keeps each trace non-increasing
-            new, objective, steps = _equalize(
-                a, b, c_total, BISECTION_TOLERANCE, BISECTION_MAX_STEPS,
-                upper_hint=best_times.max(axis=-1),
-            )
+            # need to exceed it; capping by it keeps each trace non-increasing
+            objective = _objective(levels, best_times.max(axis=-1))
             passes.append(_Pass(it, live, objective, cuts, new, steps))
             better = (objective < best_objective[live]) | (it == 1)
             improved = live[better]
@@ -484,6 +518,7 @@ def plan_rows(
             going = ~_stalled(new, compute, STALL_TOLERANCE)
             converged[live[~going]] = True
             live, compute = live[going], new[going]
+            last_cuts, levels = cuts[going], levels[:, going]
             if not live.size:
                 break
             if not going.all():

@@ -496,35 +496,48 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
     resource pass, and the bottleneck: the user that set the objective (the
     round total, or one epoch's time with ``epoch_objective``), attributed
     by :func:`~esfl.timing.straggler`, with its cut and the five per-round
-    terms that, with ``t_agg``, sum to its round total.
+    terms that, with ``t_agg``, sum to its round total. The bottleneck
+    depends only on the pass's cuts and compute, so a pass that repeats the
+    previous pass's bit for bit (one that reused its solve) repeats its
+    bottleneck.
     """
-    entries, previous = [], None
+    entries, previous, neck = [], None, None
     for p in plan.passes:   # each holds row 0 only
-        cuts = p.cuts[0]
-        terms = round_terms(batch, arch, cuts, p.server_compute[0], cfg.t_agg)
-        if cfg.epoch_objective:
-            _, k = straggler(terms.epoch, terms.t_c + terms.t_b + terms.t_B)
-        else:
-            _, k = straggler(terms.total, terms.fixed)
-        epochs = batch.epochs[k]
+        cuts, compute = p.cuts[0], p.server_compute[0]
+        if previous is None or not (np.array_equal(cuts, previous[0])
+                                    and compute.tobytes() == previous[1].tobytes()):
+            neck = _bottleneck(batch, arch, cfg, cuts, compute)
         entries.append({
             "iteration": p.iteration,
             "objective_s": float(p.objective[0]),
             "cuts_changed": (None if previous is None
-                             else int(np.count_nonzero(cuts != previous))),
+                             else int(np.count_nonzero(cuts != previous[0]))),
             "demand_evaluations": int(p.steps[0]),
-            "bottleneck": {
-                "user": int(batch.user_ids[k]),
-                "cut": int(cuts[k]),
-                "model_movement_s": float(terms.t_up[k] + terms.t_down[k]),
-                "device_compute_s": float(epochs * terms.t_c[k]),
-                "upload_s": float(epochs * terms.t_b[k]),
-                "server_compute_s": float(epochs * terms.t_C[k]),
-                "download_s": float(epochs * terms.t_B[k]),
-            },
+            "bottleneck": neck,
         })
-        previous = cuts
+        previous = cuts, compute
     return entries
+
+
+def _bottleneck(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
+                cuts: np.ndarray, compute: np.ndarray) -> dict:
+    """The bottleneck entry of a trace (see :func:`_trace_entries`) at the
+    (S,) ``cuts`` and server ``compute``."""
+    terms = round_terms(batch, arch, cuts, compute, cfg.t_agg)
+    if cfg.epoch_objective:
+        _, k = straggler(terms.epoch, terms.t_c + terms.t_b + terms.t_B)
+    else:
+        _, k = straggler(terms.total, terms.fixed)
+    epochs = batch.epochs[k]
+    return {
+        "user": int(batch.user_ids[k]),
+        "cut": int(cuts[k]),
+        "model_movement_s": float(terms.t_up[k] + terms.t_down[k]),
+        "device_compute_s": float(epochs * terms.t_c[k]),
+        "upload_s": float(epochs * terms.t_b[k]),
+        "server_compute_s": float(epochs * terms.t_C[k]),
+        "download_s": float(epochs * terms.t_B[k]),
+    }
 
 
 def cmd_optimize(args, out_dir: Path) -> int:

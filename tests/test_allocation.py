@@ -285,7 +285,8 @@ class TestResourcePassProperties:
         with np.errstate(divide="ignore"):
             hint = float(np.max(np.where(active, b + a / np.where(active, split, 1.0), b)))
         tol = 1e-9
-        compute, level, steps = allocation._equalize(a, b, c_total, tol, 200, hint)
+        compute, steps, levels = allocation._equalize(a, b, c_total, tol, 200)
+        level = allocation._objective(levels, hint)
         assert np.all(compute >= 0) and np.all(compute[~active] == 0)
         assert compute.sum() <= c_total * (1 + 1e-12)
         assert level <= hint
@@ -905,3 +906,106 @@ class TestKinds:
             assert got == _per_user(fn, users, vgg19, 1e-308)
             assert got == (ConfigError, "c_total is too small: users [0, 20, 40]: the server "
                                         "time of every feasible cut overflows to infinity")
+
+
+def _solving_every_pass(users, arch, c_total, cfg):
+    """A (1, S) batch planned by the alternation with a resource pass that
+    runs ``server_demand_terms`` and ``_equalize`` on every pass: row 0's
+    results and passes, as bits, as :func:`_row_bits` gives them."""
+    batch, kinds, feasible = allocation._checked_rows(users, arch, c_total)
+    cut_pass = allocation._CutPass.of(batch, kinds, feasible, arch, cfg)
+    compute = np.full(batch.shape, c_total / batch.shape[1])
+    trace, best = [], None
+    for it in range(1, cfg.max_iters + 1):
+        cuts, times = cut_pass(compute)
+        a, b = server_demand_terms(batch, cuts, arch, cfg)
+        new, steps, levels = allocation._equalize(
+            a, b, c_total, allocation.BISECTION_TOLERANCE, allocation.BISECTION_MAX_STEPS)
+        objective = allocation._objective(levels, times.max(axis=-1))
+        trace.append((it, *(_bits(x[0]) for x in (objective, cuts, new, steps))))
+        if best is None or objective[0] < best[2]:
+            best = (cuts[0], new[0], objective[0])
+        stalled = allocation._stalled(new, compute, allocation.STALL_TOLERANCE)[0]
+        compute = new
+        if stalled:
+            break
+    return [_bits(x) for x in (*best, it, stalled)], trace
+
+
+def _row_bits(plan, r):
+    """Row r of a plan and of each of its passes, as :func:`_solving_every_pass`
+    gives them."""
+    trace = []
+    for p in plan.passes:
+        k = np.searchsorted(p.rows, r)
+        if k < len(p.rows) and p.rows[k] == r:
+            trace.append((p.iteration, *(_bits(x[k]) for x in (
+                p.objective, p.cuts, p.server_compute, p.steps))))
+    return [_bits(getattr(plan, f)[r]) for f in _PLAN_FIELDS], trace
+
+
+# a kind of user with live links: samples, device FLOP/s, up and down rates
+# (B/s), epochs, and storage and memory shares as in ``_KIND``
+_LIVE_KIND = st.tuples(
+    st.sampled_from([200.0, 800.0]), st.floats(1e9, 2e10),
+    *[st.sampled_from([1e5, 2e6])] * 2, st.integers(1, 2),
+    *[st.sampled_from([0.0, 0.4, 1.0])] * 2)
+
+
+class TestFixedPoint:
+    """A row whose cut pass repeats its last pass's cuts keeps that pass's
+    solve instead of running it again: the plan must be that of a planner
+    that solves every pass, but for the demand evaluations of such a pass."""
+
+    @seed(20261)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_LAYER, min_size=2, max_size=5),
+        st.lists(_LIVE_KIND, min_size=1, max_size=3),
+        st.integers(1, 5), st.integers(1, 6), st.floats(1e9, 2e11),
+        st.booleans(), st.sampled_from([0.0, 2.5]), st.sampled_from([1, 2, 50]),
+        st.data(),
+    )
+    def test_equals_solving_every_pass(self, layers, kinds, n_rows, n_users, c_total,
+                                       epoch_objective, t_agg, max_iters, data):
+        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                       for j, (p, f, a) in enumerate(layers)]))
+        picks = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
+            min_size=n_rows, max_size=n_rows)))
+        n, flops, up, down, epochs, storage, memory = (
+            np.array(x, dtype=float)[picks] for x in zip(*kinds))
+        model = arch.model_bytes_by_cut
+        needs = model + arch.cum_act_bytes_by_cut
+
+        def limit(share, need):
+            return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
+
+        ids = np.broadcast_to(np.arange(n_users), picks.shape)
+        batch = UserBatch(ids, n, flops, up, down, epochs,
+                          limit(storage, model), limit(memory, needs))
+        cfg = OptimizerConfig(max_iters=max_iters, epoch_objective=epoch_objective,
+                              t_agg=t_agg)
+        plan = plan_rows(batch, arch, c_total, cfg)
+        for r in range(n_rows):
+            got, got_trace = _row_bits(plan, r)
+            want, want_trace = _solving_every_pass(batch.rows([r]), arch, c_total, cfg)
+            assert got == want
+            assert len(got_trace) == len(want_trace)
+            previous = None
+            for i, (pass_, solved) in enumerate(zip(got_trace, want_trace)):
+                assert pass_[:4] == solved[:4]
+                repeat = previous is not None and pass_[2] == previous[2]
+                assert pass_[4] == (_bits(np.int64(0)) if repeat else solved[4])
+                assert not repeat or i == len(got_trace) - 1
+                previous = pass_
+
+    def test_every_preset_row_ends_on_a_reused_solve(self, vgg19):
+        for spec in preset_scenarios().values():
+            rng = np.random.default_rng(spec.seed)
+            batch = sample_rounds(spec, rng, sample_population_data(spec, rng), 20)
+            plan = plan_rows(batch, vgg19, spec.server_tflops * 1e12)
+            for r in range(batch.shape[0]):
+                trace = _row_trace(plan, r)
+                assert len(trace) >= 2
+                assert trace[-1][2] == trace[-2][2] and trace[-1][4] == 0

@@ -1502,11 +1502,11 @@ class TestReportDigests:
          "fc0e6f358e4c6647974bd226d0ebd72b974905e09dea141f8a196a1f67a078c2",
          "e1602a72459a1851eb2847c432be6a396376708a73a028a623fb5547dce5ee27"),
         (["optimize", "--users", "USERS", "--arch", "vgg19"], "allocation",
-         "09a4e2ec2191889d1d67e520a89a4f45d1fe0d65bac1d16adc714fb7f2b10892",
+         "a0c555435d9575957c57804dd33edb668bb36d35dca2e0ce5f3b7a30e7d27570",
          "27432bd66659f3ca3d450bc2fc9f9ce5bd69e1dece24d247bc503581e53cb7e6"),
         (["optimize", "--users", "USERS", "--arch", "vgg19",
           "--epoch-objective", "--t-agg", "1.5"], "allocation",
-         "51ca3f55f654686bb9e3aabcce3b2b26756f79d3a890fe754ae7c54ce97f18d7",
+         "3ffd95b3987715466abbc549cb28f40ad5ef96c9698579514b088b10d8159242",
          "85a79751ba92db62d9c7ea39ad7d21804e5a935ec1f18208b51442af3a464e4a"),
         # 873 per-user cut rows, 3 distinct
         (["simulate", "--population", "2000", "--selected", "500", "--rounds", "2",

@@ -395,6 +395,41 @@ class TestCutDistribution:
         _assert_same_distribution(report.cut_distribution, _loop_cut_distribution(
             report.user_ids, report.esfl_plan.cuts, vgg19.num_layers))
 
+    @seed(20262)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.booleans(), st.data())
+    def test_rows_are_grouped_by_their_bits(self, n_layers, zeroed, data):
+        # a pool of sparse count rows, one-hot rows (p = 1.0) among them, and
+        # per-user rows drawn from it, some with a zero's sign flipped
+        counts = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n_layers,
+                          max_size=n_layers).filter(any)
+        pool = data.draw(st.lists(counts, min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.tuples(
+            st.integers(0, len(pool) - 1),
+            st.lists(st.booleans(), min_size=n_layers, max_size=n_layers)), max_size=12))
+        rows = [np.where((np.array(pool[k]) == 0) & np.array(flip), -0.0,
+                         np.array(pool[k]) / sum(pool[k])) for k, flip in picks]
+        matrix = np.array(rows).reshape(len(picks), n_layers)
+        dist = CutLayerDistribution(tuple(range(len(picks))), matrix,
+                                    np.full(n_layers, 1.0 / n_layers))
+        with pytest.MonkeyPatch.context() as mp:
+            if zeroed:  # every row hashes alike
+                mp.setattr(simulation, "_ROW_MIX", 0)
+            per_user, entropies = dist.per_user_lists(), dist.entropies()
+
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+
+        assert per_user == matrix.tolist()
+        assert [bits(row) for row in per_user] == [bits(row) for row in matrix]
+        for i, j in zip(*np.triu_indices(len(picks), 1)):
+            if per_user[i] is per_user[j]:
+                assert bits(matrix[i]) == bits(matrix[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dense = np.where(matrix > 0, -matrix * np.log2(matrix), 0.0).sum(axis=1)
+        assert bits(entropies) == bits(dense)
+        assert dist.entropy_variance() == (float(np.var(dense)) if len(picks) else 0.0)
+
 
 class TestRowsMatchRoundByRound:
     """Planning every round at once equals planning each round alone."""
