@@ -19,7 +19,7 @@ server's compute budget among users). The two are solved alternately:
    satisfies ``C_i = a_i / (K - b_i)`` for a level ``K`` solving the budget
    equation ``sum a_i/(K - b_i) = C_total`` (water-filling). The demand on
    the left is convex and decreasing in K, so a safeguarded Newton method
-   started below the root solves it to ``tol`` in a few steps.
+   started below the root solves it in a few steps.
 
 Each pass is an exact minimization with the other block fixed, so the
 objective is non-increasing across iterations; the loop stops when the
@@ -54,8 +54,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (COUNT, FINITE, POSITIVE, AllocationError, ConfigError,
-                     InfeasibleUserError, at_least, check, id_list)
+from .errors import (COUNT, POSITIVE, AllocationError, InfeasibleUserError, at_least,
+                     check, id_list, magnitude)
 from .timing import ServerFreeTerms, feasibility_mask, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
@@ -80,7 +80,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         check("max_iters", self.max_iters, COUNT)
-        check("t_agg", self.t_agg, FINITE, at_least(0))
+        check("t_agg", self.t_agg, magnitude("s"), at_least(0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +190,6 @@ class _CutPass(NamedTuple):
         best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
         dead = ~np.isfinite(best)
         if dead.any():
-            # priced again without server time: a finite cut there, with some
-            # server compute, means only the server time overflowed, so the
-            # budget is at fault, not a link
-            free = self.terms.price(math.inf, out=times).min(axis=-1)
-            overflow = dead & np.isfinite(free) & (compute > 0)
-            if overflow.any():
-                named = id_list(self.user_ids[overflow[of_user]])
-                problem = (f"is too small: users {named}: "
-                           f"the server time of every feasible cut overflows to infinity")
-                raise ConfigError(f"c_total {problem}", "c_total", problem)
             raise AllocationError(
                 f"users {id_list(self.user_ids[dead[of_user]])}: every feasible cut "
                 f"prices to infinity (dead link with unavoidable traffic?)"
@@ -226,13 +216,8 @@ def server_demand_terms(
     return free.epochs * free.server_work, free.total
 
 
-def _equalize(
-    a: np.ndarray,
-    b: np.ndarray,
-    c_total: float,
-    tol: float,
-    max_steps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _equalize(a: np.ndarray, b: np.ndarray, c_total: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The min-max resource pass on every row of (..., S) terms at once.
 
     Returns each row's compute vector, number of demand evaluations and
@@ -254,45 +239,30 @@ def _equalize(
     # keeps full precision even when d is tiny next to the pole. Start at the
     # larger of two lower bounds on the root: each user's demand alone, and
     # Cauchy-Schwarz, sum a_i/(d + gap_i) >= A^2 / (A d + sum a_i gap_i)
-    weights = np.where(active, gap, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_sum = a.sum(axis=1)
-        mean_gap = (a * weights).sum(axis=1) / np.where(funded, a_sum, 1.0)
-        d_hi = a_sum / c_total  # demand(d_hi) <= c_total by construction
-        huge = ~(np.isfinite(a_sum) & np.isfinite(mean_gap))
-        if huge.any():
-            # server work near the float maximum: the same sums, of a / c_total
-            scaled = a[huge] / c_total
-            d_hi[huge] = scaled.sum(axis=1)
-            mean_gap[huge] = (scaled * weights[huge]).sum(axis=1) / d_hi[huge]
+    a_sum = a.sum(axis=1)
+    mean_gap = (a * np.where(active, gap, 0.0)).sum(axis=1) / np.where(funded, a_sum, 1.0)
+    d_hi = a_sum / c_total  # demand(d_hi) <= c_total by construction
     d_lo = np.maximum(np.max(a / c_total - gap, axis=1), d_hi - mean_gap)
     point = d_lo.copy()
     steps = np.zeros(len(a), dtype=int)
+    tol = BISECTION_TOLERANCE
     live = np.flatnonzero(funded & (d_hi - d_lo > tol * d_hi))
-    for _ in range(max_steps):
+    for _ in range(BISECTION_MAX_STEPS):
         if not live.size:
             break
         x = point[live]
         denom = x[:, None] + gap[live]
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            # a budget near the float maximum can overflow the demand or its
-            # slope at points far below the root
-            share = a[live] / denom
-            excess = share.sum(axis=1) - c_total      # > 0 on the infeasible side
-            slope = (share / denom).sum(axis=1)       # minus the demand's derivative
-            # the demand is convex, so its tangent's root, taken from either
-            # side, is a lower bound on the root
+        share = a[live] / denom
+        excess = share.sum(axis=1) - c_total      # > 0 on the infeasible side
+        slope = (share / denom).sum(axis=1)       # minus the demand's derivative
+        # the demand is convex, so its tangent's root, taken from either
+        # side, is a lower bound on the root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = x + excess / slope
-            overflow = ~np.isfinite(excess + slope)
         # aim a hair past the root so the next point can close the bracket;
         # an aim below the bracket (a tangent from the feasible side, or a
         # slope lost to underflow) falls back to bisection
         aim = newton * (1.0 + 0.5 * tol)
-        if overflow.any():
-            # an overflowed demand or slope gives no tangent: the point is
-            # itself a lower bound when infeasible, and its step bisects
-            newton = np.where(overflow, np.where(excess > 0, x, np.nan), newton)
-            aim = np.where(overflow, np.nan, aim)
         steps[live] += 1
         d_hi[live] = np.where(excess <= 0, np.minimum(d_hi[live], x), d_hi[live])
         lo = np.fmax(d_lo[live], newton)
@@ -329,8 +299,6 @@ def equalize_min_max(
     a: np.ndarray,
     b: np.ndarray,
     c_total: float,
-    tol: float = BISECTION_TOLERANCE,
-    max_steps: int = BISECTION_MAX_STEPS,
     upper_hint: np.ndarray | float | None = None,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimize max_i (a_i/C_i + b_i) subject to sum C_i <= C_total, C_i >= 0.
@@ -347,9 +315,10 @@ def equalize_min_max(
     the larger of two lower bounds on the root (``max_i a_i/C_total - gap_i``
     and its Cauchy-Schwarz bound), where no Newton step can pass the root.
     Each step then aims just beyond the tangent's root, and the solve stops
-    once a feasible point lies within ``tol`` (relative to d) of an
-    infeasible one, which bounds the budget shortfall by about ``tol``. The
-    feasible end is returned; ``max_steps`` caps the demand evaluations.
+    once a feasible point lies within ``BISECTION_TOLERANCE`` (relative to
+    d) of an infeasible one, which bounds the budget shortfall by about that
+    much. The feasible end is returned; ``BISECTION_MAX_STEPS`` caps the
+    demand evaluations. ``c_total`` is bounded as :func:`plan_rows` bounds it.
 
     ``upper_hint`` may pass the objective of any known-feasible allocation;
     the reported level never exceeds it, so callers iterating on (a, b) keep
@@ -364,12 +333,12 @@ def equalize_min_max(
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim < 1:
         raise ValueError("a and b must be arrays of equal shape (..., S)")
-    check("c_total", c_total, POSITIVE)
+    check("c_total", c_total, magnitude("FLOP/s"), POSITIVE)
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("demand terms must be >= 0")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("demand terms must be finite (dead link with traffic?)")
-    compute, _, levels = _equalize(a, b, c_total, tol, max_steps)
+    compute, _, levels = _equalize(a, b, c_total)
     objective = _objective(levels, upper_hint)
     return compute, (float(objective) if objective.ndim == 0 else objective)
 
@@ -416,7 +385,7 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
         raise ValueError("planning needs an (R, S) or an (S,) batch")
     if not batch.shape[1]:
         raise ValueError("at least one user is required")
-    check("c_total", c_total, (FINITE[0], "be finite in FLOP/s"), POSITIVE)
+    check("c_total", c_total, magnitude("FLOP/s"), POSITIVE)
     idle = batch.epochs < 1
     if idle.any():
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
@@ -462,11 +431,11 @@ def plan_rows(
     its order; a batch without repeated users is one kind per user.
 
     Users with fewer than one epoch cannot be planned and raise
-    ``ValueError``. A budget ``c_total`` that is not finite and positive, or
-    so small that a user's every feasible cut needs infinite server time,
-    raises a ``ConfigError`` naming ``c_total``. An error found at one
-    user of a kind names every user of the kind, in row order, as a pass
-    that priced each user would.
+    ``ValueError``. A budget ``c_total`` that is not positive, of a magnitude
+    in 1e-20..1e20 FLOP/s (``esfl.errors.MAGNITUDE_MIN``), raises a
+    ``ConfigError`` naming ``c_total``. Inside that range no price
+    overflows, so a cut pass fails only on a dead link; its error names
+    every user of each kind it is about, in row order.
     """
     cfg = cfg or OptimizerConfig()
     batch, kinds, feasible = _checked_rows(batch, arch, c_total)
@@ -498,13 +467,11 @@ def plan_rows(
             new, steps = compute, np.zeros(live.size, dtype=int)
             if fresh.all():
                 a, b = server_demand_terms(users, cuts, arch, cfg)
-                new, steps, levels = _equalize(a, b, c_total, BISECTION_TOLERANCE,
-                                               BISECTION_MAX_STEPS)
+                new, steps, levels = _equalize(a, b, c_total)
             elif fresh.any():
                 a, b = server_demand_terms(users.rows(fresh), cuts[fresh], arch, cfg)
                 new = compute.copy()
-                new[fresh], steps[fresh], levels[:, fresh] = _equalize(
-                    a, b, c_total, BISECTION_TOLERANCE, BISECTION_MAX_STEPS)
+                new[fresh], steps[fresh], levels[:, fresh] = _equalize(a, b, c_total)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; capping by it keeps each trace non-increasing
             objective = _objective(levels, best_times.max(axis=-1))

@@ -63,6 +63,22 @@ POSITIVE: Rule = (lambda v: not v > 0, "be > 0")
 COUNT: Rule = (lambda v: INTEGER[0](v) or v < 1, "be an integer >= 1")
 
 
+# Every multiplicand of the latency model is 0 or of a magnitude in this
+# range, in library units (FLOP/s, bytes/s, seconds, samples, ...). Inside
+# it no term of ``timing`` and no step of the resource pass can overflow;
+# the README shows why.
+MAGNITUDE_MIN, MAGNITUDE_MAX = 1e-20, 1e20
+IN_RANGE = "0 or within 1e-20..1e20"
+
+
+def magnitude(unit: str = "", scale: float = 1.0) -> Rule:
+    """A finite number that is 0 or, times ``scale``, of a magnitude in the
+    range of ``unit``, the library unit that ``scale`` takes it to."""
+    return (lambda v: FINITE[0](v) or not (
+        v == 0 or MAGNITUDE_MIN <= abs(v) * scale <= MAGNITUDE_MAX),
+        f"be {IN_RANGE} {unit}".rstrip())
+
+
 def at_least(low) -> Rule:
     return lambda v: not v >= low, f"be >= {low}"
 

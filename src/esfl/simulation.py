@@ -28,7 +28,6 @@ versions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -36,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import OptimizerConfig, RowPlan, plan_rows
-from .errors import (COUNT, FINITE, INTEGER, NUMBER, POSITIVE, ConfigError, Rule,
-                     at_least, at_most, between, check)
+from .errors import (COUNT, IN_RANGE, INTEGER, NUMBER, POSITIVE, ConfigError, Rule,
+                     at_least, at_most, between, check, magnitude)
 from .timing import (
     default_fixed_cut,
     esfl_round_time,
@@ -78,15 +77,18 @@ _SPEC_RULES: dict[str, tuple[Rule, ...]] = {
     "selected_per_round": (INTEGER, at_least(1)),
     "rounds": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
     "epochs": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
-    "server_tflops": (NUMBER, FINITE, POSITIVE,
-                      (lambda v: not math.isfinite(v * TFLOPS), "be finite in FLOP/s")),
+    # in FLOP/s, as the planner bounds the budget it becomes
+    "server_tflops": (NUMBER, magnitude("FLOP/s", TFLOPS), POSITIVE),
     "seed": (INTEGER, at_least(0)),   # numpy seeds take any size
 }
-_OPTION_RULES = ((NUMBER[0], "hold numbers"), (FINITE[0], "hold finite numbers"))
+_NUMBERS: Rule = (NUMBER[0], "hold numbers")
 _ITEM_RULES: dict[str, tuple[Rule, ...]] = {
-    "comm_options": (*_OPTION_RULES, (lambda v: v < 0, "hold numbers >= 0")),
-    "comp_options": (*_OPTION_RULES, (lambda v: v <= 0, "hold numbers > 0")),
-    "data_options": (*_OPTION_RULES, (lambda v: v < 0, "hold numbers >= 0")),
+    "comm_options": (_NUMBERS, (magnitude()[0], f"hold numbers {IN_RANGE} KB/s"),
+                     (lambda v: v < 0, "hold numbers >= 0")),
+    "comp_options": (_NUMBERS, (magnitude(scale=TFLOPS)[0], f"hold numbers {IN_RANGE} FLOP/s"),
+                     (lambda v: v <= 0, "hold numbers > 0")),
+    "data_options": (_NUMBERS, (magnitude()[0], f"hold numbers {IN_RANGE} samples"),
+                     (lambda v: v < 0, "hold numbers >= 0")),
 }
 
 
@@ -167,7 +169,7 @@ class SimOptions:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
-        check("kb_bytes", self.kb_bytes, FINITE, POSITIVE)
+        check("kb_bytes", self.kb_bytes, magnitude("bytes"), POSITIVE)
 
 
 # the odd multiplier whose powers hash a distribution row's columns
@@ -554,8 +556,8 @@ def _cut_distribution(
     exact, and the frequencies do not depend on the order rounds are added in.
     """
     ids, inverse = np.unique(user_ids, return_inverse=True)
-    counts = np.zeros((ids.size, n_layers))
-    np.add.at(counts, (inverse.ravel(), np.ravel(cuts) - 1), 1.0)
+    counts = np.bincount(inverse.ravel() * n_layers + (np.ravel(cuts) - 1),
+                         minlength=ids.size * n_layers).reshape(ids.size, n_layers)
     pooled = counts.sum(axis=0)
     return CutLayerDistribution(
         user_ids=tuple(ids.tolist()),

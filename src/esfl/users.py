@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import IN_RANGE, MAGNITUDE_MAX, MAGNITUDE_MIN, ConfigError
 
 Rule = tuple[Callable[[np.ndarray], np.ndarray], str]   # (failing mask, what)
 
@@ -28,16 +28,25 @@ _FINITE: Rule = (lambda v: ~np.isfinite(v), "finite")
 _AT_LEAST_0: Rule = (lambda v: v < 0, ">= 0")
 _ABOVE_0: Rule = (lambda v: v <= 0, "> 0")
 _NOT_NAN: Rule = (np.isnan, "a number")
-_RATE: Rule = (_FINITE[0], "finite in bytes/s")
+
+
+def _out_of_range(v: np.ndarray) -> np.ndarray:
+    """Where ``v`` is neither 0 nor of a magnitude in the range (NaN is not)."""
+    size = np.abs(v)
+    return (v != 0) & ~((size >= MAGNITUDE_MIN) & (size <= MAGNITUDE_MAX))
+
+
+_RATE: Rule = (_out_of_range, f"{IN_RANGE} bytes/s")
 
 # The value rules of each UserBatch field, in library units and in field
 # order; a value must pass every rule of its field.
 _RULES: dict[str, tuple[Rule, ...]] = {
-    "n_samples": (_FINITE, _AT_LEAST_0),
-    "compute_flops": ((_FINITE[0], "finite in FLOP/s"), _ABOVE_0),
+    "n_samples": ((_out_of_range, f"{IN_RANGE} samples"), _AT_LEAST_0),
+    "compute_flops": ((_out_of_range, f"{IN_RANGE} FLOP/s"), _ABOVE_0),
     "up": (_RATE, _AT_LEAST_0),
     "down": (_RATE, _AT_LEAST_0),
-    "epochs": ((lambda v: (v < 1) | (np.floor(v) != v), "an integer >= 1"), _FINITE),
+    "epochs": ((lambda v: (v < 1) | (np.floor(v) != v), "an integer >= 1"),
+               (_out_of_range, IN_RANGE)),
     "storage_bytes": (_NOT_NAN, _AT_LEAST_0),
     "memory_bytes": (_NOT_NAN, _AT_LEAST_0),
 }
@@ -330,8 +339,8 @@ def read_users(doc, kb_bytes: float, where: str) -> UserBatch:
         ch_up[priced] = shannon_rates(b, p_up, g_up, n0) / 8.0
         ch_down[priced] = shannon_rates(b, p_down, g_down, n0) / 8.0
         first.check("channel", ch_users,
-                    priced & ~(np.isfinite(ch_up) & np.isfinite(ch_down)),
-                    "priced to finite link rates")
+                    priced & (_out_of_range(ch_up) | _out_of_range(ch_down)),
+                    f"priced to link rates {_RATE[1]}")
     first.raise_any(f"{where} ")
     if problem:
         raise ConfigError(f"{where} user {count}: {problem}")

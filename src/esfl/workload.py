@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, ProfileError, at_least, check
+from .errors import POSITIVE, ProfileError, at_least, check, magnitude
 
 ELEMENT_SCALE = 1e6  # profile columns are tabulated in units of 1e6
 
@@ -50,10 +49,10 @@ class LayerProfile:
             raise ProfileError(f"layer {self.name!r}: index must be >= 1")
         for field in ("param_count", "fwd_flops", "activation_count"):
             value = getattr(self, field)
-            if not math.isfinite(value) or value < 0:
-                raise ProfileError(
-                    f"layer {self.name!r}: {field} must be finite and >= 0, got {value!r}"
-                )
+            for refuses, what in (magnitude(), at_least(0)):
+                if refuses(value):
+                    raise ProfileError(f"layer {self.name!r}: {field} must {what}, "
+                                       f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class ModelArchitecture:
             raise ProfileError(
                 f"architecture {self.name!r}: needs at least 2 layers to admit a cut"
             )
-        check("bytes_per_element", self.bytes_per_element, FINITE, POSITIVE)
-        check("bwd_multiplier", self.bwd_multiplier, FINITE, at_least(0))
+        check("bytes_per_element", self.bytes_per_element, magnitude("bytes"), POSITIVE)
+        check("bwd_multiplier", self.bwd_multiplier, magnitude(), at_least(0))
         for pos, layer in enumerate(self.layers, start=1):
             if layer.index != pos:
                 raise ProfileError(

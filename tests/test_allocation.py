@@ -229,20 +229,21 @@ class TestEqualize:
     @given(st.data())
     def test_budget_near_the_float_maximum_solves_like_the_unscaled_one(self, data):
         # Scaling a and the budget by one power of two k leaves the level
-        # alone and scales the compute by k. With the budget in
-        # [2**1022, 2**1023) the demand's slope overflows at the starting
-        # point of most draws, and the demand itself of some. Every a * k
-        # stays finite, since a <= 2 C, but with sum(a) above 4 C their sum
-        # overflows, and so may the sum of a * gap.
+        # alone and scales the compute by k. A budget near the float maximum
+        # lies far above the magnitude range and is refused; scaled to the
+        # top of the range, the budget solves like the unscaled one, with
+        # no step overflowing.
         m = data.draw(st.integers(2, 40))
         a = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
                                         min_size=m, max_size=m)))
         b = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
                                         min_size=m, max_size=m)))
         c_total = 0.5 * data.draw(st.floats(1.0, 100.0))
-        k = 2.0 ** (1023 - math.frexp(c_total)[1])
+        with pytest.raises(ConfigError, match=r"^c_total must be 0 or within 1e-20\.\.1e20 "):
+            equalize_min_max(a * 2.0 ** 1000, b, c_total * 2.0 ** 1000)
+        k = 2.0 ** (math.frexp(1e20)[1] - 1 - math.frexp(c_total)[1])   # c_total * k < 1e20
         c, level = equalize_min_max(a, b, c_total)
-        with np.errstate(all="raise"):
+        with np.errstate(all="raise", under="ignore"):   # a subnormal b may underflow
             c_k, level_k = equalize_min_max(a * k, b, c_total * k)
         assert level_k == pytest.approx(level, rel=1e-9)
         np.testing.assert_allclose(c_k / k, c, rtol=0, atol=1e-6 * c.max(initial=0.0))
@@ -284,8 +285,8 @@ class TestResourcePassProperties:
             if active.any() else np.zeros_like(a)
         with np.errstate(divide="ignore"):
             hint = float(np.max(np.where(active, b + a / np.where(active, split, 1.0), b)))
-        tol = 1e-9
-        compute, steps, levels = allocation._equalize(a, b, c_total, tol, 200)
+        tol = allocation.BISECTION_TOLERANCE
+        compute, steps, levels = allocation._equalize(a, b, c_total)
         level = allocation._objective(levels, hint)
         assert np.all(compute >= 0) and np.all(compute[~active] == 0)
         assert compute.sum() <= c_total * (1 + 1e-12)
@@ -398,13 +399,20 @@ class TestExactLevel:
                         <= level[r] * (1 + 1e-9))
 
     def test_a_budget_that_rounds_the_server_time_away(self, vgg19):
-        # every server time is below the rounding of the server-free times,
-        # so the level is the slowest user's fastest server-free time
+        # a budget so large that every server time is below the rounding of
+        # the server-free times lies above the magnitude range: refused
         users = _random_users(np.random.default_rng(8), 6)
-        level, cuts = exact_level(users, vgg19, 1e300)
+        for fn in (plan_rows, exact_level):
+            with pytest.raises(ConfigError, match=r"^c_total must be 0 or within "
+                                                  r"1e-20\.\.1e20 FLOP/s, not 1e\+300$"):
+                fn(users, vgg19, 1e300)
+        # at the top of the range the server time still counts, and the
+        # level lies between the fastest server-free time and the plan's
+        level, cuts = exact_level(users, vgg19, 1e20)
         free = server_demand_terms(users, None, vgg19)[1]
-        assert level[0] == free.min(axis=-1).max()
-        assert _attained(users, vgg19, 1e300, cuts[0]) <= level[0] * (1 + 1e-9)
+        assert free.min(axis=-1).max() <= level[0]
+        assert level[0] <= plan_rows(users, vgg19, 1e20).objective[0] * (1 + 1e-9)
+        assert _attained(users, vgg19, 1e20, cuts[0]) <= level[0] * (1 + 1e-9)
 
     def test_rows_solve_like_each_row(self, vgg19):
         spec = preset_scenarios()["LH"]
@@ -421,7 +429,7 @@ class TestExactLevel:
          130e12),                                                        # no epoch
         (_users(), math.inf),
         (_users(), 0.0),
-        (_users(uid=range(300), storage_bytes=3e6), 1e-320),   # server time overflows
+        (_users(), 1e-320),                                     # below the range
         (_users(kbps=0.0), 130e12),                            # dead link
     ])
     def test_refuses_as_plan_rows_does(self, vgg19, users, c_total):
@@ -621,12 +629,16 @@ class TestAlternate:
         users = _users(uid=range(2),
                        storage_bytes=[vgg19.model_bytes_by_cut[0], math.inf])
         for c_total in (math.inf, math.nan):
-            with pytest.raises(ConfigError, match="must be finite"):
+            with pytest.raises(ConfigError, match=r"must be 0 or within 1e-20\.\.1e20 FLOP/s"):
                 plan_rows(users.rows(None), vgg19, c_total)
-        # user 0 cannot train all-local, and every server cut's time overflows
-        with pytest.raises(ConfigError, match=r"^c_total is too small: users \[0\]: the server "
-                                              r"time of every feasible cut overflows"):
+        # a budget below the magnitude range is refused before any user is
+        # priced; at the bottom of the range, user 0, who cannot train
+        # all-local, gets a finite server time
+        with pytest.raises(ConfigError, match=r"^c_total must be 0 or within 1e-20\.\.1e20 "
+                                              r"FLOP/s, not 1e-308$"):
             plan_rows(users, vgg19, 1e-308)
+        with np.errstate(over="raise"):
+            assert np.isfinite(plan_rows(users, vgg19, 1e-20).objective).all()
 
     def test_dominates_every_fixed_equal_split_policy(self, vgg19):
         # construction guarantee: the first cut pass already minimizes over
@@ -802,7 +814,7 @@ class TestKinds:
         st.lists(_LAYER, min_size=2, max_size=5),
         _KINDS,
         st.integers(1, 3), st.integers(1, 6),
-        st.one_of(st.floats(1e9, 2e11), st.just(1e-308)),
+        st.one_of(st.floats(1e9, 2e11), st.just(1e-20)),
         st.booleans(), st.sampled_from([0.0, 2.5]), st.data(),
     )
     def test_equals_pricing_every_user(self, layers, kinds, n_rows, n_users, c_total,
@@ -897,15 +909,19 @@ class TestKinds:
             f"(dead link with unavoidable traffic?)")
 
     def test_small_budget_names_every_user(self, vgg19):
-        # users 0, 20 and 40 cannot train all-local, and every server cut's
-        # time overflows
+        # users 0, 20 and 40 cannot train all-local. A budget below the
+        # magnitude range is refused before any kind is priced, so the error
+        # names the budget, not users; at the bottom of the range every
+        # user of a kind plans as that kind does
         storage = np.where(np.arange(6) % 2 == 0, vgg19.model_bytes_by_cut[0], math.inf)
         users = _users(uid=np.arange(6) * 10, storage_bytes=storage)
         for fn in (plan_rows, exact_level):
             got = _outcome(fn, users, vgg19, 1e-308)
             assert got == _per_user(fn, users, vgg19, 1e-308)
-            assert got == (ConfigError, "c_total is too small: users [0, 20, 40]: the server "
-                                        "time of every feasible cut overflows to infinity")
+            assert got == (ConfigError, "c_total must be 0 or within 1e-20..1e20 FLOP/s, "
+                                        "not 1e-308")
+            _same_outcome(_outcome(fn, users, vgg19, 1e-20),
+                          _per_user(fn, users, vgg19, 1e-20))
 
 
 def _solving_every_pass(users, arch, c_total, cfg):
@@ -919,8 +935,7 @@ def _solving_every_pass(users, arch, c_total, cfg):
     for it in range(1, cfg.max_iters + 1):
         cuts, times = cut_pass(compute)
         a, b = server_demand_terms(batch, cuts, arch, cfg)
-        new, steps, levels = allocation._equalize(
-            a, b, c_total, allocation.BISECTION_TOLERANCE, allocation.BISECTION_MAX_STEPS)
+        new, steps, levels = allocation._equalize(a, b, c_total)
         objective = allocation._objective(levels, times.max(axis=-1))
         trace.append((it, *(_bits(x[0]) for x in (objective, cuts, new, steps))))
         if best is None or objective[0] < best[2]:

@@ -176,7 +176,8 @@ class TestSimulate:
         ("comm_options", [True], "comm_options must hold numbers, not True"),
         ("comp_options", [1.3, "2.6"], "comp_options must hold numbers, not '2.6'"),
         ("data_options", [None], "data_options must hold numbers, not None"),
-        ("comm_options", [10**400], f"comm_options must hold finite numbers, not {10**400}"),
+        ("comm_options", [10**400], "comm_options must hold numbers 0 or within "
+                                    f"1e-20..1e20 KB/s, not {10**400}"),
         ("population", 10**30, f"population must be at most {MAX_POPULATION}, not {10**30}"),
         ("rounds", 10**30, f"rounds must be at most {2**63 - 1}, not {10**30}"),
         ("population", 2**63 - 1,
@@ -252,7 +253,7 @@ class TestSimulate:
         (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,1,1\nB,1,1,1\n",
          "line 2: expected 4 fields, got 3"),
         (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,-1,1,1\nB,1,1,1\n",
-         "layer 'A': param_count must be finite and >= 0, got -1.0"),
+         "layer 'A': param_count must be >= 0, got -1.0"),
         (["simulate", "--arch"], "p.csv", _PROFILE_HEADER + "A,1,1,1\n",
          "profile lists a single layer; no valid cut exists"),
     ], ids=["users-json", "config-json", "arch-value", "arch-blank", "arch-fields",
@@ -390,8 +391,8 @@ class TestOptimize:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, budget, named", [
-        ("optimize", "1e297", "--server-tflops"),    # overflows to infinite FLOP/s
-        # so small that a user who cannot train all-local needs infinite time
+        # outside the magnitude range, 1e-20..1e20 FLOP/s
+        ("optimize", "1e297", "--server-tflops"),
         ("optimize", "1e-320", "--server-tflops"),
         ("simulate", "1e297", "--server-tflops"),
     ])
@@ -407,24 +408,40 @@ class TestOptimize:
         assert "input error" in err and named in err
         assert not (tmp_path / "o").exists()
 
-    def test_budget_near_the_float_maximum_plans_without_overflow(self, tmp_path):
-        # 1e296 TFLOP/s is 1e308 FLOP/s: finite, so admitted
+    def test_budget_near_the_float_maximum_plans_without_overflow(self, tmp_path, capsys):
+        # 1e296 TFLOP/s is 1e308 FLOP/s: finite, but far above the magnitude
+        # range, so refused before any user is planned; the top of the range,
+        # 1e8 TFLOP/s, plans without overflow
         users = tmp_path / "users.json"
         users.write_text(json.dumps(_bench_style_users(300, seed=5)))
         with np.errstate(all="raise"):
             assert _run("optimize", "--users", str(users), "--server-tflops", "1e296",
+                        "--out", str(tmp_path / "o")) == 1
+            assert ("input error: argument --server-tflops: must be 0 or within "
+                    "1e-20..1e20 FLOP/s, not 1e+308" in capsys.readouterr().err)
+            assert not (tmp_path / "o").exists()
+            assert _run("optimize", "--users", str(users), "--server-tflops", "1e8",
                         "--out", str(tmp_path / "o")) == 0
         report = json.loads((tmp_path / "o" / "allocation.json").read_text())
         assert math.isfinite(report["objective_s"]) and report["converged"]
 
     def test_an_error_about_many_users_names_a_few(self, tmp_path, capsys):
+        # every user's link is dead, and every cut moves the model over it
+        doc = _bench_style_users(10_000, seed=7)
+        for user in doc["users"]:
+            for key in ("kbps", "kbps_up", "kbps_down"):
+                if key in user:
+                    user[key] = 0
+            if "channel" in user:
+                user["channel"]["uplink_gain"] = 0
         users = tmp_path / "users.json"
-        users.write_text(json.dumps(_bench_style_users(10_000, seed=7)))
-        assert _run("optimize", "--users", str(users), "--server-tflops", "1e-320",
-                    "--out", str(tmp_path / "o")) == 1
+        users.write_text(json.dumps(doc))
+        assert _run("optimize", "--users", str(users),
+                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert len(err) < 1024
-        assert re.search(r": users \[(\d+, ){7}\d+\] and \d+ more: the server time", err)
+        assert re.search(r": users \[(\d+, ){7}\d+\] and 9992 more: every feasible cut "
+                         r"prices to infinity", err)
 
     def test_a_negative_zero_link_rate_fails_as_zero_does(self, tmp_path, capsys):
         # -0.0 passes the ">= 0" rule: it must price as a dead link, as 0 does,
@@ -565,8 +582,11 @@ def _assert_batches_equal(got: UserBatch, want: UserBatch) -> None:
 
 
 def _number(low, high, int_high):
-    """A JSON float in [low, high] or a JSON int in [ceil(low), int_high]."""
-    return st.one_of(st.floats(low, high), st.integers(math.ceil(low), int_high))
+    """A JSON float in [low, high] that is 0 or at least 1e-20, the bottom of
+    the magnitude range, or a JSON int in [ceil(low), int_high]."""
+    floats = st.floats(max(low, 1e-20), high)
+    return st.one_of(floats if low > 0 else st.one_of(st.just(0.0), floats),
+                     st.integers(math.ceil(low), int_high))
 
 
 _GOOD_CHANNEL = {"bandwidth_hz": 1e6, "uplink_power_w": 1e-3, "downlink_power_w": 1e-2,
@@ -611,14 +631,15 @@ def _with_link(user: dict, **link) -> dict:
 
 
 # Values each field must refuse. 10**400 is a JSON int beyond the float
-# range; 1e306 KB/s overflows once scaled to bytes/s.
+# range; 1e306 KB/s overflows once scaled to bytes/s; 1e-21, 1e-33 TFLOP/s
+# (1e-21 FLOP/s) and 1e18 KB/s lie outside the magnitude range once scaled.
 _BAD_VALUES = {
-    "n_samples": [-1, -1e-300, "500", True, None, [500], 10**400],
-    "tflops": [0, -1.3, 1e300, "1.3", True, False, 10**400],
-    "kbps": [-10, 1e306, "10", True, 10**400],
-    "kbps_up": [-1, True, "5", 1e307],
-    "kbps_down": [-0.5, False, {}],
-    "epochs": [0, -2, 2.7, True, "3", None, 10**400],
+    "n_samples": [-1, -1e-300, "500", True, None, [500], 10**400, 1e-21, 10**21],
+    "tflops": [0, -1.3, 1e300, "1.3", True, False, 10**400, 1e-33, 1e9],
+    "kbps": [-10, 1e306, "10", True, 10**400, 1e18],
+    "kbps_up": [-1, True, "5", 1e307, 1e-24],
+    "kbps_down": [-0.5, False, {}, 1e18],
+    "epochs": [0, -2, 2.7, True, "3", None, 10**400, 10**21],
     "storage_mb": [-1, "600", True, None, -10**400],
     "memory_mb": [-1e-3, "4096", False],
     "channel.bandwidth_hz": [0, -1e6, True, "1e6", 10**400],
@@ -674,8 +695,9 @@ _MISSHAPEN = {   # what is wrong -> the entry made so from a valid one
     "channel lacks ['uplink_gain']": lambda u: _with_link(u, channel={
         k: v for k, v in _GOOD_CHANNEL.items() if k != "uplink_gain"}),
     # B*N0 underflows to 0, so the SNR divides by zero
-    "channel must be priced to finite link rates": lambda u: _with_link(u, channel={
-        **_GOOD_CHANNEL, "bandwidth_hz": 1e-200, "noise_density_w_per_hz": 1e-200}),
+    "channel must be priced to link rates 0 or within 1e-20..1e20 bytes/s":
+        lambda u: _with_link(u, channel={
+            **_GOOD_CHANNEL, "bandwidth_hz": 1e-200, "noise_density_w_per_hz": 1e-200}),
 }
 _PLANTS = ([("value", (f, v)) for f, values in _BAD_VALUES.items() for v in values]
            + [("shape", what) for what in _MISSHAPEN])
@@ -721,7 +743,7 @@ class TestUsersColumns:
                 with pytest.raises(ConfigError, match=f"^user 8: {targets[0]} must be "):
                     UserBatch.checked(**columns, user_ids=[7, 8, 9])
                 refused += 1
-        assert refused == 20
+        assert refused == 28
 
     @seed(20250)
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -752,7 +774,7 @@ class TestUsersColumns:
         ok = {"n_samples": 500, "tflops": 1.3, "kbps": 10}
         for field, value, what in (
             ("tflops", 0, "> 0, not 0"),
-            ("tflops", 1e300, "finite in FLOP/s, not 1e+300"),
+            ("tflops", 1e300, "0 or within 1e-20..1e20 FLOP/s, not 1e+300"),
             ("tflops", True, "a number, not True"),
             ("kbps", -10, ">= 0, not -10"),
             ("kbps", True, "a number, not True"),
@@ -1136,20 +1158,27 @@ _INT_BELOW_1 = st.integers(max_value=0)
 _INT_BELOW_0 = st.integers(max_value=-1)
 _NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)
 _NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-_INFINITE_FLOPS = st.floats(min_value=1e297, allow_nan=False, allow_infinity=False)
-_UNITS = [("--kappa", _NEGATIVE, None), ("--bytes-per-element", _NOT_POSITIVE, None),
-          ("--t-agg", _NEGATIVE, None)]
+
+# positive, below the magnitude range of 1e-20..1e20; and above it
+_TINY = st.floats(5e-324, 0.99e-20)
+_HUGE = st.floats(min_value=1.01e20, allow_infinity=False)
+_UNITS = [("--kappa", st.one_of(_NEGATIVE, _TINY), _HUGE),
+          ("--bytes-per-element", st.one_of(_NOT_POSITIVE, _TINY), _HUGE),
+          ("--t-agg", st.one_of(_NEGATIVE, _TINY), _HUGE)]
+# the range in TFLOP/s is 1e-32..1e8
+_SERVER_TFLOPS = (st.one_of(_NOT_POSITIVE, st.floats(5e-324, 0.99e-32)),
+                  st.floats(min_value=1.01e8, allow_infinity=False))
 _NUMERIC_FLAGS = [
     ("simulate", "--rounds", _INT_BELOW_1, st.integers(min_value=2**63)),
     ("simulate", "--population", _INT_BELOW_1, st.integers(min_value=MAX_POPULATION + 1)),
     ("simulate", "--selected", _INT_BELOW_1, st.integers(min_value=101)),   # BP's 100
     ("simulate", "--epochs", _INT_BELOW_1, st.integers(min_value=2**63)),
-    ("simulate", "--server-tflops", _NOT_POSITIVE, _INFINITE_FLOPS),
+    ("simulate", "--server-tflops", *_SERVER_TFLOPS),
     ("simulate", "--seed", _INT_BELOW_0, None),
     ("simulate", "--fixed-cut", _INT_BELOW_1, st.integers(min_value=21)),   # vgg19's 20
     ("simulate", "--max-iters", _INT_BELOW_1, None),
     *(("simulate", *unit) for unit in _UNITS),
-    ("optimize", "--server-tflops", _NOT_POSITIVE, _INFINITE_FLOPS),
+    ("optimize", "--server-tflops", *_SERVER_TFLOPS),
     ("optimize", "--max-iters", _INT_BELOW_1, None),
     *(("optimize", *unit) for unit in _UNITS),
     ("converge", "--reps", _INT_BELOW_1, None),

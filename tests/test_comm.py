@@ -86,7 +86,8 @@ class TestShannonRate:
         rates = shannon_rates(np.array([1e-200, 1e-200]), np.array([1.0, 1.0]),
                               np.array([1.0, 0.0]), np.array([1e-200, 1e-200]))
         assert rates[0] == math.inf and math.isnan(rates[1])
-        with pytest.raises(ConfigError, match="channel must be priced to finite"):
+        with pytest.raises(ConfigError, match="channel must be priced to link rates 0 or "
+                                              "within 1e-20..1e20 bytes/s"):
             _read(_channel_user(1e-200, 1.0, 1.0, 1.0, 1.0, 1e-200))
 
 
@@ -129,7 +130,8 @@ class TestLinkRates:
 
     def test_non_finite_rates_rejected(self):
         for up in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match="user 0: up must be finite"):
+            with pytest.raises(ConfigError, match="user 0: up must be 0 or within "
+                                                  "1e-20..1e20 bytes/s"):
                 UserBatch.checked(1.0, 1e12, up, 1.0)
 
 

@@ -42,7 +42,8 @@ class TestChecked:
             UserBatch.checked(**bad, user_ids=[7, 8, 9])
         # of the rules failing at one user, the earliest field's
         bad = _columns(n_samples=[200.0, math.inf, 600.0], up=[1.0, -1.0, 1.0])
-        with pytest.raises(ConfigError, match=r"^user 1: n_samples must be finite$"):
+        with pytest.raises(ConfigError,
+                           match=r"^user 1: n_samples must be 0 or within 1e-20\.\.1e20 samples$"):
             UserBatch.checked(**bad)
 
     def test_unlimited_storage_but_no_nan(self):

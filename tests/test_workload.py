@@ -79,9 +79,10 @@ class TestUnits:
     def test_non_finite_units_rejected(self):
         # a NaN kappa made every compute figure NaN; a NaN or infinite
         # element size did the same to every byte count
-        for field in ("bwd_multiplier", "bytes_per_element"):
+        for field, unit in (("bwd_multiplier", ""), ("bytes_per_element", " bytes")):
             for value in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ConfigError, match=f"^{field} must be a finite number, "
+                with pytest.raises(ConfigError, match=f"^{field} must be 0 or within "
+                                                      rf"1e-20\.\.1e20{unit}, "
                                                       f"not {value!r}$"):
                     load_builtin("vgg19", **{field: value})
         with pytest.raises(ConfigError, match="^bwd_multiplier must be >= 0, not -1.0$"):
