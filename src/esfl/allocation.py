@@ -14,7 +14,8 @@ server's compute budget among users). The two are solved alternately:
    so everything else is priced once per plan.
 2. Resource pass: with cuts fixed, each user's time is ``a_i/C_i + b_i``
    with constants ``a_i`` (server FLOPs owed to user i) and ``b_i``
-   (everything compute-allocation-independent). Minimizing the maximum
+   (everything compute-allocation-independent), read from the cut pass's
+   priced terms at the user's kind and cut. Minimizing the maximum
    subject to ``sum C_i <= C_total`` equalizes the finishers: the optimum
    satisfies ``C_i = a_i / (K - b_i)`` for a level ``K`` solving the budget
    equation ``sum a_i/(K - b_i) = C_total`` (water-filling). The demand on
@@ -37,8 +38,8 @@ as the trace.
 
 The alternation may stop above the joint optimum, which
 :func:`exact_level` finds by bisection on the level (minimax resource
-allocation; Ibaraki & Katoh, 1988), O(S*L) per step, each kind priced
-once.
+allocation; Ibaraki & Katoh, 1988), O(S*L) per step, on the cut pass's
+terms.
 
 By default a user's objective is its full round time (model up/down plus
 all local epochs plus aggregation). Setting ``epoch_objective`` restricts
@@ -168,6 +169,12 @@ class _CutPass(NamedTuple):
         return cls(users.user_ids, kinds, terms.server_free(cfg.epoch_objective, feasible),
                    np.empty(feasible.shape))
 
+    def demand(self, cuts: np.ndarray, rows: np.ndarray | slice = slice(None)
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The resource pass's terms (a, b) of the rows ``rows`` at their
+        1-based (R, S) ``cuts``: each user's kind's terms at its cut."""
+        return self.terms.demand(self.kinds.of_user[rows], cuts[rows] - 1)
+
     def keep_rows(self, keep: np.ndarray) -> _CutPass:
         """The passes over the rows the mask ``keep`` selects. They reuse
         these passes' arrays in place (see :meth:`ServerFreeTerms.keep_rows`),
@@ -208,6 +215,8 @@ def server_demand_terms(
 
     ``a`` is the objective's server time at unit compute and ``b`` the
     objective with the server time left out (infinite server compute).
+    The planner reads them from its cut pass (:meth:`ServerFreeTerms.demand`);
+    this prices them apart, the planner's independent reference.
     """
     cfg = cfg or OptimizerConfig()
     free = round_terms(batch, arch, cuts, math.inf, cfg.t_agg)
@@ -426,9 +435,10 @@ def plan_rows(
     gives each kind's cut and time to every user of the kind, and drops a
     frozen row's kinds with the row. That is exact: such users get the same
     compute in every pass, since the first splits the budget equally and
-    the resource pass is elementwise in each user's (a, b). The resource
-    pass, its terms and the stall test stay per user, so every sum keeps
-    its order; a batch without repeated users is one kind per user.
+    the resource pass is elementwise in each user's (a, b), which it reads
+    from its kind's terms at its cut; a chunk's kinds are priced once. The
+    resource pass and the stall test run per user, so every sum keeps its
+    order; a batch without repeated users is one kind per user.
 
     Users with fewer than one epoch cannot be planned and raise
     ``ValueError``. A budget ``c_total`` that is not positive, of a magnitude
@@ -452,7 +462,6 @@ def plan_rows(
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         live = np.arange(rows.start, rows.stop)
-        users = batch.rows(rows)
         cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg, rows)
         compute = np.full((live.size, n_users), c_total / n_users)
         # the cuts and levels of each live row's last solve (no cut is 0)
@@ -466,12 +475,11 @@ def plan_rows(
             fresh = (cuts != last_cuts).any(axis=-1)
             new, steps = compute, np.zeros(live.size, dtype=int)
             if fresh.all():
-                a, b = server_demand_terms(users, cuts, arch, cfg)
-                new, steps, levels = _equalize(a, b, c_total)
+                new, steps, levels = _equalize(*cut_pass.demand(cuts), c_total)
             elif fresh.any():
-                a, b = server_demand_terms(users.rows(fresh), cuts[fresh], arch, cfg)
                 new = compute.copy()
-                new[fresh], steps[fresh], levels[:, fresh] = _equalize(a, b, c_total)
+                new[fresh], steps[fresh], levels[:, fresh] = _equalize(
+                    *cut_pass.demand(cuts, fresh), c_total)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; capping by it keeps each trace non-increasing
             objective = _objective(levels, best_times.max(axis=-1))
@@ -489,7 +497,6 @@ def plan_rows(
             if not live.size:
                 break
             if not going.all():
-                users = users.rows(going)
                 cut_pass = cut_pass.keep_rows(going)
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
@@ -513,18 +520,17 @@ def exact_level(
     from the level of an equal split.
 
     Users are priced once per kind, as :func:`plan_rows` prices them: the
-    equal split's times come from the planner's cut pass, each step's
-    reach is (N, L) over the N kinds, and each user's reach is gathered
-    before the row's sum, in user order.
+    equal split's times and the (N, L) terms (a, b) come from the planner's
+    cut pass, each step's reach is (N, L) over the N kinds, and each user's
+    reach is gathered before the row's sum, in user order.
     """
     cfg = cfg or OptimizerConfig()
     batch, kinds, feasible = _checked_rows(batch, arch, c_total)
     # the planner's first cut pass: each user at its fastest cut of an equal split
     split = np.full(batch.shape, c_total / batch.shape[1])
-    _, split_times = _CutPass.of(batch, kinds, feasible, arch, cfg)(split)
-    users = batch.rows((kinds.row, kinds.col))
-    a, b = server_demand_terms(users, None, arch, cfg)      # (N, L), one row per kind
-    b = np.where(feasible, b, np.inf)
+    cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg)
+    _, split_times = cut_pass(split)
+    a, b = cut_pass.terms.demand()      # (N, L), one row per kind; b is +inf where blocked
     per_work = np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0)
     lo, hi = b.min(axis=-1)[kinds.of_user].max(axis=-1), split_times.max(axis=-1)
     for _ in range(BISECTION_MAX_STEPS):

@@ -51,8 +51,9 @@ import numpy as np
 
 from . import split_training as toy
 from .allocation import OptimizerConfig, RowPlan, exact_level, plan_rows
-from .errors import ConfigError, EsflError, ProfileError
+from .errors import ConfigError, EsflError, ProfileError, check
 from .simulation import (
+    SERVER_TFLOPS,
     ScenarioSpec,
     SimOptions,
     convergence_study,
@@ -106,7 +107,7 @@ _non_negative_int = _int_at_least(0, "non-negative")
 # The flag that sets each library parameter an input error can name.
 _FLAGS = {
     "algorithms": "--algos", "batch_size": "--batch-size", "bwd_multiplier": "--kappa",
-    "bytes_per_element": "--bytes-per-element", "c_total": "--server-tflops",
+    "bytes_per_element": "--bytes-per-element",
     "cut": "--cuts", "epochs": "--epochs", "eta": "--eta", "fixed_cut": "--fixed-cut",
     "max_iters": "--max-iters", "population": "--population", "repetitions": "--reps",
     "rho0": "--rho0", "rounds": "--rounds", "scales": "--scales", "seed": "--seed",
@@ -544,6 +545,7 @@ def cmd_optimize(args, out_dir: Path) -> int:
     arch = _load_arch(args.arch, args.kappa, args.bytes_per_element)
     batch = _users_from_doc(args.users, float(args.kb))
     cfg = _optimizer_from_args(args)
+    check("server_tflops", args.server_tflops, *SERVER_TFLOPS)
     c_total = args.server_tflops * 1e12
     plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0
     cuts, compute, objective = plan.cuts[0], plan.server_compute[0], float(plan.objective[0])

@@ -70,6 +70,8 @@ MAX_USER_ROUNDS = 10**7
 # and a selection larger than the population, or more user-rounds than
 # MAX_USER_ROUNDS, is refused after them.
 _NONEMPTY: Rule = (lambda v: not v, "hold at least one number")
+# a server budget in TFLOP/s, bounded in FLOP/s as the planner bounds it
+SERVER_TFLOPS: tuple[Rule, ...] = (NUMBER, magnitude("FLOP/s", TFLOPS), POSITIVE)
 _SPEC_RULES: dict[str, tuple[Rule, ...]] = {
     "name": ((lambda v: not isinstance(v, str), "be a string"),),
     "comm_options": (_NONEMPTY,), "comp_options": (_NONEMPTY,), "data_options": (_NONEMPTY,),
@@ -77,8 +79,7 @@ _SPEC_RULES: dict[str, tuple[Rule, ...]] = {
     "selected_per_round": (INTEGER, at_least(1)),
     "rounds": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
     "epochs": (INTEGER, at_least(1), at_most(_MAX_COUNT)),
-    # in FLOP/s, as the planner bounds the budget it becomes
-    "server_tflops": (NUMBER, magnitude("FLOP/s", TFLOPS), POSITIVE),
+    "server_tflops": SERVER_TFLOPS,
     "seed": (INTEGER, at_least(0)),   # numpy seeds take any size
 }
 _NUMBERS: Rule = (NUMBER[0], "hold numbers")

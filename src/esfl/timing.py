@@ -10,9 +10,9 @@ fixed aggregation term::
 
 :func:`round_terms` is the one implementation of that formula; the
 planner's passes, the reports and the four round policies below (ESFL,
-FL, SFL, SL) derive from it. The planner's cut passes reprice it at each
-new server compute through :class:`ServerFreeTerms`, which sums the same
-way. Each policy returns ``(round time,
+FL, SFL, SL) derive from it. The planner prices it once per plan, into
+:class:`ServerFreeTerms`, which sums the same way and feeds both its
+passes. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
 
 Every function here takes its users as one :class:`~esfl.users.UserBatch`;
@@ -218,6 +218,25 @@ class ServerFreeTerms(NamedTuple):
             times = _round_time(self.move, self.epochs, times, self.t_agg, out=out)
         np.copyto(times, np.inf, where=self.blocked)
         return times
+
+    def demand(self, kind: np.ndarray | None = None, cut: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The terms (a, b) of the objective ``a / C + b`` at server compute C:
+        ``a`` the server FLOPs owed per unit of compute, ``b`` the objective at
+        infinite compute (+inf at a blocked cut), summed as :meth:`price` sums.
+        (..., S, L), or of (N, L) terms gathered at each 0-based ``cut`` of row
+        ``kind``."""
+        terms = self
+        if kind is not None:
+            at = kind * self.device.shape[-1] + cut     # np.take reads the (N, L) flat
+            terms = ServerFreeTerms(
+                *(None if x is None else np.take(x, at) for x in self[:3]),
+                np.take(self.server_flops, cut), np.take(self.n_samples, kind),
+                np.take(self.no_work, at), np.take(self.epochs, kind), self.t_agg,
+                np.take(self.blocked, at))
+        work = terms.server_flops * terms.n_samples
+        a = work if terms.move is None else terms.epochs * work
+        return a, terms.price(np.inf, out=np.empty(work.shape))
 
 
 def round_terms(

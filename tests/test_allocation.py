@@ -803,6 +803,25 @@ _KINDS = st.tuples(_KIND, st.lists(st.tuples(st.integers(0, 6), _KIND), max_size
                                 for i, other in drawn[1]])
 
 
+def _kind_rows(layers, kinds, picks):
+    """An architecture of the drawn ``layers`` and the (R, S) batch whose
+    users are the drawn ``kinds`` (as ``_KIND`` draws them) that the (R, S)
+    ``picks`` name."""
+    arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
+                                   for j, (p, f, a) in enumerate(layers)]))
+    n, flops, up, down, epochs, storage, memory = (
+        np.array(x, dtype=float)[picks] for x in zip(*kinds))
+    model = arch.model_bytes_by_cut
+    needs = model + arch.cum_act_bytes_by_cut
+
+    def limit(share, need):
+        return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
+
+    ids = np.broadcast_to(np.arange(picks.shape[1]), picks.shape)
+    return arch, UserBatch(ids, n, flops, up, down, epochs,
+                           limit(storage, model), limit(memory, needs))
+
+
 class TestKinds:
     """The planner prices one user of each kind (users of a row with bitwise
     equal attributes) and gives its cuts and compute to the others; that
@@ -819,22 +838,10 @@ class TestKinds:
     )
     def test_equals_pricing_every_user(self, layers, kinds, n_rows, n_users, c_total,
                                        epoch_objective, t_agg, data):
-        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
-                                       for j, (p, f, a) in enumerate(layers)]))
         picks = np.array(data.draw(st.lists(
             st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
             min_size=n_rows, max_size=n_rows)))
-        n, flops, up, down, epochs, storage, memory = (
-            np.array(x, dtype=float)[picks] for x in zip(*kinds))
-        model = arch.model_bytes_by_cut
-        needs = model + arch.cum_act_bytes_by_cut
-
-        def limit(share, need):
-            return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
-
-        ids = np.broadcast_to(np.arange(n_users), picks.shape)
-        batch = UserBatch(ids, n, flops, up, down, epochs,
-                          limit(storage, model), limit(memory, needs))
+        arch, batch = _kind_rows(layers, kinds, picks)
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
         _same_outcome(_outcome(exact_level, batch, arch, c_total, cfg),
                       _per_user(exact_level, batch, arch, c_total, cfg))
@@ -983,22 +990,10 @@ class TestFixedPoint:
     )
     def test_equals_solving_every_pass(self, layers, kinds, n_rows, n_users, c_total,
                                        epoch_objective, t_agg, max_iters, data):
-        arch = load_architecture(_doc([f"L{j},{p!r},{f!r},{a!r}"
-                                       for j, (p, f, a) in enumerate(layers)]))
         picks = np.array(data.draw(st.lists(
             st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
             min_size=n_rows, max_size=n_rows)))
-        n, flops, up, down, epochs, storage, memory = (
-            np.array(x, dtype=float)[picks] for x in zip(*kinds))
-        model = arch.model_bytes_by_cut
-        needs = model + arch.cum_act_bytes_by_cut
-
-        def limit(share, need):
-            return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
-
-        ids = np.broadcast_to(np.arange(n_users), picks.shape)
-        batch = UserBatch(ids, n, flops, up, down, epochs,
-                          limit(storage, model), limit(memory, needs))
+        arch, batch = _kind_rows(layers, kinds, picks)
         cfg = OptimizerConfig(max_iters=max_iters, epoch_objective=epoch_objective,
                               t_agg=t_agg)
         plan = plan_rows(batch, arch, c_total, cfg)
@@ -1024,3 +1019,96 @@ class TestFixedPoint:
                 trace = _row_trace(plan, r)
                 assert len(trace) >= 2
                 assert trace[-1][2] == trace[-2][2] and trace[-1][4] == 0
+
+
+class TestDemandTerms:
+    """The resource pass reads its terms (a, b) from the cut pass's priced
+    terms. They must equal ``server_demand_terms``, the independent route
+    through ``round_terms``, bit for bit."""
+
+    @seed(20262)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_LAYER, min_size=2, max_size=5), _KINDS,
+        st.integers(1, 4), st.integers(1, 6), st.booleans(),
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0)), st.data(),
+    )
+    def test_equal_server_demand_terms(self, layers, kinds, n_rows, n_users,
+                                       epoch_objective, t_agg, data):
+        # epochs past 2, so that a product by them rounds and a sum in
+        # another order shows
+        epochs = data.draw(st.lists(st.integers(1, 9), min_size=len(kinds),
+                                    max_size=len(kinds)))
+        kinds = [kind[:4] + (e,) + kind[5:] for kind, e in zip(kinds, epochs)]
+        picks = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
+            min_size=n_rows, max_size=n_rows)))
+        arch, batch = _kind_rows(layers, kinds, picks)
+        cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        batch, groups, feasible = allocation._checked_rows(batch, arch, 1e12)
+        # the passes over a chunk: the rows from a drawn one on
+        rows = slice(data.draw(st.integers(0, n_rows - 1)), None)
+        cut_pass = allocation._CutPass.of(batch, groups, feasible, arch, cfg, rows)
+        users = batch.rows(rows)
+
+        # (N, L), one row per kind: +inf exactly at the cuts beyond storage
+        # or memory, and the reference's terms elsewhere
+        of_kinds = users.rows((cut_pass.kinds.row, cut_pass.kinds.col))
+        want_a, want_b = server_demand_terms(of_kinds, None, arch, cfg)
+        a, b = cut_pass.terms.demand()
+        assert _bits(a) == _bits(want_a)
+        assert _bits(b) == _bits(np.where(feasibility_mask(of_kinds, arch), want_b, np.inf))
+
+        # per user, at random runnable cuts (within storage and memory, and
+        # a finite round), of the rows where every user has one
+        runnable = (feasibility_mask(users, arch)
+                    & np.isfinite(round_terms(users, arch, None, np.inf).total))
+        cuts = np.ones(users.shape, dtype=int)
+        for r, s in zip(*np.nonzero(runnable.any(axis=-1))):
+            cuts[r, s] = data.draw(st.sampled_from((np.flatnonzero(runnable[r, s]) + 1).tolist()))
+        planned = runnable.any(axis=-1).all(axis=-1)
+
+        def check(cut_pass, users, cuts, planned):
+            if not planned.any():   # the planner solves no empty set of rows
+                return
+            got = cut_pass.demand(cuts, planned)
+            want = server_demand_terms(users.rows(planned), cuts[planned], arch, cfg)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+        check(cut_pass, users, cuts, planned)
+        # after keep_rows, which shrinks the kinds' terms in place
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=users.shape[0],
+                                           max_size=users.shape[0])))
+        check(cut_pass.keep_rows(keep), users.rows(keep), cuts[keep], planned[keep])
+
+
+class TestOnePricingRoute:
+    """``plan_rows`` and ``exact_level`` price their users once, through the
+    cut pass: one ``round_terms`` per chunk and none per pass, and no call of
+    ``server_demand_terms``."""
+
+    def test_plans_price_once_per_chunk(self, vgg19, monkeypatch):
+        batch = TestPlanRows()._batch()
+        plan, exact = plan_rows(batch, vgg19, 130e12), exact_level(batch, vgg19, 130e12)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])   # the cuts
+            return round_terms(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("priced again, by server_demand_terms")
+
+        monkeypatch.setattr(allocation, "round_terms", counted)
+        monkeypatch.setattr(allocation, "server_demand_terms", refuse)
+        assert _plan_bits(plan_rows(batch, vgg19, 130e12)) == _plan_bits(plan)
+        assert calls == [None]
+        # 12 rows in chunks of 5: three chunks, each priced once at every cut
+        calls.clear()
+        monkeypatch.setattr(allocation, "MAX_CHUNK_ELEMENTS",
+                            5 * len(batch) * vgg19.num_layers)
+        assert _plan_bits(plan_rows(batch, vgg19, 130e12))[0] == _plan_bits(plan)[0]
+        assert calls == [None] * 3
+        calls.clear()
+        _same_outcome(exact_level(batch, vgg19, 130e12), exact)
+        assert calls == [None]

@@ -418,12 +418,24 @@ class TestOptimize:
             assert _run("optimize", "--users", str(users), "--server-tflops", "1e296",
                         "--out", str(tmp_path / "o")) == 1
             assert ("input error: argument --server-tflops: must be 0 or within "
-                    "1e-20..1e20 FLOP/s, not 1e+308" in capsys.readouterr().err)
+                    "1e-20..1e20 FLOP/s, not 1e+296" in capsys.readouterr().err)
             assert not (tmp_path / "o").exists()
             assert _run("optimize", "--users", str(users), "--server-tflops", "1e8",
                         "--out", str(tmp_path / "o")) == 0
         report = json.loads((tmp_path / "o" / "allocation.json").read_text())
         assert math.isfinite(report["objective_s"]) and report["converged"]
+
+    def test_server_budget_is_refused_as_typed(self, tmp_path, users_file, capsys):
+        # optimize and simulate bound --server-tflops by one rule, and both
+        # name the value as it was typed, not as scaled to FLOP/s
+        errors = []
+        for argv in (["optimize", "--users", str(users_file)], ["simulate"]):
+            assert _run(*argv, "--server-tflops", "1e9", "--out", str(tmp_path / "o")) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "esfl: input error: argument --server-tflops: must be 0 or within "
+            "1e-20..1e20 FLOP/s, not 1000000000.0\n")
+        assert not (tmp_path / "o").exists()
 
     def test_an_error_about_many_users_names_a_few(self, tmp_path, capsys):
         # every user's link is dead, and every cut moves the model over it
