@@ -44,7 +44,8 @@ terms.
 By default a user's objective is its full round time (model up/down plus
 all local epochs plus aggregation). Setting ``epoch_objective`` restricts
 both passes to a single epoch's time, which drops the cut-dependent model
-transfer term from the cut decision.
+transfer term from the cut decision; a cut whose model would cross a dead
+link stays blocked, as every round moves the model.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ STALL_TOLERANCE = 1e-6       # relative inf-norm change in C treated as stalled
 BISECTION_TOLERANCE = 1e-9   # resource pass: relative accuracy of the level
 BISECTION_MAX_STEPS = 200    # resource pass: cap on demand evaluations
 EXACT_TOLERANCE = 1e-13      # exact_level: relative accuracy of the level
+
+# equalize_min_max takes a caller's terms in the range that the latency model
+# gives the planner's own (README, "Input range"): a server work ``a`` that is
+# 0 or within 1e-50..L·1e86 and a server-free time ``b`` of at most L·1e127,
+# with room for L. Then at any budget in range ``a * gap`` stays below 1e250,
+# ``a_sum / c_total`` below S·1e120 and a Newton slope below S·1e100.
+DEMAND_A_RANGE = (1e-60, 1e100)
+DEMAND_B_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -327,7 +336,10 @@ def equalize_min_max(
     once a feasible point lies within ``BISECTION_TOLERANCE`` (relative to
     d) of an infeasible one, which bounds the budget shortfall by about that
     much. The feasible end is returned; ``BISECTION_MAX_STEPS`` caps the
-    demand evaluations. ``c_total`` is bounded as :func:`plan_rows` bounds it.
+    demand evaluations. ``c_total`` is bounded as :func:`plan_rows` bounds it,
+    and ``a`` and ``b`` as the latency model bounds the planner's own terms
+    (``DEMAND_A_RANGE``, ``DEMAND_B_MAX``), so that no step overflows; a term
+    outside raises ``ValueError``.
 
     ``upper_hint`` may pass the objective of any known-feasible allocation;
     the reported level never exceeds it, so callers iterating on (a, b) keep
@@ -347,6 +359,15 @@ def equalize_min_max(
         raise ValueError("demand terms must be >= 0")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("demand terms must be finite (dead link with traffic?)")
+    low, high = DEMAND_A_RANGE
+    bad = a[(a != 0) & ((a < low) | (a > high))]
+    if bad.size:
+        raise ValueError(f"demand terms a must be 0 or within {low:g}..{high:g}, "
+                         f"not {float(bad[0])!r}")
+    bad = b[b > DEMAND_B_MAX]
+    if bad.size:
+        raise ValueError(f"demand terms b must be at most {DEMAND_B_MAX:g}, "
+                         f"not {float(bad[0])!r}")
     compute, _, levels = _equalize(a, b, c_total)
     objective = _objective(levels, upper_hint)
     return compute, (float(objective) if objective.ndim == 0 else objective)

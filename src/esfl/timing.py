@@ -151,12 +151,17 @@ class RoundTerms:
     def server_free(self, epoch_only: bool, feasible: np.ndarray) -> ServerFreeTerms:
         """The server-independent terms, priced now, of ``epoch`` (with
         ``epoch_only``) or ``total`` at the cuts ``feasible`` allows; see
-        :class:`ServerFreeTerms`."""
+        :class:`ServerFreeTerms`. One epoch leaves the model transfer out,
+        but every round makes it, so a cut whose model would cross a dead
+        link is blocked too."""
+        move, blocked = self.t_up + self.t_down, ~feasible
+        if epoch_only:
+            blocked |= move == np.inf
+            move = None
         return ServerFreeTerms(
-            self.t_c + self.t_b, self.t_B,
-            None if epoch_only else self.t_up + self.t_down,
+            self.t_c + self.t_b, self.t_B, move,
             self.server_flops, self.n_samples, self.server_work == 0.0,
-            self.epochs, self.t_agg, ~feasible,
+            self.epochs, self.t_agg, blocked,
         )
 
 
@@ -174,7 +179,7 @@ class ServerFreeTerms(NamedTuple):
     time, and nothing else changes between them; so these terms are priced
     once and :meth:`price` adds only ``t_C``. Every sum keeps the order of
     ``RoundTerms``, so a price equals the uncached objective bit for bit;
-    a cut beyond the user's storage or memory prices to +inf.
+    a blocked cut prices to +inf.
     """
 
     device: np.ndarray          # t_c + t_b
@@ -187,7 +192,8 @@ class ServerFreeTerms(NamedTuple):
     no_work: np.ndarray         # server_work == 0: no server time at any compute
     epochs: np.ndarray
     t_agg: float
-    blocked: np.ndarray         # cuts beyond storage or memory
+    blocked: np.ndarray         # cuts beyond storage or memory, or whose
+                                # model would cross a dead link
 
     def keep_rows(self, keep: np.ndarray) -> ServerFreeTerms:
         """The terms of the rows that the mask ``keep`` selects on the

@@ -212,6 +212,23 @@ class TestEqualize:
         with pytest.raises(ValueError):
             equalize_min_max(np.array([-1.0]), np.array([0.0]), 1.0)
 
+    def test_terms_beyond_the_latency_models_range_are_refused(self):
+        # a_sum / c_total would overflow at the bottom of the budget's range
+        with pytest.raises(ValueError, match=r"^demand terms a must be 0 or within "
+                                             r"1e-60\.\.1e\+100, not 1e\+300$"):
+            equalize_min_max(np.array([1e300, 1e300]), np.array([0.0, 0.5]), 1e-20)
+        with pytest.raises(ValueError, match=r"^demand terms a .*, not 1e-61$"):
+            equalize_min_max(np.array([1.0, 1e-61]), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match=r"^demand terms b must be at most 1e\+150, "
+                                             r"not 1e\+200$"):
+            equalize_min_max(np.ones(2), np.array([0.0, 1e200]), 1.0)
+        # at the edges of the ranges, and of the budget's, no step overflows
+        a, b = np.array([1e-60, 1e100, 0.0]), np.array([1e150, 0.0, 1e150])
+        with np.errstate(all="raise", under="ignore"):
+            for c_total in (1e-20, 1e20):
+                compute, level = equalize_min_max(a, b, c_total)
+                assert np.isfinite(compute).all() and np.isfinite(level)
+
     def test_saturation_and_equalization_random(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -488,7 +505,9 @@ class TestCachedCutPass:
 
         def reference(compute):
             terms = round_terms(batch, arch, None, compute, t_agg)
-            times = np.where(mask, terms.epoch if epoch_objective else terms.total,
+            # a round moves the model at every cut, whatever the objective
+            runnable = mask & np.isfinite(terms.t_up + terms.t_down)
+            times = np.where(runnable, terms.epoch if epoch_objective else terms.total,
                              np.inf)
             return np.argmin(times, axis=-1) + 1, times.min(axis=-1)
 
@@ -624,6 +643,18 @@ class TestAlternate:
         users = UserBatch.checked(500.0, [1e12, 1.3e12], [0.0, 10240.0], [0.0, 10240.0])
         with pytest.raises(AllocationError):
             plan_rows(users, vgg19, 130e12)
+
+    @pytest.mark.parametrize("epoch_objective", [False, True])
+    def test_a_model_over_a_dead_link_fails_under_either_objective(self, vgg19,
+                                                                  epoch_objective):
+        # user 0 trains no sample, so one epoch moves nothing over its dead
+        # link; but every round moves its device model, at every cut
+        users = UserBatch.checked([0.0, 500.0], 1.3e12, [0.0, 10240.0], [0.0, 10240.0], 5)
+        cfg = OptimizerConfig(epoch_objective=epoch_objective)
+        for plan in (plan_rows, exact_level):
+            with pytest.raises(AllocationError, match=r"^users \[0\]: every feasible cut "
+                                                      r"prices to infinity"):
+                plan(users, vgg19, 130e12, cfg)
 
     def test_unusable_budget_is_a_config_error(self, vgg19):
         users = _users(uid=range(2),
@@ -1052,12 +1083,15 @@ class TestDemandTerms:
         users = batch.rows(rows)
 
         # (N, L), one row per kind: +inf exactly at the cuts beyond storage
-        # or memory, and the reference's terms elsewhere
+        # or memory or whose model crosses a dead link, and the reference's
+        # terms elsewhere
         of_kinds = users.rows((cut_pass.kinds.row, cut_pass.kinds.col))
         want_a, want_b = server_demand_terms(of_kinds, None, arch, cfg)
         a, b = cut_pass.terms.demand()
+        move = round_terms(of_kinds, arch, None, np.inf)
+        runnable = feasibility_mask(of_kinds, arch) & np.isfinite(move.t_up + move.t_down)
         assert _bits(a) == _bits(want_a)
-        assert _bits(b) == _bits(np.where(feasibility_mask(of_kinds, arch), want_b, np.inf))
+        assert _bits(b) == _bits(np.where(runnable, want_b, np.inf))
 
         # per user, at random runnable cuts (within storage and memory, and
         # a finite round), of the rows where every user has one

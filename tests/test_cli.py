@@ -1316,9 +1316,18 @@ class TestReportBytes:
         (["optimize", "--users", "USERS"], "allocation"),
         (["converge", "--scales", "5,10", "--reps", "2"], "convergence"),
         (["train-toy", "--rounds", "5", "--check-equivalence"], "train_toy"),
+        # 2,500 users a round, whose server compute repeats a few values
+        (["simulate", "--population", "10000", "--selected", "2500",
+          "--rounds", "2"], "report"),
+        (["optimize", "--users", "MANY_USERS"], "allocation"),
     ])
     def test_report_is_the_stdlib_encoding(self, tmp_path, users_file, argv, stem):
-        argv = [str(users_file) if a == "USERS" else a for a in argv]
+        if "MANY_USERS" in argv:    # 1,200 users of 12 kinds
+            users_file = tmp_path / "many.json"
+            users_file.write_text(json.dumps({"users": [
+                {"n_samples": 200.0 * (1 + i % 2), "tflops": 1.3 * (1 + i % 3),
+                 "kbps": 10.0 * (1 + i % 4)} for i in range(1200)]}))
+        argv = [str(users_file) if a.endswith("USERS") else a for a in argv]
         assert _run(*argv, "--out", str(tmp_path)) == 0
         data = (tmp_path / f"{stem}.json").read_bytes()
         expected = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
@@ -1468,6 +1477,49 @@ def _stdlib_or_type_error(tree):
         assert dumps_report(tree) == expected
 
 
+# a few floats that a long list repeats: zeros of either sign, NaN of either
+# sign, the infinities, the least subnormal, a value near the float maximum
+# and two that need all 17 digits
+_FLOAT_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e308,
+               0.1 + 0.2, 1.3e13 / 7]
+# items that are not exactly a float, one of which at times slips into a list
+_NOT_FLOATS = [True, 7, np.float64(0.1), "0.1", None]
+
+
+@st.composite
+def _float_lists(draw):
+    """A list of floats one short of ``dumps_report``'s floor, at it, or at
+    three times it: a drawn pattern of ``_FLOAT_POOL`` values repeated, at
+    times with its first quarter or all of it distinct values instead, and
+    at times with one item of ``_NOT_FLOATS``. A failing list shrinks with
+    its pattern."""
+    floor = cli.REPEATED_FLOATS_MIN
+    n = draw(st.sampled_from([floor - 1, floor, 3 * floor]))
+    pattern = draw(st.lists(st.sampled_from(_FLOAT_POOL), min_size=1, max_size=12))
+    values = (pattern * n)[:n]
+    spread = draw(st.sampled_from([0, 0, n // 4, n]))
+    values[:spread] = [1.0 + i / 7 for i in range(spread)]
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_NOT_FLOATS))
+    return values
+
+
+@st.composite
+def _float_trees(draw):
+    """A long float list at top level, in a dict, as repeated or as distinct
+    rows of a matrix, as a row column of a list of records, or as a scalar
+    column, one record per float."""
+    values, other = draw(_float_lists()), draw(_float_lists())
+    return draw(st.sampled_from([
+        values,
+        {"a": values, "b": [values]},
+        [values, other, values],
+        [values, list(values), other[:3]],
+        [{"k": 1, "x": values}, {"k": 2, "x": other}],
+        [{"x": x} for x in values],
+    ]))
+
+
 class TestDumpsReport:
     @seed(20245)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1501,6 +1553,15 @@ class TestDumpsReport:
         assert rows[0] is rows[2] and rows[1] is rows[3] and rows[0] is not rows[1]
         assert [math.copysign(1.0, r[0]) for r in rows] == [1.0, -1.0, 1.0, -1.0]
         assert dumps_report(rows) == json.dumps(matrix.tolist(), indent=2)
+
+    @seed(20290)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_float_trees())
+    def test_long_float_lists_equal_the_stdlib(self, tree):
+        # compared line by line: pytest shows the first line that differs,
+        # where a diff of the two long texts would take minutes
+        expected = json.dumps(tree, sort_keys=True, indent=2)
+        assert dumps_report(tree).split("\n") == expected.split("\n")
 
     def test_stdlib_fallback_without_the_c_encoder(self, monkeypatch):
         tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}]}
