@@ -12,7 +12,8 @@ fixed aggregation term::
 planner's passes, the reports and the four round policies below (ESFL,
 FL, SFL, SL) derive from it. The planner prices it once per plan, into
 :class:`ServerFreeTerms`, which sums the same way and feeds both its
-passes. Each policy returns ``(round time,
+passes. A policy prices each term once, into :class:`PricedTerms`, and
+reads every sum from it. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
 
 Every function here takes its users as one :class:`~esfl.users.UserBatch`;
@@ -78,14 +79,47 @@ def _round_time(move: np.ndarray, epochs: np.ndarray, epoch: np.ndarray,
     return out
 
 
+class _TermSums:
+    """The sums of the latency terms ``t_up, t_down, t_c, t_b, t_C, t_B``,
+    each spelled once, for a class that holds or computes those terms and
+    has ``epochs`` and ``t_agg``. A sum reads each term it needs once."""
+
+    @property
+    def epoch(self) -> np.ndarray:
+        return _epoch_time(self.t_c + self.t_b, self.t_C, self.t_B)
+
+    @property
+    def total(self) -> np.ndarray:
+        return _round_time(self.t_up + self.t_down, self.epochs, self.epoch, self.t_agg)
+
+    @property
+    def fixed(self) -> np.ndarray:
+        """The total without server time: ``total`` at infinite server compute."""
+        return _round_time(self.t_up + self.t_down, self.epochs,
+                           self.t_c + self.t_b + self.t_B, self.t_agg)
+
+    @property
+    def communication(self) -> np.ndarray:
+        """Model movement plus activation traffic across all epochs."""
+        return self.t_up + self.t_down + self.epochs * (self.t_b + self.t_B)
+
+    def objective(self, epoch_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """One epoch's time (with ``epoch_only``) or the round's, and the
+        same at infinite server compute: what :func:`straggler` reads."""
+        if epoch_only:
+            return self.epoch, self.t_c + self.t_b + self.t_B
+        return self.total, self.fixed
+
+
 @dataclass(frozen=True)
-class RoundTerms:
+class RoundTerms(_TermSums):
     """Per-user latency terms in seconds, shape (..., S) or (..., S, L).
 
     Holds the inputs broadcast against each other and computes a term only
     when it is read, so the (S, L) cut pass never holds every term matrix at
     once. The four epoch terms are per epoch. Moving bytes over a zero-rate
-    link, or server work without server compute, costs +inf.
+    link, or server work without server compute, costs +inf. A sum prices
+    the terms it reads each time; :meth:`priced` prices them once.
     """
 
     n_samples: np.ndarray
@@ -129,24 +163,10 @@ class RoundTerms:
     def t_B(self) -> np.ndarray:
         return _guarded_div(self.act_bytes * self.n_samples, self.down)
 
-    @property
-    def epoch(self) -> np.ndarray:
-        return _epoch_time(self.t_c + self.t_b, self.t_C, self.t_B)
-
-    @property
-    def total(self) -> np.ndarray:
-        return _round_time(self.t_up + self.t_down, self.epochs, self.epoch, self.t_agg)
-
-    @property
-    def fixed(self) -> np.ndarray:
-        """The total without server time: ``total`` at infinite server compute."""
-        return _round_time(self.t_up + self.t_down, self.epochs,
-                           self.t_c + self.t_b + self.t_B, self.t_agg)
-
-    @property
-    def communication(self) -> np.ndarray:
-        """Model movement plus activation traffic across all epochs."""
-        return self.t_up + self.t_down + self.epochs * (self.t_b + self.t_B)
+    def priced(self) -> PricedTerms:
+        """Every term priced once, for a caller that reads several sums."""
+        return PricedTerms(self.t_up, self.t_down, self.t_c, self.t_b, self.t_C,
+                           self.t_B, self.epochs, self.t_agg)
 
     def server_free(self, epoch_only: bool, feasible: np.ndarray) -> ServerFreeTerms:
         """The server-independent terms, priced now, of ``epoch`` (with
@@ -163,6 +183,21 @@ class RoundTerms:
             self.server_flops, self.n_samples, self.server_work == 0.0,
             self.epochs, self.t_agg, blocked,
         )
+
+
+@dataclass(frozen=True)
+class PricedTerms(_TermSums):
+    """The six terms of a :class:`RoundTerms`, priced once, with the same
+    sums, so a caller that reads several sums gets the same bits."""
+
+    t_up: np.ndarray
+    t_down: np.ndarray
+    t_c: np.ndarray
+    t_b: np.ndarray
+    t_C: np.ndarray
+    t_B: np.ndarray
+    epochs: np.ndarray
+    t_agg: float
 
 
 def _keep_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -350,11 +385,11 @@ def straggler(times: np.ndarray, server_free: np.ndarray
 
 
 def _straggler(
-    terms: RoundTerms, communication: np.ndarray
+    terms: PricedTerms, communication: np.ndarray
 ) -> tuple[PerRound, PerRound]:
     """The round time, the largest total, and the communication of the
     user that set it, as :func:`straggler` attributes it."""
-    time, k = straggler(terms.total, terms.fixed)
+    time, k = straggler(*terms.objective())
     comm = np.take_along_axis(communication, k[..., None], axis=-1)[..., 0]
     return _per_row(time), _per_row(comm)
 
@@ -364,7 +399,7 @@ def esfl_round_time(
     batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Per-user cuts and server compute; the slowest user ends the round."""
-    terms = round_terms(batch, arch, cuts, server_compute, t_agg)
+    terms = round_terms(batch, arch, cuts, server_compute, t_agg).priced()
     return _straggler(terms, terms.communication)
 
 
@@ -372,7 +407,7 @@ def fl_round_time(
     batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0
 ) -> tuple[PerRound, PerRound]:
     """Fully local training at the last layer; only the model moves."""
-    terms = round_terms(batch, arch, arch.num_layers, 0.0, t_agg)
+    terms = round_terms(batch, arch, arch.num_layers, 0.0, t_agg).priced()
     return _straggler(terms, terms.t_up + terms.t_down)
 
 
@@ -384,7 +419,8 @@ def sfl_round_time(
     t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Shared cut layer with the server budget split equally; straggler paced."""
-    terms = round_terms(batch, arch, fixed_l, server_total_flops / len(batch), t_agg)
+    terms = round_terms(batch, arch, fixed_l, server_total_flops / len(batch),
+                        t_agg).priced()
     return _straggler(terms, terms.communication)
 
 
@@ -400,7 +436,7 @@ def sl_round_time(
     The round and its communication are sums over users; the aggregation
     runs once, after the last user.
     """
-    terms = round_terms(batch, arch, fixed_l, server_total_flops)
+    terms = round_terms(batch, arch, fixed_l, server_total_flops).priced()
     # summed in user order, as the relay runs: cumsum adds strictly left to right
     time = np.cumsum(terms.total, axis=-1)[..., -1] + t_agg
     comm = np.cumsum(terms.communication, axis=-1)[..., -1]

@@ -871,20 +871,32 @@ _FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
                     st.sampled_from([0.0, -0.0, 9.99995, -9.99995, 99.9996, -4e-5, 1e-300]))
 
 
+_INT64 = st.one_of(st.integers(-10**12, 10**12), st.sampled_from([-2**63, 2**63 - 1, 0]))
+_UINT64 = st.one_of(st.integers(0, 10**6), st.sampled_from([0, 2**63, 2**64 - 1]))
+
+
+def _column(values, n):
+    """n values drawn each from ``values``, or from a pool of up to three
+    of them, so that cells repeat."""
+    return st.one_of(
+        st.lists(values, min_size=n, max_size=n),
+        st.lists(values, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
 class TestFormatNumericTable:
     @seed(20261)
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n),
-        st.lists(_FLOATS, min_size=n, max_size=n),
-        st.lists(_FLOATS, min_size=n, max_size=n))))
-    @example(([], [], []))
-    @example(([7, -12345], [0.0, -0.0], [float("nan"), -float("inf")]))
+    @given(st.one_of(st.integers(0, 8), st.integers(9, 64)).flatmap(lambda n: st.tuples(
+        _column(_INT64, n), _column(_UINT64, n), _column(_FLOATS, n), _column(_FLOATS, n))))
+    @example(([], [], [], []))
+    @example(([7, -12345], [3, 0], [0.0, -0.0], [float("nan"), -float("inf")]))
+    @example(([-2**63, 2**63 - 1, 0], [2**64 - 1, 0, 10], [-0.0] * 3, [1e300, -4e-5, 0.0]))
     def test_equals_the_per_cell_table(self, table):
-        columns = [np.array(table[0], dtype=np.int64), np.array(table[1]),
-                   np.array(table[2])]
+        columns = [np.array(table[0], dtype=np.int64), np.array(table[1], dtype=np.uint64),
+                   np.array(table[2]), np.array(table[3])]
         # one-letter headers, so that the values alone size the columns
-        headers, formats = ["u", "s", "r"], ["%d", "%.4f", "%.3f"]
+        headers, formats = ["u", "k", "s", "r"], ["%d", "%d", "%.4f", "%.3f"]
         assert (format_numeric_table(headers, columns, formats)
                 == _per_cell_table(headers, columns, formats))
 
@@ -1003,6 +1015,58 @@ class TestOptimizeTrace:
                     yield from per_user_lists(value, f"{path}[{i}]")
 
         assert sorted(per_user_lists(report, "")) == [".cuts", ".server_compute_flops"]
+
+
+class TestBottleneck:
+    """A trace's bottleneck is the user that :func:`esfl.timing.straggler`
+    attributes over the RoundTerms sums, with its five terms."""
+
+    @seed(20301)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 1.5]))
+    def test_equals_the_straggler_of_the_round_terms(self, draw_seed, epoch_objective, t_agg):
+        arch = esfl.load_builtin("vgg19")
+        rng = np.random.default_rng(draw_seed)
+        kinds, n = int(rng.integers(1, 4)), int(rng.integers(1, 12))
+        pick = rng.integers(0, kinds, n)    # users of one kind repeat: ties
+        batch = UserBatch.checked(
+            rng.choice([200.0, 500.0, 800.0], kinds)[pick],
+            rng.choice([0.65e12, 2.6e12], kinds)[pick],
+            rng.choice([1e4, 5e4, 2e5], kinds)[pick],
+            rng.choice([2e4, 1e5], kinds)[pick],
+            rng.integers(1, 6, kinds)[pick])
+        cuts = rng.integers(1, arch.num_layers + 1, kinds)[pick]
+        cuts[rng.random(n) < 0.3] = arch.num_layers     # no server work
+        work = esfl.round_terms(batch, arch, cuts, 1.0).server_work
+        free = esfl.round_terms(batch, arch, cuts, np.inf, t_agg)
+        if epoch_objective:
+            demand, floor = work, free.epoch
+        else:
+            demand, floor = batch.epochs * work, free.total
+        if rng.random() < 0.5:
+            # every funded user ends at one level, as the resource pass ends them
+            gap = floor.max() * (1.0 + rng.random()) - floor
+        else:
+            gap = rng.choice([1.0, 10.0, 100.0], kinds)[pick]
+        compute = np.where(work > 0, demand / gap, 0.0)
+
+        terms = esfl.round_terms(batch, arch, cuts, compute, t_agg)
+        if epoch_objective:
+            _, k = esfl.timing.straggler(terms.epoch, terms.t_c + terms.t_b + terms.t_B)
+        else:
+            _, k = esfl.timing.straggler(terms.total, terms.fixed)
+        epochs = batch.epochs[k]
+        expected = {
+            "user": int(batch.user_ids[k]),
+            "cut": int(cuts[k]),
+            "model_movement_s": float(terms.t_up[k] + terms.t_down[k]),
+            "device_compute_s": float(epochs * terms.t_c[k]),
+            "upload_s": float(epochs * terms.t_b[k]),
+            "server_compute_s": float(epochs * terms.t_C[k]),
+            "download_s": float(epochs * terms.t_B[k]),
+        }
+        cfg = esfl.OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
+        assert cli._bottleneck(batch, arch, cfg, cuts, compute) == expected
 
 
 class TestConverge:
