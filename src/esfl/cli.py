@@ -3,19 +3,24 @@
 Reports are written once, atomically, at the end of a run: a JSON document
 with the resolved configuration and results, plus an aligned text table.
 The JSON document is exactly the bytes of ``json.dumps(payload,
-sort_keys=True, indent=2)`` and a newline, written by :func:`dumps_report`
-at the speed of the stdlib's C encoder. A list of records that share one
+sort_keys=True, indent=2)`` and a newline, encoded by :func:`iter_report`
+at the speed of the stdlib's C encoder and streamed to the file chunk by
+chunk, so the text of a long list is not copied again at each level that
+encloses it (see :func:`_write_atomic`). A list of records that share one
 key set, such as ``simulate``'s per-round records, is encoded column by
 column, one encoder call per field. A column encodes each distinct object
 once, and ``simulate`` passes per-user cut rows that repeat as one shared
 list each; a long list of floats that repeat is written once per distinct
-value (see :func:`dumps_report`). ``optimize`` plans its users
+value (see :func:`iter_report`). ``optimize`` plans its users
 as one round of :func:`~esfl.allocation.plan_rows` and reports row 0 of
 the plan: one per-user list each for the cuts and the server compute, and
 a trace of one fixed-size summary per planner pass, read from the arrays
 of the plan's passes (see :func:`_trace_entries`), so a 10⁴-user report is
-~0.26 MB. Identical configuration and seed produce
-byte-identical files. The output directory is checked before any work.
+~0.26 MB; the table's round times read the terms that trace priced at the
+plan's pass. Identical configuration and seed produce
+byte-identical files. Each write goes through a temporary file of its own,
+so concurrent runs into one directory do not trip over each other. The
+output directory is checked before any work.
 Exit codes: 0 success, 1 input/configuration error, 2 runtime error. The
 argument parser is built once per process.
 
@@ -63,7 +68,7 @@ from .simulation import (
     preset_scenarios,
     run_simulation,
 )
-from .timing import round_terms, straggler
+from .timing import PricedTerms, round_terms, straggler
 from .users import UserBatch, read_users
 from .workload import ModelArchitecture, builtin_profiles, load_architecture, load_builtin
 
@@ -177,31 +182,51 @@ def _load_arch(spec: str, kappa: float, bytes_per_element: float) -> ModelArchit
                              bwd_multiplier=kappa)
 
 
-def _write_atomic(path: Path, *texts: str) -> None:
-    """Write ``texts`` one after another to ``path``, through a temporary
-    file, so that no copy of a large report is made to join them."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fp:
-        fp.writelines(texts)
-    os.replace(tmp, path)
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` one after another to ``path``,
+    through a temporary file of its own beside it, so that a report's
+    chunks are written as they come, never joined into one text, and
+    concurrent writers of one path never share a temporary file. Should
+    writing fail, even partway through ``chunks`` (an encoding
+    ``TypeError`` arises only when its chunk is reached), the temporary
+    file is removed, ``path`` is left as it was, and the error is re-raised.
+    The file is created as ``open`` creates one, with mode 0o666 less the
+    umask, where ``tempfile.mkstemp`` would give 0o600."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fp = open(tmp, "x", encoding="utf-8")
+    try:
+        with fp:
+            fp.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _not_serializable(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _holds_container(values) -> bool:
-    return any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values)))
+def _holds_container(types) -> bool:
+    """Whether the set ``types`` holds a list, tuple or dict type."""
+    return any(issubclass(t, (list, tuple, dict)) for t in types)
 
 
 # A list of at least this many floats is written once per distinct value
-# (see dumps_report); below it, finding the distinct values costs more than
+# (see iter_report); below it, finding the distinct values costs more than
 # the float reprs it saves.
 REPEATED_FLOATS_MIN = 256
 
 
 def dumps_report(payload) -> str:
-    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, at C speed.
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, at C
+    speed: the chunks of :func:`iter_report`, joined."""
+    return "".join(iter_report(payload))
+
+
+def iter_report(payload):
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` in
+    chunks, at C speed, for a writer that streams it to a file.
 
     The stdlib uses its C encoder only when ``indent`` is None. Here a list
     or dict that holds no container is one call of that encoder, built once
@@ -210,10 +235,15 @@ def dumps_report(payload) -> str:
     column (see ``columns`` below): a list of nonempty lists of scalars (a
     matrix) is one call, and so is each field of a list of records, dicts
     that share one key set, such as ``simulate``'s per-round records. Only
-    other containers of containers are walked in Python. Scalars, keys and
-    empty containers are all encoded by the stdlib, so float ``repr``,
+    other containers of containers are walked in Python, and they are never
+    joined: such a container yields its opening, then its items' chunks in
+    turn, then its closing, so each byte of a large body, such as
+    ``simulate``'s ``cut_distribution.per_user``, is copied once into its
+    chunk and not again at each enclosing level. Scalars, keys and empty
+    containers are all encoded by the stdlib, so float ``repr``,
     ``NaN``/``Infinity``, escaping and key order are as ``json`` writes
-    them. The keys of a dict that holds a container must be strings.
+    them. The keys of a dict that holds a container must be strings. A value
+    that cannot be encoded raises ``TypeError`` when its chunk is reached.
 
     A column encodes each distinct object once: ``simulate`` passes equal
     per-user cut rows as one object.
@@ -232,16 +262,21 @@ def dumps_report(payload) -> str:
     keep the one encoder call; so do int lists, whose items encode fast
     either way. At the floor, 256 floats, a list of 16
     distinct values is written in 0.06 ms against 0.14 ms, and one of 128
-    in about the same time either way.
+    in about the same time either way. The type set of each list is taken
+    once and handed to ``columns`` and ``repeated``.
 
     Best of repeated timings (2-core shared host, Python 3.11, numpy 2.4),
     without and with the distinct floats: a sim-large report (two rounds of
     2,500 users) 7.4 and 5.2 ms, a plan-large report (10⁴ users, 2,111
     distinct server computes) 5.6 and 4.1 ms, and a preset ``simulate``
-    report (100 records of 10 users) 2.3 ms either way.
+    report (100 records of 10 users) 2.3 ms either way. Streamed, the
+    sim-large report's chunks join in 3.8 ms, against 5.0 ms when each
+    level joined its items' text, and :func:`_emit` encodes and writes it
+    in 4.3–4.5 ms, against 5.4–6.1 ms.
     """
     if c_make_encoder is None:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        yield json.dumps(payload, sort_keys=True, indent=2)
+        return
     encoders = {}
 
     def flat(obj, depth):
@@ -251,13 +286,14 @@ def dumps_report(payload) -> str:
                 ": ", ",\n" + "  " * depth, True, False, True)
         return "".join(encoders[depth](obj, 0))
 
-    def repeated(values):
+    def repeated(values, types=None):
         """The texts of ``values`` with each distinct float encoded once, or
         None unless they are at least ``REPEATED_FLOATS_MIN`` exact floats of
-        which at most half are distinct. Floats are equal by their bits, so
-        ``0.0`` and ``-0.0`` stay apart."""
+        which at most half are distinct. ``types``, if given, is the set of
+        their types. Floats are equal by their bits, so ``0.0`` and ``-0.0``
+        stay apart."""
         if (len(values) < REPEATED_FLOATS_MIN or type(values[0]) is not float
-                or set(map(type, values)) != {float}):
+                or (types or set(map(type, values))) != {float}):
             return None
         distinct, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
         if 2 * len(distinct) > len(values):
@@ -265,11 +301,11 @@ def dumps_report(payload) -> str:
         texts = flat(distinct.view(np.float64).tolist(), 0)[1:-1].split(",\n")
         return np.array(texts, dtype=object)[index]
 
-    def columns(values, depth):
+    def columns(values, depth, types=None):
         """The text of each of ``values`` as written at ``depth``, or None
         unless they are alike: all scalars, all nonempty lists of scalars,
         or all dicts with one nonempty set of string keys whose values are
-        alike key by key.
+        alike key by key. ``types``, if given, is the set of their types.
 
         Scalars are one encoder call split at its ``",\\n"`` separators, and
         rows one call split at the row boundaries ``"],\\n<pad>["``: no
@@ -277,19 +313,23 @@ def dumps_report(payload) -> str:
         ``%`` format each of a template from the sorted keys, filled with
         the texts of each key's column.
         """
-        types = set(map(type, values))
-        if not any(issubclass(t, (list, tuple, dict)) for t in types):
+        if types is None:
+            types = set(map(type, values))
+        if not _holds_container(types):
             return flat(values, 0)[1:-1].split(",\n")
         unique = dict(zip(map(id, values), values))
         distinct = list(unique.values())
         pad = "\n" + "  " * (depth + 1)
         end = "\n" + "  " * depth
         if types <= {list, tuple}:
-            if not all(distinct) or _holds_container(chain.from_iterable(distinct)):
+            if not all(distinct) or _holds_container(
+                    item_types := set(map(type, chain.from_iterable(distinct)))):
                 return None
             # a long float row that repeats its values is written by
-            # repeated, the other rows by one encoder call
-            texts = [None if (items := repeated(row)) is None
+            # repeated, the other rows by one encoder call; when every item
+            # is a float, no row needs its own type set
+            row_types = item_types if item_types == {float} else None
+            texts = [None if (items := repeated(row, row_types)) is None
                      else f"[{pad}{(',' + pad).join(items)}{end}]" for row in distinct]
             rest = [row for row, text in zip(distinct, texts) if text is None]
             if rest:
@@ -317,38 +357,51 @@ def dumps_report(payload) -> str:
             texts = list(map(dict(zip(unique, texts)).__getitem__, map(id, values)))
         return texts
 
-    def encode(obj, depth):
+    def chunks(obj, depth):
         is_dict = isinstance(obj, dict)
         if not (is_dict or isinstance(obj, (list, tuple))):
-            return flat(obj, depth)
+            yield flat(obj, depth)
+            return
         if not obj:
-            return "{}" if is_dict else "[]"
+            yield "{}" if is_dict else "[]"
+            return
         inner = depth + 1
         pad = "\n" + "  " * inner
-        if not _holds_container(obj.values() if is_dict else obj):
-            texts = None if is_dict else repeated(obj)
-            body = flat(obj, inner)[1:-1] if texts is None else ("," + pad).join(texts)
-        elif is_dict:
-            bad = [k for k in obj if not isinstance(k, str)]
-            if bad:
-                raise TypeError(f"report keys must be strings, got {bad[0]!r}")
-            body = ("," + pad).join(
-                f"{encode_basestring_ascii(k)}: {encode(obj[k], inner)}"
-                for k in sorted(obj))
-        elif (texts := columns(obj, inner)) is not None:
-            body = ("," + pad).join(texts)
-        else:
-            body = ("," + pad).join(encode(v, inner) for v in obj)
+        sep = "," + pad
         open_, close = "{}" if is_dict else "[]"
-        return f"{open_}{pad}{body}\n{'  ' * depth}{close}"
+        end = "\n" + "  " * depth + close
+        types = set(map(type, obj.values() if is_dict else obj))
+        if not _holds_container(types):
+            texts = None if is_dict else repeated(obj, types)
+            body = flat(obj, inner)[1:-1] if texts is None else sep.join(texts)
+        elif not is_dict and (texts := columns(obj, inner, types)) is not None:
+            body = sep.join(texts)
+        else:   # walked item by item, its chunks never joined
+            if is_dict:
+                bad = [k for k in obj if not isinstance(k, str)]
+                if bad:
+                    raise TypeError(f"report keys must be strings, got {bad[0]!r}")
+                items = ((f"{encode_basestring_ascii(k)}: ", obj[k]) for k in sorted(obj))
+            else:
+                items = (("", v) for v in obj)
+            lead = open_ + pad
+            for key, value in items:
+                yield lead + key
+                yield from chunks(value, inner)
+                lead = sep
+            yield end
+            return
+        yield open_ + pad
+        yield body
+        yield end
 
-    return encode(payload, 0)
+    yield from chunks(payload, 0)
 
 
 def _emit(out_dir: Path, stem: str, payload: dict, table: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / f"{stem}.json", dumps_report(payload), "\n")
-    _write_atomic(out_dir / f"{stem}.txt", table)
+    _write_atomic(out_dir / f"{stem}.json", chain(iter_report(payload), ("\n",)))
+    _write_atomic(out_dir / f"{stem}.txt", (table,))
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -569,8 +622,9 @@ def _users_from_doc(path: str, kb_bytes: float) -> UserBatch:
 
 
 def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
-                   plan: RowPlan) -> list[dict]:
-    """One fixed-size summary per pass of the one-round ``plan`` of ``batch``.
+                   plan: RowPlan) -> tuple[list[dict], PricedTerms]:
+    """One fixed-size summary per pass of the one-round ``plan`` of ``batch``,
+    and the terms priced at the plan's cuts and compute.
 
     Each entry holds the pass's objective, how many users changed cut since
     the previous pass (None on the first), the demand evaluations of its
@@ -580,14 +634,19 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
     terms that, with ``t_agg``, sum to its round total. The bottleneck
     depends only on the pass's cuts and compute, so a pass that repeats the
     previous pass's bit for bit (one that reused its solve) repeats its
-    bottleneck.
+    bottleneck and its terms. The plan's cuts and compute are those of its
+    best pass, which is found by its bits: a later pass with an equal
+    objective does not replace the best one, so its position is not known.
     """
-    entries, previous, neck = [], None, None
+    entries, previous, terms, planned = [], None, None, None
     for p in plan.passes:   # each holds row 0 only
         cuts, compute = p.cuts[0], p.server_compute[0]
-        if previous is None or not (np.array_equal(cuts, previous[0])
-                                    and compute.tobytes() == previous[1].tobytes()):
-            neck = _bottleneck(batch, arch, cfg, cuts, compute)
+        if previous is None or not _same_bits(cuts, compute, *previous):
+            terms = round_terms(batch, arch, cuts, compute, cfg.t_agg).priced()
+            neck = _bottleneck(batch, arch, cfg, cuts, compute, terms)
+        if planned is None and _same_bits(cuts, compute, plan.cuts[0],
+                                          plan.server_compute[0]):
+            planned = terms
         entries.append({
             "iteration": p.iteration,
             "objective_s": float(p.objective[0]),
@@ -597,14 +656,23 @@ def _trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConf
             "bottleneck": neck,
         })
         previous = cuts, compute
-    return entries
+    return entries, planned
+
+
+def _same_bits(cuts: np.ndarray, compute: np.ndarray,
+               other_cuts: np.ndarray, other_compute: np.ndarray) -> bool:
+    """Whether two (cuts, compute) pairs are equal bit for bit."""
+    return np.array_equal(cuts, other_cuts) and compute.tobytes() == other_compute.tobytes()
 
 
 def _bottleneck(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
-                cuts: np.ndarray, compute: np.ndarray) -> dict:
+                cuts: np.ndarray, compute: np.ndarray,
+                terms: PricedTerms | None = None) -> dict:
     """The bottleneck entry of a trace (see :func:`_trace_entries`) at the
-    (S,) ``cuts`` and server ``compute``, each term priced once."""
-    terms = round_terms(batch, arch, cuts, compute, cfg.t_agg).priced()
+    (S,) ``cuts`` and server ``compute``, each term priced once; ``terms``,
+    if given, are those terms already priced."""
+    if terms is None:
+        terms = round_terms(batch, arch, cuts, compute, cfg.t_agg).priced()
     _, k = straggler(*terms.objective(cfg.epoch_objective))
     epochs = batch.epochs[k]
     return {
@@ -639,10 +707,10 @@ def cmd_optimize(args, out_dir: Path) -> int:
         "converged": converged,
         "cuts": cuts.tolist(),
         "server_compute_flops": compute.tolist(),
-        "trace": _trace_entries(batch, arch, cfg, plan),
     }
-
-    totals = round_terms(batch, arch, cuts, compute, args.t_agg).total
+    # the plan's round times, from the terms its trace priced
+    payload["trace"], terms = _trace_entries(batch, arch, cfg, plan)
+    totals = terms.total
     table = (
         f"arch {arch.name}  users {len(batch)}  server {args.server_tflops} TFLOPs\n"
         f"objective {objective:.3f} s in {iterations} iterations"

@@ -1654,6 +1654,63 @@ class TestDumpsReport:
     def test_record_lists_equal_the_stdlib(self, tree):
         _stdlib_or_type_error(tree)
 
+    @seed(20311)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_TREES, _shared_trees(), _record_lists()))
+    def test_streamed_chunks_join_to_the_stdlib(self, tree):
+        try:
+            expected = json.dumps(tree, sort_keys=True, indent=2)
+        except TypeError:
+            with pytest.raises(TypeError):
+                "".join(cli.iter_report(tree))
+        else:
+            assert "".join(cli.iter_report(tree)) == expected
+
+    def test_a_dict_of_large_containers_is_streamed_in_chunks(self):
+        tree = {"a": [{"x": i, "y": [1.5] * i} for i in range(300)],
+                "b": {"c": list(range(2000)), "d": [[0.5, -0.0]] * 500}}
+        chunks = list(cli.iter_report(tree))
+        text = json.dumps(tree, sort_keys=True, indent=2)
+        assert "".join(chunks) == text
+        assert len(chunks) > 1 and text not in chunks
+
+    def test_streamed_fallback_without_the_c_encoder(self, monkeypatch):
+        tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}], "d": {"e": [1]}}
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        assert "".join(cli.iter_report(tree)) == json.dumps(tree, sort_keys=True, indent=2)
+
+    def test_a_failing_emit_leaves_the_earlier_report(self, tmp_path):
+        cli._emit(tmp_path, "report", {"a": [1.5, 2.5]}, "table\n")
+        (tmp_path / "report.txt").unlink()
+        before = (tmp_path / "report.json").read_bytes()
+        payload = {"a": [1.5, 2.5], "b": {"c": [1, 2]}, "z": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._emit(tmp_path, "report", payload, "other\n")
+        assert (tmp_path / "report.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+class TestWriteAtomic:
+    def test_nested_writers_of_one_path_each_use_their_own_temporary_file(self, tmp_path):
+        path = tmp_path / "report.json"
+
+        def chunks():
+            yield "outer "
+            cli._write_atomic(path, ["inner"])
+            assert path.read_text() == "inner"
+            yield "text"
+
+        cli._write_atomic(path, chunks())
+        assert path.read_text() == "outer text"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_a_report_gets_the_permissions_of_a_newly_opened_file(self, tmp_path):
+        with open(tmp_path / "reference", "w"):
+            pass
+        cli._write_atomic(tmp_path / "report.json", ["{}"])
+        mode = (tmp_path / "report.json").stat().st_mode
+        assert mode == (tmp_path / "reference").stat().st_mode
+
 
 class TestReportDigests:
     """Seeded reports keep their exact bytes: a change that is meant to leave
