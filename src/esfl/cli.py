@@ -249,30 +249,27 @@ def iter_report(payload):
     per-user cut rows as one object.
 
     A list of at least ``REPEATED_FLOATS_MIN`` exact floats, at most half of
-    them distinct, is written once per distinct value (``repeated`` below):
-    ``np.unique`` on the list's int64 view gives the distinct bit patterns
-    and each item's index, one encoder call writes the distinct values, and
-    their texts are gathered back in order, so ``0.0`` and ``-0.0`` stay
-    apart. That holds for a list of scalars, such as ``optimize``'s
-    ``server_compute_flops``, and for each row of a matrix column, such as
-    ``simulate``'s per-round ``esfl_server_compute`` (16 distinct values in
-    a sim-large round of 2,500), but not for a column of scalars, one per
-    record. A shorter list, one holding anything but exact floats (a bool,
-    int, ``np.float64``, string or None) and one with more distinct values
-    keep the one encoder call; so do int lists, whose items encode fast
-    either way. At the floor, 256 floats, a list of 16
-    distinct values is written in 0.06 ms against 0.14 ms, and one of 128
-    in about the same time either way. The type set of each list is taken
-    once and handed to ``columns`` and ``repeated``.
+    them distinct but not all of its first ``REPEATED_FLOATS_MIN``, is
+    written once per distinct value (``repeated`` below): ``np.unique`` on
+    its int64 view gives the distinct bit patterns (so ``0.0`` and ``-0.0``
+    stay apart) and each item's index, one encoder call writes the distinct
+    values, and their texts are gathered back in order. That holds for a
+    list of scalars, such as ``optimize``'s ``server_compute_flops``, and
+    for each row of a matrix column, such as ``simulate``'s per-round
+    ``esfl_server_compute`` (16 distinct values in a sim-large round of
+    2,500), but not for a column of scalars, one per record. Other lists,
+    of ints, bools, ``np.float64``, strings or None among them, keep the
+    one encoder call; each list's type set is taken once for both checks.
 
     Best of repeated timings (2-core shared host, Python 3.11, numpy 2.4),
-    without and with the distinct floats: a sim-large report (two rounds of
-    2,500 users) 7.4 and 5.2 ms, a plan-large report (10⁴ users, 2,111
-    distinct server computes) 5.6 and 4.1 ms, and a preset ``simulate``
-    report (100 records of 10 users) 2.3 ms either way. Streamed, the
-    sim-large report's chunks join in 3.8 ms, against 5.0 ms when each
-    level joined its items' text, and :func:`_emit` encodes and writes it
-    in 4.3–4.5 ms, against 5.4–6.1 ms.
+    with (and without) the distinct floats: a sim-large report (two rounds
+    of 2,500 users) 5.2 (7.4) ms, a plan-large one (2,111 distinct server
+    computes of 10⁴) 4.1 (5.6) ms, a 256-float list of 16 distinct values
+    0.06 (0.14) ms; 10⁴ distinct floats, which skip ``np.unique``, take
+    5.2–6.3 ms (6.2–6.4 ms with it), but 256 distinct floats then 10⁴
+    repeats of them ~5.8 ms (1.2 ms). Streamed, the sim-large report's
+    chunks join in 3.8 ms (5.0 ms when each level joined its items' text),
+    and :func:`_emit` encodes and writes it in 4.3–4.5 ms (5.4–6.1 ms).
     """
     if c_make_encoder is None:
         yield json.dumps(payload, sort_keys=True, indent=2)
@@ -288,12 +285,13 @@ def iter_report(payload):
 
     def repeated(values, types=None):
         """The texts of ``values`` with each distinct float encoded once, or
-        None unless they are at least ``REPEATED_FLOATS_MIN`` exact floats of
-        which at most half are distinct. ``types``, if given, is the set of
-        their types. Floats are equal by their bits, so ``0.0`` and ``-0.0``
-        stay apart."""
+        None unless they are at least ``REPEATED_FLOATS_MIN`` exact floats,
+        at most half distinct and not all of the first ``REPEATED_FLOATS_MIN``.
+        ``types``, if given, is the set of their types. Floats are equal by
+        their bits, so ``0.0`` and ``-0.0`` stay apart."""
         if (len(values) < REPEATED_FLOATS_MIN or type(values[0]) is not float
-                or (types or set(map(type, values))) != {float}):
+                or (types or set(map(type, values))) != {float}
+                or len(set(values[:REPEATED_FLOATS_MIN])) == REPEATED_FLOATS_MIN):
             return None
         distinct, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
         if 2 * len(distinct) > len(values):

@@ -198,20 +198,23 @@ def _channel_problem(keys: frozenset) -> str | None:
 
 def _key_sets(objects: list[dict]) -> tuple[dict[tuple, int], np.ndarray]:
     """Each distinct key tuple of ``objects`` with the index of its first
-    object, and each object's key code: its tuple's place in that dict.
-
-    Tuples, in document order, because comparing equal tuples of interned
-    keys is far cheaper than comparing equal frozensets.
-    """
-    keys = list(map(tuple, objects))
-    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    code = {k: c for c, k in enumerate(firsts)}
-    return firsts, np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+    object, filed by ``setdefault`` in one pass, and each object's key code:
+    that index. Tuples, in document order, because comparing equal tuples
+    of interned keys is far cheaper than comparing equal frozensets."""
+    firsts: dict[tuple, int] = {}
+    codes = map(firsts.setdefault, map(tuple, objects), range(len(objects)))
+    return firsts, np.fromiter(codes, np.intp, len(objects))
 
 
 def _column(objects: list[dict], firsts: dict, codes: np.ndarray, key: str) -> _Column:
-    """The indices of the objects that have ``key``, and their values."""
-    has = np.isin(codes, [c for c, keys in enumerate(firsts) if key in keys])
+    """The indices of the objects that have ``key``, and their values, by
+    the key sets first seen in ``objects`` (a cut list lacks the others)."""
+    live = [(i, key in keys) for keys, i in firsts.items() if i < len(objects)]
+    if all(has for _, has in live):
+        return np.arange(len(objects)), list(map(itemgetter(key), objects))
+    table = np.zeros(len(objects), dtype=bool)
+    table[[i for i, has in live if has]] = True
+    has = table[codes]
     return np.flatnonzero(has), list(map(itemgetter(key), compress(objects, has.tolist())))
 
 
@@ -229,8 +232,7 @@ def _misshapen(objects: list, problem_of, name: str):
         problem = f"{name}must be an object, not {type(objects[stop]).__name__}"
     firsts, codes = _key_sets(objects[:stop])
     for keys, i in firsts.items():
-        what = problem_of(frozenset(keys))
-        if what and i < stop:
+        if i < stop and (what := problem_of(frozenset(keys))):
             stop, problem = i, what
     return stop, problem, firsts, codes[:stop]
 

@@ -831,6 +831,33 @@ class TestUsersColumns:
             assert f"input error: {path}{what}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("misshapen, what", [
+        (5, "must be an object, not int"),
+        ({"n_samples": 500, "tflops": 1.3, "kbps": 10, "color": "red"},
+         "unknown keys ['color']"),
+        ({"n_samples": 500, "tflops": 1.3, "channel": 5}, "channel must be an object, not int"),
+    ])
+    def test_a_misshapen_user_hides_the_key_sets_first_seen_after_it(
+            self, tmp_path, misshapen, what):
+        # the channel user after the misshapen one has a key set not seen
+        # before it, and bad values; the columns end at the misshapen user
+        ok = {"n_samples": 500, "tflops": 1.3, "kbps": 10}
+        later = {"tflops": 1.3, "epochs": 0, "n_samples": -1,
+                 "channel": {**_GOOD_CHANNEL, "bandwidth_hz": 0}}
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps({"users": [ok, misshapen, later, ok]}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path} user 1: {what}')}$"):
+            cli._users_from_doc(str(path), 1024.0)
+
+    @pytest.mark.parametrize("doc_seed", [3, 19])
+    def test_bench_style_batch_equals_the_per_user_path(self, tmp_path, doc_seed):
+        # the benchmark's shape: each key set repeats hundreds of times
+        doc = _bench_style_users(2000, seed=doc_seed)
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps(doc))
+        _assert_batches_equal(cli._users_from_doc(str(path), 1024.0),
+                              _per_user_batch(doc, 1024.0))
+
 
 def _rjust_table(headers, rows):
     """The per-cell ``rjust`` table that format_table replaced."""
@@ -1626,6 +1653,32 @@ class TestDumpsReport:
         # where a diff of the two long texts would take minutes
         expected = json.dumps(tree, sort_keys=True, indent=2)
         assert dumps_report(tree).split("\n") == expected.split("\n")
+
+    def test_lists_with_distinct_first_floats_equal_the_stdlib(self):
+        rng = np.random.default_rng(20312)
+        distinct = rng.random(10_000).tolist()
+        pool = rng.random(cli.REPEATED_FLOATS_MIN).tolist()
+        assert len(set(distinct)) == 10_000 and len(set(pool)) == len(pool)
+        for values in (distinct, pool + (pool * 40)[:10_000]):
+            expected = json.dumps(values, sort_keys=True, indent=2)
+            assert dumps_report(values) == expected
+
+    def test_np_unique_is_skipped_when_the_first_floats_are_distinct(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(cli.np, "unique", counted)
+        rng = np.random.default_rng(20313)
+        drawn = rng.choice(rng.random(2000), 10_000).tolist()
+        distinct = rng.random(10_000).tolist()
+        for values, searched in ((drawn, [10_000]), (distinct, [])):
+            calls.clear()
+            assert dumps_report(values) == json.dumps(values, sort_keys=True, indent=2)
+            assert calls == searched
 
     def test_stdlib_fallback_without_the_c_encoder(self, monkeypatch):
         tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}]}
