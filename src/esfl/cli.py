@@ -824,7 +824,11 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
 # follow the pooled samples. Among them is the pooled-loss workspace, which
 # the trainer keeps for the whole run: 32 + 3 × --classes values per sample
 # (the two hidden layers' outputs, the logits and the loss's two arrays),
-# at most 17.5 times the data, at --dim 1 and --classes 1.
+# at most 17.5 times the data, at --dim 1 and --classes 1. The step
+# workspace, also kept for the run, holds 96 + 3 × --classes values per
+# sample of a minibatch (the outputs, dz and input gradients, and the
+# loss's two), so up to 49.5 times the data when a minibatch is a whole
+# user.
 MAX_TOY_VALUES = 10**7
 
 # The most parameter values train-toy holds. The network has

@@ -22,26 +22,21 @@ models: one flat float64 buffer holds a row of parameters per user (w0, b0,
 w1, b1, ...), each stack's network is a view into its rows, built and
 validated once per run, and every minibatch writes its gradients into a
 buffer of the same layout and steps the stack with one in-place
-subtraction. The global loss over the pooled data, the incoming network's
-before round 0 and each round's after it, is evaluated in the arrays of
-the first evaluation, one per layer (the activation written over its
-preactivation) and the loss's two, so a run allocates them once, not once
-a round; the layer and loss arithmetic is loss_value's.
-:func:`split_update` runs the split gradient pass and returns a new state,
-leaving its input alone.
+subtraction. The minibatches are sliced once per run, and each stack
+steps in arrays built once per minibatch length (:func:`_step_work`):
+each layer's output, dz and input gradient, and the loss's two. The
+global loss over the pooled data, the incoming network's before round 0
+and each round's after it, is evaluated in the arrays of the first
+evaluation. Either way each operation and its order are those that
+:func:`loss_value`, :func:`loss_and_grads` and :func:`split_update` run
+in new arrays; split_update returns a new state, leaving its input alone.
+Below 8 classes, the softmax runs in a class-major copy, whose class axis
+numpy reduces and broadcasts over in whole-array passes, with the bits of
+its row reductions (:func:`_softmax`).
 
-The softmax takes a max and an exp-sum over the class axis, the last, of
-every sample row. Numpy reduces a short trailing axis one row at a time,
-at 20 to 55 ns a row, so with fewer than 8 classes both reductions run over
-a class-major copy's leading axis instead, a few whole-array passes
-(:func:`_class_reduce`). The results are numpy's row reductions' bit for
-bit: a max is exact in any order, and numpy adds a row of fewer than 8
-values in order, as a leading-axis reduction does. From 8 values on,
-numpy sums a row in pairwise blocks, so wider class axes keep the row
-reduction.
-
-Backpropagation reads each layer's derivative from the forward pass's
-cached output (tanh' = 1 - a**2, identity passes the gradient through) and
+The forward pass caches each layer's (input, output), and backpropagation
+reads each derivative from the output: tanh' = 1 - a**2, relu' = a > 0,
+which holds where z > 0 does, and identity passes the gradient through. It
 computes an input gradient at every layer but the network's first: on the
 split path the server side also forms the gradient at its input, the cut,
 which goes back to the device.
@@ -61,13 +56,16 @@ import numpy as np
 
 from .errors import COUNT, FINITE, NUMBER, POSITIVE, between, check
 
-# name -> (activation, written into ``out`` when it is given, and derivative
-# from the cached preactivation z and output a); None marks the identity,
-# whose output is its input and whose derivative is 1
+# name -> (activation, and derivative from the output a; each is written
+# into ``out`` when it is given); None marks the identity, whose output is
+# its input and whose derivative is 1. Relu's a > 0 holds where z > 0 does:
+# max(z, 0) keeps a NaN, and is a zero for every other z <= 0
 ACTIVATIONS = {
     "identity": (lambda z, out=None: z, None),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, a: z > 0),
-    "tanh": (np.tanh, lambda z, a: 1.0 - a ** 2),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda a, out=None: np.greater(a, 0.0, out=out)),
+    "tanh": (np.tanh,
+             lambda a, out=None: np.subtract(1.0, np.multiply(a, a, out=out), out=out)),
 }
 
 LOSSES = ("mse", "softmax_ce")
@@ -138,54 +136,71 @@ def init_dense_net(
 # Shared layer primitives; both the monolithic and the split path use these.
 
 def _forward_segment(net: DenseNet, x: np.ndarray, work=None):
-    """Returns (output, caches); caches[j] = (input, preactivation, output).
+    """Returns (output, caches); caches[j] = (input, output) of layer j.
 
-    Every array is new unless ``work`` holds one array per layer: then each
-    layer is evaluated in its array and its activation overwrites its
-    preactivation, which serves callers that read only the output."""
+    Each layer's activation is written over its preactivation, in a new
+    array unless ``work`` holds one array per layer, shaped as its output:
+    then each layer is evaluated in its array."""
     caches = []
     a_in = x
     for j, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        z = None if work is None else work[j]
-        z = np.add(np.matmul(a_in, w, out=z), b[..., None, :], out=z)
-        a = ACTIVATIONS[act][0](z, out=None if work is None else z)
-        caches.append((a_in, z, a))
+        z = np.matmul(a_in, w, out=None if work is None else work[j])
+        a = ACTIVATIONS[act][0](np.add(z, b[..., None, :], out=z), out=z)
+        caches.append((a_in, a))
         a_in = a
     return a_in, caches
 
 
 def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
-                      grads: DenseNet | None = None, input_grad: bool = False):
+                      grads: DenseNet | None = None, input_grad: bool = False,
+                      work=None):
     """Chain rule down through a segment; returns (dWs, dbs, d_input).
 
     The gradients are written into the arrays of ``grads`` when it is given,
     else into new ones. d_input is the gradient at the segment's input when
-    ``input_grad`` is set, else None."""
+    ``input_grad`` is set, else None. ``work``, when given, holds a pair of
+    arrays per layer, shaped as its output and as its input, which take
+    its dz and its input gradient; None where the pass forms neither."""
     dws = list(grads.weights) if grads is not None else [None] * net.num_layers
     dbs = list(grads.biases) if grads is not None else [None] * net.num_layers
     da = d_out
     for j in range(net.num_layers - 1, -1, -1):
-        a_in, z, a = caches[j]
+        a_in, a = caches[j]
         derivative = ACTIVATIONS[net.activations[j]][1]
-        dz = da if derivative is None else da * derivative(z, a)
+        dz, d_in = (None, None) if work is None else work[j]
+        dz = da if derivative is None else np.multiply(da, derivative(a, dz), out=dz)
         dws[j] = np.matmul(a_in.swapaxes(-1, -2), dz, out=dws[j])
         dbs[j] = dz.sum(axis=-2, out=dbs[j])
-        da = dz @ net.weights[j].swapaxes(-1, -2) if j or input_grad else None
+        da = (np.matmul(dz, net.weights[j].swapaxes(-1, -2), out=d_in)
+              if j or input_grad else None)
     return dws, dbs, da
 
 
-def _class_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc`` reduced over the last axis of ``a``, kept as length 1.
+def _softmax(out: np.ndarray, probs: np.ndarray | None = None) -> np.ndarray:
+    """The softmax over the last axis of ``out``, written into ``probs``
+    when it is given, else into a new array.
 
     Numpy reduces a short last axis one row at a time, at 20 to 55 ns a
-    row; below 8 classes, a class-major copy reduced over its leading axis
-    gives the same bits in a few whole-array passes. A max is exact in any
-    order, and numpy adds a row of fewer than 8 values in order, as the
-    leading-axis reduction does. From 8 values on, numpy adds a row in
-    pairwise blocks, so wider axes keep the row reduction."""
-    if a.shape[-1] >= 8:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    return ufunc.reduce(a.T.copy(), axis=0, keepdims=True).T
+    row, and broadcasts a row's max or sum back in as many short loops;
+    below 8 classes, the softmax runs in a class-major copy, whose leading
+    axis it reduces and broadcasts over in a few whole-array passes. The
+    bits are the same: each element's arithmetic is unchanged, a max is
+    exact in any order, and numpy adds a row of fewer than 8 values in
+    order, as the leading-axis reduction does. From 8 values on, numpy adds
+    a row in pairwise blocks, so wider axes keep the row reductions."""
+    if out.shape[-1] >= 8:
+        shifted = np.subtract(out, np.maximum.reduce(out, axis=-1, keepdims=True),
+                              out=probs)
+        expz = np.exp(shifted, out=shifted)
+        return np.divide(expz, np.add.reduce(expz, axis=-1, keepdims=True), out=expz)
+    classes = out.T.copy()
+    np.subtract(classes, np.maximum.reduce(classes, axis=0), out=classes)
+    np.exp(classes, out=classes)
+    np.divide(classes, np.add.reduce(classes, axis=0), out=classes)
+    if probs is None:
+        return classes.T.copy()
+    np.copyto(probs, classes.T)
+    return probs
 
 
 def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
@@ -201,28 +216,53 @@ def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
         diff = np.subtract(out, y, out=first)
         squares = np.multiply(diff, diff, out=second)
         return squares.sum(axis=(-2, -1)) / batch, (diff, squares)
-    # softmax cross-entropy over logits, y one-hot; with work, the shifted
-    # logits, their exponentials and the probabilities share one array
-    shifted = np.subtract(out, _class_reduce(np.maximum, out), out=first)
-    expz = np.exp(shifted, out=first)
-    probs = np.divide(expz, _class_reduce(np.add, expz), out=first)
+    # softmax cross-entropy over logits, y one-hot
+    probs = _softmax(out, first)
     logs = np.log(np.maximum(probs, 1e-300, out=second), out=second)
     terms = np.multiply(y, logs, out=second)
     return -terms.sum(axis=(-2, -1)) / batch, (probs, terms)
 
 
-def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
-    """Loss value per group member and its gradient w.r.t. the output."""
-    value, (first, _) = _loss_terms(out, y, loss)
+def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str, work=None):
+    """Loss value per group member and its gradient w.r.t. the output, which
+    is written over the first array of the loss terms (see _loss_terms,
+    which takes ``work``)."""
+    value, (first, _) = _loss_terms(out, y, loss, work)
     batch = out.shape[-2]
     if loss == "mse":   # first is out - y
-        return value, 2.0 * first / batch
-    return value, (first - y) / batch   # first holds the probabilities
+        return value, np.divide(np.multiply(2.0, first, out=first), batch, out=first)
+    # first holds the probabilities
+    return value, np.divide(np.subtract(first, y, out=first), batch, out=first)
 
 
 def _check_finite(value) -> None:
     if not np.isfinite(value).all():
         raise FloatingPointError("non-finite loss")
+
+
+def _gradients(net: DenseNet, x: np.ndarray, y: np.ndarray,
+               grads: DenseNet | None = None, work=None):
+    """The loss per group member and the full-network gradients, written
+    into ``grads`` when it is given, computed in the arrays of ``work``
+    (see :func:`_step_work`) or else new ones; the caller checks the batch."""
+    layers, terms, back = (None, None, None) if work is None else work
+    out, caches = _forward_segment(net, x, layers)
+    value, d_out = _loss_and_grad(out, y, net.loss, terms)
+    _check_finite(value)
+    dws, dbs, _ = _backward_segment(net, caches, d_out, grads, work=back)
+    return value, dws, dbs
+
+
+def _step_work(net: DenseNet, x: np.ndarray):
+    """Arrays for :func:`_gradients` on ``net`` and batches shaped as ``x``:
+    per layer its output, its dz but for identity and its input gradient but
+    for the first; and the loss's two, the first taking the loss gradient."""
+    lead = x.shape[:-1]
+    layers = [np.empty(lead + w.shape[-1:]) for w in net.weights]
+    back = [(None if act == "identity" else np.empty_like(a),
+             np.empty(lead + w.shape[-2:-1]) if j else None)
+            for j, (w, a, act) in enumerate(zip(net.weights, layers, net.activations))]
+    return layers, (np.empty_like(layers[-1]), np.empty_like(layers[-1])), back
 
 
 def _step(net: DenseNet, dws, dbs, rho: float) -> DenseNet:
@@ -238,8 +278,9 @@ def _check_batch(x: np.ndarray, y: np.ndarray, first: DenseNet, last: DenseNet,
                  who: str = "batch") -> None:
     """Refuses a batch whose features do not fit the input layer, held by
     ``first``, whose labels are not one row of the output layer's width,
-    held by ``last``, per sample, or a loss the output layer cannot feed.
-    ``who`` names the batch's owner in the message."""
+    held by ``last``, per sample, that holds no samples, or a loss the
+    output layer cannot feed. ``who`` names the batch's owner in the
+    message."""
     if x.shape[-1] != first.weights[0].shape[-2]:
         raise ValueError(f"{who} feature dimension {x.shape[-1]} does not match "
                          f"the input layer's {first.weights[0].shape[-2]}")
@@ -247,6 +288,10 @@ def _check_batch(x: np.ndarray, y: np.ndarray, first: DenseNet, last: DenseNet,
     if y.shape != x.shape[:-1] + (width,):
         raise ValueError(f"{who} labels of shape {y.shape} do not match samples "
                          f"of shape {x.shape} and an output layer of width {width}")
+    # the loss and its gradient divide by the sample count, the length of axis -2
+    if x.ndim < 2 or not x.shape[-2]:
+        raise ValueError(f"{who} holds no samples: features of shape {x.shape}, "
+                         f"not a row per sample")
     # softmax cross-entropy consumes logits, so the producing layer must
     # not squash them
     if last.loss == "softmax_ce" and last.activations[-1] != "identity":
@@ -261,7 +306,7 @@ def _loss(net: DenseNet, x: np.ndarray, y: np.ndarray, work=None):
     layers, terms = (None, None) if work is None else work
     out, caches = _forward_segment(net, x, layers)
     value, terms = _loss_terms(out, y, net.loss, terms)
-    return value, ([a for _, _, a in caches], terms)
+    return value, ([a for _, a in caches], terms)
 
 
 def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
@@ -272,11 +317,7 @@ def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
 def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
     """Full-network analytic gradients; used directly by gradient checks."""
     _check_batch(x, y, net, net)
-    out, caches = _forward_segment(net, x)
-    value, d_out = _loss_and_grad(out, y, net.loss)
-    _check_finite(value)
-    dws, dbs, _ = _backward_segment(net, caches, d_out)
-    return value, dws, dbs
+    return _gradients(net, x, y)
 
 
 def monolithic_update(net: DenseNet, batch, rho: float) -> DenseNet:
@@ -354,9 +395,11 @@ def federated_aggregate(
     """
     if not len(counts):
         raise ValueError("need at least one local model")
+    share = np.asarray(counts, dtype=float)
     total = float(sum(counts))
-    if total <= 0:
-        raise ValueError("sample counts must be positive")
+    # 0 < n < inf is false for a NaN; a sum past the float range zeroes every share
+    if not (np.all((0 < share) & (share < np.inf)) and total < np.inf):
+        raise ValueError("sample counts must be positive and finite, as must their sum")
     lead = (len(counts),)
     if members.activations != global_net.activations or any(
         m.shape != lead + g.shape
@@ -364,7 +407,7 @@ def federated_aggregate(
                         global_net.weights + global_net.biases)
     ):
         raise ValueError("local model structure does not match the global model")
-    share = np.asarray(counts, dtype=float) / total
+    share = share / total
 
     def mean(stacked: np.ndarray) -> np.ndarray:
         return (stacked * share.reshape(lead + (1,) * (stacked.ndim - 1))).sum(axis=0)
@@ -392,15 +435,16 @@ class ToyUser:
     epochs: int = 1
 
 
-def _batches(x, y, batch_size):
-    """Minibatches along the sample axis, the second to last."""
+def _batches(net: DenseNet, x, y, batch_size):
+    """Minibatches along the sample axis, the second to last, as (x, y,
+    work): ``work`` holds the arrays of :func:`_step_work` for ``net``, one
+    set for the full minibatches and one for a ragged last one."""
     n = x.shape[-2]
-    if batch_size is None or batch_size >= n:
-        yield x, y
-        return
-    for start in range(0, n, batch_size):
-        rows = slice(start, start + batch_size)
-        yield x[..., rows, :], y[..., rows, :]
+    step = min(batch_size or n, n)
+    full = _step_work(net, x[..., :step, :])
+    ragged = _step_work(net, x[..., n - n % step:, :]) if n % step else full
+    return [(x[..., s:s + step, :], y[..., s:s + step, :],
+             full if s + step <= n else ragged) for s in range(0, n, step)]
 
 
 def _stack_groups(users: Sequence[ToyUser]) -> list[list[int]]:
@@ -484,9 +528,10 @@ def esfl_train(
 
     The local models live in one flat buffer, a row per user, each stack's
     rows together; each stack's network is a view into its rows, built
-    once, and each minibatch steps it in place with one subtraction. Each
-    global loss is :func:`loss_value`'s, evaluated in the arrays of the
-    first evaluation, which live until the run ends.
+    once, and each minibatch steps it in place with one subtraction, in
+    arrays built once per minibatch length. Each global loss is
+    :func:`loss_value`'s, evaluated in the arrays of the first evaluation,
+    which live until the run ends.
     The caller's ``net`` and the users' arrays are only read.
     """
     check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
@@ -505,10 +550,11 @@ def esfl_train(
     for members in stacks:
         params = local[start:start + len(members)]
         grads = np.empty_like(params)
-        groups.append((params, grads, _flat_views(params, net),
-                       _flat_views(grads, net), users[members[0]].epochs,
-                       np.stack([users[i].x for i in members]),
-                       np.stack([users[i].y for i in members])))
+        stack = _flat_views(params, net)
+        batches = _batches(stack, np.stack([users[i].x for i in members]),
+                           np.stack([users[i].y for i in members]), batch_size)
+        groups.append((params, grads, stack, _flat_views(grads, net),
+                       users[members[0]].epochs, batches))
         start += len(members)
     value, work = _loss(net, pooled_x, pooled_y)
     trace = [float(value)]
@@ -516,14 +562,11 @@ def esfl_train(
         rho = rho0 / (1.0 + r / 100.0)
         local[...] = np.concatenate(
             [a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
-        for params, grads, stack, grad_stack, epochs, x, y in groups:
+        for params, grads, stack, grad_stack, epochs, batches in groups:
             for _ in range(epochs):
-                for xb, yb in _batches(x, y, batch_size):
-                    out, caches = _forward_segment(stack, xb)
-                    value, d_out = _loss_and_grad(out, yb, stack.loss)
-                    _check_finite(value)
-                    _backward_segment(stack, caches, d_out, grad_stack)
-                    params -= rho * grads
+                for xb, yb, step_work in batches:
+                    _gradients(stack, xb, yb, grad_stack, step_work)
+                    params -= np.multiply(rho, grads, out=grads)
         net = federated_aggregate(net, _flat_views(local[order], net), counts, eta)
         value, work = _loss(net, pooled_x, pooled_y, work)
         trace.append(float(value))

@@ -382,6 +382,17 @@ class TestFederatedAggregate:
         with pytest.raises(ValueError, match="positive"):
             federated_aggregate(g, _stack([l1, l2]), [1.0, -1.0], eta=1.0)
 
+    @pytest.mark.parametrize("counts", [[2.0, -1.0], [0.0, 1.0], [np.nan, 1.0],
+                                        [np.inf, 1.0], [1.0, -np.inf], [1e308, 1e308]])
+    def test_each_count_must_be_finite_and_positive(self, counts):
+        # a positive sum is not enough: a negative count weighs its model
+        # negatively, a NaN count turns the model into NaN, an infinite one
+        # divides inf by inf, and counts that sum past the largest float
+        # round every share to 0
+        g, l1, l2 = self._nets()
+        with pytest.raises(ValueError, match="sample counts must be positive"):
+            federated_aggregate(g, _stack([l1, l2]), counts, eta=1.0)
+
     def test_affine_in_each_local_model(self):
         g, l1, l2 = self._nets()
         alpha, eta = 0.3, 0.7
@@ -971,6 +982,190 @@ class TestLabelShapes:
         net, x, y = self._net()
         _, trace = esfl_train(net, [ToyUser(x=x, y=y, cut=1)], rounds=2)
         assert trace[0] == loss_value(net, x, y)
+
+
+class TestEmptyBatches:
+    """A batch without samples is refused before any arithmetic, naming its
+    owner: the loss and its gradient would divide by its sample count."""
+
+    @pytest.fixture
+    def no_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a forward pass ran on an empty batch")
+        monkeypatch.setattr(split_training, "_forward_segment", forbidden)
+
+    def test_esfl_train_names_the_user(self, no_arithmetic):
+        net = init_dense_net([2, 3, 2], rng=np.random.default_rng(27))
+        full = ToyUser(np.ones((4, 2)), np.ones((4, 2)), 1)
+        for users, owner in (([ToyUser(np.zeros((0, 2)), np.zeros((0, 2)), 1), full],
+                              "users[0]"),
+                             ([full, ToyUser(np.zeros((0, 2)), np.zeros((0, 2)), 1)],
+                              "users[1]")):
+            with pytest.raises(ValueError, match=re.escape(f"{owner} holds no samples")):
+                esfl_train(net, users, rounds=1)
+
+    def test_single_batch_entries_refuse(self, no_arithmetic):
+        net = init_dense_net([2, 3, 2], rng=np.random.default_rng(28))
+        # a lone feature vector holds no row per sample either
+        for x, y, state_net in ((np.zeros((0, 2)), np.zeros((0, 2)), net),
+                                (np.zeros((2, 0, 2)), np.zeros((2, 0, 2)),
+                                 _stack([net, net])),
+                                (np.zeros(2), np.zeros(2), net)):
+            for call in (lambda: loss_value(net, x, y),
+                         lambda: loss_and_grads(net, x, y),
+                         lambda: monolithic_update(net, (x, y), 0.1),
+                         lambda: split_update(split_net(state_net, 1, 0.1), (x, y))):
+                with pytest.raises(ValueError, match="^batch holds no samples"):
+                    call()
+
+
+# preactivations at which reading a derivative from the output could differ
+# from reading it from the preactivation: signed zeros, subnormals, NaN and
+# infinities. A matmul sums from +0.0, so it never yields -0.0; the primitive
+# test below feeds -0.0 to the activations directly
+_SPECIAL_PREACTIVATIONS = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 2.5e-310, -2.5e-310],
+    "infinities": [np.inf, -np.inf],
+    "nan": [np.nan],
+}
+
+
+class TestOutputDerivatives:
+    """Backpropagation reads each derivative from the layer's output: tanh'
+    as 1 - a**2 and relu' as a > 0. At every preactivation, special values
+    included, that must give the textbook derivative of the preactivation
+    bit for bit, and loss_and_grads and split_update must equal the
+    reference above, which computes it from z."""
+
+    @pytest.mark.parametrize("name", ["relu", "tanh"])
+    def test_derivative_from_the_output_is_the_derivative_at_z(self, name):
+        z = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, np.inf,
+                      -np.inf, np.nan, 1.5, -1.5, 30.0, -30.0])
+        activation, derivative = ACTIVATIONS[name]
+        ref = _REF_ACTIVATIONS[name][1](z)
+        a = activation(z.copy(), out=None)
+        assert _same_bits(a, _REF_ACTIVATIONS[name][0](z))
+        assert _same_bits(derivative(a), ref)
+        assert _same_bits(derivative(a, np.empty_like(z)), ref)
+
+    @pytest.mark.parametrize("kind", sorted(_SPECIAL_PREACTIVATIONS))
+    @pytest.mark.parametrize("name", ["relu", "tanh"])
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("members", [None, 2])
+    def test_special_preactivations_match_the_reference(self, kind, name, loss,
+                                                        members, monkeypatch):
+        # NaN and overflowing losses must reach backpropagation, so the
+        # finite-loss guard is lifted here
+        monkeypatch.setattr(split_training, "_check_finite", lambda value: None)
+        rng = np.random.default_rng(29)
+        sizes = [1, 4, 3, 3]
+        nets = []
+        for _ in range(members or 1):
+            net = init_dense_net(sizes, [name, name, "identity"], loss, rng)
+            # layer 0's preactivation is x times each of these, exactly
+            w0 = np.array([[1.0, -1.0, 0.5, 2.0]])
+            nets.append(DenseNet((w0,) + net.weights[1:],
+                                 (np.full(4, -0.0),) + net.biases[1:],
+                                 net.activations, loss))
+        net = nets[0] if members is None else _stack(nets)
+        lead = () if members is None else (members,)
+        specials = _SPECIAL_PREACTIVATIONS[kind]
+        column = np.concatenate([specials, rng.normal(size=6)])
+        n = len(column)
+        x = np.broadcast_to(column[:, None], lead + (n, 1)).copy()
+        y = (rng.normal(size=lead + (n, 3)) if loss == "mse"
+             else np.eye(3)[rng.integers(3, size=lead + (n,))])
+        with np.errstate(all="ignore"):
+            z0 = _ref_forward(net, x)[1][0][1]
+            assert all(_same_bits(z0[..., i, 0], np.full(lead, v))
+                       for i, v in enumerate(specials) if not (v == 0 and np.signbit(v)))
+            value, dws, dbs = loss_and_grads(net, x, y)
+            ref_value, ref_dws, ref_dbs = _ref_loss_and_grads(net, x, y)
+            assert _same_bits(value, ref_value)
+            assert all(_same_bits(g, r) for g, r in zip(dws + dbs, ref_dws + ref_dbs))
+            for cut in range(1, net.num_layers):
+                state = split_net(net, cut, 0.1)
+                user, server = _ref_split_update(state, x, y)
+                stepped = split_update(state, (x, y))
+                for got, want in ((stepped.user_side, user), (stepped.server_side, server)):
+                    assert all(_same_bits(p, q) for p, q in
+                               zip(got.weights + got.biases, want.weights + want.biases))
+
+
+@st.composite
+def _step_cases(draw):
+    """A 2- to 4-layer structure, plain or stacked, a sample count and a
+    minibatch size that leaves a ragged last minibatch, and an epoch count."""
+    case = draw(_workspace_cases())
+    samples = draw(st.integers(3, 30))
+    case["samples"] = samples
+    case["batch_size"] = draw(st.integers(2, samples - 1).filter(lambda b: samples % b))
+    case["epochs"] = draw(st.integers(1, 3))
+    return case
+
+
+class TestStepWorkspace:
+    """esfl_train steps each stack in arrays it builds once per minibatch
+    length: each layer's output, dz and input gradient, and the loss's two.
+    Through several minibatches and epochs, a ragged last minibatch
+    included, every primitive must write into those same arrays, all of
+    them, and give the bits that new arrays give."""
+
+    @seed(20254)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_step_cases())
+    def test_reused_arrays_match_new_arrays_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sizes, loss, members = case["sizes"], case["loss"], case["members"]
+        shape = (members or 1, case["samples"])
+        x = rng.normal(size=shape + (sizes[0],))
+        y = (rng.normal(size=shape + (sizes[-1],)) if loss == "mse"
+             else np.eye(sizes[-1])[rng.integers(sizes[-1], size=shape)])
+        if members is None:
+            x, y = x[0], y[0]
+        nets = [init_dense_net(sizes, case["activations"], loss, rng)
+                for _ in range(members or 1)]
+        net = nets[0] if members is None else _stack(nets)
+        # the trainer's layout: a flat parameter row per member, and views
+        lead = () if members is None else (members,)
+        params = np.concatenate([a.reshape(lead + (-1,))
+                                 for layer in zip(net.weights, net.biases)
+                                 for a in layer], axis=-1)
+        grads = np.empty_like(params)
+        stack = split_training._flat_views(params, nets[0])
+        grad_stack = split_training._flat_views(grads, nets[0])
+        fresh = DenseNet(*(tuple(a.copy() for a in arrays)
+                           for arrays in (net.weights, net.biases)), net.activations, loss)
+
+        batches = split_training._batches(stack, x, y, case["batch_size"])
+        assert len({id(work) for _, _, work in batches}) == 2   # ragged last
+        assert all(work is batches[0][2] for _, _, work in batches[:-1])
+        rho = 0.05
+        for _ in range(case["epochs"]):
+            for xb, yb, (layers, terms, back) in batches:
+                arrays = layers + list(terms) + [a for pair in back for a in pair
+                                                 if a is not None]
+                for a in arrays:   # stale values must not leak into a step
+                    a.fill(np.nan)
+                out, caches = split_training._forward_segment(stack, xb, layers)
+                assert all(a is layers[j] for j, (_, a) in enumerate(caches))
+                value, d_out = split_training._loss_and_grad(out, yb, loss, terms)
+                assert d_out is terms[0]
+                dws, dbs, _ = split_training._backward_segment(
+                    stack, caches, d_out, grad_stack, work=back)
+                assert all(g is h for g, h in zip(dws + dbs,
+                                                  grad_stack.weights + grad_stack.biases))
+                # every array was written: the data and parameters are finite
+                assert not any(np.isnan(a).any() for a in arrays)
+
+                f_value, f_dws, f_dbs = split_training._gradients(fresh, xb, yb)
+                assert _same_bits(value, f_value)
+                assert all(_same_bits(a, b) for a, b in zip(dws + dbs, f_dws + f_dbs))
+                params -= np.multiply(rho, grads, out=grads)
+                fresh = _ref_step(fresh, f_dws, f_dbs, rho)
+        assert all(_same_bits(a, b) for a, b in
+                   zip(stack.weights + stack.biases, fresh.weights + fresh.biases))
 
 
 class TestMakeBlobs:
