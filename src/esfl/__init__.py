@@ -46,6 +46,7 @@ from .split_training import (
 )
 from .timing import (
     RoundTerms,
+    deepest_cut,
     default_fixed_cut,
     esfl_round_time,
     feasibility_mask,

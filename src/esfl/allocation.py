@@ -7,11 +7,11 @@ server's compute budget among users). The two are solved alternately:
 1. Cut pass: with server compute fixed, each user's best cut is an
    independent exhaustive scan over its feasible layers, so one pass costs
    O(S*L) instead of the O(L^S) joint enumeration. Users of one round
-   whose attributes are bitwise equal (one kind) get the same compute in
-   every pass, so the scan prices one user of each kind and gives its cut
-   to the others; that grouping lives inside the cut pass, which takes and
-   returns per-user arrays. Only the server time changes between passes,
-   so everything else is priced once per plan.
+   equal in their latency attributes and deepest feasible cut (one kind)
+   get the same compute in every pass, so the scan prices one user of each
+   kind and gives its cut to the others; that grouping lives inside the
+   cut pass, which takes and returns per-user arrays. Only the server
+   time changes between passes, so everything else is priced once per plan.
 2. Resource pass: with cuts fixed, each user's time is ``a_i/C_i + b_i``
    with constants ``a_i`` (server FLOPs owed to user i) and ``b_i``
    (everything compute-allocation-independent), read from the cut pass's
@@ -51,14 +51,14 @@ link stays blocked, as every round moves the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (COUNT, POSITIVE, AllocationError, InfeasibleUserError, at_least,
                      check, id_list, magnitude)
-from .timing import ServerFreeTerms, feasibility_mask, round_terms
+from .timing import ServerFreeTerms, deepest_cut, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
 
@@ -96,20 +96,20 @@ class OptimizerConfig:
 # ---------------------------------------------------------------------------
 # Per-user objective terms, all priced by ``timing.round_terms``
 
-# The attributes that price a user: all but its id. Users of one row that are
-# bitwise equal in all seven get the same cuts and compute in every pass: the
-# first pass splits the budget equally, and the resource pass is elementwise
-# in (a, b).
-_PRICED = tuple(f.name for f in fields(UserBatch) if f.name != "user_ids")
+# The attributes that price a user's latency; its limits reach the planner as
+# its deepest feasible cut. Users of one row bitwise equal in all five and in
+# that cut get the same cuts and compute in every pass: the first pass splits
+# the budget equally, and the resource pass is elementwise in (a, b).
+_PRICED = ("n_samples", "compute_flops", "up", "down", "epochs")
 # odd multipliers of the hash that sorts equal users next to each other
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
-                 0xD6E8FEB86659FD93, 0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63,
-                 0x94D049BB133111EB], dtype=np.uint64).view(np.int64)
+                 0xD6E8FEB86659FD93, 0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63],
+                dtype=np.uint64).view(np.int64)
 
 
 class _Kinds(NamedTuple):
     """The users of (R, S) rows grouped into kinds: users of one row whose
-    priced attributes (``_PRICED``) are bitwise equal."""
+    priced attributes (``_PRICED``) and deepest feasible cuts are equal."""
 
     row: np.ndarray         # (N,) each kind's row
     col: np.ndarray         # (N,) the column of one of its users
@@ -123,18 +123,18 @@ class _Kinds(NamedTuple):
         return _Kinds(row, self.col[kept], (np.cumsum(kept) - 1)[self.of_user[keep]]), kept
 
 
-def _kinds(batch: UserBatch) -> _Kinds:
-    """The kinds of an (R, S) batch's users.
+def _kinds(batch: UserBatch, deepest: np.ndarray) -> _Kinds:
+    """The kinds of an (R, S) batch's users of deepest feasible cuts ``deepest``.
 
-    Users are sorted by a hash of their row and attribute bits, and a kind
-    is a run of sorted users equal in all of them; so ``0.0`` and ``-0.0``
-    stay apart. A hash collision can only split a kind in two, which costs
-    time but no exactness.
+    Users are sorted by a hash of their row, attribute bits and deepest
+    cut, and a kind is a run of sorted users equal in all of them; so
+    ``0.0`` and ``-0.0`` stay apart. A hash collision can only split a kind
+    in two, which costs time but no exactness.
     """
     n_rows, n_users = batch.shape
     columns = [np.repeat(np.arange(n_rows, dtype=np.int64), n_users)]
     columns += [np.asarray(getattr(batch, name), dtype=float).reshape(-1).view(np.int64)
-                for name in _PRICED]
+                for name in _PRICED] + [deepest.reshape(-1).astype(np.int64)]
     key = columns[0].copy()
     for mix, column in zip(_MIX, columns[1:]):
         key *= mix                  # wraps around
@@ -164,19 +164,22 @@ class _CutPass(NamedTuple):
     buffer: np.ndarray          # (N, L); later passes use its leading rows
 
     @classmethod
-    def of(cls, batch: UserBatch, kinds: _Kinds, feasible: np.ndarray,
+    def of(cls, batch: UserBatch, kinds: _Kinds, deepest: np.ndarray,
            arch: ModelArchitecture, cfg: OptimizerConfig, rows: slice = slice(None)
            ) -> _CutPass:
         """The passes over the rows ``rows`` of a checked (R, S) batch whose
-        kinds are ``kinds``, with their (N, L) feasibility mask ``feasible``."""
+        kinds are ``kinds`` and users' deepest feasible cuts ``deepest``. A
+        kind gathers only its ``_PRICED`` columns: no id, and no limits."""
         keep = np.zeros(batch.shape[0], dtype=bool)
         keep[rows] = True
-        kinds, kept = kinds.keep_rows(keep)
-        users, feasible = batch.rows(rows), feasible[kept]
-        terms = round_terms(users.rows((kinds.row, kinds.col)), arch, None, math.inf,
-                            cfg.t_agg)
-        return cls(users.user_ids, kinds, terms.server_free(cfg.epoch_objective, feasible),
-                   np.empty(feasible.shape))
+        kinds, _ = kinds.keep_rows(keep)
+        users, at, n = batch.rows(rows), (kinds.row, kinds.col), len(kinds.row)
+        unread = np.broadcast_to(np.inf, n)     # the deepest cut holds the limits
+        priced = UserBatch(unread, *(getattr(users, f)[at] for f in _PRICED), unread, unread)
+        terms = round_terms(priced, arch, None, math.inf, cfg.t_agg)
+        return cls(users.user_ids, kinds,
+                   terms.server_free(cfg.epoch_objective, deepest[rows][at]),
+                   np.empty((n, arch.num_layers)))
 
     def demand(self, cuts: np.ndarray, rows: np.ndarray | slice = slice(None)
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -407,8 +410,8 @@ def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
 
 def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
                   ) -> tuple[UserBatch, _Kinds, np.ndarray]:
-    """``batch`` as (R, S) rows, checked, with its kinds and their (N, L)
-    feasibility mask; a user with no feasible cut is an error."""
+    """``batch`` as (R, S) rows, checked, with its kinds and its users'
+    (R, S) deepest feasible cuts; a user with no feasible cut is an error."""
     if len(batch.shape) == 1:
         batch = batch.rows(None)
     if len(batch.shape) != 2:
@@ -420,13 +423,12 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
     if idle.any():
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "
                          f"planning needs epochs >= 1")
-    kinds = _kinds(batch)
-    mask = feasibility_mask(batch.rows((kinds.row, kinds.col)), arch)
-    stuck = ~mask.any(axis=-1)
+    deepest = deepest_cut(batch, arch)
+    stuck = deepest == 0
     if stuck.any():
-        bad = id_list(batch.user_ids[stuck[kinds.of_user]])
-        raise InfeasibleUserError(f"users without any feasible cut: {bad}")
-    return batch, kinds, mask
+        raise InfeasibleUserError(
+            f"users without any feasible cut: {id_list(batch.user_ids[stuck])}")
+    return batch, _kinds(batch, deepest), deepest
 
 
 def plan_rows(
@@ -451,15 +453,16 @@ def plan_rows(
     planned beside it.
 
     The cut pass takes and returns per-user arrays, but prices one user of
-    each kind of a chunk: users of one row equal bit for bit in all seven
-    priced attributes (``_PRICED``). It gathers the compute at those users,
-    gives each kind's cut and time to every user of the kind, and drops a
-    frozen row's kinds with the row. That is exact: such users get the same
-    compute in every pass, since the first splits the budget equally and
-    the resource pass is elementwise in each user's (a, b), which it reads
-    from its kind's terms at its cut; a chunk's kinds are priced once. The
-    resource pass and the stall test run per user, so every sum keeps its
-    order; a batch without repeated users is one kind per user.
+    each kind of a chunk: users of one row equal bit for bit in the five
+    attributes that price their latency (``_PRICED``) and in their deepest
+    feasible cut. It gathers the compute at those users, gives each kind's
+    cut and time to every user of the kind, and drops a frozen row's kinds
+    with the row. That is exact: such users get the same compute in every
+    pass, since the first splits the budget equally and the resource pass
+    is elementwise in each user's (a, b), which it reads from its kind's
+    terms at its cut; a chunk's kinds are priced once. The resource pass
+    and the stall test run per user, so every sum keeps its order; a batch
+    without repeated users is one kind per user.
 
     Users with fewer than one epoch cannot be planned and raise
     ``ValueError``. A budget ``c_total`` that is not positive, of a magnitude
@@ -469,7 +472,7 @@ def plan_rows(
     every user of each kind it is about, in row order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, kinds, feasible = _checked_rows(batch, arch, c_total)
+    batch, kinds, deepest = _checked_rows(batch, arch, c_total)
     n_rows, n_users = batch.shape
 
     best_cuts = np.zeros(batch.shape, dtype=int)
@@ -483,7 +486,7 @@ def plan_rows(
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         live = np.arange(rows.start, rows.stop)
-        cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg, rows)
+        cut_pass = _CutPass.of(batch, kinds, deepest, arch, cfg, rows)
         compute = np.full((live.size, n_users), c_total / n_users)
         # the cuts and levels of each live row's last solve (no cut is 0)
         last_cuts = np.zeros(compute.shape, dtype=int)
@@ -546,10 +549,10 @@ def exact_level(
     reach is gathered before the row's sum, in user order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, kinds, feasible = _checked_rows(batch, arch, c_total)
+    batch, kinds, deepest = _checked_rows(batch, arch, c_total)
     # the planner's first cut pass: each user at its fastest cut of an equal split
     split = np.full(batch.shape, c_total / batch.shape[1])
-    cut_pass = _CutPass.of(batch, kinds, feasible, arch, cfg)
+    cut_pass = _CutPass.of(batch, kinds, deepest, arch, cfg)
     _, split_times = cut_pass(split)
     a, b = cut_pass.terms.demand()      # (N, L), one row per kind; b is +inf where blocked
     per_work = np.divide(1.0, a, out=np.full_like(a, np.inf), where=a > 0)

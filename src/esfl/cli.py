@@ -818,17 +818,14 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
     return worst
 
 
-# The most data values train-toy draws: every user holds --samples blob
-# points of --dim features and a one-hot row of --classes, so a larger run
-# is refused before any blob is drawn. The cap also bounds the arrays that
-# follow the pooled samples. Among them is the pooled-loss workspace, which
-# the trainer keeps for the whole run: 32 + 3 × --classes values per sample
-# (the two hidden layers' outputs, the logits and the loss's two arrays),
-# at most 17.5 times the data, at --dim 1 and --classes 1. The step
-# workspace, also kept for the run, holds 96 + 3 × --classes values per
-# sample of a minibatch (the outputs, dz and input gradients, and the
-# loss's two), so up to 49.5 times the data when a minibatch is a whole
-# user.
+# The most values train-toy keeps for the run: every user's --samples blob
+# points of --dim features and a one-hot row of --classes, held three times
+# (drawn, pooled and stacked); the pooled-loss workspace, 32 + 3 × --classes
+# per sample (two hidden layers' outputs, the logits and the loss's two
+# arrays); and the step workspace, 96 + 3 × --classes per sample of a
+# minibatch (the outputs, dz and input gradients, and the loss's two), once
+# for the full minibatches and once for a ragged last one. A larger run is
+# refused before any blob is drawn.
 MAX_TOY_VALUES = 10**7
 
 # The most parameter values train-toy holds. The network has
@@ -842,12 +839,14 @@ MAX_TOY_PARAMETERS = 10**7
 
 
 def cmd_train_toy(args, out_dir: Path) -> int:
-    n_users = args.users
-    values = n_users * args.samples * (args.dim + args.classes)
+    n_users, n, classes = args.users, args.samples, args.classes
+    # a --batch-size the trainer refuses counts as the full batch
+    step = min(args.batch_size, n) if (args.batch_size or 0) > 0 else n
+    values = n_users * (n * (3 * (args.dim + classes) + 32 + 3 * classes)
+                        + (step + n % step) * (96 + 3 * classes))
     if values > MAX_TOY_VALUES:
-        raise ConfigError(
-            f"--users × --samples × (--dim + --classes) must be at most "
-            f"{MAX_TOY_VALUES}, not {values}")
+        raise ConfigError(f"the data and workspaces train-toy keeps must be at most "
+                          f"{MAX_TOY_VALUES} values, not {values}")
     sizes = [args.dim, 16, 16, args.classes]
     parameters = (3 * n_users + 4) * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     if parameters > MAX_TOY_PARAMETERS:

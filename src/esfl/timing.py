@@ -168,20 +168,21 @@ class RoundTerms(_TermSums):
         return PricedTerms(self.t_up, self.t_down, self.t_c, self.t_b, self.t_C,
                            self.t_B, self.epochs, self.t_agg)
 
-    def server_free(self, epoch_only: bool, feasible: np.ndarray) -> ServerFreeTerms:
+    def server_free(self, epoch_only: bool, deepest: np.ndarray) -> ServerFreeTerms:
         """The server-independent terms, priced now, of ``epoch`` (with
-        ``epoch_only``) or ``total`` at the cuts ``feasible`` allows; see
-        :class:`ServerFreeTerms`. One epoch leaves the model transfer out,
-        but every round makes it, so a cut whose model would cross a dead
-        link is blocked too."""
-        move, blocked = self.t_up + self.t_down, ~feasible
+        ``epoch_only``) or ``total``; see :class:`ServerFreeTerms`. The cuts
+        past each user's (..., S) ``deepest`` are blocked, and so, as every
+        round moves the model though one epoch leaves it out, is a cut whose
+        model would cross a dead link: their device term is +inf."""
+        device, move = self.t_c + self.t_b, self.t_up + self.t_down
+        np.copyto(device, np.inf, where=np.arange(device.shape[-1]) >= deepest[..., None])
         if epoch_only:
-            blocked |= move == np.inf
+            np.copyto(device, np.inf, where=move == np.inf)
             move = None
         return ServerFreeTerms(
-            self.t_c + self.t_b, self.t_B, move,
+            device, self.t_B, move,
             self.server_flops, self.n_samples, self.server_work == 0.0,
-            self.epochs, self.t_agg, blocked,
+            self.epochs, self.t_agg,
         )
 
 
@@ -214,10 +215,10 @@ class ServerFreeTerms(NamedTuple):
     time, and nothing else changes between them; so these terms are priced
     once and :meth:`price` adds only ``t_C``. Every sum keeps the order of
     ``RoundTerms``, so a price equals the uncached objective bit for bit;
-    a blocked cut prices to +inf.
+    a blocked cut's device term is +inf, so it prices to +inf.
     """
 
-    device: np.ndarray          # t_c + t_b
+    device: np.ndarray          # t_c + t_b; +inf at a blocked cut
     download: np.ndarray        # t_B
     move: np.ndarray | None     # t_up + t_down; None prices one epoch
     # server_work = server_flops * n_samples is rebuilt in each pass's buffer:
@@ -227,8 +228,6 @@ class ServerFreeTerms(NamedTuple):
     no_work: np.ndarray         # server_work == 0: no server time at any compute
     epochs: np.ndarray
     t_agg: float
-    blocked: np.ndarray         # cuts beyond storage or memory, or whose
-                                # model would cross a dead link
 
     def keep_rows(self, keep: np.ndarray) -> ServerFreeTerms:
         """The terms of the rows that the mask ``keep`` selects on the
@@ -243,7 +242,7 @@ class ServerFreeTerms(NamedTuple):
             _keep_rows(self.device, keep), _keep_rows(self.download, keep),
             None if self.move is None else _keep_rows(self.move, keep),
             self.server_flops, self.n_samples[keep], _keep_rows(self.no_work, keep),
-            self.epochs[keep], self.t_agg, _keep_rows(self.blocked, keep),
+            self.epochs[keep], self.t_agg,
         )
 
     def price(self, server_compute: np.ndarray | float, out: np.ndarray) -> np.ndarray:
@@ -257,7 +256,6 @@ class ServerFreeTerms(NamedTuple):
         times = _epoch_time(self.device, t_C, self.download, out=out)
         if self.move is not None:
             times = _round_time(self.move, self.epochs, times, self.t_agg, out=out)
-        np.copyto(times, np.inf, where=self.blocked)
         return times
 
     def demand(self, kind: np.ndarray | None = None, cut: np.ndarray | None = None
@@ -273,8 +271,7 @@ class ServerFreeTerms(NamedTuple):
             terms = ServerFreeTerms(
                 *(None if x is None else np.take(x, at) for x in self[:3]),
                 np.take(self.server_flops, cut), np.take(self.n_samples, kind),
-                np.take(self.no_work, at), np.take(self.epochs, kind), self.t_agg,
-                np.take(self.blocked, at))
+                np.take(self.no_work, at), np.take(self.epochs, kind), self.t_agg)
         work = terms.server_flops * terms.n_samples
         a = work if terms.move is None else terms.epochs * work
         return a, terms.price(np.inf, out=np.empty(work.shape))
@@ -298,7 +295,7 @@ def round_terms(
     Explicit cuts must be runnable: a model beyond the user's storage,
     traffic over a zero-rate link, or server work without server compute
     raises. ``cuts=None`` raises nothing and leaves storage/memory limits to
-    :func:`feasibility_mask`.
+    :func:`deepest_cut`.
     """
     user_flops = arch.user_flops_by_cut
     act = arch.act_bytes_by_cut
@@ -346,27 +343,36 @@ def _per_row(x: np.ndarray) -> PerRound:
     return x.item() if np.ndim(x) == 0 else x
 
 
-def feasibility_mask(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
-    """Boolean (..., S, L) mask of cuts satisfying storage and memory limits.
+def deepest_cut(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
+    """Each user's deepest cut within its storage and memory limits, (..., S);
+    0 when no cut fits.
 
     A cut needs the device model in storage, and the device model plus one
-    sample's activations up to the cut in memory.
+    sample's activations up to the cut in memory. Both are sums of layer
+    sizes >= 0, so they grow with the cut: the feasible cuts are 1..deepest.
     """
     model_b = arch.model_bytes_by_cut
     mem_b = model_b + arch.cum_act_bytes_by_cut
-    return ((model_b <= batch.storage_bytes[..., None])
-            & (mem_b <= batch.memory_bytes[..., None]))
+    return np.minimum(np.searchsorted(model_b, batch.storage_bytes, "right"),
+                      np.searchsorted(mem_b, batch.memory_bytes, "right"))
+
+
+def feasibility_mask(batch: UserBatch, arch: ModelArchitecture) -> np.ndarray:
+    """Boolean (..., S, L) mask of cuts satisfying storage and memory limits:
+    those up to each user's :func:`deepest_cut`."""
+    return np.arange(arch.num_layers) < deepest_cut(batch, arch)[..., None]
 
 
 def default_fixed_cut(batch: UserBatch, arch: ModelArchitecture) -> int | np.ndarray:
-    """Smallest cut index whose storage/memory needs every user can meet.
+    """Smallest cut index whose storage/memory needs every user can meet:
+    cut 1, SFL's and SL's default, as feasible cuts run from 1 to each
+    user's :func:`deepest_cut`, unless some user has none, which raises.
 
     One cut for a (S,) batch, one per round for an (R, S) batch.
     """
-    shared = feasibility_mask(batch, arch).all(axis=-2)
-    if not shared.any(axis=-1).all():
+    if (deepest_cut(batch, arch) == 0).any():
         raise InfeasibleUserError("no cut layer is feasible for every user")
-    return _per_row(np.argmax(shared, axis=-1) + 1)
+    return _per_row(np.ones(batch.shape[:-1], dtype=int))
 
 
 def straggler(times: np.ndarray, server_free: np.ndarray

@@ -83,7 +83,7 @@ class _FirstBad:
 class UserBatch:
     """Struct-of-arrays users: one (..., S) array per attribute.
 
-    The latency kernel and the feasibility mask read these arrays. A batch
+    The latency kernel and :func:`~esfl.timing.deepest_cut` read these arrays. A batch
     of shape (R, S) holds R independent rounds of S users each. The
     constructor checks nothing; :meth:`checked` builds a checked round.
     """

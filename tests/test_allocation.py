@@ -15,6 +15,7 @@ from esfl import (
     InfeasibleUserError,
     OptimizerConfig,
     UserBatch,
+    deepest_cut,
     equalize_min_max,
     exact_level,
     feasibility_mask,
@@ -90,9 +91,8 @@ def _attained(batch, arch, c_total, cuts, cfg=None):
 
 def _cut_pass(batch, arch, cfg):
     """The planner's cut pass over an (R, S) batch, every user its own kind."""
-    mask = feasibility_mask(batch, arch)
-    return allocation._CutPass.of(batch, _each_own_kind(batch),
-                                  mask.reshape(-1, mask.shape[-1]), arch, cfg)
+    deepest = deepest_cut(batch, arch)
+    return allocation._CutPass.of(batch, _each_own_kind(batch, deepest), deepest, arch, cfg)
 
 
 def _best_cut(batch, arch, server_flops, cfg=None):
@@ -775,7 +775,7 @@ class TestBruteForce:
             assert plan.objective[0] >= level[0] * (1 - 1e-9)
 
 
-def _each_own_kind(batch):
+def _each_own_kind(batch, deepest):
     """The grouping of a planner that prices every user apart: one kind per user."""
     n_rows, n_users = batch.shape
     row, col = np.divmod(np.arange(n_rows * n_users), n_users)
@@ -820,14 +820,17 @@ def _same_outcome(got, want):
 
 # a kind of user: samples (zero of either sign, which are kinds apart), device
 # FLOP/s, up and down rates (B/s; a dead link one time in ten), epochs, and
-# storage and memory as shares of the way from the first cut's needs to the
-# last's (>= 1: unlimited).
+# storage and memory as positions on the cuts: position p is the need of cut
+# floor(p) + 1 and the fraction p - floor(p) of the way to the next cut's, and
+# no limit past the last cut. So users at positions 0 and 0.5, or 1 and 1.5,
+# differ in limits but mostly keep one deepest cut, a kind; at 0 and 1 they
+# do not.
 _KIND = st.tuples(
     st.sampled_from([0.0, -0.0, 200.0, 800.0]),
     st.one_of(st.sampled_from([1e9, 2e10]), st.floats(1e9, 2e10)),
     *[st.tuples(st.integers(0, 9), st.sampled_from([1e5, 2e6])).map(
         lambda pick: 0.0 if pick[0] == 0 else pick[1])] * 2,
-    st.integers(1, 2), *[st.sampled_from([0.0, 0.4, 1.0])] * 2)
+    st.integers(1, 2), *[st.sampled_from([0.0, 0.5, 1.0, 1.5, math.inf])] * 2)
 # one to four kinds: the first, and others that differ from it in one attribute
 _KINDS = st.tuples(_KIND, st.lists(st.tuples(st.integers(0, 6), _KIND), max_size=3)).map(
     lambda drawn: [drawn[0]] + [drawn[0][:i] + other[i:i + 1] + drawn[0][i + 1:]
@@ -845,8 +848,12 @@ def _kind_rows(layers, kinds, picks):
     model = arch.model_bytes_by_cut
     needs = model + arch.cum_act_bytes_by_cut
 
-    def limit(share, need):
-        return np.where(share < 1, need[0] + share * (need[-1] - need[0]), math.inf)
+    def limit(position, need):
+        last = len(need) - 1
+        at = np.minimum(position, last)
+        cut = at.astype(int)
+        step = need[np.minimum(cut + 1, last)] - need[cut]
+        return np.where(position <= last, need[cut] + (at - cut) * step, math.inf)
 
     ids = np.broadcast_to(np.arange(picks.shape[1]), picks.shape)
     return arch, UserBatch(ids, n, flops, up, down, epochs,
@@ -873,6 +880,14 @@ class TestKinds:
             st.lists(st.integers(0, len(kinds) - 1), min_size=n_users, max_size=n_users),
             min_size=n_rows, max_size=n_rows)))
         arch, batch = _kind_rows(layers, kinds, picks)
+        # a kind is the users of a row alike in every priced bit and in their
+        # deepest cut, which users whose limits differ in bytes may share
+        deepest = deepest_cut(batch, arch)
+        bits = np.stack([getattr(batch, f) for f in allocation._PRICED], axis=-1).view(np.int64)
+        for of_user, row_bits, cuts in zip(allocation._kinds(batch, deepest).of_user, bits,
+                                           deepest):
+            alike = (row_bits[:, None] == row_bits).all(axis=-1) & (cuts[:, None] == cuts)
+            assert np.array_equal(of_user[:, None] == of_user, alike)
         cfg = OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
         _same_outcome(_outcome(exact_level, batch, arch, c_total, cfg),
                       _per_user(exact_level, batch, arch, c_total, cfg))
@@ -895,7 +910,7 @@ class TestKinds:
                            axis=-1)
         plan = plan_rows(batch, vgg19, 130e12)
         assert _plan_bits(plan) == _plan_bits(_per_user(plan_rows, batch, vgg19, 130e12))
-        kinds = allocation._kinds(batch)
+        kinds = allocation._kinds(batch, deepest_cut(batch, vgg19))
         assert len(kinds.row) < batch.user_ids.size
         for p in plan.passes:
             for r, cuts, compute in zip(p.rows, p.cuts, p.server_compute):
@@ -905,8 +920,8 @@ class TestKinds:
                     assert len(set(cuts[members].tolist())) == 1
                     assert len({c.tobytes() for c in compute[members]}) == 1
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(UserBatch)][1:])
-    def test_users_one_attribute_apart_are_kinds_apart(self, field):
+    @pytest.mark.parametrize("field", allocation._PRICED)
+    def test_users_one_attribute_apart_are_kinds_apart(self, field, vgg19):
         # users 0 and 2 are alike; user 1 differs in one attribute, user 3 in
         # that attribute's sign of zero
         users = _users(uid=range(4), storage_bytes=1e9, memory_bytes=1e9).rows(
@@ -915,13 +930,33 @@ class TestKinds:
         values[:, 1] *= 2
         values[:, 3] = 0.0
         values[1, 3] = -0.0
-        kinds = allocation._kinds(dataclasses.replace(users, **{field: values}))
+        users = dataclasses.replace(users, **{field: values})
+        kinds = allocation._kinds(users, deepest_cut(users, vgg19))
         assert len(kinds.row) == 8 - 2
         for r in range(2):
             assert len(set(kinds.of_user[r].tolist())) == 3
             assert kinds.of_user[r, 0] == kinds.of_user[r, 2]
             assert np.array_equal(kinds.row[kinds.of_user[r]], [r] * 4)
         assert kinds.of_user[0, 3] != kinds.of_user[1, 3]
+
+    @pytest.mark.parametrize("field", ["storage_bytes", "memory_bytes"])
+    def test_users_apart_in_a_limit_are_kinds_apart_when_deepest_cuts_are(self, field,
+                                                                          vgg19):
+        # limits at cut 3's need, halfway to cut 4's, just below it, at it, at
+        # the last cut's need (which cut 19's equals), and none
+        need = vgg19.model_bytes_by_cut
+        if field == "memory_bytes":
+            need = need + vgg19.cum_act_bytes_by_cut
+        limits = [need[2], 0.5 * (need[2] + need[3]), np.nextafter(need[3], 0), need[3],
+                  need[-1], math.inf]
+        users = _users(uid=range(6), **{field: limits}).rows([[0, 1, 2, 3, 4, 5],
+                                                              [5, 3, 1, 4, 2, 0]])
+        deepest = deepest_cut(users, vgg19)
+        assert deepest[0].tolist() == [3, 3, 3, 4, 20, 20]
+        kinds = allocation._kinds(users, deepest)
+        assert len(kinds.row) == 2 * 3
+        for of_user, cuts in zip(kinds.of_user, deepest):
+            assert np.array_equal(of_user[:, None] == of_user, cuts[:, None] == cuts)
 
     def test_hash_collisions_cost_no_exactness(self, vgg19, monkeypatch):
         batch = TestPlanRows()._batch()

@@ -1214,7 +1214,7 @@ class TestTrainToy:
                                                       flag, value):
         # the trainer's own check runs before any blob is drawn
         _forbid(monkeypatch, cli.toy, "make_blobs", "esfl_train")
-        assert _run("train-toy", "--users", "2", "--samples", "900000", "--dim", "3",
+        assert _run("train-toy", "--users", "2", "--samples", "32000", "--dim", "3",
                     flag, value, "--out", str(tmp_path / "o")) == 1
         assert f"input error: argument {flag}: must " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -1233,15 +1233,20 @@ class TestTrainToy:
             assert _run("train-toy", "--rounds", "2", f"{flag}={value}",
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
-        # data sizes refused before the network or any blob is drawn:
-        # 2 × 2**62 × (2 + 2) values, and 1 × 909091 × (9 + 2) = the cap + 1
+        # runs refused before the network or any blob is drawn, by the values
+        # they keep: per user, its samples × (3 × (dim + classes) + 32 + 3 ×
+        # classes) and its full and ragged minibatch rows × (96 + 3 × classes).
+        # 2 users of 2**62 samples in full batches keep 2 × 2**62 × (12 + 38 +
+        # 102); 1 user of 212677 samples of dim 1 in minibatches of 34, the
+        # last 7 long, keeps 212677 × 47 + 41 × 102 = the cap + 1
         _forbid(monkeypatch, cli.toy, "init_dense_net", "make_blobs", "esfl_train")
-        for users, samples, dim, values in (("2", str(2**62), "2", 2**65),
-                                            ("1", "909091", "9", cli.MAX_TOY_VALUES + 1)):
-            assert _run("train-toy", "--users", users, "--samples", samples,
-                        "--dim", dim, "--rounds", "1", "--out", str(tmp_path / "o")) == 1
-            assert (f"input error: --users × --samples × (--dim + --classes) must be "
-                    f"at most {cli.MAX_TOY_VALUES}, not {values}\n"
+        for users, samples, dim, batch, values in (
+                ("2", str(2**62), "2", [], 2**63 * 152),
+                ("1", "212677", "1", ["--batch-size", "34"], cli.MAX_TOY_VALUES + 1)):
+            assert _run("train-toy", "--users", users, "--samples", samples, "--dim", dim,
+                        *batch, "--rounds", "1", "--out", str(tmp_path / "o")) == 1
+            assert (f"input error: the data and workspaces train-toy keeps must be at "
+                    f"most {cli.MAX_TOY_VALUES} values, not {values}\n"
                     in capsys.readouterr().err)
         # networks refused before they are built: (3 + 4) × (16 × 89267 + 17 × 18)
         # parameters is the first --dim past the cap for one user and two classes

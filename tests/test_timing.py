@@ -1,8 +1,11 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from esfl import (
     AllocationError,
@@ -11,6 +14,7 @@ from esfl import (
     InfeasibleUserError,
     OptimizerConfig,
     UserBatch,
+    deepest_cut,
     default_fixed_cut,
     esfl_round_time,
     feasibility_mask,
@@ -297,6 +301,42 @@ class TestDefaultFixedCut:
         assert default_fixed_cut(_users(memory_bytes=need), vgg19) == 1
         with pytest.raises(InfeasibleUserError):
             default_fixed_cut(_users(memory_bytes=np.nextafter(need, 0)), vgg19)
+
+
+# a layer's params or activations (1e6 elements), now and then zero
+_SIZE = st.one_of(st.just(0.0), st.floats(0.001, 50.0), st.floats(0.001, 50.0))
+
+
+class TestFeasibilityIsAPrefix:
+    """A cut's storage and memory needs are sums of layer sizes >= 0, so a
+    user's feasible cuts run from 1 to its deepest cut."""
+
+    @seed(20263)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_SIZE, _SIZE), min_size=2, max_size=7), st.data())
+    def test_mask_is_the_direct_test_and_a_prefix(self, layers, data):
+        arch = load_architecture(_doc([f"L{j},{p!r},1.0,{a!r}"
+                                       for j, (p, a) in enumerate(layers)]))
+        model_b = arch.model_bytes_by_cut
+        mem_b = model_b + arch.cum_act_bytes_by_cut
+
+        def limits(need):
+            # none, unlimited, and a cut's need or the float just below it
+            cut = st.integers(0, len(need) - 1)
+            return st.lists(st.one_of(
+                st.just(0.0), st.just(math.inf), cut.map(lambda j: need[j]),
+                cut.map(lambda j: np.nextafter(need[j], 0.0))), min_size=6, max_size=6)
+
+        storage, memory = (np.array(data.draw(limits(need))) for need in (model_b, mem_b))
+        batch = _users(storage_bytes=storage, memory_bytes=memory).rows([[0, 1, 2],
+                                                                         [3, 4, 5]])
+        # the reference: both needs tested at every cut
+        direct = ((model_b <= batch.storage_bytes[..., None])
+                  & (mem_b <= batch.memory_bytes[..., None]))
+        mask = feasibility_mask(batch, arch)
+        assert np.array_equal(mask, direct)
+        prefix = np.arange(arch.num_layers) < deepest_cut(batch, arch)[..., None]
+        assert np.array_equal(mask, prefix)
 
 
 class TestKernelConsistency:
