@@ -16,8 +16,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import esfl
-from esfl import ConfigError, UserBatch, cli
-from esfl.cli import dumps_report, format_numeric_table, format_table, main
+from esfl import ConfigError, UserBatch, cli, report
+from esfl.cli import main
+from esfl.report import dumps_report, format_numeric_table, format_table
 from esfl.simulation import MAX_POPULATION, MAX_USER_ROUNDS
 
 
@@ -1092,8 +1093,8 @@ class TestBottleneck:
             "server_compute_s": float(epochs * terms.t_C[k]),
             "download_s": float(epochs * terms.t_B[k]),
         }
-        cfg = esfl.OptimizerConfig(epoch_objective=epoch_objective, t_agg=t_agg)
-        assert cli._bottleneck(batch, arch, cfg, cuts, compute) == expected
+        priced = esfl.round_terms(batch, arch, cuts, compute, t_agg).priced()
+        assert report._bottleneck(batch, cuts, priced, epoch_objective) == expected
 
 
 class TestConverge:
@@ -1589,7 +1590,7 @@ def _float_lists(draw):
     times with its first quarter or all of it distinct values instead, and
     at times with one item of ``_NOT_FLOATS``. A failing list shrinks with
     its pattern."""
-    floor = cli.REPEATED_FLOATS_MIN
+    floor = report.REPEATED_FLOATS_MIN
     n = draw(st.sampled_from([floor - 1, floor, 3 * floor]))
     pattern = draw(st.lists(st.sampled_from(_FLOAT_POOL), min_size=1, max_size=12))
     values = (pattern * n)[:n]
@@ -1662,7 +1663,7 @@ class TestDumpsReport:
     def test_lists_with_distinct_first_floats_equal_the_stdlib(self):
         rng = np.random.default_rng(20312)
         distinct = rng.random(10_000).tolist()
-        pool = rng.random(cli.REPEATED_FLOATS_MIN).tolist()
+        pool = rng.random(report.REPEATED_FLOATS_MIN).tolist()
         assert len(set(distinct)) == 10_000 and len(set(pool)) == len(pool)
         for values in (distinct, pool + (pool * 40)[:10_000]):
             expected = json.dumps(values, sort_keys=True, indent=2)
@@ -1676,7 +1677,7 @@ class TestDumpsReport:
             calls.append(len(args[0]))
             return unique(*args, **kwargs)
 
-        monkeypatch.setattr(cli.np, "unique", counted)
+        monkeypatch.setattr(report.np, "unique", counted)
         rng = np.random.default_rng(20313)
         drawn = rng.choice(rng.random(2000), 10_000).tolist()
         distinct = rng.random(10_000).tolist()
@@ -1687,7 +1688,7 @@ class TestDumpsReport:
 
     def test_stdlib_fallback_without_the_c_encoder(self, monkeypatch):
         tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}]}
-        monkeypatch.setattr(cli, "c_make_encoder", None)
+        monkeypatch.setattr(report, "c_make_encoder", None)
         assert dumps_report(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
     def test_refuses_non_string_keys_and_unknown_objects(self):
@@ -1720,30 +1721,30 @@ class TestDumpsReport:
             expected = json.dumps(tree, sort_keys=True, indent=2)
         except TypeError:
             with pytest.raises(TypeError):
-                "".join(cli.iter_report(tree))
+                "".join(report.iter_report(tree))
         else:
-            assert "".join(cli.iter_report(tree)) == expected
+            assert "".join(report.iter_report(tree)) == expected
 
     def test_a_dict_of_large_containers_is_streamed_in_chunks(self):
         tree = {"a": [{"x": i, "y": [1.5] * i} for i in range(300)],
                 "b": {"c": list(range(2000)), "d": [[0.5, -0.0]] * 500}}
-        chunks = list(cli.iter_report(tree))
+        chunks = list(report.iter_report(tree))
         text = json.dumps(tree, sort_keys=True, indent=2)
         assert "".join(chunks) == text
         assert len(chunks) > 1 and text not in chunks
 
     def test_streamed_fallback_without_the_c_encoder(self, monkeypatch):
         tree = {"a": [[1.5, math.inf]], "b": [{"c": "\u00e9"}], "d": {"e": [1]}}
-        monkeypatch.setattr(cli, "c_make_encoder", None)
-        assert "".join(cli.iter_report(tree)) == json.dumps(tree, sort_keys=True, indent=2)
+        monkeypatch.setattr(report, "c_make_encoder", None)
+        assert "".join(report.iter_report(tree)) == json.dumps(tree, sort_keys=True, indent=2)
 
     def test_a_failing_emit_leaves_the_earlier_report(self, tmp_path):
-        cli._emit(tmp_path, "report", {"a": [1.5, 2.5]}, "table\n")
+        report.emit(tmp_path, "report", {"a": [1.5, 2.5]}, "table\n")
         (tmp_path / "report.txt").unlink()
         before = (tmp_path / "report.json").read_bytes()
         payload = {"a": [1.5, 2.5], "b": {"c": [1, 2]}, "z": object()}
         with pytest.raises(TypeError, match="not JSON serializable"):
-            cli._emit(tmp_path, "report", payload, "other\n")
+            report.emit(tmp_path, "report", payload, "other\n")
         assert (tmp_path / "report.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
@@ -1754,20 +1755,32 @@ class TestWriteAtomic:
 
         def chunks():
             yield "outer "
-            cli._write_atomic(path, ["inner"])
+            report._write_atomic(path, ["inner"])
             assert path.read_text() == "inner"
             yield "text"
 
-        cli._write_atomic(path, chunks())
+        report._write_atomic(path, chunks())
         assert path.read_text() == "outer text"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_a_report_gets_the_permissions_of_a_newly_opened_file(self, tmp_path):
         with open(tmp_path / "reference", "w"):
             pass
-        cli._write_atomic(tmp_path / "report.json", ["{}"])
+        report._write_atomic(tmp_path / "report.json", ["{}"])
         mode = (tmp_path / "report.json").stat().st_mode
         assert mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_the_report_module_loads_no_command_line():
+    """Library code can write reports: ``esfl.report`` imports neither the
+    command line nor argparse, in a fresh interpreter."""
+    src = str(Path(esfl.__file__).resolve().parents[1])
+    probe = ("import sys, esfl.report; "
+             "print(sorted({'esfl.cli', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestReportDigests:
