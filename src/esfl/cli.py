@@ -1,9 +1,8 @@
 """Command-line front end: simulate, optimize, converge, train-toy.
 
 Each command writes its reports through :mod:`esfl.report`. The output
-directory is checked before any work.
-Exit codes: 0 success, 1 input/configuration error, 2 runtime error. The
-argument parser is built once per process.
+directory is checked before any work. Exit codes: 0 success, 1 input or
+configuration error, 2 runtime error.
 
 The parser only turns text into numbers (``int`` or a finite float): the
 library entry that takes a value owns its bound, and an error about a value
@@ -15,7 +14,8 @@ that a flag set names the flag (see ``_FLAGS``), as in ``argument
 in :func:`~esfl.users.read_users`, which checks the parsed document and
 returns one :class:`~esfl.users.UserBatch`. An input error names the file,
 the first bad user by index and its field; a file that cannot be read, or
-is not UTF-8 text, is an input error that names it too.
+is not UTF-8 text, or holds users that cannot be planned, is an input
+error that names it too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from . import split_training as toy
 from .allocation import OptimizerConfig, exact_level, plan_rows
-from .errors import ConfigError, EsflError, ProfileError, check
+from .errors import (AllocationError, ConfigError, EsflError, InfeasibleLinkError,
+                     InfeasibleUserError, ProfileError, check)
 from .simulation import (
     SERVER_TFLOPS,
     ScenarioSpec,
@@ -210,11 +211,8 @@ def _scenario_from_args(args) -> ScenarioSpec:
 
 
 def _optimizer_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        max_iters=args.max_iters,
-        epoch_objective=args.epoch_objective,
-        t_agg=args.t_agg,
-    )
+    return OptimizerConfig(max_iters=args.max_iters, epoch_objective=args.epoch_objective,
+                           t_agg=args.t_agg)
 
 
 def _options_from_args(args) -> SimOptions:
@@ -304,7 +302,10 @@ def cmd_optimize(args, out_dir: Path) -> int:
     cfg = _optimizer_from_args(args)
     check("server_tflops", args.server_tflops, *SERVER_TFLOPS)
     c_total = args.server_tflops * 1e12
-    plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0
+    try:   # a user of the file that cannot be planned is an input error
+        plan = plan_rows(batch, arch, c_total, cfg)   # one round: row 0
+    except (AllocationError, InfeasibleLinkError, InfeasibleUserError) as exc:
+        raise ConfigError(f"{args.users}: {exc}") from None
     cuts, compute, objective = plan.cuts[0], plan.server_compute[0], float(plan.objective[0])
     iterations, converged = int(plan.iterations[0]), bool(plan.converged[0])
     payload = {
@@ -551,7 +552,9 @@ def _add_common(p: argparse.ArgumentParser, with_arch: bool = True) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The ``esfl`` parser, built once per process: parsing leaves it as it
     was, so every call of :func:`main` shares it. Callers must not change it."""
-    parser = _Parser(prog="esfl", description=__doc__)
+    parser = _Parser(prog="esfl", description=(
+        "Plan, simulate and train split federated learning (ESFL). Exit codes: "
+        "0 success, 1 input or configuration error, 2 runtime error."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[], help="run a Monte-Carlo scenario")

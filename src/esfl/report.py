@@ -9,16 +9,14 @@ at the speed of the stdlib's C encoder and streamed to the file chunk by
 chunk, so the text of a long list is not copied again at each level that
 encloses it (see :func:`_write_atomic`). A list of records that share one
 key set, such as ``simulate``'s per-round records, is encoded column by
-column, one encoder call per field. A column encodes each distinct object
-once, and ``simulate`` passes per-user cut rows that repeat as one shared
-list each; a long list of floats that repeat is written once per distinct
-value (see :func:`iter_report`). ``optimize`` plans its users
-as one round of :func:`~esfl.allocation.plan_rows` and reports row 0 of
-the plan: one per-user list each for the cuts and the server compute, and
-a trace of one fixed-size summary per planner pass, read from the arrays
-of the plan's passes (see :func:`trace_entries`), so a 10⁴-user report is
-~0.26 MB; the table's round times read the terms that trace priced at the
-plan's pass. Identical configuration and seed produce
+column, one encoder call per field. A long list of floats that repeat is
+written once per distinct value (see :func:`iter_report`). ``optimize``
+plans its users as one round of :func:`~esfl.allocation.plan_rows` and
+reports row 0 of the plan: one per-user list each for the cuts and the
+server compute, and a trace of one fixed-size summary per planner pass,
+read from the arrays of the plan's passes (see :func:`trace_entries`), so
+a 10⁴-user report is ~0.26 MB; the table's round times read the terms that
+trace priced at the plan's pass. Identical configuration and seed produce
 byte-identical files. Each write goes through a temporary file of its own,
 so concurrent runs into one directory do not trip over each other.
 
@@ -100,16 +98,12 @@ def iter_report(payload):
     that share one key set, such as ``simulate``'s per-round records. Only
     other containers of containers are walked in Python, and they are never
     joined: such a container yields its opening, then its items' chunks in
-    turn, then its closing, so each byte of a large body, such as
-    ``simulate``'s ``cut_distribution.per_user``, is copied once into its
-    chunk and not again at each enclosing level. Scalars, keys and empty
+    turn, then its closing, so each byte of a large body is copied once into
+    its chunk and not again at each enclosing level. Scalars, keys and empty
     containers are all encoded by the stdlib, so float ``repr``,
     ``NaN``/``Infinity``, escaping and key order are as ``json`` writes
     them. The keys of a dict that holds a container must be strings. A value
     that cannot be encoded raises ``TypeError`` when its chunk is reached.
-
-    A column encodes each distinct object once: ``simulate`` passes equal
-    per-user cut rows as one object.
 
     A list of at least ``REPEATED_FLOATS_MIN`` exact floats, at most half of
     them distinct but not all of its first ``REPEATED_FLOATS_MIN``, is
@@ -126,13 +120,12 @@ def iter_report(payload):
 
     Best of repeated timings (2-core shared host, Python 3.11, numpy 2.4),
     with (and without) the distinct floats: a sim-large report (two rounds
-    of 2,500 users) 5.2 (7.4) ms, a plan-large one (2,111 distinct server
+    of 2,500 users) 2.9 (5.8) ms, a plan-large one (2,111 distinct server
     computes of 10⁴) 4.1 (5.6) ms, a 256-float list of 16 distinct values
     0.06 (0.14) ms; 10⁴ distinct floats, which skip ``np.unique``, take
     5.2–6.3 ms (6.2–6.4 ms with it), but 256 distinct floats then 10⁴
-    repeats of them ~5.8 ms (1.2 ms). Streamed, the sim-large report's
-    chunks join in 3.8 ms (5.0 ms when each level joined its items' text),
-    and :func:`emit` encodes and writes it in 4.3–4.5 ms (5.4–6.1 ms).
+    repeats of them ~5.8 ms (1.2 ms). :func:`emit` encodes and writes the
+    sim-large report in 3.8–4.0 ms.
     """
     if c_make_encoder is None:
         yield json.dumps(payload, sort_keys=True, indent=2)
@@ -178,33 +171,31 @@ def iter_report(payload):
             types = set(map(type, values))
         if not _holds_container(types):
             return flat(values, 0)[1:-1].split(",\n")
-        unique = dict(zip(map(id, values), values))
-        distinct = list(unique.values())
         pad = "\n" + "  " * (depth + 1)
         end = "\n" + "  " * depth
         if types <= {list, tuple}:
-            if not all(distinct) or _holds_container(
-                    item_types := set(map(type, chain.from_iterable(distinct)))):
+            if not all(values) or _holds_container(
+                    item_types := set(map(type, chain.from_iterable(values)))):
                 return None
             # a long float row that repeats its values is written by
             # repeated, the other rows by one encoder call; when every item
             # is a float, no row needs its own type set
             row_types = item_types if item_types == {float} else None
             texts = [None if (items := repeated(row, row_types)) is None
-                     else f"[{pad}{(',' + pad).join(items)}{end}]" for row in distinct]
-            rest = [row for row, text in zip(distinct, texts) if text is None]
+                     else f"[{pad}{(',' + pad).join(items)}{end}]" for row in values]
+            rest = [row for row, text in zip(values, texts) if text is None]
             if rest:
                 rows = iter(flat(rest, depth + 1)[2:-2].split("]," + pad + "["))
                 texts = [text or f"[{pad}{next(rows)}{end}]" for text in texts]
         elif types == {dict}:
-            keys = distinct[0].keys()
+            keys = values[0].keys()
             if (not keys or not all(isinstance(k, str) for k in keys)
-                    or any(d.keys() != keys for d in distinct)):
+                    or any(d.keys() != keys for d in values)):
                 return None
             keys = sorted(keys)
             fields = []
             for key in keys:
-                field = columns(list(map(itemgetter(key), distinct)), depth + 1)
+                field = columns(list(map(itemgetter(key), values)), depth + 1)
                 if field is None:
                     return None
                 fields.append(field)
@@ -214,8 +205,6 @@ def iter_report(payload):
             texts = list(map(template.__mod__, zip(*fields)))
         else:
             return None
-        if len(distinct) < len(values):
-            texts = list(map(dict(zip(unique, texts)).__getitem__, map(id, values)))
         return texts
 
     def chunks(obj, depth):

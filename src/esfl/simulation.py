@@ -177,6 +177,13 @@ class SimOptions:
 _ROW_MIX = 0x9E3779B97F4A7C15
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each row of ``ordered`` starts a run of bit-identical rows."""
+    new = np.ones(len(ordered), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return new
+
+
 @dataclass(frozen=True)
 class CutLayerDistribution:
     """Empirical cut frequencies per population user and pooled.
@@ -184,10 +191,10 @@ class CutLayerDistribution:
     Rows repeat: most users are seen in few rounds, where they mostly pick
     the same few cuts (a 2-round, 2,500-user BP run has about 4,400 rows,
     3 of them distinct). So the rows are grouped once, on first use, into
-    groups of bit-identical rows (``0.0`` and ``-0.0`` apart), and each
-    per-user summary is taken once per group and gathered per user: every
-    number is the same row arithmetic on the same row bits as a dense pass
-    over ``matrix``.
+    the distinct rows and one row index per user (see :attr:`distinct_rows`),
+    and each per-user summary is taken once per distinct row and gathered
+    per user: every number is the same row arithmetic on the same row bits
+    as a dense pass over ``matrix``.
     """
 
     user_ids: tuple[int, ...]
@@ -195,39 +202,38 @@ class CutLayerDistribution:
     pooled: np.ndarray          # (L,); sums to 1
 
     @cached_property
-    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first row of each group of bit-identical rows, and each row's
-        group.
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, row_of_user)``: the distinct rows, bit for bit (``0.0``
+        and ``-0.0`` apart) in order of their first user, and each user's
+        index into them, so ``rows[row_of_user]`` is ``matrix``.
 
-        Rows are sorted by a wrapping int64 hash of their bits, and a group
-        is a run of sorted rows equal in every bit; so a hash collision can
-        only split groups, which costs time but no exactness. The sort need
-        not be stable for that, and numpy's stable sort touches more memory.
+        Rows are sorted by a wrapping int64 hash of their bits, and a row's
+        users are a run of sorted rows equal in every bit. Should two rows
+        that differ hash alike, which could split a run, the rows are sorted
+        by their bits instead. The hash sort need not be stable (numpy's
+        stable sort touches more memory), so a run's first user is its
+        smallest index, and the result does not depend on the hash.
         """
         bits = np.ascontiguousarray(self.matrix, dtype=float).view(np.int64)
         mix = np.cumprod(np.full(bits.shape[1], _ROW_MIX, dtype=np.uint64)).view(np.int64)
-        order = np.argsort(bits @ mix)
-        ordered = bits[order]
-        new = np.ones(len(order), dtype=bool)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-        group = np.empty(len(order), dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
-        return order[new], group
-
-    def per_user_lists(self) -> list[list]:
-        """``matrix.tolist()``, with each group of bit-identical rows as one
-        list object, which the report writer encodes once."""
-        first, group = self._groups
-        rows = self.matrix[first].tolist()
-        return list(map(rows.__getitem__, group.tolist()))
+        keys = bits @ mix
+        order = np.argsort(keys)
+        new = _run_starts(bits[order])
+        if np.any(new[1:] & (keys[order][1:] == keys[order][:-1])):
+            order = np.lexsort(bits.T)
+            new = _run_starts(bits[order])
+        first = np.minimum.reduceat(order, np.flatnonzero(new))
+        canonical = np.sort(first)
+        row_of_user = np.empty(len(order), dtype=np.intp)
+        row_of_user[order] = np.searchsorted(canonical, first)[np.cumsum(new) - 1]
+        return self.matrix[canonical], row_of_user
 
     def entropies(self) -> np.ndarray:
         """Per-user cut entropy in bits."""
-        first, group = self._groups
-        p = self.matrix[first]
+        p, row_of_user = self.distinct_rows
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0, -p * np.log2(p), 0.0)
-        return terms.sum(axis=1)[group]
+        return terms.sum(axis=1)[row_of_user]
 
     def entropy_variance(self) -> float:
         ent = self.entropies()
@@ -275,9 +281,11 @@ class SimulationReport:
             "records": self._records(),
         }
         if self.cut_distribution is not None:
+            rows, row_of_user = self.cut_distribution.distinct_rows
             out["cut_distribution"] = {
                 "user_ids": list(self.cut_distribution.user_ids),
-                "per_user": self.cut_distribution.per_user_lists(),
+                "rows": rows.tolist(),
+                "row_of_user": row_of_user.tolist(),
                 "pooled": self.cut_distribution.pooled.tolist(),
                 "entropy_variance_bits": self.cut_distribution.entropy_variance(),
             }

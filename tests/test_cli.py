@@ -450,11 +450,22 @@ class TestOptimize:
         users = tmp_path / "users.json"
         users.write_text(json.dumps(doc))
         assert _run("optimize", "--users", str(users),
-                    "--out", str(tmp_path / "o")) == 2
+                    "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert len(err) < 1024
-        assert re.search(r": users \[(\d+, ){7}\d+\] and 9992 more: every feasible cut "
+        assert re.search(rf"^esfl: input error: {re.escape(str(users))}: users "
+                         r"\[(\d+, ){7}\d+\] and 9992 more: every feasible cut "
                          r"prices to infinity", err)
+        assert not (tmp_path / "o").exists()
+
+    def test_users_without_a_feasible_cut_are_an_input_error(self, tmp_path, capsys):
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps({"users": [
+            {"n_samples": 100, "tflops": 1, "kbps": 10},
+            {"n_samples": 100, "tflops": 1, "kbps": 10, "storage_mb": 0}]}))
+        assert _run("optimize", "--users", str(users), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"esfl: input error: {users}: users without any feasible cut: [1]\n")
 
     def test_a_negative_zero_link_rate_fails_as_zero_does(self, tmp_path, capsys):
         # -0.0 passes the ">= 0" rule: it must price as a dead link, as 0 does,
@@ -475,7 +486,10 @@ class TestOptimize:
                            "data_options": [500.0]}),
         ):
             want = outcome(argv, doc(0))
-            assert want[0] == 2 and "every feasible cut prices to infinity" in want[1]
+            # the users of a users.json file are input; simulate's are drawn
+            assert want[0] == (1 if argv[0] == "optimize" else 2)
+            assert "every feasible cut prices to infinity" in want[1]
+            assert (f"input error: {path}: " in want[1]) == (argv[0] == "optimize")
             assert outcome(argv, doc(-0.0)) == want
 
     def test_oracle_runs_on_a_large_arch(self, tmp_path, users_file):
@@ -1387,6 +1401,9 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: esfl ")
         assert "train-toy" in proc.stdout
+        assert "Exit codes: 0 success, 1 input" in " ".join(proc.stdout.split())
+        for markup in (":mod:", ":func:", "``"):   # written for users, not Sphinx
+            assert markup not in proc.stdout
 
     def test_tiny_train_toy(self, tmp_path):
         proc = self._python_m_esfl(tmp_path, "train-toy", "--users", "3",
@@ -1645,11 +1662,13 @@ class TestDumpsReport:
         matrix = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
         report = dataclasses.replace(report, cut_distribution=dataclasses.replace(
             report.cut_distribution, user_ids=(0, 1, 2, 3), matrix=matrix))
-        rows = report.to_dict()["cut_distribution"]["per_user"]
-        assert rows == matrix.tolist()
-        assert rows[0] is rows[2] and rows[1] is rows[3] and rows[0] is not rows[1]
-        assert [math.copysign(1.0, r[0]) for r in rows] == [1.0, -1.0, 1.0, -1.0]
-        assert dumps_report(rows) == json.dumps(matrix.tolist(), indent=2)
+        dist = report.to_dict()["cut_distribution"]
+        rows, row_of_user = dist["rows"], dist["row_of_user"]
+        assert "per_user" not in dist
+        assert rows == [[0.0, 1.0], [-0.0, 1.0]] and row_of_user == [0, 1, 0, 1]
+        assert [math.copysign(1.0, r[0]) for r in rows] == [1.0, -1.0]
+        text = dumps_report(dist)
+        assert text == json.dumps(dist, sort_keys=True, indent=2) and "-0.0" in text
 
     @seed(20290)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1790,7 +1809,7 @@ class TestReportDigests:
 
     @pytest.mark.parametrize("argv, stem, json_sha, txt_sha", [
         (["simulate", "--scenario", "LH", "--rounds", "20", "--seed", "3"], "report",
-         "bdca813acc5d4ce108dca7e6e6f3bb2193fac9765a9eb0640c68a09888f69c33",
+         "fa1f662ab5c5917c0cd055c35b42d2c3d351b745625bb0ae237465585dc2ce02",
          "68e23bea32b57689a7d0a29656615f8d136568ff2a4936aea14f3b575911b5b9"),
         (["converge", "--scales", "10,20", "--reps", "2"], "convergence",
          "fc0e6f358e4c6647974bd226d0ebd72b974905e09dea141f8a196a1f67a078c2",
@@ -1802,10 +1821,10 @@ class TestReportDigests:
           "--epoch-objective", "--t-agg", "1.5"], "allocation",
          "3ffd95b3987715466abbc549cb28f40ad5ef96c9698579514b088b10d8159242",
          "85a79751ba92db62d9c7ea39ad7d21804e5a935ec1f18208b51442af3a464e4a"),
-        # 873 per-user cut rows, 3 distinct
+        # 873 users' cut rows, 3 distinct
         (["simulate", "--population", "2000", "--selected", "500", "--rounds", "2",
           "--seed", "4"], "report",
-         "95c0e70de3f4068eb483172363a690247f7db6cd5f8c9be223f6ee3d3bc7f7d8",
+         "27c74a66aed4cbf19cafc405de3ab8b26ba2e03345618d7caaaf7d8bf5b21c3b",
          "2ae7d6b820d70c9c5fc7b2b35c6d01e1cac2760a98bc707145b36d9d45c8806a"),
         # the toy-train benchmark op, and the README command
         (["train-toy", "--users", "8", "--samples", "256", "--classes", "4",
@@ -1831,7 +1850,7 @@ class TestReportDigests:
          "379ea150d00200e329fe25457e8d1cafce90f435b31401e8c22a1f96333ea4df"),
         (["simulate", "--scenario", "RP", "--sticky-resources", "--epoch-objective",
           "--t-agg", "2.5", "--rounds", "10"], "report",
-         "a3b2dd8d066e63aef05efe7d7a09829e022baa4f398b0a745c1af28d2f3b52bd",
+         "12bcbc4ba6ee6a090c69370a46ffe3b31934bf1c18dd60318586228c9d2e1b50",
          "fa06964dc545916c2a2fcb0de204ae5db9f1c98e38316bd78c58ebae9da379b4"),
     ])
     def test_report_bytes_are_pinned(self, tmp_path, argv, stem, json_sha, txt_sha):

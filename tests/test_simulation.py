@@ -397,8 +397,8 @@ class TestCutDistribution:
 
     @seed(20262)
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 6), st.booleans(), st.data())
-    def test_rows_are_grouped_by_their_bits(self, n_layers, zeroed, data):
+    @given(st.integers(1, 6), st.data())
+    def test_rows_are_grouped_by_their_bits(self, n_layers, data):
         # a pool of sparse count rows, one-hot rows (p = 1.0) among them, and
         # per-user rows drawn from it, some with a zero's sign flipped
         counts = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n_layers,
@@ -410,24 +410,29 @@ class TestCutDistribution:
         rows = [np.where((np.array(pool[k]) == 0) & np.array(flip), -0.0,
                          np.array(pool[k]) / sum(pool[k])) for k, flip in picks]
         matrix = np.array(rows).reshape(len(picks), n_layers)
-        dist = CutLayerDistribution(tuple(range(len(picks))), matrix,
-                                    np.full(n_layers, 1.0 / n_layers))
-        with pytest.MonkeyPatch.context() as mp:
-            if zeroed:  # every row hashes alike
-                mp.setattr(simulation, "_ROW_MIX", 0)
-            per_user, entropies = dist.per_user_lists(), dist.entropies()
 
         def bits(x):
             return np.asarray(x, dtype=float).tobytes()
 
-        assert per_user == matrix.tolist()
-        assert [bits(row) for row in per_user] == [bits(row) for row in matrix]
-        for i, j in zip(*np.triu_indices(len(picks), 1)):
-            if per_user[i] is per_user[j]:
-                assert bits(matrix[i]) == bits(matrix[j])
+        def grouped(mix):
+            dist = CutLayerDistribution(tuple(range(len(picks))), matrix,
+                                        np.full(n_layers, 1.0 / n_layers))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulation, "_ROW_MIX", mix)
+                rows, row_of_user = dist.distinct_rows
+                entropies = dist.entropies()
+            return (rows.tolist(), row_of_user.tolist(), bits(entropies)), dist
+
+        got, dist = grouped(simulation._ROW_MIX)
+        rows, row_of_user, entropies = got
+        assert grouped(0)[0] == got   # every row hashes alike
+        assert bits(np.array(rows).reshape(-1, n_layers)[row_of_user]) == bits(matrix)
+        assert len(set(map(bits, rows))) == len(rows)
+        firsts = [row_of_user.index(k) for k in range(len(rows))]
+        assert firsts == sorted(set(firsts))
         with np.errstate(divide="ignore", invalid="ignore"):
             dense = np.where(matrix > 0, -matrix * np.log2(matrix), 0.0).sum(axis=1)
-        assert bits(entropies) == bits(dense)
+        assert entropies == bits(dense)
         assert dist.entropy_variance() == (float(np.var(dense)) if len(picks) else 0.0)
 
 
