@@ -70,7 +70,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int, what: str):
+def _int_at_least(low: int):
     """argparse type: an integer >= ``low``, for the ``train-toy`` sizes and seed."""
     def parse(text: str) -> int:
         try:
@@ -78,13 +78,15 @@ def _int_at_least(low: int, what: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+# a softmax over one class is 1 whatever the logits, so nothing would train
+_class_count = _int_at_least(2)
 
 
 # The flag that sets each library parameter an input error can name.
@@ -434,22 +436,23 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
 
 
 # The most values train-toy keeps for the run: every user's --samples blob
-# points of --dim features and a one-hot row of --classes, held three times
-# (drawn, pooled and stacked); the pooled-loss workspace, 32 + 3 × --classes
-# per sample (two hidden layers' outputs, the logits and the loss's two
-# arrays); and the step workspace, 96 + 3 × --classes per sample of a
-# minibatch (the outputs, dz and input gradients, and the loss's two), once
-# for the full minibatches and once for a ragged last one. A larger run is
-# refused before any blob is drawn.
+# points of --dim features and a one-hot row of --classes, held twice (drawn,
+# and pooled, which the trainer's one stack of every user views); the
+# pooled-loss workspace, 32 + 3 × --classes per sample (two hidden layers'
+# outputs, the logits and the loss's two arrays); and the step workspace,
+# 96 + 3 × --classes per sample of a minibatch (the outputs, dz and input
+# gradients, and the loss's two), once for the full minibatches and once for
+# a ragged last one. A larger run is refused before any blob is drawn.
 MAX_TOY_VALUES = 10**7
 
 # The most parameter values train-toy holds. The network has
 # 16 × (--dim + 1) + 17 × (--classes + 16) parameters. The trainer keeps one
 # copy per user in each of the local models, their gradients and the
-# aggregation's reordered stack, beside four of the global size (the initial
-# and current networks and the aggregation's temporaries), so a larger run
-# is refused before the network is built. The pooled-loss workspace holds
-# no parameters; MAX_TOY_VALUES bounds it.
+# aggregation's weighted rows in user order, beside three of the global size
+# (the initial network, the flat global vector and the aggregation's mean);
+# the bound counts four, so a larger run is refused before the network is
+# built. The pooled-loss workspace holds no parameters; MAX_TOY_VALUES
+# bounds it.
 MAX_TOY_PARAMETERS = 10**7
 
 
@@ -457,7 +460,7 @@ def cmd_train_toy(args, out_dir: Path) -> int:
     n_users, n, classes = args.users, args.samples, args.classes
     # a --batch-size the trainer refuses counts as the full batch
     step = min(args.batch_size, n) if (args.batch_size or 0) > 0 else n
-    values = n_users * (n * (3 * (args.dim + classes) + 32 + 3 * classes)
+    values = n_users * (n * (2 * (args.dim + classes) + 32 + 3 * classes)
                         + (step + n % step) * (96 + 3 * classes))
     if values > MAX_TOY_VALUES:
         raise ConfigError(f"the data and workspaces train-toy keeps must be at most "
@@ -597,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="toy split training on Gaussian blobs")
     p.add_argument("--users", type=_positive_int, default=2)
     p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--classes", type=_positive_int, default=2)
+    p.add_argument("--classes", type=_class_count, default=2)
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--cuts", default=None, help="comma list, one per user")
     p.add_argument("--rounds", type=int, default=50)

@@ -85,7 +85,7 @@ _SPEC_RULES: dict[str, tuple[Rule, ...]] = {
 _NUMBERS: Rule = (NUMBER[0], "hold numbers")
 _ITEM_RULES: dict[str, tuple[Rule, ...]] = {
     "comm_options": (_NUMBERS, (magnitude()[0], f"hold numbers {IN_RANGE} KB/s"),
-                     (lambda v: v < 0, "hold numbers >= 0")),
+                     (lambda v: v <= 0, "hold numbers > 0")),
     "comp_options": (_NUMBERS, (magnitude(scale=TFLOPS)[0], f"hold numbers {IN_RANGE} FLOP/s"),
                      (lambda v: v <= 0, "hold numbers > 0")),
     "data_options": (_NUMBERS, (magnitude()[0], f"hold numbers {IN_RANGE} samples"),

@@ -44,7 +44,8 @@ which goes back to the device.
 Federated aggregation is damped: W <- W - eta * (W - weighted mean of
 local models), which for eta=1 is plain sample-weighted averaging. The
 local models arrive as one stacked network, one member per user, and are
-averaged with one weighted sum over the member axis.
+averaged with one weighted sum over the member axis; :func:`esfl_train`
+runs that arithmetic on its flat rows and a flat global vector.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
         dz, d_in = (None, None) if work is None else work[j]
         dz = da if derivative is None else np.multiply(da, derivative(a, dz), out=dz)
         dws[j] = np.matmul(a_in.swapaxes(-1, -2), dz, out=dws[j])
-        dbs[j] = dz.sum(axis=-2, out=dbs[j])
+        dbs[j] = np.add.reduce(dz, axis=-2, out=dbs[j])
         da = (np.matmul(dz, net.weights[j].swapaxes(-1, -2), out=d_in)
               if j or input_grad else None)
     return dws, dbs, da
@@ -215,12 +216,12 @@ def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
     if loss == "mse":
         diff = np.subtract(out, y, out=first)
         squares = np.multiply(diff, diff, out=second)
-        return squares.sum(axis=(-2, -1)) / batch, (diff, squares)
+        return np.add.reduce(squares, axis=(-2, -1)) / batch, (diff, squares)
     # softmax cross-entropy over logits, y one-hot
     probs = _softmax(out, first)
     logs = np.log(np.maximum(probs, 1e-300, out=second), out=second)
     terms = np.multiply(y, logs, out=second)
-    return -terms.sum(axis=(-2, -1)) / batch, (probs, terms)
+    return -np.add.reduce(terms, axis=(-2, -1)) / batch, (probs, terms)
 
 
 def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str, work=None):
@@ -529,9 +530,13 @@ def esfl_train(
     The local models live in one flat buffer, a row per user, each stack's
     rows together; each stack's network is a view into its rows, built
     once, and each minibatch steps it in place with one subtraction, in
-    arrays built once per minibatch length. Each global loss is
-    :func:`loss_value`'s, evaluated in the arrays of the first evaluation,
-    which live until the run ends.
+    arrays built once per minibatch length. The global network, returned
+    as views, is one flat vector of that layout: each round copies it into
+    every row and folds the rows back in user order with
+    :func:`federated_aggregate`'s arithmetic, bit for bit. One stack of
+    every user views the pooled data, the run's only copy. Each global
+    loss is :func:`loss_value`'s, evaluated in the arrays of the first
+    evaluation, which live until the run ends.
     The caller's ``net`` and the users' arrays are only read.
     """
     check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
@@ -541,36 +546,51 @@ def esfl_train(
     pooled_x = np.concatenate([u.x for u in users])
     pooled_y = np.concatenate([u.y for u in users])
     counts = [float(len(u.x)) for u in users]
+    share = np.asarray(counts) / float(sum(counts))
     stacks = _stack_groups(users)
     # stacked position -> user order, for the stack rows laid end to end
     order = np.argsort([i for members in stacks for i in members])
-    size = sum(a.size for a in net.weights + net.biases)
-    local = np.empty((len(users), size))
+    arrays = [a.ravel() for layer in zip(net.weights, net.biases) for a in layer]
+    glob = np.concatenate(arrays, dtype=float)
+    gnet = _flat_views(glob, net)
+    # numpy sums a one-value array's members pairwise from 8 on, a wider
+    # array's one by one, as the flat sum does
+    starts = np.cumsum([0] + [a.size for a in arrays])
+    ones = [s for s, end in zip(starts, starts[1:]) if end - s == 1]
+    local = np.empty((len(users), glob.size))
     groups, start = [], 0
     for members in stacks:
         params = local[start:start + len(members)]
         grads = np.empty_like(params)
         stack = _flat_views(params, net)
-        batches = _batches(stack, np.stack([users[i].x for i in members]),
-                           np.stack([users[i].y for i in members]), batch_size)
+        # one stack of every user, in user order, trains on the pooled data
+        x, y = ((pooled_x.reshape((len(users),) + users[0].x.shape),
+                 pooled_y.reshape((len(users),) + users[0].y.shape)) if len(stacks) == 1
+                else (np.stack([users[i].x for i in members]),
+                      np.stack([users[i].y for i in members])))
         groups.append((params, grads, stack, _flat_views(grads, net),
-                       users[members[0]].epochs, batches))
+                       users[members[0]].epochs, _batches(stack, x, y, batch_size)))
         start += len(members)
-    value, work = _loss(net, pooled_x, pooled_y)
+    value, work = _loss(gnet, pooled_x, pooled_y)
     trace = [float(value)]
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
-        local[...] = np.concatenate(
-            [a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
+        local[...] = glob
         for params, grads, stack, grad_stack, epochs, batches in groups:
             for _ in range(epochs):
                 for xb, yb, step_work in batches:
                     _gradients(stack, xb, yb, grad_stack, step_work)
                     params -= np.multiply(rho, grads, out=grads)
-        net = federated_aggregate(net, _flat_views(local[order], net), counts, eta)
-        value, work = _loss(net, pooled_x, pooled_y, work)
+        # federated_aggregate's arithmetic, on the flat rows in user order
+        weighted = local[order]
+        weighted *= share[:, None]
+        mean = weighted.sum(axis=0)
+        for k in ones:
+            mean[k] = weighted[:, k].sum()
+        glob -= np.multiply(eta, np.subtract(glob, mean, out=mean), out=mean)
+        value, work = _loss(gnet, pooled_x, pooled_y, work)
         trace.append(float(value))
-    return net, trace
+    return gnet, trace
 
 
 def make_blobs(

@@ -191,7 +191,9 @@ def test_the_range_admits_its_ends():
         load_builtin("vgg19", bwd_multiplier=v)
         LayerProfile(1, "A", v, v, v)
     UserBatch.checked(1e20, 1e-20, 1e-20, 1e20, epochs=1e20)
-    ScenarioSpec("x", (0.0, 1e-20, 1e20), (1e-32, 1e8), (0.0, 1e-20, 1e20),
+    # a scenario's link options must be > 0 as well: a drawn dead link
+    # could never be planned
+    ScenarioSpec("x", (1e-20, 1e20), (1e-32, 1e8), (0.0, 1e-20, 1e20),
                  server_tflops=1e-32)
     ScenarioSpec("x", (10.0,), (1.3,), (500.0,), server_tflops=1e8)
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -468,8 +469,8 @@ class TestOptimize:
             f"esfl: input error: {users}: users without any feasible cut: [1]\n")
 
     def test_a_negative_zero_link_rate_fails_as_zero_does(self, tmp_path, capsys):
-        # -0.0 passes the ">= 0" rule: it must price as a dead link, as 0 does,
-        # and not divide to -inf on the way
+        # -0.0 passes a ">= 0" rule: a users.json rate must price as a dead
+        # link, as 0 does, and not divide to -inf on the way
         path = tmp_path / "doc.json"
 
         def outcome(argv, doc):
@@ -477,20 +478,24 @@ class TestOptimize:
             rc = _run(*argv, str(path), "--out", str(tmp_path / "o"))
             return rc, capsys.readouterr().err
 
-        for argv, doc in (
-            (["optimize", "--users"],
-             lambda rate: {"users": [{"n_samples": 100, "tflops": 1,
-                                      "kbps_up": rate, "kbps_down": 0}]}),
-            (["simulate", "--rounds", "1", "--config"],
-             lambda rate: {"name": "x", "comm_options": [rate], "comp_options": [1.3],
-                           "data_options": [500.0]}),
-        ):
-            want = outcome(argv, doc(0))
-            # the users of a users.json file are input; simulate's are drawn
-            assert want[0] == (1 if argv[0] == "optimize" else 2)
-            assert "every feasible cut prices to infinity" in want[1]
-            assert (f"input error: {path}: " in want[1]) == (argv[0] == "optimize")
-            assert outcome(argv, doc(-0.0)) == want
+        def users(rate):
+            return {"users": [{"n_samples": 100, "tflops": 1,
+                               "kbps_up": rate, "kbps_down": 0}]}
+
+        argv = ["optimize", "--users"]
+        want = outcome(argv, users(0))
+        assert want[0] == 1
+        assert "every feasible cut prices to infinity" in want[1]
+        assert f"input error: {path}: " in want[1]
+        assert outcome(argv, users(-0.0)) == want
+        # every round moves the model, so a scenario's drawn 0-rate user could
+        # never be planned: both zeros are refused as the file's input
+        for rate in (0, -0.0):
+            rc, err = outcome(["simulate", "--rounds", "1", "--config"],
+                              {"name": "x", "comm_options": [rate, 10.0],
+                               "comp_options": [1.3], "data_options": [500.0]})
+            assert (rc, err) == (1, f"esfl: input error: {path}: comm_options must hold "
+                                    f"numbers > 0, not {rate!r}\n")
 
     def test_oracle_runs_on_a_large_arch(self, tmp_path, users_file):
         assert _run("optimize", "--users", str(users_file), "--arch", "vgg19",
@@ -1211,6 +1216,23 @@ class TestTrainToy:
         assert (tmp_path / "a" / "train_toy.json").read_bytes() == \
                (tmp_path / "b" / "train_toy.json").read_bytes()
 
+    def test_data_bound_counts_what_the_trainer_keeps(self, tmp_path, capsys):
+        # a run whose data dwarfs the network: the MAX_TOY_VALUES count of 4
+        # users × (10000 × (2 × (64 + 2) + 32 + 3 × 2) + 50 × (96 + 3 × 2))
+        # values must match the traced peak, which a third copy of the data
+        # would take to about 1.4 times the count
+        values = 4 * (10000 * (2 * (64 + 2) + 32 + 3 * 2) + 50 * (96 + 3 * 2))
+        tracemalloc.start()
+        try:
+            assert _run("train-toy", "--users", "4", "--samples", "10000", "--dim", "64",
+                        "--classes", "2", "--batch-size", "50", "--rounds", "1",
+                        "--out", str(tmp_path / "o")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert 0.8 * values * 8 <= peak <= 1.25 * values * 8
+
     def test_cut_list_must_match_users(self, tmp_path):
         assert _run("train-toy", "--users", "2", "--cuts", "1",
                     "--out", str(tmp_path / "o")) == 1
@@ -1242,6 +1264,9 @@ class TestTrainToy:
         for flag in ("--epochs", "--seed"):
             assert _run("train-toy", flag, "-1", "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
+        # a softmax over one class trains nothing
+        assert _run("train-toy", "--classes", "1", "--out", str(tmp_path / "o")) == 1
+        assert "argument --classes: '1' is not an integer >= 2" in capsys.readouterr().err
         # step sizes that train nothing, or train uphill
         for flag, value in (("--rho0", "0"), ("--rho0", "-0.5"), ("--eta", "0"),
                             ("--eta", "-0.5"), ("--eta", "1.5")):
@@ -1249,15 +1274,16 @@ class TestTrainToy:
                         "--out", str(tmp_path / "o")) == 1
             assert f"argument {flag}" in capsys.readouterr().err
         # runs refused before the network or any blob is drawn, by the values
-        # they keep: per user, its samples × (3 × (dim + classes) + 32 + 3 ×
+        # they keep: per user, its samples × (2 × (dim + classes) + 32 + 3 ×
         # classes) and its full and ragged minibatch rows × (96 + 3 × classes).
-        # 2 users of 2**62 samples in full batches keep 2 × 2**62 × (12 + 38 +
-        # 102); 1 user of 212677 samples of dim 1 in minibatches of 34, the
-        # last 7 long, keeps 212677 × 47 + 41 × 102 = the cap + 1
+        # 2 users of 2**62 samples in full batches keep 2 × 2**62 × (8 + 38 +
+        # 102); 1 user of 227187 samples of dim 1 in minibatches of 22, the
+        # last 15 long, keeps 227187 × 44 + 37 × 102 = the cap + 2, the first
+        # count past the cap at that size (every count of 2 classes is even)
         _forbid(monkeypatch, cli.toy, "init_dense_net", "make_blobs", "esfl_train")
         for users, samples, dim, batch, values in (
-                ("2", str(2**62), "2", [], 2**63 * 152),
-                ("1", "212677", "1", ["--batch-size", "34"], cli.MAX_TOY_VALUES + 1)):
+                ("2", str(2**62), "2", [], 2**63 * 148),
+                ("1", "227187", "1", ["--batch-size", "22"], cli.MAX_TOY_VALUES + 2)):
             assert _run("train-toy", "--users", users, "--samples", samples, "--dim", dim,
                         *batch, "--rounds", "1", "--out", str(tmp_path / "o")) == 1
             assert (f"input error: the data and workspaces train-toy keeps must be at "
@@ -1308,7 +1334,8 @@ _NUMERIC_FLAGS = [
     ("converge", "--seed", _INT_BELOW_0, None),
     *(("converge", *unit) for unit in _UNITS),
     *(("train-toy", flag, _INT_BELOW_1, None) for flag in (
-        "--users", "--samples", "--classes", "--dim", "--rounds", "--epochs", "--batch-size")),
+        "--users", "--samples", "--dim", "--rounds", "--epochs", "--batch-size")),
+    ("train-toy", "--classes", st.integers(max_value=1), None),
     ("train-toy", "--eta", _NOT_POSITIVE, st.floats(min_value=1.0, exclude_min=True,
                                                     allow_infinity=False)),
     ("train-toy", "--rho0", _NOT_POSITIVE, None),
@@ -1354,7 +1381,8 @@ class TestFlagBounds:
                 flag = action.option_strings[0]
                 typed.add((command, flag))
                 if (command, flag) in _CLI_OWNED:
-                    assert action.type in (cli._positive_int, cli._non_negative_int), flag
+                    assert action.type in (cli._positive_int, cli._non_negative_int,
+                                           cli._class_count), flag
                 else:
                     assert action.type in (int, cli._finite_float), (command, flag)
         # the property below draws every numeric flag

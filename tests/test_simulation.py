@@ -79,7 +79,8 @@ class TestPresets:
         for bad in ({"comm_options": (float("nan"),)}, {"comp_options": (0.0,)},
                     {"data_options": (float("inf"),)}, {"server_tflops": float("inf")},
                     {"server_tflops": 1e297},
-                    {"comm_options": (-1.0,)}, {"epochs": 0}, {"seed": -1},
+                    {"comm_options": (-1.0,)}, {"comm_options": (10.0, 0.0)},
+                    {"comm_options": (-0.0,)}, {"epochs": 0}, {"seed": -1},
                     {"epochs": 2.7}, {"rounds": 1.5}, {"seed": True}):
             kw = {"comm_options": (1.0,), "comp_options": (1.0,),
                   "data_options": (1.0,), **bad}

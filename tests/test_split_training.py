@@ -768,6 +768,22 @@ class TestInPlaceTraining:
                    zip(final.weights + final.biases,
                        ref_final.weights + ref_final.biases))
 
+    def test_one_output_stack_of_many_users_matches_the_per_cut_trainer(self):
+        # from 8 members on, numpy sums a stacked one-value array (here the
+        # output bias) pairwise, but a wider one member by member; 12 users
+        # in two interleaved stacks
+        rng = np.random.default_rng(26)
+        sizes = [3, 4, 1]
+        net = init_dense_net(sizes, ["tanh", "identity"], "mse", rng)
+        users = _toy_users(rng, sizes, "mse", [(1, 5 + i % 2, 1) for i in range(12)])
+        kwargs = {"rounds": 4, "eta": 0.8, "rho0": 0.2, "batch_size": 2}
+        final, trace = esfl_train(net, users, **kwargs)
+        ref_final, ref_trace = _functional_stacked_train(net, users, **kwargs)
+        assert np.array_equal(trace, ref_trace)
+        assert all(np.array_equal(p, q) for p, q in
+                   zip(final.weights + final.biases,
+                       ref_final.weights + ref_final.biases))
+
     def test_cut_out_of_range_in_any_member_rejected(self):
         rng = np.random.default_rng(24)
         sizes = [2, 3, 3, 2]
