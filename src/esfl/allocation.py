@@ -115,13 +115,6 @@ class _Kinds(NamedTuple):
     col: np.ndarray         # (N,) the column of one of its users
     of_user: np.ndarray     # (R, S) each user's kind
 
-    def keep_rows(self, keep: np.ndarray) -> tuple[_Kinds, np.ndarray]:
-        """The kinds of the rows that the mask ``keep`` selects, renumbered,
-        and the mask of the kinds kept."""
-        kept = keep[self.row]
-        row = (np.cumsum(keep) - 1)[self.row[kept]]
-        return _Kinds(row, self.col[kept], (np.cumsum(kept) - 1)[self.of_user[keep]]), kept
-
 
 def _kinds(batch: UserBatch, deepest: np.ndarray) -> _Kinds:
     """The kinds of an (R, S) batch's users of deepest feasible cuts ``deepest``.
@@ -161,38 +154,25 @@ class _CutPass(NamedTuple):
     user_ids: np.ndarray        # (R, S)
     kinds: _Kinds
     terms: ServerFreeTerms      # (N, L), one row per kind
-    buffer: np.ndarray          # (N, L); later passes use its leading rows
+    buffer: np.ndarray          # (N, L)
 
     @classmethod
     def of(cls, batch: UserBatch, kinds: _Kinds, deepest: np.ndarray,
-           arch: ModelArchitecture, cfg: OptimizerConfig, rows: slice = slice(None)
-           ) -> _CutPass:
-        """The passes over the rows ``rows`` of a checked (R, S) batch whose
-        kinds are ``kinds`` and users' deepest feasible cuts ``deepest``. A
-        kind gathers only its ``_PRICED`` columns: no id, and no limits."""
-        keep = np.zeros(batch.shape[0], dtype=bool)
-        keep[rows] = True
-        kinds, _ = kinds.keep_rows(keep)
-        users, at, n = batch.rows(rows), (kinds.row, kinds.col), len(kinds.row)
+           arch: ModelArchitecture, cfg: OptimizerConfig) -> _CutPass:
+        """The passes over a checked (R, S) batch whose kinds are ``kinds``
+        and users' deepest feasible cuts ``deepest``. A kind gathers only its
+        ``_PRICED`` columns: no id, and no limits."""
+        at, n = (kinds.row, kinds.col), len(kinds.row)
         unread = np.broadcast_to(np.inf, n)     # the deepest cut holds the limits
-        priced = UserBatch(unread, *(getattr(users, f)[at] for f in _PRICED), unread, unread)
+        priced = UserBatch(unread, *(getattr(batch, f)[at] for f in _PRICED), unread, unread)
         terms = round_terms(priced, arch, None, math.inf, cfg.t_agg)
-        return cls(users.user_ids, kinds,
-                   terms.server_free(cfg.epoch_objective, deepest[rows][at]),
+        return cls(batch.user_ids, kinds, terms.server_free(cfg.epoch_objective, deepest[at]),
                    np.empty((n, arch.num_layers)))
 
-    def demand(self, cuts: np.ndarray, rows: np.ndarray | slice = slice(None)
-               ) -> tuple[np.ndarray, np.ndarray]:
+    def demand(self, cuts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The resource pass's terms (a, b) of the rows ``rows`` at their
         1-based (R, S) ``cuts``: each user's kind's terms at its cut."""
         return self.terms.demand(self.kinds.of_user[rows], cuts[rows] - 1)
-
-    def keep_rows(self, keep: np.ndarray) -> _CutPass:
-        """The passes over the rows the mask ``keep`` selects. They reuse
-        these passes' arrays in place (see :meth:`ServerFreeTerms.keep_rows`),
-        so only the result may be used afterwards."""
-        kinds, kept = self.kinds.keep_rows(keep)
-        return _CutPass(self.user_ids[keep], kinds, self.terms.keep_rows(kept), self.buffer)
 
     def __call__(self, server_compute: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each user's fastest feasible 1-based cut and its objective time at
@@ -204,7 +184,7 @@ class _CutPass(NamedTuple):
         """
         of_user = self.kinds.of_user
         compute = server_compute[self.kinds.row, self.kinds.col]
-        times = self.terms.price(compute, out=self.buffer[:len(compute)])
+        times = self.terms.price(compute, out=self.buffer)
         choice = np.argmin(times, axis=-1)
         best = np.take_along_axis(times, choice[..., None], axis=-1)[..., 0]
         dead = ~np.isfinite(best)
@@ -409,9 +389,9 @@ def _stalled(new: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
-                  ) -> tuple[UserBatch, _Kinds, np.ndarray]:
-    """``batch`` as (R, S) rows, checked, with its kinds and its users'
-    (R, S) deepest feasible cuts; a user with no feasible cut is an error."""
+                  ) -> tuple[UserBatch, np.ndarray]:
+    """``batch`` as (R, S) rows, checked, with its users' (R, S) deepest
+    feasible cuts; a user with no feasible cut is an error."""
     if len(batch.shape) == 1:
         batch = batch.rows(None)
     if len(batch.shape) != 2:
@@ -428,7 +408,7 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
     if stuck.any():
         raise InfeasibleUserError(
             f"users without any feasible cut: {id_list(batch.user_ids[stuck])}")
-    return batch, _kinds(batch, deepest), deepest
+    return batch, deepest
 
 
 def plan_rows(
@@ -443,26 +423,27 @@ def plan_rows(
     Each row alternates cut and resource passes from an equal compute split
     until its compute vector stalls or ``max_iters`` passes ran (``converged``
     is False when the cap came first); a stalled row is frozen while the
-    others go on. A row whose cut pass repeats the cuts of its last pass
-    keeps that pass's compute and levels, with the level re-capped by the
-    new pass's hint and 0 demand evaluations: solving again would give the
-    same bits. Each row keeps the best allocation it saw, and
-    ``passes`` every pass's outcome. Rows are planned in
-    chunks of at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which
-    bounds the working set. A row's plan does not depend on the rows
+    others go on: the cut pass still prices every row of its chunk, but a
+    stalled row's outcome is no longer read. A row whose cut pass repeats
+    the cuts of its last pass keeps that pass's compute and levels, with the
+    level re-capped by the new pass's hint and 0 demand evaluations: solving
+    again would give the same bits. Each row keeps the best allocation it
+    saw, and ``passes`` every pass's outcome. Rows are planned in chunks of
+    at most ``MAX_CHUNK_ELEMENTS`` (rows x S x L) elements, which bounds the
+    working set. A row's plan does not depend on the rows
     planned beside it.
 
     The cut pass takes and returns per-user arrays, but prices one user of
     each kind of a chunk: users of one row equal bit for bit in the five
     attributes that price their latency (``_PRICED``) and in their deepest
-    feasible cut. It gathers the compute at those users, gives each kind's
-    cut and time to every user of the kind, and drops a frozen row's kinds
-    with the row. That is exact: such users get the same compute in every
-    pass, since the first splits the budget equally and the resource pass
-    is elementwise in each user's (a, b), which it reads from its kind's
-    terms at its cut; a chunk's kinds are priced once. The resource pass
-    and the stall test run per user, so every sum keeps its order; a batch
-    without repeated users is one kind per user.
+    feasible cut. It gathers the compute at those users and gives each
+    kind's cut and time to every user of the kind. That is exact: such users
+    get the same compute in every pass, since the first splits the budget
+    equally and the resource pass is elementwise in each user's (a, b),
+    which it reads from its kind's terms at its cut; a chunk's kinds are
+    priced once. The resource pass and the stall test run per user, so
+    every sum keeps its order; a batch without repeated users is one kind
+    per user.
 
     Users with fewer than one epoch cannot be planned and raise
     ``ValueError``. A budget ``c_total`` that is not positive, of a magnitude
@@ -472,7 +453,7 @@ def plan_rows(
     every user of each kind it is about, in row order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, kinds, deepest = _checked_rows(batch, arch, c_total)
+    batch, deepest = _checked_rows(batch, arch, c_total)
     n_rows, n_users = batch.shape
 
     best_cuts = np.zeros(batch.shape, dtype=int)
@@ -484,44 +465,39 @@ def plan_rows(
 
     chunk = max(1, MAX_CHUNK_ELEMENTS // (n_users * arch.num_layers))
     for start in range(0, n_rows, chunk):
-        rows = slice(start, min(start + chunk, n_rows))
-        live = np.arange(rows.start, rows.stop)
-        cut_pass = _CutPass.of(batch, kinds, deepest, arch, cfg, rows)
-        compute = np.full((live.size, n_users), c_total / n_users)
-        # the cuts and levels of each live row's last solve (no cut is 0)
-        last_cuts = np.zeros(compute.shape, dtype=int)
-        levels = np.empty((3, live.size))
+        rows = slice(start, start + chunk)
+        users = batch.rows(rows)
+        cut_pass = _CutPass.of(users, _kinds(users, deepest[rows]), deepest[rows], arch, cfg)
+        compute = np.full(users.shape, c_total / n_users)
+        # the cuts and levels of each row's last solve (no cut is 0)
+        last_cuts = np.zeros(users.shape, dtype=int)
+        levels = np.empty((3, len(compute)))
+        live = np.arange(len(compute))      # the rows not yet stalled
         for it in range(1, cfg.max_iters + 1):
-            cuts, best_times = cut_pass(compute)
+            cuts, times = cut_pass(compute)
             # a row whose cuts repeat its last solve's would repeat that solve
             # bit for bit, as the resource pass is row-independent: it keeps
             # its compute and levels, with no demand evaluated
-            fresh = (cuts != last_cuts).any(axis=-1)
-            new, steps = compute, np.zeros(live.size, dtype=int)
-            if fresh.all():
-                new, steps, levels = _equalize(*cut_pass.demand(cuts), c_total)
-            elif fresh.any():
-                new = compute.copy()
+            fresh = live[(cuts != last_cuts).any(axis=-1)[live]]
+            new, steps = compute.copy(), np.zeros(len(compute), dtype=int)
+            if fresh.size:
                 new[fresh], steps[fresh], levels[:, fresh] = _equalize(
                     *cut_pass.demand(cuts, fresh), c_total)
             # the incoming allocation achieves this much, so the level can't
             # need to exceed it; capping by it keeps each trace non-increasing
-            objective = _objective(levels, best_times.max(axis=-1))
-            passes.append(_Pass(it, live, objective, cuts, new, steps))
-            better = (objective < best_objective[live]) | (it == 1)
-            improved = live[better]
-            best_objective[improved] = objective[better]
-            best_cuts[improved] = cuts[better]
-            best_compute[improved] = new[better]
-            iterations[live] = it
-            going = ~_stalled(new, compute, STALL_TOLERANCE)
-            converged[live[~going]] = True
-            live, compute = live[going], new[going]
-            last_cuts, levels = cuts[going], levels[:, going]
+            objective = _objective(levels, times.max(axis=-1))[live]
+            at = start + live
+            passes.append(_Pass(it, at, objective, cuts[live], new[live], steps[live]))
+            better = (objective < best_objective[at]) | (it == 1)
+            best_objective[at[better]] = objective[better]
+            best_cuts[at[better]] = cuts[live[better]]
+            best_compute[at[better]] = new[live[better]]
+            iterations[at] = it
+            going = ~_stalled(new, compute, STALL_TOLERANCE)[live]
+            converged[at[~going]] = True
+            compute, last_cuts, live = new, cuts, live[going]
             if not live.size:
                 break
-            if not going.all():
-                cut_pass = cut_pass.keep_rows(going)
 
     return RowPlan(best_cuts, best_compute, best_objective, iterations, converged,
                    tuple(passes))
@@ -549,7 +525,8 @@ def exact_level(
     reach is gathered before the row's sum, in user order.
     """
     cfg = cfg or OptimizerConfig()
-    batch, kinds, deepest = _checked_rows(batch, arch, c_total)
+    batch, deepest = _checked_rows(batch, arch, c_total)
+    kinds = _kinds(batch, deepest)
     # the planner's first cut pass: each user at its fastest cut of an equal split
     split = np.full(batch.shape, c_total / batch.shape[1])
     cut_pass = _CutPass.of(batch, kinds, deepest, arch, cfg)

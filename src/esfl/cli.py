@@ -491,10 +491,12 @@ def cmd_train_toy(args, out_dir: Path) -> int:
                               dim=args.dim, rng=rng)
         users.append(toy.ToyUser(x=x, y=y, cut=cuts[i], epochs=args.epochs))
 
-    final, trace = toy.esfl_train(
-        net, users, rounds=args.rounds, eta=args.eta, rho0=args.rho0,
-        batch_size=args.batch_size,
-    )
+    # a step that overflows is a runtime error, not a warning and a clamped loss
+    with np.errstate(over="raise", invalid="raise"):
+        final, trace = toy.esfl_train(
+            net, users, rounds=args.rounds, eta=args.eta, rho0=args.rho0,
+            batch_size=args.batch_size,
+        )
 
     payload = {
         "command": "train-toy",
@@ -635,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
     except EsflError as exc:
         print(f"esfl: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # an overflowing train-toy step, say
         print(f"esfl: runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -201,13 +201,6 @@ class PricedTerms(_TermSums):
     t_agg: float
 
 
-def _keep_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move the rows ``keep`` selects to the front of ``a``; a view of them."""
-    n = np.count_nonzero(keep)
-    a[:n] = a[keep]
-    return a[:n]
-
-
 class ServerFreeTerms(NamedTuple):
     """``RoundTerms.epoch`` or ``total`` split at the server time ``t_C``.
 
@@ -228,22 +221,6 @@ class ServerFreeTerms(NamedTuple):
     no_work: np.ndarray         # server_work == 0: no server time at any compute
     epochs: np.ndarray
     t_agg: float
-
-    def keep_rows(self, keep: np.ndarray) -> ServerFreeTerms:
-        """The terms of the rows that the mask ``keep`` selects on the
-        leading axis, moved to the front of these terms' own arrays.
-
-        Those arrays are overwritten, so only the result may be used
-        afterwards; shrinking in place holds one row copy at a time
-        instead of a second set of terms.
-        """
-        # n_samples and epochs may view the caller's batch, so they are copied
-        return ServerFreeTerms(
-            _keep_rows(self.device, keep), _keep_rows(self.download, keep),
-            None if self.move is None else _keep_rows(self.move, keep),
-            self.server_flops, self.n_samples[keep], _keep_rows(self.no_work, keep),
-            self.epochs[keep], self.t_agg,
-        )
 
     def price(self, server_compute: np.ndarray | float, out: np.ndarray) -> np.ndarray:
         """The objective at ``server_compute`` (shaped like the batch, or a

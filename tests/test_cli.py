@@ -1446,6 +1446,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert "argument --seed" in proc.stderr
 
+    def test_overflowing_train_toy_is_a_runtime_error(self, tmp_path):
+        # a step size this large overflows the first forward pass: the run
+        # must fail as one error line, not warn and report a clamped loss
+        proc = self._python_m_esfl(tmp_path, "train-toy", "--rho0", "1e308", "--rounds", "1",
+                                   "--eta", "1", "--out", "toy")
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("esfl: runtime error: overflow encountered in "), line
+        assert not (tmp_path / "toy").exists()
+
 
 class TestReportBytes:
     """Every report is exactly ``json.dumps(..., sort_keys=True, indent=2)``."""
