@@ -437,12 +437,14 @@ def _equivalence_sweep(seed: int, cases: int = 25) -> float:
 
 # The most values train-toy keeps for the run: every user's --samples blob
 # points of --dim features and a one-hot row of --classes, held twice (drawn,
-# and pooled, which the trainer's one stack of every user views); the
-# pooled-loss workspace, 32 + 3 × --classes per sample (two hidden layers'
-# outputs, the logits and the loss's two arrays); and the step workspace,
-# 96 + 3 × --classes per sample of a minibatch (the outputs, dz and input
-# gradients, and the loss's two), once for the full minibatches and once for
-# a ragged last one. A larger run is refused before any blob is drawn.
+# and pooled, which the trainer's one stack of every user views); the arrays
+# the pooled loss is bound to once per run, 32 + 3 × --classes per sample
+# (two hidden layers' outputs, the logits and the loss's two arrays); and the
+# work sets the bound minibatch steps run in, 96 + 3 × --classes per sample
+# of a minibatch (the outputs, dz and input gradients, and the loss's two),
+# one shared by the full minibatches and one for a ragged last one. The
+# bound steps hold views of these, no copies. A larger run is refused before
+# any blob is drawn.
 MAX_TOY_VALUES = 10**7
 
 # The most parameter values train-toy holds. The network has
@@ -451,8 +453,8 @@ MAX_TOY_VALUES = 10**7
 # aggregation's weighted rows in user order, beside three of the global size
 # (the initial network, the flat global vector and the aggregation's mean);
 # the bound counts four, so a larger run is refused before the network is
-# built. The pooled-loss workspace holds no parameters; MAX_TOY_VALUES
-# bounds it.
+# built. The pooled loss's arrays hold no parameters; MAX_TOY_VALUES bounds
+# them.
 MAX_TOY_PARAMETERS = 10**7
 
 

@@ -22,17 +22,21 @@ models: one flat float64 buffer holds a row of parameters per user (w0, b0,
 w1, b1, ...), each stack's network is a view into its rows, built and
 validated once per run, and every minibatch writes its gradients into a
 buffer of the same layout and steps the stack with one in-place
-subtraction. The minibatches are sliced once per run, and each stack
-steps in arrays built once per minibatch length (:func:`_step_work`):
-each layer's output, dz and input gradient, and the loss's two. The
-global loss over the pooled data, the incoming network's before round 0
-and each round's after it, is evaluated in the arrays of the first
-evaluation. Either way each operation and its order are those that
-:func:`loss_value`, :func:`loss_and_grads` and :func:`split_update` run
-in new arrays; split_update returns a new state, leaving its input alone.
-Below 8 classes, the softmax runs in a class-major copy, whose class axis
-numpy reduces and broadcasts over in whole-array passes, with the bits of
-its row reductions (:func:`_softmax`).
+subtraction. Each minibatch's step is bound once per run
+(:func:`_bind_step`): its weight views and their transposes, bias rows,
+minibatch and activations are looked up once, and it runs in the arrays
+of its minibatch length, each layer's output, dz and input gradient and
+the loss's two, shared by the steps of that length (:func:`_batches`).
+The global loss over the pooled data, the incoming network's before
+round 0 and each round's after it, is bound the same way over views of
+the global parameters (:func:`_bind_loss`) and evaluated in arrays it
+keeps. Both run the ufuncs of :func:`loss_value`, :func:`loss_and_grads`
+and :func:`split_update` in their order, and those one-shot functions,
+which run on new arrays, are their bit-for-bit reference; split_update
+returns a new state, leaving its input alone. Below 8 classes, the
+softmax runs in a class-major copy, whose class axis numpy reduces and
+broadcasts over in whole-array passes, with the bits of its row
+reductions (:func:`_softmax`).
 
 The forward pass caches each layer's (input, output), and backpropagation
 reads each derivative from the output: tanh' = 1 - a**2, relu' = a > 0,
@@ -136,16 +140,15 @@ def init_dense_net(
 # ---------------------------------------------------------------------------
 # Shared layer primitives; both the monolithic and the split path use these.
 
-def _forward_segment(net: DenseNet, x: np.ndarray, work=None):
+def _forward_segment(net: DenseNet, x: np.ndarray):
     """Returns (output, caches); caches[j] = (input, output) of layer j.
 
-    Each layer's activation is written over its preactivation, in a new
-    array unless ``work`` holds one array per layer, shaped as its output:
-    then each layer is evaluated in its array."""
+    Each layer's activation is written over its preactivation, a new
+    array."""
     caches = []
     a_in = x
-    for j, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        z = np.matmul(a_in, w, out=None if work is None else work[j])
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = np.matmul(a_in, w)
         a = ACTIVATIONS[act][0](np.add(z, b[..., None, :], out=z), out=z)
         caches.append((a_in, a))
         a_in = a
@@ -153,27 +156,19 @@ def _forward_segment(net: DenseNet, x: np.ndarray, work=None):
 
 
 def _backward_segment(net: DenseNet, caches, d_out: np.ndarray,
-                      grads: DenseNet | None = None, input_grad: bool = False,
-                      work=None):
-    """Chain rule down through a segment; returns (dWs, dbs, d_input).
-
-    The gradients are written into the arrays of ``grads`` when it is given,
-    else into new ones. d_input is the gradient at the segment's input when
-    ``input_grad`` is set, else None. ``work``, when given, holds a pair of
-    arrays per layer, shaped as its output and as its input, which take
-    its dz and its input gradient; None where the pass forms neither."""
-    dws = list(grads.weights) if grads is not None else [None] * net.num_layers
-    dbs = list(grads.biases) if grads is not None else [None] * net.num_layers
+                      input_grad: bool = False):
+    """Chain rule down through a segment; returns (dWs, dbs, d_input), new
+    arrays. d_input is the gradient at the segment's input when
+    ``input_grad`` is set, else None."""
+    dws, dbs = [None] * net.num_layers, [None] * net.num_layers
     da = d_out
     for j in range(net.num_layers - 1, -1, -1):
         a_in, a = caches[j]
         derivative = ACTIVATIONS[net.activations[j]][1]
-        dz, d_in = (None, None) if work is None else work[j]
-        dz = da if derivative is None else np.multiply(da, derivative(a, dz), out=dz)
-        dws[j] = np.matmul(a_in.swapaxes(-1, -2), dz, out=dws[j])
-        dbs[j] = np.add.reduce(dz, axis=-2, out=dbs[j])
-        da = (np.matmul(dz, net.weights[j].swapaxes(-1, -2), out=d_in)
-              if j or input_grad else None)
+        dz = da if derivative is None else np.multiply(da, derivative(a))
+        dws[j] = np.matmul(a_in.swapaxes(-1, -2), dz)
+        dbs[j] = np.add.reduce(dz, axis=-2)
+        da = np.matmul(dz, net.weights[j].swapaxes(-1, -2)) if j or input_grad else None
     return dws, dbs, da
 
 
@@ -204,31 +199,26 @@ def _softmax(out: np.ndarray, probs: np.ndarray | None = None) -> np.ndarray:
     return probs
 
 
-def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str, work=None):
+def _loss_terms(out: np.ndarray, y: np.ndarray, loss: str):
     """Loss value per group member, and the two output-shaped arrays it was
-    computed in: out - y and its squares for mse, the softmax probabilities
-    and the log-likelihood terms for softmax cross-entropy.
-
-    Every array is new unless ``work`` holds such a pair, a former call's on
-    arrays of the same shapes: then each step writes over its array."""
-    first, second = (None, None) if work is None else work
+    computed in, both new: out - y and its squares for mse, the softmax
+    probabilities and the log-likelihood terms for softmax cross-entropy."""
     batch = out.shape[-2]
     if loss == "mse":
-        diff = np.subtract(out, y, out=first)
-        squares = np.multiply(diff, diff, out=second)
+        diff = np.subtract(out, y)
+        squares = np.multiply(diff, diff)
         return np.add.reduce(squares, axis=(-2, -1)) / batch, (diff, squares)
     # softmax cross-entropy over logits, y one-hot
-    probs = _softmax(out, first)
-    logs = np.log(np.maximum(probs, 1e-300, out=second), out=second)
-    terms = np.multiply(y, logs, out=second)
+    probs = _softmax(out)
+    logs = np.log(np.maximum(probs, 1e-300))
+    terms = np.multiply(y, logs)
     return -np.add.reduce(terms, axis=(-2, -1)) / batch, (probs, terms)
 
 
-def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str, work=None):
+def _loss_and_grad(out: np.ndarray, y: np.ndarray, loss: str):
     """Loss value per group member and its gradient w.r.t. the output, which
-    is written over the first array of the loss terms (see _loss_terms,
-    which takes ``work``)."""
-    value, (first, _) = _loss_terms(out, y, loss, work)
+    is written over the first array of the loss terms (see _loss_terms)."""
+    value, (first, _) = _loss_terms(out, y, loss)
     batch = out.shape[-2]
     if loss == "mse":   # first is out - y
         return value, np.divide(np.multiply(2.0, first, out=first), batch, out=first)
@@ -241,29 +231,14 @@ def _check_finite(value) -> None:
         raise FloatingPointError("non-finite loss")
 
 
-def _gradients(net: DenseNet, x: np.ndarray, y: np.ndarray,
-               grads: DenseNet | None = None, work=None):
-    """The loss per group member and the full-network gradients, written
-    into ``grads`` when it is given, computed in the arrays of ``work``
-    (see :func:`_step_work`) or else new ones; the caller checks the batch."""
-    layers, terms, back = (None, None, None) if work is None else work
-    out, caches = _forward_segment(net, x, layers)
-    value, d_out = _loss_and_grad(out, y, net.loss, terms)
+def _gradients(net: DenseNet, x: np.ndarray, y: np.ndarray):
+    """The loss per group member and the full-network gradients, in new
+    arrays; the caller checks the batch."""
+    out, caches = _forward_segment(net, x)
+    value, d_out = _loss_and_grad(out, y, net.loss)
     _check_finite(value)
-    dws, dbs, _ = _backward_segment(net, caches, d_out, grads, work=back)
+    dws, dbs, _ = _backward_segment(net, caches, d_out)
     return value, dws, dbs
-
-
-def _step_work(net: DenseNet, x: np.ndarray):
-    """Arrays for :func:`_gradients` on ``net`` and batches shaped as ``x``:
-    per layer its output, its dz but for identity and its input gradient but
-    for the first; and the loss's two, the first taking the loss gradient."""
-    lead = x.shape[:-1]
-    layers = [np.empty(lead + w.shape[-1:]) for w in net.weights]
-    back = [(None if act == "identity" else np.empty_like(a),
-             np.empty(lead + w.shape[-2:-1]) if j else None)
-            for j, (w, a, act) in enumerate(zip(net.weights, layers, net.activations))]
-    return layers, (np.empty_like(layers[-1]), np.empty_like(layers[-1])), back
 
 
 def _step(net: DenseNet, dws, dbs, rho: float) -> DenseNet:
@@ -299,20 +274,10 @@ def _check_batch(x: np.ndarray, y: np.ndarray, first: DenseNet, last: DenseNet,
         raise ValueError("softmax_ce expects identity on the output layer")
 
 
-def _loss(net: DenseNet, x: np.ndarray, y: np.ndarray, work=None):
-    """The loss per group member, and the arrays it was evaluated in: one
-    per layer (its output) and the loss's two. A later call on arrays of
-    the same shapes and dtypes takes them as ``work`` and evaluates in them,
-    allocating none of them anew. The batch is the caller's to check."""
-    layers, terms = (None, None) if work is None else work
-    out, caches = _forward_segment(net, x, layers)
-    value, terms = _loss_terms(out, y, net.loss, terms)
-    return value, ([a for _, a in caches], terms)
-
-
 def loss_value(net: DenseNet, x: np.ndarray, y: np.ndarray) -> float:
     _check_batch(x, y, net, net)
-    return float(_loss(net, x, y)[0])
+    out, _ = _forward_segment(net, x)
+    return float(_loss_terms(out, y, net.loss)[0])
 
 
 def loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray):
@@ -436,16 +401,127 @@ class ToyUser:
     epochs: int = 1
 
 
-def _batches(net: DenseNet, x, y, batch_size):
-    """Minibatches along the sample axis, the second to last, as (x, y,
-    work): ``work`` holds the arrays of :func:`_step_work` for ``net``, one
-    set for the full minibatches and one for a ragged last one."""
+def _bind_pass(net: DenseNet, x: np.ndarray, y: np.ndarray, layers, first, second):
+    """The forward pass and loss terms of ``net`` on the batch (x, y),
+    bound once: a function that runs :func:`_forward_segment`'s and
+    :func:`_loss_terms`' ufuncs in their order, writing each layer's output
+    into its array of ``layers`` and the loss's two into ``first`` and
+    ``second``, and returns the summed terms per member,
+    ``add.reduce(terms, axis=(-2, -1))``. It reads the arrays of ``net``
+    at each call, so it follows their in-place updates."""
+    forward = tuple((a_in, w, b[..., None, :],
+                     None if act == "identity" else ACTIVATIONS[act][0], z)
+                    for a_in, w, b, act, z in zip([x] + layers[:-1], net.weights,
+                                                  net.biases, net.activations, layers))
+    out, mse = layers[-1], net.loss == "mse"
+
+    def run():
+        for a_in, w, b, activation, z in forward:
+            np.matmul(a_in, w, out=z)
+            np.add(z, b, out=z)
+            if activation is not None:
+                activation(z, out=z)
+        if mse:
+            np.subtract(out, y, out=first)
+            np.multiply(first, first, out=second)
+        else:
+            _softmax(out, first)
+            np.log(np.maximum(first, 1e-300, out=second), out=second)
+            np.multiply(y, second, out=second)
+        return np.add.reduce(second, axis=(-2, -1))
+    return run
+
+
+def _bind_loss(net: DenseNet, x: np.ndarray, y: np.ndarray):
+    """:func:`loss_value`'s loss per member of ``net`` on (x, y), bound
+    once, in arrays it keeps: one per layer, its output, and the loss's
+    two. Returns the bound function and those arrays, as (layers, (first,
+    second)); each call reads the current values of ``net``'s arrays."""
+    layers = [np.empty(x.shape[:-1] + w.shape[-1:]) for w in net.weights]
+    terms = (np.empty_like(layers[-1]), np.empty_like(layers[-1]))
+    run, batch = _bind_pass(net, x, y, layers, *terms), x.shape[-2]
+    mse = net.loss == "mse"
+
+    def loss():
+        total = run()
+        return (total if mse else -total) / batch
+    return loss, (layers, terms)
+
+
+def _bind_step(net: DenseNet, params: np.ndarray, grads: np.ndarray,
+               x: np.ndarray, y: np.ndarray, work):
+    """One SGD step on the minibatch (x, y) of the stack of networks shaped
+    like ``net`` whose parameters are the rows of ``params``, bound once,
+    writing its gradients into ``grads`` of the same layout (see
+    :func:`_flat_views`); ``work`` holds the arrays it runs in (see
+    :func:`_batches`).
+
+    ``step(rho)`` runs :func:`_gradients`' ufuncs in their order and then
+    ``params -= rho * grads``, with ``rho * grads`` written over ``grads``.
+    Its finite-loss check tests the summed terms, not the loss -sum / n:
+    negation and division by n >= 1 neither overflow nor make a NaN, so
+    the two are finite together."""
+    stack, grad_stack = _flat_views(params, net), _flat_views(grads, net)
+    layers, (first, second), back = work
+    run, batch = _bind_pass(stack, x, y, layers, first, second), x.shape[-2]
+    mse = stack.loss == "mse"
+    backward, da = [], first
+    for j in range(stack.num_layers - 1, -1, -1):
+        derivative = ACTIVATIONS[stack.activations[j]][1]
+        dz, d_in = back[j]
+        dz = da if derivative is None else dz
+        backward.append((derivative, layers[j], da, dz,
+                         (layers[j - 1] if j else x).swapaxes(-1, -2),
+                         grad_stack.weights[j], grad_stack.biases[j],
+                         stack.weights[j].swapaxes(-1, -2) if j else None, d_in))
+        da = d_in
+
+    def step(rho: float) -> None:
+        total = run()
+        if mse:   # first is out - y
+            np.multiply(2.0, first, out=first)
+        else:     # first holds the probabilities
+            np.subtract(first, y, out=first)
+        np.divide(first, batch, out=first)
+        if not np.isfinite(total).all():
+            raise FloatingPointError("non-finite loss")
+        for derivative, a, da, dz, a_in_t, dw, db, w_t, d_in in backward:
+            if derivative is not None:
+                np.multiply(da, derivative(a, dz), out=dz)
+            np.matmul(a_in_t, dz, out=dw)
+            np.add.reduce(dz, axis=-2, out=db)
+            if w_t is not None:
+                np.matmul(dz, w_t, out=d_in)
+        np.subtract(params, np.multiply(rho, grads, out=grads), out=params)
+    return step
+
+
+def _batches(net: DenseNet, params: np.ndarray, grads: np.ndarray, x, y, batch_size):
+    """The bound SGD steps (see :func:`_bind_step`) of the stack of networks
+    shaped like ``net`` whose parameters are the rows of ``params`` (see
+    :func:`_flat_views`), one per minibatch along the sample axis, the
+    second to last, as (step, work) pairs. Every step writes its gradients
+    into ``grads``, shaped as ``params``. ``work`` is the set of arrays a
+    step runs in, one per minibatch length, shared by that length's steps:
+    (layers, (first, second), back), each layer's output, the loss's two
+    arrays, the first taking the loss gradient, and per layer its dz but
+    for identity and its input gradient but for the first."""
     n = x.shape[-2]
-    step = min(batch_size or n, n)
-    full = _step_work(net, x[..., :step, :])
-    ragged = _step_work(net, x[..., n - n % step:, :]) if n % step else full
-    return [(x[..., s:s + step, :], y[..., s:s + step, :],
-             full if s + step <= n else ragged) for s in range(0, n, step)]
+    size = min(batch_size or n, n)
+    works, steps = {}, []
+    for s in range(0, n, size):
+        xb, yb = x[..., s:s + size, :], y[..., s:s + size, :]
+        lead = xb.shape[:-1]
+        if lead not in works:
+            layers = [np.empty(lead + w.shape[-1:]) for w in net.weights]
+            back = [(None if act == "identity" else np.empty_like(a),
+                     np.empty(lead + w.shape[-2:-1]) if j else None)
+                    for j, (w, a, act) in enumerate(zip(net.weights, layers,
+                                                        net.activations))]
+            works[lead] = (layers, (np.empty_like(layers[-1]), np.empty_like(layers[-1])),
+                           back)
+        steps.append((_bind_step(net, params, grads, xb, yb, works[lead]), works[lead]))
+    return steps
 
 
 def _stack_groups(users: Sequence[ToyUser]) -> list[list[int]]:
@@ -528,15 +604,19 @@ def esfl_train(
     must match bit for bit.
 
     The local models live in one flat buffer, a row per user, each stack's
-    rows together; each stack's network is a view into its rows, built
-    once, and each minibatch steps it in place with one subtraction, in
-    arrays built once per minibatch length. The global network, returned
-    as views, is one flat vector of that layout: each round copies it into
-    every row and folds the rows back in user order with
+    rows together; each stack's network is a view into its rows. Before
+    round 0 every minibatch of every stack gets its step, bound once with
+    its views and the arrays of its minibatch length
+    (:func:`_bind_step`), which steps the stack in place with one
+    subtraction; the one-shot :func:`loss_and_grads` and
+    :func:`split_update` are its bit-for-bit reference. The global network,
+    returned as views, is one flat vector of that layout: each round copies
+    it into every row and folds the rows back in user order with
     :func:`federated_aggregate`'s arithmetic, bit for bit. One stack of
     every user views the pooled data, the run's only copy. Each global
-    loss is :func:`loss_value`'s, evaluated in the arrays of the first
-    evaluation, which live until the run ends.
+    loss is :func:`loss_value`'s bit for bit, from the pooled loss bound
+    once over the global views (:func:`_bind_loss`), in arrays that live
+    until the run ends.
     The caller's ``net`` and the users' arrays are only read.
     """
     check_training(net.num_layers, [u.cut for u in users], [u.epochs for u in users],
@@ -561,26 +641,24 @@ def esfl_train(
     groups, start = [], 0
     for members in stacks:
         params = local[start:start + len(members)]
-        grads = np.empty_like(params)
-        stack = _flat_views(params, net)
         # one stack of every user, in user order, trains on the pooled data
         x, y = ((pooled_x.reshape((len(users),) + users[0].x.shape),
                  pooled_y.reshape((len(users),) + users[0].y.shape)) if len(stacks) == 1
                 else (np.stack([users[i].x for i in members]),
                       np.stack([users[i].y for i in members])))
-        groups.append((params, grads, stack, _flat_views(grads, net),
-                       users[members[0]].epochs, _batches(stack, x, y, batch_size)))
+        steps = [step for step, _ in _batches(net, params, np.empty_like(params),
+                                              x, y, batch_size)]
+        groups.append((users[members[0]].epochs, steps))
         start += len(members)
-    value, work = _loss(gnet, pooled_x, pooled_y)
-    trace = [float(value)]
+    loss, _ = _bind_loss(gnet, pooled_x, pooled_y)
+    trace = [float(loss())]
     for r in range(rounds):
         rho = rho0 / (1.0 + r / 100.0)
         local[...] = glob
-        for params, grads, stack, grad_stack, epochs, batches in groups:
+        for epochs, steps in groups:
             for _ in range(epochs):
-                for xb, yb, step_work in batches:
-                    _gradients(stack, xb, yb, grad_stack, step_work)
-                    params -= np.multiply(rho, grads, out=grads)
+                for step in steps:
+                    step(rho)
         # federated_aggregate's arithmetic, on the flat rows in user order
         weighted = local[order]
         weighted *= share[:, None]
@@ -588,8 +666,7 @@ def esfl_train(
         for k in ones:
             mean[k] = weighted[:, k].sum()
         glob -= np.multiply(eta, np.subtract(glob, mean, out=mean), out=mean)
-        value, work = _loss(gnet, pooled_x, pooled_y, work)
-        trace.append(float(value))
+        trace.append(float(loss()))
     return gnet, trace
 
 

@@ -21,7 +21,7 @@ from esfl import (
     split_update,
 )
 from esfl import split_training
-from esfl.split_training import ACTIVATIONS, LOSSES, _loss, _loss_terms
+from esfl.split_training import ACTIVATIONS, LOSSES, _loss_terms
 
 
 def _max_rel_dev(a: DenseNet, b: DenseNet) -> float:
@@ -564,7 +564,10 @@ def _per_user_train(net, users, rounds, eta, rho0, batch_size):
 def _training_cases(draw):
     """A random net, and users whose cuts, sample counts and epoch counts
     collide often enough to form ragged stacked groups."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5))
+    # outputs from 1 to 12 wide, both sides of the 8 classes at which the
+    # softmax switches from its class-major copy to numpy's row reductions
+    sizes = (draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+             + [draw(st.integers(1, 12))])
     depth = len(sizes) - 1
     loss = draw(st.sampled_from(LOSSES))
     names = st.sampled_from(sorted(ACTIVATIONS))
@@ -622,8 +625,26 @@ class TestStackedTraining:
                     x[2, 0] = np.inf
                 users.append(ToyUser(x=x, y=rng.normal(size=(4, 2)), cut=1))
             with np.errstate(invalid="ignore", over="ignore"), \
-                    pytest.raises(FloatingPointError):
+                    pytest.raises(FloatingPointError, match="^non-finite loss$"):
                 esfl_train(net, users, rounds=1, batch_size=2)
+
+    def test_a_loss_whose_terms_overflow_raises_as_the_reference_does(self):
+        # finite outputs 1e200 off their labels: each difference is finite,
+        # its square overflows, so the summed terms are inf exactly when the
+        # loss is; the trainer tests the sum, the reference the loss
+        rng = np.random.default_rng(31)
+        net = init_dense_net([2, 3, 2], ["identity", "identity"], "mse", rng)
+        for bad in range(3):
+            users = []
+            for i in range(3):
+                x = rng.normal(size=(4, 2))
+                if i == bad:
+                    x[3] = 1e200
+                users.append(ToyUser(x=x, y=rng.normal(size=(4, 2)), cut=1))
+            for train in (esfl_train, _per_user_train):
+                with np.errstate(over="ignore"), \
+                        pytest.raises(FloatingPointError, match="^non-finite loss$"):
+                    train(net, users, rounds=1, eta=0.5, rho0=0.01, batch_size=2)
 
     def test_feature_dimension_mismatch_raises(self):
         rng = np.random.default_rng(19)
@@ -833,16 +854,25 @@ def _workspace_cases(draw):
     }
 
 
+def _flat(nets, members):
+    """The parameters of ``nets`` in the trainer's flat layout (w0, b0, w1,
+    b1, ...): one vector, or a row per net when ``members`` is set."""
+    rows = [np.concatenate([a.ravel() for layer in zip(n.weights, n.biases)
+                            for a in layer]) for n in nets]
+    return rows[0] if members is None else np.stack(rows)
+
+
 class TestLossWorkspace:
-    """esfl_train evaluates each round's pooled loss in the arrays of the
-    first round's evaluation. Evaluated in a workspace that earlier nets
-    wrote, a net's loss must equal loss_value's bit for bit, and no array
-    may be allocated anew."""
+    """esfl_train binds the pooled loss over views of its flat global
+    vector once per run, in arrays it keeps, and evaluates it after every
+    round's in-place update. Whatever the nets written into the vector in
+    turn, every array must be written at every call, and the loss must
+    equal loss_value's on new arrays bit for bit."""
 
     @seed(20252)
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(_workspace_cases())
-    def test_reused_workspace_matches_loss_value_bit_for_bit(self, case):
+    def test_bound_loss_matches_loss_value_bit_for_bit(self, case):
         rng = np.random.default_rng(case["seed"])
         sizes, loss, members = case["sizes"], case["loss"], case["members"]
         shape = (members or 1, case["samples"])
@@ -851,18 +881,24 @@ class TestLossWorkspace:
              else np.eye(sizes[-1])[rng.integers(sizes[-1], size=shape)])
         if members is None:
             x, y = x[0], y[0]
-        _, work = _loss(init_dense_net(sizes, case["activations"], loss, rng), x, y)
-        arrays = work[0] + list(work[1])
+        template = init_dense_net(sizes, case["activations"], loss, rng)
+        flat = _flat([template] * (members or 1), members)
+        bound, (layers, terms) = split_training._bind_loss(
+            split_training._flat_views(flat, template), x, y)
+        arrays = layers + list(terms)
         for _ in range(case["nets"]):
             nets = [init_dense_net(sizes, case["activations"], loss, rng)
                     for _ in range(members or 1)]
-            value, work = _loss(nets[0] if members is None else _stack(nets), x, y, work)
-            assert all(a is b for a, b in zip(work[0] + list(work[1]), arrays, strict=True))
+            flat[...] = _flat(nets, members)
+            for a in arrays:   # stale values must not leak into a call
+                a.fill(np.nan)
+            value = bound()
+            assert not any(np.isnan(a).any() for a in arrays)
             if members is None:
-                assert value == loss_value(nets[0], x, y)
+                assert _same_bits(value, loss_value(nets[0], x, y))
             else:
-                assert np.array_equal(value, [loss_value(n, x[i], y[i])
-                                              for i, n in enumerate(nets)])
+                assert _same_bits(value, [loss_value(n, x[i], y[i])
+                                          for i, n in enumerate(nets)])
 
 
 # logit values whose reductions are edge cases: signed zeros, logits whose
@@ -944,6 +980,30 @@ class TestClassReductions:
         assert np.add.reduce(row[::-1]) != 1.0
 
 
+@pytest.fixture
+def no_arithmetic(monkeypatch):
+    """Fails any forward pass: the one-shot functions' and the trainer's
+    bound steps and pooled loss, all of which begin with one."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a forward pass ran before the batch was checked")
+    monkeypatch.setattr(split_training, "_forward_segment", forbidden)
+    monkeypatch.setattr(split_training, "_bind_pass", lambda *args: forbidden)
+
+
+def test_the_batch_check_fixture_trips_on_valid_batches(no_arithmetic):
+    # else the refusals below could pass without checking anything
+    rng = np.random.default_rng(30)
+    net = init_dense_net([2, 4, 3], ["tanh", "identity"], "softmax_ce", rng)
+    x, y = rng.normal(size=(10, 2)), np.eye(3)[rng.integers(3, size=10)]
+    for call in (lambda: esfl_train(net, [ToyUser(x=x, y=y, cut=1)] * 2, rounds=1),
+                 lambda: loss_value(net, x, y),
+                 lambda: loss_and_grads(net, x, y),
+                 lambda: monolithic_update(net, (x, y), 0.1),
+                 lambda: split_update(split_net(net, 1, 0.1), (x, y))):
+        with pytest.raises(AssertionError, match="^a forward pass ran"):
+            call()
+
+
 class TestLabelShapes:
     """Labels hold one row per sample of the output layer's width. Any
     other shape is refused before any arithmetic, naming its owner and
@@ -962,12 +1022,6 @@ class TestLabelShapes:
     def _message(owner, y_shape, x_shape=(10, 2)):
         return re.escape(f"{owner} labels of shape {y_shape} do not match samples "
                          f"of shape {x_shape} and an output layer of width 3")
-
-    @pytest.fixture
-    def no_arithmetic(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a forward pass ran before the labels were checked")
-        monkeypatch.setattr(split_training, "_forward_segment", forbidden)
 
     @pytest.mark.parametrize("y_shape", BAD)
     def test_esfl_train_names_the_user(self, y_shape, no_arithmetic):
@@ -1003,12 +1057,6 @@ class TestLabelShapes:
 class TestEmptyBatches:
     """A batch without samples is refused before any arithmetic, naming its
     owner: the loss and its gradient would divide by its sample count."""
-
-    @pytest.fixture
-    def no_arithmetic(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a forward pass ran on an empty batch")
-        monkeypatch.setattr(split_training, "_forward_segment", forbidden)
 
     def test_esfl_train_names_the_user(self, no_arithmetic):
         net = init_dense_net([2, 3, 2], rng=np.random.default_rng(27))
@@ -1122,19 +1170,22 @@ def _step_cases(draw):
 
 
 class TestStepWorkspace:
-    """esfl_train steps each stack in arrays it builds once per minibatch
-    length: each layer's output, dz and input gradient, and the loss's two.
-    Through several minibatches and epochs, a ragged last minibatch
-    included, every primitive must write into those same arrays, all of
-    them, and give the bits that new arrays give."""
+    """esfl_train binds one SGD step per minibatch of each stack once per
+    run, each running in the work set of its minibatch length: each
+    layer's output, dz and input gradient, and the loss's two. Through
+    several minibatches and epochs, a ragged last minibatch included, the
+    steps of one length must share one work set, every step must write
+    all of its arrays and the gradient buffer, and the gradients and
+    parameters must have the bits that _gradients gives on new arrays."""
 
     @seed(20254)
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(_step_cases())
-    def test_reused_arrays_match_new_arrays_bit_for_bit(self, case):
+    def test_bound_steps_match_new_arrays_bit_for_bit(self, case):
         rng = np.random.default_rng(case["seed"])
         sizes, loss, members = case["sizes"], case["loss"], case["members"]
-        shape = (members or 1, case["samples"])
+        samples, size = case["samples"], case["batch_size"]
+        shape = (members or 1, samples)
         x = rng.normal(size=shape + (sizes[0],))
         y = (rng.normal(size=shape + (sizes[-1],)) if loss == "mse"
              else np.eye(sizes[-1])[rng.integers(sizes[-1], size=shape)])
@@ -1142,46 +1193,38 @@ class TestStepWorkspace:
             x, y = x[0], y[0]
         nets = [init_dense_net(sizes, case["activations"], loss, rng)
                 for _ in range(members or 1)]
-        net = nets[0] if members is None else _stack(nets)
+        fresh = nets[0] if members is None else _stack(nets)
         # the trainer's layout: a flat parameter row per member, and views
-        lead = () if members is None else (members,)
-        params = np.concatenate([a.reshape(lead + (-1,))
-                                 for layer in zip(net.weights, net.biases)
-                                 for a in layer], axis=-1)
+        params = _flat(nets, members)
         grads = np.empty_like(params)
         stack = split_training._flat_views(params, nets[0])
         grad_stack = split_training._flat_views(grads, nets[0])
-        fresh = DenseNet(*(tuple(a.copy() for a in arrays)
-                           for arrays in (net.weights, net.biases)), net.activations, loss)
 
-        batches = split_training._batches(stack, x, y, case["batch_size"])
-        assert len({id(work) for _, _, work in batches}) == 2   # ragged last
-        assert all(work is batches[0][2] for _, _, work in batches[:-1])
-        rho = 0.05
+        pairs = split_training._batches(nets[0], params, grads, x, y, size)
+        works = [work for _, work in pairs]
+        assert len(pairs) == -(-samples // size)
+        assert all(work is works[0] for work in works[:-1])   # one full length
+        assert works[-1] is not works[0]                       # and a ragged one
+        for work, length in ((works[0], size), (works[-1], samples % size)):
+            assert work[0][0].shape[-2] == length
+        rho = 2.0 ** -4   # scales the gradient exactly, so grads keep its bits
         for _ in range(case["epochs"]):
-            for xb, yb, (layers, terms, back) in batches:
+            for start, (step, (layers, terms, back)) in zip(range(0, samples, size), pairs):
+                xb, yb = x[..., start:start + size, :], y[..., start:start + size, :]
                 arrays = layers + list(terms) + [a for pair in back for a in pair
                                                  if a is not None]
-                for a in arrays:   # stale values must not leak into a step
+                for a in arrays + [grads]:   # stale values must not leak into a step
                     a.fill(np.nan)
-                out, caches = split_training._forward_segment(stack, xb, layers)
-                assert all(a is layers[j] for j, (_, a) in enumerate(caches))
-                value, d_out = split_training._loss_and_grad(out, yb, loss, terms)
-                assert d_out is terms[0]
-                dws, dbs, _ = split_training._backward_segment(
-                    stack, caches, d_out, grad_stack, work=back)
-                assert all(g is h for g, h in zip(dws + dbs,
-                                                  grad_stack.weights + grad_stack.biases))
+                step(rho)
                 # every array was written: the data and parameters are finite
-                assert not any(np.isnan(a).any() for a in arrays)
+                assert not any(np.isnan(a).any() for a in arrays + [grads])
 
-                f_value, f_dws, f_dbs = split_training._gradients(fresh, xb, yb)
-                assert _same_bits(value, f_value)
-                assert all(_same_bits(a, b) for a, b in zip(dws + dbs, f_dws + f_dbs))
-                params -= np.multiply(rho, grads, out=grads)
+                _, f_dws, f_dbs = split_training._gradients(fresh, xb, yb)
+                assert all(_same_bits(g, np.multiply(rho, f)) for g, f in
+                           zip(grad_stack.weights + grad_stack.biases, f_dws + f_dbs))
                 fresh = _ref_step(fresh, f_dws, f_dbs, rho)
-        assert all(_same_bits(a, b) for a, b in
-                   zip(stack.weights + stack.biases, fresh.weights + fresh.biases))
+                assert all(_same_bits(a, b) for a, b in
+                           zip(stack.weights + stack.biases, fresh.weights + fresh.biases))
 
 
 class TestMakeBlobs:
