@@ -56,8 +56,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (COUNT, POSITIVE, AllocationError, InfeasibleUserError, at_least,
-                     check, id_list, magnitude)
+from .errors import (COUNT, AllocationError, InfeasibleUserError, at_least, check, id_list,
+                     magnitude, positive_magnitude)
 from .timing import ServerFreeTerms, deepest_cut, round_terms
 from .users import UserBatch
 from .workload import ModelArchitecture
@@ -94,7 +94,8 @@ class OptimizerConfig:
 
 
 # ---------------------------------------------------------------------------
-# Per-user objective terms, all priced by ``timing.round_terms``
+# Per-user objective terms: the cut pass prices them once per chunk through
+# ``timing.ServerFreeTerms.of``, the reference through ``timing.round_terms``
 
 # The attributes that price a user's latency; its limits reach the planner as
 # its deepest feasible cut. Users of one row bitwise equal in all five and in
@@ -165,9 +166,8 @@ class _CutPass(NamedTuple):
         at, n = (kinds.row, kinds.col), len(kinds.row)
         unread = np.broadcast_to(np.inf, n)     # the deepest cut holds the limits
         priced = UserBatch(unread, *(getattr(batch, f)[at] for f in _PRICED), unread, unread)
-        terms = round_terms(priced, arch, None, math.inf, cfg.t_agg)
-        return cls(batch.user_ids, kinds, terms.server_free(cfg.epoch_objective, deepest[at]),
-                   np.empty((n, arch.num_layers)))
+        terms = ServerFreeTerms.of(priced, arch, cfg.epoch_objective, deepest[at], cfg.t_agg)
+        return cls(batch.user_ids, kinds, terms, np.empty((n, arch.num_layers)))
 
     def demand(self, cuts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The resource pass's terms (a, b) of the rows ``rows`` at their
@@ -337,7 +337,7 @@ def equalize_min_max(
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim < 1:
         raise ValueError("a and b must be arrays of equal shape (..., S)")
-    check("c_total", c_total, magnitude("FLOP/s"), POSITIVE)
+    check("c_total", c_total, *positive_magnitude("FLOP/s"))
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("demand terms must be >= 0")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -398,7 +398,7 @@ def _checked_rows(batch: UserBatch, arch: ModelArchitecture, c_total: float
         raise ValueError("planning needs an (R, S) or an (S,) batch")
     if not batch.shape[1]:
         raise ValueError("at least one user is required")
-    check("c_total", c_total, magnitude("FLOP/s"), POSITIVE)
+    check("c_total", c_total, *positive_magnitude("FLOP/s"))
     idle = batch.epochs < 1
     if idle.any():
         raise ValueError(f"users {id_list(np.unique(batch.user_ids[idle]))}: "

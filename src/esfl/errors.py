@@ -68,7 +68,7 @@ COUNT: Rule = (lambda v: INTEGER[0](v) or v < 1, "be an integer >= 1")
 # it no term of ``timing`` and no step of the resource pass can overflow;
 # the README shows why.
 MAGNITUDE_MIN, MAGNITUDE_MAX = 1e-20, 1e20
-IN_RANGE = "0 or within 1e-20..1e20"
+IN_RANGE = "within 1e-20..1e20"
 
 
 def magnitude(unit: str = "", scale: float = 1.0) -> Rule:
@@ -76,7 +76,15 @@ def magnitude(unit: str = "", scale: float = 1.0) -> Rule:
     range of ``unit``, the library unit that ``scale`` takes it to."""
     return (lambda v: FINITE[0](v) or not (
         v == 0 or MAGNITUDE_MIN <= abs(v) * scale <= MAGNITUDE_MAX),
-        f"be {IN_RANGE} {unit}".rstrip())
+        f"be 0 or {IN_RANGE} {unit}".rstrip())
+
+
+def positive_magnitude(unit: str = "", scale: float = 1.0) -> tuple[Rule, Rule]:
+    """The rules of a number > 0 that, times ``scale``, is of a magnitude in
+    the range of ``unit``: :func:`magnitude`, whose message offers no 0 here,
+    then :data:`POSITIVE`, which refuses it."""
+    refuses, _ = magnitude(unit, scale)
+    return (refuses, f"be {IN_RANGE} {unit}".rstrip()), POSITIVE
 
 
 def at_least(low) -> Rule:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import OptimizerConfig, RowPlan
-from .timing import PricedTerms, round_terms, straggler
+from .timing import RoundTerms, round_terms, straggler
 from .users import UserBatch
 from .workload import ModelArchitecture
 
@@ -332,7 +332,7 @@ def format_numeric_table(headers: list[str], columns: list[np.ndarray],
 
 
 def trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfig,
-                  plan: RowPlan) -> tuple[list[dict], PricedTerms]:
+                  plan: RowPlan) -> tuple[list[dict], RoundTerms]:
     """One fixed-size summary per pass of the one-round ``plan`` of ``batch``,
     and the terms priced at the plan's cuts and compute.
 
@@ -352,7 +352,7 @@ def trace_entries(batch: UserBatch, arch: ModelArchitecture, cfg: OptimizerConfi
     for p in plan.passes:   # each holds row 0 only
         cuts, compute = p.cuts[0], p.server_compute[0]
         if previous is None or not _same_bits(cuts, compute, *previous):
-            terms = round_terms(batch, arch, cuts, compute, cfg.t_agg).priced()
+            terms = round_terms(batch, arch, cuts, compute, cfg.t_agg)
             neck = _bottleneck(batch, cuts, terms, cfg.epoch_objective)
         if planned is None and _same_bits(cuts, compute, plan.cuts[0],
                                           plan.server_compute[0]):
@@ -375,7 +375,7 @@ def _same_bits(cuts: np.ndarray, compute: np.ndarray,
     return np.array_equal(cuts, other_cuts) and compute.tobytes() == other_compute.tobytes()
 
 
-def _bottleneck(batch: UserBatch, cuts: np.ndarray, terms: PricedTerms,
+def _bottleneck(batch: UserBatch, cuts: np.ndarray, terms: RoundTerms,
                 epoch_objective: bool) -> dict:
     """The bottleneck entry of a trace (see :func:`trace_entries`) at the
     (S,) ``cuts``, read from ``terms``, the round's terms priced there."""

@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import OptimizerConfig, RowPlan, plan_rows
-from .errors import (COUNT, IN_RANGE, INTEGER, NUMBER, POSITIVE, ConfigError, Rule,
-                     at_least, at_most, between, check, magnitude)
+from .errors import (COUNT, IN_RANGE, INTEGER, NUMBER, ConfigError, Rule, at_least, at_most,
+                     between, check, magnitude, positive_magnitude)
 from .timing import (
     default_fixed_cut,
     esfl_round_time,
@@ -71,7 +71,7 @@ MAX_USER_ROUNDS = 10**7
 # MAX_USER_ROUNDS, is refused after them.
 _NONEMPTY: Rule = (lambda v: not v, "hold at least one number")
 # a server budget in TFLOP/s, bounded in FLOP/s as the planner bounds it
-SERVER_TFLOPS: tuple[Rule, ...] = (NUMBER, magnitude("FLOP/s", TFLOPS), POSITIVE)
+SERVER_TFLOPS: tuple[Rule, ...] = (NUMBER, *positive_magnitude("FLOP/s", TFLOPS))
 _SPEC_RULES: dict[str, tuple[Rule, ...]] = {
     "name": ((lambda v: not isinstance(v, str), "be a string"),),
     "comm_options": (_NONEMPTY,), "comp_options": (_NONEMPTY,), "data_options": (_NONEMPTY,),
@@ -88,7 +88,7 @@ _ITEM_RULES: dict[str, tuple[Rule, ...]] = {
                      (lambda v: v <= 0, "hold numbers > 0")),
     "comp_options": (_NUMBERS, (magnitude(scale=TFLOPS)[0], f"hold numbers {IN_RANGE} FLOP/s"),
                      (lambda v: v <= 0, "hold numbers > 0")),
-    "data_options": (_NUMBERS, (magnitude()[0], f"hold numbers {IN_RANGE} samples"),
+    "data_options": (_NUMBERS, (magnitude()[0], f"hold numbers 0 or {IN_RANGE} samples"),
                      (lambda v: v < 0, "hold numbers >= 0")),
 }
 
@@ -170,7 +170,7 @@ class SimOptions:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self) -> None:
-        check("kb_bytes", self.kb_bytes, magnitude("bytes"), POSITIVE)
+        check("kb_bytes", self.kb_bytes, *positive_magnitude("bytes"))
 
 
 # the odd multiplier whose powers hash a distribution row's columns

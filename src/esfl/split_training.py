@@ -120,9 +120,9 @@ def init_dense_net(
     activations: Sequence[str] | None = None,
     loss: str = "mse",
     rng: np.random.Generator | None = None,
-    scale: float | None = None,
 ) -> DenseNet:
-    """Random network with layer widths ``sizes`` (input first)."""
+    """Random network with layer widths ``sizes`` (input first); layer ``j``'s
+    weights and biases are drawn with deviation ``1 / sqrt(sizes[j])``."""
     rng = rng or np.random.default_rng()
     L = len(sizes) - 1
     if L < 1:
@@ -131,7 +131,7 @@ def init_dense_net(
         activations = ["tanh"] * (L - 1) + ["identity"]
     weights, biases = [], []
     for j in range(L):
-        s = scale if scale is not None else 1.0 / np.sqrt(sizes[j])
+        s = 1.0 / np.sqrt(sizes[j])
         weights.append(rng.normal(scale=s, size=(sizes[j], sizes[j + 1])))
         biases.append(rng.normal(scale=s, size=sizes[j + 1]))
     return DenseNet(tuple(weights), tuple(biases), tuple(activations), loss)
@@ -674,16 +674,15 @@ def make_blobs(
     n_samples: int,
     n_classes: int = 2,
     dim: int = 2,
-    separation: float = 4.0,
-    noise: float = 1.0,
     rng: np.random.Generator | None = None,
 ):
-    """Seeded Gaussian blobs with one-hot labels, classes balanced."""
+    """Seeded Gaussian blobs with one-hot labels, classes balanced: unit
+    noise around class means drawn with deviation 4."""
     rng = rng or np.random.default_rng()
-    means = rng.normal(scale=separation, size=(n_classes, dim))
+    means = rng.normal(scale=4.0, size=(n_classes, dim))
     labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
-    x = means[labels] + rng.normal(scale=noise, size=(n_samples, dim))
+    x = means[labels] + rng.normal(size=(n_samples, dim))
     y = np.zeros((n_samples, n_classes))
     y[np.arange(n_samples), labels] = 1.0
     return x, y

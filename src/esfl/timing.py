@@ -8,12 +8,11 @@ fixed aggregation term::
 
     total = t_up + t_down + epochs * (t_c + t_b + t_C + t_B) + t_agg
 
-:func:`round_terms` is the one implementation of that formula; the
+:func:`round_terms` is the one implementation of that formula; it prices
+each term once, into :class:`RoundTerms`, which spells every sum once. The
 planner's passes, the reports and the four round policies below (ESFL,
-FL, SFL, SL) derive from it. The planner prices it once per plan, into
-:class:`ServerFreeTerms`, which sums the same way and feeds both its
-passes. A policy prices each term once, into :class:`PricedTerms`, and
-reads every sum from it. Each policy returns ``(round time,
+FL, SFL, SL) derive from it; the planner's passes read it through
+:class:`ServerFreeTerms`. Each policy returns ``(round time,
 communication time)``, the latter for the user that set the round time.
 
 Every function here takes its users as one :class:`~esfl.users.UserBatch`;
@@ -23,6 +22,7 @@ round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -79,10 +79,36 @@ def _round_time(move: np.ndarray, epochs: np.ndarray, epoch: np.ndarray,
     return out
 
 
-class _TermSums:
-    """The sums of the latency terms ``t_up, t_down, t_c, t_b, t_C, t_B``,
-    each spelled once, for a class that holds or computes those terms and
-    has ``epochs`` and ``t_agg``. A sum reads each term it needs once."""
+@dataclass(frozen=True)
+class RoundTerms:
+    """Per-user latency terms in seconds, shape (..., S) or (..., S, L),
+    priced once by :func:`round_terms`; the four epoch terms are per epoch.
+
+    Moving bytes over a zero-rate link, or server work without server
+    compute, costs +inf. Only the server time ``t_C`` depends on the server
+    compute, and it is priced each time it is read. A sum reads each term
+    it needs once.
+    """
+
+    t_up: np.ndarray
+    t_down: np.ndarray
+    t_c: np.ndarray
+    t_b: np.ndarray
+    t_B: np.ndarray
+    server_flops: np.ndarray    # per sample, at the cut
+    n_samples: np.ndarray
+    server_compute: np.ndarray
+    epochs: np.ndarray
+    t_agg: float
+
+    @property
+    def server_work(self) -> np.ndarray:
+        """Server FLOPs per epoch: ``t_C`` at unit server compute."""
+        return self.server_flops * self.n_samples
+
+    @property
+    def t_C(self) -> np.ndarray:
+        return _guarded_div(self.server_work, self.server_compute)
 
     @property
     def epoch(self) -> np.ndarray:
@@ -111,96 +137,6 @@ class _TermSums:
         return self.total, self.fixed
 
 
-@dataclass(frozen=True)
-class RoundTerms(_TermSums):
-    """Per-user latency terms in seconds, shape (..., S) or (..., S, L).
-
-    Holds the inputs broadcast against each other and computes a term only
-    when it is read, so the (S, L) cut pass never holds every term matrix at
-    once. The four epoch terms are per epoch. Moving bytes over a zero-rate
-    link, or server work without server compute, costs +inf. A sum prices
-    the terms it reads each time; :meth:`priced` prices them once.
-    """
-
-    n_samples: np.ndarray
-    compute_flops: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
-    epochs: np.ndarray
-    user_flops: np.ndarray      # per sample, at the cut
-    server_flops: np.ndarray    # per sample, at the cut
-    act_bytes: np.ndarray       # per sample and direction, at the cut
-    model_bytes: np.ndarray     # device-side model at the cut
-    server_compute: np.ndarray
-    t_agg: float
-
-    @property
-    def t_up(self) -> np.ndarray:
-        return _guarded_div(self.model_bytes, self.up)
-
-    @property
-    def t_down(self) -> np.ndarray:
-        return _guarded_div(self.model_bytes, self.down)
-
-    @property
-    def t_c(self) -> np.ndarray:
-        return self.user_flops * self.n_samples / self.compute_flops
-
-    @property
-    def t_b(self) -> np.ndarray:
-        return _guarded_div(self.act_bytes * self.n_samples, self.up)
-
-    @property
-    def server_work(self) -> np.ndarray:
-        """Server FLOPs per epoch: ``t_C`` at unit server compute."""
-        return self.server_flops * self.n_samples
-
-    @property
-    def t_C(self) -> np.ndarray:
-        return _guarded_div(self.server_work, self.server_compute)
-
-    @property
-    def t_B(self) -> np.ndarray:
-        return _guarded_div(self.act_bytes * self.n_samples, self.down)
-
-    def priced(self) -> PricedTerms:
-        """Every term priced once, for a caller that reads several sums."""
-        return PricedTerms(self.t_up, self.t_down, self.t_c, self.t_b, self.t_C,
-                           self.t_B, self.epochs, self.t_agg)
-
-    def server_free(self, epoch_only: bool, deepest: np.ndarray) -> ServerFreeTerms:
-        """The server-independent terms, priced now, of ``epoch`` (with
-        ``epoch_only``) or ``total``; see :class:`ServerFreeTerms`. The cuts
-        past each user's (..., S) ``deepest`` are blocked, and so, as every
-        round moves the model though one epoch leaves it out, is a cut whose
-        model would cross a dead link: their device term is +inf."""
-        device, move = self.t_c + self.t_b, self.t_up + self.t_down
-        np.copyto(device, np.inf, where=np.arange(device.shape[-1]) >= deepest[..., None])
-        if epoch_only:
-            np.copyto(device, np.inf, where=move == np.inf)
-            move = None
-        return ServerFreeTerms(
-            device, self.t_B, move,
-            self.server_flops, self.n_samples, self.server_work == 0.0,
-            self.epochs, self.t_agg,
-        )
-
-
-@dataclass(frozen=True)
-class PricedTerms(_TermSums):
-    """The six terms of a :class:`RoundTerms`, priced once, with the same
-    sums, so a caller that reads several sums gets the same bits."""
-
-    t_up: np.ndarray
-    t_down: np.ndarray
-    t_c: np.ndarray
-    t_b: np.ndarray
-    t_C: np.ndarray
-    t_B: np.ndarray
-    epochs: np.ndarray
-    t_agg: float
-
-
 class ServerFreeTerms(NamedTuple):
     """``RoundTerms.epoch`` or ``total`` split at the server time ``t_C``.
 
@@ -221,6 +157,25 @@ class ServerFreeTerms(NamedTuple):
     no_work: np.ndarray         # server_work == 0: no server time at any compute
     epochs: np.ndarray
     t_agg: float
+
+    @classmethod
+    def of(cls, batch: UserBatch, arch: ModelArchitecture, epoch_only: bool,
+           deepest: np.ndarray, t_agg: float) -> ServerFreeTerms:
+        """The terms of ``epoch`` (with ``epoch_only``) or ``total`` at every
+        cut of ``batch``. The cuts past each user's (..., S) ``deepest`` are
+        blocked, and so, as every round moves the model though one epoch
+        leaves it out, is a cut whose model would cross a dead link: their
+        device term is +inf."""
+        terms = round_terms(batch, arch, None, math.inf, t_agg)
+        # summed in place, so no more than the five term matrices are held
+        device = np.add(terms.t_c, terms.t_b, out=terms.t_c)
+        move = np.add(terms.t_up, terms.t_down, out=terms.t_up)
+        np.copyto(device, np.inf, where=np.arange(device.shape[-1]) >= deepest[..., None])
+        if epoch_only:
+            np.copyto(device, np.inf, where=move == np.inf)
+            move = None
+        return cls(device, terms.t_B, move, terms.server_flops, terms.n_samples,
+                   terms.server_work == 0.0, terms.epochs, t_agg)
 
     def price(self, server_compute: np.ndarray | float, out: np.ndarray) -> np.ndarray:
         """The objective at ``server_compute`` (shaped like the batch, or a
@@ -289,21 +244,26 @@ def round_terms(
                 or idx.min() < 0 or idx.max() >= arch.num_layers):
             raise ValueError(f"need one cut in 1..{arch.num_layers}, or one per user")
         user_flops, act, model = user_flops[idx], act[idx], model[idx]
-    terms = RoundTerms(*user, user_flops, arch.total_compute_per_sample - user_flops,
-                       act, model, server_compute, t_agg)
+    n_samples, compute_flops, up, down, epochs = user
+    server_flops = arch.total_compute_per_sample - user_flops
+    traffic = act * n_samples
     if cuts is not None:
-        moves_bytes = (model > 0) | (act * batch.n_samples > 0)
+        moves_bytes = (model > 0) | (traffic > 0)
         for bad, error, what in (
             (model > batch.storage_bytes, InfeasibleUserError, "cut model exceeds storage"),
-            (((batch.up == 0) | (batch.down == 0)) & moves_bytes,
+            (((up == 0) | (down == 0)) & moves_bytes,
              InfeasibleLinkError, "traffic scheduled over a zero-rate link"),
-            ((terms.server_work > 0) & (server_compute <= 0), AllocationError,
+            ((server_flops * n_samples > 0) & (server_compute <= 0), AllocationError,
              "server work left without server compute"),
         ):
             if bad.any():
                 bad = np.broadcast_to(bad, batch.shape)
                 raise error(f"users {id_list(batch.user_ids[bad])}: {what}")
-    return terms
+    return RoundTerms(
+        _guarded_div(model, up), _guarded_div(model, down),
+        user_flops * n_samples / compute_flops,
+        _guarded_div(traffic, up), _guarded_div(traffic, down),
+        server_flops, n_samples, server_compute, epochs, t_agg)
 
 
 # Users whose totals lie this close (relative) to the round time share it.
@@ -368,7 +328,7 @@ def straggler(times: np.ndarray, server_free: np.ndarray
 
 
 def _straggler(
-    terms: PricedTerms, communication: np.ndarray
+    terms: RoundTerms, communication: np.ndarray
 ) -> tuple[PerRound, PerRound]:
     """The round time, the largest total, and the communication of the
     user that set it, as :func:`straggler` attributes it."""
@@ -382,7 +342,7 @@ def esfl_round_time(
     batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Per-user cuts and server compute; the slowest user ends the round."""
-    terms = round_terms(batch, arch, cuts, server_compute, t_agg).priced()
+    terms = round_terms(batch, arch, cuts, server_compute, t_agg)
     return _straggler(terms, terms.communication)
 
 
@@ -390,7 +350,7 @@ def fl_round_time(
     batch: UserBatch, arch: ModelArchitecture, t_agg: float = 0.0
 ) -> tuple[PerRound, PerRound]:
     """Fully local training at the last layer; only the model moves."""
-    terms = round_terms(batch, arch, arch.num_layers, 0.0, t_agg).priced()
+    terms = round_terms(batch, arch, arch.num_layers, 0.0, t_agg)
     return _straggler(terms, terms.t_up + terms.t_down)
 
 
@@ -402,8 +362,7 @@ def sfl_round_time(
     t_agg: float = 0.0,
 ) -> tuple[PerRound, PerRound]:
     """Shared cut layer with the server budget split equally; straggler paced."""
-    terms = round_terms(batch, arch, fixed_l, server_total_flops / len(batch),
-                        t_agg).priced()
+    terms = round_terms(batch, arch, fixed_l, server_total_flops / len(batch), t_agg)
     return _straggler(terms, terms.communication)
 
 
@@ -419,7 +378,7 @@ def sl_round_time(
     The round and its communication are sums over users; the aggregation
     runs once, after the last user.
     """
-    terms = round_terms(batch, arch, fixed_l, server_total_flops).priced()
+    terms = round_terms(batch, arch, fixed_l, server_total_flops)
     # summed in user order, as the relay runs: cumsum adds strictly left to right
     time = np.cumsum(terms.total, axis=-1)[..., -1] + t_agg
     comm = np.cumsum(terms.communication, axis=-1)[..., -1]

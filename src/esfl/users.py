@@ -36,12 +36,12 @@ def _out_of_range(v: np.ndarray) -> np.ndarray:
     return (v != 0) & ~((size >= MAGNITUDE_MIN) & (size <= MAGNITUDE_MAX))
 
 
-_RATE: Rule = (_out_of_range, f"{IN_RANGE} bytes/s")
+_RATE: Rule = (_out_of_range, f"0 or {IN_RANGE} bytes/s")
 
 # The value rules of each UserBatch field, in library units and in field
 # order; a value must pass every rule of its field.
 _RULES: dict[str, tuple[Rule, ...]] = {
-    "n_samples": ((_out_of_range, f"{IN_RANGE} samples"), _AT_LEAST_0),
+    "n_samples": ((_out_of_range, f"0 or {IN_RANGE} samples"), _AT_LEAST_0),
     "compute_flops": ((_out_of_range, f"{IN_RANGE} FLOP/s"), _ABOVE_0),
     "up": (_RATE, _AT_LEAST_0),
     "down": (_RATE, _AT_LEAST_0),

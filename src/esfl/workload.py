@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import POSITIVE, ProfileError, at_least, check, magnitude
+from .errors import ProfileError, at_least, check, magnitude, positive_magnitude
 
 ELEMENT_SCALE = 1e6  # profile columns are tabulated in units of 1e6
 
@@ -69,7 +69,7 @@ class ModelArchitecture:
             raise ProfileError(
                 f"architecture {self.name!r}: needs at least 2 layers to admit a cut"
             )
-        check("bytes_per_element", self.bytes_per_element, magnitude("bytes"), POSITIVE)
+        check("bytes_per_element", self.bytes_per_element, *positive_magnitude("bytes"))
         check("bwd_multiplier", self.bwd_multiplier, magnitude(), at_least(0))
         for pos, layer in enumerate(self.layers, start=1):
             if layer.index != pos:

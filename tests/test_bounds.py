@@ -157,6 +157,8 @@ def test_check_shows_the_first_refused_item():
 
 
 _RANGE = r"0 or within 1e-20\.\.1e20"
+# the fields that refuse 0 do not offer it
+_REFUSES_0 = {"compute_flops": r"within 1e-20\.\.1e20", "epochs": r"within 1e-20\.\.1e20"}
 _USER = {"n_samples": 500.0, "compute_flops": 1.3e12, "up": 1e4, "down": 1e4, "epochs": 5}
 _LAYER = {"param_count": 1.0, "fwd_flops": 1.0, "activation_count": 1.0}
 # channels priced to about 1.2e-21 and 3e24 bytes/s: (bandwidth, noise density)
@@ -169,7 +171,8 @@ def test_value_outside_the_range_names_its_field(field, value):
     # a user's value names the user and field; a profile's, the layer and field
     if field in _USER:
         # epochs below the range is below 1, which the integer rule refuses first
-        what = "an integer" if field == "epochs" and value < 1 else _RANGE
+        what = ("an integer" if field == "epochs" and value < 1
+                else _REFUSES_0.get(field, _RANGE))
         with pytest.raises(ConfigError, match=rf"^user 0: {field} must be {what}"):
             UserBatch.checked(**{**_USER, field: value})
     elif field == "channel":

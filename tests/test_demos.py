@@ -1,19 +1,24 @@
 """Smoke test: every narrative script under demos/ runs to completion, and so
 does the README's "Quick start" block; ``esfl optimize`` plans the README's
-``users.json`` example.
+``users.json`` example; and every name the README cites from the package
+resolves.
 
 The demos and the README call the public API by name, so a removed or
 renamed export fails here instead of only when someone next runs them.
 """
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
+import esfl
 from esfl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +63,41 @@ def test_readme_users_json_example_optimizes(tmp_path):
     report = json.loads((tmp_path / "opt" / "allocation.json").read_text())
     assert len(report["cuts"]) == 3
     assert out.getvalue().strip()
+
+
+# a backticked name, or a call of one: `Name`, `Class.attr`, `f(x, y)`
+_CODE_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)*)(?:\([^`]*\))?`")
+# a name that ends in a file suffix names a file, such as `users.json`
+_FILE_NAME = re.compile(r".*\.(json|txt|csv|md|py)")
+
+
+def _readme_references() -> list[tuple[str, list]]:
+    """Each backticked name in the README whose first part is an attribute of
+    an ``esfl`` module, with the modules that have that attribute."""
+    modules = [esfl] + [importlib.import_module(f"esfl.{m.name}")
+                        for m in pkgutil.iter_modules(esfl.__path__)
+                        if m.name != "__main__"]   # importing it runs the CLI
+    names = set(_CODE_NAME.findall(README.read_text(encoding="utf-8")))
+    references = []
+    for name in sorted(names):
+        owners = [m for m in modules if hasattr(m, name.split(".")[0])]
+        if owners and not _FILE_NAME.fullmatch(name):
+            references.append((name, owners))
+    return references
+
+
+def _resolves(module, name: str) -> bool:
+    obj = module
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_code_references_resolve():
+    references = _readme_references()
+    assert len(references) >= 30    # the pattern still finds the README's names
+    unresolved = [f"{m.__name__}: {name}" for name, owners in references
+                  for m in owners if not _resolves(m, name)]
+    assert unresolved == []

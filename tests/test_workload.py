@@ -79,9 +79,11 @@ class TestUnits:
     def test_non_finite_units_rejected(self):
         # a NaN kappa made every compute figure NaN; a NaN or infinite
         # element size did the same to every byte count
-        for field, unit in (("bwd_multiplier", ""), ("bytes_per_element", " bytes")):
+        # bwd_multiplier may be 0; bytes_per_element, which may not, offers no 0
+        for field, zero, unit in (("bwd_multiplier", "0 or ", ""),
+                                  ("bytes_per_element", "", " bytes")):
             for value in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ConfigError, match=f"^{field} must be 0 or within "
+                with pytest.raises(ConfigError, match=f"^{field} must be {zero}within "
                                                       rf"1e-20\.\.1e20{unit}, "
                                                       f"not {value!r}$"):
                     load_builtin("vgg19", **{field: value})
